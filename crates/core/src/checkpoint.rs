@@ -9,45 +9,62 @@
 //! [8]  magic  b"FEDMIGRR"
 //! [4]  u32    format version (RUN_STATE_VERSION)
 //! [..] stamp  identifying run configuration (scheme/seed/epochs/clients/
-//!             num_params/codec/transport/agg_interval) — validated against
-//!             the resuming run's configuration before any state is decoded
-//! [..] state  the RunState payload
+//!             num_params/codec/transport/agg_interval/mode) — validated
+//!             against the resuming run before any live state is touched
+//! [..] state  the round state: `RoundState` (dense) or `FleetState`
 //! [4]  u32    CRC-32 (IEEE) over everything above
 //! ```
 //!
-//! Determinism contract: restoring a [`RunState`] and replaying rounds
-//! `epoch+1..` must be *byte-identical* to never having stopped. That is
-//! only possible because every source of run randomness is explicit state
-//! (the shared `StdRng`, each client's private RNG, the DDPG agent's RNG
-//! and OU process, the compressor's rounding counter) and every hash-based
-//! process (faults, attacks) is a pure function of `(seed, epoch)`. The
-//! chaos harness in `tests/chaos_resume.rs` enforces the contract.
+//! The payload *is* the live run state. Every checkpointed type implements
+//! [`Wire`], whose single method visits the type's fields in order against
+//! a [`Codec`] that is either the writer or the reader — so each field list
+//! exists once and the encoder cannot drift from the decoder. Capture walks
+//! the live state into a buffer ([`encode`]); resume and rollback walk the
+//! same fields back in place ([`restore`]).
+//!
+//! Determinism contract: restoring a state and replaying rounds `epoch+1..`
+//! must be *byte-identical* to never having stopped. That is only possible
+//! because every source of run randomness is explicit state (the shared
+//! `StdRng`, each client's private RNG, the DDPG agent's RNG and OU
+//! process, the compressor's rounding counter) and every hash-based process
+//! (faults, attacks) is a pure function of `(seed, epoch)`. The chaos
+//! harness in `tests/chaos_resume.rs` enforces the contract.
 
+use std::collections::VecDeque;
 use std::io;
+use std::path::Path;
 
-use fedmigr_compress::{CompressionStats, CompressorState};
-use fedmigr_drl::{AgentState, OuState, ReplayState, Transition, UpdateStats};
+use fedmigr_compress::{CompressionStats, Compressor, CompressorState};
+use fedmigr_drl::{AgentState, DdpgAgent, OuState, ReplayState, Transition, UpdateStats};
 use fedmigr_fleet::DormantState;
-use fedmigr_net::{MeterState, TrafficBreakdown, TransportAccumState, TransportStats};
+use fedmigr_net::{
+    MeterState, ResourceMeter, TrafficBreakdown, TransportAccum, TransportAccumState,
+    TransportStats,
+};
 use fedmigr_nn::checkpoint::crc32;
+use rand::rngs::StdRng;
 
-use crate::client::ClientState;
+use crate::client::FlClient;
+use crate::engine::{AgentCtx, CommonState};
+use crate::fleet::FleetState;
 use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RecoveryStats, RobustStats};
-use crate::migration::QuarantineState;
+use crate::migration::Quarantine;
+use crate::runner::{LateUpload, PhasedClock, RoundState, RunConfig};
 
 /// Magic tag opening every run checkpoint (distinct from the model
 /// checkpoint's `FEDMIGR1`).
 pub const RUN_STATE_MAGIC: &[u8; 8] = b"FEDMIGRR";
 
 /// Current run-checkpoint format version. Version 2 added the stamp's
-/// `mode` field (dense vs fleet) and the fleet payload layout.
-pub const RUN_STATE_VERSION: u32 = 2;
+/// `mode` field and the fleet payload; version 3 leads both payloads with
+/// the fields the two round loops share.
+pub const RUN_STATE_VERSION: u32 = 3;
 
 /// Identifying configuration a checkpoint is only valid for. Stamped into
 /// every checkpoint and validated field by field on load: resuming a run
 /// under a different scheme, seed, architecture, codec or transport is an
 /// error, not a silent divergence.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunStamp {
     /// Scheme name.
     pub scheme: String,
@@ -65,224 +82,45 @@ pub struct RunStamp {
     pub transport: String,
     /// Aggregation interval.
     pub agg_interval: u64,
-    /// Runner mode: `"dense"` (every client materialized, [`RunState`]
-    /// payload) or `"fleet"` (stub pool, [`FleetRunState`] payload). Checked
-    /// *before* the payload is decoded, so loading a fleet snapshot into a
-    /// dense run (or vice versa) fails with a clear mismatch error instead
-    /// of a garbled-state panic later.
+    /// Runner mode: `"dense"` (every client materialized) or `"fleet"`
+    /// (stub pool). Checked *before* the payload is decoded, so loading a
+    /// fleet snapshot into a dense run (or vice versa) fails with a clear
+    /// mismatch error instead of garbled state.
     pub mode: String,
 }
 
-/// A late upload buffered across a checkpoint (the flow transport's
-/// staleness buffer).
-#[derive(Clone, Debug, PartialEq)]
-pub struct LateUploadState {
-    /// The uploading client.
-    pub client: usize,
-    /// The decoded payload the wire delivered.
-    pub params: Vec<f32>,
-    /// Aggregation counter when the upload was buffered.
-    pub seq: usize,
-}
-
-/// The DDPG agent plus the runner's reward-pending decision queue.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AgentSnapshot {
-    /// Full agent state (networks, replay, RNG, OU noise).
-    pub agent: AgentState,
-    /// Decisions awaiting their reward: `(state, destination, client)`.
-    pub pending: Vec<(Vec<f32>, usize, usize)>,
-}
-
-/// Everything a round depends on, captured after a completed epoch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunState {
-    /// Last completed epoch; resume continues at `epoch + 1`.
-    pub epoch: usize,
-    /// Server-held global model parameters.
-    pub global: Vec<f32>,
-    /// Per-client mutable state (model, RNG, shuffled indices, counters).
-    pub clients: Vec<ClientState>,
-    /// The shared runner RNG's raw stream position.
-    pub rng: [u64; 4],
-    /// Resource-meter consumption.
-    pub meter: MeterState,
-    /// Virtual clock time in seconds.
-    pub clock_now: f64,
-    /// Per-phase attribution of the virtual clock.
-    pub phase: PhaseBreakdown,
-    /// Fault accounting so far.
-    pub fault_stats: FaultStats,
-    /// Per-client downtime EMAs.
-    pub flaky: Vec<f64>,
-    /// Flow-transport accumulator state.
-    pub taccum: TransportAccumState,
-    /// Buffered late uploads awaiting a future aggregation.
-    pub late_buf: Vec<LateUploadState>,
-    /// Completed-aggregation counter.
-    pub agg_seq: usize,
-    /// Migration-quarantine state (`None` without an active adversary).
-    pub quarantine: Option<QuarantineState>,
-    /// Byzantine-defense accounting so far.
-    pub robust_total: RobustStats,
-    /// Per-client model-mixture estimates.
-    pub mix: Vec<Vec<f64>>,
-    /// Diagnostic training-history mixture twin.
-    pub train_mix: Vec<Vec<f64>>,
-    /// Wire-compressor state (error-feedback residuals, rounding counter).
-    pub compressor: CompressorState,
-    /// DDPG agent state (`None` for non-DRL schemes).
-    pub agent: Option<AgentSnapshot>,
-    /// Per-epoch records produced so far.
-    pub records: Vec<EpochRecord>,
-    /// `K x K` migration-count matrix.
-    pub link_migrations: Vec<u32>,
-    /// Intra-LAN migrations executed.
-    pub migrations_local: usize,
-    /// Cross-LAN migrations executed.
-    pub migrations_global: usize,
-    /// Previous round's mean training loss.
-    pub prev_loss: Option<f32>,
-    /// Previous round's (compute, bandwidth) budget usage fractions.
-    pub last_epoch_usage: (f64, f64),
-    /// Most recent DRL step reward.
-    pub last_step_reward: f64,
-    /// Clients the watchdog excluded after implicating them in a
-    /// divergence (empty in normal runs; excluded clients sit rounds out).
-    pub excluded: Vec<bool>,
-    /// Recovery accounting carried across resumes.
-    pub recovery: RecoveryStats,
-}
-
-impl RunState {
-    /// Encodes the state under `stamp` into the checkpoint wire format.
-    pub fn to_bytes(&self, stamp: &RunStamp) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(4096) };
-        e.buf.extend_from_slice(RUN_STATE_MAGIC);
-        e.u32(RUN_STATE_VERSION);
-        put_stamp(&mut e, stamp);
-        put_state(&mut e, self);
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
-    }
-
-    /// Decodes a checkpoint, validating the magic, version, CRC and every
-    /// stamp field against `expect` before touching the payload. Any
-    /// corruption or mismatch yields [`io::ErrorKind::InvalidData`].
-    pub fn from_bytes(bytes: &[u8], expect: &RunStamp) -> io::Result<RunState> {
-        let mut d = open_container(bytes)?;
-        let stamp = take_stamp(&mut d)?;
-        check_stamp(&stamp, expect)?;
-        let state = take_state(&mut d)?;
-        if d.pos != d.b.len() {
-            return Err(bad("trailing bytes after run checkpoint payload"));
+impl RunStamp {
+    /// The stamp of a `mode` run of `cfg` over `clients` clients.
+    pub(crate) fn of(cfg: &RunConfig, clients: usize, num_params: usize, mode: &str) -> Self {
+        Self {
+            scheme: cfg.scheme.name(),
+            seed: cfg.seed,
+            epochs: cfg.epochs as u64,
+            clients: clients as u64,
+            num_params: num_params as u64,
+            codec: cfg.codec.name(),
+            transport: cfg.transport.name().into(),
+            agg_interval: cfg.agg_interval as u64,
+            mode: mode.into(),
         }
-        Ok(state)
-    }
-
-    /// Writes the encoded checkpoint to `path` atomically (write to a
-    /// sibling temp file, then rename): a crash mid-write never leaves a
-    /// torn checkpoint where a good one stood.
-    pub fn save(&self, path: &std::path::Path, stamp: &RunStamp) -> io::Result<u64> {
-        let bytes = self.to_bytes(stamp);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Reads and decodes a checkpoint from `path`.
-    pub fn load(path: &std::path::Path, expect: &RunStamp) -> io::Result<RunState> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes, expect)
     }
 }
 
-/// Everything a *fleet* round depends on, captured after a completed round.
-/// Deliberately small: the fleet's per-client state lives in the dormant
-/// stubs (one [`DormantState`] each — RNG stream, migration counter,
-/// participation count), so a K = 100,000 checkpoint is a few megabytes,
-/// not a dense `K × num_params` dump. Shares the dense checkpoint's
-/// magic/version/stamp/CRC container under `mode = "fleet"`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetRunState {
-    /// Last completed round; resume continues at `epoch + 1`.
-    pub epoch: usize,
-    /// Server-held global model parameters.
-    pub global: Vec<f32>,
-    /// The shared sampling RNG's raw stream position.
-    pub rng: [u64; 4],
-    /// Per-client dormant state, in id order (length `K`).
-    pub dormant: Vec<DormantState>,
-    /// Pooled DDPG agent state (`None` for non-DRL fleet schemes).
-    pub agent: Option<AgentSnapshot>,
-    /// Resource-meter consumption.
-    pub meter: MeterState,
-    /// Virtual clock time in seconds.
-    pub clock_now: f64,
-    /// Per-phase attribution of the virtual clock.
-    pub phase: PhaseBreakdown,
-    /// Per-round records produced so far.
-    pub records: Vec<EpochRecord>,
-    /// Intra-LAN migrations executed.
-    pub migrations_local: usize,
-    /// Cross-LAN migrations executed.
-    pub migrations_global: usize,
-    /// Previous round's mean training loss.
-    pub prev_loss: Option<f32>,
-    /// Previous round's (compute, bandwidth) budget usage fractions.
-    pub last_epoch_usage: (f64, f64),
-    /// Most recent DRL step reward.
-    pub last_step_reward: f64,
+/// Encodes `state` under `stamp` into the checkpoint wire format.
+pub(crate) fn encode(stamp: &RunStamp, state: &mut impl Wire) -> Vec<u8> {
+    let mut c = Codec::Write(Vec::with_capacity(4096));
+    let mut header = (*RUN_STATE_MAGIC, RUN_STATE_VERSION, stamp.clone());
+    header.wire(&mut c).and_then(|()| state.wire(&mut c)).expect("the writing codec never fails");
+    let Codec::Write(mut buf) = c else { unreachable!("codec direction is fixed") };
+    buf.extend_from_slice(&crc32(&buf).to_le_bytes());
+    buf
 }
 
-impl FleetRunState {
-    /// Encodes the state under `stamp` (which must carry `mode = "fleet"`)
-    /// into the checkpoint wire format.
-    pub fn to_bytes(&self, stamp: &RunStamp) -> Vec<u8> {
-        let mut e = Enc { buf: Vec::with_capacity(4096) };
-        e.buf.extend_from_slice(RUN_STATE_MAGIC);
-        e.u32(RUN_STATE_VERSION);
-        put_stamp(&mut e, stamp);
-        put_fleet_state(&mut e, self);
-        let crc = crc32(&e.buf);
-        e.u32(crc);
-        e.buf
-    }
-
-    /// Decodes a fleet checkpoint, validating magic, version, CRC and the
-    /// stamp (mode first) against `expect` before touching the payload.
-    pub fn from_bytes(bytes: &[u8], expect: &RunStamp) -> io::Result<FleetRunState> {
-        let mut d = open_container(bytes)?;
-        let stamp = take_stamp(&mut d)?;
-        check_stamp(&stamp, expect)?;
-        let state = take_fleet_state(&mut d)?;
-        if d.pos != d.b.len() {
-            return Err(bad("trailing bytes after run checkpoint payload"));
-        }
-        Ok(state)
-    }
-
-    /// Writes the encoded checkpoint to `path` atomically.
-    pub fn save(&self, path: &std::path::Path, stamp: &RunStamp) -> io::Result<u64> {
-        let bytes = self.to_bytes(stamp);
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, &bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
-    }
-
-    /// Reads and decodes a fleet checkpoint from `path`.
-    pub fn load(path: &std::path::Path, expect: &RunStamp) -> io::Result<FleetRunState> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes, expect)
-    }
-}
-
-/// Validates magic, version and CRC, returning a decoder positioned at the
-/// stamp. Shared by the dense and fleet payloads.
-fn open_container(bytes: &[u8]) -> io::Result<Dec<'_>> {
+/// Restores `state` in place from a checkpoint. Magic, version, CRC and
+/// every stamp field are validated against `expect` before any field of
+/// `state` is overwritten; any corruption or mismatch yields
+/// [`io::ErrorKind::InvalidData`] (after which `state` must not be used).
+pub(crate) fn restore(bytes: &[u8], expect: &RunStamp, state: &mut impl Wire) -> io::Result<()> {
     if bytes.len() < RUN_STATE_MAGIC.len() + 8 {
         return Err(bad("run checkpoint too short"));
     }
@@ -290,179 +128,47 @@ fn open_container(bytes: &[u8]) -> io::Result<Dec<'_>> {
         return Err(bad("not a fedmigr run checkpoint (bad magic)"));
     }
     let body_len = bytes.len() - 4;
-    let stored = u32::from_le_bytes(bytes[body_len..].try_into().unwrap());
+    let stored = u32::from_le_bytes(bytes[body_len..].try_into().expect("four trailer bytes"));
     if crc32(&bytes[..body_len]) != stored {
         return Err(bad("run checkpoint checksum mismatch"));
     }
-    let mut d = Dec { b: &bytes[8..body_len], pos: 0 };
-    let version = d.u32()?;
+    let mut c = Codec::Read { b: &bytes[8..body_len], pos: 0 };
+    let mut version = 0u32;
+    version.wire(&mut c)?;
     if version != RUN_STATE_VERSION {
         return Err(bad(&format!(
             "unsupported run checkpoint version {version} (expected {RUN_STATE_VERSION})"
         )));
     }
-    Ok(d)
+    let mut found = RunStamp::default();
+    found.wire(&mut c)?;
+    check_stamp(&found, expect)?;
+    state.wire(&mut c)?;
+    match c {
+        Codec::Read { b, pos } if pos != b.len() => {
+            Err(bad("trailing bytes after run checkpoint payload"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Writes an encoded checkpoint into `dir` as `ckpt_round_<epoch>.fmrs`
+/// plus the rolling `latest.fmrs`, each atomically (sibling temp file, then
+/// rename): a crash mid-write never leaves a torn checkpoint where a good
+/// one stood.
+pub(crate) fn persist(dir: &Path, epoch: usize, bytes: &[u8]) -> io::Result<()> {
+    let write = |path: &Path| -> io::Result<()> {
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&tmp, bytes)?;
+        std::fs::rename(&tmp, path)
+    };
+    std::fs::create_dir_all(dir)?;
+    write(&dir.join(format!("ckpt_round_{epoch}.fmrs")))?;
+    write(&dir.join("latest.fmrs"))
 }
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-// ---------------------------------------------------------------------------
-// Encoder / decoder primitives (little-endian, length-prefixed).
-
-struct Enc {
-    buf: Vec<u8>,
-}
-
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn us(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn str(&mut self, s: &str) {
-        self.us(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn f32s(&mut self, xs: &[f32]) {
-        self.us(xs.len());
-        for &x in xs {
-            self.f32(x);
-        }
-    }
-    fn f64s(&mut self, xs: &[f64]) {
-        self.us(xs.len());
-        for &x in xs {
-            self.f64(x);
-        }
-    }
-    fn u64s(&mut self, xs: &[u64]) {
-        self.us(xs.len());
-        for &x in xs {
-            self.u64(x);
-        }
-    }
-    fn rng(&mut self, s: &[u64; 4]) {
-        for &w in s {
-            self.u64(w);
-        }
-    }
-}
-
-struct Dec<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.b.len() - self.pos < n {
-            return Err(bad("run checkpoint truncated"));
-        }
-        let out = &self.b[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn us(&mut self) -> io::Result<usize> {
-        usize::try_from(self.u64()?).map_err(|_| bad("count overflows usize"))
-    }
-    /// A length prefix for elements of `elem` bytes each; rejected when the
-    /// declared payload exceeds the remaining buffer (a corrupt length must
-    /// not trigger a huge allocation).
-    fn len(&mut self, elem: usize) -> io::Result<usize> {
-        let n = self.us()?;
-        if n.saturating_mul(elem.max(1)) > self.b.len() - self.pos {
-            return Err(bad("length prefix exceeds checkpoint size"));
-        }
-        Ok(n)
-    }
-    fn f32(&mut self) -> io::Result<f32> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn bool(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(bad("invalid bool byte")),
-        }
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.len(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| bad("invalid utf-8 string"))
-    }
-    fn f32s(&mut self) -> io::Result<Vec<f32>> {
-        let n = self.len(4)?;
-        (0..n).map(|_| self.f32()).collect()
-    }
-    fn f64s(&mut self) -> io::Result<Vec<f64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    fn u64s(&mut self) -> io::Result<Vec<u64>> {
-        let n = self.len(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-    fn rng(&mut self) -> io::Result<[u64; 4]> {
-        Ok([self.u64()?, self.u64()?, self.u64()?, self.u64()?])
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stamp.
-
-fn put_stamp(e: &mut Enc, s: &RunStamp) {
-    e.str(&s.scheme);
-    e.u64(s.seed);
-    e.u64(s.epochs);
-    e.u64(s.clients);
-    e.u64(s.num_params);
-    e.str(&s.codec);
-    e.str(&s.transport);
-    e.u64(s.agg_interval);
-    e.str(&s.mode);
-}
-
-fn take_stamp(d: &mut Dec) -> io::Result<RunStamp> {
-    Ok(RunStamp {
-        scheme: d.str()?,
-        seed: d.u64()?,
-        epochs: d.u64()?,
-        clients: d.u64()?,
-        num_params: d.u64()?,
-        codec: d.str()?,
-        transport: d.str()?,
-        agg_interval: d.u64()?,
-        mode: d.str()?,
-    })
 }
 
 fn check_stamp(found: &RunStamp, expect: &RunStamp) -> io::Result<()> {
@@ -493,639 +199,862 @@ fn check_stamp(found: &RunStamp, expect: &RunStamp) -> io::Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Payload.
+// The bidirectional codec.
 
-fn put_state(e: &mut Enc, s: &RunState) {
-    e.us(s.epoch);
-    e.f32s(&s.global);
-    e.us(s.clients.len());
-    for c in &s.clients {
-        e.f32s(&c.params);
-        e.rng(&c.rng);
-        e.us(c.indices.len());
-        for &i in &c.indices {
-            e.us(i);
-        }
-        e.us(c.migrations_received);
+/// One side of the wire: the buffer being written, or the bytes being read.
+pub(crate) enum Codec<'a> {
+    /// Capture: values are appended.
+    Write(Vec<u8>),
+    /// Restore: values are overwritten from `b[pos..]`.
+    Read {
+        /// The payload (container header and CRC trailer stripped).
+        b: &'a [u8],
+        /// Read cursor.
+        pos: usize,
+    },
+}
+
+impl Codec<'_> {
+    fn reading(&self) -> bool {
+        matches!(self, Codec::Read { .. })
     }
-    e.rng(&s.rng);
-    put_meter(e, &s.meter);
-    e.f64(s.clock_now);
-    put_phase(e, &s.phase);
-    put_fault(e, &s.fault_stats);
-    e.f64s(&s.flaky);
-    put_taccum(e, &s.taccum);
-    e.us(s.late_buf.len());
-    for lu in &s.late_buf {
-        e.us(lu.client);
-        e.f32s(&lu.params);
-        e.us(lu.seq);
-    }
-    e.us(s.agg_seq);
-    match &s.quarantine {
-        None => e.bool(false),
-        Some(q) => {
-            e.bool(true);
-            e.f64s(&q.norms);
-            e.f64s(&q.suspicion);
-            e.us(q.rejected);
-        }
-    }
-    put_robust(e, &s.robust_total);
-    put_mat(e, &s.mix);
-    put_mat(e, &s.train_mix);
-    put_compressor(e, &s.compressor);
-    match &s.agent {
-        None => e.bool(false),
-        Some(a) => {
-            e.bool(true);
-            put_agent(e, &a.agent);
-            e.us(a.pending.len());
-            for (state, dest, client) in &a.pending {
-                e.f32s(state);
-                e.us(*dest);
-                e.us(*client);
+
+    /// Moves `N` raw bytes between `v` and the stream.
+    fn raw<const N: usize>(&mut self, v: &mut [u8; N]) -> io::Result<()> {
+        match self {
+            Codec::Write(buf) => buf.extend_from_slice(v),
+            Codec::Read { b, pos } => {
+                let rest = &b[*pos..];
+                if rest.len() < N {
+                    return Err(bad("run checkpoint truncated"));
+                }
+                v.copy_from_slice(&rest[..N]);
+                *pos += N;
             }
         }
+        Ok(())
     }
-    e.us(s.records.len());
-    for r in &s.records {
-        put_record(e, r);
-    }
-    e.us(s.link_migrations.len());
-    for &m in &s.link_migrations {
-        e.u32(m);
-    }
-    e.us(s.migrations_local);
-    e.us(s.migrations_global);
-    match s.prev_loss {
-        None => e.bool(false),
-        Some(l) => {
-            e.bool(true);
-            e.f32(l);
+
+    /// A length prefix for elements of at least `elem` bytes each; on read
+    /// it is rejected when the declared payload exceeds the remaining
+    /// buffer (a corrupt length must not trigger a huge allocation).
+    fn len(&mut self, n: &mut usize, elem: usize) -> io::Result<()> {
+        n.wire(self)?;
+        match self {
+            Codec::Read { b, pos } if n.saturating_mul(elem.max(1)) > b.len() - *pos => {
+                Err(bad("length prefix exceeds checkpoint size"))
+            }
+            _ => Ok(()),
         }
     }
-    e.f64(s.last_epoch_usage.0);
-    e.f64(s.last_epoch_usage.1);
-    e.f64(s.last_step_reward);
-    e.us(s.excluded.len());
-    for &x in &s.excluded {
-        e.bool(x);
-    }
-    put_recovery(e, &s.recovery);
-}
 
-fn take_state(d: &mut Dec) -> io::Result<RunState> {
-    let epoch = d.us()?;
-    let global = d.f32s()?;
-    let n_clients = d.len(1)?;
-    let mut clients = Vec::with_capacity(n_clients);
-    for _ in 0..n_clients {
-        let params = d.f32s()?;
-        let rng = d.rng()?;
-        let n_idx = d.len(8)?;
-        let indices = (0..n_idx).map(|_| d.us()).collect::<io::Result<Vec<usize>>>()?;
-        let migrations_received = d.us()?;
-        clients.push(ClientState { params, rng, indices, migrations_received });
-    }
-    let rng = d.rng()?;
-    let meter = take_meter(d)?;
-    let clock_now = d.f64()?;
-    let phase = take_phase(d)?;
-    let fault_stats = take_fault(d)?;
-    let flaky = d.f64s()?;
-    let taccum = take_taccum(d)?;
-    let n_late = d.len(1)?;
-    let mut late_buf = Vec::with_capacity(n_late);
-    for _ in 0..n_late {
-        late_buf.push(LateUploadState { client: d.us()?, params: d.f32s()?, seq: d.us()? });
-    }
-    let agg_seq = d.us()?;
-    let quarantine = if d.bool()? {
-        Some(QuarantineState { norms: d.f64s()?, suspicion: d.f64s()?, rejected: d.us()? })
-    } else {
-        None
-    };
-    let robust_total = take_robust(d)?;
-    let mix = take_mat(d)?;
-    let train_mix = take_mat(d)?;
-    let compressor = take_compressor(d)?;
-    let agent = if d.bool()? {
-        let agent = take_agent(d)?;
-        let n_pending = d.len(1)?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push((d.f32s()?, d.us()?, d.us()?));
+    /// Wires a live object through the state value its crate exports: the
+    /// leaf crates' `*State` structs stay the boundary that hides their
+    /// internals. `import` runs only on read.
+    fn via<T, S: Wire>(
+        &mut self,
+        live: &mut T,
+        export: impl FnOnce(&mut T) -> S,
+        import: impl FnOnce(&mut T, S) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut state = export(live);
+        state.wire(self)?;
+        if self.reading() {
+            import(live, state)?;
         }
-        Some(AgentSnapshot { agent, pending })
-    } else {
-        None
-    };
-    let n_records = d.len(1)?;
-    let mut records = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        records.push(take_record(d)?);
+        Ok(())
     }
-    let n_links = d.len(4)?;
-    let link_migrations = (0..n_links).map(|_| d.u32()).collect::<io::Result<Vec<u32>>>()?;
-    let migrations_local = d.us()?;
-    let migrations_global = d.us()?;
-    let prev_loss = if d.bool()? { Some(d.f32()?) } else { None };
-    let last_epoch_usage = (d.f64()?, d.f64()?);
-    let last_step_reward = d.f64()?;
-    let n_excl = d.len(1)?;
-    let excluded = (0..n_excl).map(|_| d.bool()).collect::<io::Result<Vec<bool>>>()?;
-    let recovery = take_recovery(d)?;
-    Ok(RunState {
-        epoch,
-        global,
-        clients,
-        rng,
-        meter,
-        clock_now,
-        phase,
-        fault_stats,
-        flaky,
-        taccum,
-        late_buf,
-        agg_seq,
-        quarantine,
-        robust_total,
-        mix,
-        train_mix,
-        compressor,
-        agent,
-        records,
-        link_migrations,
-        migrations_local,
-        migrations_global,
-        prev_loss,
-        last_epoch_usage,
-        last_step_reward,
-        excluded,
-        recovery,
-    })
+
+    /// Wires live objects in place: the count is part of the run's
+    /// configuration, so a checkpoint that disagrees is a mismatch, not a
+    /// resize.
+    fn in_place<T: Wire>(&mut self, items: &mut [T], what: &str) -> io::Result<()> {
+        let mut n = items.len();
+        self.len(&mut n, T::MIN_BYTES)?;
+        if n != items.len() {
+            return Err(bad(what));
+        }
+        items.iter_mut().try_for_each(|item| item.wire(self))
+    }
+
+    /// Wires an optional live subsystem in place. Whether it exists is
+    /// decided by the run's configuration; a checkpoint taken under the
+    /// other choice is the mismatch `what` names.
+    fn in_place_opt<T: Wire>(&mut self, live: &mut Option<T>, what: &str) -> io::Result<()> {
+        let mut present = live.is_some();
+        present.wire(self)?;
+        if present != live.is_some() {
+            return Err(bad(what));
+        }
+        live.as_mut().map_or(Ok(()), |v| v.wire(self))
+    }
 }
 
-fn put_fleet_state(e: &mut Enc, s: &FleetRunState) {
-    e.us(s.epoch);
-    e.f32s(&s.global);
-    e.rng(&s.rng);
-    e.us(s.dormant.len());
-    for d in &s.dormant {
-        match &d.rng {
-            None => e.bool(false),
-            Some(r) => {
-                e.bool(true);
-                e.rng(r);
+/// A type that can cross the checkpoint wire. The one method visits the
+/// type's fields in order; the codec decides the direction.
+pub(crate) trait Wire {
+    /// Smallest encoding of one value, bounding how many a length prefix
+    /// may plausibly announce.
+    const MIN_BYTES: usize = 1;
+
+    /// Writes `self` to, or overwrites `self` from, the codec.
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()>;
+}
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+                let mut raw = self.to_le_bytes();
+                c.raw(&mut raw)?;
+                *self = <$t>::from_le_bytes(raw);
+                Ok(())
             }
         }
-        e.u64(d.migrations_received);
-        e.u64(d.participations);
+    )*};
+}
+wire_le!(u8, u32, u64, f32, f64);
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut v = *self as u64;
+        v.wire(c)?;
+        *self = usize::try_from(v).map_err(|_| bad("count overflows usize"))?;
+        Ok(())
     }
-    match &s.agent {
-        None => e.bool(false),
-        Some(a) => {
-            e.bool(true);
-            put_agent(e, &a.agent);
-            e.us(a.pending.len());
-            for (state, dest, client) in &a.pending {
-                e.f32s(state);
-                e.us(*dest);
-                e.us(*client);
+}
+
+impl Wire for bool {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut v = *self as u8;
+        v.wire(c)?;
+        *self = match v {
+            0 => false,
+            1 => true,
+            _ => return Err(bad("invalid bool byte")),
+        };
+        Ok(())
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut bytes = std::mem::take(self).into_bytes();
+        bytes.wire(c)?;
+        *self = String::from_utf8(bytes).map_err(|_| bad("invalid utf-8 string"))?;
+        Ok(())
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.iter_mut().try_for_each(|v| v.wire(c))
+    }
+}
+
+impl<T: Wire + Default> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut n = self.len();
+        c.len(&mut n, T::MIN_BYTES)?;
+        if c.reading() {
+            self.clear();
+            self.resize_with(n, T::default);
+        }
+        self.iter_mut().try_for_each(|v| v.wire(c))
+    }
+}
+
+impl<T: Wire + Default> Wire for VecDeque<T> {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut items = Vec::from(std::mem::take(self));
+        let result = items.wire(c);
+        *self = items.into();
+        result
+    }
+}
+
+impl<T: Wire + Default> Wire for Option<T> {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut present = self.is_some();
+        present.wire(c)?;
+        if c.reading() {
+            *self = present.then(T::default);
+        }
+        self.as_mut().map_or(Ok(()), |v| v.wire(c))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.0.wire(c)?;
+        self.1.wire(c)
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.0.wire(c)?;
+        self.1.wire(c)?;
+        self.2.wire(c)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Field lists: one per checkpointed type.
+
+impl Wire for RunStamp {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.scheme.wire(c)?;
+        self.seed.wire(c)?;
+        self.epochs.wire(c)?;
+        self.clients.wire(c)?;
+        self.num_params.wire(c)?;
+        self.codec.wire(c)?;
+        self.transport.wire(c)?;
+        self.agg_interval.wire(c)?;
+        self.mode.wire(c)
+    }
+}
+
+impl Wire for CommonState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.epoch.wire(c)?;
+        self.global.wire(c)?;
+        self.rng.wire(c)?;
+        self.meter.wire(c)?;
+        self.clock.wire(c)?;
+        c.in_place_opt(&mut self.agent, "scheme mismatch between checkpoint and run")?;
+        self.records.wire(c)?;
+        self.migrations_local.wire(c)?;
+        self.migrations_global.wire(c)?;
+        self.prev_loss.wire(c)?;
+        self.last_epoch_usage.wire(c)?;
+        self.last_step_reward.wire(c)?;
+        self.recovery.wire(c)
+    }
+}
+
+impl Wire for RoundState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let k = self.clients.len();
+        self.common.wire(c)?;
+        c.in_place(&mut self.clients, "checkpoint client count")?;
+        self.fault_stats.wire(c)?;
+        self.flaky.wire(c)?;
+        self.taccum.wire(c)?;
+        self.late_buf.wire(c)?;
+        self.agg_seq.wire(c)?;
+        c.in_place_opt(
+            &mut self.quarantine,
+            "attack configuration mismatch between checkpoint and run",
+        )?;
+        self.robust_total.wire(c)?;
+        self.mix.wire(c)?;
+        self.train_mix.wire(c)?;
+        self.compressor.wire(c)?;
+        self.link_migrations.wire(c)?;
+        self.excluded.wire(c)?;
+        let per_client = [self.flaky.len(), self.mix.len(), self.train_mix.len()];
+        if per_client.iter().any(|&n| n != k)
+            || self.excluded.len() != k
+            || self.link_migrations.len() != k * k
+        {
+            return Err(bad("checkpoint client count"));
+        }
+        Ok(())
+    }
+}
+
+impl Wire for FleetState<'_> {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        debug_assert!(self.cohort.is_empty(), "fleet checkpoints land between blocks");
+        self.common.wire(c)?;
+        c.via(
+            &mut *self.pool,
+            |pool| pool.export_dormant(),
+            |pool, dormant| {
+                if dormant.len() != pool.len() {
+                    return Err(bad("checkpoint client count"));
+                }
+                pool.import_dormant(dormant);
+                Ok(())
+            },
+        )
+    }
+}
+
+impl Wire for FlClient {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let (num_params, num_samples) = (self.num_params(), self.num_samples());
+        let mut params = self.params();
+        params.wire(c)?;
+        self.rng.wire(c)?;
+        self.indices.wire(c)?;
+        self.migrations_received.wire(c)?;
+        if c.reading() {
+            if params.len() != num_params {
+                return Err(bad("client model shape mismatch"));
             }
-        }
-    }
-    put_meter(e, &s.meter);
-    e.f64(s.clock_now);
-    put_phase(e, &s.phase);
-    e.us(s.records.len());
-    for r in &s.records {
-        put_record(e, r);
-    }
-    e.us(s.migrations_local);
-    e.us(s.migrations_global);
-    match s.prev_loss {
-        None => e.bool(false),
-        Some(l) => {
-            e.bool(true);
-            e.f32(l);
-        }
-    }
-    e.f64(s.last_epoch_usage.0);
-    e.f64(s.last_epoch_usage.1);
-    e.f64(s.last_step_reward);
-}
-
-fn take_fleet_state(d: &mut Dec) -> io::Result<FleetRunState> {
-    let epoch = d.us()?;
-    let global = d.f32s()?;
-    let rng = d.rng()?;
-    let n_dormant = d.len(1)?;
-    let mut dormant = Vec::with_capacity(n_dormant);
-    for _ in 0..n_dormant {
-        let rng = if d.bool()? { Some(d.rng()?) } else { None };
-        dormant.push(DormantState { rng, migrations_received: d.u64()?, participations: d.u64()? });
-    }
-    let agent = if d.bool()? {
-        let agent = take_agent(d)?;
-        let n_pending = d.len(1)?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push((d.f32s()?, d.us()?, d.us()?));
-        }
-        Some(AgentSnapshot { agent, pending })
-    } else {
-        None
-    };
-    let meter = take_meter(d)?;
-    let clock_now = d.f64()?;
-    let phase = take_phase(d)?;
-    let n_records = d.len(1)?;
-    let mut records = Vec::with_capacity(n_records);
-    for _ in 0..n_records {
-        records.push(take_record(d)?);
-    }
-    Ok(FleetRunState {
-        epoch,
-        global,
-        rng,
-        dormant,
-        agent,
-        meter,
-        clock_now,
-        phase,
-        records,
-        migrations_local: d.us()?,
-        migrations_global: d.us()?,
-        prev_loss: if d.bool()? { Some(d.f32()?) } else { None },
-        last_epoch_usage: (d.f64()?, d.f64()?),
-        last_step_reward: d.f64()?,
-    })
-}
-
-fn put_mat(e: &mut Enc, m: &[Vec<f64>]) {
-    e.us(m.len());
-    for row in m {
-        e.f64s(row);
-    }
-}
-
-fn take_mat(d: &mut Dec) -> io::Result<Vec<Vec<f64>>> {
-    let n = d.len(8)?;
-    (0..n).map(|_| d.f64s()).collect()
-}
-
-fn put_meter(e: &mut Enc, m: &MeterState) {
-    put_traffic(e, &m.traffic);
-    e.u64(m.overhead);
-    e.f64(m.transfer_seconds);
-    e.f64(m.compute_cost);
-}
-
-fn take_meter(d: &mut Dec) -> io::Result<MeterState> {
-    Ok(MeterState {
-        traffic: take_traffic(d)?,
-        overhead: d.u64()?,
-        transfer_seconds: d.f64()?,
-        compute_cost: d.f64()?,
-    })
-}
-
-fn put_traffic(e: &mut Enc, t: &TrafficBreakdown) {
-    e.u64(t.c2s);
-    e.u64(t.c2c_local);
-    e.u64(t.c2c_global);
-}
-
-fn take_traffic(d: &mut Dec) -> io::Result<TrafficBreakdown> {
-    Ok(TrafficBreakdown { c2s: d.u64()?, c2c_local: d.u64()?, c2c_global: d.u64()? })
-}
-
-fn put_phase(e: &mut Enc, p: &PhaseBreakdown) {
-    e.f64(p.train_s);
-    e.f64(p.c2s_s);
-    e.f64(p.migration_s);
-    e.f64(p.backoff_s);
-}
-
-fn take_phase(d: &mut Dec) -> io::Result<PhaseBreakdown> {
-    Ok(PhaseBreakdown {
-        train_s: d.f64()?,
-        c2s_s: d.f64()?,
-        migration_s: d.f64()?,
-        backoff_s: d.f64()?,
-    })
-}
-
-fn put_fault(e: &mut Enc, f: &FaultStats) {
-    e.us(f.client_drops);
-    e.us(f.stale_client_epochs);
-    e.us(f.transfer_retries);
-    e.us(f.rerouted_migrations);
-    e.us(f.cancelled_migrations);
-    e.u64(f.wasted_bytes);
-    e.us(f.client_panics);
-}
-
-fn take_fault(d: &mut Dec) -> io::Result<FaultStats> {
-    Ok(FaultStats {
-        client_drops: d.us()?,
-        stale_client_epochs: d.us()?,
-        transfer_retries: d.us()?,
-        rerouted_migrations: d.us()?,
-        cancelled_migrations: d.us()?,
-        wasted_bytes: d.u64()?,
-        client_panics: d.us()?,
-    })
-}
-
-fn put_robust(e: &mut Enc, r: &RobustStats) {
-    e.us(r.rejected_migrations);
-    e.us(r.trimmed_clients);
-    e.us(r.clipped_norms);
-    e.us(r.nan_uploads);
-    e.u64(r.nan_batches);
-}
-
-fn take_robust(d: &mut Dec) -> io::Result<RobustStats> {
-    Ok(RobustStats {
-        rejected_migrations: d.us()?,
-        trimmed_clients: d.us()?,
-        clipped_norms: d.us()?,
-        nan_uploads: d.us()?,
-        nan_batches: d.u64()?,
-    })
-}
-
-fn put_recovery(e: &mut Enc, r: &RecoveryStats) {
-    e.us(r.checkpoints_written);
-    e.u64(r.checkpoint_bytes);
-    e.us(r.checkpoints_loaded);
-    e.us(r.rollbacks);
-    e.us(r.rounds_replayed);
-}
-
-fn take_recovery(d: &mut Dec) -> io::Result<RecoveryStats> {
-    Ok(RecoveryStats {
-        checkpoints_written: d.us()?,
-        checkpoint_bytes: d.u64()?,
-        checkpoints_loaded: d.us()?,
-        rollbacks: d.us()?,
-        rounds_replayed: d.us()?,
-    })
-}
-
-fn put_taccum(e: &mut Enc, t: &TransportAccumState) {
-    put_transport_stats(e, &t.stats);
-    e.f64s(&t.queue_delays);
-    e.f64s(&t.utils);
-}
-
-fn take_taccum(d: &mut Dec) -> io::Result<TransportAccumState> {
-    Ok(TransportAccumState {
-        stats: take_transport_stats(d)?,
-        queue_delays: d.f64s()?,
-        utils: d.f64s()?,
-    })
-}
-
-fn put_transport_stats(e: &mut Enc, t: &TransportStats) {
-    e.u64(t.flows);
-    e.u64(t.failed_flows);
-    e.u64(t.retransmits);
-    e.u64(t.timeouts);
-    e.u64(t.retransmit_bytes);
-    e.f64(t.queue_delay_p50);
-    e.f64(t.queue_delay_p99);
-    e.f64(t.mean_link_utilization);
-    e.u64(t.late_uploads);
-    e.u64(t.stale_updates_folded);
-    e.u64(t.stale_updates_dropped);
-}
-
-fn take_transport_stats(d: &mut Dec) -> io::Result<TransportStats> {
-    Ok(TransportStats {
-        flows: d.u64()?,
-        failed_flows: d.u64()?,
-        retransmits: d.u64()?,
-        timeouts: d.u64()?,
-        retransmit_bytes: d.u64()?,
-        queue_delay_p50: d.f64()?,
-        queue_delay_p99: d.f64()?,
-        mean_link_utilization: d.f64()?,
-        late_uploads: d.u64()?,
-        stale_updates_folded: d.u64()?,
-        stale_updates_dropped: d.u64()?,
-    })
-}
-
-fn put_compressor(e: &mut Enc, c: &CompressorState) {
-    put_opt_lanes(e, &c.feedback);
-    put_opt_lanes(e, &c.down_feedback);
-    e.u64(c.seq);
-    put_compression_stats(e, &c.stats);
-}
-
-fn take_compressor(d: &mut Dec) -> io::Result<CompressorState> {
-    Ok(CompressorState {
-        feedback: take_opt_lanes(d)?,
-        down_feedback: take_opt_lanes(d)?,
-        seq: d.u64()?,
-        stats: take_compression_stats(d)?,
-    })
-}
-
-fn put_opt_lanes(e: &mut Enc, lanes: &Option<Vec<Vec<f32>>>) {
-    match lanes {
-        None => e.bool(false),
-        Some(ls) => {
-            e.bool(true);
-            e.us(ls.len());
-            for l in ls {
-                e.f32s(l);
+            if self.indices.len() != num_samples {
+                return Err(bad("client partition size mismatch"));
             }
+            self.set_params(&params, false);
         }
+        Ok(())
     }
 }
 
-fn take_opt_lanes(d: &mut Dec) -> io::Result<Option<Vec<Vec<f32>>>> {
-    if !d.bool()? {
-        return Ok(None);
+impl Wire for LateUpload {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.client.wire(c)?;
+        self.params.wire(c)?;
+        self.seq.wire(c)
     }
-    let n = d.len(8)?;
-    Ok(Some((0..n).map(|_| d.f32s()).collect::<io::Result<Vec<Vec<f32>>>>()?))
 }
 
-fn put_compression_stats(e: &mut Enc, s: &CompressionStats) {
-    e.u64(s.encodes);
-    e.u64(s.uncompressed_bytes);
-    e.u64(s.compressed_bytes);
-    e.f64(s.sum_sq_error);
-    e.u64(s.coords);
-    e.f64(s.residual_norm_sum);
-    e.u64(s.ef_transmits);
-}
-
-fn take_compression_stats(d: &mut Dec) -> io::Result<CompressionStats> {
-    Ok(CompressionStats {
-        encodes: d.u64()?,
-        uncompressed_bytes: d.u64()?,
-        compressed_bytes: d.u64()?,
-        sum_sq_error: d.f64()?,
-        coords: d.u64()?,
-        residual_norm_sum: d.f64()?,
-        ef_transmits: d.u64()?,
-    })
-}
-
-fn put_agent(e: &mut Enc, a: &AgentState) {
-    e.f32s(&a.actor);
-    e.f32s(&a.critic);
-    e.f32s(&a.actor_target);
-    e.f32s(&a.critic_target);
-    put_replay(e, &a.replay);
-    e.rng(&a.rng);
-    match &a.ou {
-        None => e.bool(false),
-        Some(ou) => {
-            e.bool(true);
-            e.f32s(&ou.state);
-            e.rng(&ou.rng);
+impl Wire for Quarantine {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let k = self.suspicion.len();
+        self.norms.wire(c)?;
+        self.suspicion.wire(c)?;
+        self.rejected.wire(c)?;
+        if self.suspicion.len() != k {
+            return Err(bad("quarantine client mismatch"));
         }
-    }
-    e.f64(a.rho);
-    e.u64(a.updates);
-    match &a.last_stats {
-        None => e.bool(false),
-        Some(u) => {
-            e.bool(true);
-            e.f64(u.mean_q);
-            e.f64(u.mean_abs_td);
-            e.f64(u.max_abs_td);
-            e.f64(u.critic_grad_norm);
-            e.f64(u.actor_grad_norm);
-        }
+        Ok(())
     }
 }
 
-fn take_agent(d: &mut Dec) -> io::Result<AgentState> {
-    let actor = d.f32s()?;
-    let critic = d.f32s()?;
-    let actor_target = d.f32s()?;
-    let critic_target = d.f32s()?;
-    let replay = take_replay(d)?;
-    let rng = d.rng()?;
-    let ou = if d.bool()? { Some(OuState { state: d.f32s()?, rng: d.rng()? }) } else { None };
-    let rho = d.f64()?;
-    let updates = d.u64()?;
-    let last_stats = if d.bool()? {
-        Some(UpdateStats {
-            mean_q: d.f64()?,
-            mean_abs_td: d.f64()?,
-            max_abs_td: d.f64()?,
-            critic_grad_norm: d.f64()?,
-            actor_grad_norm: d.f64()?,
-        })
-    } else {
-        None
-    };
-    Ok(AgentState {
-        actor,
-        critic,
-        actor_target,
-        critic_target,
-        replay,
-        rng,
-        ou,
-        rho,
-        updates,
-        last_stats,
-    })
-}
-
-fn put_replay(e: &mut Enc, r: &ReplayState) {
-    e.us(r.items.len());
-    for t in &r.items {
-        e.f32s(&t.state);
-        e.us(t.action);
-        e.f32(t.reward);
-        e.f32s(&t.next_state);
-        e.bool(t.done);
+impl Wire for AgentCtx {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.agent.wire(c)?;
+        self.pending.wire(c)
     }
-    e.f64s(&r.weights);
-    e.us(r.next_slot);
-    e.f64(r.max_priority);
-    e.u64(r.pushes);
-    e.u64s(&r.inserted_at);
 }
 
-fn take_replay(d: &mut Dec) -> io::Result<ReplayState> {
-    let n = d.len(1)?;
-    let mut items = Vec::with_capacity(n);
-    for _ in 0..n {
-        items.push(Transition {
-            state: d.f32s()?,
-            action: d.us()?,
-            reward: d.f32()?,
-            next_state: d.f32s()?,
-            done: d.bool()?,
-        });
+fn rng_from_state(rng: &mut StdRng, state: [u64; 4]) -> io::Result<()> {
+    if state == [0; 4] {
+        return Err(bad("all-zero rng state"));
     }
-    Ok(ReplayState {
-        items,
-        weights: d.f64s()?,
-        next_slot: d.us()?,
-        max_priority: d.f64()?,
-        pushes: d.u64()?,
-        inserted_at: d.u64s()?,
-    })
+    *rng = StdRng::from_state(state);
+    Ok(())
 }
 
-fn put_record(e: &mut Enc, r: &EpochRecord) {
-    e.us(r.epoch);
-    e.f32(r.train_loss);
-    match r.test_accuracy {
-        None => e.bool(false),
-        Some(a) => {
-            e.bool(true);
-            e.f64(a);
-        }
+impl Wire for StdRng {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.via(self, |r| r.state(), rng_from_state)
     }
-    put_traffic(e, &r.traffic);
-    e.f64(r.sim_time);
-    e.us(r.dropped_clients);
-    e.us(r.stale_clients);
-    e.us(r.rejected_migrations);
-    e.u64(r.bytes_saved);
-    put_phase(e, &r.phase);
-    e.u64(r.retransmits);
-    e.u64(r.late_uploads);
 }
 
-fn take_record(d: &mut Dec) -> io::Result<EpochRecord> {
-    let epoch = d.us()?;
-    let train_loss = d.f32()?;
-    let test_accuracy = if d.bool()? { Some(d.f64()?) } else { None };
-    Ok(EpochRecord {
-        epoch,
-        train_loss,
-        test_accuracy,
-        traffic: take_traffic(d)?,
-        sim_time: d.f64()?,
-        dropped_clients: d.us()?,
-        stale_clients: d.us()?,
-        rejected_migrations: d.us()?,
-        bytes_saved: d.u64()?,
-        phase: take_phase(d)?,
-        retransmits: d.u64()?,
-        late_uploads: d.u64()?,
-    })
+impl Wire for PhasedClock {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.via(
+            self,
+            |clock| (clock.now(), clock.phase()),
+            |clock, (now, phase)| {
+                if !(now >= 0.0 && now.is_finite()) {
+                    return Err(bad("invalid clock time"));
+                }
+                *clock = PhasedClock::at(now, phase);
+                Ok(())
+            },
+        )
+    }
+}
+
+impl Wire for ResourceMeter {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.via(
+            self,
+            |m| m.export_state(),
+            |m, s| {
+                m.import_state(s);
+                Ok(())
+            },
+        )
+    }
+}
+
+impl Wire for TransportAccum {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.via(
+            self,
+            |t| t.export_state(),
+            |t, s| {
+                t.import_state(s);
+                Ok(())
+            },
+        )
+    }
+}
+
+impl Wire for Compressor {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.via(
+            self,
+            |z| z.export_state(),
+            |z, s| {
+                let lanes = |s: &CompressorState| {
+                    [&s.feedback, &s.down_feedback].map(|fb| fb.as_ref().map(Vec::len))
+                };
+                if lanes(&s) != lanes(&z.export_state()) {
+                    return Err(bad("codec residual lanes mismatch"));
+                }
+                z.import_state(s);
+                Ok(())
+            },
+        )
+    }
+}
+
+impl Wire for DdpgAgent {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.via(
+            self,
+            |a| a.export_state(),
+            |a, s| {
+                let shape = |s: &AgentState| {
+                    let nets = [&s.actor, &s.critic, &s.actor_target, &s.critic_target];
+                    (nets.map(Vec::len), s.ou.as_ref().map(|ou| ou.state.len()))
+                };
+                let items = s.replay.items.len();
+                if shape(&s) != shape(&a.export_state())
+                    || s.replay.weights.len() != items
+                    || s.replay.inserted_at.len() != items
+                {
+                    return Err(bad("agent shape mismatch"));
+                }
+                a.import_state(s);
+                Ok(())
+            },
+        )
+    }
+}
+
+impl Wire for MeterState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.traffic.wire(c)?;
+        self.overhead.wire(c)?;
+        self.transfer_seconds.wire(c)?;
+        self.compute_cost.wire(c)
+    }
+}
+
+impl Wire for TrafficBreakdown {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.c2s.wire(c)?;
+        self.c2c_local.wire(c)?;
+        self.c2c_global.wire(c)
+    }
+}
+
+impl Wire for PhaseBreakdown {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.train_s.wire(c)?;
+        self.c2s_s.wire(c)?;
+        self.migration_s.wire(c)?;
+        self.backoff_s.wire(c)
+    }
+}
+
+impl Wire for FaultStats {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.client_drops.wire(c)?;
+        self.stale_client_epochs.wire(c)?;
+        self.transfer_retries.wire(c)?;
+        self.rerouted_migrations.wire(c)?;
+        self.cancelled_migrations.wire(c)?;
+        self.wasted_bytes.wire(c)?;
+        self.client_panics.wire(c)
+    }
+}
+
+impl Wire for RobustStats {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.rejected_migrations.wire(c)?;
+        self.trimmed_clients.wire(c)?;
+        self.clipped_norms.wire(c)?;
+        self.nan_uploads.wire(c)?;
+        self.nan_batches.wire(c)
+    }
+}
+
+impl Wire for RecoveryStats {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.checkpoints_written.wire(c)?;
+        self.checkpoint_bytes.wire(c)?;
+        self.checkpoints_loaded.wire(c)?;
+        self.rollbacks.wire(c)?;
+        self.rounds_replayed.wire(c)
+    }
+}
+
+impl Wire for TransportAccumState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.stats.wire(c)?;
+        self.queue_delays.wire(c)?;
+        self.utils.wire(c)
+    }
+}
+
+impl Wire for TransportStats {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.flows.wire(c)?;
+        self.failed_flows.wire(c)?;
+        self.retransmits.wire(c)?;
+        self.timeouts.wire(c)?;
+        self.retransmit_bytes.wire(c)?;
+        self.queue_delay_p50.wire(c)?;
+        self.queue_delay_p99.wire(c)?;
+        self.mean_link_utilization.wire(c)?;
+        self.late_uploads.wire(c)?;
+        self.stale_updates_folded.wire(c)?;
+        self.stale_updates_dropped.wire(c)
+    }
+}
+
+impl Wire for CompressorState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.feedback.wire(c)?;
+        self.down_feedback.wire(c)?;
+        self.seq.wire(c)?;
+        self.stats.wire(c)
+    }
+}
+
+impl Wire for CompressionStats {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.encodes.wire(c)?;
+        self.uncompressed_bytes.wire(c)?;
+        self.compressed_bytes.wire(c)?;
+        self.sum_sq_error.wire(c)?;
+        self.coords.wire(c)?;
+        self.residual_norm_sum.wire(c)?;
+        self.ef_transmits.wire(c)
+    }
+}
+
+impl Wire for AgentState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.actor.wire(c)?;
+        self.critic.wire(c)?;
+        self.actor_target.wire(c)?;
+        self.critic_target.wire(c)?;
+        self.replay.wire(c)?;
+        self.rng.wire(c)?;
+        self.ou.wire(c)?;
+        self.rho.wire(c)?;
+        self.updates.wire(c)?;
+        self.last_stats.wire(c)
+    }
+}
+
+impl Wire for OuState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.state.wire(c)?;
+        self.rng.wire(c)
+    }
+}
+
+impl Wire for UpdateStats {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.mean_q.wire(c)?;
+        self.mean_abs_td.wire(c)?;
+        self.max_abs_td.wire(c)?;
+        self.critic_grad_norm.wire(c)?;
+        self.actor_grad_norm.wire(c)
+    }
+}
+
+impl Wire for ReplayState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.items.wire(c)?;
+        self.weights.wire(c)?;
+        self.next_slot.wire(c)?;
+        self.max_priority.wire(c)?;
+        self.pushes.wire(c)?;
+        self.inserted_at.wire(c)
+    }
+}
+
+impl Wire for Transition {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.state.wire(c)?;
+        self.action.wire(c)?;
+        self.reward.wire(c)?;
+        self.next_state.wire(c)?;
+        self.done.wire(c)
+    }
+}
+
+impl Wire for DormantState {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.rng.wire(c)?;
+        self.migrations_received.wire(c)?;
+        self.participations.wire(c)
+    }
+}
+
+impl Wire for EpochRecord {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.epoch.wire(c)?;
+        self.train_loss.wire(c)?;
+        self.test_accuracy.wire(c)?;
+        self.traffic.wire(c)?;
+        self.sim_time.wire(c)?;
+        self.dropped_clients.wire(c)?;
+        self.stale_clients.wire(c)?;
+        self.rejected_migrations.wire(c)?;
+        self.bytes_saved.wire(c)?;
+        self.phase.wire(c)?;
+        self.retransmits.wire(c)?;
+        self.late_uploads.wire(c)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use fedmigr_compress::CodecConfig;
+    use fedmigr_data::{partition_iid, SyntheticConfig, SyntheticDataset};
+    use fedmigr_net::{AttackConfig, ClientCompute, DeviceTier, Topology, TopologyConfig};
+    use fedmigr_nn::zoo;
+
     use super::*;
+    use crate::{Experiment, FleetExperiment, FleetOptions, RunConfig, Scheme};
+
+    /// Encodes a bare value (no container).
+    fn raw<T: Wire>(x: &mut T) -> Vec<u8> {
+        let mut c = Codec::Write(Vec::new());
+        x.wire(&mut c).unwrap();
+        let Codec::Write(buf) = c else { unreachable!() };
+        buf
+    }
+
+    /// Decodes a bare value over `into`, requiring every byte be consumed.
+    fn unraw<T: Wire>(bytes: &[u8], into: &mut T) -> io::Result<()> {
+        let mut c = Codec::Read { b: bytes, pos: 0 };
+        into.wire(&mut c)?;
+        match c {
+            Codec::Read { b, pos } if pos == b.len() => Ok(()),
+            _ => Err(bad("trailing bytes")),
+        }
+    }
+
+    /// The codec law every `Wire` type must obey: decoding what `x` encodes
+    /// into `blank` makes `blank` encode to the same bytes. Returns them.
+    fn assert_round_trips<T: Wire>(x: &mut T, blank: &mut T) -> Vec<u8> {
+        let bytes = raw(x);
+        unraw(&bytes, blank).expect("own encoding decodes");
+        assert_eq!(raw(blank), bytes, "encode(decode(encode(x))) must be byte-equal");
+        bytes
+    }
+
+    /// [`assert_round_trips`] for plain values, which can also be compared.
+    fn assert_value_round_trips<T: Wire + Default + PartialEq + std::fmt::Debug>(x: T) {
+        assert_value_round_trips_into(x, T::default());
+    }
+
+    fn assert_value_round_trips_into<T: Wire + PartialEq + std::fmt::Debug>(mut x: T, mut back: T) {
+        assert_round_trips(&mut x, &mut back);
+        assert_eq!(back, x, "decode(encode(x)) must equal x");
+    }
+
+    fn phase() -> PhaseBreakdown {
+        PhaseBreakdown { train_s: 6.0, c2s_s: 4.0, migration_s: 2.0, backoff_s: 0.5 }
+    }
+
+    fn meter_state() -> MeterState {
+        MeterState {
+            traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
+            overhead: 8,
+            transfer_seconds: 1.5,
+            compute_cost: 240.0,
+        }
+    }
+
+    fn record() -> EpochRecord {
+        EpochRecord {
+            epoch: 6,
+            train_loss: 1.25,
+            test_accuracy: Some(0.5),
+            traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
+            sim_time: 12.5,
+            dropped_clients: 1,
+            stale_clients: 0,
+            rejected_migrations: 2,
+            bytes_saved: 0,
+            phase: phase(),
+            retransmits: 3,
+            late_uploads: 1,
+        }
+    }
+
+    fn transition() -> Transition {
+        Transition {
+            state: vec![1.0, 0.0],
+            action: 1,
+            reward: -0.5,
+            next_state: vec![0.0, 1.0],
+            done: false,
+        }
+    }
+
+    fn agent_state() -> AgentState {
+        AgentState {
+            actor: vec![0.1, 0.2],
+            critic: vec![0.3],
+            actor_target: vec![0.1, 0.2],
+            critic_target: vec![0.3],
+            replay: ReplayState {
+                items: vec![transition()],
+                weights: vec![1.0],
+                next_slot: 1,
+                max_priority: 1.0,
+                pushes: 1,
+                inserted_at: vec![0],
+            },
+            rng: [13, 14, 15, 16],
+            ou: Some(OuState { state: vec![0.05, -0.05], rng: [17, 18, 19, 20] }),
+            rho: 0.35,
+            updates: 11,
+            last_stats: Some(UpdateStats {
+                mean_q: 0.2,
+                mean_abs_td: 0.1,
+                max_abs_td: 0.4,
+                critic_grad_norm: 1.1,
+                actor_grad_norm: 0.9,
+            }),
+        }
+    }
+
+    #[test]
+    fn every_value_type_round_trips() {
+        assert_value_round_trips(0xA5u8);
+        assert_value_round_trips(0xDEAD_BEEFu32);
+        assert_value_round_trips(u64::MAX - 1);
+        assert_value_round_trips(usize::MAX / 3);
+        assert_value_round_trips(-1.5f32);
+        assert_value_round_trips(f64::MIN_POSITIVE);
+        assert_value_round_trips(true);
+        assert_value_round_trips(String::from("top25%+int8+ef"));
+        assert_value_round_trips([1u64, 2, 3, 4]);
+        assert_value_round_trips(vec![vec![0.25f64, 0.75], vec![]]);
+        assert_value_round_trips(VecDeque::from(vec![1.0f64, 1.5]));
+        assert_value_round_trips(Some(1.25f32));
+        assert_value_round_trips(None::<f64>);
+        assert_value_round_trips((0.1f64, 0.2f64));
+        assert_value_round_trips(vec![(vec![1.0f32, 2.0], 0usize, 1usize)]);
+        assert_value_round_trips(stamp());
+        assert_value_round_trips(phase());
+        assert_value_round_trips(FaultStats {
+            client_drops: 2,
+            client_panics: 1,
+            ..Default::default()
+        });
+        assert_value_round_trips(RobustStats {
+            nan_uploads: 4,
+            nan_batches: 9,
+            ..Default::default()
+        });
+        assert_value_round_trips(RecoveryStats {
+            checkpoints_written: 2,
+            checkpoint_bytes: 4096,
+            checkpoints_loaded: 1,
+            rollbacks: 3,
+            rounds_replayed: 5,
+        });
+        assert_value_round_trips(TransportAccumState {
+            stats: TransportStats { flows: 12, retransmits: 3, ..Default::default() },
+            queue_delays: vec![0.1, 0.4],
+            utils: vec![0.8],
+        });
+        assert_value_round_trips(CompressionStats {
+            encodes: 19,
+            coords: 57,
+            ..Default::default()
+        });
+        assert_value_round_trips(record());
+        assert_value_round_trips(transition());
+        assert_value_round_trips(vec![
+            DormantState { rng: Some([1, 2, 3, 4]), migrations_received: 2, participations: 3 },
+            DormantState::default(),
+        ]);
+        // These carry no `Default`: decode over a differing value instead.
+        assert_value_round_trips_into(meter_state(), MeterState { overhead: 0, ..meter_state() });
+        let mut blank = AgentState { ou: None, last_stats: None, ..agent_state() };
+        blank.replay.items.clear();
+        assert_value_round_trips_into(agent_state(), blank);
+        let compressor = CompressorState {
+            feedback: Some(vec![vec![0.1, 0.2, 0.3], vec![0.0; 3]]),
+            down_feedback: None,
+            seq: 19,
+            stats: CompressionStats::default(),
+        };
+        let blank = CompressorState { feedback: None, seq: 0, ..compressor.clone() };
+        assert_value_round_trips_into(compressor, blank);
+    }
+
+    #[test]
+    fn malformed_values_are_invalid_data() {
+        let cases: [(&str, io::Result<()>); 5] = [
+            ("bool", unraw(&[2], &mut false)),
+            ("utf-8", unraw(&[2, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xfe], &mut String::new())),
+            ("length", unraw(&[0xff; 8], &mut Vec::<f32>::new())),
+            ("rng", unraw(&[0; 32], &mut StdRng::from_state([1, 2, 3, 4]))),
+            ("clock", unraw(&raw(&mut (-1.0f64, phase())), &mut PhasedClock::new())),
+        ];
+        for (name, result) in cases {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData, "{name}");
+        }
+    }
+
+    // --- Live states -------------------------------------------------------
+
+    fn experiment() -> Experiment {
+        experiment_of(2)
+    }
+
+    fn experiment_of(k: usize) -> Experiment {
+        let data = SyntheticDataset::generate(&SyntheticConfig {
+            num_classes: 2,
+            train_per_class: 8,
+            test_per_class: 2,
+            channels: 1,
+            hw: 4,
+            noise_std: 0.6,
+            class_sep: 1.0,
+            atom_bank: 0,
+            atoms_per_class: 0,
+            private_frac: 0.0,
+            seed: 11,
+        });
+        let parts = partition_iid(&data.train, k, 5);
+        Experiment::new(
+            data.train,
+            data.test,
+            parts,
+            Topology::new(&TopologyConfig::default_edge(vec![1, k - 1], 5)),
+            ClientCompute::homogeneous(k, DeviceTier::Nx),
+            zoo::mlp(16, &[3], 2, 5),
+        )
+    }
+
+    /// FedMigr under an adversary with an error-feedback codec: every
+    /// optional subsystem (agent, quarantine, residual lanes) is live.
+    fn full_cfg() -> RunConfig {
+        let mut cfg = RunConfig::new(Scheme::fedmigr(7), 40);
+        cfg.attack = AttackConfig::sign_flip(0.5, 9);
+        cfg.codec = CodecConfig::parse("int8").unwrap();
+        cfg
+    }
 
     fn stamp() -> RunStamp {
         RunStamp {
@@ -1133,146 +1062,167 @@ mod tests {
             seed: 7,
             epochs: 40,
             clients: 2,
-            num_params: 3,
-            codec: "identity".into(),
+            num_params: 59,
+            codec: "int8+ef".into(),
             transport: "lockstep".into(),
             agg_interval: 10,
             mode: "dense".into(),
         }
     }
 
-    fn sample_state() -> RunState {
-        RunState {
-            epoch: 6,
-            global: vec![0.5, -1.25, 3.0],
-            clients: vec![
-                ClientState {
-                    params: vec![0.5, -1.0, 2.0],
-                    rng: [1, 2, 3, 4],
-                    indices: vec![4, 0, 2],
-                    migrations_received: 1,
-                },
-                ClientState {
-                    params: vec![-0.5, 1.0, -2.0],
-                    rng: [5, 6, 7, 8],
-                    indices: vec![1, 3],
-                    migrations_received: 0,
-                },
-            ],
-            rng: [9, 10, 11, 12],
-            meter: MeterState {
-                traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
-                overhead: 8,
-                transfer_seconds: 1.5,
-                compute_cost: 240.0,
-            },
-            clock_now: 12.5,
-            phase: PhaseBreakdown { train_s: 6.0, c2s_s: 4.0, migration_s: 2.0, backoff_s: 0.5 },
-            fault_stats: FaultStats { client_drops: 2, client_panics: 1, ..Default::default() },
-            flaky: vec![0.1, 0.0],
-            taccum: TransportAccumState {
-                stats: TransportStats { flows: 12, retransmits: 3, ..Default::default() },
-                queue_delays: vec![0.1, 0.4],
-                utils: vec![0.8],
-            },
-            late_buf: vec![LateUploadState { client: 1, params: vec![1.0, 2.0, 3.0], seq: 2 }],
-            agg_seq: 3,
-            quarantine: Some(QuarantineState {
-                norms: vec![1.0, 1.5],
-                suspicion: vec![0.0, 0.6],
-                rejected: 2,
-            }),
-            robust_total: RobustStats { nan_uploads: 4, ..Default::default() },
-            mix: vec![vec![0.25, 0.75], vec![0.5, 0.5]],
-            train_mix: vec![vec![0.3, 0.7], vec![0.6, 0.4]],
-            compressor: CompressorState {
-                feedback: Some(vec![vec![0.1, 0.2, 0.3], vec![0.0; 3]]),
-                down_feedback: None,
-                seq: 19,
-                stats: CompressionStats { encodes: 19, coords: 57, ..Default::default() },
-            },
-            agent: Some(AgentSnapshot {
-                agent: AgentState {
-                    actor: vec![0.1, 0.2],
-                    critic: vec![0.3],
-                    actor_target: vec![0.1, 0.2],
-                    critic_target: vec![0.3],
-                    replay: ReplayState {
-                        items: vec![Transition {
-                            state: vec![1.0, 0.0],
-                            action: 1,
-                            reward: -0.5,
-                            next_state: vec![0.0, 1.0],
-                            done: false,
-                        }],
-                        weights: vec![1.0],
-                        next_slot: 1,
-                        max_priority: 1.0,
-                        pushes: 1,
-                        inserted_at: vec![0],
-                    },
-                    rng: [13, 14, 15, 16],
-                    ou: Some(OuState { state: vec![0.05, -0.05], rng: [17, 18, 19, 20] }),
-                    rho: 0.35,
-                    updates: 11,
-                    last_stats: Some(UpdateStats {
-                        mean_q: 0.2,
-                        mean_abs_td: 0.1,
-                        max_abs_td: 0.4,
-                        critic_grad_norm: 1.1,
-                        actor_grad_norm: 0.9,
-                    }),
-                },
-                pending: vec![(vec![1.0, 2.0], 0, 1)],
-            }),
-            records: vec![EpochRecord {
-                epoch: 6,
-                train_loss: 1.25,
-                test_accuracy: Some(0.5),
-                traffic: TrafficBreakdown { c2s: 100, c2c_local: 50, c2c_global: 25 },
-                sim_time: 12.5,
-                dropped_clients: 1,
-                stale_clients: 0,
-                rejected_migrations: 2,
-                bytes_saved: 0,
-                phase: PhaseBreakdown {
-                    train_s: 6.0,
-                    c2s_s: 4.0,
-                    migration_s: 2.0,
-                    backoff_s: 0.5,
-                },
-                retransmits: 3,
-                late_uploads: 1,
-            }],
-            link_migrations: vec![0, 1, 2, 0],
-            migrations_local: 2,
-            migrations_global: 1,
-            prev_loss: Some(1.25),
-            last_epoch_usage: (0.1, 0.2),
-            last_step_reward: -0.75,
-            excluded: vec![false, true],
-            recovery: RecoveryStats {
-                checkpoints_written: 2,
-                checkpoint_bytes: 4096,
-                checkpoints_loaded: 1,
-                rollbacks: 0,
-                rounds_replayed: 0,
-            },
+    /// A live dense state with every field moved off its initial value.
+    fn sample_state(exp: &Experiment, cfg: &RunConfig) -> RoundState {
+        let mut s = RoundState::fresh(exp, cfg);
+        s.common.epoch = 6;
+        s.common.global.iter_mut().enumerate().for_each(|(i, g)| *g = i as f32 * 0.5 - 1.25);
+        s.common.rng = StdRng::from_state([9, 10, 11, 12]);
+        s.common.meter.import_state(meter_state());
+        s.common.clock = PhasedClock::at(12.5, phase());
+        if let Some(ctx) = s.common.agent.as_mut() {
+            let state: Vec<f32> = (0..12).map(|i| i as f32 / 12.0).collect();
+            ctx.agent.observe(Transition {
+                state: state.clone(),
+                next_state: state,
+                ..transition()
+            });
+            ctx.pending = vec![(vec![1.0, 2.0], 0, 1)];
+        }
+        s.common.records = vec![record()];
+        s.common.migrations_local = 2;
+        s.common.migrations_global = 1;
+        s.common.prev_loss = Some(1.25);
+        s.common.last_epoch_usage = (0.1, 0.2);
+        s.common.last_step_reward = -0.75;
+        s.common.recovery = RecoveryStats { checkpoints_written: 2, ..Default::default() };
+        s.clients[0].rng = StdRng::from_state([1, 2, 3, 4]);
+        s.clients[0].indices.reverse();
+        s.clients[1].set_params(&vec![0.5; 59], true);
+        s.fault_stats = FaultStats { client_drops: 2, client_panics: 1, ..Default::default() };
+        s.flaky = vec![0.1, 0.0];
+        s.taccum.import_state(TransportAccumState {
+            stats: TransportStats { flows: 12, retransmits: 3, ..Default::default() },
+            queue_delays: vec![0.1, 0.4],
+            utils: vec![0.8],
+        });
+        s.late_buf = vec![LateUpload { client: 1, params: vec![1.0; 59], seq: 2 }];
+        s.agg_seq = 3;
+        if let Some(q) = s.quarantine.as_mut() {
+            q.norms = vec![1.0, 1.5].into();
+            q.suspicion = vec![0.0, 0.6];
+            q.rejected = 2;
+        }
+        s.robust_total = RobustStats { nan_uploads: 4, ..Default::default() };
+        s.mix = vec![vec![0.25, 0.75], vec![0.5, 0.5]];
+        s.train_mix = vec![vec![0.3, 0.7], vec![0.6, 0.4]];
+        s.compressor.transmit(0, &vec![0.123; 59]);
+        s.link_migrations = vec![0, 1, 2, 0];
+        s.excluded = vec![false, true];
+        s
+    }
+
+    #[test]
+    fn live_dense_state_round_trips_into_a_fresh_state() {
+        let exp = experiment();
+        for cfg in [full_cfg(), RunConfig::new(Scheme::FedAvg, 40)] {
+            let mut state = sample_state(&exp, &cfg);
+            let mut fresh = RoundState::fresh(&exp, &cfg);
+            let bytes = assert_round_trips(&mut state, &mut fresh);
+            assert_ne!(raw(&mut RoundState::fresh(&exp, &cfg)), bytes, "fixture moved the state");
+            // The restored state is live, not just equal on the wire.
+            assert_eq!(fresh.common.epoch, 6);
+            assert_eq!(fresh.clients[1].params(), vec![0.5; 59]);
+            assert_eq!(fresh.clients[1].migrations_received(), 1);
+            assert_eq!(fresh.excluded, [false, true]);
         }
     }
 
     #[test]
-    fn state_round_trips_bit_for_bit() {
-        let s = sample_state();
-        let bytes = s.to_bytes(&stamp());
-        let back = RunState::from_bytes(&bytes, &stamp()).unwrap();
-        assert_eq!(back, s);
+    fn live_subsystems_round_trip() {
+        let (exp, cfg) = (experiment(), full_cfg());
+        let mut s = sample_state(&exp, &cfg);
+        let mut f = RoundState::fresh(&exp, &cfg);
+        assert_round_trips(&mut s.common, &mut f.common);
+        assert_round_trips(&mut s.common.rng, &mut StdRng::from_state([1; 4]));
+        assert_round_trips(&mut s.common.clock, &mut PhasedClock::new());
+        assert_round_trips(&mut s.common.meter, &mut f.common.meter);
+        assert_round_trips(s.common.agent.as_mut().unwrap(), f.common.agent.as_mut().unwrap());
+        assert_round_trips(&mut s.clients[0], &mut f.clients[0]);
+        assert_round_trips(&mut s.taccum, &mut f.taccum);
+        assert_round_trips(&mut s.late_buf, &mut f.late_buf);
+        assert_round_trips(s.quarantine.as_mut().unwrap(), f.quarantine.as_mut().unwrap());
+        assert_round_trips(&mut s.compressor, &mut f.compressor);
+    }
+
+    /// A federation small enough for tests but with a model that trains.
+    fn trainable_experiment() -> Experiment {
+        let data = SyntheticDataset::generate(&SyntheticConfig::c10_like(8, 3));
+        let parts = partition_iid(&data.train, 4, 3);
+        Experiment::new(
+            data.train,
+            data.test,
+            parts,
+            Topology::new(&TopologyConfig::default_edge(vec![2, 2], 3)),
+            ClientCompute::testbed_mix(4),
+            zoo::c10_cnn(3, 8, zoo::NetScale::Small, 3),
+        )
+    }
+
+    #[test]
+    fn restored_client_resumes_training_bit_for_bit() {
+        let exp = trainable_experiment();
+        let cfg = RunConfig::new(Scheme::FedAvg, 4);
+        let mut a = RoundState::fresh(&exp, &cfg).clients.remove(0);
+        a.train_epoch(16, Some(2), None);
+        let mut probe = RoundState::fresh(&exp, &cfg).clients.remove(0);
+        assert_round_trips(&mut a, &mut probe);
+        // A fresh client restored from the snapshot must continue the exact
+        // same trajectory (batch order included) as the original.
+        a.train_epoch(16, Some(2), None);
+        probe.train_epoch(16, Some(2), None);
+        assert_eq!(a.params(), probe.params());
+    }
+
+    #[test]
+    fn mismatched_live_shapes_are_invalid_data_not_panics() {
+        let (exp, cfg) = (experiment(), full_cfg());
+        let bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
+        let into = |cfg: &RunConfig| {
+            let err = restore(&bytes, &stamp(), &mut RoundState::fresh(&exp, cfg)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        // Resuming under a different --attack: the stamp cannot see it, the
+        // quarantine's presence can.
+        let benign = RunConfig { attack: AttackConfig::none(), ..full_cfg() };
+        assert!(into(&benign).contains("attack configuration mismatch"));
+        let no_agent = RunConfig { scheme: Scheme::RandMigr, ..full_cfg() };
+        assert!(into(&no_agent).contains("scheme mismatch"));
+
+        // A client whose model or partition disagrees with the snapshot.
+        let mut donor = RoundState::fresh(&exp, &cfg);
+        let mut wrong_model = raw(&mut donor.clients[0]);
+        wrong_model[0] -= 1; // one parameter fewer announced
+        wrong_model.drain(8..12);
+        let err = unraw(&wrong_model, &mut donor.clients[0]).unwrap_err();
+        assert!(err.to_string().contains("model shape mismatch"), "{err}");
+        let mut small = Quarantine::new(crate::QuarantineConfig::default(), 1);
+        let err = unraw(&raw(donor.quarantine.as_mut().unwrap()), &mut small).unwrap_err();
+        assert!(err.to_string().contains("quarantine client mismatch"), "{err}");
+        // A population of a different size: the agent's networks notice
+        // first, the client list when there is no agent.
+        let three = experiment_of(3);
+        let err = unraw(&raw(&mut donor), &mut RoundState::fresh(&three, &cfg)).unwrap_err();
+        assert!(err.to_string().contains("agent shape mismatch"), "{err}");
+        let cfg = RunConfig::new(Scheme::FedAvg, 40);
+        let bytes = raw(&mut RoundState::fresh(&exp, &cfg));
+        let err = unraw(&bytes, &mut RoundState::fresh(&three, &cfg)).unwrap_err();
+        assert!(err.to_string().contains("checkpoint client count"), "{err}");
     }
 
     #[test]
     fn every_stamp_field_is_validated() {
-        let s = sample_state();
-        let bytes = s.to_bytes(&stamp());
+        let (exp, cfg) = (experiment(), full_cfg());
+        let bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
         type Mutation = Box<dyn Fn(&mut RunStamp)>;
         let mutations: Vec<(&str, Mutation)> = vec![
             ("scheme", Box::new(|st| st.scheme = "FedAvg".into())),
@@ -1280,120 +1230,134 @@ mod tests {
             ("epochs", Box::new(|st| st.epochs = 41)),
             ("clients", Box::new(|st| st.clients = 3)),
             ("num_params", Box::new(|st| st.num_params = 4)),
-            ("codec", Box::new(|st| st.codec = "int8+ef".into())),
+            ("codec", Box::new(|st| st.codec = "identity".into())),
             ("transport", Box::new(|st| st.transport = "flow".into())),
             ("agg_interval", Box::new(|st| st.agg_interval = 5)),
             ("mode", Box::new(|st| st.mode = "fleet".into())),
         ];
+        let mut target = RoundState::fresh(&exp, &cfg);
+        let pristine = raw(&mut target);
         for (name, mutate) in mutations {
             let mut wrong = stamp();
             mutate(&mut wrong);
-            let err = RunState::from_bytes(&bytes, &wrong).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}");
+            let err = restore(&bytes, &wrong, &mut target).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
             assert!(err.to_string().contains(name), "{name}: {err}");
         }
+        assert_eq!(raw(&mut target), pristine, "a rejected stamp must leave live state untouched");
     }
 
     #[test]
-    fn bit_flips_are_rejected() {
-        let s = sample_state();
-        let bytes = s.to_bytes(&stamp());
+    fn bit_flips_are_rejected_before_touching_live_state() {
+        let (exp, cfg) = (experiment(), full_cfg());
+        let bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
+        let mut target = RoundState::fresh(&exp, &cfg);
+        let pristine = raw(&mut target);
         for pos in (0..bytes.len()).step_by(97) {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 0x10;
-            let err = RunState::from_bytes(&corrupt, &stamp()).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "byte {pos}");
+            let err = restore(&corrupt, &stamp(), &mut target).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "byte {pos}");
         }
+        assert_eq!(raw(&mut target), pristine);
     }
 
     #[test]
-    fn truncations_are_rejected() {
-        let s = sample_state();
-        let bytes = s.to_bytes(&stamp());
-        for keep in [0, 7, 8, 12, bytes.len() / 2, bytes.len() - 1] {
-            let err = RunState::from_bytes(&bytes[..keep], &stamp()).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {keep}");
+    fn every_truncation_is_rejected() {
+        let exp = experiment();
+        // Container level: every proper prefix fails (length, magic or CRC).
+        let cfg = RunConfig::new(Scheme::FedAvg, 40);
+        let lean_stamp = RunStamp { scheme: "FedAvg".into(), codec: "identity".into(), ..stamp() };
+        let bytes = encode(&lean_stamp, &mut sample_state(&exp, &cfg));
+        let mut target = RoundState::fresh(&exp, &cfg);
+        for keep in 0..bytes.len() {
+            let err = restore(&bytes[..keep], &lean_stamp, &mut target).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {keep}");
+        }
+        // Payload level, behind the CRC: the field decoders themselves must
+        // report a short buffer, whichever field it ends in.
+        let payload = raw(&mut sample_state(&exp, &cfg));
+        for keep in 0..payload.len() {
+            let err = unraw(&payload[..keep], &mut target).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "payload len {keep}");
+        }
+        // The full state (agent, quarantine, residual lanes) is larger;
+        // sample its prefixes.
+        let cfg = full_cfg();
+        let payload = raw(&mut sample_state(&exp, &cfg));
+        let mut target = RoundState::fresh(&exp, &cfg);
+        for keep in (0..payload.len()).step_by(509) {
+            let err = unraw(&payload[..keep], &mut target).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "full payload len {keep}");
         }
     }
 
     #[test]
     fn wrong_magic_and_version_are_rejected() {
-        let s = sample_state();
-        let mut bytes = s.to_bytes(&stamp());
+        let (exp, cfg) = (experiment(), full_cfg());
+        let bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
+        let mut target = RoundState::fresh(&exp, &cfg);
         let mut wrong_magic = bytes.clone();
         wrong_magic[..8].copy_from_slice(b"FEDMIGR1");
-        assert!(RunState::from_bytes(&wrong_magic, &stamp())
-            .unwrap_err()
-            .to_string()
-            .contains("magic"));
-        // A future version must be rejected even with a valid CRC.
-        bytes[8] = 3;
-        let body_len = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_len]).to_le_bytes();
-        bytes[body_len..].copy_from_slice(&crc);
-        assert!(RunState::from_bytes(&bytes, &stamp())
-            .unwrap_err()
-            .to_string()
-            .contains("version"));
-    }
-
-    fn fleet_stamp() -> RunStamp {
-        RunStamp { mode: "fleet".into(), clients: 4, ..stamp() }
-    }
-
-    fn sample_fleet_state() -> FleetRunState {
-        FleetRunState {
-            epoch: 3,
-            global: vec![0.25, -0.5, 1.0],
-            rng: [21, 22, 23, 24],
-            dormant: vec![
-                DormantState { rng: Some([1, 2, 3, 4]), migrations_received: 2, participations: 3 },
-                DormantState::default(),
-                DormantState { rng: None, migrations_received: 0, participations: 1 },
-                DormantState { rng: Some([9, 8, 7, 6]), migrations_received: 1, participations: 1 },
-            ],
-            agent: None,
-            meter: MeterState {
-                traffic: TrafficBreakdown { c2s: 64, c2c_local: 32, c2c_global: 16 },
-                overhead: 4,
-                transfer_seconds: 0.5,
-                compute_cost: 100.0,
-            },
-            clock_now: 7.5,
-            phase: PhaseBreakdown { train_s: 4.0, c2s_s: 2.0, migration_s: 1.0, backoff_s: 0.5 },
-            records: vec![EpochRecord {
-                epoch: 3,
-                train_loss: 2.0,
-                test_accuracy: None,
-                traffic: TrafficBreakdown { c2s: 64, c2c_local: 32, c2c_global: 16 },
-                sim_time: 7.5,
-                dropped_clients: 0,
-                stale_clients: 0,
-                rejected_migrations: 0,
-                bytes_saved: 0,
-                phase: PhaseBreakdown {
-                    train_s: 4.0,
-                    c2s_s: 2.0,
-                    migration_s: 1.0,
-                    backoff_s: 0.5,
-                },
-                retransmits: 0,
-                late_uploads: 0,
-            }],
-            migrations_local: 1,
-            migrations_global: 2,
-            prev_loss: Some(2.0),
-            last_epoch_usage: (0.3, 0.4),
-            last_step_reward: 0.125,
+        let err = restore(&wrong_magic, &stamp(), &mut target).unwrap_err();
+        assert!(err.to_string().contains("magic"), "{err}");
+        // Any other version — the previous layout or a future one — must be
+        // rejected even with a valid CRC.
+        for version in [RUN_STATE_VERSION - 1, RUN_STATE_VERSION + 1] {
+            let mut other = bytes.clone();
+            other[8..12].copy_from_slice(&version.to_le_bytes());
+            let body_len = other.len() - 4;
+            let crc = crc32(&other[..body_len]).to_le_bytes();
+            other[body_len..].copy_from_slice(&crc);
+            let err = restore(&other, &stamp(), &mut target).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("unsupported run checkpoint version"), "{err}");
         }
     }
 
+    fn fleet() -> FleetExperiment {
+        FleetExperiment::synthetic(4, 2, 8, 2, 11, zoo::mlp(16, &[3], 2, 5))
+    }
+
+    fn fleet_cfg() -> RunConfig {
+        let mut cfg = RunConfig::new(Scheme::fedmigr(7), 40);
+        cfg.fleet = Some(FleetOptions::default());
+        cfg
+    }
+
+    fn fleet_stamp() -> RunStamp {
+        RunStamp { mode: "fleet".into(), clients: 4, codec: "identity".into(), ..stamp() }
+    }
+
+    /// A live fleet state between blocks, with banked dormant state.
+    fn sample_fleet_state<'a>(exp: &'a mut FleetExperiment, cfg: &'a RunConfig) -> FleetState<'a> {
+        let mut s = FleetState::fresh(exp, cfg);
+        s.common.epoch = 3;
+        s.common.global.fill(0.25);
+        s.common.rng = StdRng::from_state([21, 22, 23, 24]);
+        s.common.meter.import_state(meter_state());
+        s.common.clock = PhasedClock::at(7.5, phase());
+        s.common.records = vec![EpochRecord { epoch: 3, test_accuracy: None, ..record() }];
+        s.common.migrations_local = 1;
+        s.common.migrations_global = 2;
+        s.common.prev_loss = Some(2.0);
+        s.common.last_epoch_usage = (0.3, 0.4);
+        s.common.last_step_reward = 0.125;
+        s.pool.retire(0, [1, 2, 3, 4], 2);
+        s.pool.retire(3, [9, 8, 7, 6], 1);
+        s.pool.retire(3, [9, 8, 7, 5], 1);
+        s
+    }
+
     #[test]
-    fn fleet_state_round_trips_bit_for_bit() {
-        let s = sample_fleet_state();
-        let bytes = s.to_bytes(&fleet_stamp());
-        let back = FleetRunState::from_bytes(&bytes, &fleet_stamp()).unwrap();
-        assert_eq!(back, s);
+    fn live_fleet_state_round_trips_into_a_fresh_state() {
+        let cfg = fleet_cfg();
+        let (mut a, mut b) = (fleet(), fleet());
+        let mut state = sample_fleet_state(&mut a, &cfg);
+        let mut fresh = FleetState::fresh(&mut b, &cfg);
+        assert_round_trips(&mut state, &mut fresh);
+        assert_eq!(fresh.pool.export_dormant(), state.pool.export_dormant());
+        assert_eq!(fresh.pool.stub(3).dormant.participations, 2);
     }
 
     #[test]
@@ -1402,42 +1366,75 @@ mod tests {
         // (and vice versa) dies on the stamp's mode field with a clear
         // InvalidData message, never a payload-decode panic — even when
         // every other stamp field matches.
-        let fleet_bytes = sample_fleet_state().to_bytes(&fleet_stamp());
+        let (exp, cfg, fcfg) = (experiment(), full_cfg(), fleet_cfg());
+        let (mut a, mut b) = (fleet(), fleet());
+        let fleet_bytes = encode(&fleet_stamp(), &mut sample_fleet_state(&mut a, &fcfg));
         let dense_expect = RunStamp { mode: "dense".into(), ..fleet_stamp() };
-        let err = RunState::from_bytes(&fleet_bytes, &dense_expect).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err =
+            restore(&fleet_bytes, &dense_expect, &mut RoundState::fresh(&exp, &cfg)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("mode mismatch"), "{err}");
 
-        let dense_bytes = sample_state().to_bytes(&stamp());
+        let dense_bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
         let fleet_expect = RunStamp { mode: "fleet".into(), ..stamp() };
-        let err = FleetRunState::from_bytes(&dense_bytes, &fleet_expect).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let err = restore(&dense_bytes, &fleet_expect, &mut FleetState::fresh(&mut b, &fcfg))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("mode mismatch"), "{err}");
     }
 
     #[test]
-    fn fleet_save_and_load_round_trip_on_disk() {
-        let dir = std::env::temp_dir().join("fedmigr_fleet_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fleet_round_3.fmrs");
-        let s = sample_fleet_state();
-        let wrote = s.save(&path, &fleet_stamp()).unwrap();
-        assert_eq!(wrote, std::fs::metadata(&path).unwrap().len());
-        let back = FleetRunState::load(&path, &fleet_stamp()).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_file(&path).unwrap();
+    fn fleet_size_mismatch_is_invalid_data() {
+        let cfg = fleet_cfg();
+        let mut a = fleet();
+        let bytes = raw(&mut sample_fleet_state(&mut a, &cfg));
+        let mut bigger = FleetExperiment::synthetic(6, 2, 8, 2, 11, zoo::mlp(16, &[3], 2, 5));
+        let err = unraw(&bytes, &mut FleetState::fresh(&mut bigger, &cfg)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("client count"), "{err}");
     }
 
     #[test]
-    fn save_and_load_round_trip_on_disk() {
-        let dir = std::env::temp_dir().join("fedmigr_ckpt_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt_round_6.fmrs");
-        let s = sample_state();
-        let wrote = s.save(&path, &stamp()).unwrap();
-        assert_eq!(wrote, std::fs::metadata(&path).unwrap().len());
-        let back = RunState::load(&path, &stamp()).unwrap();
-        assert_eq!(back, s);
-        std::fs::remove_file(&path).unwrap();
+    fn persisted_checkpoints_restore_from_disk() {
+        let (exp, cfg) = (experiment(), full_cfg());
+        let dir = std::env::temp_dir().join(format!("fedmigr_ckpt_test_{}", std::process::id()));
+        let bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
+        persist(&dir, 6, &bytes).unwrap();
+        for name in ["ckpt_round_6.fmrs", "latest.fmrs"] {
+            let read = std::fs::read(dir.join(name)).unwrap();
+            assert_eq!(read, bytes, "{name}");
+            restore(&read, &stamp(), &mut RoundState::fresh(&exp, &cfg)).unwrap();
+        }
+        assert!(!dir.join("latest.tmp").exists(), "temp files are renamed away");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn capture_of_a_real_run_survives_restore_and_recapture() {
+        // A checkpoint written mid-run by the runner itself, restored into a
+        // fresh state and captured again, must reproduce the file byte for
+        // byte: any field the reader fails to put back where the writer
+        // found it shows up here.
+        let exp = trainable_experiment();
+        let dir = std::env::temp_dir().join(format!("fedmigr_recapture_{}", std::process::id()));
+        let mut cfg = RunConfig::new(Scheme::fedmigr(3), 5);
+        cfg.agg_interval = 2;
+        cfg.eval_interval = 5;
+        cfg.batch_size = 16;
+        cfg.max_batches_per_epoch = Some(1);
+        cfg.codec = CodecConfig::parse("topk-int8:0.25").unwrap();
+        cfg.attack = AttackConfig::sign_flip(0.25, 9);
+        cfg.transport = fedmigr_net::TransportConfig::flow(3);
+        cfg.fault = fedmigr_net::FaultConfig::edge_churn(0.2, 4).with_network_stress(0.3);
+        cfg.checkpoint_every = Some(5);
+        cfg.checkpoint_dir = Some(dir.to_string_lossy().into_owned());
+        exp.run(&cfg);
+        let written = std::fs::read(dir.join("latest.fmrs")).unwrap();
+        let mut fresh = RoundState::fresh(&exp, &cfg);
+        let run_stamp = RunStamp::of(&cfg, 4, fresh.clients[0].num_params(), "dense");
+        restore(&written, &run_stamp, &mut fresh).unwrap();
+        assert_eq!(fresh.common.epoch, 5);
+        assert_eq!(encode(&run_stamp, &mut fresh), written);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

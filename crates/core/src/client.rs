@@ -6,34 +6,19 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Checkpoint capture of one [`FlClient`]'s mutable state. The dataset,
-/// optimizer (SGD with zero momentum is stateless) and label map are
-/// rebuilt from configuration on restore; everything a round mutates —
-/// model parameters, the private batch-order RNG, the in-place shuffled
-/// index order and the migration counter — is here.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ClientState {
-    /// Local model parameters.
-    pub params: Vec<f32>,
-    /// Raw state of the private batch-order RNG.
-    pub rng: [u64; 4],
-    /// Local data indices in their current (shuffled) order.
-    pub indices: Vec<usize>,
-    /// Foreign models hosted so far.
-    pub migrations_received: usize,
-}
-
 /// One federated-learning client: a slice of the training data, a local
 /// model, and an optimizer.
 pub struct FlClient {
     id: usize,
     data: Arc<Dataset>,
-    indices: Vec<usize>,
+    /// Local data indices in their current (shuffled) order.
+    pub(crate) indices: Vec<usize>,
     model: Model,
     opt: Sgd,
-    rng: StdRng,
+    /// The private batch-order RNG stream.
+    pub(crate) rng: StdRng,
     label_dist: Vec<f64>,
-    migrations_received: usize,
+    pub(crate) migrations_received: usize,
     /// Training-time label remap (the label-flip poisoning attack).
     /// `None` = honest training. The dataset itself is shared through an
     /// `Arc` and stays immutable; only this client's view is poisoned.
@@ -148,7 +133,7 @@ impl FlClient {
 
     /// Drains the model's count of training batches skipped for a NaN/Inf
     /// loss (see `fedmigr_nn::Model::take_non_finite_batches`).
-    pub fn take_non_finite_batches(&mut self) -> u64 {
+    pub fn drain_non_finite_batches(&mut self) -> u64 {
         self.model.take_non_finite_batches()
     }
 
@@ -180,30 +165,6 @@ impl FlClient {
     /// Uncompressed model size on the wire in bytes.
     pub fn wire_bytes(&self) -> u64 {
         self.model.wire_bytes()
-    }
-
-    /// Captures this client's mutable state for a run checkpoint.
-    pub fn export_state(&mut self) -> ClientState {
-        ClientState {
-            params: self.model.params(),
-            rng: self.rng.state(),
-            indices: self.indices.clone(),
-            migrations_received: self.migrations_received,
-        }
-    }
-
-    /// Restores state captured by [`FlClient::export_state`].
-    ///
-    /// # Panics
-    /// Panics when the snapshot's shapes disagree with this client (wrong
-    /// model architecture or a different data partition).
-    pub fn import_state(&mut self, state: ClientState) {
-        assert_eq!(state.params.len(), self.model.num_params(), "client model shape mismatch");
-        assert_eq!(state.indices.len(), self.indices.len(), "client partition size mismatch");
-        self.model.set_params(&state.params);
-        self.rng = StdRng::from_state(state.rng);
-        self.indices = state.indices;
-        self.migrations_received = state.migrations_received;
     }
 }
 
@@ -275,34 +236,8 @@ mod tests {
         c.set_params(&vec![f32::NAN; n], false);
         let loss = c.train_epoch(16, Some(2), None);
         assert_eq!(loss, 0.0, "no finite batch -> neutral mean loss");
-        assert!(c.take_non_finite_batches() > 0);
-        assert_eq!(c.take_non_finite_batches(), 0, "counter drains");
-    }
-
-    #[test]
-    fn state_round_trip_resumes_training_bit_for_bit() {
-        let mut a = make_client();
-        a.train_epoch(16, Some(2), None);
-        let snap = a.export_state();
-        let ahead: Vec<f32> = {
-            let mut probe = make_client();
-            probe.import_state(snap.clone());
-            probe.train_epoch(16, Some(2), None);
-            probe.params()
-        };
-        // A fresh client restored from the snapshot must continue the exact
-        // same trajectory (batch order included) as the original.
-        a.train_epoch(16, Some(2), None);
-        assert_eq!(a.params(), ahead);
-    }
-
-    #[test]
-    #[should_panic(expected = "model shape mismatch")]
-    fn import_rejects_wrong_shape() {
-        let mut c = make_client();
-        let mut snap = c.export_state();
-        snap.params.pop();
-        c.import_state(snap);
+        assert!(c.drain_non_finite_batches() > 0);
+        assert_eq!(c.drain_non_finite_batches(), 0, "counter drains");
     }
 
     #[test]

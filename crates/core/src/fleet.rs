@@ -22,35 +22,38 @@
 //! the dense one: its topology, assignment and sampling streams are seeded
 //! independently, and the dense path stays byte-identical whether or not
 //! this module exists. Checkpoints share the dense container format under
-//! `mode = "fleet"` ([`crate::checkpoint::FleetRunState`]) and are written
+//! `mode = "fleet"` (the payload is [`FleetState`]) and are written
 //! only at aggregation boundaries, where every client is dormant — a
 //! killed-and-resumed fleet run replays bit for bit.
+
+#![deny(clippy::too_many_lines)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use fedmigr_compress::CodecConfig;
 use fedmigr_data::{Dataset, SyntheticConfig, SyntheticWorld};
 use fedmigr_drl::qp::FlmmRelaxation;
-use fedmigr_drl::{AgentConfig, DdpgAgent, PooledMigrationState, Transition};
-use fedmigr_fleet::LanProfile;
+use fedmigr_drl::PooledMigrationState;
 use fedmigr_fleet::{
     plan_migrations, ClientPool, FleetAssignment, FleetPlannerConfig, FleetTopology,
-    FleetTopologyConfig,
+    FleetTopologyConfig, LanProfile,
 };
-use fedmigr_net::{transfer_time, ResourceMeter, TransportStats};
+use fedmigr_net::transfer_time;
 use fedmigr_nn::Model;
+use fedmigr_telemetry::span;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::aggregate::Aggregator;
-use crate::checkpoint::{AgentSnapshot, FleetRunState, RunStamp};
-use crate::client::{ClientState, FlClient};
-use crate::metrics::{EpochRecord, FaultStats, RecoveryStats, RobustStats, RunMetrics};
-use crate::reward::{step_reward, terminal_reward, RewardConfig};
-use crate::runner::{PhasedClock, RunConfig, VPhase};
+use crate::checkpoint::RunStamp;
+use crate::client::FlClient;
+use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
+use crate::kernels::KernelPhases;
+use crate::metrics::{EpochRecord, RobustStats, RunMetrics};
+use crate::runner::{RunConfig, VPhase};
 use crate::scheme::Scheme;
-use fedmigr_compress::{CodecConfig, CompressionStats};
-use fedmigr_telemetry::span;
+use crate::timeline_capture::TimelineCapture;
 
 /// Fleet-mode knobs, carried in [`RunConfig::fleet`].
 #[derive(Clone, Copy, Debug)]
@@ -69,24 +72,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         Self { sample_frac: 0.05, top_m: 8 }
     }
-}
-
-/// The FedMigr DRL coupling, pooled to LAN granularity: the agent decides
-/// destination *LANs* from `6 + 3·L`-dimensional states, so its cost is
-/// independent of the fleet size.
-struct FleetAgentCtx {
-    agent: DdpgAgent,
-    reward: RewardConfig,
-    lambda: f64,
-    rho: f64,
-    resource_reward: bool,
-    warmup_epochs: usize,
-    updates_per_epoch: usize,
-    /// Decisions awaiting their reward: `(state, destination LAN, active
-    /// position)`. Always drained within the aggregation block that pushed
-    /// them (rewards arrive one epoch later, blocks end on agg epochs with
-    /// nothing pushed), so block-boundary checkpoints never carry any.
-    pending: Vec<(Vec<f32>, usize, usize)>,
 }
 
 /// A fleet-scale experiment: the client population as a lazy pool, a
@@ -189,120 +174,126 @@ impl FleetExperiment {
             "fleet mode samples via fleet.sample_frac; leave participation at 1.0"
         );
         if let Some(every) = cfg.checkpoint_every {
+            // Only at block boundaries is the cohort retired, making the
+            // dormant stubs the complete per-client state.
             assert!(
                 matches!(cfg.scheme, Scheme::FedAvg) || every.is_multiple_of(cfg.agg_interval),
                 "fleet checkpoints land on aggregation boundaries: checkpoint_every must be a \
                  multiple of agg_interval"
             );
         }
-
-        let k = self.pool.len();
-        let cohort_n = ((opts.sample_frac * k as f64).ceil() as usize).clamp(1, k);
-        let num_lans = self.topo.num_lans();
-        let num_classes = self.pool.world().num_classes();
-        let mut scratch = self.template.clone();
-        let num_params = scratch.num_params();
-        let model_bytes = scratch.wire_bytes();
-        let mut global = scratch.params();
+        let run = FleetRun::new(self, cfg, opts);
         fedmigr_telemetry::debug!(
             "core::fleet",
-            "fleet run start: scheme={} K={k} cohort={cohort_n} lans={num_lans} epochs={} seed={}",
+            "fleet run start: scheme={} K={} cohort={} lans={} epochs={} seed={}",
             cfg.scheme.name(),
+            run.ctx.k,
+            run.ctx.cohort_n,
+            run.ctx.num_lans,
             cfg.epochs,
             cfg.seed
         );
+        engine::run(cfg, run)
+    }
+}
 
-        // Static share of fleet data per LAN (a pooled-state feature).
-        let lan_load: Vec<f64> = {
-            let mut load = vec![0.0f64; num_lans];
-            let mut total = 0.0f64;
-            for id in 0..k {
-                let stub = self.pool.stub(id);
-                load[stub.lan as usize] += stub.len as f64;
-                total += stub.len as f64;
-            }
-            load.iter().map(|&v| v / total).collect()
-        };
+/// Everything a fleet round reads and writes that must survive a crash.
+/// Deliberately small on the wire: per-client state lives in the pool's
+/// dormant stubs (RNG stream, migration counter, participation count), so a
+/// K = 100,000 checkpoint is a few megabytes, not a dense `K × num_params`
+/// dump.
+pub(crate) struct FleetState<'a> {
+    pub common: CommonState,
+    pub pool: &'a mut ClientPool,
+    /// Active cohort, in sampled-id order; empty between blocks (and so at
+    /// every checkpoint). Model distribution and upload charges are
+    /// participant-scoped: dormant clients hold no model, so nothing is
+    /// ever broadcast fleet-wide.
+    pub cohort: Vec<FlClient>,
+}
 
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x5851_F42D).wrapping_add(3));
-        let mut meter = ResourceMeter::new(cfg.budget);
-        let mut clock = PhasedClock::new();
-        let pooled = PooledMigrationState::new(num_lans);
-        let mut agent_ctx = match &cfg.scheme {
-            Scheme::FedMigr(fc) => {
-                let mut ac = AgentConfig::new(pooled.dim(), num_lans, fc.agent_seed);
-                ac.rho = fc.rho;
-                ac.noise_std = 0.15;
-                ac.xi = fc.replay_xi;
-                Some(FleetAgentCtx {
-                    agent: DdpgAgent::new(ac),
-                    reward: RewardConfig { upsilon: fc.upsilon, terminal_bonus: fc.terminal_bonus },
-                    lambda: fc.lambda,
-                    rho: fc.rho,
-                    resource_reward: fc.resource_reward,
-                    warmup_epochs: (fc.oracle_warmup_frac * cfg.epochs as f64) as usize,
-                    updates_per_epoch: fc.updates_per_epoch,
-                    pending: Vec::new(),
-                })
-            }
-            _ => None,
-        };
+/// What a fleet run fixes once and never changes.
+struct FleetCtx<'a> {
+    cfg: &'a RunConfig,
+    opts: FleetOptions,
+    topo: &'a FleetTopology,
+    test: &'a Dataset,
+    template: &'a Model,
+    k: usize,
+    cohort_n: usize,
+    num_lans: usize,
+    num_classes: usize,
+    model_bytes: u64,
+    /// Static share of fleet data per LAN (a pooled-state feature).
+    lan_load: Vec<f64>,
+    pooled: PooledMigrationState,
+    stamp: RunStamp,
+}
 
-        let mut records: Vec<EpochRecord> = Vec::with_capacity(cfg.epochs);
-        let mut migrations_local = 0usize;
-        let mut migrations_global = 0usize;
-        let mut prev_loss: Option<f32> = None;
-        let mut last_epoch_usage = (0.0f64, 0.0f64);
-        let mut last_step_reward = -1.0f64;
-        let mut budget_exhausted = false;
-        let mut target_reached = false;
-        let mut recovery = RecoveryStats::default();
+struct FleetRun<'a> {
+    ctx: FleetCtx<'a>,
+    st: FleetState<'a>,
+    obs: Observers,
+    /// Model the evaluations load parameters into.
+    scratch: Model,
+}
 
-        let stamp = RunStamp {
-            scheme: cfg.scheme.name(),
-            seed: cfg.seed,
-            epochs: cfg.epochs as u64,
-            clients: k as u64,
-            num_params: num_params as u64,
-            codec: cfg.codec.name(),
-            transport: cfg.transport.name().into(),
-            agg_interval: cfg.agg_interval as u64,
-            mode: "fleet".into(),
-        };
+/// What one fleet round computes on the way to its record.
+struct Round {
+    epoch: usize,
+    traffic_before: u64,
+    compute_before: f64,
+    mean_loss: f32,
+    states: Option<Vec<Vec<f32>>>,
+    accuracy: Option<f64>,
+}
 
-        let mut start_epoch = 1usize;
-        if let Some(path) = &cfg.resume {
-            let state = FleetRunState::load(std::path::Path::new(path), &stamp)
-                .unwrap_or_else(|e| panic!("cannot resume fleet run from {path}: {e}"));
-            start_epoch = state.epoch + 1;
-            global = state.global;
-            rng = StdRng::from_state(state.rng);
-            self.pool.import_dormant(state.dormant);
-            if let (Some(ctx), Some(snap)) = (agent_ctx.as_mut(), state.agent) {
-                ctx.agent.import_state(snap.agent);
-                ctx.pending = snap.pending;
-            }
-            meter.import_state(state.meter);
-            clock = PhasedClock::at(state.clock_now, state.phase);
-            records = state.records;
-            migrations_local = state.migrations_local;
-            migrations_global = state.migrations_global;
-            prev_loss = state.prev_loss;
-            last_epoch_usage = state.last_epoch_usage;
-            last_step_reward = state.last_step_reward;
-            recovery.checkpoints_loaded += 1;
-            fedmigr_telemetry::info!(
-                "core::fleet",
-                "resumed fleet run from {path} at epoch {start_epoch}"
-            );
+/// The cohort's LANs and label marginals, by cohort position.
+fn cohort_profile<'p>(pool: &'p ClientPool, cohort: &[FlClient]) -> (Vec<u32>, Vec<&'p [f32]>) {
+    cohort
+        .iter()
+        .map(|c| {
+            let stub = pool.stub(c.id());
+            (stub.lan, stub.marginal.as_slice())
+        })
+        .unzip()
+}
+
+impl<'a> FleetRun<'a> {
+    fn new(exp: &'a mut FleetExperiment, cfg: &'a RunConfig, opts: FleetOptions) -> Self {
+        let k = exp.pool.len();
+        let num_lans = exp.topo.num_lans();
+        let mut scratch = exp.template.clone();
+        let mut lan_load = vec![0.0f64; num_lans];
+        let mut total = 0.0f64;
+        for id in 0..k {
+            let stub = exp.pool.stub(id);
+            lan_load[stub.lan as usize] += stub.len as f64;
+            total += stub.len as f64;
         }
-
-        // Round-timeline capture (`--timeline-out`), sparse: tail intervals
-        // only for clients that actually appeared, so a 10k-client fleet
-        // round costs O(cohort) timeline lines. Intervals are keyed by
-        // global client id; the fleet's lockstep transfers land as coarse
-        // upload/migrate windows.
-        let mut tcap = crate::timeline_capture::TimelineCapture::new(
+        lan_load.iter_mut().for_each(|v| *v /= total);
+        let pooled = PooledMigrationState::new(num_lans);
+        let ctx = FleetCtx {
+            cfg,
+            opts,
+            topo: &exp.topo,
+            test: &exp.test,
+            template: &exp.template,
+            k,
+            cohort_n: ((opts.sample_frac * k as f64).ceil() as usize).clamp(1, k),
+            num_lans,
+            num_classes: exp.pool.world().num_classes(),
+            model_bytes: scratch.wire_bytes(),
+            lan_load,
+            stamp: RunStamp::of(cfg, k, scratch.num_params(), "fleet"),
+            pooled,
+        };
+        let common = CommonState::new(cfg, scratch.params(), ctx.pooled.dim(), num_lans);
+        // Sparse timeline: tail intervals only for clients that actually
+        // appeared, so a 10k-client fleet round costs O(cohort) timeline
+        // lines. Intervals are keyed by global client id; the fleet's
+        // lockstep transfers land as coarse upload/migrate windows.
+        let tcap = TimelineCapture::new(
             cfg.diag.timeline_out.as_deref(),
             "fleet",
             &cfg.scheme.name(),
@@ -311,485 +302,369 @@ impl FleetExperiment {
             cfg.seed,
             true,
         );
-
-        // Active cohort, in sampled-id order; empty between blocks. The
-        // per-cohort model distribution and upload charges below are
-        // participant-scoped: dormant clients hold no model, so nothing is
-        // ever broadcast fleet-wide.
-        let mut cohort: Vec<FlClient> = Vec::new();
-        let mut killed = false;
-        // Attributes kernel FLOP/byte/time deltas to the phase that just
-        // closed; cheap no-op when accounting is off.
-        let mut kphases = crate::kernels::KernelPhases::new();
-
-        'round: for epoch in start_epoch..=cfg.epochs {
-            let _round = fedmigr_telemetry::global().span_labeled(
-                "core::fleet",
-                "round",
-                vec![
-                    ("epoch".to_string(), epoch.to_string()),
-                    ("scheme".to_string(), cfg.scheme.name()),
-                ],
-            );
-            tcap.round_start(epoch, clock.now());
-            // (0) Budget gate, matching the dense runner's round preamble.
-            if meter.exhausted() {
-                budget_exhausted = true;
-                records.push(blank_record(epoch, prev_loss, &meter, &clock));
-                tcap.round_end(clock.now());
-                break 'round;
-            }
-            let traffic_before = meter.traffic().total();
-            let compute_before = meter.compute_cost();
-
-            // (1) Cohort activation at each aggregation block's start:
-            // sample, charge the participant-scoped downlink, materialize.
-            if cohort.is_empty() {
-                let _activate = span!("core::fleet", "cohort_activate");
-                let ids = sample_cohort(&mut rng, k, cohort_n);
-                meter.record_c2s(ids.len() as u64 * model_bytes);
-                let t0 = clock.now();
-                let adv =
-                    ids.len() as f64 * transfer_time(model_bytes, self.topo.c2s_bandwidth(epoch));
-                clock.advance(VPhase::C2s, adv);
-                if tcap.active() {
-                    for &id in &ids {
-                        tcap.upload(id, t0, adv, adv, false);
-                    }
-                }
-                cohort = self.activate(&ids, &global, cfg.lr);
-            }
-            kphases.credit("cohort_activate");
-            let n = cohort.len();
-
-            // (2) Local training, straggler-limited by device tier.
-            let train_span = span!("core::fleet", "local_train");
-            let times: Vec<f64> = cohort
-                .iter()
-                .map(|c| {
-                    let tier = self.pool.stub(c.id()).tier;
-                    c.num_samples() as f64 / tier.samples_per_second()
-                })
-                .collect();
-            let compute: f64 = cohort.iter().map(|c| c.num_samples() as f64).sum();
-            let losses = train_cohort(&mut cohort, cfg.batch_size, cfg.max_batches_per_epoch);
-            meter.record_compute(compute);
-            let train_t0 = clock.now();
-            if tcap.active() {
-                let phase_end = train_t0 + times.iter().fold(0.0f64, |a, &b| a.max(b));
-                for (c, &t) in cohort.iter().zip(&times) {
-                    tcap.train(c.id(), train_t0, train_t0 + t, phase_end);
-                }
-            }
-            clock.advance_parallel(VPhase::Train, times);
-            let mean_loss: f32 = {
-                let w: f64 = cohort.iter().map(|c| c.num_samples() as f64).sum();
-                (losses
-                    .iter()
-                    .zip(&cohort)
-                    .map(|(&l, c)| l as f64 * c.num_samples() as f64)
-                    .sum::<f64>()
-                    / w) as f32
-            };
-            drop(train_span);
-            kphases.credit("local_train");
-
-            // (3) Pooled DRL states for this round, and the reward for the
-            // previous round's pending decisions (Eq. 17).
-            let decision_span = span!("core::fleet", "decision");
-            let lans: Vec<u32> = cohort.iter().map(|c| self.pool.stub(c.id()).lan).collect();
-            let marginals: Vec<&[f32]> =
-                cohort.iter().map(|c| self.pool.stub(c.id()).marginal.as_slice()).collect();
-            let states: Option<Vec<Vec<f32>>> = agent_ctx.as_ref().map(|_| {
-                let profile = LanProfile::build(&lans, &marginals, num_lans, num_classes);
-                let active_frac: Vec<f64> = {
-                    let mut f = vec![0.0f64; num_lans];
-                    for &l in &lans {
-                        f[l as usize] += 1.0 / n as f64;
-                    }
-                    f
-                };
-                let dloss =
-                    prev_loss.map(|p| ((mean_loss - p) / p.max(1e-6)) as f64).unwrap_or(0.0);
-                (0..n)
-                    .map(|i| {
-                        pooled.build(
-                            epoch as f64 / cfg.epochs as f64,
-                            mean_loss as f64,
-                            dloss,
-                            meter.bandwidth_remaining_frac(),
-                            meter.compute_remaining_frac(),
-                            1.0,
-                            &profile.distance_row(marginals[i]),
-                            &active_frac,
-                            &lan_load,
-                        )
-                    })
-                    .collect()
-            });
-            if let (Some(ctx), Some(states)) = (agent_ctx.as_mut(), states.as_ref()) {
-                let (cu, bu) = if ctx.resource_reward { last_epoch_usage } else { (0.0, 0.0) };
-                let reward = step_reward(
-                    &ctx.reward,
-                    prev_loss.map(|p| (mean_loss - p) as f64).unwrap_or(0.0),
-                    prev_loss.unwrap_or(mean_loss) as f64,
-                    cu,
-                    bu,
-                );
-                last_step_reward = reward;
-                for (state, action, pos) in ctx.pending.drain(..) {
-                    ctx.agent.observe(Transition {
-                        state,
-                        action,
-                        reward: reward as f32,
-                        next_state: states[pos].clone(),
-                        done: false,
-                    });
-                }
-            }
-            drop(decision_span);
-            kphases.credit("decision");
-
-            // (4) Communication: C2C migration between aggregations
-            // (FedMigr), or upload + aggregate + retire on block ends.
-            let is_agg = match cfg.scheme {
-                Scheme::FedAvg => true,
-                _ => epoch.is_multiple_of(cfg.agg_interval),
-            };
-            let is_eval = epoch.is_multiple_of(cfg.eval_interval) || epoch == cfg.epochs;
-            let mut accuracy = None;
-            if is_agg {
-                let agg_span = span!("core::fleet", "aggregate");
-                meter.record_c2s(n as u64 * model_bytes);
-                let t0 = clock.now();
-                let adv = n as f64 * transfer_time(model_bytes, self.topo.c2s_bandwidth(epoch));
-                clock.advance(VPhase::C2s, adv);
-                if tcap.active() {
-                    for c in &cohort {
-                        tcap.upload(c.id(), t0, adv, adv, false);
-                    }
-                }
-                global = aggregate_cohort(&mut cohort, &global);
-                drop(agg_span);
-                kphases.credit("aggregate");
-                if is_eval {
-                    let _eval = span!("core::fleet", "evaluate");
-                    accuracy = Some(self.evaluate(&mut scratch, &global));
-                    kphases.credit("evaluate");
-                }
-                let retire_span = span!("core::fleet", "retire");
-                for c in cohort.iter_mut() {
-                    let st = c.export_state();
-                    self.pool.retire(c.id(), st.rng, st.migrations_received as u64);
-                }
-                cohort.clear();
-                fedmigr_telemetry::rss::record_peak_rss();
-                drop(retire_span);
-                kphases.credit("retire");
-            } else {
-                let migrate_span = span!("core::fleet", "migrate");
-                if let (Some(ctx), Some(states)) = (agent_ctx.as_mut(), states.as_ref()) {
-                    let rho = if epoch <= ctx.warmup_epochs { 1.0 } else { ctx.rho };
-                    ctx.agent.set_rho(rho);
-                    // LAN-level FLMM oracle: L × L instead of K × K.
-                    let profile = LanProfile::build(&lans, &marginals, num_lans, num_classes);
-                    let relax = FlmmRelaxation {
-                        benefit: profile.benefit_matrix(),
-                        cost: self.lan_cost_matrix(model_bytes),
-                        lambda: ctx.lambda,
-                        entropy: 0.05,
-                    };
-                    let oracle = relax.solve(40, 0.4);
-                    let desired: Vec<u32> = (0..n)
-                        .map(|i| {
-                            ctx.agent.select_action(&states[i], Some(&oracle[lans[i] as usize]))
-                                as u32
-                        })
-                        .collect();
-                    let gids: Vec<usize> = cohort.iter().map(|c| c.id()).collect();
-                    let cross_slow = self.topo.config().cross_slow_bandwidth;
-                    let pcfg = FleetPlannerConfig {
-                        top_m: opts.top_m,
-                        lambda: ctx.lambda,
-                        seed: cfg.seed ^ 0x00F1_EE75,
-                    };
-                    let dest = plan_migrations(
-                        &pcfg,
-                        epoch as u64,
-                        &lans,
-                        &marginals,
-                        &desired,
-                        |i, j| {
-                            // Normalized transfer price: slowest link = 1.
-                            cross_slow / self.topo.c2c_bandwidth(gids[i], gids[j], epoch)
-                        },
-                    );
-                    for (i, state) in states.iter().enumerate() {
-                        let dest_lan = lans[dest[i]] as usize;
-                        if epoch <= ctx.warmup_epochs {
-                            // Pre-training: clone the committed plan's
-                            // behaviour into the actor (dense runner's
-                            // oracle warmup, at LAN granularity).
-                            ctx.agent.imitate(state, dest_lan);
-                        }
-                        ctx.pending.push((state.clone(), dest_lan, i));
-                    }
-
-                    // Execute the permutation: model of position i lands on
-                    // position dest[i]'s host.
-                    let moves: Vec<(usize, usize)> = dest
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, &d)| d != i)
-                        .map(|(i, &d)| (i, d))
-                        .collect();
-                    if !moves.is_empty() {
-                        let payloads: HashMap<usize, Vec<f32>> =
-                            moves.iter().map(|&(i, _)| (i, cohort[i].params())).collect();
-                        let mut move_times = Vec::with_capacity(moves.len());
-                        let mig_t0 = clock.now();
-                        for &(i, d) in &moves {
-                            let local = self.topo.same_lan(gids[i], gids[d]);
-                            meter.record_c2c(model_bytes, local);
-                            let time = transfer_time(
-                                model_bytes,
-                                self.topo.c2c_bandwidth(gids[i], gids[d], epoch),
-                            );
-                            tcap.migrate(gids[i], mig_t0, time);
-                            move_times.push(time);
-                            if local {
-                                migrations_local += 1;
-                            } else {
-                                migrations_global += 1;
-                            }
-                        }
-                        clock.advance_parallel(VPhase::Migration, move_times);
-                        for &(i, d) in &moves {
-                            cohort[d].set_params(&payloads[&i], true);
-                        }
-                    }
-                }
-                drop(migrate_span);
-                kphases.credit("migrate");
-                if is_eval {
-                    // Shadow aggregation — observation only, the cohort's
-                    // models are untouched.
-                    let _eval = span!("core::fleet", "evaluate");
-                    let shadow = aggregate_cohort(&mut cohort, &global);
-                    accuracy = Some(self.evaluate(&mut scratch, &shadow));
-                    kphases.credit("evaluate");
-                }
-            }
-
-            // (5) Bookkeeping, cadenced checkpoints, stop conditions.
-            let book_span = span!("core::fleet", "bookkeeping");
-            records.push(EpochRecord {
-                epoch,
-                train_loss: mean_loss,
-                test_accuracy: accuracy,
-                traffic: meter.traffic(),
-                sim_time: clock.now(),
-                dropped_clients: 0,
-                stale_clients: 0,
-                rejected_migrations: 0,
-                bytes_saved: 0,
-                phase: clock.phase(),
-                retransmits: 0,
-                late_uploads: 0,
-            });
-            tcap.round_end(clock.now());
-            prev_loss = Some(mean_loss);
-            let epoch_bw = (meter.traffic().total() - traffic_before) as f64;
-            let epoch_compute = meter.compute_cost() - compute_before;
-            last_epoch_usage = (
-                if cfg.budget.compute.is_finite() {
-                    epoch_compute / cfg.budget.compute
-                } else {
-                    0.0
-                },
-                if cfg.budget.bandwidth.is_finite() {
-                    epoch_bw / cfg.budget.bandwidth
-                } else {
-                    0.0
-                },
-            );
-            if let Some(ctx) = agent_ctx.as_mut() {
-                for _ in 0..ctx.updates_per_epoch {
-                    ctx.agent.update();
-                }
-            }
-
-            if let Some(every) = cfg.checkpoint_every {
-                // Only at block boundaries: the cohort was just retired, so
-                // the dormant stubs are the complete per-client state.
-                if is_agg && epoch.is_multiple_of(every) {
-                    debug_assert!(cohort.is_empty());
-                    let state = FleetRunState {
-                        epoch,
-                        global: global.clone(),
-                        rng: rng.state(),
-                        dormant: self.pool.export_dormant(),
-                        agent: agent_ctx.as_mut().map(|ctx| AgentSnapshot {
-                            agent: ctx.agent.export_state(),
-                            pending: ctx.pending.clone(),
-                        }),
-                        meter: meter.export_state(),
-                        clock_now: clock.now(),
-                        phase: clock.phase(),
-                        records: records.clone(),
-                        migrations_local,
-                        migrations_global,
-                        prev_loss,
-                        last_epoch_usage,
-                        last_step_reward,
-                    };
-                    let bytes = state.to_bytes(&stamp);
-                    recovery.checkpoints_written += 1;
-                    recovery.checkpoint_bytes += bytes.len() as u64;
-                    if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-                        let dir = std::path::Path::new(dir);
-                        let write = |path: &std::path::Path| -> std::io::Result<()> {
-                            let tmp = path.with_extension("tmp");
-                            std::fs::write(&tmp, &bytes)?;
-                            std::fs::rename(&tmp, path)
-                        };
-                        let persist = std::fs::create_dir_all(dir)
-                            .and_then(|()| write(&dir.join(format!("ckpt_round_{epoch}.fmrs"))))
-                            .and_then(|()| write(&dir.join("latest.fmrs")));
-                        if let Err(e) = persist {
-                            fedmigr_telemetry::error!(
-                                "core::fleet",
-                                "fleet checkpoint write failed at epoch {epoch} in {}: {e}",
-                                dir.display()
-                            );
-                        }
-                    }
-                }
-            }
-
-            if let (Some(target), Some(acc)) = (cfg.target_accuracy, accuracy) {
-                if acc >= target {
-                    target_reached = true;
-                    break 'round;
-                }
-            }
-            if meter.exhausted() {
-                budget_exhausted = true;
-                break 'round;
-            }
-            if cfg.kill_at == Some(epoch) {
-                killed = true;
-                fedmigr_telemetry::warn!(
-                    "core::fleet",
-                    "kill switch: aborting fleet run after epoch {epoch} (simulated crash)"
-                );
-                break 'round;
-            }
-            drop(book_span);
-            kphases.credit("bookkeeping");
+        Self {
+            ctx,
+            st: FleetState { common, pool: &mut exp.pool, cohort: Vec::new() },
+            obs: Observers { tcap, flight: None, kphases: KernelPhases::new() },
+            scratch,
         }
+    }
 
-        // Terminal transition flush (Eq. 18); a killed run crashed and gets
-        // no terminal credit — exactly what `--resume` should pick up.
-        if let Some(ctx) = agent_ctx.as_mut().filter(|_| !killed) {
-            let terminal = terminal_reward(&ctx.reward, last_step_reward, !budget_exhausted);
-            for (state, action, _) in ctx.pending.drain(..) {
-                let next_state = state.clone();
-                ctx.agent.observe(Transition {
-                    state,
-                    action,
-                    reward: terminal as f32,
-                    next_state,
-                    done: true,
-                });
+    /// Lockstep C2S pricing of one model transfer per client in `ids`.
+    fn charge_c2s(&mut self, ids: &[usize], epoch: usize) {
+        let common = &mut self.st.common;
+        let n = ids.len();
+        common.meter.record_c2s(n as u64 * self.ctx.model_bytes);
+        let t0 = common.clock.now();
+        let adv =
+            n as f64 * transfer_time(self.ctx.model_bytes, self.ctx.topo.c2s_bandwidth(epoch));
+        common.clock.advance(VPhase::C2s, adv);
+        if self.obs.tcap.active() {
+            for &id in ids {
+                self.obs.tcap.upload(id, t0, adv, adv, false);
             }
+        }
+    }
+
+    // --- Phases ----------------------------------------------------------
+
+    /// (1) Cohort activation at each aggregation block's start: sample,
+    /// charge the participant-scoped downlink, materialize.
+    fn activate(&mut self, epoch: usize) {
+        if self.st.cohort.is_empty() {
+            let _activate = span!("core::fleet", "cohort_activate");
+            let ids = sample_cohort(&mut self.st.common.rng, self.ctx.k, self.ctx.cohort_n);
+            self.charge_c2s(&ids, epoch);
+            self.st.cohort = activate(
+                self.st.pool,
+                self.ctx.template,
+                &ids,
+                &self.st.common.global,
+                self.ctx.cfg.lr,
+            );
+        }
+        self.obs.kphases.credit("cohort_activate");
+    }
+
+    /// (2) Local training, straggler-limited by device tier.
+    fn train(&mut self, r: &mut Round) {
+        let train_span = span!("core::fleet", "local_train");
+        let (cfg, st) = (self.ctx.cfg, &mut self.st);
+        let times: Vec<f64> = st
+            .cohort
+            .iter()
+            .map(|c| c.num_samples() as f64 / st.pool.stub(c.id()).tier.samples_per_second())
+            .collect();
+        let compute: f64 = st.cohort.iter().map(|c| c.num_samples() as f64).sum();
+        let losses = train_cohort(&mut st.cohort, cfg.batch_size, cfg.max_batches_per_epoch);
+        st.common.meter.record_compute(compute);
+        let train_t0 = st.common.clock.now();
+        if self.obs.tcap.active() {
+            let phase_end = train_t0 + times.iter().fold(0.0f64, |a, &b| a.max(b));
+            for (c, &t) in st.cohort.iter().zip(&times) {
+                self.obs.tcap.train(c.id(), train_t0, train_t0 + t, phase_end);
+            }
+        }
+        st.common.clock.advance_parallel(VPhase::Train, times);
+        let weighted: f64 =
+            losses.iter().zip(&st.cohort).map(|(&l, c)| l as f64 * c.num_samples() as f64).sum();
+        r.mean_loss = (weighted / compute) as f32;
+        drop(train_span);
+        self.obs.kphases.credit("local_train");
+    }
+
+    /// (3) Pooled DRL states for this round, and the reward for the
+    /// previous round's pending decisions (Eq. 17).
+    fn decide(&mut self, r: &mut Round) {
+        let decision_span = span!("core::fleet", "decision");
+        let (ctx, common) = (&self.ctx, &mut self.st.common);
+        r.states = common.agent.is_some().then(|| {
+            let (lans, marginals) = cohort_profile(self.st.pool, &self.st.cohort);
+            let profile = LanProfile::build(&lans, &marginals, ctx.num_lans, ctx.num_classes);
+            let mut active_frac = vec![0.0f64; ctx.num_lans];
+            for &l in &lans {
+                active_frac[l as usize] += 1.0 / lans.len() as f64;
+            }
+            marginals
+                .iter()
+                .map(|marginal| {
+                    ctx.pooled.build(
+                        r.epoch as f64 / ctx.cfg.epochs as f64,
+                        r.mean_loss as f64,
+                        common.loss_trend(r.mean_loss),
+                        common.meter.bandwidth_remaining_frac(),
+                        common.meter.compute_remaining_frac(),
+                        1.0,
+                        &profile.distance_row(marginal),
+                        &active_frac,
+                        &ctx.lan_load,
+                    )
+                })
+                .collect()
+        });
+        if let Some(states) = r.states.as_ref() {
+            common.settle(r.mean_loss, states);
+        }
+        drop(decision_span);
+        self.obs.kphases.credit("decision");
+    }
+
+    /// (4a) Block end: upload, aggregate, evaluate, retire the cohort.
+    fn aggregate_block(&mut self, r: &mut Round, is_eval: bool) {
+        let agg_span = span!("core::fleet", "aggregate");
+        let ids: Vec<usize> = self.st.cohort.iter().map(|c| c.id()).collect();
+        self.charge_c2s(&ids, r.epoch);
+        let st = &mut self.st;
+        st.common.global = aggregate_cohort(&mut st.cohort, &st.common.global);
+        drop(agg_span);
+        self.obs.kphases.credit("aggregate");
+        if is_eval {
+            let _eval = span!("core::fleet", "evaluate");
+            let global = &st.common.global;
+            r.accuracy = Some(engine::evaluate(self.ctx.test, &mut self.scratch, global));
+            self.obs.kphases.credit("evaluate");
+        }
+        let retire_span = span!("core::fleet", "retire");
+        for c in st.cohort.drain(..) {
+            st.pool.retire(c.id(), c.rng.state(), c.migrations_received as u64);
         }
         fedmigr_telemetry::rss::record_peak_rss();
-        if !killed {
-            tcap.finish(records.len());
-        }
+        drop(retire_span);
+        self.obs.kphases.credit("retire");
+    }
 
-        RunMetrics {
-            scheme: cfg.scheme.name(),
-            records,
-            migrations_local,
-            migrations_global,
-            link_migrations: Vec::new(),
-            budget_exhausted,
-            target_reached,
-            fault: FaultStats::default(),
-            robust: RobustStats::default(),
-            codec: cfg.codec.name(),
-            compression: CompressionStats::default(),
-            transport: cfg.transport.name().into(),
-            transport_stats: TransportStats::default(),
-            recovery,
+    /// (4b) Between aggregations: C2C migration within the cohort (FedMigr),
+    /// then a shadow evaluation if one is due.
+    fn migrate_block(&mut self, r: &mut Round, is_eval: bool) {
+        let migrate_span = span!("core::fleet", "migrate");
+        if let Some(states) = r.states.as_ref() {
+            let dest = self.plan(r.epoch, states);
+            self.execute(r.epoch, &dest);
+        }
+        drop(migrate_span);
+        self.obs.kphases.credit("migrate");
+        if is_eval {
+            // Shadow aggregation — observation only, the cohort's models
+            // are untouched.
+            let _eval = span!("core::fleet", "evaluate");
+            let shadow = aggregate_cohort(&mut self.st.cohort, &self.st.common.global);
+            r.accuracy = Some(engine::evaluate(self.ctx.test, &mut self.scratch, &shadow));
+            self.obs.kphases.credit("evaluate");
         }
     }
 
-    /// Activates `ids` into full clients: datasets are rematerialized (in
-    /// parallel — materialization dominates), the current global model is
-    /// installed, and previously-activated clients resume their banked RNG
-    /// stream and migration counter.
-    fn activate(&self, ids: &[usize], global: &[f32], lr: f32) -> Vec<FlClient> {
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        let chunk = ids.len().div_ceil(workers.max(1)).max(1);
-        let mut out = Vec::with_capacity(ids.len());
-        // `Model` is Send but not Sync (boxed layers), so clone the models
-        // here and move them into the workers; only the pool is shared.
-        let pool = &self.pool;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ids
-                .chunks(chunk)
-                .map(|part| {
-                    let models: Vec<Model> = part.iter().map(|_| self.template.clone()).collect();
-                    s.spawn(move || {
-                        part.iter()
-                            .zip(models)
-                            .map(|(&id, model)| activate_one(pool, id, model, global, lr))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("fleet activation panicked"));
-            }
+    /// Plans this epoch's migrations: the agent picks destination *LANs*
+    /// (guided by an `L × L` FLMM oracle instead of the dense `K × K` one),
+    /// the factored planner commits them to a permutation of cohort
+    /// positions.
+    fn plan(&mut self, epoch: usize, states: &[Vec<f32>]) -> Vec<usize> {
+        let (ctx, st) = (&self.ctx, &mut self.st);
+        let agent = st.common.agent.as_mut().expect("states imply an agent");
+        let warmup = agent.begin_decisions(epoch);
+        let (lans, marginals) = cohort_profile(st.pool, &st.cohort);
+        let profile = LanProfile::build(&lans, &marginals, ctx.num_lans, ctx.num_classes);
+        let relax = FlmmRelaxation {
+            benefit: profile.benefit_matrix(),
+            cost: lan_cost_matrix(ctx.topo, ctx.model_bytes),
+            lambda: agent.fc.lambda,
+            entropy: 0.05,
+        };
+        let oracle = relax.solve(40, 0.4);
+        let desired: Vec<u32> = states
+            .iter()
+            .zip(&lans)
+            .map(|(s, &lan)| agent.agent.select_action(s, Some(&oracle[lan as usize])) as u32)
+            .collect();
+        let gids: Vec<usize> = st.cohort.iter().map(|c| c.id()).collect();
+        let cross_slow = ctx.topo.config().cross_slow_bandwidth;
+        let pcfg = FleetPlannerConfig {
+            top_m: ctx.opts.top_m,
+            lambda: agent.fc.lambda,
+            seed: ctx.cfg.seed ^ 0x00F1_EE75,
+        };
+        let dest = plan_migrations(&pcfg, epoch as u64, &lans, &marginals, &desired, |i, j| {
+            // Normalized transfer price: slowest link = 1.
+            cross_slow / ctx.topo.c2c_bandwidth(gids[i], gids[j], epoch)
         });
-        out
-    }
-
-    /// LAN-level migration cost matrix for the pooled FLMM oracle,
-    /// normalized so the most expensive class costs 1. Cross-LAN entries
-    /// use the expected bandwidth over the moderate/slow link-class mix.
-    fn lan_cost_matrix(&self, model_bytes: u64) -> Vec<Vec<f64>> {
-        let c = self.topo.config();
-        let l = self.topo.num_lans();
-        let cross_bw = (1.0 - c.slow_fraction) * c.cross_moderate_bandwidth
-            + c.slow_fraction * c.cross_slow_bandwidth;
-        let intra = model_bytes as f64 / c.lan_bandwidth;
-        let cross = model_bytes as f64 / cross_bw;
-        let max = intra.max(cross).max(1e-12);
-        (0..l)
-            .map(|a| (0..l).map(|b| if a == b { intra / max } else { cross / max }).collect())
-            .collect()
-    }
-
-    /// Accuracy of `params` over the held-out test set (the dense runner's
-    /// chunked evaluation, verbatim).
-    fn evaluate(&self, template: &mut Model, params: &[f32]) -> f64 {
-        template.set_params(params);
-        let n = self.test.len();
-        let mut correct_weighted = 0.0f64;
-        let mut seen = 0usize;
-        let indices: Vec<usize> = (0..n).collect();
-        for chunk in indices.chunks(64) {
-            let (x, labels) = self.test.batch(chunk);
-            let (_, acc) = template.evaluate(&x, &labels);
-            correct_weighted += acc * chunk.len() as f64;
-            seen += chunk.len();
+        for (i, state) in states.iter().enumerate() {
+            agent.decided(state, lans[dest[i]] as usize, i, warmup);
         }
-        correct_weighted / seen as f64
+        dest
     }
+
+    /// Executes the permutation: the model of position `i` lands on
+    /// position `dest[i]`'s host.
+    fn execute(&mut self, epoch: usize, dest: &[usize]) {
+        let (ctx, st) = (&self.ctx, &mut self.st);
+        let moves: Vec<(usize, usize)> =
+            dest.iter().enumerate().filter(|&(i, &d)| d != i).map(|(i, &d)| (i, d)).collect();
+        if moves.is_empty() {
+            return;
+        }
+        let gids: Vec<usize> = st.cohort.iter().map(|c| c.id()).collect();
+        let payloads: HashMap<usize, Vec<f32>> =
+            moves.iter().map(|&(i, _)| (i, st.cohort[i].params())).collect();
+        let mut move_times = Vec::with_capacity(moves.len());
+        let mig_t0 = st.common.clock.now();
+        for &(i, d) in &moves {
+            let local = ctx.topo.same_lan(gids[i], gids[d]);
+            st.common.meter.record_c2c(ctx.model_bytes, local);
+            let bandwidth = ctx.topo.c2c_bandwidth(gids[i], gids[d], epoch);
+            let time = transfer_time(ctx.model_bytes, bandwidth);
+            self.obs.tcap.migrate(gids[i], mig_t0, time);
+            move_times.push(time);
+            if local {
+                st.common.migrations_local += 1;
+            } else {
+                st.common.migrations_global += 1;
+            }
+        }
+        st.common.clock.advance_parallel(VPhase::Migration, move_times);
+        for &(i, d) in &moves {
+            st.cohort[d].set_params(&payloads[&i], true);
+        }
+    }
+
+    /// (5) Bookkeeping: the epoch record, usage accounting, agent learning.
+    fn bookkeep(&mut self, r: &Round) {
+        let _book = span!("core::fleet", "bookkeeping");
+        let common = &mut self.st.common;
+        let blank = common.blank_record(r.epoch, 0);
+        common.records.push(EpochRecord {
+            train_loss: r.mean_loss,
+            test_accuracy: r.accuracy,
+            ..blank
+        });
+        self.obs.tcap.round_end(common.clock.now());
+        common.prev_loss = Some(r.mean_loss);
+        common.note_usage(r.traffic_before, r.compute_before);
+        common.learn();
+    }
+}
+
+impl<'a> RoundLoop for FleetRun<'a> {
+    type State = FleetState<'a>;
+
+    fn stamp(&self) -> &RunStamp {
+        &self.ctx.stamp
+    }
+
+    fn state(&mut self) -> &mut FleetState<'a> {
+        &mut self.st
+    }
+
+    fn common(&mut self) -> &mut CommonState {
+        &mut self.st.common
+    }
+
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.obs
+    }
+
+    fn round(&mut self, epoch: usize) -> Outcome {
+        let cfg = self.ctx.cfg;
+        let _round = fedmigr_telemetry::global().span_labeled(
+            "core::fleet",
+            "round",
+            vec![
+                ("epoch".to_string(), epoch.to_string()),
+                ("scheme".to_string(), cfg.scheme.name()),
+            ],
+        );
+        let common = &mut self.st.common;
+        self.obs.tcap.round_start(epoch, common.clock.now());
+        // (0) Budget gate: a run whose budget is already spent records the
+        // round it could not afford and stops.
+        if common.meter.exhausted() {
+            let blank = common.blank_record(epoch, 0);
+            common.records.push(blank);
+            self.obs.tcap.round_end(common.clock.now());
+            return Outcome::Done(None);
+        }
+        let mut r = Round {
+            epoch,
+            traffic_before: common.meter.traffic().total(),
+            compute_before: common.meter.compute_cost(),
+            mean_loss: 0.0,
+            states: None,
+            accuracy: None,
+        };
+        self.activate(epoch);
+        self.train(&mut r);
+        self.decide(&mut r);
+        // (4) Communication: C2C migration between aggregations (FedMigr),
+        // or upload + aggregate + retire on block ends.
+        let is_agg = match cfg.scheme {
+            Scheme::FedAvg => true,
+            _ => epoch.is_multiple_of(cfg.agg_interval),
+        };
+        let is_eval = epoch.is_multiple_of(cfg.eval_interval) || epoch == cfg.epochs;
+        if is_agg {
+            self.aggregate_block(&mut r, is_eval);
+        } else {
+            self.migrate_block(&mut r, is_eval);
+        }
+        self.bookkeep(&r);
+        self.obs.kphases.credit("bookkeeping");
+        Outcome::Done(r.accuracy)
+    }
+
+    fn finish(&mut self, _exit: &Exit) -> Totals {
+        fedmigr_telemetry::rss::record_peak_rss();
+        Totals::default()
+    }
+}
+
+/// Activates `ids` into full clients: datasets are rematerialized (in
+/// parallel — materialization dominates), the current global model is
+/// installed, and previously-activated clients resume their banked RNG
+/// stream and migration counter.
+fn activate(
+    pool: &ClientPool,
+    template: &Model,
+    ids: &[usize],
+    global: &[f32],
+    lr: f32,
+) -> Vec<FlClient> {
+    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
+    let chunk = ids.len().div_ceil(workers.max(1)).max(1);
+    let mut out = Vec::with_capacity(ids.len());
+    // `Model` is Send but not Sync (boxed layers), so clone the models
+    // here and move them into the workers; only the pool is shared.
+    std::thread::scope(|s| {
+        let handles: Vec<_> = ids
+            .chunks(chunk)
+            .map(|part| {
+                let models: Vec<Model> = part.iter().map(|_| template.clone()).collect();
+                s.spawn(move || {
+                    part.iter()
+                        .zip(models)
+                        .map(|(&id, model)| activate_one(pool, id, model, global, lr))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            out.extend(h.join().expect("fleet activation panicked"));
+        }
+    });
+    out
+}
+
+/// LAN-level migration cost matrix for the pooled FLMM oracle, normalized
+/// so the most expensive class costs 1. Cross-LAN entries use the expected
+/// bandwidth over the moderate/slow link-class mix.
+fn lan_cost_matrix(topo: &FleetTopology, model_bytes: u64) -> Vec<Vec<f64>> {
+    let c = topo.config();
+    let l = topo.num_lans();
+    let cross_bw = (1.0 - c.slow_fraction) * c.cross_moderate_bandwidth
+        + c.slow_fraction * c.cross_slow_bandwidth;
+    let intra = model_bytes as f64 / c.lan_bandwidth;
+    let cross = model_bytes as f64 / cross_bw;
+    let max = intra.max(cross).max(1e-12);
+    (0..l)
+        .map(|a| (0..l).map(|b| if a == b { intra / max } else { cross / max }).collect())
+        .collect()
 }
 
 /// Activates one client: rematerializes its dataset from the stub range,
@@ -800,15 +675,11 @@ fn activate_one(pool: &ClientPool, id: usize, model: Model, global: &[f32], lr: 
     let stub = pool.stub(id);
     let data = Arc::new(pool.materialize(id));
     let indices: Vec<usize> = (0..stub.len as usize).collect();
-    let mut client = FlClient::new(id, data, indices.clone(), model, lr, stub.seed);
-    match stub.dormant.rng {
-        Some(saved) => client.import_state(ClientState {
-            params: global.to_vec(),
-            rng: saved,
-            indices,
-            migrations_received: stub.dormant.migrations_received as usize,
-        }),
-        None => client.set_params(global, false),
+    let mut client = FlClient::new(id, data, indices, model, lr, stub.seed);
+    client.set_params(global, false);
+    if let Some(saved) = stub.dormant.rng {
+        client.rng = StdRng::from_state(saved);
+        client.migrations_received = stub.dormant.migrations_received as usize;
     }
     client
 }
@@ -873,33 +744,19 @@ fn aggregate_cohort(cohort: &mut [FlClient], prev_global: &[f32]) -> Vec<f32> {
     Aggregator::FedAvg.aggregate(&entries, prev_global, &mut stats)
 }
 
-/// The record a budget-exhausted round leaves behind (no training ran).
-fn blank_record(
-    epoch: usize,
-    prev_loss: Option<f32>,
-    meter: &ResourceMeter,
-    clock: &PhasedClock,
-) -> EpochRecord {
-    EpochRecord {
-        epoch,
-        train_loss: prev_loss.unwrap_or(0.0),
-        test_accuracy: None,
-        traffic: meter.traffic(),
-        sim_time: clock.now(),
-        dropped_clients: 0,
-        stale_clients: 0,
-        rejected_migrations: 0,
-        bytes_saved: 0,
-        phase: clock.phase(),
-        retransmits: 0,
-        late_uploads: 0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedmigr_nn::zoo::{c10_cnn, NetScale};
+    use rand::SeedableRng;
+
+    impl<'a> FleetState<'a> {
+        /// The state a run of `cfg` over `exp` starts from (a fixture for
+        /// the checkpoint tests).
+        pub(crate) fn fresh(exp: &'a mut FleetExperiment, cfg: &'a RunConfig) -> Self {
+            FleetRun::new(exp, cfg, cfg.fleet.unwrap_or_default()).st
+        }
+    }
 
     fn small_fleet(k: usize, lans: usize, seed: u64) -> FleetExperiment {
         FleetExperiment::synthetic(k, lans, 24, 4, seed, c10_cnn(3, 8, NetScale::Small, seed))

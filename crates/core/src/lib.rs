@@ -68,6 +68,7 @@
 mod aggregate;
 mod checkpoint;
 mod client;
+mod engine;
 mod fleet;
 pub mod kernels;
 mod metrics;
@@ -80,18 +81,15 @@ mod summary;
 mod timeline_capture;
 
 pub use aggregate::{Aggregator, StalenessPolicy};
-pub use checkpoint::{
-    AgentSnapshot, FleetRunState, LateUploadState, RunStamp, RunState, RUN_STATE_MAGIC,
-    RUN_STATE_VERSION,
-};
-pub use client::{ClientState, FlClient};
+pub use checkpoint::{RunStamp, RUN_STATE_MAGIC, RUN_STATE_VERSION};
+pub use client::FlClient;
 pub use fedmigr_compress::{CodecConfig, CompressionStats};
 pub use fedmigr_diag::DiagConfig;
 pub use fleet::{FleetExperiment, FleetOptions};
 pub use metrics::{
     EpochRecord, FaultStats, PhaseBreakdown, RecoveryStats, RobustStats, RunMetrics,
 };
-pub use migration::{MigrationPlan, Quarantine, QuarantineConfig, QuarantineState};
+pub use migration::{MigrationPlan, Quarantine, QuarantineConfig};
 pub use privacy::DpConfig;
 pub use reward::{step_reward, terminal_reward, RewardConfig};
 pub use runner::{Experiment, RunConfig, WatchdogConfig};

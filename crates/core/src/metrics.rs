@@ -133,7 +133,7 @@ impl PhaseBreakdown {
 }
 
 /// Per-epoch measurements of a run.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct EpochRecord {
     /// 1-based training epoch.
     pub epoch: usize,

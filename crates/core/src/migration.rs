@@ -291,9 +291,9 @@ impl Default for QuarantineConfig {
 #[derive(Clone, Debug)]
 pub struct Quarantine {
     config: QuarantineConfig,
-    norms: VecDeque<f64>,
-    suspicion: Vec<f64>,
-    rejected: usize,
+    pub(crate) norms: VecDeque<f64>,
+    pub(crate) suspicion: Vec<f64>,
+    pub(crate) rejected: usize,
 }
 
 impl Quarantine {
@@ -372,39 +372,6 @@ impl Quarantine {
             *s = (1.0 - g) * *s + g;
         }
     }
-
-    /// Captures the quarantine's mutable state for a run checkpoint (the
-    /// config is rebuilt from the run configuration).
-    pub fn export_state(&self) -> QuarantineState {
-        QuarantineState {
-            norms: self.norms.iter().copied().collect(),
-            suspicion: self.suspicion.clone(),
-            rejected: self.rejected,
-        }
-    }
-
-    /// Restores state captured by [`Quarantine::export_state`].
-    ///
-    /// # Panics
-    /// Panics when the snapshot's client count disagrees with this
-    /// quarantine.
-    pub fn import_state(&mut self, state: QuarantineState) {
-        assert_eq!(state.suspicion.len(), self.suspicion.len(), "quarantine client mismatch");
-        self.norms = state.norms.into();
-        self.suspicion = state.suspicion;
-        self.rejected = state.rejected;
-    }
-}
-
-/// Checkpoint capture of a [`Quarantine`]'s mutable state.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QuarantineState {
-    /// Recently accepted migration distances, oldest first.
-    pub norms: Vec<f64>,
-    /// Per-client suspicion EMAs.
-    pub suspicion: Vec<f64>,
-    /// Total migrations rejected so far.
-    pub rejected: usize,
 }
 
 /// Median and median-absolute-deviation of a slice (which it sorts a copy
@@ -662,37 +629,14 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_state_round_trips_and_escalates() {
+    fn escalation_raises_suspicion_without_counting_a_rejection() {
         let mut q = Quarantine::new(QuarantineConfig::default(), 3);
-        let resident = vec![0.0f32; 4];
-        let nan = vec![f32::NAN; 4];
-        assert!(q.screen(0, &[0.1, 0.0, 0.0, 0.0], &resident));
-        assert!(!q.screen(2, &nan, &resident));
-        let snap = q.export_state();
-
-        let mut restored = Quarantine::new(QuarantineConfig::default(), 3);
-        restored.import_state(snap);
-        assert_eq!(restored.rejected(), q.rejected());
-        assert_eq!(restored.suspicion(), q.suspicion());
-        // Both copies must screen identically from here on.
-        assert!(!restored.screen(2, &nan, &resident));
-        assert!(!q.screen(2, &nan, &resident));
-        assert_eq!(restored.suspicion(), q.suspicion());
-
-        // Escalation raises suspicion without counting a rejection.
-        let before = restored.suspicion()[1];
-        let rejected = restored.rejected();
-        restored.escalate(1);
-        assert!(restored.suspicion()[1] > before);
-        assert_eq!(restored.rejected(), rejected);
-    }
-
-    #[test]
-    #[should_panic(expected = "client mismatch")]
-    fn quarantine_import_rejects_wrong_client_count() {
-        let mut q = Quarantine::new(QuarantineConfig::default(), 3);
-        let snap = Quarantine::new(QuarantineConfig::default(), 2).export_state();
-        q.import_state(snap);
+        assert!(!q.screen(2, &[f32::NAN; 4], &[0.0f32; 4]));
+        let before = q.suspicion()[1];
+        let rejected = q.rejected();
+        q.escalate(1);
+        assert!(q.suspicion()[1] > before);
+        assert_eq!(q.rejected(), rejected);
     }
 
     #[test]

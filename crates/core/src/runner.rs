@@ -1,3 +1,5 @@
+#![deny(clippy::too_many_lines)]
+
 use std::sync::Arc;
 
 use fedmigr_compress::{CodecConfig, Compressor};
@@ -8,30 +10,28 @@ use fedmigr_diag::{
     FlightSummary, GraphSnapshot, MigrationEdge, RoundRecord, FLIGHT_VERSION,
 };
 use fedmigr_drl::qp::FlmmRelaxation;
-use fedmigr_drl::{AgentConfig, DdpgAgent, MigrationState, Transition};
+use fedmigr_drl::MigrationState;
 use fedmigr_net::{
     simulate_c2s_traced, simulate_migrations_traced, transfer_time, transfer_time_with_latency,
     try_transfer_time_with_latency, upload_deadline, AttackConfig, AttackModel, ClientCompute,
-    FaultConfig, FaultModel, FlowConfig, ResourceBudget, ResourceMeter, SimClock, Topology,
-    TransportAccum, TransportConfig,
+    FaultConfig, FaultModel, FlowConfig, ResourceBudget, SimClock, Topology, TransportAccum,
+    TransportConfig,
 };
 use fedmigr_nn::Model;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 use fedmigr_telemetry::{span, warn};
 
 use crate::aggregate::{Aggregator, StalenessPolicy};
-use crate::checkpoint::{AgentSnapshot, LateUploadState, RunStamp, RunState};
+use crate::checkpoint::{self, RunStamp};
 use crate::client::FlClient;
-use crate::metrics::{
-    EpochRecord, FaultStats, PhaseBreakdown, RecoveryStats, RobustStats, RunMetrics,
-};
+use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
+use crate::kernels::KernelPhases;
+use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RobustStats, RunMetrics};
 use crate::migration::{MigrationPlan, Quarantine, QuarantineConfig};
 use crate::privacy::DpConfig;
-use crate::reward::{step_reward, terminal_reward, RewardConfig};
-use crate::scheme::{MigrationStrategy, Scheme};
+use crate::scheme::{FedMigrConfig, MigrationStrategy, Scheme};
 use crate::timeline_capture::TimelineCapture;
 
 /// Configuration of one federated-learning run.
@@ -260,39 +260,157 @@ impl Experiment {
             cfg.participation >= 1.0 || !matches!(cfg.scheme, Scheme::Fixed(_)),
             "fixed migration strategies require full participation"
         );
-        let k = self.num_clients();
         fedmigr_telemetry::debug!(
             "core::runner",
-            "run start: scheme={} clients={k} epochs={} agg={} seed={}",
+            "run start: scheme={} clients={} epochs={} agg={} seed={}",
             cfg.scheme.name(),
+            self.num_clients(),
             cfg.epochs,
             cfg.agg_interval,
             cfg.seed
         );
-        let mut template = self.template.clone();
-        let num_params = template.num_params();
-        // One compressor per run: a residual lane per client for egress
-        // transfers, seeded from the run seed (stochastic rounding never
-        // consumes the shared RNG stream). Every transfer carries one full
-        // model, so its wire cost is this single constant — the codec's
-        // exact encoded size; under the identity codec it equals the
-        // uncompressed `8 + 4n` seed format, byte for byte.
+        engine::run(cfg, DenseRun::new(self, cfg))
+    }
+}
+
+/// Decay of the *model mixture* estimate (see [`RoundState::mix`]).
+const MIX_ALPHA: f64 = 0.3;
+
+/// Everything a dense round reads and writes that must survive a crash:
+/// the checkpoint payload *is* this struct (see `core::checkpoint`).
+pub(crate) struct RoundState {
+    pub common: CommonState,
+    pub clients: Vec<FlClient>,
+    pub fault_stats: FaultStats,
+    /// Exponential moving average of each client's observed downtime; the
+    /// FedMigr oracle penalizes flaky destinations with it. Stays
+    /// identically zero without fault injection.
+    pub flaky: Vec<f64>,
+    /// Flow-transport accounting (untouched under lockstep).
+    pub taccum: TransportAccum,
+    /// Uploads that completed after their round's deadline, held until an
+    /// aggregation folds (or ages) them.
+    pub late_buf: Vec<LateUpload>,
+    /// Completed aggregations, so a buffered upload's staleness is measured
+    /// in aggregation rounds.
+    pub agg_seq: usize,
+    /// The migration quarantine exists only under an active adversary: a
+    /// benign run must stay byte-identical to the pre-defense path, and
+    /// screening benign migrations risks false positives for nothing.
+    pub quarantine: Option<Quarantine>,
+    pub robust_total: RobustStats,
+    /// The *model mixture*: an exponentially decayed estimate of the label
+    /// distribution each model has recently trained on. Migration permutes
+    /// it; aggregation resets it to the population (the global model
+    /// reflects everyone's data). The distance matrix D_t the DRL state
+    /// and oracle use is `d_t[i][j] = ||mix_i - q_j||_1` — "the
+    /// differences of data distributions among the clients after t epochs"
+    /// (Sec. III-C): migrating a model towards data it has not seen
+    /// recently is what shrinks its divergence (Eq. 13).
+    pub mix: Vec<Vec<f64>>,
+    /// Diagnostic twin of `mix` that aggregation never resets: the label
+    /// distribution of the data that actually generated each model
+    /// replica's gradients, routed through migrations and swaps only.
+    /// FedAvg keeps each replica pinned to its host's shard; migration is
+    /// what drives this EMD down.
+    pub train_mix: Vec<Vec<f64>>,
+    /// One compressor per run: a residual lane per client for egress
+    /// transfers, seeded from the run seed (stochastic rounding never
+    /// consumes the shared RNG stream).
+    pub compressor: Compressor,
+    /// `K x K` migration-count matrix.
+    pub link_migrations: Vec<u32>,
+    /// Clients the watchdog implicated in a divergence sit rounds out.
+    /// All-false in normal runs: a no-op, bit for bit.
+    pub excluded: Vec<bool>,
+}
+
+/// What a dense run fixes once and never changes.
+struct DenseCtx<'a> {
+    exp: &'a Experiment,
+    cfg: &'a RunConfig,
+    k: usize,
+    /// Wire cost of one model transfer — the codec's exact encoded size;
+    /// under the identity codec it equals the uncompressed `8 + 4n` seed
+    /// format, byte for byte.
+    model_bytes: u64,
+    saved_per_transfer: u64,
+    /// `None` keeps every code path on the lockstep accounting,
+    /// byte-identical to the seeded baselines.
+    flow: Option<&'a FlowConfig>,
+    fault: FaultModel,
+    attack: AttackModel,
+    /// Per-client label marginals `q_k`.
+    dists: Vec<Vec<f64>>,
+    /// Sample-weighted population label distribution.
+    population: Vec<f64>,
+    featurizer: MigrationState,
+    stamp: RunStamp,
+}
+
+/// One dense run: context, state, observers, and the scratch that is none
+/// of those.
+struct DenseRun<'a> {
+    ctx: DenseCtx<'a>,
+    st: RoundState,
+    obs: Observers,
+    /// Model the evaluations load parameters into.
+    scratch: Model,
+    /// The watchdog's rollback target: the last good snapshot and the epoch
+    /// it was taken after.
+    last_good: Option<(usize, Vec<u8>)>,
+    /// Which clients transmitted a non-finite payload since the last good
+    /// snapshot — the sources a rollback implicates.
+    nan_sources: Vec<bool>,
+    /// The wall-time histogram family is cumulative per process, so the
+    /// hotspot log at run end diffs against this run-start snapshot.
+    phase_wall_baseline: std::collections::BTreeMap<String, f64>,
+}
+
+/// What one round computes on the way from sampling to bookkeeping.
+struct Round {
+    epoch: usize,
+    traffic_before: u64,
+    compute_before: f64,
+    robust: RobustStats,
+    /// Diagnostics: the round's migration edge list and executed source map
+    /// (identity on non-migration rounds).
+    edges: Vec<MigrationEdge>,
+    src_of: Vec<usize>,
+    alive: Vec<bool>,
+    /// Sampled, alive, not excluded, and (after training) not panicked.
+    active: Vec<bool>,
+    /// Active clients that made the straggler deadline.
+    arrived: Vec<bool>,
+    dropped: usize,
+    stale: usize,
+    mean_loss: f32,
+    dmat: Vec<Vec<f64>>,
+    suspicion: Vec<f64>,
+    states: Option<Vec<Vec<f32>>>,
+    accuracy: Option<f64>,
+}
+
+impl<'a> DenseRun<'a> {
+    /// Builds the clients, seeds them with the initial model, and charges
+    /// the seed broadcast (timeline "round 0").
+    fn new(exp: &'a Experiment, cfg: &'a RunConfig) -> Self {
+        let k = exp.num_clients();
+        let mut scratch = exp.template.clone();
+        let num_params = scratch.num_params();
         let mut compressor = Compressor::new(&cfg.codec, k, cfg.seed);
         let model_bytes = compressor.encoded_size(num_params);
-        let uncompressed_bytes = template.wire_bytes();
-        let saved_per_transfer = uncompressed_bytes.saturating_sub(model_bytes);
-        let mut global = template.params();
-
-        let mut clients: Vec<FlClient> = self
+        let global = scratch.params();
+        let mut clients: Vec<FlClient> = exp
             .partitions
             .iter()
             .enumerate()
             .map(|(i, part)| {
                 FlClient::new(
                     i,
-                    Arc::clone(&self.train),
+                    Arc::clone(&exp.train),
                     part.clone(),
-                    self.template.clone(),
+                    exp.template.clone(),
                     cfg.lr,
                     cfg.seed.wrapping_add(1),
                 )
@@ -304,77 +422,60 @@ impl Experiment {
         for c in &mut clients {
             c.set_params(&initial, false);
         }
-        let total_n: f64 = clients.iter().map(|c| c.num_samples() as f64).sum();
-
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_mul(0x5851_F42D).wrapping_add(3));
-        let mut meter = ResourceMeter::new(cfg.budget);
-        let mut clock = PhasedClock::new();
-        let fault = FaultModel::new(cfg.fault.clone(), k);
-        let mut fault_stats = FaultStats::default();
-        // Exponential moving average of each client's observed downtime;
-        // the FedMigr oracle penalizes flaky destinations with it. Stays
-        // identically zero without fault injection.
-        let mut flaky = vec![0.0f64; k];
-        // Flow-transport state. `flow_cfg == None` keeps every code path
-        // below on the lockstep accounting, byte-identical to the seeded
-        // baselines. `late_buf` holds uploads that completed after their
-        // round's deadline until an aggregation folds (or ages) them;
-        // `agg_seq` counts completed aggregations so a buffered upload's
-        // staleness is measured in aggregation rounds.
-        let flow_cfg = cfg.transport.flow_config();
-        let mut taccum = TransportAccum::new();
-        let mut late_buf: Vec<LateUpload> = Vec::new();
-        let mut agg_seq: usize = 0;
-
         let attack = AttackModel::new(cfg.attack.clone(), k);
-        // The migration quarantine exists only under an active adversary:
-        // a benign run must stay byte-identical to the pre-defense path,
-        // and screening benign migrations risks false positives for
-        // nothing.
-        let mut quarantine =
-            attack.enabled().then(|| Quarantine::new(QuarantineConfig::default(), k));
-        let mut robust_total = RobustStats::default();
         if attack.flips_labels() {
-            let num_classes = clients[0].label_dist().len();
-            let map = fedmigr_data::flip_label_map(num_classes);
+            let map = fedmigr_data::flip_label_map(clients[0].label_dist().len());
             for (i, c) in clients.iter_mut().enumerate() {
                 if attack.is_byzantine(i) {
                     c.set_label_map(map.clone());
                 }
             }
         }
-
+        let total_n: f64 = clients.iter().map(|c| c.num_samples() as f64).sum();
         let dists: Vec<Vec<f64>> = clients.iter().map(|c| c.label_dist().to_vec()).collect();
-        let population: Vec<f64> = {
-            let mut p = vec![0.0f64; dists[0].len()];
-            for (q, c) in dists.iter().zip(&clients) {
-                let w = c.num_samples() as f64 / total_n;
-                for (pi, qi) in p.iter_mut().zip(q) {
-                    *pi += w * qi;
-                }
+        let mut population = vec![0.0f64; dists[0].len()];
+        for (q, c) in dists.iter().zip(&clients) {
+            let w = c.num_samples() as f64 / total_n;
+            for (pi, qi) in population.iter_mut().zip(q) {
+                *pi += w * qi;
             }
-            p
+        }
+        let featurizer = MigrationState::new(k);
+        let st = RoundState {
+            common: CommonState::new(cfg, global, featurizer.dim(), k),
+            clients,
+            fault_stats: FaultStats::default(),
+            flaky: vec![0.0; k],
+            taccum: TransportAccum::new(),
+            late_buf: Vec::new(),
+            agg_seq: 0,
+            quarantine: attack.enabled().then(|| Quarantine::new(QuarantineConfig::default(), k)),
+            robust_total: RobustStats::default(),
+            mix: dists.clone(),
+            train_mix: dists.clone(),
+            compressor,
+            link_migrations: vec![0; k * k],
+            excluded: vec![false; k],
         };
-        // The *model mixture*: an exponentially decayed estimate of the
-        // label distribution each model has recently trained on. Migration
-        // permutes it; aggregation resets it to the population (the global
-        // model reflects everyone's data). The distance matrix D_t the DRL
-        // state and oracle use is `d_t[i][j] = ||mix_i - q_j||_1` — "the
-        // differences of data distributions among the clients after t
-        // epochs" (Sec. III-C): migrating a model towards data it has not
-        // seen recently is what shrinks its divergence (Eq. 13).
-        const MIX_ALPHA: f64 = 0.3;
-        let mut mix: Vec<Vec<f64>> = dists.clone();
-        let distance_matrix = |mix: &[Vec<f64>]| -> Vec<Vec<f64>> {
-            mix.iter().map(|m| dists.iter().map(|q| l1_distance(m, q)).collect()).collect()
+        let ctx = DenseCtx {
+            exp,
+            cfg,
+            k,
+            model_bytes,
+            saved_per_transfer: scratch.wire_bytes().saturating_sub(model_bytes),
+            flow: cfg.transport.flow_config(),
+            fault: FaultModel::new(cfg.fault.clone(), k),
+            attack,
+            dists,
+            population,
+            featurizer,
+            stamp: RunStamp::of(cfg, k, num_params, "dense"),
         };
-
-        // Round-timeline capture (`--timeline-out`): observation-only and
-        // inert without a path. A resumed run restarts the timeline file
-        // from scratch; unlike the flight recording there is nothing to
-        // splice — the file stands alone and the validator only needs the
-        // header plus monotone rounds from wherever it begins.
-        let mut tcap = TimelineCapture::new(
+        // A resumed run restarts the timeline file from scratch; unlike the
+        // flight recording there is nothing to splice — the file stands
+        // alone and the validator only needs the header plus monotone
+        // rounds from wherever it begins.
+        let tcap = TimelineCapture::new(
             cfg.diag.timeline_out.as_deref(),
             "dense",
             &cfg.scheme.name(),
@@ -383,1542 +484,987 @@ impl Experiment {
             cfg.seed,
             false,
         );
+        let obs = Observers { tcap, flight: None, kphases: KernelPhases::new() };
+        let mut run = Self {
+            ctx,
+            st,
+            obs,
+            scratch,
+            last_good: None,
+            nan_sources: vec![false; k],
+            phase_wall_baseline: phase_seconds_snapshot(),
+        };
+        run.seed_broadcast();
+        run
+    }
 
-        // Initial model distribution: server -> K clients over the WAN.
-        // On the timeline this is "round 0": the seed broadcast.
-        tcap.round_start(0, clock.now());
-        if let Some(fc) = flow_cfg {
-            // K concurrent downloads contend for the WAN. Every client was
-            // already seeded with the initial parameters above; a failed
-            // download only changes the round's cost accounting.
-            let everyone = vec![true; k];
-            self.flow_download_phase(
-                fc,
-                &fault,
-                0,
-                &everyone,
-                model_bytes,
-                &mut meter,
-                &mut clock,
-                &mut taccum,
-                &mut tcap,
-            );
+    /// Initial model distribution: server -> K clients over the WAN. Every
+    /// client was already seeded with the initial parameters; under the
+    /// flow transport the K concurrent downloads contend for the WAN and a
+    /// failed one only changes the round's cost accounting.
+    fn seed_broadcast(&mut self) {
+        let everyone = vec![true; self.ctx.k];
+        self.obs.tcap.round_start(0, self.st.common.clock.now());
+        match self.ctx.flow {
+            Some(fc) => {
+                self.flow_download_phase(fc, 0, &everyone);
+            }
+            None => self.lockstep_c2s(&everyone, 0, 1),
+        }
+        self.obs.tcap.round_end(self.st.common.clock.now());
+    }
+
+    /// Opens the flight recording: a resumed run keeps the recording's
+    /// header and the rounds the checkpoint covers, byte for byte, and
+    /// appends from there.
+    fn open_flight(&self, start_epoch: usize) -> Option<FlightRecorder> {
+        let cfg = self.ctx.cfg;
+        let path = cfg.diag.flight_out.as_deref()?;
+        let opened = if start_epoch > 1 {
+            FlightRecorder::resume(path, start_epoch - 1)
         } else {
-            meter.record_c2s(k as u64 * model_bytes);
-            let t0 = clock.now();
-            let adv = k as f64
-                * transfer_time_with_latency(
-                    model_bytes,
-                    self.topology.c2s_bandwidth(0),
-                    self.topology.c2s_latency(),
+            FlightRecorder::create(path).and_then(|mut rec| {
+                rec.header(&FlightHeader {
+                    version: FLIGHT_VERSION,
+                    scheme: cfg.scheme.name(),
+                    clients: self.ctx.k,
+                    epochs: cfg.epochs,
+                    seed: cfg.seed,
+                    agg_interval: cfg.agg_interval,
+                    codec: cfg.codec.name(),
+                })?;
+                Ok(rec)
+            })
+        };
+        opened
+            .map_err(|e| {
+                fedmigr_telemetry::error!(
+                    "core::diag",
+                    "cannot open flight recording {path}: {e}; recording disabled"
                 );
-            clock.advance(VPhase::C2s, adv);
-            if tcap.active() {
-                for i in 0..k {
-                    tcap.upload(i, t0, adv, adv, false);
+            })
+            .ok()
+    }
+
+    // --- Phases ----------------------------------------------------------
+
+    /// Samples the participating clients for this epoch (α K of K), then
+    /// intersects with the fault schedule — crashed clients neither train
+    /// nor communicate until they rejoin — and the watchdog's exclusions.
+    /// `None` when the entire population is down (or sampled out): the
+    /// round is a no-op, but the run survives it.
+    fn sample(&mut self, epoch: usize) -> Option<Round> {
+        let (cfg, k) = (self.ctx.cfg, self.ctx.k);
+        let st = &mut self.st;
+        let traffic_before = st.common.meter.traffic().total();
+        let compute_before = st.common.meter.compute_cost();
+        let mut active: Vec<bool> = if cfg.participation >= 1.0 {
+            vec![true; k]
+        } else {
+            let n_active = ((cfg.participation * k as f64).ceil() as usize).clamp(1, k);
+            let mut order: Vec<usize> = (0..k).collect();
+            order.shuffle(&mut st.common.rng);
+            let mut mask = vec![false; k];
+            for &i in order.iter().take(n_active) {
+                mask[i] = true;
+            }
+            mask
+        };
+        let alive: Vec<bool> = (0..k).map(|i| self.ctx.fault.is_alive(i, epoch)).collect();
+        for (i, a) in active.iter_mut().enumerate() {
+            *a = *a && alive[i] && !st.excluded[i];
+        }
+        let dropped = alive.iter().filter(|&&up| !up).count();
+        st.fault_stats.client_drops += dropped;
+        for (f, &up) in st.flaky.iter_mut().zip(&alive) {
+            *f = 0.9 * *f + if up { 0.0 } else { 0.1 };
+        }
+        if active.iter().all(|&a| !a) {
+            let record = EpochRecord {
+                bytes_saved: self.bytes_saved(),
+                retransmits: self.st.taccum.retransmits(),
+                late_uploads: self.st.taccum.late_uploads(),
+                ..self.st.common.blank_record(epoch, dropped)
+            };
+            self.st.common.records.push(record);
+            self.obs.tcap.round_end(self.st.common.clock.now());
+            return None;
+        }
+        Some(Round {
+            epoch,
+            traffic_before,
+            compute_before,
+            robust: RobustStats::default(),
+            edges: Vec::new(),
+            src_of: (0..k).collect(),
+            alive,
+            arrived: Vec::new(),
+            active,
+            dropped,
+            stale: 0,
+            mean_loss: 0.0,
+            dmat: Vec::new(),
+            suspicion: Vec::new(),
+            states: None,
+            accuracy: None,
+        })
+    }
+
+    /// (1) Local updating (Eq. 6), clients in parallel, then the virtual
+    /// time the round's slowest on-time participant took.
+    fn train(&mut self, r: &mut Round) {
+        let train_span = span!("core::runner", "local_train");
+        let (cfg, k, epoch) = (self.ctx.cfg, self.ctx.k, r.epoch);
+        let st = &mut self.st;
+        let prox = match cfg.scheme {
+            Scheme::FedProx { mu } => Some((st.common.global.clone(), mu)),
+            _ => None,
+        };
+        let (losses, panicked) =
+            train_all(&mut st.clients, cfg, prox.as_ref(), &r.active, &self.ctx.fault, epoch);
+        for (i, &p) in panicked.iter().enumerate() {
+            if p {
+                // A panicking client is a crashed client for this round: no
+                // loss, no upload, no mix update. The run survives it.
+                r.active[i] = false;
+                st.fault_stats.client_panics += 1;
+            }
+        }
+        r.robust.nan_batches +=
+            st.clients.iter_mut().map(|c| c.drain_non_finite_batches()).sum::<u64>();
+        decay_towards(&mut st.mix, &self.ctx.dists, &r.active);
+        if cfg.diag.active() {
+            decay_towards(&mut st.train_mix, &self.ctx.dists, &r.active);
+        }
+        r.dmat = st
+            .mix
+            .iter()
+            .map(|m| self.ctx.dists.iter().map(|q| l1_distance(m, q)).collect())
+            .collect();
+        let mut times = Vec::with_capacity(k);
+        let mut per_client_time = vec![0.0f64; k];
+        for (i, c) in st.clients.iter().enumerate().filter(|&(i, _)| r.active[i]) {
+            let samples = effective_samples(c.num_samples(), cfg);
+            st.common.meter.record_compute(self.ctx.exp.compute.epoch_cost(i, samples));
+            let slowdown = self.ctx.fault.slowdown(i, epoch);
+            per_client_time[i] = self.ctx.exp.compute.epoch_time_slowed(i, samples, slowdown);
+            times.push(per_client_time[i]);
+        }
+        // Straggler deadline: the server waits at most a configured
+        // multiple of the *median* round time; later arrivals trained (and
+        // burned compute) but miss this round's communication.
+        r.arrived = r.active.clone();
+        let round_time = times.iter().fold(0.0f64, |a, &b| a.max(b));
+        let train_t0 = st.common.clock.now();
+        let train_adv = match self.ctx.fault.deadline(median(&times)) {
+            Some(deadline) => {
+                for (arrived, &t) in r.arrived.iter_mut().zip(&per_client_time) {
+                    if *arrived && t > deadline {
+                        *arrived = false;
+                        r.stale += 1;
+                    }
+                }
+                round_time.min(deadline)
+            }
+            None => round_time,
+        };
+        st.common.clock.advance(VPhase::Train, train_adv);
+        if self.obs.tcap.active() {
+            for i in (0..k).filter(|&i| r.active[i]) {
+                let done = train_t0 + per_client_time[i];
+                self.obs.tcap.train(i, train_t0, done, train_t0 + train_adv);
+            }
+        }
+        let active_n: f32 = st
+            .clients
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| r.active[i])
+            .map(|(_, c)| c.num_samples() as f32)
+            .sum();
+        r.mean_loss = st
+            .clients
+            .iter()
+            .zip(&losses)
+            .filter_map(|(c, l)| l.map(|l| l * (c.num_samples() as f32 / active_n)))
+            .sum::<f32>();
+        drop(train_span);
+        self.obs.kphases.credit("local_train");
+    }
+
+    /// (2) Build decision states and settle last epoch's transitions.
+    fn decide(&mut self, r: &mut Round) {
+        let decision_span = span!("core::runner", "decision");
+        let (cfg, k) = (self.ctx.cfg, self.ctx.k);
+        let common = &mut self.st.common;
+        r.suspicion = match &self.st.quarantine {
+            Some(q) => q.suspicion().to_vec(),
+            None => vec![0.0; k],
+        };
+        r.states = common.agent.is_some().then(|| {
+            (0..k)
+                .map(|i| {
+                    self.ctx.featurizer.build_with_health(
+                        r.epoch as f64 / cfg.epochs as f64,
+                        r.mean_loss as f64,
+                        common.loss_trend(r.mean_loss),
+                        common.meter.bandwidth_remaining_frac(),
+                        common.meter.compute_remaining_frac(),
+                        &r.dmat[i],
+                        &r.alive,
+                        &r.suspicion,
+                    )
+                })
+                .collect()
+        });
+        if let Some(states) = r.states.as_ref() {
+            common.settle(r.mean_loss, states);
+        }
+        drop(decision_span);
+        self.obs.kphases.credit("decision");
+    }
+
+    /// (3) Communication: aggregation, server-side swap, or C2C migration,
+    /// depending on the scheme and epoch.
+    fn communicate(&mut self, r: &mut Round) {
+        let comm_span = span!("core::runner", "communicate");
+        let cfg = self.ctx.cfg;
+        let is_agg = match cfg.scheme {
+            Scheme::FedAvg | Scheme::FedProx { .. } => true,
+            Scheme::FedAsync { .. } => false,
+            _ => r.epoch.is_multiple_of(cfg.agg_interval),
+        };
+        if let Scheme::FedAsync { beta } = cfg.scheme {
+            self.communicate_async(r, beta);
+        } else if cfg.scheme.uploads_every_epoch() || is_agg {
+            self.communicate_upload(r, is_agg);
+        } else {
+            self.communicate_migrate(r);
+        }
+        drop(comm_span);
+        self.obs.kphases.credit("communicate");
+    }
+
+    /// FedAsync: one participating client uploads; the server mixes its
+    /// model into the global model and sends the result back.
+    fn communicate_async(&mut self, r: &mut Round, beta: f32) {
+        let (cfg, k, epoch) = (self.ctx.cfg, self.ctx.k, r.epoch);
+        let candidates: Vec<usize> = (0..k).filter(|&i| r.arrived[i]).collect();
+        let Some(uploader) = candidates.first().map(|_| candidates[epoch % candidates.len()])
+        else {
+            return;
+        };
+        let mut only = vec![false; k];
+        only[uploader] = true;
+        let reach = self.c2s_reachable(&only, epoch);
+        let synced = match (self.ctx.flow, reach[uploader]) {
+            // A lone flow can still strike out on a flapped or collapsed
+            // access link; it can never be late (the deadline is a multiple
+            // of its own finish time).
+            (Some(fc), true) => self.flow_upload_phase(fc, epoch, &reach).on_time[uploader],
+            (_, reached) => reached,
+        };
+        if !synced {
+            // The uploader never reached the server this epoch.
+            r.stale += 1;
+            return;
+        }
+        if self.ctx.flow.is_none() {
+            self.lockstep_c2s(&only, epoch, 2);
+        }
+        let st = &mut self.st;
+        let mut upload = st.clients[uploader].params();
+        if let Some(dp) = &cfg.dp {
+            dp.apply(&mut upload, &mut st.common.rng);
+        }
+        self.ctx.attack.corrupt_upload(uploader, epoch, &mut upload);
+        if cfg.watchdog.enabled && !fedmigr_tensor::all_finite(&upload) {
+            self.nan_sources[uploader] = true;
+        }
+        // The server sees what the wire carried: codec distortion (and
+        // preserved NaN corruption) lands on the decoded payload, with the
+        // uploader's error-feedback residual applied on egress.
+        let upload = st.compressor.transmit(uploader, &upload);
+        // FedAsync has no multi-upload round to robustify, but a
+        // non-finite upload is still screened out whenever a robust
+        // aggregator is configured.
+        if cfg.aggregator == Aggregator::FedAvg || fedmigr_tensor::all_finite(&upload) {
+            for (g, u) in st.common.global.iter_mut().zip(&upload) {
+                *g = (1.0 - beta) * *g + beta * u;
+            }
+        } else {
+            r.robust.nan_uploads += 1;
+            r.robust.trimmed_clients += 1;
+        }
+        let down = st.compressor.transmit_down(uploader, &st.common.global);
+        let delivered = match self.ctx.flow {
+            Some(fc) => self.flow_download_phase(fc, epoch, &only)[uploader],
+            None => true,
+        };
+        if delivered {
+            self.st.clients[uploader].set_params(&down, false);
+            self.st.mix[uploader].clone_from(&self.ctx.population);
+        }
+    }
+
+    /// Participating models go to the server — every epoch for
+    /// FedAvg/FedProx/FedSwap, on aggregation epochs for the migration
+    /// schemes — and come back aggregated (`is_agg`) or swapped (FedSwap
+    /// between aggregations).
+    fn communicate_upload(&mut self, r: &mut Round, is_agg: bool) {
+        let (k, epoch) = (self.ctx.k, r.epoch);
+        // Those that can reach the server, that is: WAN outages retry with
+        // backoff and drop out of the round if they never get through.
+        let synced = self.c2s_reachable(&r.arrived, epoch);
+        r.stale += r.arrived.iter().zip(&synced).filter(|&(&a, &s)| a && !s).count();
+        // Which uploads made the round, and at what cost, depends on the
+        // transport: lockstep prices every synced transfer serially at
+        // nominal bandwidth; the flow transport races concurrent uploads
+        // against a per-round deadline.
+        let up = match self.ctx.flow {
+            Some(fc) => self.flow_upload_phase(fc, epoch, &synced),
+            None => {
+                self.lockstep_c2s(&synced, epoch, 2);
+                FlowUploadOutcome { on_time: synced.clone(), late: vec![false; k], failed: 0 }
+            }
+        };
+        r.stale += up.failed;
+        let mut uploads = self.collect_params(epoch);
+        // Only the clients whose bytes actually crossed the wire see the
+        // codec (error-feedback on client egress). A late upload bound for
+        // a future aggregation was genuinely transmitted. Lanes are
+        // per-client and therefore distinct, so the batch encode
+        // parallelizes while staying byte-identical to the serial
+        // per-client loop.
+        let sel: Vec<usize> = (0..k).filter(|&i| up.on_time[i] || (up.late[i] && is_agg)).collect();
+        let items: Vec<(usize, Vec<f32>)> =
+            sel.iter().map(|&i| (i, std::mem::take(&mut uploads[i]))).collect();
+        for (&i, dec) in sel.iter().zip(self.st.compressor.transmit_batch(items)) {
+            uploads[i] = dec;
+        }
+        for i in (0..k).filter(|&i| up.late[i] && is_agg) {
+            let late = LateUpload { client: i, params: uploads[i].clone(), seq: self.st.agg_seq };
+            self.st.late_buf.push(late);
+        }
+        if is_agg {
+            self.aggregate(r, &uploads, &synced, &up.on_time);
+        } else {
+            self.swap(r, uploads, &up.on_time);
+        }
+    }
+
+    /// Server-side aggregation and the broadcast of its result. Under the
+    /// flow transport this is *degraded* aggregation: fold what arrived on
+    /// time plus discounted stale uploads from earlier rounds — a round
+    /// with zero on-time uploads can still make progress from the stale
+    /// buffer alone.
+    fn aggregate(
+        &mut self,
+        r: &mut Round,
+        uploads: &[Vec<f32>],
+        synced: &[bool],
+        on_time: &[bool],
+    ) {
+        let cfg = self.ctx.cfg;
+        if let Some(fc) = self.ctx.flow {
+            if on_time.iter().any(|&s| s) || !self.st.late_buf.is_empty() {
+                let _agg = span!("core::runner", "aggregate");
+                if let Some(g) = self.st.fold_with_late(cfg, uploads, on_time, &mut r.robust) {
+                    self.st.common.global = g;
+                    self.st.agg_seq += 1;
+                    let delivered = self.flow_download_phase(fc, r.epoch, on_time);
+                    if delivered.iter().any(|&d| d) {
+                        self.install_global(&delivered);
+                    }
+                }
+            }
+        } else if synced.iter().any(|&s| s) {
+            let _agg = span!("core::runner", "aggregate");
+            let st = &mut self.st;
+            st.common.global = aggregate_active(
+                &st.clients,
+                uploads,
+                synced,
+                &cfg.aggregator,
+                &st.common.global,
+                &mut r.robust,
+            );
+            self.install_global(synced);
+        }
+    }
+
+    /// One aggregated payload fans out to every client in `to`: a single
+    /// server-side encode.
+    fn install_global(&mut self, to: &[bool]) {
+        let st = &mut self.st;
+        let down = st.compressor.broadcast(&st.common.global);
+        for (i, c) in st.clients.iter_mut().enumerate().filter(|&(i, _)| to[i]) {
+            c.set_params(&down, false);
+            st.mix[i].clone_from(&self.ctx.population);
+        }
+    }
+
+    /// FedSwap: the server swaps models "between any two of all clients" —
+    /// a few random disjoint pairs per round, so mixing is slower than a
+    /// full migration permutation. Unsynced clients never uploaded: the
+    /// plan leaves them fixed and they re-install their local copy
+    /// wire-free, while each synced client's (possibly swapped) model comes
+    /// back down through the codec as a distinct server-egress payload.
+    /// Under the flow transport a late upload simply sits the swap out.
+    fn swap(&mut self, r: &Round, uploads: Vec<Vec<f32>>, on_time: &[bool]) {
+        let st = &mut self.st;
+        let plan = swap_pairs_plan(on_time, self.ctx.k.div_ceil(4), &mut st.common.rng);
+        let uploads = plan.apply(&uploads);
+        st.mix = plan.apply(&st.mix);
+        if self.ctx.cfg.diag.active() {
+            st.train_mix = plan.apply(&st.train_mix);
+        }
+        if let Some(fc) = self.ctx.flow {
+            // Price the return leg at flow cost (contention, retransmits).
+            // Delivery itself stays unconditional for this baseline:
+            // partial swap delivery is not modelled.
+            self.flow_download_phase(fc, r.epoch, on_time);
+        }
+        let st = &mut self.st;
+        for (i, c) in st.clients.iter_mut().enumerate() {
+            let p = if on_time[i] {
+                st.compressor.transmit_down(i, &uploads[i])
+            } else {
+                uploads[i].clone()
+            };
+            c.set_params(&p, plan.dest(i) != i);
+        }
+    }
+
+    /// C2C migration epoch: plan, then move the models.
+    fn communicate_migrate(&mut self, r: &mut Round) {
+        let plan_span = span!("core::runner", "migration_plan");
+        let plan = self.plan_migration(r);
+        drop(plan_span);
+        let _transfer = span!("core::runner", "migration_transfer");
+        self.migrate(r, &plan);
+    }
+
+    /// Every planner is masked to the clients that are live *and* made this
+    /// round's deadline, so plans never target a dead destination.
+    fn plan_migration(&mut self, r: &Round) -> MigrationPlan {
+        let (k, epoch) = (self.ctx.k, r.epoch);
+        let (cfg, topology) = (self.ctx.cfg, &self.ctx.exp.topology);
+        let rng = &mut self.st.common.rng;
+        match (&cfg.scheme, r.states.as_ref()) {
+            (Scheme::RandMigr, _) | (Scheme::Fixed(MigrationStrategy::Random), _) => {
+                MigrationPlan::random_subset(k, &r.arrived, rng)
+            }
+            (Scheme::Fixed(MigrationStrategy::WithinLan), _) => {
+                MigrationPlan::within_lan_masked(topology, &r.arrived, rng)
+            }
+            (Scheme::Fixed(MigrationStrategy::CrossLan), _) => {
+                MigrationPlan::cross_lan_masked(topology, &r.arrived, rng)
+            }
+            (Scheme::FedMigr(fc), Some(states)) => {
+                let (oracle, mut scores) = self.solve_oracle(fc, r);
+                let ctx = self.st.common.agent.as_mut().expect("FedMigr context");
+                let warmup = ctx.begin_decisions(epoch);
+                // Blend the relaxed-FLMM objective with the agent's
+                // per-client desires, then recover a permutation by
+                // globally greedy matching over the active clients.
+                for (i, state) in states.iter().enumerate() {
+                    scores[i][ctx.agent.select_action(state, Some(&oracle[i]))] += 0.25;
+                }
+                let plan = MigrationPlan::greedy_assignment_masked(&scores, &r.arrived);
+                for (i, state) in states.iter().enumerate() {
+                    ctx.decided(state, plan.dest(i), i, warmup);
+                }
+                plan
+            }
+            _ => unreachable!("scheme/state combination"),
+        }
+    }
+
+    /// Executes `plan`. Under the flow transport the whole migration wave
+    /// runs as one simulation: moves contend for their pair links and the
+    /// inter-LAN backbone, and a flow that strikes out falls back onto the
+    /// retry/relay/C2S-bounce chain.
+    fn migrate(&mut self, r: &mut Round, plan: &MigrationPlan) {
+        let (k, epoch, model_bytes) = (self.ctx.k, r.epoch, self.ctx.model_bytes);
+        let topology = &self.ctx.exp.topology;
+        let params = self.collect_params(epoch);
+        // `src_of[j]` is the client whose model client `j` hosts after this
+        // round. A failed delivery leaves `j` on its own retained copy
+        // instead of breaking the permutation. `delivered_payload[j]` is
+        // what the wire actually handed `j` — the decoded (possibly lossy)
+        // model.
+        let mut src_of: Vec<usize> = (0..k).collect();
+        let mut delivered_payload: Vec<Option<Vec<f32>>> = vec![None; k];
+        let mut move_times = Vec::new();
+        let mig_t0 = self.st.common.clock.now();
+        let wave = self.ctx.flow.map(|fc| {
+            let mv: Vec<(usize, usize)> = plan.moves().collect();
+            let traced = self.obs.tcap.active();
+            let sim = simulate_migrations_traced(
+                topology,
+                &self.ctx.fault,
+                epoch,
+                fc,
+                &mv,
+                model_bytes,
+                traced,
+            );
+            self.st.taccum.absorb(&sim);
+            self.st.common.meter.record_transfer_seconds(sim.makespan);
+            sim
+        });
+        for (m, (i, j)) in plan.moves().enumerate() {
+            let (outcome, time) = match wave.as_ref().map(|w| &w.outcomes[m]) {
+                Some(o) if o.completed => {
+                    self.st.common.meter.record_c2c(model_bytes, topology.same_lan(i, j));
+                    self.st.common.meter.record_overhead(o.retransmit_bytes);
+                    observe_link_time("direct", o.finish);
+                    (EdgeOutcome::Direct, o.finish)
+                }
+                Some(o) => {
+                    // The flow burned its wire bytes and struck out;
+                    // resolve through the fallback chain with the elapsed
+                    // flow time charged on top.
+                    self.st.common.meter.record_overhead(o.wire_bytes);
+                    self.st.fault_stats.wasted_bytes += model_bytes;
+                    let (out, t) = self.deliver_fallback(&r.alive, i, j, epoch);
+                    (out, o.finish + t)
+                }
+                None => self.deliver(&r.alive, i, j, epoch),
+            };
+            move_times.push(time);
+            self.obs.tcap.migrate(i, mig_t0, time);
+            r.edges.push(MigrationEdge {
+                src: i,
+                dst: j,
+                bytes: model_bytes,
+                time_s: time,
+                outcome,
+            });
+            if outcome.delivered() {
+                // Encode only transfers that completed: a cancelled
+                // migration must not consume the sender's error-feedback
+                // residual. The receiver screens the *decoded* payload
+                // before adoption. A rejected model was still transmitted
+                // (the bytes are burned) but `j` keeps its own copy and the
+                // source's suspicion rises.
+                let payload = self.st.compressor.transmit(i, &params[i]);
+                if let Some(q) = self.st.quarantine.as_mut() {
+                    let _screen = span!("core::runner", "quarantine_screen");
+                    if !q.screen(i, &payload, &params[j]) {
+                        r.robust.rejected_migrations += 1;
+                        continue;
+                    }
+                }
+                src_of[j] = i;
+                delivered_payload[j] = Some(payload);
+                self.st.link_migrations[i * k + j] += 1;
+                if topology.same_lan(i, j) {
+                    self.st.common.migrations_local += 1;
+                } else {
+                    self.st.common.migrations_global += 1;
                 }
             }
         }
-        tcap.round_end(clock.now());
+        let st = &mut self.st;
+        let diag_on = self.ctx.cfg.diag.active();
+        if diag_on {
+            // Attribute virtual-dataset EMD deltas to individual
+            // migrations: slot `j` is about to adopt slot `src_of[j]`'s
+            // mixture.
+            for (j, &s) in src_of.iter().enumerate().filter(|&(j, &s)| s != j) {
+                let before = normalized_emd(&st.mix[j], &self.ctx.population);
+                let after = normalized_emd(&st.mix[s], &self.ctx.population);
+                fedmigr_telemetry::debug!(
+                    "core::diag",
+                    "migration {s}->{j}: virtual-dataset EMD {before:.4} -> {after:.4} ({:+.4})",
+                    after - before
+                );
+            }
+        }
+        st.common.clock.advance_parallel(VPhase::Migration, move_times);
+        if let Some(pt) = wave.as_ref().and_then(|w| w.trace.as_ref()) {
+            // The wave's flow events all sit inside the charged parallel
+            // window (every move's charged time is at least its own flow's
+            // finish).
+            self.obs.tcap.phase_trace("migration", mig_t0, st.common.clock.now(), pt);
+        }
+        st.mix = src_of.iter().map(|&s| st.mix[s].clone()).collect();
+        if diag_on {
+            st.train_mix = src_of.iter().map(|&s| st.train_mix[s].clone()).collect();
+        }
+        for (j, c) in st.clients.iter_mut().enumerate() {
+            match delivered_payload[j].take() {
+                Some(p) => c.set_params(&p, p != params[j]),
+                // No accepted migration: re-install the retained local copy
+                // (the pre-codec behaviour, wire-free).
+                None => c.set_params(&params[j], false),
+            }
+        }
+        r.src_of = src_of;
+    }
 
-        let featurizer = MigrationState::new(k);
-        let mut agent_ctx = match &cfg.scheme {
-            Scheme::FedMigr(fc) => {
-                let mut ac = AgentConfig::new(featurizer.dim(), k, fc.agent_seed);
-                ac.rho = fc.rho;
-                ac.noise_std = 0.15;
-                ac.xi = fc.replay_xi;
-                Some(AgentCtx {
-                    agent: DdpgAgent::new(ac),
-                    reward: RewardConfig { upsilon: fc.upsilon, terminal_bonus: fc.terminal_bonus },
-                    lambda: fc.lambda,
-                    rho: fc.rho,
-                    resource_reward: fc.resource_reward,
-                    liveness_penalty: fc.liveness_penalty,
-                    suspicion_penalty: fc.suspicion_penalty,
-                    warmup_epochs: (fc.oracle_warmup_frac * cfg.epochs as f64) as usize,
-                    updates_per_epoch: fc.updates_per_epoch,
-                    pending: Vec::new(),
-                })
+    /// (4) Evaluation of the (shadow-)aggregated global model.
+    fn evaluate(&mut self, r: &mut Round) {
+        let eval_span = span!("core::runner", "evaluate");
+        let cfg = self.ctx.cfg;
+        if r.epoch.is_multiple_of(cfg.eval_interval) || r.epoch == cfg.epochs {
+            let st = &mut self.st;
+            let shadow = if cfg.scheme.is_async() {
+                // FedAsync's global model lives on the server.
+                st.common.global.clone()
+            } else {
+                // What clients would *transmit* if the server aggregated
+                // now — Byzantine clients corrupt these shadow uploads
+                // exactly like real ones, and the codec previews its
+                // distortion (without touching residuals, counters or
+                // stats: these transfers are hypothetical), so the measured
+                // accuracy reflects both the aggregation rule's defense and
+                // the wire's lossiness.
+                let uploads: Vec<Vec<f32>> = st
+                    .clients
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, c)| {
+                        let mut p = c.params();
+                        self.ctx.attack.corrupt_upload(i, r.epoch, &mut p);
+                        st.compressor.preview(i, &p)
+                    })
+                    .collect();
+                // Hypothetical full participation — except sources the
+                // watchdog has permanently excluded, which are out of the
+                // run for good and must not poison the measurement.
+                let include: Vec<bool> = st.excluded.iter().map(|&e| !e).collect();
+                aggregate_active(
+                    &st.clients,
+                    &uploads,
+                    &include,
+                    &cfg.aggregator,
+                    &st.common.global,
+                    &mut r.robust,
+                )
+            };
+            r.accuracy = Some(engine::evaluate(&self.ctx.exp.test, &mut self.scratch, &shadow));
+        }
+        drop(eval_span);
+        self.obs.kphases.credit("evaluate");
+    }
+
+    /// (5) Agent learning.
+    fn agent_update(&mut self) {
+        if self.st.common.agent.is_some() {
+            let _learn = span!("core::runner", "agent_update");
+            self.st.common.learn();
+        }
+        self.obs.kphases.credit("agent_update");
+    }
+
+    /// (6) Bookkeeping: usage accounting, the watchdog, the epoch record
+    /// and diagnostics. Returns the epoch a rollback rewound to, if any.
+    fn bookkeep(&mut self, r: &mut Round) -> Option<usize> {
+        let _book = span!("core::runner", "bookkeeping");
+        let st = &mut self.st;
+        st.common.note_usage(r.traffic_before, r.compute_before);
+        st.fault_stats.stale_client_epochs += r.stale;
+        if let Some(q) = st.quarantine.as_mut() {
+            q.end_epoch();
+        }
+        if let Some(ck_epoch) = self.watchdog(r) {
+            return Some(ck_epoch);
+        }
+        let bytes_saved = self.bytes_saved();
+        let st = &mut self.st;
+        st.common.records.push(EpochRecord {
+            epoch: r.epoch,
+            train_loss: r.mean_loss,
+            test_accuracy: r.accuracy,
+            traffic: st.common.meter.traffic(),
+            sim_time: st.common.clock.now(),
+            dropped_clients: r.dropped,
+            stale_clients: r.stale,
+            rejected_migrations: r.robust.rejected_migrations,
+            bytes_saved,
+            phase: st.common.clock.phase(),
+            retransmits: st.taccum.retransmits(),
+            late_uploads: st.taccum.late_uploads(),
+        });
+        self.obs.tcap.round_end(st.common.clock.now());
+        st.robust_total.absorb(&r.robust);
+        st.common.prev_loss = Some(r.mean_loss);
+        if self.ctx.cfg.diag.active() {
+            self.diagnostics(r);
+        }
+        None
+    }
+
+    /// Every meter charge is a whole number of model transfers, so the
+    /// cumulative wire-level saving is exact.
+    fn bytes_saved(&self) -> u64 {
+        (self.st.common.meter.traffic().total() / self.ctx.model_bytes)
+            * self.ctx.saved_per_transfer
+    }
+
+    /// Divergence watchdog: a non-finite global model or loss, or a loss
+    /// spike beyond `spike_factor` times the trailing-window baseline,
+    /// rolls the run back to the last good checkpoint and retries with the
+    /// implicated sources excluded and quarantined. Returns the epoch the
+    /// run was rewound to.
+    fn watchdog(&mut self, r: &Round) -> Option<usize> {
+        let wd = self.ctx.cfg.watchdog;
+        if !wd.enabled {
+            return None;
+        }
+        let (epoch, mean_loss) = (r.epoch, r.mean_loss);
+        let common = &self.st.common;
+        let recent: Vec<f32> = common
+            .records
+            .iter()
+            .rev()
+            .take(wd.window.max(1))
+            .map(|r| r.train_loss)
+            .filter(|l| l.is_finite())
+            .collect();
+        let baseline =
+            (!recent.is_empty()).then(|| recent.iter().sum::<f32>() / recent.len() as f32);
+        let spiked = matches!(baseline, Some(b) if b > 0.0
+            && (mean_loss as f64) > wd.spike_factor * b as f64);
+        let global_finite = fedmigr_tensor::all_finite(&common.global);
+        if mean_loss.is_finite() && !spiked && global_finite {
+            return None;
+        }
+        let (ck_epoch, bytes) = match self.last_good.take() {
+            Some(good) if common.recovery.rollbacks < wd.max_rollbacks => good,
+            other => {
+                self.last_good = other;
+                fedmigr_telemetry::error!(
+                    "core::runner",
+                    "watchdog: divergence at epoch {epoch} but no rollback available (budget \
+                     {}/{} used); continuing",
+                    common.recovery.rollbacks,
+                    wd.max_rollbacks
+                );
+                return None;
+            }
+        };
+        let implicated: Vec<usize> = (0..self.ctx.k).filter(|&i| self.nan_sources[i]).collect();
+        fedmigr_telemetry::error!(
+            "core::runner",
+            "watchdog: divergence at epoch {epoch} (loss {mean_loss}, global finite: \
+             {global_finite}); rolling back to epoch {ck_epoch}, implicated sources \
+             {implicated:?}"
+        );
+        // Recovery accounting and exclusions survive the rollback;
+        // everything else rewinds.
+        let st = &mut self.st;
+        let survives = (st.common.recovery, std::mem::take(&mut st.excluded));
+        checkpoint::restore(&bytes, &self.ctx.stamp, st).expect("in-memory checkpoint decodes");
+        (st.common.recovery, st.excluded) = survives;
+        for &i in &implicated {
+            st.excluded[i] = true;
+            if let Some(q) = st.quarantine.as_mut() {
+                q.escalate(i);
+            }
+        }
+        st.common.recovery.rollbacks += 1;
+        st.common.recovery.checkpoints_loaded += 1;
+        st.common.recovery.rounds_replayed += epoch - ck_epoch;
+        self.nan_sources.fill(false);
+        // Replayed rounds rewrite history: truncate the flight recording
+        // back to the checkpoint.
+        if self.obs.flight.take().is_some() {
+            // (taking it flushed and closed the file first)
+            let path = self.ctx.cfg.diag.flight_out.as_deref().expect("a recording has a path");
+            self.obs.flight = FlightRecorder::resume(path, ck_epoch).ok();
+        }
+        // The timeline is append-only: a rollback marker notes the rewind
+        // (and resets the validator's time watermark) instead of
+        // truncating.
+        self.obs.tcap.rollback(ck_epoch);
+        self.last_good = Some((ck_epoch, bytes));
+        Some(ck_epoch)
+    }
+
+    /// Learning-dynamics diagnostics (observation-only: nothing here may
+    /// consume the run's RNG or advance its clock).
+    fn diagnostics(&mut self, r: &mut Round) {
+        let _diag = span!("core::runner", "diagnostics");
+        let st = &mut self.st;
+        let emd = EmdSnapshot::measure(&st.mix, &self.ctx.population);
+        let train_emd = EmdSnapshot::measure(&st.train_mix, &self.ctx.population);
+        // Read parameters directly: `collect_params` applies DP noise and
+        // consumes the shared RNG stream, which would break the
+        // diagnostics-off/on byte-identity contract.
+        let params_now: Vec<Vec<f32>> = st.clients.iter_mut().map(|c| c.params()).collect();
+        let weights: Vec<f64> = st.clients.iter().map(|c| c.num_samples() as f64).collect();
+        let drift = DriftSnapshot::measure(&params_now, &st.common.global, &weights);
+        let drl = match (st.common.agent.as_mut(), r.states.as_ref()) {
+            (Some(ctx), Some(states)) => {
+                // Forward-only policy probes: RNG-free by design.
+                let probs: Vec<Vec<f32>> =
+                    states.iter().map(|s| ctx.agent.action_probs(s)).collect();
+                Some(DrlSnapshot::collect(
+                    &probs,
+                    ctx.agent.last_update_stats(),
+                    ctx.agent.replay_health(),
+                ))
             }
             _ => None,
         };
-
-        let mut records: Vec<EpochRecord> = Vec::with_capacity(cfg.epochs);
-        let mut link_migrations = vec![0u32; k * k];
-        let mut migrations_local = 0usize;
-        let mut migrations_global = 0usize;
-        let mut prev_loss: Option<f32> = None;
-        let mut last_epoch_usage = (0.0f64, 0.0f64);
-        let mut last_step_reward = -1.0f64;
-        let mut budget_exhausted = false;
-        let mut target_reached = false;
-
-        // Learning-dynamics diagnostics (observation-only: nothing below
-        // may consume `rng` or advance `clock`). The wall-time histogram
-        // family is cumulative per process, so the hotspot log at run end
-        // diffs against this run-start snapshot.
-        let diag_on = cfg.diag.active();
-        let phase_wall_baseline = phase_seconds_snapshot();
-        // Diagnostic twin of `mix` that aggregation never resets: the label
-        // distribution of the data that actually generated each model
-        // replica's gradients, routed through migrations and swaps only.
-        // FedAvg keeps each replica pinned to its host's shard; migration
-        // is what drives this EMD down.
-        let mut train_mix: Vec<Vec<f64>> = dists.clone();
-
-        // --- Crash-safety machinery (DESIGN.md §11) -----------------------
-        // All of it is provably zero-cost when disabled: capturing a
-        // snapshot consumes no randomness and never touches the clock, the
-        // exclusion mask starts all-false, and NaN-source tracking only
-        // runs under the watchdog.
-        let watchdog_on = cfg.watchdog.enabled;
-        let mut excluded = vec![false; k];
-        // Which clients transmitted a non-finite payload since the last
-        // good snapshot — the sources a rollback implicates.
-        let mut nan_sources = vec![false; k];
-        let mut recovery = RecoveryStats::default();
-        let mut last_good: Option<(usize, Vec<u8>)> = None;
-        let mut killed = false;
-        let stamp = RunStamp {
-            scheme: cfg.scheme.name(),
-            seed: cfg.seed,
-            epochs: cfg.epochs as u64,
-            clients: k as u64,
-            num_params: num_params as u64,
-            codec: cfg.codec.name(),
-            transport: cfg.transport.name().into(),
-            agg_interval: cfg.agg_interval as u64,
-            mode: "dense".into(),
+        let graph = GraphSnapshot::measure(&r.edges, &r.src_of);
+        let gauge = |name: &str, v: f64| {
+            fedmigr_telemetry::global().registry().gauge(name, &[]).set(v);
         };
-        // Restores every piece of run state from a decoded snapshot. A
-        // macro (not a closure) because it re-binds two dozen locals the
-        // surrounding code keeps borrowing.
-        macro_rules! restore_state {
-            ($state:expr) => {{
-                let state: RunState = $state;
-                assert_eq!(state.clients.len(), clients.len(), "checkpoint client count");
-                for (c, cs) in clients.iter_mut().zip(state.clients) {
-                    c.import_state(cs);
-                }
-                global = state.global;
-                rng = StdRng::from_state(state.rng);
-                meter.import_state(state.meter);
-                clock = PhasedClock { clock: SimClock::at(state.clock_now), phase: state.phase };
-                fault_stats = state.fault_stats;
-                flaky = state.flaky;
-                taccum.import_state(state.taccum);
-                late_buf = state
-                    .late_buf
-                    .into_iter()
-                    .map(|l| LateUpload { client: l.client, params: l.params, seq: l.seq })
-                    .collect();
-                agg_seq = state.agg_seq;
-                assert_eq!(
-                    quarantine.is_some(),
-                    state.quarantine.is_some(),
-                    "attack configuration mismatch between checkpoint and run"
-                );
-                if let (Some(q), Some(qs)) = (quarantine.as_mut(), state.quarantine) {
-                    q.import_state(qs);
-                }
-                robust_total = state.robust_total;
-                mix = state.mix;
-                train_mix = state.train_mix;
-                compressor.import_state(state.compressor);
-                assert_eq!(
-                    agent_ctx.is_some(),
-                    state.agent.is_some(),
-                    "scheme mismatch between checkpoint and run"
-                );
-                if let (Some(ctx), Some(snap)) = (agent_ctx.as_mut(), state.agent) {
-                    ctx.agent.import_state(snap.agent);
-                    ctx.pending = snap.pending;
-                }
-                records = state.records;
-                link_migrations = state.link_migrations;
-                migrations_local = state.migrations_local;
-                migrations_global = state.migrations_global;
-                prev_loss = state.prev_loss;
-                last_epoch_usage = state.last_epoch_usage;
-                last_step_reward = state.last_step_reward;
-                excluded = state.excluded;
-                recovery = state.recovery;
-            }};
+        gauge("fedmigr_diag_emd_mean", emd.mean);
+        gauge("fedmigr_diag_emd_max", emd.max);
+        gauge("fedmigr_diag_train_emd_mean", train_emd.mean);
+        gauge("fedmigr_diag_train_emd_max", train_emd.max);
+        gauge("fedmigr_diag_drift_mean_dist", drift.mean_dist);
+        gauge("fedmigr_diag_drift_mean_cosine", drift.mean_cosine);
+        gauge("fedmigr_diag_drift_mean_divergence", drift.mean_divergence);
+        if let Some(d) = &drl {
+            gauge("fedmigr_diag_policy_entropy", d.mean_entropy);
+            gauge("fedmigr_diag_policy_saturation", d.mean_saturation);
+            gauge("fedmigr_diag_critic_mean_q", d.mean_q);
+            gauge("fedmigr_diag_td_error_mean_abs", d.mean_abs_td);
         }
-        // Captures the complete run state after epoch `$epoch` completed.
-        macro_rules! capture_state {
-            ($epoch:expr) => {
-                RunState {
-                    epoch: $epoch,
-                    global: global.clone(),
-                    clients: clients.iter_mut().map(|c| c.export_state()).collect(),
-                    rng: rng.state(),
-                    meter: meter.export_state(),
-                    clock_now: clock.now(),
-                    phase: clock.phase(),
-                    fault_stats,
-                    flaky: flaky.clone(),
-                    taccum: taccum.export_state(),
-                    late_buf: late_buf
-                        .iter()
-                        .map(|l| LateUploadState {
-                            client: l.client,
-                            params: l.params.clone(),
-                            seq: l.seq,
-                        })
-                        .collect(),
-                    agg_seq,
-                    quarantine: quarantine.as_ref().map(|q| q.export_state()),
-                    robust_total,
-                    mix: mix.clone(),
-                    train_mix: train_mix.clone(),
-                    compressor: compressor.export_state(),
-                    agent: agent_ctx.as_mut().map(|ctx| AgentSnapshot {
-                        agent: ctx.agent.export_state(),
-                        pending: ctx.pending.clone(),
-                    }),
-                    records: records.clone(),
-                    link_migrations: link_migrations.clone(),
-                    migrations_local,
-                    migrations_global,
-                    prev_loss,
-                    last_epoch_usage,
-                    last_step_reward,
-                    excluded: excluded.clone(),
-                    recovery,
-                }
-            };
-        }
-        let mut start_epoch = 1usize;
-        if let Some(path) = cfg.resume.as_deref() {
-            let bytes = std::fs::read(path)
-                .unwrap_or_else(|e| panic!("cannot read checkpoint {path}: {e}"));
-            let state = RunState::from_bytes(&bytes, &stamp)
-                .unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
-            let ck_epoch = state.epoch;
-            restore_state!(state);
-            recovery.checkpoints_loaded += 1;
-            last_good = Some((ck_epoch, bytes));
-            start_epoch = ck_epoch + 1;
-            fedmigr_telemetry::info!(
-                "core::runner",
-                "resumed from {path}: epoch {ck_epoch} restored, continuing at {start_epoch}"
+        let Some(rec) = self.obs.flight.as_mut() else { return };
+        let traffic = st.common.meter.traffic();
+        let phase = st.common.clock.phase();
+        let row = RoundRecord {
+            epoch: r.epoch,
+            train_loss: r.mean_loss as f64,
+            test_accuracy: r.accuracy,
+            sim_time: st.common.clock.now(),
+            c2s_bytes: traffic.c2s,
+            c2c_local_bytes: traffic.c2c_local,
+            c2c_global_bytes: traffic.c2c_global,
+            phase_train_s: phase.train_s,
+            phase_c2s_s: phase.c2s_s,
+            phase_migration_s: phase.migration_s,
+            phase_backoff_s: phase.backoff_s,
+            emd,
+            train_emd,
+            drift: Some(drift),
+            drl,
+            graph,
+            migrations: std::mem::take(&mut r.edges),
+        };
+        if let Err(e) = rec.round(&row) {
+            fedmigr_telemetry::error!(
+                "core::diag",
+                "flight round write failed: {e}; recording stopped"
             );
-        } else if watchdog_on {
-            // The watchdog always has somewhere to roll back to: a pristine
-            // epoch-0 snapshot covers divergence in the very first round.
-            last_good = Some((0, capture_state!(0).to_bytes(&stamp)));
+            self.obs.flight = None;
         }
+    }
 
-        let mut flight = match cfg.diag.flight_out.as_deref() {
-            Some(path) if start_epoch > 1 => {
-                // Resuming: keep the recording's header and the rounds the
-                // checkpoint covers, byte for byte, and append from there.
-                match FlightRecorder::resume(path, start_epoch - 1) {
-                    Ok(rec) => Some(rec),
-                    Err(e) => {
-                        fedmigr_telemetry::error!(
-                            "core::diag",
-                            "cannot resume flight recording {path}: {e}; recording disabled"
-                        );
-                        None
-                    }
-                }
-            }
-            Some(path) => match FlightRecorder::create(path) {
-                Ok(mut rec) => {
-                    let header = FlightHeader {
-                        version: FLIGHT_VERSION,
-                        scheme: cfg.scheme.name(),
-                        clients: k,
-                        epochs: cfg.epochs,
-                        seed: cfg.seed,
-                        agg_interval: cfg.agg_interval,
-                        codec: cfg.codec.name(),
-                    };
-                    match rec.header(&header) {
-                        Ok(()) => Some(rec),
-                        Err(e) => {
-                            fedmigr_telemetry::error!(
-                                "core::diag",
-                                "flight header write failed for {path}: {e}; recording disabled"
-                            );
-                            None
-                        }
-                    }
-                }
-                Err(e) => {
-                    fedmigr_telemetry::error!(
-                        "core::diag",
-                        "cannot open flight recording {path}: {e}; recording disabled"
-                    );
-                    None
-                }
-            },
-            None => None,
-        };
+    // --- Transfers -------------------------------------------------------
 
-        let mut epoch = start_epoch;
-        // Attributes kernel FLOP/byte/time deltas to the phase that just
-        // closed; cheap no-op when accounting is off.
-        let mut kphases = crate::kernels::KernelPhases::new();
-        'run: while epoch <= cfg.epochs {
-            // The labeled block is the round body; the shared epilogue
-            // below it (snapshot capture, kill switch, epoch increment)
-            // runs on every path that completes the round.
-            'round: {
-                let _round = fedmigr_telemetry::global().span_labeled(
-                    "core::runner",
-                    "round",
-                    vec![
-                        ("epoch".to_string(), epoch.to_string()),
-                        ("scheme".to_string(), cfg.scheme.name()),
-                    ],
-                );
-                tcap.round_start(epoch, clock.now());
-                let traffic_before = meter.traffic().total();
-                let compute_before = meter.compute_cost();
-                let mut robust_epoch = RobustStats::default();
-                // Diagnostics accumulators: the round's migration edge list and
-                // executed source map (identity on non-migration rounds).
-                let mut round_edges: Vec<MigrationEdge> = Vec::new();
-                let mut round_src_of: Vec<usize> = (0..k).collect();
-
-                // Sample the participating clients for this epoch (α K of K),
-                // then intersect with the fault schedule: crashed clients
-                // neither train nor communicate until they rejoin.
-                let mut active: Vec<bool> = if cfg.participation >= 1.0 {
-                    vec![true; k]
-                } else {
-                    let n_active = ((cfg.participation * k as f64).ceil() as usize).clamp(1, k);
-                    let mut order: Vec<usize> = (0..k).collect();
-                    order.shuffle(&mut rng);
-                    let mut mask = vec![false; k];
-                    for &i in order.iter().take(n_active) {
-                        mask[i] = true;
-                    }
-                    mask
-                };
-                let alive: Vec<bool> = (0..k).map(|i| fault.is_alive(i, epoch)).collect();
-                for (a, &up) in active.iter_mut().zip(&alive) {
-                    *a = *a && up;
+    /// Reads every client's parameters, applying DP noise at the egress
+    /// point if configured, then any Byzantine corruption: a malicious
+    /// client poisons *everything* it transmits — server uploads and C2C
+    /// migrations alike — after the honest pipeline has finished with the
+    /// payload. Non-finite payloads mark their source for the watchdog.
+    fn collect_params(&mut self, epoch: usize) -> Vec<Vec<f32>> {
+        let cfg = self.ctx.cfg;
+        let st = &mut self.st;
+        let params: Vec<Vec<f32>> = st
+            .clients
+            .iter_mut()
+            .enumerate()
+            .map(|(i, c)| {
+                let mut p = c.params();
+                if let Some(dp) = &cfg.dp {
+                    dp.apply(&mut p, &mut st.common.rng);
                 }
-                // Clients the watchdog implicated in a divergence sit rounds
-                // out. All-false in normal runs: a no-op, bit for bit.
-                for (a, &ex) in active.iter_mut().zip(&excluded) {
-                    *a = *a && !ex;
-                }
-                let dropped = alive.iter().filter(|&&up| !up).count();
-                fault_stats.client_drops += dropped;
-                for (f, &up) in flaky.iter_mut().zip(&alive) {
-                    *f = 0.9 * *f + if up { 0.0 } else { 0.1 };
-                }
-                if active.iter().all(|&a| !a) {
-                    // The entire population is down (or sampled out): the round
-                    // is a no-op, but the run survives it.
-                    records.push(EpochRecord {
-                        epoch,
-                        train_loss: prev_loss.unwrap_or(0.0),
-                        test_accuracy: None,
-                        traffic: meter.traffic(),
-                        sim_time: clock.now(),
-                        dropped_clients: dropped,
-                        stale_clients: 0,
-                        rejected_migrations: 0,
-                        bytes_saved: (meter.traffic().total() / model_bytes) * saved_per_transfer,
-                        phase: clock.phase(),
-                        retransmits: taccum.retransmits(),
-                        late_uploads: taccum.late_uploads(),
-                    });
-                    tcap.round_end(clock.now());
-                    break 'round;
-                }
-
-                // (1) Local updating (Eq. 6), clients in parallel.
-                let train_span = span!("core::runner", "local_train");
-                let prox = match cfg.scheme {
-                    Scheme::FedProx { mu } => Some((global.clone(), mu)),
-                    _ => None,
-                };
-                let (losses, panicked) =
-                    train_all(&mut clients, cfg, prox.as_ref(), &active, &fault, epoch);
-                for (i, &p) in panicked.iter().enumerate() {
-                    if p {
-                        // A panicking client is a crashed client for this
-                        // round: no loss, no upload, no mix update. The run
-                        // survives it.
-                        active[i] = false;
-                        fault_stats.client_panics += 1;
-                    }
-                }
-                robust_epoch.nan_batches +=
-                    clients.iter_mut().map(|c| c.take_non_finite_batches()).sum::<u64>();
-                for (i, (m, q)) in mix.iter_mut().zip(&dists).enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    for (mi, qi) in m.iter_mut().zip(q) {
-                        *mi = (1.0 - MIX_ALPHA) * *mi + MIX_ALPHA * qi;
-                    }
-                }
-                if diag_on {
-                    for (i, (m, q)) in train_mix.iter_mut().zip(&dists).enumerate() {
-                        if !active[i] {
-                            continue;
-                        }
-                        for (mi, qi) in m.iter_mut().zip(q) {
-                            *mi = (1.0 - MIX_ALPHA) * *mi + MIX_ALPHA * qi;
-                        }
-                    }
-                }
-                let dmat = distance_matrix(&mix);
-                let mut times = Vec::with_capacity(k);
-                let mut per_client_time = vec![0.0f64; k];
-                for (i, c) in clients.iter().enumerate() {
-                    if !active[i] {
-                        continue;
-                    }
-                    let samples = effective_samples(c.num_samples(), cfg);
-                    meter.record_compute(self.compute.epoch_cost(i, samples));
-                    let t = self.compute.epoch_time_slowed(i, samples, fault.slowdown(i, epoch));
-                    per_client_time[i] = t;
-                    times.push(t);
-                }
-                // Straggler deadline: the server waits at most a configured
-                // multiple of the *median* round time; later arrivals trained
-                // (and burned compute) but miss this round's communication.
-                let mut arrived = active.clone();
-                let mut stale = 0usize;
-                let round_time = times.iter().fold(0.0f64, |a, &b| a.max(b));
-                let train_t0 = clock.now();
-                let train_adv = match fault.deadline(median(&times)) {
-                    Some(deadline) => {
-                        for i in 0..k {
-                            if active[i] && per_client_time[i] > deadline {
-                                arrived[i] = false;
-                                stale += 1;
-                            }
-                        }
-                        round_time.min(deadline)
-                    }
-                    None => round_time,
-                };
-                clock.advance(VPhase::Train, train_adv);
-                if tcap.active() {
-                    for i in (0..k).filter(|&i| active[i]) {
-                        tcap.train(
-                            i,
-                            train_t0,
-                            train_t0 + per_client_time[i],
-                            train_t0 + train_adv,
-                        );
-                    }
-                }
-                let active_n: f32 = clients
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| active[i])
-                    .map(|(_, c)| c.num_samples() as f32)
-                    .sum();
-                let mean_loss = clients
-                    .iter()
-                    .zip(&losses)
-                    .filter_map(|(c, l)| l.map(|l| l * (c.num_samples() as f32 / active_n)))
-                    .sum::<f32>();
-                let _ = total_n;
-                drop(train_span);
-                kphases.credit("local_train");
-
-                // (2) Build decision states and settle last epoch's transitions.
-                let decision_span = span!("core::runner", "decision");
-                let suspicion: Vec<f64> = match &quarantine {
-                    Some(q) => q.suspicion().to_vec(),
-                    None => vec![0.0; k],
-                };
-                let states: Option<Vec<Vec<f32>>> = agent_ctx.as_ref().map(|_| {
-                    (0..k)
-                        .map(|i| {
-                            featurizer.build_with_health(
-                                epoch as f64 / cfg.epochs as f64,
-                                mean_loss as f64,
-                                prev_loss
-                                    .map(|p| ((mean_loss - p) / p.max(1e-6)) as f64)
-                                    .unwrap_or(0.0),
-                                meter.bandwidth_remaining_frac(),
-                                meter.compute_remaining_frac(),
-                                &dmat[i],
-                                &alive,
-                                &suspicion,
-                            )
-                        })
-                        .collect()
-                });
-                if let (Some(ctx), Some(states)) = (agent_ctx.as_mut(), states.as_ref()) {
-                    let (cu, bu) = if ctx.resource_reward { last_epoch_usage } else { (0.0, 0.0) };
-                    let reward = step_reward(
-                        &ctx.reward,
-                        prev_loss.map(|p| (mean_loss - p) as f64).unwrap_or(0.0),
-                        prev_loss.unwrap_or(mean_loss) as f64,
-                        cu,
-                        bu,
-                    );
-                    last_step_reward = reward;
-                    for (state, action, client) in ctx.pending.drain(..) {
-                        ctx.agent.observe(Transition {
-                            state,
-                            action,
-                            reward: reward as f32,
-                            next_state: states[client].clone(),
-                            done: false,
-                        });
-                    }
-                }
-
-                drop(decision_span);
-                kphases.credit("decision");
-
-                // (3) Communication: aggregation, server-side swap, or C2C
-                //     migration, depending on the scheme and epoch.
-                let comm_span = span!("core::runner", "communicate");
-                let is_agg = match cfg.scheme {
-                    Scheme::FedAvg | Scheme::FedProx { .. } => true,
-                    Scheme::FedAsync { .. } => false,
-                    _ => epoch.is_multiple_of(cfg.agg_interval),
-                };
-                if let Scheme::FedAsync { beta } = cfg.scheme {
-                    // One participating client uploads; the server mixes its
-                    // model into the global model and sends the result back.
-                    let candidates: Vec<usize> = (0..k).filter(|&i| arrived[i]).collect();
-                    let uploader = candidates.first().map(|_| candidates[epoch % candidates.len()]);
-                    let synced = match uploader {
-                        Some(u) => {
-                            let mut only = vec![false; k];
-                            only[u] = true;
-                            let reach = c2s_reachable(
-                                &fault,
-                                &only,
-                                epoch,
-                                model_bytes,
-                                &mut clock,
-                                &mut fault_stats,
-                            );
-                            match (flow_cfg, reach[u]) {
-                                (Some(fc), true) => {
-                                    // A lone flow can still strike out on a
-                                    // flapped or collapsed access link; it can
-                                    // never be late (the deadline is a multiple
-                                    // of its own finish time).
-                                    let up = self.flow_upload_phase(
-                                        fc,
-                                        &fault,
-                                        epoch,
-                                        &reach,
-                                        model_bytes,
-                                        &mut meter,
-                                        &mut clock,
-                                        &mut taccum,
-                                        &mut fault_stats,
-                                        &mut tcap,
-                                    );
-                                    up.on_time[u]
-                                }
-                                (_, reached) => reached,
-                            }
-                        }
-                        None => false,
-                    };
-                    if let (Some(uploader), true) = (uploader, synced) {
-                        if flow_cfg.is_none() {
-                            meter.record_c2s(2 * model_bytes);
-                            let t0 = clock.now();
-                            let adv = 2.0
-                                * transfer_time_with_latency(
-                                    model_bytes,
-                                    self.topology.c2s_bandwidth(epoch),
-                                    self.topology.c2s_latency(),
-                                );
-                            clock.advance(VPhase::C2s, adv);
-                            tcap.upload(uploader, t0, adv, adv, false);
-                        }
-                        let mut upload = clients[uploader].params();
-                        if let Some(dp) = &cfg.dp {
-                            dp.apply(&mut upload, &mut rng);
-                        }
-                        attack.corrupt_upload(uploader, epoch, &mut upload);
-                        if watchdog_on && !fedmigr_tensor::all_finite(&upload) {
-                            nan_sources[uploader] = true;
-                        }
-                        // The server sees what the wire carried: codec distortion
-                        // (and preserved NaN corruption) lands on the decoded
-                        // payload, with the uploader's error-feedback residual
-                        // applied on egress.
-                        let upload = compressor.transmit(uploader, &upload);
-                        // FedAsync has no multi-upload round to robustify, but
-                        // a non-finite upload is still screened out whenever a
-                        // robust aggregator is configured.
-                        let usable = cfg.aggregator == Aggregator::FedAvg
-                            || fedmigr_tensor::all_finite(&upload);
-                        if !usable {
-                            robust_epoch.nan_uploads += 1;
-                            robust_epoch.trimmed_clients += 1;
-                        }
-                        if usable {
-                            for (g, u) in global.iter_mut().zip(&upload) {
-                                *g = (1.0 - beta) * *g + beta * u;
-                            }
-                        }
-                        let down = compressor.transmit_down(uploader, &global);
-                        let delivered = match flow_cfg {
-                            Some(fc) => {
-                                let mut rx = vec![false; k];
-                                rx[uploader] = true;
-                                self.flow_download_phase(
-                                    fc,
-                                    &fault,
-                                    epoch,
-                                    &rx,
-                                    model_bytes,
-                                    &mut meter,
-                                    &mut clock,
-                                    &mut taccum,
-                                    &mut tcap,
-                                )[uploader]
-                            }
-                            None => true,
-                        };
-                        if delivered {
-                            clients[uploader].set_params(&down, false);
-                            mix[uploader].clone_from(&population);
-                        }
-                    } else if uploader.is_some() {
-                        // The uploader never reached the server this epoch.
-                        stale += 1;
-                    }
-                } else if cfg.scheme.uploads_every_epoch() {
-                    // Participating models go to the server (uploads +
-                    // downloads) — those that can reach it; WAN outages retry
-                    // with backoff and drop out of the round if they never get
-                    // through.
-                    let synced = c2s_reachable(
-                        &fault,
-                        &arrived,
-                        epoch,
-                        model_bytes,
-                        &mut clock,
-                        &mut fault_stats,
-                    );
-                    stale += arrived.iter().zip(&synced).filter(|&(&a, &s)| a && !s).count();
-                    let n_synced = synced.iter().filter(|&&s| s).count() as u64;
-                    // Which uploads made the round, and at what cost, depends
-                    // on the transport: lockstep prices every synced transfer
-                    // serially at nominal bandwidth; the flow transport races
-                    // concurrent uploads against a per-round deadline.
-                    let mut on_time = synced.clone();
-                    let mut late = vec![false; k];
-                    if let Some(fc) = flow_cfg {
-                        let up = self.flow_upload_phase(
-                            fc,
-                            &fault,
-                            epoch,
-                            &synced,
-                            model_bytes,
-                            &mut meter,
-                            &mut clock,
-                            &mut taccum,
-                            &mut fault_stats,
-                            &mut tcap,
-                        );
-                        stale += up.failed;
-                        on_time = up.on_time;
-                        late = up.late;
-                    } else {
-                        meter.record_c2s(2 * n_synced * model_bytes);
-                        let t0 = clock.now();
-                        let adv = 2.0
-                            * n_synced as f64
-                            * transfer_time_with_latency(
-                                model_bytes,
-                                self.topology.c2s_bandwidth(epoch),
-                                self.topology.c2s_latency(),
-                            );
-                        clock.advance(VPhase::C2s, adv);
-                        if tcap.active() {
-                            // Lockstep serializes the transfers: one coarse
-                            // upload interval per synced client spanning the
-                            // whole window.
-                            for i in (0..k).filter(|&i| synced[i]) {
-                                tcap.upload(i, t0, adv, adv, false);
-                            }
-                        }
-                    }
-                    let mut uploads = collect_params(&mut clients, cfg, &attack, epoch, &mut rng);
-                    if watchdog_on {
-                        for (n, up) in nan_sources.iter_mut().zip(&uploads) {
-                            *n |= !fedmigr_tensor::all_finite(up);
-                        }
-                    }
-                    // Only the clients whose bytes actually crossed the wire see
-                    // the codec (error-feedback on client egress). A late upload
-                    // bound for a future aggregation was genuinely transmitted.
-                    // Lanes are per-client and therefore distinct, so the batch
-                    // encode parallelizes while staying byte-identical to the
-                    // serial per-client loop.
-                    let sel: Vec<usize> =
-                        (0..k).filter(|&i| on_time[i] || (late[i] && is_agg)).collect();
-                    let items: Vec<(usize, Vec<f32>)> =
-                        sel.iter().map(|&i| (i, std::mem::take(&mut uploads[i]))).collect();
-                    for (&i, dec) in sel.iter().zip(compressor.transmit_batch(items)) {
-                        uploads[i] = dec;
-                    }
-                    for i in (0..k).filter(|&i| late[i] && is_agg) {
-                        late_buf.push(LateUpload {
-                            client: i,
-                            params: uploads[i].clone(),
-                            seq: agg_seq,
-                        });
-                    }
-                    if is_agg {
-                        if let Some(fc) = flow_cfg {
-                            // Degraded aggregation: fold what arrived on time
-                            // plus discounted stale uploads from earlier rounds.
-                            // A round with zero on-time uploads can still make
-                            // progress from the stale buffer alone.
-                            let n_eff = on_time.iter().filter(|&&s| s).count();
-                            if n_eff > 0 || !late_buf.is_empty() {
-                                let _agg = span!("core::runner", "aggregate");
-                                if let Some(g) = aggregate_with_late(
-                                    &clients,
-                                    &uploads,
-                                    &on_time,
-                                    &cfg.aggregator,
-                                    &global,
-                                    &mut robust_epoch,
-                                    &mut late_buf,
-                                    agg_seq,
-                                    &cfg.stale,
-                                    &mut taccum,
-                                ) {
-                                    global = g;
-                                    agg_seq += 1;
-                                    let delivered = self.flow_download_phase(
-                                        fc,
-                                        &fault,
-                                        epoch,
-                                        &on_time,
-                                        model_bytes,
-                                        &mut meter,
-                                        &mut clock,
-                                        &mut taccum,
-                                        &mut tcap,
-                                    );
-                                    if delivered.iter().any(|&d| d) {
-                                        let down = compressor.broadcast(&global);
-                                        for (i, c) in clients.iter_mut().enumerate() {
-                                            if delivered[i] {
-                                                c.set_params(&down, false);
-                                                mix[i].clone_from(&population);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        } else if n_synced > 0 {
-                            let _agg = span!("core::runner", "aggregate");
-                            global = aggregate_active(
-                                &clients,
-                                &uploads,
-                                &synced,
-                                &cfg.aggregator,
-                                &global,
-                                &mut robust_epoch,
-                            );
-                            // One aggregated payload fans out to every synced
-                            // client: a single server-side encode.
-                            let down = compressor.broadcast(&global);
-                            for (i, c) in clients.iter_mut().enumerate() {
-                                if synced[i] {
-                                    c.set_params(&down, false);
-                                    mix[i].clone_from(&population);
-                                }
-                            }
-                        }
-                    } else {
-                        // FedSwap: the server swaps models "between any two of
-                        // all clients" — a few random disjoint pairs per round,
-                        // so mixing is slower than a full migration permutation.
-                        // Unsynced clients never uploaded: the plan leaves them
-                        // fixed and they re-install their local copy wire-free,
-                        // while each synced client's (possibly swapped) model
-                        // comes back down through the codec as a distinct
-                        // server-egress payload. Under the flow transport a
-                        // late upload simply sits the swap out.
-                        let plan = swap_pairs_plan(&on_time, k.div_ceil(4), &mut rng);
-                        uploads = plan.apply(&uploads);
-                        mix = plan.apply(&mix);
-                        if diag_on {
-                            train_mix = plan.apply(&train_mix);
-                        }
-                        if let Some(fc) = flow_cfg {
-                            // Price the return leg at flow cost (contention,
-                            // retransmits). Delivery itself stays unconditional
-                            // for this baseline: partial swap delivery is not
-                            // modelled.
-                            self.flow_download_phase(
-                                fc,
-                                &fault,
-                                epoch,
-                                &on_time,
-                                model_bytes,
-                                &mut meter,
-                                &mut clock,
-                                &mut taccum,
-                                &mut tcap,
-                            );
-                        }
-                        for (i, c) in clients.iter_mut().enumerate() {
-                            let p = if on_time[i] {
-                                compressor.transmit_down(i, &uploads[i])
-                            } else {
-                                uploads[i].clone()
-                            };
-                            c.set_params(&p, plan.dest(i) != i);
-                        }
-                    }
-                } else if is_agg {
-                    let synced = c2s_reachable(
-                        &fault,
-                        &arrived,
-                        epoch,
-                        model_bytes,
-                        &mut clock,
-                        &mut fault_stats,
-                    );
-                    stale += arrived.iter().zip(&synced).filter(|&(&a, &s)| a && !s).count();
-                    let n_synced = synced.iter().filter(|&&s| s).count() as u64;
-                    let mut on_time = synced.clone();
-                    let mut late = vec![false; k];
-                    if let Some(fc) = flow_cfg {
-                        let up = self.flow_upload_phase(
-                            fc,
-                            &fault,
-                            epoch,
-                            &synced,
-                            model_bytes,
-                            &mut meter,
-                            &mut clock,
-                            &mut taccum,
-                            &mut fault_stats,
-                            &mut tcap,
-                        );
-                        stale += up.failed;
-                        on_time = up.on_time;
-                        late = up.late;
-                    } else {
-                        meter.record_c2s(2 * n_synced * model_bytes);
-                        let t0 = clock.now();
-                        let adv = 2.0
-                            * n_synced as f64
-                            * transfer_time_with_latency(
-                                model_bytes,
-                                self.topology.c2s_bandwidth(epoch),
-                                self.topology.c2s_latency(),
-                            );
-                        clock.advance(VPhase::C2s, adv);
-                        if tcap.active() {
-                            // Lockstep serializes the transfers: one coarse
-                            // upload interval per synced client spanning the
-                            // whole window.
-                            for i in (0..k).filter(|&i| synced[i]) {
-                                tcap.upload(i, t0, adv, adv, false);
-                            }
-                        }
-                    }
-                    let mut uploads = collect_params(&mut clients, cfg, &attack, epoch, &mut rng);
-                    if watchdog_on {
-                        for (n, up) in nan_sources.iter_mut().zip(&uploads) {
-                            *n |= !fedmigr_tensor::all_finite(up);
-                        }
-                    }
-                    let sel: Vec<usize> = (0..k).filter(|&i| on_time[i] || late[i]).collect();
-                    let items: Vec<(usize, Vec<f32>)> =
-                        sel.iter().map(|&i| (i, std::mem::take(&mut uploads[i]))).collect();
-                    for (&i, dec) in sel.iter().zip(compressor.transmit_batch(items)) {
-                        uploads[i] = dec;
-                    }
-                    for i in (0..k).filter(|&i| late[i]) {
-                        late_buf.push(LateUpload {
-                            client: i,
-                            params: uploads[i].clone(),
-                            seq: agg_seq,
-                        });
-                    }
-                    if let Some(fc) = flow_cfg {
-                        let n_eff = on_time.iter().filter(|&&s| s).count();
-                        if n_eff > 0 || !late_buf.is_empty() {
-                            let _agg = span!("core::runner", "aggregate");
-                            if let Some(g) = aggregate_with_late(
-                                &clients,
-                                &uploads,
-                                &on_time,
-                                &cfg.aggregator,
-                                &global,
-                                &mut robust_epoch,
-                                &mut late_buf,
-                                agg_seq,
-                                &cfg.stale,
-                                &mut taccum,
-                            ) {
-                                global = g;
-                                agg_seq += 1;
-                                let delivered = self.flow_download_phase(
-                                    fc,
-                                    &fault,
-                                    epoch,
-                                    &on_time,
-                                    model_bytes,
-                                    &mut meter,
-                                    &mut clock,
-                                    &mut taccum,
-                                    &mut tcap,
-                                );
-                                if delivered.iter().any(|&d| d) {
-                                    let down = compressor.broadcast(&global);
-                                    for (i, c) in clients.iter_mut().enumerate() {
-                                        if delivered[i] {
-                                            c.set_params(&down, false);
-                                            mix[i].clone_from(&population);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    } else if n_synced > 0 {
-                        let _agg = span!("core::runner", "aggregate");
-                        global = aggregate_active(
-                            &clients,
-                            &uploads,
-                            &synced,
-                            &cfg.aggregator,
-                            &global,
-                            &mut robust_epoch,
-                        );
-                        let down = compressor.broadcast(&global);
-                        for (i, c) in clients.iter_mut().enumerate() {
-                            if synced[i] {
-                                c.set_params(&down, false);
-                                mix[i].clone_from(&population);
-                            }
-                        }
-                    }
-                } else {
-                    // C2C migration epoch. Every planner is masked to the
-                    // clients that are live *and* made this round's deadline,
-                    // so plans never target a dead destination.
-                    let plan_span = span!("core::runner", "migration_plan");
-                    let plan = match (&cfg.scheme, states.as_ref()) {
-                        (Scheme::RandMigr, _) | (Scheme::Fixed(MigrationStrategy::Random), _) => {
-                            MigrationPlan::random_subset(k, &arrived, &mut rng)
-                        }
-                        (Scheme::Fixed(MigrationStrategy::WithinLan), _) => {
-                            MigrationPlan::within_lan_masked(&self.topology, &arrived, &mut rng)
-                        }
-                        (Scheme::Fixed(MigrationStrategy::CrossLan), _) => {
-                            MigrationPlan::cross_lan_masked(&self.topology, &arrived, &mut rng)
-                        }
-                        (Scheme::FedMigr(_), Some(states)) => {
-                            let ctx = agent_ctx.as_mut().expect("FedMigr context");
-                            let rho = if epoch <= ctx.warmup_epochs { 1.0 } else { ctx.rho };
-                            ctx.agent.set_rho(rho);
-                            let (oracle, objective) = self.solve_oracle(
-                                &dmat,
-                                model_bytes,
-                                epoch,
-                                ctx.lambda,
-                                &flaky,
-                                ctx.liveness_penalty,
-                                &suspicion,
-                                ctx.suspicion_penalty,
-                            );
-                            let desired: Vec<usize> = (0..k)
-                                .map(|i| ctx.agent.select_action(&states[i], Some(&oracle[i])))
-                                .collect();
-                            // Blend the relaxed-FLMM objective with the agent's
-                            // per-client desires, then recover a permutation by
-                            // globally greedy matching over the active clients.
-                            let mut scores = objective;
-                            for (i, &j) in desired.iter().enumerate() {
-                                scores[i][j] += 0.25;
-                            }
-                            let plan = MigrationPlan::greedy_assignment_masked(&scores, &arrived);
-                            for (i, state) in states.iter().enumerate() {
-                                if epoch <= ctx.warmup_epochs {
-                                    // Pre-training: clone the oracle-driven
-                                    // behaviour into the actor.
-                                    ctx.agent.imitate(state, plan.dest(i));
-                                }
-                                ctx.pending.push((state.clone(), plan.dest(i), i));
-                            }
-                            plan
-                        }
-                        _ => unreachable!("scheme/state combination"),
-                    };
-                    drop(plan_span);
-                    let transfer_span = span!("core::runner", "migration_transfer");
-                    let params = collect_params(&mut clients, cfg, &attack, epoch, &mut rng);
-                    if watchdog_on {
-                        for (n, p) in nan_sources.iter_mut().zip(&params) {
-                            *n |= !fedmigr_tensor::all_finite(p);
-                        }
-                    }
-                    // `src_of[j]` is the client whose model client `j` hosts
-                    // after this round. A failed delivery leaves `j` on its own
-                    // retained copy instead of breaking the permutation.
-                    // `delivered_payload[j]` is what the wire actually handed
-                    // `j` — the decoded (possibly lossy) model.
-                    let mut src_of: Vec<usize> = (0..k).collect();
-                    let mut delivered_payload: Vec<Option<Vec<f32>>> = vec![None; k];
-                    let mut move_times = Vec::new();
-                    // Under the flow transport the whole migration wave runs as
-                    // one simulation: moves contend for their pair links and the
-                    // inter-LAN backbone, and a flow that strikes out falls back
-                    // onto the retry/relay/C2S-bounce chain below.
-                    let mig_t0 = clock.now();
-                    let wave = flow_cfg.map(|fc| {
-                        let mv: Vec<(usize, usize)> = plan.moves().collect();
-                        let sim = simulate_migrations_traced(
-                            &self.topology,
-                            &fault,
-                            epoch,
-                            fc,
-                            &mv,
-                            model_bytes,
-                            tcap.active(),
-                        );
-                        taccum.absorb(&sim);
-                        meter.record_transfer_seconds(sim.makespan);
-                        sim
-                    });
-                    for (m, (i, j)) in plan.moves().enumerate() {
-                        let (outcome, time) = match wave.as_ref().map(|w| &w.outcomes[m]) {
-                            Some(o) if o.completed => {
-                                meter.record_c2c(model_bytes, self.topology.same_lan(i, j));
-                                meter.record_overhead(o.retransmit_bytes);
-                                observe_link_time("direct", o.finish);
-                                (EdgeOutcome::Direct, o.finish)
-                            }
-                            Some(o) => {
-                                // The flow burned its wire bytes and struck out;
-                                // resolve through the fallback chain with the
-                                // elapsed flow time charged on top.
-                                meter.record_overhead(o.wire_bytes);
-                                fault_stats.wasted_bytes += model_bytes;
-                                let (out, t) = self.deliver_fallback(
-                                    &fault,
-                                    &alive,
-                                    i,
-                                    j,
-                                    epoch,
-                                    model_bytes,
-                                    &mut meter,
-                                    &mut fault_stats,
-                                );
-                                (out, o.finish + t)
-                            }
-                            None => self.deliver(
-                                &fault,
-                                &alive,
-                                i,
-                                j,
-                                epoch,
-                                model_bytes,
-                                &mut meter,
-                                &mut fault_stats,
-                            ),
-                        };
-                        move_times.push(time);
-                        tcap.migrate(i, mig_t0, time);
-                        round_edges.push(MigrationEdge {
-                            src: i,
-                            dst: j,
-                            bytes: model_bytes,
-                            time_s: time,
-                            outcome,
-                        });
-                        if outcome.delivered() {
-                            // Encode only transfers that completed: a cancelled
-                            // migration must not consume the sender's
-                            // error-feedback residual. The receiver screens the
-                            // *decoded* payload before adoption. A rejected
-                            // model was still transmitted (the bytes are
-                            // burned) but `j` keeps its own copy and the
-                            // source's suspicion rises.
-                            let payload = compressor.transmit(i, &params[i]);
-                            if let Some(q) = quarantine.as_mut() {
-                                let _screen = span!("core::runner", "quarantine_screen");
-                                if !q.screen(i, &payload, &params[j]) {
-                                    robust_epoch.rejected_migrations += 1;
-                                    continue;
-                                }
-                            }
-                            src_of[j] = i;
-                            delivered_payload[j] = Some(payload);
-                            link_migrations[i * k + j] += 1;
-                            if self.topology.same_lan(i, j) {
-                                migrations_local += 1;
-                            } else {
-                                migrations_global += 1;
-                            }
-                        }
-                    }
-                    if diag_on {
-                        // Attribute virtual-dataset EMD deltas to individual
-                        // migrations: slot `j` is about to adopt slot
-                        // `src_of[j]`'s mixture.
-                        for (j, &s) in src_of.iter().enumerate() {
-                            if s == j {
-                                continue;
-                            }
-                            let before = normalized_emd(&mix[j], &population);
-                            let after = normalized_emd(&mix[s], &population);
-                            fedmigr_telemetry::debug!(
-                            "core::diag",
-                            "migration {s}->{j}: virtual-dataset EMD {before:.4} -> {after:.4} ({:+.4})",
-                            after - before
-                        );
-                        }
-                    }
-                    clock.advance_parallel(VPhase::Migration, move_times);
-                    if let Some(pt) = wave.as_ref().and_then(|w| w.trace.as_ref()) {
-                        // The wave's flow events all sit inside the charged
-                        // parallel window (every move's charged time is at
-                        // least its own flow's finish).
-                        tcap.phase_trace("migration", mig_t0, clock.now(), pt);
-                    }
-                    mix = src_of.iter().map(|&s| mix[s].clone()).collect();
-                    if diag_on {
-                        train_mix = src_of.iter().map(|&s| train_mix[s].clone()).collect();
-                    }
-                    round_src_of.clone_from(&src_of);
-                    for (j, c) in clients.iter_mut().enumerate() {
-                        match delivered_payload[j].take() {
-                            Some(p) => {
-                                let migrated = p != params[j];
-                                c.set_params(&p, migrated);
-                            }
-                            // No accepted migration: re-install the retained
-                            // local copy (the pre-codec behaviour, wire-free).
-                            None => c.set_params(&params[j], false),
-                        }
-                    }
-                    drop(transfer_span);
-                }
-                drop(comm_span);
-                kphases.credit("communicate");
-
-                // (4) Evaluation of the (shadow-)aggregated global model.
-                let eval_span = span!("core::runner", "evaluate");
-                let eval_due = epoch.is_multiple_of(cfg.eval_interval) || epoch == cfg.epochs;
-                let accuracy = if eval_due {
-                    let shadow = if cfg.scheme.is_async() {
-                        // FedAsync's global model lives on the server.
-                        global.clone()
-                    } else {
-                        // What clients would *transmit* if the server aggregated
-                        // now — Byzantine clients corrupt these shadow uploads
-                        // exactly like real ones, and the codec previews its
-                        // distortion (without touching residuals, counters or
-                        // stats: these transfers are hypothetical), so the
-                        // measured accuracy reflects both the aggregation
-                        // rule's defense and the wire's lossiness.
-                        let uploads: Vec<Vec<f32>> = clients
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(i, c)| {
-                                let mut p = c.params();
-                                attack.corrupt_upload(i, epoch, &mut p);
-                                compressor.preview(i, &p)
-                            })
-                            .collect();
-                        // Hypothetical full participation — except sources the
-                        // watchdog has permanently excluded, which are out of
-                        // the run for good and must not poison the measurement.
-                        let include: Vec<bool> = excluded.iter().map(|&e| !e).collect();
-                        aggregate_active(
-                            &clients,
-                            &uploads,
-                            &include,
-                            &cfg.aggregator,
-                            &global,
-                            &mut robust_epoch,
-                        )
-                    };
-                    Some(self.evaluate(&mut template, &shadow))
-                } else {
-                    None
-                };
-                drop(eval_span);
-                kphases.credit("evaluate");
-
-                // (5) Agent learning.
-                if let Some(ctx) = agent_ctx.as_mut() {
-                    let _learn = span!("core::runner", "agent_update");
-                    for _ in 0..ctx.updates_per_epoch {
-                        ctx.agent.update();
-                    }
-                }
-
-                // (6) Bookkeeping and stopping conditions.
-                kphases.credit("agent_update");
-                let book_span = span!("core::runner", "bookkeeping");
-                let epoch_bw = (meter.traffic().total() - traffic_before) as f64;
-                let epoch_compute = meter.compute_cost() - compute_before;
-                last_epoch_usage = (
-                    if cfg.budget.compute.is_finite() {
-                        epoch_compute / cfg.budget.compute
-                    } else {
-                        0.0
-                    },
-                    if cfg.budget.bandwidth.is_finite() {
-                        epoch_bw / cfg.budget.bandwidth
-                    } else {
-                        0.0
-                    },
-                );
-                fault_stats.stale_client_epochs += stale;
-                if let Some(q) = quarantine.as_mut() {
-                    q.end_epoch();
-                }
-                // Divergence watchdog: a non-finite global model or loss, or a
-                // loss spike beyond `spike_factor` times the trailing-window
-                // baseline, rolls the run back to the last good checkpoint and
-                // retries with the implicated sources excluded and quarantined.
-                if watchdog_on {
-                    let window = cfg.watchdog.window.max(1);
-                    let recent: Vec<f32> = records
-                        .iter()
-                        .rev()
-                        .take(window)
-                        .map(|r| r.train_loss)
-                        .filter(|l| l.is_finite())
-                        .collect();
-                    let baseline = (!recent.is_empty())
-                        .then(|| recent.iter().sum::<f32>() / recent.len() as f32);
-                    let spiked = matches!(baseline, Some(b) if b > 0.0
-                    && (mean_loss as f64) > cfg.watchdog.spike_factor * b as f64);
-                    let diverged =
-                        !mean_loss.is_finite() || spiked || !fedmigr_tensor::all_finite(&global);
-                    if diverged {
-                        match last_good.take() {
-                            Some((ck_epoch, bytes))
-                                if recovery.rollbacks < cfg.watchdog.max_rollbacks =>
-                            {
-                                let implicated: Vec<usize> =
-                                    (0..k).filter(|&i| nan_sources[i]).collect();
-                                fedmigr_telemetry::error!(
-                                    "core::runner",
-                                    "watchdog: divergence at epoch {epoch} (loss {mean_loss}, \
-                                 global finite: {}); rolling back to epoch {ck_epoch}, \
-                                 implicated sources {implicated:?}",
-                                    fedmigr_tensor::all_finite(&global)
-                                );
-                                let mut state = RunState::from_bytes(&bytes, &stamp)
-                                    .expect("in-memory checkpoint decodes");
-                                // Recovery accounting and exclusions survive
-                                // the rollback; everything else rewinds.
-                                state.recovery = recovery;
-                                state.excluded = excluded.clone();
-                                restore_state!(state);
-                                for &i in &implicated {
-                                    excluded[i] = true;
-                                    if let Some(q) = quarantine.as_mut() {
-                                        q.escalate(i);
-                                    }
-                                }
-                                recovery.rollbacks += 1;
-                                recovery.checkpoints_loaded += 1;
-                                recovery.rounds_replayed += epoch - ck_epoch;
-                                nan_sources.iter_mut().for_each(|n| *n = false);
-                                // Replayed rounds rewrite history: truncate the
-                                // flight recording back to the checkpoint.
-                                if flight.is_some() {
-                                    if let Some(path) = cfg.diag.flight_out.as_deref() {
-                                        drop(flight.take()); // flush + close first
-                                        flight = FlightRecorder::resume(path, ck_epoch).ok();
-                                    }
-                                }
-                                // The timeline is append-only: a rollback
-                                // marker notes the rewind (and resets the
-                                // validator's time watermark) instead of
-                                // truncating.
-                                tcap.rollback(ck_epoch);
-                                last_good = Some((ck_epoch, bytes));
-                                epoch = ck_epoch + 1;
-                                continue 'run;
-                            }
-                            other => {
-                                last_good = other;
-                                fedmigr_telemetry::error!(
-                                    "core::runner",
-                                    "watchdog: divergence at epoch {epoch} but no rollback \
-                                 available (budget {}/{} used); continuing",
-                                    recovery.rollbacks,
-                                    cfg.watchdog.max_rollbacks
-                                );
-                            }
-                        }
-                    }
-                }
-                records.push(EpochRecord {
-                    epoch,
-                    train_loss: mean_loss,
-                    test_accuracy: accuracy,
-                    traffic: meter.traffic(),
-                    sim_time: clock.now(),
-                    dropped_clients: dropped,
-                    stale_clients: stale,
-                    rejected_migrations: robust_epoch.rejected_migrations,
-                    // Every meter charge is a whole number of model transfers,
-                    // so the cumulative wire-level saving is exact.
-                    bytes_saved: (meter.traffic().total() / model_bytes) * saved_per_transfer,
-                    phase: clock.phase(),
-                    retransmits: taccum.retransmits(),
-                    late_uploads: taccum.late_uploads(),
-                });
-                tcap.round_end(clock.now());
-                robust_total.absorb(&robust_epoch);
-                prev_loss = Some(mean_loss);
-
-                if diag_on {
-                    let _diag = span!("core::runner", "diagnostics");
-                    let emd = EmdSnapshot::measure(&mix, &population);
-                    let train_emd = EmdSnapshot::measure(&train_mix, &population);
-                    // Read parameters directly: `collect_params` applies DP
-                    // noise and consumes the shared RNG stream, which would
-                    // break the diagnostics-off/on byte-identity contract.
-                    let params_now: Vec<Vec<f32>> =
-                        clients.iter_mut().map(|c| c.params()).collect();
-                    let weights: Vec<f64> =
-                        clients.iter().map(|c| c.num_samples() as f64).collect();
-                    let drift = DriftSnapshot::measure(&params_now, &global, &weights);
-                    let drl = match (agent_ctx.as_mut(), states.as_ref()) {
-                        (Some(ctx), Some(states)) => {
-                            // Forward-only policy probes: RNG-free by design.
-                            let probs: Vec<Vec<f32>> =
-                                states.iter().map(|s| ctx.agent.action_probs(s)).collect();
-                            Some(DrlSnapshot::collect(
-                                &probs,
-                                ctx.agent.last_update_stats(),
-                                ctx.agent.replay_health(),
-                            ))
-                        }
-                        _ => None,
-                    };
-                    let graph = GraphSnapshot::measure(&round_edges, &round_src_of);
-                    let reg = fedmigr_telemetry::global().registry();
-                    reg.gauge("fedmigr_diag_emd_mean", &[]).set(emd.mean);
-                    reg.gauge("fedmigr_diag_emd_max", &[]).set(emd.max);
-                    reg.gauge("fedmigr_diag_train_emd_mean", &[]).set(train_emd.mean);
-                    reg.gauge("fedmigr_diag_train_emd_max", &[]).set(train_emd.max);
-                    reg.gauge("fedmigr_diag_drift_mean_dist", &[]).set(drift.mean_dist);
-                    reg.gauge("fedmigr_diag_drift_mean_cosine", &[]).set(drift.mean_cosine);
-                    reg.gauge("fedmigr_diag_drift_mean_divergence", &[]).set(drift.mean_divergence);
-                    if let Some(d) = &drl {
-                        reg.gauge("fedmigr_diag_policy_entropy", &[]).set(d.mean_entropy);
-                        reg.gauge("fedmigr_diag_policy_saturation", &[]).set(d.mean_saturation);
-                        reg.gauge("fedmigr_diag_critic_mean_q", &[]).set(d.mean_q);
-                        reg.gauge("fedmigr_diag_td_error_mean_abs", &[]).set(d.mean_abs_td);
-                    }
-                    let mut flight_failed = false;
-                    if let Some(rec) = flight.as_mut() {
-                        let traffic = meter.traffic();
-                        let phase = clock.phase();
-                        let row = RoundRecord {
-                            epoch,
-                            train_loss: mean_loss as f64,
-                            test_accuracy: accuracy,
-                            sim_time: clock.now(),
-                            c2s_bytes: traffic.c2s,
-                            c2c_local_bytes: traffic.c2c_local,
-                            c2c_global_bytes: traffic.c2c_global,
-                            phase_train_s: phase.train_s,
-                            phase_c2s_s: phase.c2s_s,
-                            phase_migration_s: phase.migration_s,
-                            phase_backoff_s: phase.backoff_s,
-                            emd,
-                            train_emd,
-                            drift: Some(drift),
-                            drl,
-                            graph,
-                            migrations: std::mem::take(&mut round_edges),
-                        };
-                        if let Err(e) = rec.round(&row) {
-                            fedmigr_telemetry::error!(
-                                "core::diag",
-                                "flight round write failed: {e}; recording stopped"
-                            );
-                            flight_failed = true;
-                        }
-                    }
-                    if flight_failed {
-                        flight = None;
-                    }
-                }
-                drop(book_span);
-                kphases.credit("bookkeeping");
-                if let (Some(target), Some(acc)) = (cfg.target_accuracy, accuracy) {
-                    if acc >= target {
-                        target_reached = true;
-                        break 'run;
-                    }
-                }
-                if meter.exhausted() {
-                    budget_exhausted = true;
-                    break 'run;
-                }
-            } // end of 'round
-
-            // --- Round epilogue: snapshot cadence and the kill switch ----
-            let snap_every = cfg.checkpoint_every.unwrap_or(1);
-            if (cfg.checkpoint_every.is_some() || watchdog_on) && epoch.is_multiple_of(snap_every) {
-                let bytes = capture_state!(epoch).to_bytes(&stamp);
-                recovery.checkpoints_written += 1;
-                recovery.checkpoint_bytes += bytes.len() as u64;
-                if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-                    let dir = std::path::Path::new(dir);
-                    // Atomic writes (temp + rename): a crash mid-write
-                    // never leaves a torn checkpoint where a good one
-                    // stood.
-                    let write = |path: &std::path::Path| -> std::io::Result<()> {
-                        let tmp = path.with_extension("tmp");
-                        std::fs::write(&tmp, &bytes)?;
-                        std::fs::rename(&tmp, path)
-                    };
-                    let persist = std::fs::create_dir_all(dir)
-                        .and_then(|()| write(&dir.join(format!("ckpt_round_{epoch}.fmrs"))))
-                        .and_then(|()| write(&dir.join("latest.fmrs")));
-                    if let Err(e) = persist {
-                        fedmigr_telemetry::error!(
-                            "core::runner",
-                            "checkpoint write failed at epoch {epoch} in {}: {e}",
-                            dir.display()
-                        );
-                    }
-                }
-                last_good = Some((epoch, bytes));
-                nan_sources.iter_mut().for_each(|n| *n = false);
-            }
-            if cfg.kill_at == Some(epoch) {
-                killed = true;
-                warn!(
-                    "core::runner",
-                    "kill switch: aborting after epoch {epoch} (simulated crash)"
-                );
-                break;
-            }
-            epoch += 1;
-        }
-
-        // Terminal transition flush (Eq. 18). A killed run crashed: no
-        // terminal credit, no flight summary — exactly the state a real
-        // crash would leave behind for `--resume` to pick up.
-        if let Some(ctx) = agent_ctx.as_mut().filter(|_| !killed) {
-            let terminal = terminal_reward(&ctx.reward, last_step_reward, !budget_exhausted);
-            for (state, action, client) in ctx.pending.drain(..) {
-                let next = state.clone();
-                let _ = client;
-                ctx.agent.observe(Transition {
-                    state,
-                    action,
-                    reward: terminal as f32,
-                    next_state: next,
-                    done: true,
-                });
+                self.ctx.attack.corrupt_upload(i, epoch, &mut p);
+                p
+            })
+            .collect();
+        if cfg.watchdog.enabled {
+            for (n, p) in self.nan_sources.iter_mut().zip(&params) {
+                *n |= !fedmigr_tensor::all_finite(p);
             }
         }
+        params
+    }
 
-        if let Some(rec) = flight.as_mut().filter(|_| !killed) {
-            let summary = FlightSummary {
-                epochs_run: records.len(),
-                final_accuracy: records.iter().rev().find_map(|r| r.test_accuracy).unwrap_or(0.0),
-                best_accuracy: records.iter().filter_map(|r| r.test_accuracy).fold(0.0, f64::max),
-                total_bytes: records.last().map(|r| r.traffic.total()).unwrap_or(0),
-                sim_time: records.last().map(|r| r.sim_time).unwrap_or(0.0),
-                migrations_local,
-                migrations_global,
-                final_emd_mean: EmdSnapshot::measure(&mix, &population).mean,
-                target_reached,
-                budget_exhausted,
-            };
-            if let Err(e) = rec.finish(&summary) {
-                fedmigr_telemetry::error!("core::diag", "flight summary write failed: {e}");
+    /// Lockstep C2S pricing: `legs` serialized transfers per client in
+    /// `who`, each at nominal bandwidth — one coarse timeline interval per
+    /// client spanning the whole window.
+    fn lockstep_c2s(&mut self, who: &[bool], epoch: usize, legs: u64) {
+        let n = who.iter().filter(|&&w| w).count() as u64;
+        let common = &mut self.st.common;
+        common.meter.record_c2s(legs * n * self.ctx.model_bytes);
+        let topology = &self.ctx.exp.topology;
+        let t0 = common.clock.now();
+        let adv = legs as f64
+            * n as f64
+            * transfer_time_with_latency(
+                self.ctx.model_bytes,
+                topology.c2s_bandwidth(epoch),
+                topology.c2s_latency(),
+            );
+        common.clock.advance(VPhase::C2s, adv);
+        if self.obs.tcap.active() {
+            for i in (0..who.len()).filter(|&i| who[i]) {
+                self.obs.tcap.upload(i, t0, adv, adv, false);
             }
         }
-        if !killed {
-            // A killed run leaves the timeline finish-less, like the flight
-            // recording: exactly what a real crash would leave behind.
-            tcap.finish(records.len());
-        }
-        log_phase_hotspot(
-            &phase_wall_baseline,
-            records.last().map(|r| r.phase).unwrap_or_default(),
-        );
-        if recovery.any() {
-            let reg = fedmigr_telemetry::global().registry();
-            reg.gauge("fedmigr_recovery_checkpoints_written", &[])
-                .set(recovery.checkpoints_written as f64);
-            reg.gauge("fedmigr_recovery_checkpoint_bytes", &[])
-                .set(recovery.checkpoint_bytes as f64);
-            reg.gauge("fedmigr_recovery_checkpoints_loaded", &[])
-                .set(recovery.checkpoints_loaded as f64);
-            reg.gauge("fedmigr_recovery_rollbacks", &[]).set(recovery.rollbacks as f64);
-            reg.gauge("fedmigr_recovery_rounds_replayed", &[]).set(recovery.rounds_replayed as f64);
-        }
+    }
 
-        RunMetrics {
-            scheme: cfg.scheme.name(),
-            records,
-            migrations_local,
-            migrations_global,
-            link_migrations,
-            budget_exhausted,
-            target_reached,
-            fault: fault_stats,
-            robust: robust_total,
-            codec: cfg.codec.name(),
-            compression: compressor.stats(),
-            transport: cfg.transport.name().into(),
-            transport_stats: taccum.finish(),
-            recovery,
+    /// Determines which of the `arrived` clients can reach the server this
+    /// epoch: WAN outages retry with exponential backoff (charged serially
+    /// to the clock — the WAN is the shared bottleneck) and give up after
+    /// the policy's retry budget. Transparent when fault injection is off.
+    fn c2s_reachable(&mut self, arrived: &[bool], epoch: usize) -> Vec<bool> {
+        let fault = &self.ctx.fault;
+        if !fault.enabled() {
+            return arrived.to_vec();
         }
+        let stats = &mut self.st.fault_stats;
+        let policy = fault.retry();
+        let mut synced = vec![false; arrived.len()];
+        let mut backoff_total = 0.0f64;
+        for i in (0..arrived.len()).filter(|&i| arrived[i]) {
+            if fault.c2s_up(i, epoch) {
+                synced[i] = true;
+                continue;
+            }
+            stats.wasted_bytes += self.ctx.model_bytes;
+            for attempt in 1..=policy.max_retries {
+                stats.transfer_retries += 1;
+                count_net("fedmigr_net_transfer_retries_total", &[]);
+                backoff_total += policy.backoff(attempt);
+                if fault.retry_succeeds(i, usize::MAX, epoch, attempt) {
+                    synced[i] = true;
+                    break;
+                }
+                stats.wasted_bytes += self.ctx.model_bytes;
+            }
+        }
+        self.st.common.clock.advance(VPhase::Backoff, backoff_total);
+        synced
     }
 
     /// Solves the relaxed FLMM oracle for the current epoch: benefit is the
     /// pairwise distribution difference minus a flakiness penalty on the
     /// destination and a suspicion penalty on migrating *sources*, cost the
     /// normalized link price. With no observed downtime (`flaky` all zero)
-    /// and no quarantine rejections (`susp` all zero) both penalties vanish
-    /// entirely, leaving the seed objective bit-identical.
+    /// and no quarantine rejections (suspicion all zero) both penalties
+    /// vanish entirely, leaving the seed objective bit-identical.
     /// Returns `(relaxed solution rows, raw objective matrix)`.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_oracle(
-        &self,
-        dmat: &[Vec<f64>],
-        model_bytes: u64,
-        epoch: usize,
-        lambda: f64,
-        flaky: &[f64],
-        liveness_penalty: f64,
-        susp: &[f64],
-        suspicion_penalty: f64,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let k = dmat.len();
+    fn solve_oracle(&self, fc: &FedMigrConfig, r: &Round) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let k = self.ctx.k;
+        let topology = &self.ctx.exp.topology;
         let mut cost = vec![vec![0.0f64; k]; k];
         let mut max_cost = 0.0f64;
         for (i, row) in cost.iter_mut().enumerate() {
             for (j, c) in row.iter_mut().enumerate() {
                 if i != j {
-                    *c = transfer_time(model_bytes, self.topology.c2c_bandwidth(i, j, epoch));
+                    let bandwidth = topology.c2c_bandwidth(i, j, r.epoch);
+                    *c = transfer_time(self.ctx.model_bytes, bandwidth);
                     max_cost = max_cost.max(*c);
                 }
             }
@@ -1930,16 +1476,18 @@ impl Experiment {
                 }
             }
         }
-        let benefit: Vec<Vec<f64>> = dmat
+        let benefit: Vec<Vec<f64>> = r
+            .dmat
             .iter()
             .enumerate()
             .map(|(i, row)| {
                 row.iter()
-                    .zip(flaky)
+                    .zip(&self.st.flaky)
                     .enumerate()
                     .map(|(j, (&d, &f))| {
-                        let keep_home = if i != j { suspicion_penalty * susp[i] } else { 0.0 };
-                        d - liveness_penalty * f - keep_home
+                        let keep_home =
+                            if i != j { fc.suspicion_penalty * r.suspicion[i] } else { 0.0 };
+                        d - fc.liveness_penalty * f - keep_home
                     })
                     .collect()
             })
@@ -1947,77 +1495,51 @@ impl Experiment {
         let mut objective = vec![vec![0.0f64; k]; k];
         for i in 0..k {
             for j in 0..k {
-                objective[i][j] = benefit[i][j] - lambda * cost[i][j];
+                objective[i][j] = benefit[i][j] - fc.lambda * cost[i][j];
             }
         }
-        let relax = FlmmRelaxation { benefit, cost, lambda, entropy: 0.05 };
+        let relax = FlmmRelaxation { benefit, cost, lambda: fc.lambda, entropy: 0.05 };
         (relax.solve(40, 0.4), objective)
     }
 
     /// Delivers one planned migration `i -> j` under the fault model,
-    /// charging bytes to `meter` and returning `(outcome, seconds)` — the
+    /// charging bytes to the meter and returning `(outcome, seconds)` — the
     /// outcome names the path the transfer ended on and implies whether it
     /// delivered ([`EdgeOutcome::delivered`]). The policy is: direct C2C
     /// with bounded exponential-backoff retries, then relay through the
     /// best live peer in the destination's LAN, then a C2S round-trip
     /// through the server, and finally cancellation (the model stays where
     /// it is for one epoch).
-    #[allow(clippy::too_many_arguments)]
-    fn deliver(
-        &self,
-        fault: &FaultModel,
-        alive: &[bool],
-        i: usize,
-        j: usize,
-        epoch: usize,
-        model_bytes: u64,
-        meter: &mut ResourceMeter,
-        stats: &mut FaultStats,
-    ) -> (EdgeOutcome, f64) {
-        // A downed link presents as zero effective bandwidth, which the
-        // `try_` transfer API maps to `None` instead of a panic.
-        let eff = |a: usize, b: usize| -> f64 {
-            if fault.link_up(a, b, epoch) {
-                self.topology.c2c_bandwidth(a, b, epoch) * fault.link_quality(a, b, epoch)
-            } else {
-                0.0
-            }
-        };
-        let latency = self.topology.c2c_latency(i, j);
+    fn deliver(&mut self, alive: &[bool], i: usize, j: usize, epoch: usize) -> (EdgeOutcome, f64) {
+        let topology = &self.ctx.exp.topology;
+        let model_bytes = self.ctx.model_bytes;
         // (a) Direct transfer over the planned link.
-        if let Some(t) = try_transfer_time_with_latency(model_bytes, eff(i, j), latency) {
-            meter.record_c2c(model_bytes, self.topology.same_lan(i, j));
+        let latency = topology.c2c_latency(i, j);
+        let bw = effective_bandwidth(&self.ctx.fault, topology, i, j, epoch);
+        if let Some(t) = try_transfer_time_with_latency(model_bytes, bw, latency) {
+            self.st.common.meter.record_c2c(model_bytes, topology.same_lan(i, j));
             observe_link_time("direct", t);
             return (EdgeOutcome::Direct, t);
         }
-        stats.wasted_bytes += model_bytes;
-        self.deliver_fallback(fault, alive, i, j, epoch, model_bytes, meter, stats)
+        self.st.fault_stats.wasted_bytes += model_bytes;
+        self.deliver_fallback(alive, i, j, epoch)
     }
 
     /// The fallback chain after a failed direct migration attempt (steps
-    /// (b)–(e) of [`Experiment::deliver`]): bounded retries, relay, C2S
+    /// (b)–(e) of [`DenseRun::deliver`]): bounded retries, relay, C2S
     /// bounce, cancellation. Shared by the lockstep path and the flow
     /// transport (where a struck-out flow lands here directly).
-    #[allow(clippy::too_many_arguments)]
     fn deliver_fallback(
-        &self,
-        fault: &FaultModel,
+        &mut self,
         alive: &[bool],
         i: usize,
         j: usize,
         epoch: usize,
-        model_bytes: u64,
-        meter: &mut ResourceMeter,
-        stats: &mut FaultStats,
     ) -> (EdgeOutcome, f64) {
-        let eff = |a: usize, b: usize| -> f64 {
-            if fault.link_up(a, b, epoch) {
-                self.topology.c2c_bandwidth(a, b, epoch) * fault.link_quality(a, b, epoch)
-            } else {
-                0.0
-            }
-        };
-        let latency = self.topology.c2c_latency(i, j);
+        let (fault, topology) = (&self.ctx.fault, &self.ctx.exp.topology);
+        let model_bytes = self.ctx.model_bytes;
+        let eff = |a: usize, b: usize| effective_bandwidth(fault, topology, a, b, epoch);
+        let (meter, stats) = (&mut self.st.common.meter, &mut self.st.fault_stats);
         // (b) Bounded retries with exponential backoff on the same link.
         let policy = fault.retry();
         let mut elapsed = 0.0;
@@ -2026,8 +1548,9 @@ impl Experiment {
             count_net("fedmigr_net_transfer_retries_total", &[]);
             elapsed += policy.backoff(attempt);
             if fault.retry_succeeds(i, j, epoch, attempt) {
-                meter.record_c2c(model_bytes, self.topology.same_lan(i, j));
-                let bw = self.topology.c2c_bandwidth(i, j, epoch) * fault.link_quality(i, j, epoch);
+                meter.record_c2c(model_bytes, topology.same_lan(i, j));
+                let bw = topology.c2c_bandwidth(i, j, epoch) * fault.link_quality(i, j, epoch);
+                let latency = topology.c2c_latency(i, j);
                 let t = elapsed + transfer_time_with_latency(model_bytes, bw, latency);
                 observe_link_time("direct_retry", t);
                 return (EdgeOutcome::DirectRetry, t);
@@ -2036,22 +1559,17 @@ impl Experiment {
         }
         // (c) Relay through the live same-LAN peer of `j` with the best
         // bottleneck bandwidth on the two-hop path.
-        let relay = (0..self.num_clients())
-            .filter(|&r| r != i && r != j && alive[r] && self.topology.same_lan(r, j))
+        let relay = (0..self.ctx.k)
+            .filter(|&r| r != i && r != j && alive[r] && topology.same_lan(r, j))
             .filter(|&r| eff(i, r) > 0.0 && eff(r, j) > 0.0)
             .max_by(|&a, &b| eff(i, a).min(eff(a, j)).total_cmp(&eff(i, b).min(eff(b, j))));
         if let Some(r) = relay {
-            meter.record_c2c(model_bytes, self.topology.same_lan(i, r));
+            meter.record_c2c(model_bytes, topology.same_lan(i, r));
             meter.record_c2c(model_bytes, true);
             stats.rerouted_migrations += 1;
             count_net("fedmigr_net_fallback_total", &[("kind", "relay")]);
-            let t =
-                transfer_time_with_latency(model_bytes, eff(i, r), self.topology.c2c_latency(i, r))
-                    + transfer_time_with_latency(
-                        model_bytes,
-                        eff(r, j),
-                        self.topology.c2c_latency(r, j),
-                    );
+            let t = transfer_time_with_latency(model_bytes, eff(i, r), topology.c2c_latency(i, r))
+                + transfer_time_with_latency(model_bytes, eff(r, j), topology.c2c_latency(r, j));
             observe_link_time("relay", elapsed + t);
             return (EdgeOutcome::Relay, elapsed + t);
         }
@@ -2063,8 +1581,8 @@ impl Experiment {
             let t = 2.0
                 * transfer_time_with_latency(
                     model_bytes,
-                    self.topology.c2s_bandwidth(epoch),
-                    self.topology.c2s_latency(),
+                    topology.c2s_bandwidth(epoch),
+                    topology.c2s_latency(),
                 );
             observe_link_time("c2s_bounce", elapsed + t);
             return (EdgeOutcome::C2sBounce, elapsed + t);
@@ -2082,59 +1600,52 @@ impl Experiment {
     /// upload may still be folded into a later aggregation); a struck-out
     /// flow wastes its wire bytes. The round advances by the earlier of the
     /// deadline and the last settled flow.
-    #[allow(clippy::too_many_arguments)]
     fn flow_upload_phase(
-        &self,
+        &mut self,
         fc: &FlowConfig,
-        fault: &FaultModel,
         epoch: usize,
         synced: &[bool],
-        model_bytes: u64,
-        meter: &mut ResourceMeter,
-        clock: &mut PhasedClock,
-        taccum: &mut TransportAccum,
-        stats: &mut FaultStats,
-        tcap: &mut TimelineCapture,
     ) -> FlowUploadOutcome {
-        let k = synced.len();
+        let (k, model_bytes) = (synced.len(), self.ctx.model_bytes);
         let mut out =
             FlowUploadOutcome { on_time: vec![false; k], late: vec![false; k], failed: 0 };
         let uploaders: Vec<usize> = (0..k).filter(|&i| synced[i]).collect();
         if uploaders.is_empty() {
             return out;
         }
-        let t0 = clock.now();
+        let (st, tcap) = (&mut self.st, &mut self.obs.tcap);
+        let t0 = st.common.clock.now();
         let sim = simulate_c2s_traced(
-            &self.topology,
-            fault,
+            &self.ctx.exp.topology,
+            &self.ctx.fault,
             epoch,
             fc,
             &uploaders,
             model_bytes,
             tcap.active(),
         );
-        taccum.absorb(&sim);
+        st.taccum.absorb(&sim);
         let deadline = upload_deadline(&sim.outcomes, fc.deadline_factor);
         let dur = sim.makespan.min(deadline);
         for (o, &c) in sim.outcomes.iter().zip(&uploaders) {
             if o.completed {
-                meter.record_c2s(model_bytes);
-                meter.record_overhead(o.retransmit_bytes);
+                st.common.meter.record_c2s(model_bytes);
+                st.common.meter.record_overhead(o.retransmit_bytes);
                 if o.finish <= deadline {
                     out.on_time[c] = true;
                 } else {
                     out.late[c] = true;
-                    taccum.note_late_upload();
+                    st.taccum.note_late_upload();
                 }
             } else {
-                meter.record_overhead(o.wire_bytes);
-                stats.wasted_bytes += model_bytes;
+                st.common.meter.record_overhead(o.wire_bytes);
+                st.fault_stats.wasted_bytes += model_bytes;
                 out.failed += 1;
             }
             tcap.upload(c, t0, o.finish, dur, o.completed && o.finish > deadline);
         }
-        meter.record_transfer_seconds(dur);
-        clock.advance(VPhase::C2s, dur);
+        st.common.meter.record_transfer_seconds(dur);
+        st.common.clock.advance(VPhase::C2s, dur);
         if let Some(pt) = &sim.trace {
             tcap.phase_trace("upload", t0, t0 + dur, pt);
         }
@@ -2145,62 +1656,216 @@ impl Experiment {
     /// or a single FedAsync return leg) and returns which receivers the
     /// payload actually reached. Failed downloads waste their wire bytes;
     /// the receiver keeps its current model.
-    #[allow(clippy::too_many_arguments)]
     fn flow_download_phase(
-        &self,
+        &mut self,
         fc: &FlowConfig,
-        fault: &FaultModel,
         epoch: usize,
         receivers: &[bool],
-        model_bytes: u64,
-        meter: &mut ResourceMeter,
-        clock: &mut PhasedClock,
-        taccum: &mut TransportAccum,
-        tcap: &mut TimelineCapture,
     ) -> Vec<bool> {
-        let k = receivers.len();
+        let (k, model_bytes) = (receivers.len(), self.ctx.model_bytes);
         let mut delivered = vec![false; k];
         let rx: Vec<usize> = (0..k).filter(|&i| receivers[i]).collect();
         if rx.is_empty() {
             return delivered;
         }
-        let t0 = clock.now();
-        let sim =
-            simulate_c2s_traced(&self.topology, fault, epoch, fc, &rx, model_bytes, tcap.active());
-        taccum.absorb(&sim);
+        let (st, tcap) = (&mut self.st, &mut self.obs.tcap);
+        let t0 = st.common.clock.now();
+        let sim = simulate_c2s_traced(
+            &self.ctx.exp.topology,
+            &self.ctx.fault,
+            epoch,
+            fc,
+            &rx,
+            model_bytes,
+            tcap.active(),
+        );
+        st.taccum.absorb(&sim);
         for (o, &c) in sim.outcomes.iter().zip(&rx) {
             if o.completed {
-                meter.record_c2s(model_bytes);
-                meter.record_overhead(o.retransmit_bytes);
+                st.common.meter.record_c2s(model_bytes);
+                st.common.meter.record_overhead(o.retransmit_bytes);
                 delivered[c] = true;
             } else {
-                meter.record_overhead(o.wire_bytes);
+                st.common.meter.record_overhead(o.wire_bytes);
             }
             tcap.upload(c, t0, o.finish, sim.makespan, false);
         }
-        meter.record_transfer_seconds(sim.makespan);
-        clock.advance(VPhase::C2s, sim.makespan);
+        st.common.meter.record_transfer_seconds(sim.makespan);
+        st.common.clock.advance(VPhase::C2s, sim.makespan);
         if let Some(pt) = &sim.trace {
             tcap.phase_trace("download", t0, t0 + sim.makespan, pt);
         }
         delivered
     }
+}
 
-    /// Test accuracy of `params` loaded into `template`, evaluated in
-    /// batches over the server-held test split.
-    fn evaluate(&self, template: &mut Model, params: &[f32]) -> f64 {
-        template.set_params(params);
-        let n = self.test.len();
-        let mut correct_weighted = 0.0f64;
-        let mut seen = 0usize;
-        let indices: Vec<usize> = (0..n).collect();
-        for chunk in indices.chunks(64) {
-            let (x, labels) = self.test.batch(chunk);
-            let (_, acc) = template.evaluate(&x, &labels);
-            correct_weighted += acc * chunk.len() as f64;
-            seen += chunk.len();
+impl RoundLoop for DenseRun<'_> {
+    type State = RoundState;
+
+    fn stamp(&self) -> &RunStamp {
+        &self.ctx.stamp
+    }
+
+    fn state(&mut self) -> &mut RoundState {
+        &mut self.st
+    }
+
+    fn common(&mut self) -> &mut CommonState {
+        &mut self.st.common
+    }
+
+    fn observers(&mut self) -> &mut Observers {
+        &mut self.obs
+    }
+
+    fn begin(&mut self, start_epoch: usize) {
+        self.obs.flight = self.open_flight(start_epoch);
+    }
+
+    fn round(&mut self, epoch: usize) -> Outcome {
+        let _round = fedmigr_telemetry::global().span_labeled(
+            "core::runner",
+            "round",
+            vec![
+                ("epoch".to_string(), epoch.to_string()),
+                ("scheme".to_string(), self.ctx.cfg.scheme.name()),
+            ],
+        );
+        self.obs.tcap.round_start(epoch, self.st.common.clock.now());
+        let Some(mut r) = self.sample(epoch) else { return Outcome::Idle };
+        self.train(&mut r);
+        self.decide(&mut r);
+        self.communicate(&mut r);
+        self.evaluate(&mut r);
+        self.agent_update();
+        if let Some(ck_epoch) = self.bookkeep(&mut r) {
+            return Outcome::RolledBack(ck_epoch);
         }
-        correct_weighted / seen as f64
+        self.obs.kphases.credit("bookkeeping");
+        Outcome::Done(r.accuracy)
+    }
+
+    fn keep_snapshot(&mut self, epoch: usize, bytes: Vec<u8>) {
+        self.last_good = Some((epoch, bytes));
+        self.nan_sources.fill(false);
+    }
+
+    fn finish(&mut self, exit: &Exit) -> Totals {
+        let st = &self.st;
+        let records = &st.common.records;
+        if let Some(rec) = self.obs.flight.as_mut().filter(|_| !exit.killed) {
+            let summary = FlightSummary {
+                epochs_run: records.len(),
+                final_accuracy: records.iter().rev().find_map(|r| r.test_accuracy).unwrap_or(0.0),
+                best_accuracy: records.iter().filter_map(|r| r.test_accuracy).fold(0.0, f64::max),
+                total_bytes: records.last().map(|r| r.traffic.total()).unwrap_or(0),
+                sim_time: records.last().map(|r| r.sim_time).unwrap_or(0.0),
+                migrations_local: st.common.migrations_local,
+                migrations_global: st.common.migrations_global,
+                final_emd_mean: EmdSnapshot::measure(&st.mix, &self.ctx.population).mean,
+                target_reached: exit.target_reached,
+                budget_exhausted: exit.budget_exhausted,
+            };
+            if let Err(e) = rec.finish(&summary) {
+                fedmigr_telemetry::error!("core::diag", "flight summary write failed: {e}");
+            }
+        }
+        log_phase_hotspot(
+            &self.phase_wall_baseline,
+            records.last().map(|r| r.phase).unwrap_or_default(),
+        );
+        Totals {
+            link_migrations: st.link_migrations.clone(),
+            fault: st.fault_stats,
+            robust: st.robust_total,
+            compression: st.compressor.stats(),
+            transport_stats: st.taccum.finish(),
+        }
+    }
+}
+
+impl RoundState {
+    /// Staleness-tolerant degraded aggregation for the flow transport:
+    /// folds the `on_time` uploads as fresh entries and the buffered late
+    /// uploads as staleness-discounted entries. A buffered upload is
+    /// dropped (not folded) when its client also delivered fresh this round
+    /// — fresh supersedes stale — or when it aged past the policy window.
+    /// Returns `None` (keep the previous global) only when there is nothing
+    /// at all to fold. Always drains the buffer.
+    fn fold_with_late(
+        &mut self,
+        cfg: &RunConfig,
+        uploads: &[Vec<f32>],
+        on_time: &[bool],
+        stats: &mut RobustStats,
+    ) -> Option<Vec<f32>> {
+        let weight = |i: usize| self.clients[i].num_samples() as f64;
+        let fresh: Vec<(&[f32], f64)> = (0..uploads.len())
+            .filter(|&i| on_time[i])
+            .map(|i| (uploads[i].as_slice(), weight(i)))
+            .collect();
+        let mut stale_entries: Vec<(&[f32], f64, usize)> = Vec::new();
+        let mut dropped = 0u64;
+        for lu in &self.late_buf {
+            // An upload buffered since `seq` aggregations had completed is
+            // at least one aggregation round old by the time the next one
+            // runs.
+            let age = (self.agg_seq - lu.seq).max(1);
+            if on_time[lu.client] || age > cfg.stale.max_age {
+                dropped += 1;
+            } else {
+                stale_entries.push((lu.params.as_slice(), weight(lu.client), age));
+            }
+        }
+        self.taccum.note_stale_folded(stale_entries.len() as u64);
+        self.taccum.note_stale_dropped(dropped);
+        let out = if fresh.is_empty() && stale_entries.is_empty() {
+            warn!(
+                "core::runner",
+                "fedmigr: degraded aggregation with zero fresh or stale uploads; keeping previous global"
+            );
+            None
+        } else {
+            Some(cfg.aggregator.aggregate_with_stale(
+                &fresh,
+                &stale_entries,
+                &cfg.stale,
+                &self.common.global,
+                stats,
+            ))
+        };
+        self.late_buf.clear();
+        out
+    }
+}
+
+/// Effective bandwidth of link `a -> b` under the fault model. A downed link
+/// presents as zero, which the `try_` transfer API maps to `None` instead of
+/// a panic.
+fn effective_bandwidth(
+    fault: &FaultModel,
+    topo: &Topology,
+    a: usize,
+    b: usize,
+    epoch: usize,
+) -> f64 {
+    if fault.link_up(a, b, epoch) {
+        topo.c2c_bandwidth(a, b, epoch) * fault.link_quality(a, b, epoch)
+    } else {
+        0.0
+    }
+}
+
+/// One exponential-decay step of each active client's mixture estimate
+/// towards the data it just trained on.
+fn decay_towards(mix: &mut [Vec<f64>], dists: &[Vec<f64>], active: &[bool]) {
+    for (i, (m, q)) in mix.iter_mut().zip(dists).enumerate() {
+        if !active[i] {
+            continue;
+        }
+        for (mi, qi) in m.iter_mut().zip(q) {
+            *mi = (1.0 - MIX_ALPHA) * *mi + MIX_ALPHA * qi;
+        }
     }
 }
 
@@ -2337,21 +2002,6 @@ fn observe_link_time(path: &'static str, seconds: f64) {
         .observe(seconds);
 }
 
-struct AgentCtx {
-    agent: DdpgAgent,
-    reward: RewardConfig,
-    lambda: f64,
-    rho: f64,
-    resource_reward: bool,
-    liveness_penalty: f64,
-    suspicion_penalty: f64,
-    warmup_epochs: usize,
-    updates_per_epoch: usize,
-    /// Decisions awaiting their reward: `(state, executed destination,
-    /// deciding client)`.
-    pending: Vec<(Vec<f32>, usize, usize)>,
-}
-
 /// FedSwap's per-round action: swap the models of `pairs` random disjoint
 /// pairs among the participating clients.
 fn swap_pairs_plan(active: &[bool], pairs: usize, rng: &mut StdRng) -> MigrationPlan {
@@ -2368,45 +2018,6 @@ fn swap_pairs_plan(active: &[bool], pairs: usize, rng: &mut StdRng) -> Migration
         }
     }
     MigrationPlan::new(dest)
-}
-
-/// Determines which of the `arrived` clients can reach the server this
-/// epoch: WAN outages retry with exponential backoff (charged serially to
-/// the clock — the WAN is the shared bottleneck) and give up after the
-/// policy's retry budget. Transparent when fault injection is off.
-fn c2s_reachable(
-    fault: &FaultModel,
-    arrived: &[bool],
-    epoch: usize,
-    model_bytes: u64,
-    clock: &mut PhasedClock,
-    stats: &mut FaultStats,
-) -> Vec<bool> {
-    if !fault.enabled() {
-        return arrived.to_vec();
-    }
-    let policy = fault.retry();
-    let mut synced = vec![false; arrived.len()];
-    let mut backoff_total = 0.0f64;
-    for i in (0..arrived.len()).filter(|&i| arrived[i]) {
-        if fault.c2s_up(i, epoch) {
-            synced[i] = true;
-            continue;
-        }
-        stats.wasted_bytes += model_bytes;
-        for attempt in 1..=policy.max_retries {
-            stats.transfer_retries += 1;
-            count_net("fedmigr_net_transfer_retries_total", &[]);
-            backoff_total += policy.backoff(attempt);
-            if fault.retry_succeeds(i, usize::MAX, epoch, attempt) {
-                synced[i] = true;
-                break;
-            }
-            stats.wasted_bytes += model_bytes;
-        }
-    }
-    clock.advance(VPhase::Backoff, backoff_total);
-    synced
 }
 
 /// Median of `xs` (upper median for even lengths); 0 when empty.
@@ -2506,31 +2117,6 @@ fn train_all(
     (losses, panicked)
 }
 
-/// Reads every client's parameters, applying DP noise at the egress point
-/// if configured, then any Byzantine corruption: a malicious client
-/// poisons *everything* it transmits — server uploads and C2C migrations
-/// alike — after the honest pipeline has finished with the payload.
-fn collect_params(
-    clients: &mut [FlClient],
-    cfg: &RunConfig,
-    attack: &AttackModel,
-    epoch: usize,
-    rng: &mut StdRng,
-) -> Vec<Vec<f32>> {
-    clients
-        .iter_mut()
-        .enumerate()
-        .map(|(i, c)| {
-            let mut p = c.params();
-            if let Some(dp) = &cfg.dp {
-                dp.apply(&mut p, rng);
-            }
-            attack.corrupt_upload(i, epoch, &mut p);
-            p
-        })
-        .collect()
-}
-
 /// Server-side aggregation (Eq. 7 and its robust variants) over the
 /// participating clients: weights are the local sample counts `n_k`. A
 /// round where *no* upload survives the `active` mask keeps the previous
@@ -2562,14 +2148,15 @@ fn aggregate_active(
 
 /// An upload that completed after its round's deadline, buffered until an
 /// aggregation folds it with a staleness discount (or ages it out).
-struct LateUpload {
+#[derive(Default)]
+pub(crate) struct LateUpload {
     /// The uploading client.
-    client: usize,
+    pub client: usize,
     /// The decoded payload the wire delivered (codec applied).
-    params: Vec<f32>,
+    pub params: Vec<f32>,
     /// Value of the aggregation counter when the upload was buffered;
     /// staleness age is measured against it in aggregation rounds.
-    seq: usize,
+    pub seq: usize,
 }
 
 /// Per-client result of one flow-transport upload phase.
@@ -2582,65 +2169,19 @@ struct FlowUploadOutcome {
     failed: usize,
 }
 
-/// Staleness-tolerant degraded aggregation for the flow transport: folds
-/// the `active` on-time uploads as fresh entries and the buffered late
-/// uploads as staleness-discounted entries. A buffered upload is dropped
-/// (not folded) when its client also delivered fresh this round — fresh
-/// supersedes stale — or when it aged past the policy window. Returns
-/// `None` (keep the previous global) only when there is nothing at all to
-/// fold. Always drains the buffer.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_with_late(
-    clients: &[FlClient],
-    uploads: &[Vec<f32>],
-    active: &[bool],
-    aggregator: &Aggregator,
-    prev_global: &[f32],
-    stats: &mut RobustStats,
-    late_buf: &mut Vec<LateUpload>,
-    agg_seq: usize,
-    policy: &StalenessPolicy,
-    taccum: &mut TransportAccum,
-) -> Option<Vec<f32>> {
-    let fresh: Vec<(&[f32], f64)> = uploads
-        .iter()
-        .zip(clients)
-        .zip(active)
-        .filter(|&(_, &a)| a)
-        .map(|((p, c), _)| (p.as_slice(), c.num_samples() as f64))
-        .collect();
-    let mut stale_entries: Vec<(&[f32], f64, usize)> = Vec::new();
-    let (mut folded, mut dropped) = (0u64, 0u64);
-    for lu in late_buf.iter() {
-        // An upload buffered since `seq` aggregations had completed is at
-        // least one aggregation round old by the time the next one runs.
-        let age = (agg_seq - lu.seq).max(1);
-        if active[lu.client] || age > policy.max_age {
-            dropped += 1;
-            continue;
-        }
-        stale_entries.push((lu.params.as_slice(), clients[lu.client].num_samples() as f64, age));
-        folded += 1;
-    }
-    taccum.note_stale_folded(folded);
-    taccum.note_stale_dropped(dropped);
-    let out = if fresh.is_empty() && stale_entries.is_empty() {
-        warn!(
-            "core::runner",
-            "fedmigr: degraded aggregation with zero fresh or stale uploads; keeping previous global"
-        );
-        None
-    } else {
-        Some(aggregator.aggregate_with_stale(&fresh, &stale_entries, policy, prev_global, stats))
-    };
-    late_buf.clear();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedmigr_data::{partition_iid, partition_shards, SyntheticConfig, SyntheticDataset};
+
+    impl RoundState {
+        /// The state a run of `cfg` over `exp` starts from (a fixture for
+        /// the checkpoint tests).
+        pub(crate) fn fresh(exp: &Experiment, cfg: &RunConfig) -> Self {
+            DenseRun::new(exp, cfg).st
+        }
+    }
+
     use fedmigr_net::{DeviceTier, TopologyConfig};
     use fedmigr_nn::zoo::{self, NetScale};
 

@@ -81,7 +81,7 @@ impl AgentConfig {
 /// introspection (the agent exposes the latest via
 /// [`DdpgAgent::last_update_stats`]). All quantities are mini-batch
 /// statistics of the step that produced them.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct UpdateStats {
     /// Mean critic estimate `Q(s, a)` over the batch.
     pub mean_q: f64,

@@ -62,7 +62,7 @@ impl OuNoise {
 
 /// Checkpoint capture of an [`OuNoise`] process: the correlated-noise state
 /// vector plus the exact RNG stream position.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OuState {
     /// Current noise vector.
     pub state: Vec<f32>,

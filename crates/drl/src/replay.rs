@@ -1,7 +1,7 @@
 use rand::Rng;
 
 /// One experience tuple `z = (s_t, a_t, r_t, s_{t+1})`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Transition {
     /// State features at decision time.
     pub state: Vec<f32>,
