@@ -351,7 +351,7 @@ impl DdpgAgent {
         let mut grad = softmax_rows(&logits);
         grad.data_mut()[action] -= 1.0;
         self.actor.net_mut().zero_grad();
-        self.actor.net_mut().backward(&grad);
+        self.actor.net_mut().backward_params_only(&grad);
         self.actor_opt.step(self.actor.net_mut());
     }
 
@@ -419,7 +419,7 @@ impl DdpgAgent {
             grad_q.push(2.0 * weights[i] * e / b as f32);
         }
         self.critic.net_mut().zero_grad();
-        self.critic.net_mut().backward(&Tensor::from_vec(vec![b, 1], grad_q));
+        self.critic.net_mut().backward_params_only(&Tensor::from_vec(vec![b, 1], grad_q));
         let critic_grad_norm = l2_norm(&grad_vector(self.critic.net_mut()));
         self.critic_opt.step(self.critic.net_mut());
 
@@ -427,7 +427,8 @@ impl DdpgAgent {
         let logits = self.actor.forward(&states, true);
         let probs = softmax_rows(&logits);
         let actor_critic_in = concat_cols(&states, &probs);
-        let _q_pi = self.critic.forward(&actor_critic_in, false);
+        // Training mode: the backward pass below needs the layer caches.
+        let _q_pi = self.critic.forward(&actor_critic_in, true);
         self.critic.net_mut().zero_grad();
         let grad_in = self.critic.net_mut().backward(&Tensor::full(&[b, 1], -1.0 / b as f32));
         // Slice out ∂(−Q)/∂a and chain through the softmax.
@@ -440,7 +441,7 @@ impl DdpgAgent {
         }
         let grad_logits = softmax_backward(&probs, &grad_action, b, k);
         self.actor.net_mut().zero_grad();
-        self.actor.net_mut().backward(&Tensor::from_vec(vec![b, k], grad_logits));
+        self.actor.net_mut().backward_params_only(&Tensor::from_vec(vec![b, k], grad_logits));
         let actor_grad_norm = l2_norm(&grad_vector(self.actor.net_mut()));
         self.actor_opt.step(self.actor.net_mut());
         // Drop the gradients the actor pass left in the critic.

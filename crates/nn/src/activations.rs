@@ -1,11 +1,12 @@
 use fedmigr_tensor::Tensor;
 
+use crate::layer::Cache;
 use crate::Layer;
 
 /// Rectified linear unit. Caches the sign mask from the forward pass.
 #[derive(Clone, Default)]
 pub struct Relu {
-    mask: Vec<bool>,
+    mask: Cache<Vec<bool>>,
 }
 
 impl Relu {
@@ -17,17 +18,17 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.mask.clear();
-        self.mask.extend(input.data().iter().map(|&x| x > 0.0));
+        self.mask.0.clear();
+        self.mask.0.extend(input.data().iter().map(|&x| x > 0.0));
         input.map(|x| x.max(0.0))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.numel(), self.mask.len(), "Relu backward before forward");
+        assert_eq!(grad_out.numel(), self.mask.0.len(), "Relu backward before forward");
         let data = grad_out
             .data()
             .iter()
-            .zip(&self.mask)
+            .zip(&self.mask.0)
             .map(|(&g, &m)| if m { g } else { 0.0 })
             .collect();
         Tensor::from_vec(grad_out.shape().to_vec(), data)
@@ -56,13 +57,17 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_owned(input.clone(), train)
+    }
+
+    fn forward_owned(&mut self, input: Tensor, _train: bool) -> Tensor {
         let shape = input.shape();
         assert!(shape.len() >= 2, "Flatten expects a batch dimension");
         self.input_shape = shape.to_vec();
         let b = shape[0];
         let rest: usize = shape[1..].iter().product();
-        input.reshape(&[b, rest])
+        Tensor::from_vec(vec![b, rest], input.into_data())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -87,7 +92,7 @@ impl Layer for Flatten {
 pub struct Dropout {
     p: f32,
     state: u64,
-    mask: Vec<f32>,
+    mask: Cache<Vec<f32>>,
 }
 
 impl Dropout {
@@ -97,7 +102,7 @@ impl Dropout {
     /// Panics unless `0 <= p < 1`.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
-        Self { p, state: seed.wrapping_mul(2654435769).max(1), mask: Vec::new() }
+        Self { p, state: seed.wrapping_mul(2654435769).max(1), mask: Cache::default() }
     }
 
     fn next_uniform(&mut self) -> f32 {
@@ -115,25 +120,25 @@ impl Dropout {
 impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
-            self.mask.clear();
+            self.mask.0.clear();
             return input.clone();
         }
         let keep = 1.0 - self.p;
-        self.mask.clear();
-        self.mask.reserve(input.numel());
+        self.mask.0.clear();
+        self.mask.0.reserve(input.numel());
         for _ in 0..input.numel() {
             let kept = self.next_uniform() >= self.p;
-            self.mask.push(if kept { 1.0 / keep } else { 0.0 });
+            self.mask.0.push(if kept { 1.0 / keep } else { 0.0 });
         }
-        let data = input.data().iter().zip(&self.mask).map(|(&x, &m)| x * m).collect();
+        let data = input.data().iter().zip(&self.mask.0).map(|(&x, &m)| x * m).collect();
         Tensor::from_vec(input.shape().to_vec(), data)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        if self.mask.is_empty() {
+        if self.mask.0.is_empty() {
             return grad_out.clone();
         }
-        let data = grad_out.data().iter().zip(&self.mask).map(|(&g, &m)| g * m).collect();
+        let data = grad_out.data().iter().zip(&self.mask.0).map(|(&g, &m)| g * m).collect();
         Tensor::from_vec(grad_out.shape().to_vec(), data)
     }
 

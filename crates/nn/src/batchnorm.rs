@@ -1,6 +1,7 @@
 use fedmigr_tensor::kcount::{self, Kernel};
 use fedmigr_tensor::Tensor;
 
+use crate::layer::Cache;
 use crate::Layer;
 
 /// Batch normalization over the channel dimension of `[B, C, H, W]` inputs
@@ -29,8 +30,8 @@ pub struct BatchNorm2d {
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     // Forward cache (training mode).
-    x_hat: Vec<f32>,
-    inv_std: Vec<f32>,
+    x_hat: Cache<Vec<f32>>,
+    inv_std: Cache<Vec<f32>>,
     input_shape: Vec<usize>,
 }
 
@@ -47,8 +48,8 @@ impl BatchNorm2d {
             grad_beta: Tensor::zeros(&[channels]),
             running_mean: vec![0.0; channels],
             running_var: vec![1.0; channels],
-            x_hat: Vec::new(),
-            inv_std: Vec::new(),
+            x_hat: Cache::default(),
+            inv_std: Cache::default(),
             input_shape: Vec::new(),
         }
     }
@@ -79,8 +80,8 @@ impl Layer for BatchNorm2d {
         let data = input.data();
         let mut out = vec![0.0f32; data.len()];
         if train {
-            self.x_hat.resize(data.len(), 0.0);
-            self.inv_std.resize(c, 0.0);
+            self.x_hat.0.resize(data.len(), 0.0);
+            self.inv_std.0.resize(c, 0.0);
             self.input_shape = input.shape().to_vec();
             for ch in 0..c {
                 let mut mean = 0.0f32;
@@ -97,7 +98,7 @@ impl Layer for BatchNorm2d {
                 }
                 var /= n;
                 let inv_std = 1.0 / (var + self.eps).sqrt();
-                self.inv_std[ch] = inv_std;
+                self.inv_std.0[ch] = inv_std;
                 self.running_mean[ch] =
                     (1.0 - self.momentum) * self.running_mean[ch] + self.momentum * mean;
                 self.running_var[ch] =
@@ -108,7 +109,7 @@ impl Layer for BatchNorm2d {
                     let plane = (bi * c + ch) * s;
                     for i in plane..plane + s {
                         let xh = (data[i] - mean) * inv_std;
-                        self.x_hat[i] = xh;
+                        self.x_hat.0[i] = xh;
                         out[i] = g * xh + bt;
                     }
                 }
@@ -151,7 +152,7 @@ impl Layer for BatchNorm2d {
             let mut sum_dy_xhat = 0.0f32;
             for bi in 0..b {
                 let plane = (bi * c + ch) * s;
-                for (gi, xh) in g[plane..plane + s].iter().zip(&self.x_hat[plane..plane + s]) {
+                for (gi, xh) in g[plane..plane + s].iter().zip(&self.x_hat.0[plane..plane + s]) {
                     sum_dy += gi;
                     sum_dy_xhat += gi * xh;
                 }
@@ -159,13 +160,13 @@ impl Layer for BatchNorm2d {
             self.grad_beta.data_mut()[ch] += sum_dy;
             self.grad_gamma.data_mut()[ch] += sum_dy_xhat;
             let gamma = self.gamma.data()[ch];
-            let inv_std = self.inv_std[ch];
+            let inv_std = self.inv_std.0[ch];
             // dx = γ / (N σ) * (N dy - Σdy - x_hat ΣdyX)
             for bi in 0..b {
                 let plane = (bi * c + ch) * s;
                 for i in plane..plane + s {
                     grad_in[i] =
-                        gamma * inv_std / n * (n * g[i] - sum_dy - self.x_hat[i] * sum_dy_xhat);
+                        gamma * inv_std / n * (n * g[i] - sum_dy - self.x_hat.0[i] * sum_dy_xhat);
                 }
             }
         }

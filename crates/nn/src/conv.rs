@@ -1,9 +1,44 @@
+use std::cell::RefCell;
+
 use fedmigr_tensor::kcount::{self, Kernel};
 use fedmigr_tensor::{he_std, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::dense::{accumulate_bias_grad, add_bias};
+use crate::layer::Cache;
 use crate::Layer;
+
+thread_local! {
+    /// Patch buffers `backward` is done with, kept for this thread's next
+    /// `im2col`. The patch matrix is the one per-step allocation large enough
+    /// for malloc to map and trim: allocated and freed every step, it makes
+    /// the heap grow and shrink at a rate that depends on thread timing, and
+    /// the same run takes 16k or 67k page faults. Reused, a worker maps one
+    /// buffer per conv layer and the count is steady.
+    static SPARE_PATCHES: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A step reuses one buffer per conv layer; the cap bounds what a thread
+/// retains whatever order its callers run forwards and backwards in.
+const MAX_SPARE_PATCHES: usize = 8;
+
+/// A zeroed buffer of `len` floats, from this thread's spares if it has one.
+fn zeroed_patches(len: usize) -> Vec<f32> {
+    let mut buf = SPARE_PATCHES.with(|s| s.borrow_mut().pop()).unwrap_or_default();
+    buf.clear();
+    buf.resize(len, 0.0);
+    buf
+}
+
+fn recycle_patches(cols: Tensor) {
+    SPARE_PATCHES.with(|s| {
+        let mut spares = s.borrow_mut();
+        if spares.len() < MAX_SPARE_PATCHES {
+            spares.push(cols.into_data());
+        }
+    });
+}
 
 /// A 2-D convolution over `[B, C, H, W]` inputs, implemented with im2col.
 ///
@@ -20,8 +55,8 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Option<Tensor>,
-    cached_input_shape: Vec<usize>,
+    cached_cols: Cache<Option<Tensor>>,
+    cached_input_shape: [usize; 4],
 }
 
 impl Conv2d {
@@ -47,8 +82,8 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[patch, out_channels]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cached_cols: None,
-            cached_input_shape: Vec::new(),
+            cached_cols: Cache(None),
+            cached_input_shape: [0; 4],
         }
     }
 
@@ -57,125 +92,82 @@ impl Conv2d {
         (in_size + 2 * self.padding - self.kernel) / self.stride + 1
     }
 
-    fn im2col(&self, input: &Tensor) -> Tensor {
-        let [b, c, h, w] = four(input.shape());
+    /// Walks the im2col correspondence for a `[b, c, h, w]` image: calls
+    /// `f(image_offset, cols_offset, len)` once per kernel row of every
+    /// output position, with the row clipped to the taps that land inside
+    /// the image (the rest is padding and stays zero).
+    fn for_each_run(&self, [b, c, h, w]: [usize; 4], mut f: impl FnMut(usize, usize, usize)) {
         let (oh, ow) = (self.out_size(h), self.out_size(w));
         let (k, s, p) = (self.kernel, self.stride, self.padding);
         let patch = c * k * k;
-        let _k = kcount::scope(
-            Kernel::Im2col,
-            0,
-            4 * (input.numel() as u64 + (b * oh * ow * patch) as u64),
-        );
-        let mut cols = vec![0.0f32; b * oh * ow * patch];
-        let data = input.data();
+        // Taps `lo..hi` of the window starting at `start - p` inside `0..len`.
+        let clip = |start: usize, len: usize| {
+            let lo = p.saturating_sub(start);
+            (lo, k.min((len + p).saturating_sub(start)).max(lo))
+        };
         for bi in 0..b {
             for oy in 0..oh {
+                let (ky_lo, ky_hi) = clip(oy * s, h);
                 for ox in 0..ow {
+                    let (kx_lo, kx_hi) = clip(ox * s, w);
+                    if kx_lo == kx_hi {
+                        continue;
+                    }
                     let row = ((bi * oh + oy) * ow + ox) * patch;
                     for ci in 0..c {
-                        for ky in 0..k {
-                            let iy = (oy * s + ky) as isize - p as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            let src = ((bi * c + ci) * h + iy as usize) * w;
-                            let dst = row + (ci * k + ky) * k;
-                            for kx in 0..k {
-                                let ix = (ox * s + kx) as isize - p as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
-                                }
-                                cols[dst + kx] = data[src + ix as usize];
-                            }
+                        for ky in ky_lo..ky_hi {
+                            let iy = oy * s + ky - p;
+                            let image = ((bi * c + ci) * h + iy) * w + ox * s + kx_lo - p;
+                            f(image, row + (ci * k + ky) * k + kx_lo, kx_hi - kx_lo);
                         }
                     }
                 }
             }
         }
-        Tensor::from_vec(vec![b * oh * ow, patch], cols)
+    }
+
+    fn im2col(&self, input: &Tensor) -> Tensor {
+        let shape = four(input.shape());
+        let [b, c, h, w] = shape;
+        let rows = b * self.out_size(h) * self.out_size(w);
+        let patch = c * self.kernel * self.kernel;
+        let _k = kcount::scope(Kernel::Im2col, 0, 4 * (input.numel() + rows * patch) as u64);
+        let mut cols = zeroed_patches(rows * patch);
+        let data = input.data();
+        self.for_each_run(shape, |src, dst, n| {
+            cols[dst..dst + n].copy_from_slice(&data[src..src + n]);
+        });
+        Tensor::from_vec(vec![rows, patch], cols)
     }
 
     fn col2im(&self, grad_cols: &Tensor) -> Tensor {
-        let [b, c, h, w] = four(&self.cached_input_shape);
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let patch = c * k * k;
+        let shape = self.cached_input_shape;
         let _k = kcount::scope(
             Kernel::Col2im,
             grad_cols.numel() as u64,
-            4 * (grad_cols.numel() as u64 + (b * c * h * w) as u64),
+            4 * (grad_cols.numel() + shape.iter().product::<usize>()) as u64,
         );
-        let mut out = Tensor::zeros(&[b, c, h, w]);
-        let dst = out.data_mut();
+        let mut out = Tensor::zeros(&shape);
+        let image = out.data_mut();
         let g = grad_cols.data();
-        for bi in 0..b {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((bi * oh + oy) * ow + ox) * patch;
-                    for ci in 0..c {
-                        for ky in 0..k {
-                            let iy = (oy * s + ky) as isize - p as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            let base = ((bi * c + ci) * h + iy as usize) * w;
-                            let src = row + (ci * k + ky) * k;
-                            for kx in 0..k {
-                                let ix = (ox * s + kx) as isize - p as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
-                                }
-                                dst[base + ix as usize] += g[src + kx];
-                            }
-                        }
-                    }
-                }
+        self.for_each_run(shape, |dst, src, n| {
+            for (d, &gv) in image[dst..dst + n].iter_mut().zip(&g[src..src + n]) {
+                *d += gv;
             }
-        }
+        });
         out
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let [b, c, h, w] = four(input.shape());
-        assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
-        let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let cols = self.im2col(input);
-        let mut out2 = cols.matmul(&self.weight); // [B*OH*OW, OC]
-        let oc = self.out_channels;
-        let bias = self.bias.data();
-        for r in 0..out2.rows() {
-            let row = &mut out2.data_mut()[r * oc..(r + 1) * oc];
-            for (v, &bv) in row.iter_mut().zip(bias) {
-                *v += bv;
-            }
-        }
-        // Rearrange [B*OH*OW, OC] -> [B, OC, OH, OW].
-        let _k = kcount::scope(Kernel::Transpose, 0, 8 * (b * oc * oh * ow) as u64);
-        let mut out = vec![0.0f32; b * oc * oh * ow];
-        let src = out2.data();
-        for bi in 0..b {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let r = ((bi * oh + oy) * ow + ox) * oc;
-                    for co in 0..oc {
-                        out[((bi * oc + co) * oh + oy) * ow + ox] = src[r + co];
-                    }
-                }
-            }
-        }
-        self.cached_cols = Some(cols);
-        self.cached_input_shape = input.shape().to_vec();
-        Tensor::from_vec(vec![b, oc, oh, ow], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("Conv2d::backward called before forward");
+    /// Accumulates `dW = colsᵀ g` and `db = Σ_rows g` and returns `g`, the
+    /// output gradient rearranged `[B, OC, OH, OW] -> [B*OH*OW, OC]`.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
+        let cols = self
+            .cached_cols
+            .0
+            .take()
+            .expect("Conv2d::backward called before a training-mode forward");
         let [b, oc, oh, ow] = four(grad_out.shape());
         assert_eq!(oc, self.out_channels);
-        // Rearrange grad [B, OC, OH, OW] -> [B*OH*OW, OC].
         let rearrange = kcount::scope(Kernel::Transpose, 0, 8 * (b * oh * ow * oc) as u64);
         let mut g2 = vec![0.0f32; b * oh * ow * oc];
         let src = grad_out.data();
@@ -191,15 +183,51 @@ impl Layer for Conv2d {
         }
         let g2 = Tensor::from_vec(vec![b * oh * ow, oc], g2);
         drop(rearrange);
-        self.grad_weight.add_assign(&cols.transpose2().matmul(&g2));
-        for r in 0..g2.rows() {
-            let row = g2.row(r);
-            for (g, &gv) in self.grad_bias.data_mut().iter_mut().zip(row) {
-                *g += gv;
+        self.grad_weight.add_assign(&cols.matmul_tn(&g2));
+        accumulate_bias_grad(&mut self.grad_bias, &g2);
+        recycle_patches(cols);
+        g2
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let [b, c, h, w] = four(input.shape());
+        assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
+        let (oh, ow) = (self.out_size(h), self.out_size(w));
+        let cols = self.im2col(input);
+        let mut out2 = cols.matmul(&self.weight); // [B*OH*OW, OC]
+        add_bias(&mut out2, &self.bias);
+        // Only a training step reads the patches again; an evaluation must
+        // not leave a batch of them resident in the model.
+        self.cached_cols = Cache(train.then_some(cols));
+        self.cached_input_shape = [b, c, h, w];
+        // Rearrange [B*OH*OW, OC] -> [B, OC, OH, OW].
+        let oc = self.out_channels;
+        let _k = kcount::scope(Kernel::Transpose, 0, 8 * (b * oc * oh * ow) as u64);
+        let mut out = vec![0.0f32; b * oc * oh * ow];
+        let src = out2.data();
+        for bi in 0..b {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let r = ((bi * oh + oy) * ow + ox) * oc;
+                    for co in 0..oc {
+                        out[((bi * oc + co) * oh + oy) * ow + ox] = src[r + co];
+                    }
+                }
             }
         }
+        Tensor::from_vec(vec![b, oc, oh, ow], out)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let g2 = self.accumulate_param_grads(grad_out);
         let grad_cols = g2.matmul(&self.weight.transpose2());
         self.col2im(&grad_cols)
+    }
+
+    fn backward_params_only(&mut self, grad_out: &Tensor) {
+        self.accumulate_param_grads(grad_out);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -303,6 +331,112 @@ mod tests {
                 analytic[i]
             );
         }
+    }
+
+    /// Forward output, input gradient, weight gradient and bias gradient of
+    /// `conv` by the definition of a convolution: seven nested loops, no
+    /// im2col, no GEMM.
+    fn direct_conv(conv: &Conv2d, x: &Tensor, g: &Tensor) -> [Vec<f32>; 4] {
+        let [b, c, h, w] = four(x.shape());
+        let [_, oc, oh, ow] = four(g.shape());
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding);
+        let (wt, bias) = (conv.weight.data(), conv.bias.data());
+        let mut y = vec![0.0f32; g.numel()];
+        let mut dx = vec![0.0f32; x.numel()];
+        let mut dw = vec![0.0f32; wt.len()];
+        let mut db = vec![0.0f32; oc];
+        for bi in 0..b {
+            for co in 0..oc {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let o = ((bi * oc + co) * oh + oy) * ow + ox;
+                        y[o] = bias[co];
+                        db[co] += g.data()[o];
+                        for ci in 0..c {
+                            for ky in 0..k {
+                                for kx in 0..k {
+                                    let (iy, ix) = (oy * s + ky, ox * s + kx);
+                                    if iy < p || iy - p >= h || ix < p || ix - p >= w {
+                                        continue;
+                                    }
+                                    let i = ((bi * c + ci) * h + iy - p) * w + ix - p;
+                                    let wi = ((ci * k + ky) * k + kx) * oc + co;
+                                    y[o] += x.data()[i] * wt[wi];
+                                    dx[i] += g.data()[o] * wt[wi];
+                                    dw[wi] += x.data()[i] * g.data()[o];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        [y, dx, dw, db]
+    }
+
+    #[test]
+    fn im2col_gemm_matches_the_direct_convolution() {
+        // (kernel, stride, padding): the zoo's 5x5/pad 2 and 3x3/pad 1, plus
+        // a strided, an unpadded and an over-padded (windows wholly in the
+        // padding) one for the clipping.
+        for (k, s, p) in [(5, 1, 2), (3, 1, 1), (3, 2, 1), (2, 2, 0), (2, 1, 3)] {
+            let mut conv = Conv2d::new(3, 5, k, s, p, 17);
+            let mut rng = StdRng::seed_from_u64(k as u64);
+            conv.bias = Tensor::randn(&[5], 0.5, &mut rng);
+            let x = Tensor::randn(&[2, 3, 6, 7], 0.5, &mut rng);
+            let y = conv.forward(&x, true);
+            let g = Tensor::randn(y.shape(), 0.5, &mut rng);
+            conv.zero_grad();
+            let dx = conv.backward(&g);
+            let [want_y, want_dx, want_dw, want_db] = direct_conv(&conv, &x, &g);
+            let close = |got: &[f32], want: &[f32], what: &str| {
+                assert_eq!(got.len(), want.len());
+                for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                    assert!((a - b).abs() < 1e-5, "{what}[{i}] k{k} s{s} p{p}: {a} vs {b}");
+                }
+            };
+            close(y.data(), &want_y, "y");
+            close(dx.data(), &want_dx, "dx");
+            close(conv.grad_weight.data(), &want_dw, "dw");
+            close(conv.grad_bias.data(), &want_db, "db");
+        }
+    }
+
+    #[test]
+    fn patches_are_cached_for_one_training_step_only() {
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 0);
+        let x = Tensor::ones(&[2, 2, 4, 4]);
+        let y = conv.forward(&x, true);
+        assert!(conv.cached_cols.0.is_some());
+        // A clone is a layer value, not a step in flight.
+        assert!(conv.clone().cached_cols.0.is_none());
+        conv.backward(&y);
+        assert!(conv.cached_cols.0.is_none(), "backward releases the patches");
+        conv.forward(&x, true);
+        conv.forward(&x, false);
+        assert!(conv.cached_cols.0.is_none(), "an evaluation leaves nothing resident");
+    }
+
+    #[test]
+    fn a_training_step_reuses_the_patch_buffer_of_the_one_before() {
+        let spares = || SPARE_PATCHES.with(|s| s.borrow().len());
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 0);
+        let x = Tensor::ones(&[2, 2, 4, 4]);
+        assert_eq!(spares(), 0);
+        let y = conv.forward(&x, true);
+        let first = conv.cached_cols.0.as_ref().unwrap().data().as_ptr();
+        conv.backward(&y);
+        assert_eq!(spares(), 1, "backward hands the buffer back");
+        // A smaller batch fits the same buffer; what it held is zeroed.
+        let half = Tensor::ones(&[1, 2, 4, 4]);
+        let mut fresh = conv.clone();
+        let y_half = conv.forward(&half, true);
+        assert_eq!(spares(), 0);
+        assert_eq!(conv.cached_cols.0.as_ref().unwrap().data().as_ptr(), first);
+        assert_eq!(y_half, fresh.forward(&half, true));
+        // An evaluation frees its patches: nothing outlives it on the thread.
+        conv.forward(&x, false);
+        assert_eq!(spares(), 0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
+use fedmigr_tensor::kcount::{self, Kernel};
 use fedmigr_tensor::{xavier_std, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::layer::Cache;
 use crate::Layer;
 
 /// A fully-connected layer: `y = x W + b` with `x: [B, in]`, `W: [in, out]`.
@@ -11,7 +13,7 @@ pub struct Dense {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
+    cached_input: Cache<Option<Tensor>>,
 }
 
 impl Dense {
@@ -23,7 +25,7 @@ impl Dense {
             bias: Tensor::zeros(&[out_dim]),
             grad_weight: Tensor::zeros(&[in_dim, out_dim]),
             grad_bias: Tensor::zeros(&[out_dim]),
-            cached_input: None,
+            cached_input: Cache(None),
         }
     }
 
@@ -36,10 +38,8 @@ impl Dense {
     pub fn out_dim(&self) -> usize {
         self.weight.shape()[1]
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn affine(&self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),
             self.in_dim(),
@@ -48,31 +48,59 @@ impl Layer for Dense {
             input.cols()
         );
         let mut out = input.matmul(&self.weight);
-        let (b, o) = (out.rows(), out.cols());
-        let bias = self.bias.data();
-        for r in 0..b {
-            let row = &mut out.data_mut()[r * o..(r + 1) * o];
-            for (v, &bv) in row.iter_mut().zip(bias) {
-                *v += bv;
-            }
+        add_bias(&mut out, &self.bias);
+        out
+    }
+}
+
+/// `out[r, :] += bias` for every row of a `[rows, n]` matrix.
+pub(crate) fn add_bias(out: &mut Tensor, bias: &Tensor) {
+    let n = bias.numel();
+    let _k = kcount::scope(Kernel::Elementwise, out.numel() as u64, 8 * out.numel() as u64);
+    for row in out.data_mut().chunks_exact_mut(n) {
+        for (v, &bv) in row.iter_mut().zip(bias.data()) {
+            *v += bv;
         }
-        self.cached_input = Some(input.clone());
+    }
+}
+
+/// `grad_bias += Σ_rows grad`, rows added in ascending order.
+pub(crate) fn accumulate_bias_grad(grad_bias: &mut Tensor, grad: &Tensor) {
+    let n = grad_bias.numel();
+    let _k = kcount::scope(Kernel::Elementwise, grad.numel() as u64, 4 * grad.numel() as u64);
+    for row in grad.data().chunks_exact(n) {
+        for (g, &gv) in grad_bias.data_mut().iter_mut().zip(row) {
+            *g += gv;
+        }
+    }
+}
+
+impl Layer for Dense {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.cached_input = Cache(train.then(|| input.clone()));
+        self.affine(input)
+    }
+
+    fn forward_owned(&mut self, input: Tensor, train: bool) -> Tensor {
+        let out = self.affine(&input);
+        self.cached_input = Cache(train.then_some(input));
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self.cached_input.as_ref().expect("Dense::backward called before forward");
         // dW = x^T g, db = sum_rows(g), dx = g W^T
-        self.grad_weight.add_assign(&input.transpose2().matmul(grad_out));
-        let (b, o) = (grad_out.rows(), grad_out.cols());
-        for r in 0..b {
-            let row = grad_out.row(r);
-            for (g, &gv) in self.grad_bias.data_mut().iter_mut().zip(row) {
-                *g += gv;
-            }
-        }
-        let _ = o;
+        self.backward_params_only(grad_out);
         grad_out.matmul(&self.weight.transpose2())
+    }
+
+    fn backward_params_only(&mut self, grad_out: &Tensor) {
+        let input = self
+            .cached_input
+            .0
+            .take()
+            .expect("Dense::backward called before a training-mode forward");
+        self.grad_weight.add_assign(&input.matmul_tn(grad_out));
+        accumulate_bias_grad(&mut self.grad_bias, grad_out);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
@@ -166,6 +194,20 @@ mod tests {
                 idx += 1;
             }
         }
+    }
+
+    #[test]
+    fn input_is_cached_for_one_training_step_only() {
+        let mut layer = Dense::new(3, 2, 0);
+        let x = Tensor::ones(&[4, 3]);
+        let y = layer.forward(&x, true);
+        assert!(layer.cached_input.0.is_some());
+        assert!(layer.clone().cached_input.0.is_none());
+        layer.backward(&y);
+        assert!(layer.cached_input.0.is_none(), "backward releases the input");
+        assert_eq!(layer.forward_owned(x.clone(), true), y, "owned and borrowed forward agree");
+        layer.forward(&x, false);
+        assert!(layer.cached_input.0.is_none(), "an evaluation leaves nothing resident");
     }
 
     #[test]

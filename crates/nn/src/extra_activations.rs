@@ -2,12 +2,13 @@
 
 use fedmigr_tensor::Tensor;
 
+use crate::layer::Cache;
 use crate::Layer;
 
 /// Hyperbolic-tangent activation. Caches outputs: `d tanh(x)/dx = 1 - y²`.
 #[derive(Clone, Default)]
 pub struct Tanh {
-    output: Vec<f32>,
+    output: Cache<Vec<f32>>,
 }
 
 impl Tanh {
@@ -20,15 +21,15 @@ impl Tanh {
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let out = input.map(f32::tanh);
-        self.output.clear();
-        self.output.extend_from_slice(out.data());
+        self.output.0.clear();
+        self.output.0.extend_from_slice(out.data());
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.numel(), self.output.len(), "Tanh backward before forward");
+        assert_eq!(grad_out.numel(), self.output.0.len(), "Tanh backward before forward");
         let data =
-            grad_out.data().iter().zip(&self.output).map(|(&g, &y)| g * (1.0 - y * y)).collect();
+            grad_out.data().iter().zip(&self.output.0).map(|(&g, &y)| g * (1.0 - y * y)).collect();
         Tensor::from_vec(grad_out.shape().to_vec(), data)
     }
 
@@ -44,7 +45,7 @@ impl Layer for Tanh {
 /// Logistic sigmoid activation. Caches outputs: `dσ(x)/dx = y (1 - y)`.
 #[derive(Clone, Default)]
 pub struct Sigmoid {
-    output: Vec<f32>,
+    output: Cache<Vec<f32>>,
 }
 
 impl Sigmoid {
@@ -57,15 +58,15 @@ impl Sigmoid {
 impl Layer for Sigmoid {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let out = input.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.output.clear();
-        self.output.extend_from_slice(out.data());
+        self.output.0.clear();
+        self.output.0.extend_from_slice(out.data());
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.numel(), self.output.len(), "Sigmoid backward before forward");
+        assert_eq!(grad_out.numel(), self.output.0.len(), "Sigmoid backward before forward");
         let data =
-            grad_out.data().iter().zip(&self.output).map(|(&g, &y)| g * y * (1.0 - y)).collect();
+            grad_out.data().iter().zip(&self.output.0).map(|(&g, &y)| g * y * (1.0 - y)).collect();
         Tensor::from_vec(grad_out.shape().to_vec(), data)
     }
 

@@ -2,10 +2,12 @@ use fedmigr_tensor::Tensor;
 
 /// A differentiable network layer.
 ///
-/// `forward` must cache whatever activations `backward` needs; `backward`
-/// consumes the gradient w.r.t. the layer output and returns the gradient
-/// w.r.t. the layer input while accumulating parameter gradients internally.
-/// Calling `backward` before `forward` is a programming error and may panic.
+/// `forward` with `train == true` must cache whatever activations `backward`
+/// needs; `backward` consumes the gradient w.r.t. the layer output and
+/// returns the gradient w.r.t. the layer input while accumulating parameter
+/// gradients internally. `backward` may release the cache, so it runs at
+/// most once per training-mode `forward`; calling it otherwise is a
+/// programming error and may panic.
 ///
 /// Layers are `Send` so the FL simulator can train clients on worker threads.
 pub trait Layer: Send {
@@ -17,6 +19,21 @@ pub trait Layer: Send {
     /// accumulating parameter gradients and returning the gradient w.r.t.
     /// the forward input.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// [`Layer::forward`] for a caller that is done with `input`: a layer that
+    /// keeps its input for the backward pass, or only relabels it, takes the
+    /// buffer instead of copying it.
+    fn forward_owned(&mut self, input: Tensor, train: bool) -> Tensor {
+        self.forward(&input, train)
+    }
+
+    /// [`Layer::backward`] for a caller that will not read the input
+    /// gradient (the first layer of a network): parameter gradients are
+    /// accumulated bit-identically, and a layer may skip the work that only
+    /// the input gradient needs.
+    fn backward_params_only(&mut self, grad_out: &Tensor) {
+        self.backward(grad_out);
+    }
 
     /// Visits every `(parameter, gradient)` pair, in a stable order.
     ///
@@ -42,8 +59,71 @@ pub trait Layer: Send {
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 
+/// Forward-pass state a layer keeps for its backward pass. It belongs to one
+/// forward/backward pair, not to the layer's value: a cloned layer starts
+/// with an empty cache, so copying a model costs its parameters and not its
+/// last batch's activations.
+#[derive(Default)]
+pub(crate) struct Cache<T>(pub(crate) T);
+
+impl<T: Default> Clone for Cache<T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
 impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Conv2d, Dense, Flatten, MaxPool2d, Relu, ResidualBlock, Sequential};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Parameter-gradient bits after one forward and one backward pass,
+    /// through `backward` or through `backward_params_only`.
+    fn grad_bits(layer: &mut dyn Layer, x: &Tensor, params_only: bool) -> Vec<u32> {
+        let y = layer.forward(x, true);
+        let g = Tensor::randn(y.shape(), 1.0, &mut StdRng::seed_from_u64(99));
+        layer.zero_grad();
+        if params_only {
+            layer.backward_params_only(&g);
+        } else {
+            layer.backward(&g);
+        }
+        let mut bits = Vec::new();
+        layer.visit_params(&mut |_, grad| bits.extend(grad.data().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn backward_params_only_leaves_the_same_parameter_gradients() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let image = Tensor::randn(&[3, 2, 6, 6], 1.0, &mut rng);
+        let flat = Tensor::randn(&[5, 7], 1.0, &mut rng);
+        let cnn = Sequential::new()
+            .push(Conv2d::new(2, 4, 5, 1, 2, 1))
+            .push(Relu::new())
+            .push(MaxPool2d::new(2, 2))
+            .push(ResidualBlock::new(4, 2))
+            .push(Flatten::new())
+            .push(Dense::new(36, 3, 3));
+        let cases: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+            (Box::new(Conv2d::new(2, 3, 3, 2, 1, 5)), &image),
+            (Box::new(Dense::new(7, 4, 6)), &flat),
+            (Box::new(ResidualBlock::new(2, 7)), &image),
+            (Box::new(Sequential::new().push(Dense::new(7, 4, 8))), &flat),
+            (Box::new(cnn), &image),
+        ];
+        for (mut layer, x) in cases {
+            let full = grad_bits(layer.as_mut(), x, false);
+            assert!(full.iter().any(|&b| b != 0), "{}: gradients flowed", layer.name());
+            assert_eq!(grad_bits(layer.as_mut(), x, true), full, "{}", layer.name());
+        }
     }
 }

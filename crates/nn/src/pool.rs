@@ -1,6 +1,7 @@
 use fedmigr_tensor::kcount::{self, Kernel};
 use fedmigr_tensor::Tensor;
 
+use crate::layer::Cache;
 use crate::Layer;
 
 /// Max pooling over `[B, C, H, W]` inputs with a square window.
@@ -11,7 +12,7 @@ use crate::Layer;
 pub struct MaxPool2d {
     size: usize,
     stride: usize,
-    argmax: Vec<usize>,
+    argmax: Cache<Vec<usize>>,
     input_shape: Vec<usize>,
 }
 
@@ -19,7 +20,7 @@ impl MaxPool2d {
     /// Creates a pooling layer with `size`x`size` windows and the given stride.
     pub fn new(size: usize, stride: usize) -> Self {
         assert!(size > 0 && stride > 0, "pool size and stride must be positive");
-        Self { size, stride, argmax: Vec::new(), input_shape: Vec::new() }
+        Self { size, stride, argmax: Cache::default(), input_shape: Vec::new() }
     }
 
     fn out_size(&self, in_size: usize) -> usize {
@@ -40,8 +41,8 @@ impl Layer for MaxPool2d {
             4 * windows * (self.size * self.size + 1) as u64,
         );
         let mut out = vec![0.0f32; b * c * oh * ow];
-        self.argmax.clear();
-        self.argmax.resize(out.len(), 0);
+        self.argmax.0.clear();
+        self.argmax.0.resize(out.len(), 0);
         let data = input.data();
         for bc in 0..b * c {
             let plane = bc * h * w;
@@ -62,7 +63,7 @@ impl Layer for MaxPool2d {
                     }
                     let o = (bc * oh + oy) * ow + ox;
                     out[o] = best;
-                    self.argmax[o] = best_idx;
+                    self.argmax.0[o] = best_idx;
                 }
             }
         }
@@ -73,14 +74,14 @@ impl Layer for MaxPool2d {
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         assert_eq!(
             grad_out.numel(),
-            self.argmax.len(),
+            self.argmax.0.len(),
             "MaxPool2d::backward grad shape mismatch (forward not called?)"
         );
         let _k = kcount::scope(Kernel::Pool, grad_out.numel() as u64, 12 * grad_out.numel() as u64);
         let mut grad_in = Tensor::zeros(&self.input_shape);
         let dst = grad_in.data_mut();
         for (o, &g) in grad_out.data().iter().enumerate() {
-            dst[self.argmax[o]] += g;
+            dst[self.argmax.0[o]] += g;
         }
         grad_in
     }

@@ -38,21 +38,31 @@ impl Sequential {
     }
 }
 
+/// Backpropagates through a non-empty run of layers, last to first.
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Tensor {
+    let (last, rest) = layers.split_last_mut().expect("non-empty layer run");
+    rest.iter_mut().rev().fold(last.backward(grad_out), |g, layer| layer.backward(&g))
+}
+
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
+        let Some((first, rest)) = self.layers.split_first_mut() else { return input.clone() };
+        rest.iter_mut().fold(first.forward(input, train), |x, layer| layer.forward_owned(x, train))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        if self.layers.is_empty() {
+            return grad_out.clone();
         }
-        g
+        backward_through(&mut self.layers, grad_out)
+    }
+
+    fn backward_params_only(&mut self, grad_out: &Tensor) {
+        match self.layers.split_first_mut() {
+            None => {}
+            Some((first, [])) => first.backward_params_only(grad_out),
+            Some((first, rest)) => first.backward_params_only(&backward_through(rest, grad_out)),
+        }
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

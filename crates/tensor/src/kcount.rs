@@ -299,8 +299,9 @@ mod tests {
     use proptest::prelude::*;
 
     // The global table is process-wide, so every assertion that touches it
-    // lives in this single test to avoid cross-test interference (the rest
-    // of the suite keeps accounting disabled).
+    // lives in this single test. While it has accounting switched on, sibling
+    // tests' tensor ops record too; it therefore asserts only on kernels no
+    // op of this crate opens (the `fedmigr-nn` ones).
     #[test]
     #[cfg(feature = "kcount")]
     fn scopes_accumulate_and_merge_across_threads() {
@@ -309,47 +310,49 @@ mod tests {
 
         // Disabled scopes record nothing.
         {
-            let _s = scope(Kernel::Matmul, 100, 200);
+            let _s = scope(Kernel::Im2col, 100, 200);
         }
         assert!(snapshot().is_empty());
 
         set_enabled(true);
         {
-            let _s = scope(Kernel::Matmul, 100, 200);
+            let _s = scope(Kernel::Im2col, 100, 200);
         }
         {
             let _outer = scope(Kernel::Optimizer, 10, 20);
-            let _inner = scope(Kernel::Elementwise, 1, 2);
+            let _inner = scope(Kernel::Pool, 1, 2);
         }
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _s = scope(Kernel::Norm, 7, 8);
-            });
-        });
+        // Joined, not left to the scope: a scope only waits for the closure,
+        // and the merge runs after it, when the thread's locals are dropped.
+        std::thread::spawn(|| {
+            let _s = scope(Kernel::Col2im, 7, 8);
+        })
+        .join()
+        .unwrap();
         set_enabled(false);
 
         let snap = snapshot();
-        let mm = snap.get(Kernel::Matmul);
+        let mm = snap.get(Kernel::Im2col);
         assert_eq!((mm.calls, mm.flops, mm.bytes), (1, 100, 200));
         // Nested scope keeps its flops but cedes wall time to the outer one.
-        let inner = snap.get(Kernel::Elementwise);
+        let inner = snap.get(Kernel::Pool);
         assert_eq!((inner.calls, inner.flops, inner.nanos), (1, 1, 0));
         assert!(snap.get(Kernel::Optimizer).nanos > 0);
         // Worker-thread stats merged on thread exit.
-        assert_eq!(snap.get(Kernel::Norm).flops, 7);
-        assert_eq!(snap.total_flops(), 100 + 10 + 1 + 7);
+        assert_eq!(snap.get(Kernel::Col2im).flops, 7);
+        assert!(snap.total_flops() >= 100 + 10 + 1 + 7);
 
         // Deltas subtract field-wise.
         let later = {
             set_enabled(true);
-            let _s = scope(Kernel::Matmul, 50, 0);
+            let _s = scope(Kernel::Im2col, 50, 0);
             drop(_s);
             set_enabled(false);
             snapshot()
         };
         let d = later.delta(&snap);
-        assert_eq!(d.get(Kernel::Matmul).flops, 50);
-        assert_eq!(d.get(Kernel::Norm).calls, 0);
+        assert_eq!(d.get(Kernel::Im2col).flops, 50);
+        assert_eq!(d.get(Kernel::Col2im).calls, 0);
         reset();
     }
 

@@ -7,6 +7,82 @@ fn n64(n: usize) -> u64 {
     n as u64
 }
 
+fn matmul_scope(m: usize, k: usize, n: usize) -> kcount::KScope {
+    kcount::scope(
+        Kernel::Matmul,
+        2 * n64(m) * n64(n) * n64(k),
+        4 * (n64(m) * n64(k) + n64(k) * n64(n) + n64(m) * n64(n)),
+    )
+}
+
+/// Rows and columns of the accumulator tile [`gemm`] keeps in registers
+/// across the whole `k` loop: 4 x 8 `f32` is eight SSE2 vectors.
+const MR: usize = 4;
+const NR: usize = 8;
+
+/// `A x B -> [m, n]` for a row-major `b: [k, n]`. `a_tile(rows)` walks `A`
+/// in ascending `k`, yielding `A[rows[r], p]` for the four rows of a tile.
+///
+/// What defines the bits: each output element is its own accumulator that
+/// starts at `+0.0` and adds its `k` products in ascending `k`, each product
+/// rounded once and each sum rounded once (no FMA, no reassociation). Any
+/// loop nest with that per-element order gives the same bits, so tiling,
+/// vectorizing across columns and reading `A` through a transpose are all
+/// free; splitting the `k` loop is not.
+fn gemm<I: Iterator<Item = [f32; MR]>>(
+    m: usize,
+    n: usize,
+    b: &[f32],
+    a_tile: impl Fn([usize; MR]) -> I,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    if out.is_empty() {
+        return out;
+    }
+    let brows = b.chunks_exact(n);
+    for j0 in (0..n).step_by(NR) {
+        let nr = NR.min(n - j0);
+        // A last panel narrower than NR is packed once with zero columns
+        // appended, so one tile body serves every panel.
+        let padded: Vec<[f32; NR]> = if nr < NR {
+            let pad =
+                |brow: &[f32]| std::array::from_fn(|c| if c < nr { brow[j0 + c] } else { 0.0 });
+            brows.clone().map(pad).collect()
+        } else {
+            Vec::new()
+        };
+        for i0 in (0..m).step_by(MR) {
+            // A tile hanging over the last row repeats it; the surplus rows
+            // and the padded columns are computed and not stored.
+            let a = a_tile(std::array::from_fn(|r| (i0 + r).min(m - 1)));
+            let acc = if nr == NR {
+                let full = |brow: &[f32]| brow[j0..j0 + NR].try_into().expect("NR columns");
+                tile(a, brows.clone().map(full))
+            } else {
+                tile(a, padded.iter().copied())
+            };
+            for (r, acc_row) in acc.iter().enumerate().take(m - i0) {
+                out[(i0 + r) * n + j0..][..nr].copy_from_slice(&acc_row[..nr]);
+            }
+        }
+    }
+    out
+}
+
+/// One accumulator tile: `acc[r][c] += a[r] * b[c]` over the zipped `k` walk.
+#[inline(always)]
+fn tile(a: impl Iterator<Item = [f32; MR]>, b: impl Iterator<Item = [f32; NR]>) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (av, bv) in a.zip(b) {
+        for (acc_row, &a) in acc.iter_mut().zip(&av) {
+            for (o, &b) in acc_row.iter_mut().zip(&bv) {
+                *o += a * b;
+            }
+        }
+    }
+    acc
+}
+
 impl Tensor {
     /// Elementwise addition; shapes must match.
     pub fn add(&self, other: &Tensor) -> Tensor {
@@ -68,35 +144,38 @@ impl Tensor {
 
     /// 2-D matrix multiply: `[m, k] x [k, n] -> [m, n]`.
     ///
-    /// Implemented as an ikj loop so the inner traversal is contiguous in
-    /// both the right operand and the output.
+    /// Every output element starts at `+0.0` and adds its `k` products in
+    /// ascending `k`, one rounding per multiply and one per add (see
+    /// [`gemm`]); non-finite operands propagate (`0 · NaN = NaN`).
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.shape().len(), 2, "matmul lhs must be 2-D");
         assert_eq!(other.shape().len(), 2, "matmul rhs must be 2-D");
         let (m, k) = (self.rows(), self.cols());
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-        let _k = kcount::scope(
-            Kernel::Matmul,
-            2 * n64(m) * n64(n) * n64(k),
-            4 * (n64(m) * n64(k) + n64(k) * n64(n) + n64(m) * n64(n)),
-        );
-        let mut out = vec![0.0f32; m * n];
+        let _k = matmul_scope(m, k, n);
         let a = self.data();
-        let b = other.data();
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut out[i * n..(i + 1) * n];
-            for (p, &aip) in arow.iter().enumerate() {
-                if aip == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += aip * bv;
-                }
-            }
-        }
+        let out = gemm(m, n, other.data(), |rows| {
+            let rows = rows.map(|i| &a[i * k..][..k]);
+            (0..k).map(move |p| rows.map(|row| row[p]))
+        });
+        Tensor::from_vec(vec![m, n], out)
+    }
+
+    /// `selfᵀ x other` without materializing the transpose:
+    /// `[k, m]ᵀ x [k, n] -> [m, n]`, bit-identical to
+    /// `self.transpose2().matmul(other)`.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.shape().len(), 2, "matmul_tn lhs must be 2-D");
+        assert_eq!(other.shape().len(), 2, "matmul_tn rhs must be 2-D");
+        let (k, m) = (self.rows(), self.cols());
+        let (k2, n) = (other.rows(), other.cols());
+        assert_eq!(k, k2, "matmul_tn inner dimensions differ: {k} vs {k2}");
+        let _k = matmul_scope(m, k, n);
+        let a = self.data();
+        let out = gemm(m, n, other.data(), |rows| {
+            a.chunks_exact(m).map(move |arow| rows.map(|i| arow[i]))
+        });
         Tensor::from_vec(vec![m, n], out)
     }
 
@@ -184,6 +263,8 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
 
     fn t(shape: &[usize], data: &[f32]) -> Tensor {
         Tensor::from_vec(shape.to_vec(), data.to_vec())
@@ -219,6 +300,93 @@ mod tests {
         let a = t(&[2, 2], &[1.0, 2.0, 3.0, 4.0]);
         let i = t(&[2, 2], &[1.0, 0.0, 0.0, 1.0]);
         assert_eq!(a.matmul(&i), a);
+    }
+
+    /// The loop `matmul` ran before it was tiled, zero skip included: the
+    /// slow reference the tiled kernel and `matmul_tn` are held to, bit for
+    /// bit.
+    fn matmul_reference(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        assert_eq!(k, b.rows());
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (p, &aip) in a.row(i).iter().enumerate() {
+                if aip == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in orow.iter_mut().zip(b.row(p)) {
+                    *o += aip * bv;
+                }
+            }
+        }
+        Tensor::from_vec(vec![m, n], out)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Random finite operands; the left one is salted with `+0.0` and `-0.0`
+    /// (what ReLU, pooling and padding put there).
+    fn operands(m: usize, k: usize, n: usize, seed: u64) -> (Tensor, Tensor) {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut a = Tensor::randn(&[m, k], 1.0, &mut rng);
+        for x in a.data_mut() {
+            match rng.random_range(0..6u32) {
+                0 => *x = 0.0,
+                1 => *x = -0.0,
+                _ => {}
+            }
+        }
+        (a, Tensor::randn(&[k, n], 1.0, &mut rng))
+    }
+
+    proptest! {
+        /// Shapes cover every tile remainder: `m % 4`, `n % 8`, `n < 8` and
+        /// `k` of 0 and 1.
+        #[test]
+        fn matmul_is_bit_identical_to_the_reference(
+            m in 0usize..14, k in 0usize..11, n in 0usize..20, seed in any::<u64>()
+        ) {
+            let (a, b) = operands(m, k, n, seed);
+            let fast = a.matmul(&b);
+            prop_assert_eq!(fast.shape(), &[m, n]);
+            prop_assert_eq!(bits(&fast), bits(&matmul_reference(&a, &b)));
+        }
+
+        #[test]
+        fn matmul_tn_is_bit_identical_to_transpose_then_reference(
+            m in 0usize..14, k in 0usize..11, n in 0usize..20, seed in any::<u64>()
+        ) {
+            let (a, b) = operands(m, k, n, seed);
+            let at = a.transpose2(); // [k, m]: the operand `matmul_tn` reads.
+            let fast = at.matmul_tn(&b);
+            prop_assert_eq!(fast.shape(), &[m, n]);
+            prop_assert_eq!(bits(&fast), bits(&matmul_reference(&a, &b)));
+        }
+    }
+
+    #[test]
+    fn matmul_matches_the_reference_on_the_conv_shapes() {
+        for (m, k, n) in [(2048, 75, 8), (512, 200, 16), (75, 2048, 8), (128, 128, 128)] {
+            let (a, b) = operands(m, k, n, 5);
+            let want = bits(&matmul_reference(&a, &b));
+            assert_eq!(bits(&a.matmul(&b)), want, "matmul {m}x{k}x{n}");
+            assert_eq!(bits(&a.transpose2().matmul_tn(&b)), want, "matmul_tn {m}x{k}x{n}");
+        }
+    }
+
+    /// The one intended semantic change of dropping the zero skip: a zero in
+    /// the left operand no longer hides a non-finite right operand.
+    #[test]
+    fn zero_times_nan_propagates() {
+        let a = t(&[1, 2], &[0.0, 1.0]);
+        let b = t(&[2, 2], &[f32::NAN, f32::INFINITY, 2.0, 3.0]);
+        assert_eq!(matmul_reference(&a, &b).data(), &[2.0, 3.0]);
+        assert!(a.matmul(&b).data().iter().all(|x| x.is_nan()));
+        assert!(a.transpose2().matmul_tn(&b).data().iter().all(|x| x.is_nan()));
     }
 
     #[test]
