@@ -152,6 +152,14 @@ fn main() {
             std::hint::black_box(comp.transmit(0, &params));
         });
     }
+    {
+        // The codec the paper-scale workloads run, at their model's size.
+        let p = zoo::c10_cnn(3, 8, NetScale::Small, 7).num_params();
+        let mut comp = Compressor::new(&CodecConfig::topk_int8(0.25), 1, 7);
+        run("codec_topk_int8_roundtrip", micro_repeats, &mut || {
+            std::hint::black_box(comp.transmit(0, &params[..p]));
+        });
+    }
 
     // --- Planners -----------------------------------------------------
     {

@@ -9,7 +9,7 @@
 //! *local* dynamic range, which matters because a model's first-layer
 //! weights and its biases can differ by orders of magnitude.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,6 +40,20 @@ impl CompressedBlob {
     pub fn bytes(&self) -> &Bytes {
         &self.bytes
     }
+}
+
+/// Reusable buffers for encode → decode round trips. Whoever runs the round
+/// trips owns one — a [`crate::Compressor`] for its serial transfers, each
+/// batch worker for its chunk — and nothing in it outlives a call: every
+/// user clears a buffer before writing it.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Scratch {
+    /// The encoded blob.
+    pub(crate) wire: Vec<u8>,
+    /// Top-k selection keys.
+    pub(crate) keys: Vec<u64>,
+    /// Top-k kept values, in ascending index order.
+    pub(crate) kept: Vec<f32>,
 }
 
 /// A wire codec: encodes a parameter vector into a [`CompressedBlob`] and
@@ -99,44 +113,62 @@ impl Codec {
     }
 }
 
-impl WireCodec for Codec {
-    fn encode(&self, values: &[f32], seed: u64) -> CompressedBlob {
+impl Codec {
+    /// [`WireCodec::encode`] into `scratch.wire`.
+    pub(crate) fn encode_into(&self, values: &[f32], seed: u64, scratch: &mut Scratch) {
+        scratch.wire.clear();
+        scratch.wire.reserve(self.encoded_size(values.len()) as usize);
         match self {
             Codec::Identity => {
-                let mut buf = BytesMut::with_capacity(8 + 4 * values.len());
-                buf.put_u64_le(values.len() as u64);
+                scratch.wire.put_u64_le(values.len() as u64);
                 for &v in values {
-                    buf.put_f32_le(v);
+                    scratch.wire.put_f32_le(v);
                 }
-                CompressedBlob::new(buf.freeze())
             }
-            Codec::Uniform(q) => q.encode_rounded(values, None),
+            Codec::Uniform(q) => q.encode_rounded(values, None, &mut scratch.wire),
             Codec::Stochastic(q) => {
                 let mut rng = StdRng::seed_from_u64(q.mix_seed(seed));
-                q.encode_rounded(values, Some(&mut rng))
+                q.encode_rounded(values, Some(&mut rng), &mut scratch.wire)
             }
-            Codec::TopK(t) => t.encode(values),
-            Codec::TopKUniform(t) => t.encode(values),
+            Codec::TopK(t) => t.encode_into(values, scratch),
+            Codec::TopKUniform(t) => t.encode_into(values, scratch),
         }
     }
 
-    fn decode(&self, blob: &CompressedBlob) -> Option<Vec<f32>> {
+    /// What a receiver decodes from `encode(values, seed)`, the blob passing
+    /// through `scratch.wire`.
+    pub(crate) fn round_trip(&self, values: &[f32], seed: u64, scratch: &mut Scratch) -> Vec<f32> {
+        self.encode_into(values, seed, scratch);
+        debug_assert_eq!(scratch.wire.len() as u64, self.encoded_size(values.len()));
+        self.decode_bytes(&scratch.wire).expect("self-encoded blob must decode")
+    }
+
+    /// [`WireCodec::decode`] over the raw bytes of a blob.
+    pub(crate) fn decode_bytes(&self, bytes: &[u8]) -> Option<Vec<f32>> {
         match self {
             Codec::Identity => {
-                let mut bytes = blob.bytes().clone();
-                if bytes.len() < 8 {
-                    return None;
-                }
-                let n = bytes.get_u64_le() as usize;
-                if bytes.len() != 4 * n {
-                    return None;
-                }
-                Some((0..n).map(|_| bytes.get_f32_le()).collect())
+                let mut cur = Cursor::new(bytes);
+                let n = cur.u64()? as usize;
+                let body = cur.slice(n.checked_mul(4)?)?;
+                cur.done()?;
+                Some(body.chunks_exact(4).map(le_f32).collect())
             }
-            Codec::Uniform(q) | Codec::Stochastic(q) => q.decode(blob),
-            Codec::TopK(t) => t.decode(blob),
-            Codec::TopKUniform(t) => t.decode(blob),
+            Codec::Uniform(q) | Codec::Stochastic(q) => q.decode(bytes),
+            Codec::TopK(t) => t.decode(bytes),
+            Codec::TopKUniform(t) => t.decode(bytes),
         }
+    }
+}
+
+impl WireCodec for Codec {
+    fn encode(&self, values: &[f32], seed: u64) -> CompressedBlob {
+        let mut scratch = Scratch::default();
+        self.encode_into(values, seed, &mut scratch);
+        CompressedBlob::new(scratch.wire.into())
+    }
+
+    fn decode(&self, blob: &CompressedBlob) -> Option<Vec<f32>> {
+        self.decode_bytes(blob.bytes())
     }
 
     fn encoded_size(&self, n: usize) -> u64 {
@@ -182,43 +214,79 @@ impl QuantCodec {
         self.seed ^ transfer_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17)
     }
 
-    fn encode_rounded(&self, values: &[f32], mut rng: Option<&mut StdRng>) -> CompressedBlob {
-        let mut buf = BytesMut::with_capacity(quant_size(values.len(), self.bits) as usize);
+    fn encode_rounded(&self, values: &[f32], rng: Option<&mut StdRng>, buf: &mut Vec<u8>) {
         buf.put_u64_le(values.len() as u64);
-        for chunk in values.chunks(CHUNK) {
-            let (min, scale) = chunk_range(chunk, self.bits);
-            buf.put_f32_le(min);
-            buf.put_f32_le(scale);
-            let codes: Vec<u8> = chunk
-                .iter()
-                .map(|&v| {
-                    let u = rng.as_deref_mut().map(|r| r.random::<f32>());
-                    quantize_one(v, min, scale, self.bits, u)
-                })
-                .collect();
-            buf.put_slice(&pack_codes(&codes, self.bits));
-        }
-        CompressedBlob::new(buf.freeze())
+        put_quantized(buf, values, self.bits, rng);
     }
 
-    fn decode(&self, blob: &CompressedBlob) -> Option<Vec<f32>> {
-        let bytes: &[u8] = blob.bytes();
+    fn decode(&self, bytes: &[u8]) -> Option<Vec<f32>> {
         let mut cur = Cursor::new(bytes);
         let n = cur.u64()? as usize;
-        let mut out = Vec::with_capacity(n);
-        let mut remaining = n;
-        while remaining > 0 {
-            let len = remaining.min(CHUNK);
-            let min = cur.f32()?;
-            let scale = cur.f32()?;
-            let packed = cur.slice(packed_len(len, self.bits))?;
-            let codes = unpack_codes(packed, len, self.bits);
-            out.extend(codes.iter().map(|&q| min + q as f32 * scale));
-            remaining -= len;
-        }
+        // Every value costs at least a nibble, which bounds `n` before the
+        // allocation it sizes.
+        let mut out = Vec::with_capacity(n.min(2 * bytes.len()));
+        take_quantized(&mut cur, n, self.bits, |v| {
+            out.push(v);
+            Some(())
+        })?;
         cur.done()?;
         Some(out)
     }
+}
+
+/// Appends the chunked quantization of `values`: per [`CHUNK`] the `f32`
+/// minimum and step, then the packed codes (low nibble first for 4-bit),
+/// written straight into `buf`. `rng` selects stochastic rounding and is
+/// drawn from once per value, in order.
+pub(crate) fn put_quantized(
+    buf: &mut Vec<u8>,
+    values: &[f32],
+    bits: u8,
+    mut rng: Option<&mut StdRng>,
+) {
+    for chunk in values.chunks(CHUNK) {
+        let (min, scale) = chunk_range(chunk, bits);
+        buf.put_f32_le(min);
+        buf.put_f32_le(scale);
+        let mut code = |&v: &f32| {
+            let u = rng.as_deref_mut().map(|r| r.random::<f32>());
+            quantize_one(v, min, scale, bits, u)
+        };
+        match bits {
+            8 => buf.extend(chunk.iter().map(code)),
+            4 => buf.extend(chunk.chunks(2).map(|pair| {
+                let low = code(&pair[0]);
+                (low & 0x0F) | (pair.get(1).map_or(0, &mut code) << 4)
+            })),
+            _ => unreachable!("unsupported width"),
+        }
+    }
+}
+
+/// Inverse of [`put_quantized`]: reads `count` values chunk by chunk and
+/// hands each dequantized one to `sink`, in order.
+pub(crate) fn take_quantized(
+    cur: &mut Cursor<'_>,
+    count: usize,
+    bits: u8,
+    mut sink: impl FnMut(f32) -> Option<()>,
+) -> Option<()> {
+    let mut remaining = count;
+    while remaining > 0 {
+        let len = remaining.min(CHUNK);
+        let min = cur.f32()?;
+        let scale = cur.f32()?;
+        let packed = cur.slice(packed_len(len, bits))?;
+        match bits {
+            8 => packed.iter().try_for_each(|&q| sink(min + q as f32 * scale))?,
+            4 => (0..len).try_for_each(|i| {
+                sink(min + ((packed[i / 2] >> (4 * (i % 2))) & 0x0F) as f32 * scale)
+            })?,
+            _ => unreachable!("unsupported width"),
+        }
+        remaining -= len;
+    }
+    Some(())
 }
 
 /// Encoded size of a chunked `bits`-wide quantization of `n` values.
@@ -278,30 +346,13 @@ pub(crate) fn quantize_one(v: f32, min: f32, scale: f32, bits: u8, u: Option<f32
     (q.min(levels as f32)) as u8
 }
 
-/// Packs `bits`-wide codes into bytes (low nibble first for 4-bit).
-pub(crate) fn pack_codes(codes: &[u8], bits: u8) -> Vec<u8> {
-    match bits {
-        8 => codes.to_vec(),
-        4 => codes
-            .chunks(2)
-            .map(|pair| (pair[0] & 0x0F) | (pair.get(1).copied().unwrap_or(0) << 4))
-            .collect(),
-        _ => unreachable!("unsupported width"),
-    }
+/// The little-endian `f32` in a 4-byte slice.
+pub(crate) fn le_f32(b: &[u8]) -> f32 {
+    f32::from_le_bytes(b.try_into().expect("a 4-byte slice"))
 }
 
-/// Inverse of [`pack_codes`].
-pub(crate) fn unpack_codes(packed: &[u8], len: usize, bits: u8) -> Vec<u8> {
-    match bits {
-        8 => packed[..len].to_vec(),
-        4 => (0..len).map(|i| (packed[i / 2] >> (4 * (i % 2))) & 0x0F).collect(),
-        _ => unreachable!("unsupported width"),
-    }
-}
-
-/// Minimal checked reader over a byte slice (the `bytes` shim's [`Buf`]
-/// has no u8/slice accessors, and decode must reject truncation instead of
-/// panicking).
+/// Minimal checked reader over a byte slice (decode must reject truncation
+/// instead of panicking).
 pub(crate) struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
@@ -316,19 +367,12 @@ impl<'a> Cursor<'a> {
         Some(u64::from_le_bytes(self.slice(8)?.try_into().ok()?))
     }
 
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.slice(4)?.try_into().ok()?))
-    }
-
     pub(crate) fn f32(&mut self) -> Option<f32> {
         Some(f32::from_le_bytes(self.slice(4)?.try_into().ok()?))
     }
 
     pub(crate) fn slice(&mut self, len: usize) -> Option<&'a [u8]> {
-        if self.pos + len > self.data.len() {
-            return None;
-        }
-        let s = &self.data[self.pos..self.pos + len];
+        let s = self.data.get(self.pos..self.pos.checked_add(len)?)?;
         self.pos += len;
         Some(s)
     }

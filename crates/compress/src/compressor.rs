@@ -14,8 +14,12 @@
 //! unique per transfer yet reproducible from the run seed — no shared RNG
 //! stream is consumed.
 
-use crate::codec::{Codec, WireCodec};
-use crate::feedback::ErrorFeedback;
+use std::borrow::Cow;
+
+use fedmigr_telemetry::metrics::{Counter, Histogram};
+
+use crate::codec::{Codec, Scratch, WireCodec};
+use crate::feedback::{sq_error, ErrorFeedback};
 use crate::stats::CompressionStats;
 use crate::CodecConfig;
 
@@ -43,19 +47,45 @@ pub struct CompressorState {
     pub stats: CompressionStats,
 }
 
+/// The telemetry series one codec writes, labelled with its display name
+/// and resolved once: a transfer then costs three atomic updates instead of
+/// three registry lookups by string.
+#[derive(Clone, Debug)]
+struct Series {
+    transfer_seconds: Histogram,
+    bytes_in: Counter,
+    bytes_out: Counter,
+}
+
+impl Series {
+    fn of(codec: &str) -> Self {
+        let registry = fedmigr_telemetry::global().registry();
+        let bytes =
+            |dir| registry.counter("fedmigr_codec_bytes_total", &[("codec", codec), ("dir", dir)]);
+        Self {
+            transfer_seconds: registry
+                .histogram("fedmigr_codec_transfer_seconds", &[("codec", codec)]),
+            bytes_in: bytes("in"),
+            bytes_out: bytes("out"),
+        }
+    }
+}
+
 /// Stateful wire compressor for one run: a codec, per-lane error-feedback
 /// residuals, a transmission counter, and cumulative stats.
 #[derive(Clone, Debug)]
 pub struct Compressor {
     codec: Codec,
-    /// Codec display name, used as the telemetry label for the per-codec
-    /// timing histogram and byte counters.
-    name: String,
+    series: Series,
     feedback: Option<ErrorFeedback>,
     down_feedback: Option<ErrorFeedback>,
     base_seed: u64,
     seq: u64,
     stats: CompressionStats,
+    /// Buffers of the serial transfers (batch workers bring their own):
+    /// the compensated intent and the codec's round-trip scratch.
+    intent: Vec<f32>,
+    scratch: Scratch,
 }
 
 impl Compressor {
@@ -67,12 +97,14 @@ impl Compressor {
         let with_ef = config.error_feedback() && !matches!(config, CodecConfig::Identity);
         Self {
             codec: Codec::from_config(config),
-            name: config.name(),
+            series: Series::of(&config.name()),
             feedback: with_ef.then(|| ErrorFeedback::new(lanes)),
             down_feedback: with_ef.then(|| ErrorFeedback::new(lanes + 1)),
             base_seed,
             seq: 0,
             stats: CompressionStats::default(),
+            intent: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -137,7 +169,7 @@ impl Compressor {
     /// transfers that actually complete — a cancelled transfer must not
     /// consume the residual.
     pub fn transmit(&mut self, lane: usize, values: &[f32]) -> Vec<f32> {
-        self.send(false, lane, values)
+        self.send(false, lane, values.into())
     }
 
     /// Server-egress transfer of one payload to one `receiver`, compensated
@@ -145,7 +177,7 @@ impl Compressor {
     /// sends many distinct per-receiver streams, so each gets its own
     /// residual).
     pub fn transmit_down(&mut self, receiver: usize, values: &[f32]) -> Vec<f32> {
-        self.send(true, receiver, values)
+        self.send(true, receiver, values.into())
     }
 
     /// Server-egress broadcast: one encode, every receiver decodes the same
@@ -154,46 +186,61 @@ impl Compressor {
     /// codec encodes once.
     pub fn broadcast(&mut self, values: &[f32]) -> Vec<f32> {
         let lane = self.down_feedback.as_ref().map_or(0, |ef| ef.lanes() - 1);
-        self.send(true, lane, values)
+        self.send(true, lane, values.into())
     }
 
-    fn send(&mut self, down: bool, lane: usize, values: &[f32]) -> Vec<f32> {
+    fn send(&mut self, down: bool, lane: usize, values: Cow<'_, [f32]>) -> Vec<f32> {
         // Real (host) encode+decode time per completed transfer; a pure
         // telemetry observation that never feeds back into the run.
         let tel = fedmigr_telemetry::global();
         let start = tel.now();
         let decoded = self.send_inner(down, lane, values);
-        tel.registry()
-            .histogram("fedmigr_codec_transfer_seconds", &[("codec", &self.name)])
-            .observe(tel.now() - start);
+        self.series.transfer_seconds.observe(tel.now() - start);
         decoded
     }
 
-    fn send_inner(&mut self, down: bool, lane: usize, values: &[f32]) -> Vec<f32> {
+    fn send_inner(&mut self, down: bool, lane: usize, values: Cow<'_, [f32]>) -> Vec<f32> {
         let seq = self.seq;
         self.seq += 1;
         if self.is_identity() {
+            // A pass-through hands an owned vector back as it came.
             self.count(values.len(), values.len() as u64 * 4 + 8, 0.0);
-            return values.to_vec();
+            return values.into_owned();
         }
+        let values = &*values;
+        let mut intent = std::mem::take(&mut self.intent);
         let fb = if down { &self.down_feedback } else { &self.feedback };
-        let intent = match fb {
-            Some(ef) => ef.compensated(lane, values),
-            None => values.to_vec(),
+        let sent: &[f32] = match fb {
+            Some(ef) => {
+                intent.clear();
+                intent.extend_from_slice(values);
+                ef.compensate(lane, &mut intent);
+                &intent
+            }
+            None => values,
         };
-        let decoded = self.round_trip(&intent, seq);
-        let fb = if down { &mut self.down_feedback } else { &mut self.feedback };
-        let mut norm = None;
-        if let Some(ef) = fb {
-            ef.update(lane, &intent, &decoded);
-            norm = Some(ef.residual_norm(lane));
-        }
-        if let Some(n) = norm {
-            self.stats.residual_norm_sum += n;
-            self.stats.ef_transmits += 1;
-        }
-        self.record(&intent, &decoded);
+        let decoded = self.codec.round_trip(sent, mix(self.base_seed, seq), &mut self.scratch);
+        self.settle(down, lane, sent, &decoded);
+        self.intent = intent;
         decoded
+    }
+
+    /// The bookkeeping of one completed transfer, in transfer order: the
+    /// lane's residual takes what the wire lost and the stats take the
+    /// residual norm and the distortion — one pass over the vectors, since
+    /// the two f64 sums are the same sum.
+    fn settle(&mut self, down: bool, lane: usize, intent: &[f32], decoded: &[f32]) {
+        let fb = if down { &mut self.down_feedback } else { &mut self.feedback };
+        let sq = match fb {
+            Some(ef) => {
+                let sq = ef.update(lane, intent, decoded);
+                self.stats.residual_norm_sum += sq.sqrt();
+                self.stats.ef_transmits += 1;
+                sq
+            }
+            None => sq_error(intent, decoded),
+        };
+        self.count(intent.len(), self.codec.encoded_size(intent.len()), sq);
     }
 
     /// Batched client-egress transfers: byte-identical to calling
@@ -207,55 +254,28 @@ impl Compressor {
     /// back to the serial path), the round trip itself is a pure function
     /// of `(intent, seq)`, and residual updates plus f64 stats accumulation
     /// replay serially in item order afterwards.
-    pub fn transmit_batch(&mut self, items: Vec<(usize, Vec<f32>)>) -> Vec<Vec<f32>> {
+    pub fn transmit_batch(&mut self, mut items: Vec<(usize, Vec<f32>)>) -> Vec<Vec<f32>> {
         let distinct = {
             let mut lanes: Vec<usize> = items.iter().map(|(l, _)| *l).collect();
             lanes.sort_unstable();
             lanes.windows(2).all(|w| w[0] != w[1])
         };
-        if items.len() < 2 || self.is_identity() || !distinct {
-            return items.into_iter().map(|(lane, v)| self.transmit(lane, &v)).collect();
+        if self.is_identity() || !distinct {
+            return items.into_iter().map(|(lane, v)| self.send(false, lane, v.into())).collect();
         }
         let tel = fedmigr_telemetry::global();
         let start = tel.now();
         let seq0 = self.seq;
         self.seq += items.len() as u64;
-        let intents: Vec<Vec<f32>> = items
-            .iter()
-            .map(|(lane, v)| match &self.feedback {
-                Some(ef) => ef.compensated(*lane, v),
-                None => v.clone(),
-            })
-            .collect();
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(items.len());
-        let chunk = items.len().div_ceil(workers);
-        let mut decoded: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
-        std::thread::scope(|scope| {
-            for (w, out) in decoded.chunks_mut(chunk).enumerate() {
-                let this = &*self;
-                let intents = &intents;
-                scope.spawn(move || {
-                    for (d, j) in out.iter_mut().zip(w * chunk..) {
-                        *d = this.round_trip(&intents[j], seq0 + j as u64);
-                    }
-                });
-            }
-        });
-        for (((lane, _), intent), dec) in items.iter().zip(&intents).zip(&decoded) {
-            if let Some(ef) = &mut self.feedback {
-                ef.update(*lane, intent, dec);
-                self.stats.residual_norm_sum += ef.residual_norm(*lane);
-                self.stats.ef_transmits += 1;
-            }
-            self.record(intent, dec);
+        let decoded = self.round_trips(&mut items, |j| seq0 + j as u64);
+        for ((lane, intent), dec) in items.iter().zip(&decoded) {
+            self.settle(false, *lane, intent, dec);
         }
         // One host-time observation per item (averaged) so the per-codec
         // timing histogram keeps comparable counts to the serial path.
         let per_item = (tel.now() - start) / items.len() as f64;
-        let hist =
-            tel.registry().histogram("fedmigr_codec_transfer_seconds", &[("codec", &self.name)]);
         for _ in 0..items.len() {
-            hist.observe(per_item);
+            self.series.transfer_seconds.observe(per_item);
         }
         decoded
     }
@@ -265,36 +285,55 @@ impl Compressor {
     /// (e.g. evaluation-time shadow uploads) so measurement reflects codec
     /// distortion without perturbing run state.
     pub fn preview(&self, lane: usize, values: &[f32]) -> Vec<f32> {
+        self.preview_batch(vec![(lane, values.to_vec())]).pop().expect("one item in, one out")
+    }
+
+    /// [`Compressor::preview`] of every `(lane, values)` item: each is what
+    /// the *next* transmit on its lane would deliver, so lanes may repeat.
+    pub fn preview_batch(&self, mut items: Vec<(usize, Vec<f32>)>) -> Vec<Vec<f32>> {
         if self.is_identity() {
-            return values.to_vec();
+            return items.into_iter().map(|(_, v)| v).collect();
         }
-        let intent = match &self.feedback {
-            Some(ef) => ef.compensated(lane, values),
-            None => values.to_vec(),
+        self.round_trips(&mut items, |_| self.seq)
+    }
+
+    /// Compensates every item in place with its lane's client-egress
+    /// residual and round-trips the intents, item `j` under sequence number
+    /// `seq(j)`. The items are chunked across `available_parallelism`
+    /// workers, each with its own scratch and each joined before this
+    /// returns, so a worker's thread-local telemetry has been flushed by
+    /// then; a one-worker host, or a single item, spawns nothing.
+    fn round_trips(
+        &self,
+        items: &mut [(usize, Vec<f32>)],
+        seq: impl Fn(usize) -> u64 + Sync,
+    ) -> Vec<Vec<f32>> {
+        if let Some(ef) = &self.feedback {
+            for (lane, values) in items.iter_mut() {
+                ef.compensate(*lane, values);
+            }
+        }
+        let run = |first: usize, part: &[(usize, Vec<f32>)]| {
+            let mut scratch = Scratch::default();
+            let trip = |(j, (_, intent)): (usize, &(usize, Vec<f32>))| {
+                self.codec.round_trip(intent, mix(self.base_seed, seq(first + j)), &mut scratch)
+            };
+            part.iter().enumerate().map(trip).collect::<Vec<_>>()
         };
-        self.round_trip(&intent, self.seq)
-    }
-
-    fn round_trip(&self, values: &[f32], seq: u64) -> Vec<f32> {
-        let blob = self.codec.encode(values, mix(self.base_seed, seq));
-        debug_assert_eq!(blob.wire_bytes(), self.codec.encoded_size(values.len()));
-        self.codec.decode(&blob).expect("self-encoded blob must decode")
-    }
-
-    fn record(&mut self, intent: &[f32], decoded: &[f32]) {
-        let sq: f64 = intent
-            .iter()
-            .zip(decoded)
-            .map(|(&a, &b)| {
-                let e = (a - b) as f64;
-                if e.is_finite() {
-                    e * e
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        self.count(intent.len(), self.codec.encoded_size(intent.len()), sq);
+        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(items.len());
+        if workers < 2 {
+            return run(0, items);
+        }
+        let chunk = items.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            let run = &run;
+            let handles: Vec<_> = items
+                .chunks(chunk)
+                .enumerate()
+                .map(|(w, part)| scope.spawn(move || run(w * chunk, part)))
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("codec worker panicked")).collect()
+        })
     }
 
     fn count(&mut self, n: usize, wire: u64, sq: f64) {
@@ -303,13 +342,8 @@ impl Compressor {
         self.stats.compressed_bytes += wire;
         self.stats.sum_sq_error += sq;
         self.stats.coords += n as u64;
-        let registry = fedmigr_telemetry::global().registry();
-        registry
-            .counter("fedmigr_codec_bytes_total", &[("codec", &self.name), ("dir", "in")])
-            .add(8 + 4 * n as u64);
-        registry
-            .counter("fedmigr_codec_bytes_total", &[("codec", &self.name), ("dir", "out")])
-            .add(wire);
+        self.series.bytes_in.add(8 + 4 * n as u64);
+        self.series.bytes_out.add(wire);
     }
 }
 
@@ -319,6 +353,64 @@ mod tests {
 
     fn vals(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 31 % 17) as f32 - 8.0) * 0.1).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Everything a compressor carries between transfers, bit for bit:
+    /// residual lanes in both directions, `seq`, and the stats.
+    #[derive(Debug, PartialEq)]
+    struct StateBits {
+        up: Vec<Vec<u32>>,
+        down: Vec<Vec<u32>>,
+        seq: u64,
+        stats: [u64; 7],
+    }
+
+    fn state_bits(c: &Compressor) -> StateBits {
+        let st = c.export_state();
+        let lanes = |fb: Option<Vec<Vec<f32>>>| -> Vec<Vec<u32>> {
+            fb.unwrap_or_default().iter().map(|r| bits(r)).collect()
+        };
+        let s = st.stats;
+        let stats = [
+            s.encodes,
+            s.uncompressed_bytes,
+            s.compressed_bytes,
+            s.sum_sq_error.to_bits(),
+            s.coords,
+            s.residual_norm_sum.to_bits(),
+            s.ef_transmits,
+        ];
+        StateBits { up: lanes(st.feedback), down: lanes(st.down_feedback), seq: st.seq, stats }
+    }
+
+    /// Every lossy codec family, with and without error feedback.
+    fn lossy_codecs() -> Vec<CodecConfig> {
+        vec![
+            CodecConfig::int8(),
+            CodecConfig::int4(),
+            CodecConfig::stochastic8(3),
+            CodecConfig::topk(0.1),
+            CodecConfig::topk_int8(0.25),
+            CodecConfig::int8().without_feedback(),
+            CodecConfig::topk_int8(0.25).without_feedback(),
+        ]
+    }
+
+    /// Model-like vectors with the values the codecs treat specially mixed
+    /// in: ties, signed zeros, and (when `poison`) a NaN and an infinity.
+    fn payload(n: usize, salt: usize, poison: bool) -> Vec<f32> {
+        let mut v: Vec<f32> =
+            (0..n).map(|i| (((i + salt) * 31 % 23) as f32 - 11.0) * 0.07).collect();
+        if poison && n > 9 {
+            v[3] = f32::NAN;
+            v[9] = f32::NEG_INFINITY;
+            v[5] = -0.0;
+        }
+        v
     }
 
     #[test]
@@ -480,47 +572,155 @@ mod tests {
     }
 
     #[test]
-    fn transmit_batch_is_byte_identical_to_serial() {
-        for cfg in [
-            CodecConfig::Identity,
-            CodecConfig::int8(),
-            CodecConfig::int4(),
-            CodecConfig::stochastic8(3),
-            CodecConfig::topk_int8(0.25),
-            CodecConfig::int8().without_feedback(),
-        ] {
+    fn transmit_batch_is_bit_identical_to_serial() {
+        for cfg in [vec![CodecConfig::Identity], lossy_codecs()].concat() {
             let lanes = 8;
             let mut serial = Compressor::new(&cfg, lanes, 9);
             let mut batched = Compressor::new(&cfg, lanes, 9);
-            // Two rounds so residual state carried between batches matters.
-            for round in 0..2 {
-                let items: Vec<(usize, Vec<f32>)> = (0..lanes)
-                    .map(|l| {
-                        let mut v = vals(200 + 13 * l);
-                        v[0] += round as f32;
-                        (l, v)
-                    })
-                    .collect();
-                let expect: Vec<Vec<f32>> =
-                    items.iter().map(|(l, v)| serial.transmit(*l, v)).collect();
-                let got = batched.transmit_batch(items);
+            // Three rounds so residual state carried between batches
+            // matters; the middle one is poisoned, the last is a partial
+            // wave in scrambled lane order.
+            for round in 0..3 {
+                let order: Vec<usize> = match round {
+                    2 => vec![6, 1, 4],
+                    _ => (0..lanes).collect(),
+                };
+                let items: Vec<(usize, Vec<f32>)> =
+                    order.iter().map(|&l| (l, payload(300 + 13 * l, round, round == 1))).collect();
+                let expect: Vec<Vec<u32>> =
+                    items.iter().map(|(l, v)| bits(&serial.transmit(*l, v))).collect();
+                let got: Vec<Vec<u32>> =
+                    batched.transmit_batch(items).iter().map(|d| bits(d)).collect();
                 assert_eq!(got, expect, "codec {} round {round}", cfg.name());
+                assert_eq!(state_bits(&serial), state_bits(&batched), "codec {}", cfg.name());
             }
-            assert_eq!(serial.stats(), batched.stats(), "codec {}", cfg.name());
-            assert_eq!(serial.export_state(), batched.export_state(), "codec {}", cfg.name());
         }
     }
 
     #[test]
     fn transmit_batch_with_duplicate_lanes_falls_back_serially() {
-        let cfg = CodecConfig::int8();
-        let v = vals(128);
-        let mut serial = Compressor::new(&cfg, 2, 5);
-        let mut batched = Compressor::new(&cfg, 2, 5);
-        let items = vec![(0usize, v.clone()), (0usize, v.clone()), (1usize, v.clone())];
-        let expect: Vec<Vec<f32>> = items.iter().map(|(l, v)| serial.transmit(*l, v)).collect();
-        assert_eq!(batched.transmit_batch(items), expect);
-        assert_eq!(serial.export_state(), batched.export_state());
+        for cfg in lossy_codecs() {
+            let mut serial = Compressor::new(&cfg, 2, 5);
+            let mut batched = Compressor::new(&cfg, 2, 5);
+            let items: Vec<(usize, Vec<f32>)> =
+                [0, 0, 1].iter().enumerate().map(|(j, &l)| (l, payload(128, j, j == 1))).collect();
+            let expect: Vec<Vec<u32>> =
+                items.iter().map(|(l, v)| bits(&serial.transmit(*l, v))).collect();
+            let got: Vec<Vec<u32>> =
+                batched.transmit_batch(items).iter().map(|d| bits(d)).collect();
+            assert_eq!(got, expect, "codec {}", cfg.name());
+            assert_eq!(state_bits(&serial), state_bits(&batched), "codec {}", cfg.name());
+        }
+    }
+
+    #[test]
+    fn preview_batch_equals_serial_previews_and_counts_nothing() {
+        for cfg in [vec![CodecConfig::Identity], lossy_codecs()].concat() {
+            let mut c = Compressor::new(&cfg, 4, 9);
+            c.transmit_batch((0..4).map(|l| (l, payload(400, l, false))).collect());
+            let before = state_bits(&c);
+            // Lanes may repeat: a preview consumes nothing.
+            let items: Vec<(usize, Vec<f32>)> =
+                [2, 0, 2, 3, 1].iter().map(|&l| (l, payload(400, 7 + l, l == 3))).collect();
+            let expect: Vec<Vec<u32>> =
+                items.iter().map(|(l, v)| bits(&c.preview(*l, v))).collect();
+            let got: Vec<Vec<u32>> = c.preview_batch(items).iter().map(|d| bits(d)).collect();
+            assert_eq!(got, expect, "codec {}", cfg.name());
+            assert_eq!(state_bits(&c), before, "codec {}", cfg.name());
+        }
+    }
+
+    #[test]
+    fn scratch_carries_nothing_from_one_transmit_to_the_next() {
+        for cfg in lossy_codecs() {
+            let mut used = Compressor::new(&cfg, 2, 9);
+            // A long poisoned transfer first, so every buffer holds more
+            // than the next transfer needs.
+            used.transmit(0, &payload(900, 1, true));
+            used.transmit_down(1, &payload(700, 2, false));
+            let mut fresh = Compressor::new(&cfg, 2, 9);
+            fresh.import_state(used.export_state());
+            for (lane, n) in [(1, 130), (0, 900), (0, 0)] {
+                let v = payload(n, 3, false);
+                assert_eq!(
+                    bits(&used.transmit(lane, &v)),
+                    bits(&fresh.transmit(lane, &v)),
+                    "codec {} lane {lane} n {n}",
+                    cfg.name()
+                );
+                assert_eq!(state_bits(&used), state_bits(&fresh), "codec {}", cfg.name());
+            }
+        }
+    }
+
+    /// One transfer the slow way, from the definitions: allocate the
+    /// intent, round-trip through a blob, build a fresh residual, and take
+    /// the norm and the squared error in two further passes.
+    fn reference_transmit(
+        codec: &Codec,
+        residual: Option<&mut Vec<f32>>,
+        stats: &mut CompressionStats,
+        seed: u64,
+        values: &[f32],
+    ) -> Vec<f32> {
+        let intent: Vec<f32> = match &residual {
+            Some(r) if r.len() == values.len() => {
+                values.iter().zip(&**r).map(|(v, e)| v + e).collect()
+            }
+            _ => values.to_vec(),
+        };
+        let blob = codec.encode(&intent, seed);
+        let decoded = codec.decode(&blob).unwrap();
+        let finite = |e: f32| if e.is_finite() { e } else { 0.0 };
+        if let Some(r) = residual {
+            *r = intent.iter().zip(&decoded).map(|(a, b)| finite(a - b)).collect();
+            stats.residual_norm_sum += r.iter().map(|&e| e as f64 * e as f64).sum::<f64>().sqrt();
+            stats.ef_transmits += 1;
+        }
+        stats.sum_sq_error += intent
+            .iter()
+            .zip(&decoded)
+            .map(|(a, b)| {
+                let e = (a - b) as f64;
+                if e.is_finite() {
+                    e * e
+                } else {
+                    0.0
+                }
+            })
+            .sum::<f64>();
+        stats.encodes += 1;
+        stats.coords += values.len() as u64;
+        stats.uncompressed_bytes += 8 + 4 * values.len() as u64;
+        stats.compressed_bytes += blob.wire_bytes();
+        decoded
+    }
+
+    #[test]
+    fn transmits_match_the_two_pass_reference_bit_for_bit() {
+        for cfg in lossy_codecs() {
+            let codec = Codec::from_config(&cfg);
+            let mut c = Compressor::new(&cfg, 1, 9);
+            let mut residual = cfg.error_feedback().then(Vec::new);
+            let mut stats = CompressionStats::default();
+            for (seq, poison) in [false, true, false, false].into_iter().enumerate() {
+                let v = payload(1000, seq, poison);
+                let expect = reference_transmit(
+                    &codec,
+                    residual.as_mut(),
+                    &mut stats,
+                    mix(9, seq as u64),
+                    &v,
+                );
+                assert_eq!(bits(&c.transmit(0, &v)), bits(&expect), "codec {}", cfg.name());
+            }
+            let got = state_bits(&c);
+            assert_eq!(got.seq, 4);
+            assert_eq!(got.up, residual.iter().map(|r| bits(r)).collect::<Vec<_>>());
+            let mut reference = Compressor::new(&cfg, 1, 9);
+            reference.stats = stats;
+            assert_eq!(got.stats, state_bits(&reference).stats, "codec {}", cfg.name());
+        }
     }
 
     #[test]

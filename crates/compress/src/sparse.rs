@@ -4,32 +4,84 @@
 //! values either verbatim (`k × f32`, [`TopKCodec`]) or chunk-quantized
 //! ([`TopKUniformCodec`], reusing the quantizer's per-chunk min/scale
 //! layout without a redundant inner length prefix). Indices are emitted in
-//! ascending order; ties in magnitude break toward the *lower* index, so
-//! selection is deterministic even for vectors full of equal weights.
+//! ascending order.
+//!
+//! What defines the kept set is a strict total order on coordinates —
+//! magnitude descending with NaN counted as +∞, then index ascending — of
+//! which the first `k` are kept. Ties in magnitude therefore break toward
+//! the *lower* index, so selection is deterministic even for vectors full
+//! of equal weights, and any algorithm that returns that set is conformant.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
-use crate::codec::{
-    chunk_range, pack_codes, packed_len, quantize_one, unpack_codes, CompressedBlob, Cursor, CHUNK,
-};
+use crate::codec::{packed_len, put_quantized, take_quantized, Cursor, Scratch, CHUNK};
 
-/// Indices of the `k` largest-magnitude coordinates, ascending. Non-finite
-/// magnitudes sort as +∞ so corruption still travels (and gets screened on
-/// decode by the receiver's integrity checks).
-fn select_topk(values: &[f32], k: usize) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..values.len() as u32).collect();
-    let mag = |i: u32| {
-        let a = values[i as usize].abs();
-        if a.is_nan() {
-            f32::INFINITY
-        } else {
-            a
-        }
-    };
-    idx.sort_by(|&a, &b| mag(b).partial_cmp(&mag(a)).unwrap().then(a.cmp(&b)));
-    idx.truncate(k);
-    idx.sort_unstable();
-    idx
+/// Coordinate `i`'s rank in the selection order as an integer: the bits of
+/// its magnitude (non-negative floats order like their bits; NaN counts as
+/// +∞ so corruption still travels and gets screened on decode by the
+/// receiver's integrity checks) above the complemented index. A larger key
+/// sorts earlier, and no two coordinates share one.
+fn key(i: usize, v: f32) -> u64 {
+    let a = v.abs();
+    let magnitude = if a.is_nan() { f32::INFINITY } else { a };
+    (u64::from(magnitude.to_bits()) << 32) | u64::from(!(i as u32))
+}
+
+/// The smallest key among the `k ≤ n` first coordinates in the selection
+/// order, found by an O(n) selection: coordinate `i` is kept exactly when
+/// `key(i, values[i])` reaches it.
+fn select_topk(values: &[f32], k: usize, keys: &mut Vec<u64>) -> u64 {
+    if k == 0 {
+        // Keys leave their top bit clear, so nothing reaches this.
+        return u64::MAX;
+    }
+    keys.clear();
+    keys.extend(values.iter().enumerate().map(|(i, &v)| key(i, v)));
+    *keys.select_nth_unstable(values.len() - k).1
+}
+
+/// Writes the part both top-k formats share — `n`, `k` and the kept indices,
+/// ascending — into `scratch.wire`, and leaves the kept values in
+/// `scratch.kept`.
+fn put_selection(values: &[f32], k: usize, scratch: &mut Scratch) {
+    let Scratch { wire, keys, kept } = scratch;
+    wire.put_u64_le(values.len() as u64);
+    wire.put_u64_le(k as u64);
+    let threshold = select_topk(values, k, keys);
+    // Which coordinates pass is as good as random, so the pass over them is
+    // branch-free: every coordinate is written to the next free slot and
+    // only a kept one advances it (hence the one spare slot).
+    let idx_at = wire.len();
+    wire.resize(idx_at + 4 * (k + 1), 0);
+    kept.clear();
+    kept.resize(k + 1, 0.0);
+    let mut count = 0;
+    for (i, &v) in values.iter().enumerate() {
+        wire[idx_at + 4 * count..][..4].copy_from_slice(&(i as u32).to_le_bytes());
+        kept[count] = v;
+        count += usize::from(key(i, v) >= threshold);
+    }
+    debug_assert_eq!(count, k);
+    wire.truncate(idx_at + 4 * k);
+    kept.truncate(k);
+}
+
+/// Reads what [`put_selection`] wrote: the zeroed length-`n` output and the
+/// kept indices, each checked against `n` as it is drawn.
+fn take_selection<'a>(
+    cur: &mut Cursor<'a>,
+) -> Option<(Vec<f32>, impl ExactSizeIterator<Item = Option<usize>> + 'a)> {
+    let n = cur.u64()? as usize;
+    let k = cur.u64()? as usize;
+    if k > n {
+        return None;
+    }
+    let idx = cur.slice(k.checked_mul(4)?)?;
+    let idx = idx.chunks_exact(4).map(move |b| {
+        let i = u32::from_le_bytes(b.try_into().expect("a 4-byte slice")) as usize;
+        (i < n).then_some(i)
+    });
+    Some((vec![0.0f32; n], idx))
 }
 
 /// Number of coordinates kept for a length-`n` vector at fraction `frac`:
@@ -76,35 +128,18 @@ impl TopKCodec {
         keep_count(self.frac, n)
     }
 
-    pub(crate) fn encode(&self, values: &[f32]) -> CompressedBlob {
-        let k = self.keep(values.len());
-        let idx = select_topk(values, k);
-        let mut buf = BytesMut::with_capacity(topk_size(k) as usize);
-        buf.put_u64_le(values.len() as u64);
-        buf.put_u64_le(k as u64);
-        for &i in &idx {
-            buf.put_u32_le(i);
+    pub(crate) fn encode_into(&self, values: &[f32], scratch: &mut Scratch) {
+        put_selection(values, self.keep(values.len()), scratch);
+        for &v in &scratch.kept {
+            scratch.wire.put_f32_le(v);
         }
-        for &i in &idx {
-            buf.put_f32_le(values[i as usize]);
-        }
-        CompressedBlob::new(buf.freeze())
     }
 
-    pub(crate) fn decode(&self, blob: &CompressedBlob) -> Option<Vec<f32>> {
-        let mut cur = Cursor::new(blob.bytes());
-        let n = cur.u64()? as usize;
-        let k = cur.u64()? as usize;
-        if k > n {
-            return None;
-        }
-        let idx: Vec<u32> = (0..k).map(|_| cur.u32()).collect::<Option<_>>()?;
-        let mut out = vec![0.0f32; n];
-        for &i in &idx {
-            if i as usize >= n {
-                return None;
-            }
-            out[i as usize] = cur.f32()?;
+    pub(crate) fn decode(&self, bytes: &[u8]) -> Option<Vec<f32>> {
+        let mut cur = Cursor::new(bytes);
+        let (mut out, idx) = take_selection(&mut cur)?;
+        for i in idx {
+            out[i?] = cur.f32()?;
         }
         cur.done()?;
         Some(out)
@@ -136,54 +171,20 @@ impl TopKUniformCodec {
         self.bits
     }
 
-    pub(crate) fn encode(&self, values: &[f32]) -> CompressedBlob {
-        let k = self.keep(values.len());
-        let idx = select_topk(values, k);
-        let kept: Vec<f32> = idx.iter().map(|&i| values[i as usize]).collect();
-        let mut buf = BytesMut::with_capacity(topk_uniform_size(k, self.bits) as usize);
-        buf.put_u64_le(values.len() as u64);
-        buf.put_u64_le(k as u64);
-        for &i in &idx {
-            buf.put_u32_le(i);
-        }
-        for chunk in kept.chunks(CHUNK) {
-            let (min, scale) = chunk_range(chunk, self.bits);
-            buf.put_f32_le(min);
-            buf.put_f32_le(scale);
-            let codes: Vec<u8> =
-                chunk.iter().map(|&v| quantize_one(v, min, scale, self.bits, None)).collect();
-            buf.put_slice(&pack_codes(&codes, self.bits));
-        }
-        CompressedBlob::new(buf.freeze())
+    pub(crate) fn encode_into(&self, values: &[f32], scratch: &mut Scratch) {
+        put_selection(values, self.keep(values.len()), scratch);
+        put_quantized(&mut scratch.wire, &scratch.kept, self.bits, None);
     }
 
-    pub(crate) fn decode(&self, blob: &CompressedBlob) -> Option<Vec<f32>> {
-        let mut cur = Cursor::new(blob.bytes());
-        let n = cur.u64()? as usize;
-        let k = cur.u64()? as usize;
-        if k > n {
-            return None;
-        }
-        let idx: Vec<u32> = (0..k).map(|_| cur.u32()).collect::<Option<_>>()?;
-        let mut kept = Vec::with_capacity(k);
-        let mut remaining = k;
-        while remaining > 0 {
-            let len = remaining.min(CHUNK);
-            let min = cur.f32()?;
-            let scale = cur.f32()?;
-            let packed = cur.slice(packed_len(len, self.bits))?;
-            let codes = unpack_codes(packed, len, self.bits);
-            kept.extend(codes.iter().map(|&q| min + q as f32 * scale));
-            remaining -= len;
-        }
+    pub(crate) fn decode(&self, bytes: &[u8]) -> Option<Vec<f32>> {
+        let mut cur = Cursor::new(bytes);
+        let (mut out, mut idx) = take_selection(&mut cur)?;
+        let k = idx.len();
+        take_quantized(&mut cur, k, self.bits, |v| {
+            out[idx.next()??] = v;
+            Some(())
+        })?;
         cur.done()?;
-        let mut out = vec![0.0f32; n];
-        for (&i, &v) in idx.iter().zip(&kept) {
-            if i as usize >= n {
-                return None;
-            }
-            out[i as usize] = v;
-        }
         Some(out)
     }
 }
@@ -191,13 +192,145 @@ impl TopKUniformCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{chunk_range, quantize_one, Codec, CompressedBlob, WireCodec};
+    use proptest::prelude::*;
+
+    /// The selection order executed literally — sort every index, keep the
+    /// first `k` — which the O(n) selection is held to index for index.
+    fn select_topk_reference(values: &[f32], k: usize) -> Vec<u32> {
+        let mut idx: Vec<u32> = (0..values.len() as u32).collect();
+        let mag = |i: u32| {
+            let a = values[i as usize].abs();
+            if a.is_nan() {
+                f32::INFINITY
+            } else {
+                a
+            }
+        };
+        idx.sort_by(|&a, &b| mag(b).partial_cmp(&mag(a)).unwrap().then(a.cmp(&b)));
+        idx.truncate(k);
+        idx.sort_unstable();
+        idx
+    }
+
+    /// A blob laid out by hand from the reference selection; `bits` selects
+    /// the quantized format.
+    fn reference_blob(values: &[f32], k: usize, bits: Option<u8>) -> Vec<u8> {
+        let idx = select_topk_reference(values, k);
+        let kept: Vec<f32> = idx.iter().map(|&i| values[i as usize]).collect();
+        let mut out = Vec::new();
+        out.extend((values.len() as u64).to_le_bytes());
+        out.extend((k as u64).to_le_bytes());
+        out.extend(idx.iter().flat_map(|i| i.to_le_bytes()));
+        let Some(bits) = bits else {
+            out.extend(kept.iter().flat_map(|v| v.to_le_bytes()));
+            return out;
+        };
+        for chunk in kept.chunks(CHUNK) {
+            let (min, scale) = chunk_range(chunk, bits);
+            out.extend(min.to_le_bytes());
+            out.extend(scale.to_le_bytes());
+            let codes: Vec<u8> =
+                chunk.iter().map(|&v| quantize_one(v, min, scale, bits, None)).collect();
+            match bits {
+                8 => out.extend(&codes),
+                _ => out.extend(codes.chunks(2).map(|p| p[0] | (p.get(1).unwrap_or(&0) << 4))),
+            }
+        }
+        out
+    }
+
+    /// Few distinct magnitudes, so vectors drawn from it are mostly ties,
+    /// plus every value the order treats specially.
+    const PALETTE: [f32; 14] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -0.5,
+        3.5,
+        1e-40,
+        f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        -f32::NAN,
+    ];
+
+    fn selected(values: &[f32], k: usize) -> Vec<u32> {
+        let mut keys = vec![7; 3]; // stale scratch must not matter
+        let threshold = select_topk(values, k, &mut keys);
+        (0..values.len()).filter(|&i| key(i, values[i]) >= threshold).map(|i| i as u32).collect()
+    }
+
+    proptest! {
+        #[test]
+        fn selection_matches_the_full_sort_index_for_index(
+            picks in prop::collection::vec(0usize..PALETTE.len(), 0..=600),
+            k in 0usize..=600,
+        ) {
+            let values: Vec<f32> = picks.iter().map(|&p| PALETTE[p]).collect();
+            let n = values.len();
+            for k in [0, 1.min(n), n.saturating_sub(1), n, k.min(n)] {
+                prop_assert_eq!(selected(&values, k), select_topk_reference(&values, k));
+            }
+        }
+
+        #[test]
+        fn selection_matches_the_full_sort_on_distinct_magnitudes(
+            values in prop::collection::vec(-100.0f32..100.0, 0..=600),
+            k in 0usize..=600,
+        ) {
+            let k = k.min(values.len());
+            prop_assert_eq!(selected(&values, k), select_topk_reference(&values, k));
+        }
+
+        #[test]
+        fn blobs_equal_blobs_built_from_the_reference_selection(
+            picks in prop::collection::vec(0usize..2 * PALETTE.len(), 0..=600),
+            frac in 0.001f64..=1.0,
+        ) {
+            // Half the draws are distinct finite values, so quantized chunks
+            // see a real dynamic range next to the poisoned ones.
+            let values: Vec<f32> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| PALETTE.get(p).copied().unwrap_or(i as f32 * 0.37 - 90.0))
+                .collect();
+            let k = keep_count(frac, values.len());
+            let plain = Codec::TopK(TopKCodec::new(frac)).encode(&values, 0);
+            prop_assert_eq!(&plain.bytes()[..], &reference_blob(&values, k, None)[..]);
+            for bits in [8, 4] {
+                let quantized = Codec::TopKUniform(TopKUniformCodec::new(frac, bits));
+                let blob = quantized.encode(&values, 0);
+                prop_assert_eq!(&blob.bytes()[..], &reference_blob(&values, k, Some(bits))[..]);
+            }
+        }
+    }
+
+    #[test]
+    fn all_equal_vectors_keep_the_lowest_indices() {
+        for v in [0.0, -0.0, 2.5, f32::INFINITY, f32::NAN] {
+            for n in [1usize, 2, 255, 256, 600] {
+                let values = vec![v; n];
+                for k in [0, 1, n - 1, n] {
+                    assert_eq!(selected(&values, k), (0..k as u32).collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    fn topk(frac: f64) -> Codec {
+        Codec::TopK(TopKCodec::new(frac))
+    }
 
     #[test]
     fn topk_keeps_the_largest_magnitudes() {
         let v = vec![0.1, -5.0, 0.2, 4.0, -0.3];
-        let c = TopKCodec::new(0.4);
-        assert_eq!(c.keep(v.len()), 2);
-        let blob = c.encode(&v);
+        let c = topk(0.4);
+        let blob = c.encode(&v, 0);
         assert_eq!(blob.wire_bytes(), topk_size(2));
         let d = c.decode(&blob).unwrap();
         assert_eq!(d, vec![0.0, -5.0, 0.0, 4.0, 0.0]);
@@ -206,8 +339,8 @@ mod tests {
     #[test]
     fn ties_break_toward_the_lower_index() {
         let v = vec![1.0f32; 8];
-        let c = TopKCodec::new(0.25);
-        let d = c.decode(&c.encode(&v)).unwrap();
+        let c = topk(0.25);
+        let d = c.decode(&c.encode(&v, 0)).unwrap();
         assert_eq!(d, vec![1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
@@ -222,9 +355,9 @@ mod tests {
     #[test]
     fn quantized_topk_round_trips_within_step() {
         let v: Vec<f32> = (0..600).map(|i| ((i as f32) * 0.11).cos() * (i % 7) as f32).collect();
-        let c = TopKUniformCodec::new(0.5, 8);
-        let blob = c.encode(&v);
-        assert_eq!(blob.wire_bytes(), topk_uniform_size(c.keep(v.len()), 8));
+        let c = Codec::TopKUniform(TopKUniformCodec::new(0.5, 8));
+        let blob = c.encode(&v, 0);
+        assert_eq!(blob.wire_bytes(), topk_uniform_size(keep_count(0.5, v.len()), 8));
         let d = c.decode(&blob).unwrap();
         assert_eq!(d.len(), v.len());
         // Every decoded coordinate is either 0 (dropped) or close to the
@@ -237,20 +370,25 @@ mod tests {
     #[test]
     fn decode_rejects_out_of_range_indices() {
         let v = vec![1.0, 2.0, 3.0];
-        let c = TopKCodec::new(0.5);
-        let blob = c.encode(&v);
-        let mut raw = blob.bytes().to_vec();
-        // Corrupt the first index (offset 16) to point past the end.
-        raw[16..20].copy_from_slice(&100u32.to_le_bytes());
-        assert!(c.decode(&CompressedBlob::new(raw.into())).is_none());
+        for c in [topk(0.5), Codec::TopKUniform(TopKUniformCodec::new(0.5, 8))] {
+            let raw = c.encode(&v, 0).bytes().to_vec();
+            let decode = |raw: &[u8]| c.decode(&CompressedBlob::new(raw.to_vec().into()));
+            assert!(decode(&raw).is_some());
+            // Corrupt the first index (offset 16) to point past the end.
+            let mut bad = raw.clone();
+            bad[16..20].copy_from_slice(&100u32.to_le_bytes());
+            assert!(decode(&bad).is_none());
+            assert!(decode(&raw[..raw.len() - 1]).is_none(), "truncated");
+            assert!(decode(&[&raw[..], &[0]].concat()).is_none(), "padded");
+        }
     }
 
     #[test]
     fn nan_coordinates_are_prioritized_and_survive() {
         let mut v = vec![0.01f32; 50];
         v[33] = f32::NAN;
-        let c = TopKCodec::new(0.02);
-        let d = c.decode(&c.encode(&v)).unwrap();
+        let c = topk(0.02);
+        let d = c.decode(&c.encode(&v, 0)).unwrap();
         assert!(d[33].is_nan(), "corruption must not be silently dropped");
     }
 }

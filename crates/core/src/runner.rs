@@ -997,6 +997,7 @@ impl<'a> DenseRun<'a> {
         let mut src_of: Vec<usize> = (0..k).collect();
         let mut delivered_payload: Vec<Option<Vec<f32>>> = vec![None; k];
         let mut move_times = Vec::new();
+        let mut delivered = Vec::new();
         let mig_t0 = self.st.common.clock.now();
         let wave = self.ctx.flow.map(|fc| {
             let mv: Vec<(usize, usize)> = plan.moves().collect();
@@ -1043,28 +1044,33 @@ impl<'a> DenseRun<'a> {
                 outcome,
             });
             if outcome.delivered() {
-                // Encode only transfers that completed: a cancelled
-                // migration must not consume the sender's error-feedback
-                // residual. The receiver screens the *decoded* payload
-                // before adoption. A rejected model was still transmitted
-                // (the bytes are burned) but `j` keeps its own copy and the
-                // source's suspicion rises.
-                let payload = self.st.compressor.transmit(i, &params[i]);
-                if let Some(q) = self.st.quarantine.as_mut() {
-                    let _screen = span!("core::runner", "quarantine_screen");
-                    if !q.screen(i, &payload, &params[j]) {
-                        r.robust.rejected_migrations += 1;
-                        continue;
-                    }
+                delivered.push((i, j));
+            }
+        }
+        // Encode only transfers that completed: a cancelled migration must
+        // not consume the sender's error-feedback residual. A plan moves
+        // each model at most once, so the wave's source lanes are distinct
+        // and it encodes as one batch, sequence numbers in move order.
+        let items = delivered.iter().map(|&(i, _)| (i, params[i].clone())).collect();
+        let payloads = self.st.compressor.transmit_batch(items);
+        for ((i, j), payload) in delivered.into_iter().zip(payloads) {
+            // The receiver screens the *decoded* payload before adoption. A
+            // rejected model was still transmitted (the bytes are burned)
+            // but `j` keeps its own copy and the source's suspicion rises.
+            if let Some(q) = self.st.quarantine.as_mut() {
+                let _screen = span!("core::runner", "quarantine_screen");
+                if !q.screen(i, &payload, &params[j]) {
+                    r.robust.rejected_migrations += 1;
+                    continue;
                 }
-                src_of[j] = i;
-                delivered_payload[j] = Some(payload);
-                self.st.link_migrations[i * k + j] += 1;
-                if topology.same_lan(i, j) {
-                    self.st.common.migrations_local += 1;
-                } else {
-                    self.st.common.migrations_global += 1;
-                }
+            }
+            src_of[j] = i;
+            delivered_payload[j] = Some(payload);
+            self.st.link_migrations[i * k + j] += 1;
+            if topology.same_lan(i, j) {
+                self.st.common.migrations_local += 1;
+            } else {
+                self.st.common.migrations_global += 1;
             }
         }
         let st = &mut self.st;
@@ -1122,16 +1128,17 @@ impl<'a> DenseRun<'a> {
                 // stats: these transfers are hypothetical), so the measured
                 // accuracy reflects both the aggregation rule's defense and
                 // the wire's lossiness.
-                let uploads: Vec<Vec<f32>> = st
+                let items = st
                     .clients
                     .iter_mut()
                     .enumerate()
                     .map(|(i, c)| {
                         let mut p = c.params();
                         self.ctx.attack.corrupt_upload(i, r.epoch, &mut p);
-                        st.compressor.preview(i, &p)
+                        (i, p)
                     })
                     .collect();
+                let uploads = st.compressor.preview_batch(items);
                 // Hypothetical full participation — except sources the
                 // watchdog has permanently excluded, which are out of the
                 // run for good and must not poison the measurement.
@@ -2186,9 +2193,14 @@ mod tests {
     use fedmigr_nn::zoo::{self, NetScale};
 
     fn small_experiment(non_iid: bool) -> Experiment {
+        experiment_of(4, non_iid)
+    }
+
+    /// `k` clients over two LANs with 24 training samples each.
+    fn experiment_of(k: usize, non_iid: bool) -> Experiment {
         let data = SyntheticDataset::generate(&SyntheticConfig {
             num_classes: 4,
-            train_per_class: 24,
+            train_per_class: 6 * k,
             test_per_class: 8,
             channels: 1,
             hw: 8,
@@ -2199,13 +2211,12 @@ mod tests {
             private_frac: 0.0,
             seed: 11,
         });
-        let k = 4;
         let parts = if non_iid {
             partition_shards(&data.train, k, 1, 5)
         } else {
             partition_iid(&data.train, k, 5)
         };
-        let topo = Topology::new(&TopologyConfig::default_edge(vec![2, 2], 5));
+        let topo = Topology::new(&TopologyConfig::default_edge(vec![k / 2, k - k / 2], 5));
         let model = zoo::mini_resnet(1, 8, 4, 1, NetScale::Small, 5);
         Experiment::new(
             data.train,
@@ -2578,5 +2589,47 @@ mod tests {
         assert_eq!(m.epochs(), 12);
         assert!(m.fault.transfer_retries > 0, "60% WAN outage should force retries: {:?}", m.fault);
         assert!(m.fault.wasted_bytes > 0);
+    }
+
+    /// FNV-1a over an artifact's bytes: pins them without checking the
+    /// artifact in.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    #[test]
+    fn migration_wave_with_screening_writes_the_serial_loops_artifacts() {
+        // The digests were taken at the commit before migrations were
+        // batched, when each delivered move was encoded and screened inside
+        // the outcome loop. Sign-flippers make the quarantine reject moves
+        // mid-wave (and its distance window depends on the order of the
+        // accepted ones), the lossy codec makes every sequence number and
+        // residual matter, and under the flow transport with churn some
+        // moves only arrive through the fallback chain.
+        let exp = experiment_of(10, true);
+        let pinned = [
+            (false, 32, 0x890f986f8fa7544du64, 0x53accc4fc8f80dbeu64),
+            (true, 19, 0x6c88d1a0b2aa093d, 0xe08fce0f84af42a1),
+        ];
+        for (flow, rejected, csv_digest, flight_digest) in pinned {
+            let flight = std::env::temp_dir()
+                .join(format!("fedmigr-wave-{}-{flow}.jsonl", std::process::id()));
+            let mut cfg = quick_cfg(Scheme::fedmigr(3), 20);
+            cfg.codec = fedmigr_compress::CodecConfig::topk_int8(0.25);
+            cfg.attack = AttackConfig::sign_flip(0.2, 13);
+            cfg.diag.flight_out = Some(flight.to_string_lossy().into_owned());
+            if flow {
+                cfg.transport = TransportConfig::flow(cfg.seed);
+                cfg.fault = fedmigr_net::FaultConfig::edge_churn(0.1, 5).with_network_stress(0.5);
+            }
+            let m = exp.run(&cfg);
+            let recorded = std::fs::read(&flight).expect("the run wrote its flight file");
+            let _ = std::fs::remove_file(&flight);
+            assert_eq!(m.robust.rejected_migrations, rejected, "flow {flow}");
+            assert_eq!(fnv1a(m.to_csv().as_bytes()), csv_digest, "flow {flow}: CSV");
+            assert_eq!(fnv1a(&recorded), flight_digest, "flow {flow}: flight file");
+        }
     }
 }

@@ -14,7 +14,10 @@ use crate::Layer;
 
 /// Flattens every parameter of `model` into a single vector (visit order).
 pub fn param_vector(model: &mut dyn Layer) -> Vec<f32> {
-    let mut out = Vec::new();
+    // Sized up front: one allocation, not one per doubling.
+    let mut n = 0;
+    model.visit_params(&mut |p: &mut Tensor, _| n += p.numel());
+    let mut out = Vec::with_capacity(n);
     model.visit_params(&mut |p: &mut Tensor, _| out.extend_from_slice(p.data()));
     out
 }

@@ -3,10 +3,10 @@
 //!
 //! Handles returned by the registry are cheap `Arc`-backed clones whose
 //! operations are lock-free atomics, so instrumented hot paths pay one
-//! atomic RMW per event. The registry itself is only locked on first
-//! registration of a `(name, labels)` pair and at render time.
+//! atomic RMW per event. Looking a handle up by `(name, labels)` locks the
+//! registry but allocates only on the first registration of the pair.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -227,6 +227,14 @@ fn owned_labels(labels: &[(&str, &str)]) -> Labels {
     v
 }
 
+/// Whether `given` (in any order) is the label set `owned`.
+fn same_labels(owned: &Labels, given: &[(&str, &str)]) -> bool {
+    let has = |k: &str, v: &str| given.iter().any(|&(gk, gv)| gk == k && gv == v);
+    owned.len() == given.len()
+        && owned.iter().all(|(k, v)| has(k, v))
+        && given.iter().all(|&(k, v)| owned.iter().any(|(ok, ov)| ok == k && ov == v))
+}
+
 #[derive(Clone, Debug)]
 enum MetricEntry {
     Counter(Counter),
@@ -247,7 +255,9 @@ impl MetricEntry {
 /// A registry of metrics keyed by `(name, sorted labels)`.
 #[derive(Debug, Default)]
 pub struct Registry {
-    entries: Mutex<HashMap<(String, Labels), MetricEntry>>,
+    /// Each name's series, sorted by labels: finding an existing series
+    /// borrows the caller's key instead of building an owned one.
+    entries: Mutex<BTreeMap<String, Vec<(Labels, MetricEntry)>>>,
 }
 
 impl Registry {
@@ -262,9 +272,17 @@ impl Registry {
         labels: &[(&str, &str)],
         make: impl FnOnce() -> MetricEntry,
     ) -> MetricEntry {
-        let key = (name.to_string(), owned_labels(labels));
         let mut map = self.entries.lock().expect("metrics registry poisoned");
-        map.entry(key).or_insert_with(make).clone()
+        let found =
+            map.get(name).and_then(|family| family.iter().find(|(l, _)| same_labels(l, labels)));
+        if let Some((_, entry)) = found {
+            return entry.clone();
+        }
+        let family = map.entry(name.to_string()).or_default();
+        let key = owned_labels(labels);
+        let at = family.partition_point(|(l, _)| *l < key);
+        family.insert(at, (key, make()));
+        family[at].1.clone()
     }
 
     /// The counter registered under `(name, labels)`, created on first use.
@@ -311,15 +329,14 @@ impl Registry {
     /// unknown name yields an empty vector.
     pub fn histogram_family(&self, name: &str) -> Vec<(Labels, HistogramSnapshot)> {
         let map = self.entries.lock().expect("metrics registry poisoned");
-        let mut out: Vec<(Labels, HistogramSnapshot)> = map
+        let family = map.get(name).map_or(&[][..], Vec::as_slice);
+        family
             .iter()
-            .filter_map(|((n, labels), entry)| match entry {
-                MetricEntry::Histogram(h) if n == name => Some((labels.clone(), h.snapshot())),
+            .filter_map(|(labels, entry)| match entry {
+                MetricEntry::Histogram(h) => Some((labels.clone(), h.snapshot())),
                 _ => None,
             })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 
     /// Current values of every counter series registered under `name`,
@@ -328,15 +345,14 @@ impl Registry {
     /// unknown name yields an empty vector.
     pub fn counter_family(&self, name: &str) -> Vec<(Labels, u64)> {
         let map = self.entries.lock().expect("metrics registry poisoned");
-        let mut out: Vec<(Labels, u64)> = map
+        let family = map.get(name).map_or(&[][..], Vec::as_slice);
+        family
             .iter()
-            .filter_map(|((n, labels), entry)| match entry {
-                MetricEntry::Counter(c) if n == name => Some((labels.clone(), c.get())),
+            .filter_map(|(labels, entry)| match entry {
+                MetricEntry::Counter(c) => Some((labels.clone(), c.get())),
                 _ => None,
             })
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+            .collect()
     }
 
     /// Drops every registered metric (tests only; production code should
@@ -349,13 +365,11 @@ impl Registry {
     /// ordered by `(name, labels)`.
     pub fn render_prometheus(&self) -> String {
         let map = self.entries.lock().expect("metrics registry poisoned");
-        let mut keys: Vec<&(String, Labels)> = map.keys().collect();
-        keys.sort();
         let mut out = String::new();
         let mut last_name: Option<&str> = None;
-        for key in keys {
-            let (name, labels) = key;
-            let entry = &map[key];
+        for (name, labels, entry) in
+            map.iter().flat_map(|(name, family)| family.iter().map(move |(l, e)| (name, l, e)))
+        {
             if last_name != Some(name.as_str()) {
                 let _ = writeln!(out, "# TYPE {name} {}", entry.kind());
                 last_name = Some(name.as_str());
@@ -450,6 +464,12 @@ mod tests {
         r.counter("x", &[("a", "1"), ("b", "2")]).inc();
         r.counter("x", &[("b", "2"), ("a", "1")]).inc();
         assert_eq!(r.counter("x", &[("a", "1"), ("b", "2")]).get(), 2);
+        // ...and nothing short of the same set finds the series.
+        for other in [&[("a", "1")][..], &[("a", "1"), ("b", "3")], &[("a", "1"), ("c", "2")], &[]]
+        {
+            assert_eq!(r.counter("x", other).get(), 0, "{other:?}");
+        }
+        assert_eq!(r.counter_family("x").len(), 5);
     }
 
     #[test]
