@@ -1,6 +1,6 @@
 //! Continuous benchmark harness: times a fixed matrix of kernel, codec,
 //! planner, flow-simulation and end-to-end benchmarks and writes a
-//! versioned `BENCH_perf.json` for the `fedmigr_perf_diff` CI gate.
+//! versioned `BENCH_perf.json` for the `fedmigr_diff` CI gate.
 //!
 //! ```text
 //! fedmigr_perf [--quick] [--out <path>] [--repeats <n>] [--filter <substr>]
@@ -18,9 +18,10 @@
 //! the production-path cost, and the observability layers are benchmarked
 //! implicitly by the e2e entries (which run exactly what the CLI runs).
 
-use fedmigr_bench::perf::{measure, PerfEntry, PerfReport, PERF_SCHEMA_VERSION};
+use fedmigr_bench::perf::measure;
 use fedmigr_compress::{CodecConfig, Compressor};
 use fedmigr_core::{MigrationPlan, RunConfig, Scheme};
+use fedmigr_diag::perf::{PerfEntry, PerfReport, PERF_SCHEMA_VERSION};
 use fedmigr_fleet::{plan_migrations, FleetPlannerConfig};
 use fedmigr_net::{FlowConfig, FlowSim, TransportConfig};
 use fedmigr_nn::zoo::{self, NetScale};
@@ -208,7 +209,7 @@ fn main() {
             std::hint::black_box(sim.makespan());
         });
         // Same wave with the event trace recording, so the 1.6x
-        // fedmigr_perf_diff gate bounds the cost of timeline observability
+        // fedmigr_diff gate bounds the cost of timeline observability
         // relative to its own baseline run-to-run.
         run("flow_sim_traced", micro_repeats, &mut || {
             let mut sim = FlowSim::new(FlowConfig::standard(7));

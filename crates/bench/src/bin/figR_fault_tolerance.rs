@@ -147,7 +147,7 @@ fn main() {
     // killed mid-run (simulated crash right after a checkpointed round), and
     // resumed from the latest snapshot. The resumed run's CSV export must be
     // byte-identical to the uninterrupted one — the crash-safety contract of
-    // DESIGN.md §11 — and the table reports what that safety costs in
+    // DESIGN.md §14 — and the table reports what that safety costs in
     // snapshot volume. Shorter runs than the sweeps above: the contract is
     // length-independent and this keeps the bench affordable.
     let recovery_epochs = 60;

@@ -55,7 +55,7 @@
 //!
 //! # Observability
 //!
-//! Runs are instrumented two ways (see `DESIGN.md` §8):
+//! Runs are instrumented two ways (see `DESIGN.md` §11):
 //!
 //! * A deterministic **virtual** per-phase breakdown of the simulation
 //!   clock ([`PhaseBreakdown`]) lands in every [`EpochRecord`], the CSV

@@ -7,7 +7,7 @@ use fedmigr_data::distribution::{l1_distance, normalized_emd};
 use fedmigr_data::Dataset;
 use fedmigr_diag::{
     DiagConfig, DriftSnapshot, DrlSnapshot, EdgeOutcome, EmdSnapshot, FlightHeader, FlightRecorder,
-    FlightSummary, GraphSnapshot, MigrationEdge, RoundRecord, FLIGHT_VERSION,
+    FlightSummary, GraphSnapshot, MigrationEdge, PhaseSeconds, RoundRecord, FLIGHT_VERSION,
 };
 use fedmigr_drl::qp::FlmmRelaxation;
 use fedmigr_drl::MigrationState;
@@ -140,7 +140,7 @@ pub struct RunConfig {
     pub fleet: Option<crate::fleet::FleetOptions>,
 }
 
-/// Configuration of the divergence watchdog (see `DESIGN.md` §11). The
+/// Configuration of the divergence watchdog (see `DESIGN.md` §14). The
 /// default is disabled and provably zero-cost: no snapshots are taken, no
 /// upload is screened, and the run stays byte-identical to the seed.
 #[derive(Clone, Copy, Debug)]
@@ -524,7 +524,7 @@ impl<'a> DenseRun<'a> {
             FlightRecorder::resume(path, start_epoch - 1)
         } else {
             FlightRecorder::create(path).and_then(|mut rec| {
-                rec.header(&FlightHeader {
+                rec.line(&mut FlightHeader {
                     version: FLIGHT_VERSION,
                     scheme: cfg.scheme.name(),
                     clients: self.ctx.k,
@@ -1338,7 +1338,7 @@ impl<'a> DenseRun<'a> {
         let Some(rec) = self.obs.flight.as_mut() else { return };
         let traffic = st.common.meter.traffic();
         let phase = st.common.clock.phase();
-        let row = RoundRecord {
+        let mut row = RoundRecord {
             epoch: r.epoch,
             train_loss: r.mean_loss as f64,
             test_accuracy: r.accuracy,
@@ -1346,10 +1346,12 @@ impl<'a> DenseRun<'a> {
             c2s_bytes: traffic.c2s,
             c2c_local_bytes: traffic.c2c_local,
             c2c_global_bytes: traffic.c2c_global,
-            phase_train_s: phase.train_s,
-            phase_c2s_s: phase.c2s_s,
-            phase_migration_s: phase.migration_s,
-            phase_backoff_s: phase.backoff_s,
+            phase: PhaseSeconds {
+                train_s: phase.train_s,
+                c2s_s: phase.c2s_s,
+                migration_s: phase.migration_s,
+                backoff_s: phase.backoff_s,
+            },
             emd,
             train_emd,
             drift: Some(drift),
@@ -1357,7 +1359,7 @@ impl<'a> DenseRun<'a> {
             graph,
             migrations: std::mem::take(&mut r.edges),
         };
-        if let Err(e) = rec.round(&row) {
+        if let Err(e) = rec.line(&mut row) {
             fedmigr_telemetry::error!(
                 "core::diag",
                 "flight round write failed: {e}; recording stopped"
@@ -1761,7 +1763,7 @@ impl RoundLoop for DenseRun<'_> {
         let st = &self.st;
         let records = &st.common.records;
         if let Some(rec) = self.obs.flight.as_mut().filter(|_| !exit.killed) {
-            let summary = FlightSummary {
+            let mut summary = FlightSummary {
                 epochs_run: records.len(),
                 final_accuracy: records.iter().rev().find_map(|r| r.test_accuracy).unwrap_or(0.0),
                 best_accuracy: records.iter().filter_map(|r| r.test_accuracy).fold(0.0, f64::max),
@@ -1773,7 +1775,7 @@ impl RoundLoop for DenseRun<'_> {
                 target_reached: exit.target_reached,
                 budget_exhausted: exit.budget_exhausted,
             };
-            if let Err(e) = rec.finish(&summary) {
+            if let Err(e) = rec.line(&mut summary) {
                 fedmigr_telemetry::error!("core::diag", "flight summary write failed: {e}");
             }
         }

@@ -26,9 +26,12 @@
 //! Flow events and link series are clipped to the virtual time the clock
 //! actually charged for the phase (a deadline-cut upload phase ends at the
 //! deadline), which keeps start timestamps globally monotone — the
-//! invariant `telemetry_validate --timeline` enforces.
+//! invariant `TimelineRecording::validate` enforces.
 
-use fedmigr_diag::timeline::{IntervalState, TimelineHeader, TimelineRecorder, TIMELINE_VERSION};
+use fedmigr_diag::timeline::{
+    FlowRow, IntervalRow, IntervalState, LinkRow, SeriesRow, TimelineHeader, TimelineRecorder,
+    TIMELINE_VERSION,
+};
 use fedmigr_net::PhaseTrace;
 use fedmigr_telemetry::names;
 
@@ -68,7 +71,7 @@ impl TimelineCapture {
     ) -> Self {
         let rec = path.and_then(|p| match TimelineRecorder::create(p) {
             Ok(mut rec) => {
-                let header = TimelineHeader {
+                let mut header = TimelineHeader {
                     version: TIMELINE_VERSION,
                     mode: mode.into(),
                     scheme: scheme.into(),
@@ -76,7 +79,7 @@ impl TimelineCapture {
                     clients,
                     seed,
                 };
-                match rec.header(&header) {
+                match rec.header(&mut header) {
                     Ok(()) => Some(rec),
                     Err(e) => {
                         fedmigr_telemetry::error!(
@@ -112,6 +115,14 @@ impl TimelineCapture {
         self.rec.is_some()
     }
 
+    /// Buffers one client interval `[t0, t1]` of the current round, unless
+    /// its `span` is too short to be worth a line.
+    fn interval(&mut self, span: f64, client: usize, state: IntervalState, t0: f64, t1: f64) {
+        if let Some(rec) = self.rec.as_mut().filter(|_| span > MIN_SPAN_S) {
+            rec.push(IntervalRow { epoch: self.epoch, client, state, t0, t1 });
+        }
+    }
+
     /// Starts a round at virtual time `t0`.
     pub(crate) fn round_start(&mut self, epoch: usize, t0: f64) {
         if self.rec.is_none() {
@@ -128,14 +139,12 @@ impl TimelineCapture {
     /// and the phase (straggler-limited) released everyone at `phase_end`;
     /// the difference is `wait`.
     pub(crate) fn train(&mut self, client: usize, t0: f64, train_end: f64, phase_end: f64) {
-        let Some(rec) = self.rec.as_mut() else { return };
+        if self.rec.is_none() {
+            return;
+        }
         let cut = train_end.min(phase_end);
-        if cut - t0 > MIN_SPAN_S {
-            rec.interval(self.epoch, client, IntervalState::Train, t0, cut);
-        }
-        if phase_end - cut > MIN_SPAN_S {
-            rec.interval(self.epoch, client, IntervalState::Wait, cut, phase_end);
-        }
+        self.interval(cut - t0, client, IntervalState::Train, t0, cut);
+        self.interval(phase_end - cut, client, IntervalState::Wait, cut, phase_end);
         self.busy_until[client] = self.busy_until[client].max(phase_end);
         self.touched[client] = true;
     }
@@ -146,14 +155,12 @@ impl TimelineCapture {
     /// A `late` uploader is additionally parked in the staleness buffer
     /// from the phase cut until the round closes.
     pub(crate) fn upload(&mut self, client: usize, t0: f64, finish: f64, dur: f64, late: bool) {
-        let Some(rec) = self.rec.as_mut() else { return };
+        if self.rec.is_none() {
+            return;
+        }
         let cut = finish.min(dur);
-        if cut > MIN_SPAN_S {
-            rec.interval(self.epoch, client, IntervalState::Upload, t0, t0 + cut);
-        }
-        if dur - cut > MIN_SPAN_S {
-            rec.interval(self.epoch, client, IntervalState::Wait, t0 + cut, t0 + dur);
-        }
+        self.interval(cut, client, IntervalState::Upload, t0, t0 + cut);
+        self.interval(dur - cut, client, IntervalState::Wait, t0 + cut, t0 + dur);
         self.busy_until[client] = self.busy_until[client].max(t0 + dur);
         self.touched[client] = true;
         if late {
@@ -164,10 +171,10 @@ impl TimelineCapture {
     /// Records a migration source's transfer inside the wave starting at
     /// `t0`.
     pub(crate) fn migrate(&mut self, client: usize, t0: f64, dur: f64) {
-        let Some(rec) = self.rec.as_mut() else { return };
-        if dur > MIN_SPAN_S {
-            rec.interval(self.epoch, client, IntervalState::Migrate, t0, t0 + dur);
+        if self.rec.is_none() {
+            return;
         }
+        self.interval(dur, client, IntervalState::Migrate, t0, t0 + dur);
         self.busy_until[client] = self.busy_until[client].max(t0 + dur);
         self.touched[client] = true;
     }
@@ -180,8 +187,9 @@ impl TimelineCapture {
     pub(crate) fn phase_trace(&mut self, phase: &str, t0: f64, t_end: f64, pt: &PhaseTrace) {
         let Some(rec) = self.rec.as_mut() else { return };
         let reg = fedmigr_telemetry::global().registry();
-        for (idx, label) in pt.link_labels.iter().enumerate() {
-            rec.link(self.epoch, phase, label, pt.link_capacity[idx], t0);
+        let (epoch, phase) = (self.epoch, phase.to_string());
+        for (id, &capacity) in pt.link_labels.iter().zip(&pt.link_capacity) {
+            rec.push(LinkRow { epoch, phase: phase.clone(), id: id.clone(), capacity, t: t0 });
         }
         let fallback = String::new();
         for ev in &pt.flow.events {
@@ -194,9 +202,17 @@ impl TimelineCapture {
                 .and_then(|path| path.first())
                 .and_then(|&l| pt.link_labels.get(l))
                 .unwrap_or(&fallback);
-            let owner = pt.flow_owners.get(ev.flow).copied().unwrap_or(usize::MAX);
             let name = ev.kind.name();
-            rec.flow_event(self.epoch, phase, ev.flow, owner, link, name, t0 + ev.t, ev.cwnd);
+            rec.push(FlowRow {
+                epoch,
+                phase: phase.clone(),
+                flow: ev.flow,
+                client: pt.flow_owners.get(ev.flow).copied().unwrap_or(usize::MAX),
+                link: link.clone(),
+                event: name.into(),
+                t: t0 + ev.t,
+                cwnd: ev.cwnd,
+            });
             reg.counter(names::FLOW_EVENTS_TOTAL, &[("event", name)]).add(1);
         }
         for s in &pt.flow.links {
@@ -204,9 +220,7 @@ impl TimelineCapture {
             if n == 0 {
                 continue;
             }
-            let label = pt.link_labels.get(s.link).cloned().unwrap_or_default();
             let t_abs: Vec<f64> = s.t[..n].iter().map(|&t| t0 + t).collect();
-            rec.link_series(self.epoch, phase, &label, &t_abs, &s.util[..n], &s.queue[..n]);
             // Busy seconds: spans with positive utilization, the last one
             // running to the phase cut.
             let mut busy = 0.0;
@@ -220,6 +234,14 @@ impl TimelineCapture {
             if busy > 0.0 {
                 reg.histogram(names::LINK_BUSY_SECONDS, &[]).observe(busy);
             }
+            rec.push(SeriesRow {
+                epoch,
+                phase: phase.clone(),
+                id: pt.link_labels.get(s.link).cloned().unwrap_or_default(),
+                t: t_abs,
+                util: s.util[..n].to_vec(),
+                queue: s.queue[..n].to_vec(),
+            });
         }
     }
 
@@ -240,11 +262,7 @@ impl TimelineCapture {
                 Some(from) => (from, IntervalState::StaleBuffered),
                 None => (self.busy_until[client], IntervalState::Idle),
             };
-            if t1 - from > MIN_SPAN_S {
-                if let Some(rec) = self.rec.as_mut() {
-                    rec.interval(epoch, client, state, from, t1);
-                }
-            }
+            self.interval(t1 - from, client, state, from, t1);
         }
         let t0 = self.round_t0;
         if let Some(rec) = self.rec.as_mut() {

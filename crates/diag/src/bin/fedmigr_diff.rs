@@ -1,91 +1,25 @@
-//! Compares a flight recording against a baseline and gates on metric
-//! regressions.
+//! Gates a fresh artifact against its checked-in baseline.
 //!
 //! ```text
-//! fedmigr_diff <baseline.jsonl> <current.jsonl> \
-//!     [--tol-accuracy X] [--tol-emd X] [--tol-bytes-frac X] [--tol-time-frac X]
+//! fedmigr_diff <baseline> <current>
 //! ```
 //!
-//! Tolerance precedence per axis: explicit flag > the baseline's embedded
-//! `tolerances` record > built-in defaults. Exits 0 when no metric
-//! regressed past its budget, 1 on regressions, 2 on usage/parse errors.
+//! The baseline's content says what is being gated and under which rule
+//! (see [`fedmigr_diag::gate`]): a flight recording (`--flight-out`), a
+//! `fedmigr_perf` report or a `fedmigr_netview --json` report. Exits 0 when
+//! nothing regressed past its budget, 1 on regressions, 2 on usage or
+//! read errors.
 
-use fedmigr_diag::{diff_recordings, FlightRecording};
+use fedmigr_diag::gate::{check, Outcome};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    const TOL_FLAGS: [&str; 4] =
-        ["--tol-accuracy", "--tol-emd", "--tol-bytes-frac", "--tol-time-frac"];
-    let mut paths: Vec<&String> = Vec::new();
-    let mut i = 1;
-    while i < args.len() {
-        if TOL_FLAGS.contains(&args[i].as_str()) {
-            i += 2; // skip the flag's value so it is not mistaken for a path
-        } else {
-            paths.push(&args[i]);
-            i += 1;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let outcome = match &args[..] {
+        [baseline, current] if !baseline.starts_with('-') && !current.starts_with('-') => {
+            check(baseline, current)
         }
-    }
-    let [baseline_path, current_path] = paths[..] else {
-        eprintln!(
-            "usage: fedmigr_diff <baseline.jsonl> <current.jsonl> [--tol-accuracy X] \
-             [--tol-emd X] [--tol-bytes-frac X] [--tol-time-frac X]"
-        );
-        std::process::exit(2);
+        _ => Outcome::Error("usage: fedmigr_diff <baseline> <current>".into()),
     };
-
-    let baseline = load(baseline_path);
-    let current = load(current_path);
-
-    let mut tol = baseline.tolerances.unwrap_or_default();
-    override_tol(&args, "--tol-accuracy", &mut tol.accuracy_drop);
-    override_tol(&args, "--tol-emd", &mut tol.emd_rise);
-    override_tol(&args, "--tol-bytes-frac", &mut tol.bytes_rise_frac);
-    override_tol(&args, "--tol-time-frac", &mut tol.time_rise_frac);
-
-    match diff_recordings(&baseline, &current, &tol) {
-        Ok(regs) if regs.is_empty() => {
-            println!(
-                "OK: {} vs baseline — acc {:.4} (base {:.4}), run-mean EMD {:.4} (base {:.4}), \
-                 {:.2} MB (base {:.2})",
-                current.header.scheme,
-                current.final_accuracy(),
-                baseline.final_accuracy(),
-                current.mean_emd_over_run(),
-                baseline.mean_emd_over_run(),
-                current.total_bytes() as f64 / 1e6,
-                baseline.total_bytes() as f64 / 1e6,
-            );
-        }
-        Ok(regs) => {
-            eprintln!("FAIL: {} metric(s) regressed past tolerance:", regs.len());
-            for r in &regs {
-                eprintln!("  {}", r.describe());
-            }
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn load(path: &str) -> FlightRecording {
-    FlightRecording::from_file(path).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
-}
-
-fn override_tol(args: &[String], flag: &str, slot: &mut f64) {
-    if let Some(w) = args.windows(2).find(|w| w[0] == flag) {
-        match w[1].parse::<f64>() {
-            Ok(v) if v >= 0.0 => *slot = v,
-            _ => {
-                eprintln!("error: {flag} wants a non-negative number, got {:?}", w[1]);
-                std::process::exit(2);
-            }
-        }
-    }
+    outcome.report();
+    std::process::exit(outcome.code().into());
 }

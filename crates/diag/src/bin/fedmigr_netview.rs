@@ -1,128 +1,79 @@
-//! Analyzes a round timeline (`--timeline-out` JSONL): per-round critical
-//! path, makespan decomposition (compute vs comm vs idle), per-link
-//! utilization histograms and the overlap-opportunity estimate.
+//! Validates and analyzes a round timeline (`--timeline-out` JSONL):
+//! per-round critical path, makespan decomposition (compute vs comm vs
+//! idle), per-link utilization histograms and the overlap-opportunity
+//! estimate.
 //!
 //! ```text
 //! fedmigr_netview <timeline.jsonl> [--json <out.json>] [--chrome-out <trace.json>]
-//!                 [--check <baseline.json>] [--tol X]
 //! ```
 //!
-//! Prints the text summary to stdout. `--json` writes the deterministic
-//! JSON report; `--chrome-out` converts the timeline to Chrome trace-event
-//! JSON (Perfetto-viewable); `--check` diffs the JSON report against a
-//! checked-in baseline with relative tolerance `--tol` (default 1e-6).
-//! Exits 0 when clean, 1 when the check finds mismatches, 2 on usage or
-//! parse errors.
+//! The timeline is first held to its invariants
+//! ([`TimelineRecording::validate`]): versioned header first, start stamps
+//! monotone, intervals closed, flow events on declared links. Then the text
+//! summary goes to stdout; `--json` writes the deterministic JSON report
+//! (gate it with `fedmigr_diff <baseline.json> <out.json>`); `--chrome-out`
+//! converts the timeline to Chrome trace-event JSON (Perfetto-viewable).
+//! Exits 0 when clean, 1 when the timeline breaks an invariant, 2 on usage
+//! or parse errors.
 
-use fedmigr_diag::netview::{analyze, diff_json, render_json, render_text};
+use fedmigr_diag::netview::{analyze, render_json, render_text};
 use fedmigr_diag::TimelineRecording;
-use fedmigr_telemetry::trace::JsonValue;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut timeline: Option<&String> = None;
-    let mut json_out: Option<&String> = None;
-    let mut chrome_out: Option<&String> = None;
-    let mut check: Option<&String> = None;
-    let mut tol = 1e-6f64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                json_out = Some(value(&args, i));
-                i += 2;
-            }
-            "--chrome-out" => {
-                chrome_out = Some(value(&args, i));
-                i += 2;
-            }
-            "--check" => {
-                check = Some(value(&args, i));
-                i += 2;
-            }
-            "--tol" => {
-                tol = value(&args, i).parse().unwrap_or_else(|_| {
-                    eprintln!("error: --tol wants a number, got {:?}", args[i + 1]);
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown flag {flag}");
-                usage();
-            }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut timeline, mut json_out, mut chrome_out) = (None, None, None);
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let slot = match arg.as_str() {
+            "--json" => &mut json_out,
+            "--chrome-out" => &mut chrome_out,
+            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
             _ if timeline.is_none() => {
-                timeline = Some(&args[i]);
-                i += 1;
+                timeline = Some(arg);
+                continue;
             }
-            extra => {
-                eprintln!("error: unexpected argument {extra:?}");
-                usage();
-            }
-        }
+            extra => usage(&format!("unexpected argument {extra:?}")),
+        };
+        *slot = Some(it.next().unwrap_or_else(|| usage(&format!("{arg} wants a value"))));
     }
-    let Some(path) = timeline else { usage() };
+    let Some(path) = timeline else { usage("no timeline given") };
 
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("error: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let rec = TimelineRecording::parse(&text).unwrap_or_else(|e| {
-        eprintln!("error: {path}: {e}");
-        std::process::exit(2);
-    });
-    let report = analyze(&rec);
-    print!("{}", render_text(&report));
-    let json = render_json(&report);
-
-    if let Some(out) = json_out {
-        if let Err(e) = std::fs::write(out, format!("{json}\n")) {
-            eprintln!("error: cannot write {out}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {out}");
-    }
-    if let Some(out) = chrome_out {
-        if let Err(e) = std::fs::write(out, fedmigr_diag::chrome_trace(&rec)) {
-            eprintln!("error: cannot write {out}: {e}");
-            std::process::exit(2);
-        }
-        println!("wrote {out}");
-    }
-    if let Some(baseline_path) = check {
-        let baseline_text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        });
-        let baseline = JsonValue::parse(baseline_text.trim()).unwrap_or_else(|e| {
-            eprintln!("error: baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        });
-        let current = JsonValue::parse(&json).expect("own JSON parses");
-        let regs = diff_json(&baseline, &current, tol);
-        if regs.is_empty() {
-            println!("OK: netview matches {baseline_path} (tol {tol})");
-        } else {
-            eprintln!("FAIL: {} netview mismatch(es) vs {baseline_path}:", regs.len());
-            for r in &regs {
-                eprintln!("  {r}");
-            }
+    let rec = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| TimelineRecording::parse(&text).map_err(|e| format!("{path}: {e}")))
+        .unwrap_or_else(|e| die(&e));
+    match rec.validate() {
+        Ok(summary) => println!("{path}: {summary}"),
+        Err(violations) => {
+            violations.iter().for_each(|v| eprintln!("{path}: {v}"));
             std::process::exit(1);
         }
     }
+    let mut report = analyze(&rec);
+    print!("{}", render_text(&report));
+
+    if let Some(out) = json_out {
+        write(out, format!("{}\n", render_json(&mut report)));
+    }
+    if let Some(out) = chrome_out {
+        write(out, fedmigr_diag::chrome_trace(&rec));
+    }
 }
 
-fn value(args: &[String], i: usize) -> &String {
-    args.get(i + 1).unwrap_or_else(|| {
-        eprintln!("error: {} wants a value", args[i]);
-        std::process::exit(2);
-    })
+fn write(out: &str, body: String) {
+    std::fs::write(out, body).unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
+    println!("wrote {out}");
 }
 
-fn usage() -> ! {
+fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+fn usage(problem: &str) -> ! {
+    eprintln!("error: {problem}");
     eprintln!(
-        "usage: fedmigr_netview <timeline.jsonl> [--json <out.json>] \
-         [--chrome-out <trace.json>] [--check <baseline.json>] [--tol X]"
+        "usage: fedmigr_netview <timeline.jsonl> [--json <out.json>] [--chrome-out <trace.json>]"
     );
     std::process::exit(2);
 }

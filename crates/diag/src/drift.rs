@@ -33,6 +33,8 @@ pub struct DriftSnapshot {
     /// Mean of `divergence` — the cross-client gradient-divergence spread.
     pub mean_divergence: f64,
 }
+fedmigr_telemetry::record_fields!(DriftSnapshot: mean_dist, max_dist, mean_cosine, mean_divergence,
+    dist, cosine, divergence);
 
 impl DriftSnapshot {
     /// Measures drift of `params[i]` against `global`, weighting the mean

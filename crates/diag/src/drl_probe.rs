@@ -39,6 +39,9 @@ pub struct DrlSnapshot {
     /// Oldest stored transition's age in pushes.
     pub replay_max_age: f64,
 }
+fedmigr_telemetry::record_fields!(DrlSnapshot: mean_entropy, mean_saturation, mean_q, mean_abs_td,
+    max_abs_td, critic_grad_norm, actor_grad_norm, replay_occupancy, replay_capacity,
+    replay_priority_spread, replay_mean_age, replay_max_age);
 
 impl DrlSnapshot {
     /// Builds the snapshot from this round's per-client action

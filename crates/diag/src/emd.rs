@@ -21,6 +21,7 @@ pub struct EmdSnapshot {
     /// Worst slot.
     pub max: f64,
 }
+fedmigr_telemetry::record_fields!(EmdSnapshot: mean, max, per_client);
 
 impl EmdSnapshot {
     /// Measures every mixture vector against the population distribution.

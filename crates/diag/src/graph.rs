@@ -7,11 +7,16 @@
 //! concentrate on a few productive links (the paper's Fig. 8), while
 //! RandMigr spreads uniformly.
 
+use fedmigr_telemetry::record::{Fault, Field, Out};
+use fedmigr_telemetry::record_fields;
+use fedmigr_telemetry::trace::JsonValue;
+
 /// How a transfer was ultimately carried (mirrors the runner's delivery
 /// fallback chain).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EdgeOutcome {
     /// Delivered on the direct C2C path, first try.
+    #[default]
     Direct,
     /// Delivered on the direct path after bounded retries.
     DirectRetry,
@@ -53,8 +58,17 @@ impl EdgeOutcome {
     }
 }
 
+impl Field for EdgeOutcome {
+    fn emit(&mut self, out: &mut Out<'_>) {
+        out.string(self.name());
+    }
+    fn absorb(v: &JsonValue) -> Result<Self, Fault> {
+        v.as_str().and_then(Self::parse).ok_or_else(Fault::missing)
+    }
+}
+
 /// One attempted model migration.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MigrationEdge {
     /// Sending client.
     pub src: usize,
@@ -67,6 +81,7 @@ pub struct MigrationEdge {
     /// Path the transfer ended on.
     pub outcome: EdgeOutcome,
 }
+record_fields!(MigrationEdge: src, dst, bytes, time_s, outcome);
 
 /// Round-level migration-graph statistics.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -87,6 +102,8 @@ pub struct GraphSnapshot {
     /// closed loops the round's model circulation formed.
     pub cycles: usize,
 }
+record_fields!(GraphSnapshot: attempted, delivered, fallbacks, out_concentration, in_concentration,
+    cycles);
 
 impl GraphSnapshot {
     /// Analyzes one round's edges plus the executed `src_of` map

@@ -16,30 +16,34 @@
 //!   [`DrlSnapshot`] (DDPG policy entropy/saturation, critic health,
 //!   replay-buffer health) and [`GraphSnapshot`] (migration-graph
 //!   analytics over the round's [`MigrationEdge`] list).
-//! * **The flight recorder** — a versioned JSONL artifact
-//!   ([`FlightRecorder`] writes, [`FlightRecording`] parses) consumed by
-//!   the `fedmigr_report` and `fedmigr_diff` binaries; the latter is the
-//!   repo's first metric-regression gate (see [`diff`]).
+//! * **The run's record streams** — the flight recording
+//!   ([`FlightRecorder`] writes, [`FlightRecording`] parses; rendered by
+//!   `fedmigr_report`) and the round timeline ([`TimelineRecorder`],
+//!   [`TimelineRecording`]; analyzed by `fedmigr_netview`), both schemas
+//!   over [`fedmigr_telemetry::record`]; and the one regression gate behind
+//!   `fedmigr_diff` (see [`gate`]).
 
 #![warn(missing_docs)]
 
-pub mod diff;
 pub mod drift;
 pub mod drl_probe;
 pub mod emd;
 pub mod flight;
+pub mod gate;
 pub mod graph;
 pub mod netview;
+pub mod perf;
 pub mod report;
 pub mod timeline;
 
-pub use diff::{diff_recordings, Regression, Tolerances};
 pub use drift::DriftSnapshot;
 pub use drl_probe::DrlSnapshot;
 pub use emd::EmdSnapshot;
 pub use flight::{
-    FlightHeader, FlightRecorder, FlightRecording, FlightSummary, RoundRecord, FLIGHT_VERSION,
+    FlightHeader, FlightRecorder, FlightRecording, FlightSummary, PhaseSeconds, RoundRecord,
+    FLIGHT_VERSION,
 };
+pub use gate::{diff_recordings, Tolerances};
 pub use graph::{permutation_cycles, EdgeOutcome, GraphSnapshot, MigrationEdge};
 pub use report::render_report;
 pub use timeline::{

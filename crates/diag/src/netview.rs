@@ -9,7 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use fedmigr_telemetry::trace::{json_num, json_str, JsonValue};
+use fedmigr_telemetry::record::{self, Fields, Record};
+use fedmigr_telemetry::record_fields;
 
 use crate::timeline::{IntervalState, RoundTimeline, TimelineRecording};
 
@@ -53,6 +54,18 @@ impl Decomposition {
     }
 }
 
+impl Record for Decomposition {
+    fn fields(&mut self, v: &mut Fields<'_>) {
+        v.field("compute_s", &mut self.compute_s);
+        v.field("comm_s", &mut self.comm_s);
+        v.field("wait_s", &mut self.wait_s);
+        v.field("idle_s", &mut self.idle_s);
+        v.field("stale_s", &mut self.stale_s);
+        // Derived: written for whoever reads the JSON, never stored.
+        v.field("total_s", &mut self.total_s());
+    }
+}
+
 /// The round's critical path: the client whose busy (train + comm) chain
 /// dominates the round, and how its time splits.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -70,9 +83,10 @@ pub struct CriticalRound {
     /// Its communication share of the busy time.
     pub comm_s: f64,
 }
+record_fields!(CriticalRound: epoch, round_s, client, busy_s, compute_s, comm_s);
 
 /// One link's utilization profile over the analyzed rounds.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinkReport {
     /// Stable link label (`"wan"`, `"access:3"`, `"pair:1-4"`, ...).
     pub id: String,
@@ -91,6 +105,7 @@ pub struct LinkReport {
     /// Seconds per utilization decile (`[0,0.1)`, ..., `[0.9,1.0]`).
     pub hist_s: [f64; UTIL_BUCKETS],
 }
+record_fields!(LinkReport: id, spans, sampled_s, busy_s, mean_util, p95_util, max_util, hist_s);
 
 /// The full netview report.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -104,7 +119,7 @@ pub struct NetviewReport {
     /// Client-seconds per activity class.
     pub decomposition: Decomposition,
     /// Per-round critical path, in epoch order.
-    pub critical: Vec<CriticalRound>,
+    pub critical_path: Vec<CriticalRound>,
     /// Per-link utilization profiles, in label order.
     pub links: Vec<LinkReport>,
     /// Idle + wait seconds recoverable if finished uploaders trained
@@ -113,6 +128,8 @@ pub struct NetviewReport {
     /// Flow lifecycle event counts by event name.
     pub flow_events: BTreeMap<String, u64>,
 }
+record_fields!(NetviewReport: rounds, rollbacks, makespan_s, decomposition, overlap_opportunity_s,
+    critical_path, links, flow_events);
 
 /// Analyzes the settled rounds of a timeline.
 pub fn analyze(rec: &TimelineRecording) -> NetviewReport {
@@ -121,7 +138,7 @@ pub fn analyze(rec: &TimelineRecording) -> NetviewReport {
     for round in rec.settled_rounds() {
         report.rounds += 1;
         report.makespan_s += round.t1 - round.t0;
-        report.critical.push(critical_round(round));
+        report.critical_path.push(critical_round(round));
         for iv in &round.intervals {
             report.decomposition.add(iv.state, iv.t1 - iv.t0);
         }
@@ -270,67 +287,10 @@ impl LinkAccum {
     }
 }
 
-/// Renders the report as deterministic JSON (stable key order, numbers via
+/// Renders the report as deterministic JSON (schema key order, numbers via
 /// the telemetry JSON formatter).
-pub fn render_json(r: &NetviewReport) -> String {
-    let mut out = String::from("{");
-    out.push_str(&format!("\"rounds\":{},", json_num(r.rounds as f64)));
-    out.push_str(&format!("\"rollbacks\":{},", json_num(r.rollbacks as f64)));
-    out.push_str(&format!("\"makespan_s\":{},", json_num(r.makespan_s)));
-    let d = &r.decomposition;
-    out.push_str(&format!(
-        "\"decomposition\":{{\"compute_s\":{},\"comm_s\":{},\"wait_s\":{},\"idle_s\":{},\"stale_s\":{},\"total_s\":{}}},",
-        json_num(d.compute_s),
-        json_num(d.comm_s),
-        json_num(d.wait_s),
-        json_num(d.idle_s),
-        json_num(d.stale_s),
-        json_num(d.total_s()),
-    ));
-    out.push_str(&format!("\"overlap_opportunity_s\":{},", json_num(r.overlap_opportunity_s)));
-    let critical: Vec<String> = r
-        .critical
-        .iter()
-        .map(|c| {
-            format!(
-                "{{\"epoch\":{},\"round_s\":{},\"client\":{},\"busy_s\":{},\"compute_s\":{},\"comm_s\":{}}}",
-                json_num(c.epoch as f64),
-                json_num(c.round_s),
-                json_num(c.client as f64),
-                json_num(c.busy_s),
-                json_num(c.compute_s),
-                json_num(c.comm_s),
-            )
-        })
-        .collect();
-    out.push_str(&format!("\"critical_path\":[{}],", critical.join(",")));
-    let links: Vec<String> = r
-        .links
-        .iter()
-        .map(|l| {
-            let hist: Vec<String> = l.hist_s.iter().map(|&v| json_num(v)).collect();
-            format!(
-                "{{\"id\":{},\"spans\":{},\"sampled_s\":{},\"busy_s\":{},\"mean_util\":{},\"p95_util\":{},\"max_util\":{},\"hist_s\":[{}]}}",
-                json_str(&l.id),
-                json_num(l.spans as f64),
-                json_num(l.sampled_s),
-                json_num(l.busy_s),
-                json_num(l.mean_util),
-                json_num(l.p95_util),
-                json_num(l.max_util),
-                hist.join(","),
-            )
-        })
-        .collect();
-    out.push_str(&format!("\"links\":[{}],", links.join(",")));
-    let events: Vec<String> = r
-        .flow_events
-        .iter()
-        .map(|(k, &v)| format!("{}:{}", json_str(k), json_num(v as f64)))
-        .collect();
-    out.push_str(&format!("\"flow_events\":{{{}}}", events.join(",")));
-    out.push('}');
-    out
+pub fn render_json(r: &mut NetviewReport) -> String {
+    record::to_json(r)
 }
 
 /// Renders a human-readable summary (what the bin prints to stdout).
@@ -361,7 +321,7 @@ pub fn render_text(r: &NetviewReport) -> String {
         r.overlap_opportunity_s
     ));
     // The worst critical path, as the headline.
-    if let Some(worst) = r.critical.iter().max_by(|a, b| a.busy_s.total_cmp(&b.busy_s)) {
+    if let Some(worst) = r.critical_path.iter().max_by(|a, b| a.busy_s.total_cmp(&b.busy_s)) {
         out.push_str(&format!(
             "worst critical path: epoch {} client {} busy {:.3}s of {:.3}s round \
              (compute {:.3}s, comm {:.3}s)\n",
@@ -375,60 +335,6 @@ pub fn render_text(r: &NetviewReport) -> String {
         ));
     }
     out
-}
-
-/// Compares two netview JSON documents (baseline vs current) leaf by leaf.
-/// Numeric leaves must agree within relative tolerance `tol` (absolute for
-/// magnitudes below 1); strings and shapes must match exactly. Returns
-/// human-readable mismatch descriptions, empty when the gate passes.
-pub fn diff_json(baseline: &JsonValue, current: &JsonValue, tol: f64) -> Vec<String> {
-    let mut out = Vec::new();
-    diff_value("$", baseline, current, tol, &mut out);
-    out
-}
-
-fn diff_value(path: &str, a: &JsonValue, b: &JsonValue, tol: f64, out: &mut Vec<String>) {
-    // Cap the noise: a systematic mismatch floods every leaf.
-    if out.len() >= 32 {
-        return;
-    }
-    match (a, b) {
-        (JsonValue::Object(ao), JsonValue::Object(bo)) => {
-            for (k, av) in ao {
-                match bo.get(k) {
-                    Some(bv) => diff_value(&format!("{path}.{k}"), av, bv, tol, out),
-                    None => out.push(format!("{path}.{k}: missing in current")),
-                }
-            }
-            for k in bo.keys() {
-                if !ao.contains_key(k) {
-                    out.push(format!("{path}.{k}: unexpected in current"));
-                }
-            }
-        }
-        (JsonValue::Array(aa), JsonValue::Array(ba)) => {
-            if aa.len() != ba.len() {
-                out.push(format!("{path}: length {} vs {}", aa.len(), ba.len()));
-                return;
-            }
-            for (i, (av, bv)) in aa.iter().zip(ba).enumerate() {
-                diff_value(&format!("{path}[{i}]"), av, bv, tol, out);
-            }
-        }
-        _ => match (a.as_f64(), b.as_f64()) {
-            (Some(x), Some(y)) => {
-                let scale = x.abs().max(1.0);
-                if (x - y).abs() > tol * scale {
-                    out.push(format!("{path}: {x} vs {y} (tol {tol})"));
-                }
-            }
-            _ => {
-                if a.as_str() != b.as_str() || a.as_str().is_none() {
-                    out.push(format!("{path}: {a:?} vs {b:?}"));
-                }
-            }
-        },
-    }
 }
 
 #[cfg(test)]
@@ -462,8 +368,8 @@ mod tests {
         let report = analyze(&rec);
         assert_eq!(report.rounds, 1);
         assert!((report.makespan_s - 10.0).abs() < 1e-12);
-        assert_eq!(report.critical.len(), 1);
-        let c = &report.critical[0];
+        assert_eq!(report.critical_path.len(), 1);
+        let c = &report.critical_path[0];
         assert_eq!(c.client, 1, "straggler dominates the critical path");
         assert!((c.busy_s - 9.0).abs() < 1e-12);
         assert!((c.compute_s - 6.0).abs() < 1e-12);
@@ -506,22 +412,20 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_and_diff_gate() {
+    fn json_report_reads_back_and_re_encodes_to_the_same_bytes() {
         let mut r = round(1, 0.0, 2.0);
         r.intervals.push(iv(1, 0, IntervalState::Train, 0.0, 1.0));
         r.intervals.push(iv(1, 0, IntervalState::Upload, 1.0, 2.0));
         let rec = TimelineRecording { rounds: vec![r], ..TimelineRecording::default() };
-        let report = analyze(&rec);
-        let json = render_json(&report);
-        let v = JsonValue::parse(&json).expect("netview JSON parses");
-        assert!(diff_json(&v, &v, 1e-9).is_empty(), "self-diff is clean");
-        // A perturbed makespan trips the gate…
-        let bumped = json.replacen("\"makespan_s\":2.0", "\"makespan_s\":2.5", 1);
-        let bv = JsonValue::parse(&bumped).unwrap();
-        let regs = diff_json(&v, &bv, 1e-6);
-        assert!(regs.iter().any(|r| r.contains("makespan_s")), "{regs:?}");
-        // …and stays quiet within tolerance.
-        assert!(diff_json(&v, &bv, 0.5).is_empty());
+        let mut report = analyze(&rec);
+        let json = render_json(&mut report);
+        assert!(
+            json.starts_with("{\"rounds\":1.0,\"rollbacks\":0.0,\"makespan_s\":2.0,"),
+            "{json}"
+        );
+        let mut back: NetviewReport = record::from_json(&json).expect("netview JSON parses");
+        assert_eq!(back, report);
+        assert_eq!(render_json(&mut back), json);
         assert!(!render_text(&report).is_empty());
     }
 }

@@ -206,16 +206,16 @@ fn phase_section(out: &mut String, rec: &FlightRecording) {
     let Some(r) = rec.rounds.last() else {
         return;
     };
-    let total = r.phase_train_s + r.phase_c2s_s + r.phase_migration_s + r.phase_backoff_s;
+    let total = r.phase.train_s + r.phase.c2s_s + r.phase.migration_s + r.phase.backoff_s;
     if total <= 0.0 {
         return;
     }
     let _ = writeln!(out, "\n== phase breakdown (virtual time) ==");
     for (name, secs) in [
-        ("train", r.phase_train_s),
-        ("c2s", r.phase_c2s_s),
-        ("migration", r.phase_migration_s),
-        ("backoff", r.phase_backoff_s),
+        ("train", r.phase.train_s),
+        ("c2s", r.phase.c2s_s),
+        ("migration", r.phase.migration_s),
+        ("backoff", r.phase.backoff_s),
     ] {
         let _ = writeln!(out, "{name:>10}: {secs:>10.1}s ({:>5.1}%)", 100.0 * secs / total);
     }
@@ -225,7 +225,7 @@ fn phase_section(out: &mut String, rec: &FlightRecording) {
 mod tests {
     use super::*;
     use crate::emd::EmdSnapshot;
-    use crate::flight::{FlightHeader, FlightSummary, RoundRecord, FLIGHT_VERSION};
+    use crate::flight::{FlightHeader, FlightSummary, PhaseSeconds, RoundRecord, FLIGHT_VERSION};
     use crate::graph::{EdgeOutcome, GraphSnapshot, MigrationEdge};
 
     #[test]
@@ -248,15 +248,13 @@ mod tests {
             agg_interval: 2,
             codec: "identity".into(),
         };
-        let mut round = RoundRecord {
+        let round = RoundRecord {
             epoch: 1,
             train_loss: 2.0,
             test_accuracy: Some(0.4),
             sim_time: 100.0,
             c2s_bytes: 1000,
-            phase_train_s: 60.0,
-            phase_c2s_s: 30.0,
-            phase_migration_s: 10.0,
+            phase: PhaseSeconds { train_s: 60.0, c2s_s: 30.0, migration_s: 10.0, backoff_s: 0.0 },
             emd: EmdSnapshot { per_client: vec![0.3, 0.1], mean: 0.2, max: 0.3 },
             drift: Some(crate::drift::DriftSnapshot {
                 dist: vec![1.0, 2.0],
@@ -290,7 +288,6 @@ mod tests {
             }],
             ..Default::default()
         };
-        round.phase_backoff_s = 0.0;
         let rec = FlightRecording {
             header,
             rounds: vec![round],

@@ -1,47 +1,49 @@
-//! The round timeline: a versioned JSONL stream of per-client round
-//! intervals, per-flow transport events and per-link utilization series,
-//! written behind `--timeline-out`.
+//! The round timeline: a versioned JSONL record stream (see
+//! [`fedmigr_telemetry::record`] for the stream contract) of per-client
+//! round intervals, per-flow transport events and per-link utilization
+//! series, written behind `--timeline-out`.
 //!
 //! The timeline answers the question the flight recorder cannot: *where did
 //! the round's wall clock go, per client and per link?* Each round the
-//! runner buffers payload lines — client intervals (train / wait / upload /
+//! runner buffers payload rows — client intervals (train / wait / upload /
 //! migrate / idle / stale_buffered), flow lifecycle events carried up from
 //! [`fedmigr_net`'s flow tracer], link declarations and coalesced link
 //! utilization/queue series — and flushes them sorted by start time behind
-//! one `{"kind":"round",...}` marker. All times are the run's *virtual*
-//! seconds, so a seeded run produces a byte-identical timeline on every
-//! host.
+//! one `round` marker. All times are the run's *virtual* seconds, so a
+//! seeded run produces a byte-identical timeline on every host.
 //!
 //! Line kinds, in file order:
 //!
-//! 1. exactly one `{"kind":"header","version":1,...}`;
-//! 2. per epoch: one `{"kind":"round","epoch":E,"t0":..,"t1":..}` marker
-//!    followed by that round's payload lines sorted by start time —
-//!    `{"kind":"link",...}` declarations, `{"kind":"interval",...}` client
-//!    states, `{"kind":"flow",...}` transport events and
-//!    `{"kind":"link_series",...}` sampled utilization/queue arrays;
-//! 3. a `{"kind":"rollback","epoch":E}` marker whenever the divergence
-//!    watchdog rewinds the run (the time watermark restarts there);
-//! 4. at most one `{"kind":"finish","epochs":N}`.
+//! 1. exactly one `header` ([`TimelineHeader`]);
+//! 2. per epoch: one `round` marker ([`RoundTimeline`]) followed by that
+//!    round's payload sorted by start time — `link` declarations
+//!    ([`LinkRow`]), `interval` client states ([`IntervalRow`]), `flow`
+//!    transport events ([`FlowRow`]) and `link_series` sampled
+//!    utilization/queue arrays ([`SeriesRow`]);
+//! 3. a `rollback` marker whenever the divergence watchdog rewinds the run
+//!    to the end of an epoch: the rounds after it are history, not outcome,
+//!    and the time watermark restarts there;
+//! 4. at most one `finish`, the closing line.
 //!
 //! Start timestamps are globally non-decreasing across the stream except
-//! across a rollback marker — `telemetry_validate --timeline` enforces
+//! across a rollback marker — [`TimelineRecording::validate`] enforces
 //! exactly that, plus closed intervals and flow events referencing declared
 //! links. Everything here is observation-only: the recorder reads the
 //! runner's state and never touches its RNG or virtual clock.
 //!
 //! [`fedmigr_net`'s flow tracer]: https://docs.rs/fedmigr-net
 
-use std::collections::BTreeMap;
-use std::io::{BufWriter, Write};
+use std::collections::BTreeSet;
 
+use fedmigr_telemetry::record::{self, Fault, Field, Line, Out, Row, Stream, StreamWriter};
+use fedmigr_telemetry::record_fields;
 use fedmigr_telemetry::trace::{json_num, json_str, JsonValue};
 
 /// Current timeline schema version.
 pub const TIMELINE_VERSION: u64 = 1;
 
 /// What a client was doing over one interval of virtual time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IntervalState {
     /// Local training on the client's shard.
     Train,
@@ -52,6 +54,7 @@ pub enum IntervalState {
     /// Sending its model to a migration peer.
     Migrate,
     /// Nothing to do until the round closes.
+    #[default]
     Idle,
     /// Upload missed the deadline; result parked in the staleness buffer.
     StaleBuffered,
@@ -82,10 +85,15 @@ impl IntervalState {
             _ => return None,
         })
     }
+}
 
-    /// All states, for validators and analyzers.
-    pub const ALL: [IntervalState; 6] =
-        [Self::Train, Self::Wait, Self::Upload, Self::Migrate, Self::Idle, Self::StaleBuffered];
+impl Field for IntervalState {
+    fn emit(&mut self, out: &mut Out<'_>) {
+        out.string(self.name());
+    }
+    fn absorb(v: &JsonValue) -> Result<Self, Fault> {
+        v.as_str().and_then(Self::parse).ok_or_else(Fault::missing)
+    }
 }
 
 /// Identifying configuration of the recorded run.
@@ -104,175 +112,16 @@ pub struct TimelineHeader {
     /// Run seed.
     pub seed: u64,
 }
+record_fields!(TimelineHeader as "header": version, mode, scheme, transport, clients, seed);
 
-/// Streaming JSONL writer for a round timeline.
-///
-/// Payload lines are buffered per round and flushed, sorted by start time,
-/// by [`TimelineRecorder::round`]. Mirrors [`crate::FlightRecorder`]'s
-/// error contract: methods that hit the file return `io::Result` and the
-/// caller disables recording on the first error.
-pub struct TimelineRecorder {
-    out: BufWriter<Box<dyn Write + Send>>,
-    buf: Vec<(f64, String)>,
+/// A payload row: buffered per round and flushed sorted by its start stamp.
+pub trait Payload: Line + Default {
+    /// The row's start, absolute virtual seconds.
+    fn start(&self) -> f64;
 }
 
-impl TimelineRecorder {
-    /// Opens (truncating) `path` for recording.
-    pub fn create(path: &str) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::to_writer(Box::new(file)))
-    }
-
-    /// Records into an arbitrary writer (tests use a `Vec<u8>` proxy).
-    pub fn to_writer(w: Box<dyn Write + Send>) -> Self {
-        TimelineRecorder { out: BufWriter::new(w), buf: Vec::new() }
-    }
-
-    /// Writes the header line. Call exactly once, first.
-    pub fn header(&mut self, h: &TimelineHeader) -> std::io::Result<()> {
-        writeln!(
-            self.out,
-            "{{\"kind\":\"header\",\"version\":{},\"mode\":{},\"scheme\":{},\"transport\":{},\"clients\":{},\"seed\":{}}}",
-            json_num(h.version as f64),
-            json_str(&h.mode),
-            json_str(&h.scheme),
-            json_str(&h.transport),
-            json_num(h.clients as f64),
-            json_num(h.seed as f64),
-        )
-    }
-
-    /// Buffers a link declaration for the phase starting at virtual `t`.
-    pub fn link(&mut self, epoch: usize, phase: &str, id: &str, capacity: f64, t: f64) {
-        let line = format!(
-            "{{\"kind\":\"link\",\"epoch\":{},\"phase\":{},\"id\":{},\"capacity\":{},\"t\":{}}}",
-            json_num(epoch as f64),
-            json_str(phase),
-            json_str(id),
-            json_num(capacity),
-            json_num(t),
-        );
-        self.buf.push((t, line));
-    }
-
-    /// Buffers one client interval `[t0, t1]` in virtual seconds.
-    pub fn interval(
-        &mut self,
-        epoch: usize,
-        client: usize,
-        state: IntervalState,
-        t0: f64,
-        t1: f64,
-    ) {
-        let line = format!(
-            "{{\"kind\":\"interval\",\"epoch\":{},\"client\":{},\"state\":{},\"t0\":{},\"t1\":{}}}",
-            json_num(epoch as f64),
-            json_num(client as f64),
-            json_str(state.name()),
-            json_num(t0),
-            json_num(t1),
-        );
-        self.buf.push((t0, line));
-    }
-
-    /// Buffers one flow lifecycle event at absolute virtual time `t`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn flow_event(
-        &mut self,
-        epoch: usize,
-        phase: &str,
-        flow: usize,
-        client: usize,
-        link: &str,
-        event: &str,
-        t: f64,
-        cwnd: f64,
-    ) {
-        let line = format!(
-            "{{\"kind\":\"flow\",\"epoch\":{},\"phase\":{},\"flow\":{},\"client\":{},\"link\":{},\"event\":{},\"t\":{},\"cwnd\":{}}}",
-            json_num(epoch as f64),
-            json_str(phase),
-            json_num(flow as f64),
-            json_num(client as f64),
-            json_str(link),
-            json_str(event),
-            json_num(t),
-            json_num(cwnd),
-        );
-        self.buf.push((t, line));
-    }
-
-    /// Buffers one link's sampled utilization/queue series; the sample
-    /// times are already absolute virtual seconds.
-    pub fn link_series(
-        &mut self,
-        epoch: usize,
-        phase: &str,
-        id: &str,
-        t: &[f64],
-        util: &[f64],
-        queue: &[u32],
-    ) {
-        if t.is_empty() {
-            return;
-        }
-        let line = format!(
-            "{{\"kind\":\"link_series\",\"epoch\":{},\"phase\":{},\"id\":{},\"t\":{},\"util\":{},\"queue\":{}}}",
-            json_num(epoch as f64),
-            json_str(phase),
-            json_str(id),
-            num_array(t),
-            num_array(util),
-            num_array_u32(queue),
-        );
-        self.buf.push((t[0], line));
-    }
-
-    /// Writes the round marker for `[t0, t1]` and flushes the buffered
-    /// payload sorted by start time. Call once per completed round.
-    pub fn round(&mut self, epoch: usize, t0: f64, t1: f64) -> std::io::Result<()> {
-        writeln!(
-            self.out,
-            "{{\"kind\":\"round\",\"epoch\":{},\"t0\":{},\"t1\":{}}}",
-            json_num(epoch as f64),
-            json_num(t0),
-            json_num(t1),
-        )?;
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.sort_by(|a, b| a.0.total_cmp(&b.0));
-        for (_, line) in &buf {
-            writeln!(self.out, "{line}")?;
-        }
-        Ok(())
-    }
-
-    /// Writes a rollback marker: the watchdog rewound the run to the end
-    /// of `epoch`, so the time watermark restarts there. Drops any payload
-    /// buffered for the abandoned round.
-    pub fn rollback(&mut self, epoch: usize) -> std::io::Result<()> {
-        self.buf.clear();
-        writeln!(self.out, "{{\"kind\":\"rollback\",\"epoch\":{}}}", json_num(epoch as f64))
-    }
-
-    /// Writes the finish line and flushes.
-    pub fn finish(&mut self, epochs: usize) -> std::io::Result<()> {
-        writeln!(self.out, "{{\"kind\":\"finish\",\"epochs\":{}}}", json_num(epochs as f64))?;
-        self.out.flush()
-    }
-}
-
-fn num_array(vals: &[f64]) -> String {
-    let items: Vec<String> = vals.iter().map(|&v| json_num(v)).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn num_array_u32(vals: &[u32]) -> String {
-    let items: Vec<String> = vals.iter().map(|&v| json_num(v as f64)).collect();
-    format!("[{}]", items.join(","))
-}
-
-/// One parsed `{"kind":"interval",...}` line.
-#[derive(Clone, Debug, PartialEq)]
+/// One client interval `[t0, t1]` in virtual seconds.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct IntervalRow {
     /// 1-based epoch.
     pub epoch: usize,
@@ -285,9 +134,10 @@ pub struct IntervalRow {
     /// Interval end, virtual seconds.
     pub t1: f64,
 }
+record_fields!(IntervalRow as "interval": epoch, client, state, t0, t1);
 
-/// One parsed `{"kind":"flow",...}` line.
-#[derive(Clone, Debug, PartialEq)]
+/// One flow lifecycle event.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlowRow {
     /// 1-based epoch.
     pub epoch: usize,
@@ -306,9 +156,10 @@ pub struct FlowRow {
     /// Congestion window at the event, in segments.
     pub cwnd: f64,
 }
+record_fields!(FlowRow as "flow": epoch, phase, flow, client, link, event, t, cwnd);
 
-/// One parsed `{"kind":"link",...}` declaration.
-#[derive(Clone, Debug, PartialEq)]
+/// One link declaration, for the phase starting at virtual `t`.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LinkRow {
     /// 1-based epoch.
     pub epoch: usize,
@@ -321,9 +172,10 @@ pub struct LinkRow {
     /// Phase start, virtual seconds.
     pub t: f64,
 }
+record_fields!(LinkRow as "link": epoch, phase, id, capacity, t);
 
-/// One parsed `{"kind":"link_series",...}` line.
-#[derive(Clone, Debug, PartialEq)]
+/// One link's sampled utilization/queue series.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SeriesRow {
     /// 1-based epoch.
     pub epoch: usize,
@@ -338,8 +190,30 @@ pub struct SeriesRow {
     /// Flows queued with zero rate over the same spans.
     pub queue: Vec<u32>,
 }
+record_fields!(SeriesRow as "link_series": epoch, phase, id, t, util, queue);
 
-/// One round's slice of the timeline.
+impl Payload for IntervalRow {
+    fn start(&self) -> f64 {
+        self.t0
+    }
+}
+impl Payload for FlowRow {
+    fn start(&self) -> f64 {
+        self.t
+    }
+}
+impl Payload for LinkRow {
+    fn start(&self) -> f64 {
+        self.t
+    }
+}
+impl Payload for SeriesRow {
+    fn start(&self) -> f64 {
+        self.t.first().copied().unwrap_or_default()
+    }
+}
+
+/// One round's slice of the timeline; on the wire, the `round` marker.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundTimeline {
     /// 1-based epoch.
@@ -348,6 +222,9 @@ pub struct RoundTimeline {
     pub t0: f64,
     /// Round end, virtual seconds.
     pub t1: f64,
+    /// A later `rollback` marker rewound the run past this round. Settled
+    /// while reading, where line order is known.
+    pub rewound: bool,
     /// Client intervals, in start order.
     pub intervals: Vec<IntervalRow>,
     /// Flow lifecycle events, in time order.
@@ -356,6 +233,76 @@ pub struct RoundTimeline {
     pub links: Vec<LinkRow>,
     /// Link utilization/queue series.
     pub series: Vec<SeriesRow>,
+}
+record_fields!(RoundTimeline as "round": epoch, t0, t1);
+
+/// The watchdog rewound the run to the end of `epoch`.
+#[derive(Default)]
+struct Rollback {
+    epoch: usize,
+}
+record_fields!(Rollback as "rollback": epoch);
+
+/// The run finished after `epochs` rounds.
+#[derive(Default)]
+struct Finish {
+    epochs: usize,
+}
+record_fields!(Finish as "finish": epochs);
+
+/// Streaming JSONL writer for a round timeline.
+///
+/// Payload rows are buffered per round and flushed, sorted by start time,
+/// by [`TimelineRecorder::round`]. Mirrors [`crate::FlightRecorder`]'s
+/// error contract: methods that hit the file return `io::Result` and the
+/// caller disables recording on the first error.
+pub struct TimelineRecorder {
+    out: StreamWriter<TimelineStream>,
+    buf: Vec<(f64, String)>,
+}
+
+impl TimelineRecorder {
+    /// Opens (truncating) `path` for recording.
+    pub fn create(path: &str) -> std::io::Result<Self> {
+        Ok(TimelineRecorder { out: StreamWriter::create(path)?, buf: Vec::new() })
+    }
+
+    /// Records into an arbitrary writer.
+    pub fn to_writer(w: Box<dyn std::io::Write + Send>) -> Self {
+        TimelineRecorder { out: StreamWriter::to_writer(w), buf: Vec::new() }
+    }
+
+    /// Writes the header line. Call exactly once, first.
+    pub fn header(&mut self, h: &mut TimelineHeader) -> std::io::Result<()> {
+        self.out.line(h)
+    }
+
+    /// Buffers one payload row for the round in progress.
+    pub fn push<T: Payload>(&mut self, mut row: T) {
+        self.buf.push((row.start(), record::to_line(T::KIND, &mut row)));
+    }
+
+    /// Writes the round marker for `[t0, t1]` and flushes the buffered
+    /// payload sorted by start time. Call once per completed round.
+    pub fn round(&mut self, epoch: usize, t0: f64, t1: f64) -> std::io::Result<()> {
+        self.out.line(&mut RoundTimeline { epoch, t0, t1, ..RoundTimeline::default() })?;
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.sort_by(|a, b| a.0.total_cmp(&b.0));
+        buf.iter().try_for_each(|(_, line)| self.out.formatted(line))
+    }
+
+    /// Writes a rollback marker: the watchdog rewound the run to the end
+    /// of `epoch`, so the time watermark restarts there. Drops any payload
+    /// buffered for the abandoned round.
+    pub fn rollback(&mut self, epoch: usize) -> std::io::Result<()> {
+        self.buf.clear();
+        self.out.line(&mut Rollback { epoch })
+    }
+
+    /// Writes the finish line and flushes.
+    pub fn finish(&mut self, epochs: usize) -> std::io::Result<()> {
+        self.out.line(&mut Finish { epochs })
+    }
 }
 
 /// A fully parsed timeline.
@@ -370,150 +317,149 @@ pub struct TimelineRecording {
     pub rollbacks: Vec<usize>,
     /// Whether the finish line is present.
     pub finished: bool,
+    /// Invariant violations met while reading (`line N: ...`), in file
+    /// order; [`TimelineRecording::validate`] reports them.
+    pub(crate) violations: Vec<String>,
+}
+
+/// The timeline schema: a [`TimelineRecording`] being read, with what only
+/// the reader needs — line order is gone once rows sit in their rounds.
+pub struct TimelineStream {
+    rec: TimelineRecording,
+    /// The start-stamp watermark, which a rollback marker legitimately
+    /// rewinds.
+    watermark: f64,
+    /// Link ids declared so far.
+    links: BTreeSet<String>,
+}
+
+impl TimelineStream {
+    fn violation(&mut self, row: &Row<'_>, what: impl std::fmt::Display) {
+        self.rec.violations.push(row.error(what));
+    }
+
+    /// Holds a start stamp against the watermark.
+    fn stamp(&mut self, row: &Row<'_>, start: f64) {
+        if start < self.watermark {
+            let watermark = self.watermark;
+            self.violation(row, format_args!("starts at {start}, below the watermark {watermark}"));
+        } else {
+            self.watermark = start;
+        }
+    }
+
+    /// Reads a payload row and stamps it.
+    fn payload<T: Payload>(&mut self, row: &Row<'_>) -> Result<T, String> {
+        let payload: T = row.read()?;
+        self.stamp(row, payload.start());
+        Ok(payload)
+    }
+
+    /// The round a payload row belongs to.
+    fn round(&mut self, row: &Row<'_>) -> Result<&mut RoundTimeline, String> {
+        self.rec.rounds.last_mut().ok_or_else(|| row.error("before any round"))
+    }
+}
+
+impl Stream for TimelineStream {
+    const VERSION: u64 = TIMELINE_VERSION;
+    const CLOSE: &'static str = Finish::KIND;
+    type Header = TimelineHeader;
+
+    fn version(header: &TimelineHeader) -> u64 {
+        header.version
+    }
+
+    fn open(header: TimelineHeader) -> Self {
+        let rec = TimelineRecording { header, ..TimelineRecording::default() };
+        TimelineStream { rec, watermark: f64::NEG_INFINITY, links: BTreeSet::new() }
+    }
+
+    fn line(&mut self, row: &Row<'_>) -> Result<(), String> {
+        if self.rec.finished {
+            self.violation(row, "after the finish marker");
+        }
+        match row.kind {
+            RoundTimeline::KIND => {
+                let round: RoundTimeline = row.read()?;
+                self.stamp(row, round.t0);
+                self.rec.rounds.push(round);
+            }
+            IntervalRow::KIND => {
+                let interval: IntervalRow = self.payload(row)?;
+                if interval.t1 < interval.t0 {
+                    self.violation(row, "not closed: t1 < t0");
+                }
+                self.round(row)?.intervals.push(interval);
+            }
+            LinkRow::KIND => {
+                let link: LinkRow = self.payload(row)?;
+                self.links.insert(link.id.clone());
+                self.round(row)?.links.push(link);
+            }
+            FlowRow::KIND => {
+                let flow: FlowRow = self.payload(row)?;
+                if !self.links.contains(&flow.link) {
+                    self.violation(row, format_args!("references undeclared link {:?}", flow.link));
+                }
+                self.round(row)?.flows.push(flow);
+            }
+            SeriesRow::KIND => {
+                let series = self.payload(row)?;
+                self.round(row)?.series.push(series);
+            }
+            Rollback::KIND => {
+                let Rollback { epoch } = row.read()?;
+                self.rec.rounds.iter_mut().for_each(|r| r.rewound |= r.epoch > epoch);
+                self.rec.rollbacks.push(epoch);
+                self.watermark = f64::NEG_INFINITY;
+            }
+            Finish::KIND => {
+                row.read::<Finish>()?;
+                self.rec.finished = true;
+            }
+            _ => return Err(row.unknown()),
+        }
+        Ok(())
+    }
 }
 
 impl TimelineRecording {
-    /// Parses a timeline written by [`TimelineRecorder`]. A torn final
-    /// line (crash mid-write) is tolerated; any other malformed line is an
-    /// error.
+    /// Parses a timeline written by [`TimelineRecorder`] under the stream
+    /// contract of [`fedmigr_telemetry::record`].
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut rec = TimelineRecording::default();
-        let mut saw_header = false;
-        let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        for (idx, line) in lines.iter().enumerate() {
-            let v = match JsonValue::parse(line.trim()) {
-                Ok(v) => v,
-                Err(e) if idx + 1 == lines.len() => {
-                    // Torn final line from a crash; drop it.
-                    let _ = e;
-                    break;
-                }
-                Err(e) => return Err(format!("line {}: {e}", idx + 1)),
-            };
-            let obj = v.as_object().ok_or_else(|| format!("line {}: not an object", idx + 1))?;
-            let kind = obj
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("line {}: missing kind", idx + 1))?;
-            let ctx = |what: &str| format!("line {}: {kind} missing {what}", idx + 1);
-            let num = |key: &str| obj.get(key).and_then(JsonValue::as_f64).ok_or_else(|| ctx(key));
-            let st = |key: &str| {
-                obj.get(key).and_then(JsonValue::as_str).map(str::to_owned).ok_or_else(|| ctx(key))
-            };
-            match kind {
-                "header" => {
-                    rec.header = TimelineHeader {
-                        version: num("version")? as u64,
-                        mode: st("mode")?,
-                        scheme: st("scheme")?,
-                        transport: st("transport")?,
-                        clients: num("clients")? as usize,
-                        seed: num("seed")? as u64,
-                    };
-                    saw_header = true;
-                }
-                "round" => rec.rounds.push(RoundTimeline {
-                    epoch: num("epoch")? as usize,
-                    t0: num("t0")?,
-                    t1: num("t1")?,
-                    ..RoundTimeline::default()
-                }),
-                "interval" => {
-                    let state = IntervalState::parse(&st("state")?)
-                        .ok_or_else(|| format!("line {}: unknown interval state", idx + 1))?;
-                    let row = IntervalRow {
-                        epoch: num("epoch")? as usize,
-                        client: num("client")? as usize,
-                        state,
-                        t0: num("t0")?,
-                        t1: num("t1")?,
-                    };
-                    rec.rounds
-                        .last_mut()
-                        .ok_or_else(|| format!("line {}: interval before any round", idx + 1))?
-                        .intervals
-                        .push(row);
-                }
-                "flow" => {
-                    let row = FlowRow {
-                        epoch: num("epoch")? as usize,
-                        phase: st("phase")?,
-                        flow: num("flow")? as usize,
-                        client: num("client")? as usize,
-                        link: st("link")?,
-                        event: st("event")?,
-                        t: num("t")?,
-                        cwnd: num("cwnd")?,
-                    };
-                    rec.rounds
-                        .last_mut()
-                        .ok_or_else(|| format!("line {}: flow before any round", idx + 1))?
-                        .flows
-                        .push(row);
-                }
-                "link" => {
-                    let row = LinkRow {
-                        epoch: num("epoch")? as usize,
-                        phase: st("phase")?,
-                        id: st("id")?,
-                        capacity: num("capacity")?,
-                        t: num("t")?,
-                    };
-                    rec.rounds
-                        .last_mut()
-                        .ok_or_else(|| format!("line {}: link before any round", idx + 1))?
-                        .links
-                        .push(row);
-                }
-                "link_series" => {
-                    let arr = |key: &str| -> Result<Vec<f64>, String> {
-                        match obj.get(key) {
-                            Some(JsonValue::Array(items)) => {
-                                items.iter().map(|v| v.as_f64().ok_or_else(|| ctx(key))).collect()
-                            }
-                            _ => Err(ctx(key)),
-                        }
-                    };
-                    let row = SeriesRow {
-                        epoch: num("epoch")? as usize,
-                        phase: st("phase")?,
-                        id: st("id")?,
-                        t: arr("t")?,
-                        util: arr("util")?,
-                        queue: arr("queue")?.into_iter().map(|v| v as u32).collect(),
-                    };
-                    rec.rounds
-                        .last_mut()
-                        .ok_or_else(|| format!("line {}: link_series before any round", idx + 1))?
-                        .series
-                        .push(row);
-                }
-                "rollback" => rec.rollbacks.push(num("epoch")? as usize),
-                "finish" => rec.finished = true,
-                other => return Err(format!("line {}: unknown kind {other:?}", idx + 1)),
-            }
-        }
-        if !saw_header {
-            return Err("no header line".into());
-        }
-        if rec.header.version > TIMELINE_VERSION {
-            return Err(format!(
-                "timeline version {} is newer than supported {}",
-                rec.header.version, TIMELINE_VERSION
-            ));
-        }
-        Ok(rec)
+        record::read::<TimelineStream>(text).map(|stream| stream.rec)
     }
 
-    /// Rounds that survived every rollback: for each epoch, the last
-    /// occurrence in file order, restricted to epochs not rewound past by
-    /// a later rollback marker. This is the view analyzers should use.
+    /// Rounds that survived every rollback: those no later `rollback`
+    /// marker rewound past. This is the view analyzers should use.
     pub fn settled_rounds(&self) -> Vec<&RoundTimeline> {
-        let mut by_epoch: BTreeMap<usize, &RoundTimeline> = BTreeMap::new();
-        for r in &self.rounds {
-            by_epoch.insert(r.epoch, r);
+        self.rounds.iter().filter(|r| !r.rewound).collect()
+    }
+
+    /// Checks what a well-formed timeline holds beyond its syntax: start
+    /// stamps never run backwards in file order (the watermark restarts at
+    /// a `rollback`), every interval is closed, every flow event names a
+    /// link declared before it, nothing follows `finish`, and there is at
+    /// least one round. The violations are found while reading, where file
+    /// order is known; this reports them, or a one-line summary.
+    pub fn validate(&self) -> Result<String, Vec<String>> {
+        let mut violations = self.violations.clone();
+        if self.rounds.is_empty() {
+            violations.push("no round markers".into());
         }
-        by_epoch.into_values().collect()
+        if !violations.is_empty() {
+            return Err(violations);
+        }
+        let count = |per: fn(&RoundTimeline) -> usize| self.rounds.iter().map(per).sum::<usize>();
+        Ok(format!(
+            "timeline v{} valid — {} round(s), {} interval(s), {} flow event(s), monotone \
+             stamps, intervals closed, links declared",
+            self.header.version,
+            self.rounds.len(),
+            count(|r| r.intervals.len()),
+            count(|r| r.flows.len()),
+        ))
     }
 }
 
@@ -566,21 +512,23 @@ pub fn chrome_trace(rec: &TimelineRecording) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_telemetry::record::MemorySink;
+    use std::collections::BTreeMap;
+
+    fn interval(
+        epoch: usize,
+        client: usize,
+        state: IntervalState,
+        t0: f64,
+        t1: f64,
+    ) -> IntervalRow {
+        IntervalRow { epoch, client, state, t0, t1 }
+    }
 
     fn sample() -> String {
-        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        struct Proxy(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-        impl Write for Proxy {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut rec = TimelineRecorder::to_writer(Box::new(Proxy(buf.clone())));
-        rec.header(&TimelineHeader {
+        let sink = MemorySink::default();
+        let mut rec = TimelineRecorder::to_writer(Box::new(sink.clone()));
+        rec.header(&mut TimelineHeader {
             version: TIMELINE_VERSION,
             mode: "dense".into(),
             scheme: "FedMigr".into(),
@@ -589,78 +537,114 @@ mod tests {
             seed: 7,
         })
         .unwrap();
+        let (phase, id) = ("upload".to_string(), "wan".to_string());
         // Deliberately buffered out of order; round() must sort by start.
-        rec.interval(1, 1, IntervalState::Wait, 2.0, 3.0);
-        rec.interval(1, 0, IntervalState::Train, 0.0, 2.0);
-        rec.link(1, "upload", "wan", 1e6, 2.0);
-        rec.flow_event(1, "upload", 0, 0, "access:0", "retransmit", 2.5, 4.0);
-        rec.link_series(1, "upload", "wan", &[2.0, 2.5], &[0.5, 1.0], &[0, 1]);
-        rec.link_series(1, "upload", "unused", &[], &[], &[]);
+        rec.push(interval(1, 1, IntervalState::Wait, 2.0, 3.0));
+        rec.push(interval(1, 0, IntervalState::Train, 0.0, 2.0));
+        rec.push(LinkRow { epoch: 1, phase: phase.clone(), id: id.clone(), capacity: 1e6, t: 2.0 });
+        rec.push(FlowRow {
+            epoch: 1,
+            phase: phase.clone(),
+            flow: 0,
+            client: 0,
+            link: id.clone(),
+            event: "retransmit".into(),
+            t: 2.5,
+            cwnd: 4.0,
+        });
+        let (t, util, queue) = (vec![2.0, 2.5], vec![0.5, 1.0], vec![0, 1]);
+        rec.push(SeriesRow { epoch: 1, phase, id, t, util, queue });
         rec.round(1, 0.0, 3.0).unwrap();
         rec.rollback(1).unwrap();
-        rec.interval(2, 0, IntervalState::Idle, 3.0, 4.0);
+        rec.push(interval(2, 0, IntervalState::Idle, 3.0, 4.0));
         rec.round(2, 3.0, 4.0).unwrap();
         rec.finish(2).unwrap();
-        let bytes = buf.lock().unwrap().clone();
-        String::from_utf8(bytes).unwrap()
+        sink.text()
     }
 
     #[test]
     fn roundtrips_and_sorts_payload_by_start_time() {
-        let text = sample();
-        let rec = TimelineRecording::parse(&text).expect("parses");
+        let rec = TimelineRecording::parse(&sample()).expect("parses");
         assert_eq!(rec.header.mode, "dense");
         assert_eq!(rec.rounds.len(), 2);
         assert_eq!(rec.rollbacks, vec![1]);
         assert!(rec.finished);
         let r1 = &rec.rounds[0];
-        assert_eq!(r1.intervals.len(), 2);
         // Sorted: train (t0=0) before wait (t0=2).
-        assert_eq!(r1.intervals[0].state, IntervalState::Train);
-        assert_eq!(r1.intervals[1].state, IntervalState::Wait);
+        let states: Vec<IntervalState> = r1.intervals.iter().map(|iv| iv.state).collect();
+        assert_eq!(states, [IntervalState::Train, IntervalState::Wait]);
         assert_eq!(r1.flows.len(), 1);
         assert_eq!(r1.flows[0].event, "retransmit");
         assert_eq!(r1.links.len(), 1);
-        // The empty series line is suppressed.
-        assert_eq!(r1.series.len(), 1);
         assert_eq!(r1.series[0].queue, vec![0, 1]);
+        // The rollback rewound to the end of epoch 1: nothing is unsettled.
         assert_eq!(rec.settled_rounds().len(), 2);
-
-        // Start timestamps are non-decreasing line by line within a round.
-        let mut last = f64::NEG_INFINITY;
-        for line in text.lines() {
-            let v = JsonValue::parse(line).unwrap();
-            let obj = v.as_object().unwrap();
-            let t = obj.get("t0").or_else(|| obj.get("t")).and_then(|v| match v {
-                JsonValue::Array(items) => items.first().and_then(JsonValue::as_f64),
-                v => v.as_f64(),
-            });
-            match obj.get("kind").and_then(JsonValue::as_str) {
-                Some("header") | Some("finish") => continue,
-                Some("rollback") => last = f64::NEG_INFINITY,
-                _ => {
-                    let t = t.expect("payload line has a start time");
-                    assert!(t >= last, "timestamps regressed: {t} < {last}\n{line}");
-                    last = t;
-                }
-            }
-        }
+        // Start stamps run forwards line by line, intervals are closed, the
+        // flow's link was declared.
+        assert!(rec.validate().unwrap().contains("2 round(s), 3 interval(s), 1 flow event(s)"));
     }
 
     #[test]
-    fn parse_rejects_bad_streams_but_tolerates_torn_tail() {
-        assert!(TimelineRecording::parse("").is_err());
+    fn rounds_rewound_and_never_rewritten_are_not_settled() {
+        // The watchdog rewound to epoch 1 and the run was then killed (or
+        // finished early) before rewriting rounds 2 and 3.
+        let text = sample();
+        let rewound = text.replace(
+            "{\"kind\":\"finish\",\"epochs\":2.0}\n",
+            "{\"kind\":\"round\",\"epoch\":3.0,\"t0\":4.0,\"t1\":5.0}\n\
+             {\"kind\":\"rollback\",\"epoch\":1.0}\n",
+        );
+        assert_ne!(rewound, text);
+        let rec = TimelineRecording::parse(&rewound).unwrap();
+        assert_eq!(rec.rounds.len(), 3, "history keeps every round");
+        let settled: Vec<usize> = rec.settled_rounds().iter().map(|r| r.epoch).collect();
+        assert_eq!(settled, [1], "rounds 2 and 3 were rewound and never rewritten");
+        // Once the run rewrites round 2, that copy is settled.
+        let rewritten =
+            format!("{rewound}{{\"kind\":\"round\",\"epoch\":2.0,\"t0\":3.0,\"t1\":3.5}}\n");
+        let rec = TimelineRecording::parse(&rewritten).unwrap();
+        let settled: Vec<(usize, f64)> =
+            rec.settled_rounds().iter().map(|r| (r.epoch, r.t1)).collect();
+        assert_eq!(settled, [(1, 3.0), (2, 3.5)]);
+        rec.validate().expect("a rollback restarts the watermark");
+    }
+
+    #[test]
+    fn validate_names_every_broken_invariant() {
         let good = sample();
-        // Unknown kind is an error.
-        let bad = format!("{good}{{\"kind\":\"mystery\"}}\n");
-        assert!(TimelineRecording::parse(&bad).is_err());
-        // A torn final line is dropped.
-        let torn = format!("{good}{{\"kind\":\"round\",\"epo");
-        assert!(TimelineRecording::parse(&torn).is_ok());
-        // Future version refused.
-        let future = good.replacen("\"version\":1.0", "\"version\":2.0", 1);
-        let err = TimelineRecording::parse(&future).unwrap_err();
-        assert!(err.contains("newer"), "{err}");
+        for (from, to, complaint) in [
+            // An interval running backwards.
+            (
+                "\"state\":\"wait\",\"t0\":2.0,\"t1\":3.0",
+                "\"state\":\"wait\",\"t0\":2.0,\"t1\":1.0",
+                "not closed",
+            ),
+            // A flow on a link nobody declared.
+            ("\"link\":\"wan\"", "\"link\":\"lan\"", "undeclared link"),
+            // A start stamp below the one before it.
+            (
+                "\"event\":\"retransmit\",\"t\":2.5",
+                "\"event\":\"retransmit\",\"t\":1.5",
+                "below the watermark",
+            ),
+            // A line after the finish marker.
+            (
+                "\"epochs\":2.0}\n",
+                "\"epochs\":2.0}\n{\"kind\":\"rollback\",\"epoch\":2.0}\n",
+                "after the finish",
+            ),
+        ] {
+            let bad = good.replacen(from, to, 1);
+            assert_ne!(bad, good, "{from}");
+            let violations = TimelineRecording::parse(&bad).unwrap().validate().unwrap_err();
+            assert!(
+                violations.iter().any(|v| v.contains(complaint)),
+                "{complaint}: {violations:?}"
+            );
+        }
+        // A header alone has no rounds to analyze.
+        let header = good.lines().next().unwrap();
+        assert!(TimelineRecording::parse(header).unwrap().validate().is_err());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! CI validator for telemetry exports.
 //!
 //! ```text
-//! telemetry_validate [<trace.jsonl>] [--metrics <file.prom>]
+//! telemetry_validate <trace.jsonl> [--metrics <file.prom>]
 //!                    [--require <metric family>]... [--min-coverage <0..1>]
-//!                    [--mode <dense|fleet>] [--timeline <timeline.jsonl>]
+//!                    [--mode <dense|fleet>]
 //! ```
 //!
 //! * Parses every line of the JSONL trace through the strict
@@ -17,12 +17,8 @@
 //! * With `--mode`, checks every span name against that runner's whitelist
 //!   and requires the core phases of the mode to appear at least once, so
 //!   a renamed or silently-dropped phase span fails CI instead of shipping.
-//! * With `--timeline`, validates a round-timeline JSONL (`--timeline-out`):
-//!   versioned header first, start timestamps monotonically non-decreasing
-//!   (the watermark legitimately resets at a `rollback` marker), every
-//!   interval closed (`t1 >= t0`), and every flow event referencing a link
-//!   id that a `link` declaration introduced. The positional trace becomes
-//!   optional when `--timeline` is the only job.
+//!
+//! (The round timeline is validated where it is read: `fedmigr_netview`.)
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -71,14 +67,12 @@ struct Args {
     require: Vec<String>,
     min_coverage: Option<f64>,
     mode: Option<String>,
-    timeline: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: telemetry_validate [<trace.jsonl>] [--metrics <file.prom>] \
-         [--require <family>]... [--min-coverage <0..1>] [--mode <dense|fleet>] \
-         [--timeline <timeline.jsonl>]"
+        "usage: telemetry_validate <trace.jsonl> [--metrics <file.prom>] \
+         [--require <family>]... [--min-coverage <0..1>] [--mode <dense|fleet>]"
     );
     std::process::exit(2)
 }
@@ -90,14 +84,12 @@ fn parse_args() -> Args {
         require: Vec::new(),
         min_coverage: None,
         mode: None,
-        timeline: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--metrics" => args.metrics = Some(it.next().unwrap_or_else(|| usage())),
             "--require" => args.require.push(it.next().unwrap_or_else(|| usage())),
-            "--timeline" => args.timeline = Some(it.next().unwrap_or_else(|| usage())),
             "--mode" => {
                 let raw = it.next().unwrap_or_else(|| usage());
                 match raw.as_str() {
@@ -128,7 +120,7 @@ fn parse_args() -> Args {
             }
         }
     }
-    if args.trace.is_empty() && args.timeline.is_none() {
+    if args.trace.is_empty() {
         usage()
     }
     args
@@ -137,13 +129,6 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
     let mut failed = false;
-
-    if let Some(path) = &args.timeline {
-        failed |= !validate_timeline(path);
-    }
-    if args.trace.is_empty() {
-        return if failed { ExitCode::FAILURE } else { ExitCode::SUCCESS };
-    }
 
     let raw = match std::fs::read_to_string(&args.trace) {
         Ok(s) => s,
@@ -280,171 +265,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// The timeline schema version this validator understands.
-const TIMELINE_VERSION: u64 = 1;
-
-/// Validates a round-timeline JSONL file. Returns `true` when clean;
-/// prints every violation and returns `false` otherwise.
-fn validate_timeline(path: &str) -> bool {
-    use fedmigr_telemetry::trace::JsonValue;
-
-    let raw = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("telemetry_validate: cannot read {path}: {e}");
-            return false;
-        }
-    };
-
-    let mut ok = true;
-    let fail = |line: usize, msg: String| {
-        eprintln!("telemetry_validate: {path}:{line}: {msg}");
-    };
-    let mut saw_header = false;
-    let mut finished = false;
-    // Start-timestamp watermark; a rollback marker legitimately rewinds it.
-    let mut watermark = f64::NEG_INFINITY;
-    let mut links: BTreeSet<String> = BTreeSet::new();
-    let (mut rounds, mut intervals, mut flows) = (0usize, 0usize, 0usize);
-
-    for (i, line) in raw.lines().enumerate() {
-        let n = i + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = match JsonValue::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                fail(n, format!("bad JSON: {e}"));
-                ok = false;
-                continue;
-            }
-        };
-        let Some(obj) = v.as_object() else {
-            fail(n, "line is not a JSON object".into());
-            ok = false;
-            continue;
-        };
-        let field = |k: &str| obj.get(k).and_then(|x| x.as_f64());
-        let kind = obj.get("kind").and_then(|x| x.as_str()).unwrap_or("");
-        if !saw_header {
-            if kind != "header" {
-                fail(n, format!("first line must be the header, got kind {kind:?}"));
-                return false;
-            }
-            match field("version") {
-                Some(v) if v == TIMELINE_VERSION as f64 => {}
-                other => {
-                    fail(n, format!("unsupported timeline version {other:?}"));
-                    return false;
-                }
-            }
-            saw_header = true;
-            continue;
-        }
-        if finished {
-            fail(n, format!("kind {kind:?} after the finish marker"));
-            ok = false;
-        }
-        // The start stamp of each row kind, for the monotonicity check.
-        let start = match kind {
-            "round" => {
-                rounds += 1;
-                field("t0")
-            }
-            "interval" => {
-                intervals += 1;
-                match (field("t0"), field("t1")) {
-                    (Some(t0), Some(t1)) => {
-                        if t1 < t0 {
-                            fail(n, format!("interval not closed: t1 {t1} < t0 {t0}"));
-                            ok = false;
-                        }
-                        Some(t0)
-                    }
-                    _ => {
-                        fail(n, "interval missing t0/t1".into());
-                        ok = false;
-                        None
-                    }
-                }
-            }
-            "link" => {
-                match obj.get("id").and_then(|x| x.as_str()) {
-                    Some(id) => {
-                        links.insert(id.to_string());
-                    }
-                    None => {
-                        fail(n, "link declaration missing id".into());
-                        ok = false;
-                    }
-                }
-                field("t")
-            }
-            "flow" => {
-                flows += 1;
-                match obj.get("link").and_then(|x| x.as_str()) {
-                    Some(link) if links.contains(link) => {}
-                    Some(link) => {
-                        fail(n, format!("flow event references undeclared link {link:?}"));
-                        ok = false;
-                    }
-                    None => {
-                        fail(n, "flow event missing link".into());
-                        ok = false;
-                    }
-                }
-                field("t")
-            }
-            "link_series" => field("t"),
-            "rollback" => {
-                watermark = f64::NEG_INFINITY;
-                None
-            }
-            "finish" => {
-                finished = true;
-                None
-            }
-            "header" => {
-                fail(n, "duplicate header".into());
-                ok = false;
-                None
-            }
-            other => {
-                fail(n, format!("unknown kind {other:?}"));
-                ok = false;
-                None
-            }
-        };
-        if let Some(t) = start {
-            // A hair of slack: start stamps are written through the same
-            // f64 formatter, so exact comparison is safe, but keep the
-            // check strict about real regressions only.
-            if t < watermark {
-                fail(n, format!("start timestamp {t} below watermark {watermark}"));
-                ok = false;
-            } else {
-                watermark = t;
-            }
-        }
-    }
-
-    if !saw_header {
-        eprintln!("telemetry_validate: {path}: timeline is empty (no header)");
-        return false;
-    }
-    if rounds == 0 {
-        eprintln!("telemetry_validate: {path}: no round markers");
-        ok = false;
-    }
-    if ok {
-        println!(
-            "{path}: timeline v{TIMELINE_VERSION} valid — {rounds} round(s), {intervals} \
-             interval(s), {flows} flow event(s), {} link(s), monotone stamps, intervals closed",
-            links.len()
-        );
-    }
-    ok
 }

@@ -34,6 +34,7 @@ mod clock;
 mod level;
 pub mod metrics;
 pub mod profiler;
+pub mod record;
 pub mod rss;
 pub mod trace;
 
@@ -192,7 +193,7 @@ impl Telemetry {
         }
         if self.trace_on.load(Ordering::Relaxed) {
             let ev = TraceEvent::Log { ts: self.now(), level, target: target.to_string(), msg };
-            self.write_event(&ev);
+            self.write_event(ev);
         }
     }
 
@@ -263,7 +264,7 @@ impl Telemetry {
         self.registry.render_prometheus()
     }
 
-    fn write_event(&self, ev: &TraceEvent) {
+    fn write_event(&self, mut ev: TraceEvent) {
         let mut tracer = self.tracer.lock().expect("telemetry tracer poisoned");
         if let Some(w) = tracer.as_mut() {
             if writeln!(w, "{}", ev.to_jsonl()).is_err() {
@@ -319,7 +320,7 @@ impl Drop for Span<'_> {
                 depth: self.depth,
                 labels: BTreeMap::from_iter(std::mem::take(&mut self.labels)),
             };
-            engine.write_event(&ev);
+            engine.write_event(ev);
         }
     }
 }
@@ -428,27 +429,10 @@ mod tests {
         (t, clock)
     }
 
-    /// A shared in-memory trace sink.
-    #[derive(Clone, Default)]
-    struct Buf(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for Buf {
-        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(data);
-            Ok(data.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
+    use crate::record::MemorySink as Buf;
 
     fn events(buf: &Buf) -> Vec<TraceEvent> {
-        let raw = buf.0.lock().unwrap().clone();
-        String::from_utf8(raw)
-            .unwrap()
-            .lines()
-            .map(|l| TraceEvent::parse(l).expect("valid JSONL"))
-            .collect()
+        buf.text().lines().map(|l| TraceEvent::parse(l).expect("valid JSONL")).collect()
     }
 
     #[test]

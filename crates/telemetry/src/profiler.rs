@@ -368,55 +368,57 @@ unsafe impl GlobalAlloc for CountingAlloc {
 mod tests {
     use super::*;
 
-    // The profiler table is process-global, so the assertions that depend
-    // on its contents share one test to avoid cross-test interference.
+    // The profiler table and its on/off switch are process-global, and other
+    // tests in this binary open spans (which double as frames) while this
+    // one has the switch on. So every frame here has a name no other test
+    // uses, and every assertion reads only those paths — never the size of
+    // the table or of a report.
     #[test]
     fn frames_nest_self_time_and_merge_across_threads() {
-        reset();
         // Disabled frames record nothing.
         {
-            let _f = frame("ignored");
+            let _f = frame("prof_ignored");
         }
-        assert!(report_table().is_empty());
+        let stat = |path: &str| report_table().into_iter().find(|(p, _)| p == path).map(|(_, s)| s);
+        assert!(stat("prof_ignored").is_none());
 
         set_enabled(true);
         {
-            let _outer = frame("round");
+            let _outer = frame("prof_outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
             {
-                let _inner = frame("local_train");
+                let _inner = frame("prof_inner");
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let _f = frame("worker");
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            });
-        });
-        set_enabled(false);
+        // Joined, not merely scoped: a scope waits for the closure, the
+        // join also waits for the thread-local destructor that merges.
+        std::thread::spawn(|| {
+            let _f = frame("prof_worker");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        })
+        .join()
+        .expect("worker thread");
 
-        let table: BTreeMap<String, ScopeStat> = report_table().into_iter().collect();
-        let round = table.get("round").expect("outer frame recorded");
-        let inner = table.get("round;local_train").expect("nested path recorded");
-        let worker = table.get("worker").expect("worker thread flushed on exit");
-        assert_eq!(round.count, 1);
+        let outer = stat("prof_outer").expect("outer frame recorded");
+        let inner = stat("prof_outer;prof_inner").expect("nested path recorded");
+        let worker = stat("prof_worker").expect("worker thread flushed on exit");
+        assert_eq!(outer.count, 1);
         assert_eq!(inner.count, 1);
         assert!(inner.self_nanos >= 1_000_000, "inner slept ~2ms");
         assert!(worker.self_nanos >= 500_000, "worker slept ~1ms");
-
-        // Self time: the outer frame's own time excludes the inner frame.
-        let outer_total = round.self_nanos + inner.self_nanos;
-        assert!(round.self_nanos < outer_total);
+        // Self time: the outer frame's own time excludes the inner frame's,
+        // which alone is the 2 ms the outer frame also slept.
+        assert!(outer.self_nanos >= 1_000_000, "outer slept ~2ms itself");
 
         // Collapsed report: one "path micros" line per path, sorted.
         let report = collapsed_report();
-        let lines: Vec<&str> = report.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("round "));
-        assert!(lines[1].starts_with("round;local_train "));
-        assert!(lines[2].starts_with("worker "));
-        for l in &lines {
+        let ours: Vec<&str> = report.lines().filter(|l| l.starts_with("prof_")).collect();
+        assert_eq!(ours.len(), 3, "{report}");
+        assert!(ours[0].starts_with("prof_outer "));
+        assert!(ours[1].starts_with("prof_outer;prof_inner "));
+        assert!(ours[2].starts_with("prof_worker "));
+        for l in &ours {
             let count = l.rsplit(' ').next().unwrap();
             count.parse::<u64>().expect("count column is an integer");
         }
@@ -425,27 +427,24 @@ mod tests {
         // counting allocator installed in the test binary).
         let alloc = alloc_report();
         assert!(alloc.starts_with("# scope"));
-        assert!(alloc.lines().count() == 4);
-
-        reset();
-        assert!(report_table().is_empty());
+        assert_eq!(alloc.lines().filter(|l| l.starts_with("prof_")).count(), 3, "{alloc}");
 
         // Drive note_alloc/note_dealloc directly (the test binary does not
         // install CountingAlloc), checking the per-frame delta plumbing.
-        set_enabled(true);
         set_alloc_enabled(true);
-        let f = frame("alloc_scope");
+        let f = frame("prof_alloc_scope");
         note_alloc(1000);
         note_alloc(500);
         note_dealloc(500);
         drop(f);
         set_alloc_enabled(false);
         set_enabled(false);
-        let table: BTreeMap<String, ScopeStat> = report_table().into_iter().collect();
-        let s = table.get("alloc_scope").expect("frame recorded");
+        let s = stat("prof_alloc_scope").expect("frame recorded");
         assert_eq!(s.allocs, 2);
         assert_eq!(s.alloc_bytes, 1500);
         assert_eq!(s.peak_bytes, 1500);
+
         reset();
+        assert!(stat("prof_outer").is_none(), "reset clears the table");
     }
 }

@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::level::Level;
+use crate::record::{self, Fault, Field, Fields, Out, Record};
 
 /// One record of the JSONL trace stream.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,114 +49,119 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Serializes to one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+    fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::Span { ts, dur, target, name, depth, labels } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"span\",\"ts\":{},\"dur\":{},\"target\":{},\"name\":{},\"depth\":{depth}",
-                    json_num(*ts),
-                    json_num(*dur),
-                    json_str(target),
-                    json_str(name),
-                );
-                if !labels.is_empty() {
-                    out.push_str(",\"labels\":{");
-                    for (i, (k, v)) in labels.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{}:{}", json_str(k), json_str(v));
-                    }
-                    out.push('}');
-                }
-                out.push('}');
-            }
-            TraceEvent::Log { ts, level, target, msg } => {
-                let _ = write!(
-                    out,
-                    "{{\"kind\":\"log\",\"ts\":{},\"level\":\"{level}\",\"target\":{},\"msg\":{}}}",
-                    json_num(*ts),
-                    json_str(target),
-                    json_str(msg),
-                );
-            }
+            TraceEvent::Span { .. } => "span",
+            TraceEvent::Log { .. } => "log",
         }
-        out
+    }
+
+    /// Serializes to one JSONL line (no trailing newline).
+    pub fn to_jsonl(&mut self) -> String {
+        record::to_line(self.kind(), self)
     }
 
     /// Parses one JSONL line back into an event, validating the schema.
     pub fn parse(line: &str) -> Result<TraceEvent, String> {
         let value = JsonValue::parse(line)?;
         let obj = value.as_object().ok_or("trace line is not a JSON object")?;
-        let kind = obj.get("kind").and_then(JsonValue::as_str).ok_or("missing \"kind\"")?;
-        let ts = obj.get("ts").and_then(JsonValue::as_f64).ok_or("missing numeric \"ts\"")?;
-        let target =
-            obj.get("target").and_then(JsonValue::as_str).ok_or("missing \"target\"")?.to_string();
-        match kind {
+        let (ts, target) = (0.0, String::new());
+        let mut event = match obj.get("kind").and_then(JsonValue::as_str).ok_or("missing kind")? {
             "span" => {
-                let dur =
-                    obj.get("dur").and_then(JsonValue::as_f64).ok_or("span missing \"dur\"")?;
-                if !(dur.is_finite() && dur >= 0.0) {
-                    return Err(format!("span has invalid dur {dur}"));
-                }
-                let name = obj
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("span missing \"name\"")?
-                    .to_string();
-                let depth =
-                    obj.get("depth").and_then(JsonValue::as_f64).ok_or("span missing \"depth\"")?
-                        as usize;
-                let mut labels = BTreeMap::new();
-                if let Some(raw) = obj.get("labels") {
-                    let map = raw.as_object().ok_or("\"labels\" is not an object")?;
-                    for (k, v) in map {
-                        let v = v.as_str().ok_or("label values must be strings")?;
-                        labels.insert(k.clone(), v.to_string());
-                    }
-                }
-                Ok(TraceEvent::Span { ts, dur, target, name, depth, labels })
+                let (name, labels) = (String::new(), BTreeMap::new());
+                TraceEvent::Span { ts, dur: 0.0, target, name, depth: 0, labels }
             }
-            "log" => {
-                let level: Level = obj
-                    .get("level")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("log missing \"level\"")?
-                    .parse()?;
-                let msg = obj
-                    .get("msg")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("log missing \"msg\"")?
-                    .to_string();
-                Ok(TraceEvent::Log { ts, level, target, msg })
+            "log" => TraceEvent::Log { ts, level: Level::Info, target, msg: String::new() },
+            other => return Err(format!("unknown event kind {other:?}")),
+        };
+        record::read_object(obj, &mut event).map_err(|f| format!("{} {f}", event.kind()))?;
+        match event {
+            TraceEvent::Span { dur, .. } if !(dur.is_finite() && dur >= 0.0) => {
+                Err(format!("span has invalid dur {dur}"))
             }
-            other => Err(format!("unknown event kind {other:?}")),
+            event => Ok(event),
         }
+    }
+}
+
+impl Record for TraceEvent {
+    fn fields(&mut self, v: &mut Fields<'_>) {
+        match self {
+            TraceEvent::Span { ts, dur, target, name, depth, labels } => {
+                v.field("ts", ts);
+                v.field("dur", dur);
+                v.field("target", target);
+                v.field("name", name);
+                let mut bare = BareInt(*depth);
+                v.field("depth", &mut bare);
+                *depth = bare.0;
+                // An unlabeled span carries no `labels` key at all.
+                if v.reading() || !labels.is_empty() {
+                    v.field("labels", labels);
+                }
+            }
+            TraceEvent::Log { ts, level, target, msg } => {
+                v.field("ts", ts);
+                v.field("level", level);
+                v.field("target", target);
+                v.field("msg", msg);
+            }
+        }
+    }
+}
+
+/// A count spelled without the `.0` every other number gains: the span
+/// depth, which trace consumers index with.
+struct BareInt(usize);
+
+impl Field for BareInt {
+    fn emit(&mut self, out: &mut Out<'_>) {
+        out.raw(self.0);
+    }
+    fn absorb(v: &JsonValue) -> Result<Self, Fault> {
+        usize::absorb(v).map(BareInt)
+    }
+}
+
+impl Field for Level {
+    fn emit(&mut self, out: &mut Out<'_>) {
+        out.string(self.as_str());
+    }
+    fn absorb(v: &JsonValue) -> Result<Self, Fault> {
+        v.as_str().and_then(|s| s.parse().ok()).ok_or_else(Fault::missing)
     }
 }
 
 /// Serializes an `f64` as a JSON number (shortest round-trippable form;
 /// integers gain `.0` so the value stays typed as a float for downstream
 /// tools; non-finite values clamp to `0.0` since JSON has no Inf/NaN).
-/// Shared by every hand-written JSONL emitter in the workspace.
+/// The one number formatter of every JSON emitter in the workspace.
 pub fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{v:.1}")
-        } else {
-            format!("{v}")
-        }
+    let mut out = String::new();
+    push_num(&mut out, v);
+    out
+}
+
+/// [`json_num`], appended to `out`.
+pub(crate) fn push_num(out: &mut String, v: f64) {
+    let _ = if !v.is_finite() {
+        write!(out, "0.0")
+    } else if v == v.trunc() && v.abs() < 1e15 {
+        write!(out, "{v:.1}")
     } else {
-        "0.0".to_string()
-    }
+        write!(out, "{v}")
+    };
 }
 
 /// Serializes a string as a quoted, escaped JSON string literal.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_str(&mut out, s);
+    out
+}
+
+/// [`json_str`], appended to `out`.
+pub(crate) fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -171,7 +177,6 @@ pub fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// A minimal JSON value: the subset the trace schema needs (objects,
@@ -400,7 +405,7 @@ mod tests {
         let mut labels = BTreeMap::new();
         labels.insert("epoch".to_string(), "12".to_string());
         labels.insert("codec".to_string(), "int8+ef".to_string());
-        let ev = TraceEvent::Span {
+        let mut ev = TraceEvent::Span {
             ts: 1.25,
             dur: 0.5,
             target: "core::runner".into(),
@@ -414,7 +419,7 @@ mod tests {
 
     #[test]
     fn log_round_trips_with_awkward_characters() {
-        let ev = TraceEvent::Log {
+        let mut ev = TraceEvent::Log {
             ts: 0.0,
             level: Level::Warn,
             target: "cli".into(),

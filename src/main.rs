@@ -112,8 +112,8 @@ OPTIONS:
                          train/wait/upload/migrate/idle/stale intervals plus,
                          on the flow transport, per-flow lifecycle events and
                          per-link utilization series; observation-only —
-                         results are byte-identical (analyze with
-                         fedmigr_netview, validate with telemetry_validate)
+                         results are byte-identical (validate and analyze
+                         with fedmigr_netview)
     --chrome-out <path>  also convert the timeline to Chrome trace-event
                          JSON viewable in Perfetto (needs --timeline-out)
     --log-level <spec>   log verbosity: error|warn|info|debug|trace, with
@@ -267,56 +267,29 @@ fn main() {
         println!("stopped early:    resource budget exhausted");
     }
     if let Some(path) = &args.csv {
-        match std::fs::write(path, metrics.to_csv()) {
-            Ok(()) => info!("cli", "wrote {path}"),
-            Err(e) => {
-                error!("cli", "error: failed to write --csv {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact("--csv ", path, std::fs::write(path, metrics.to_csv()));
     }
     if let Some(path) = &args.metrics_out {
-        match std::fs::write(path, fedmigr_telemetry::render_metrics()) {
-            Ok(()) => info!("cli", "wrote {path}"),
-            Err(e) => {
-                error!("cli", "error: failed to write --metrics-out {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let dump = fedmigr_telemetry::render_metrics();
+        write_artifact("--metrics-out ", path, std::fs::write(path, dump));
     }
     if let Some(path) = &args.profile_out {
-        match std::fs::write(path, fedmigr_telemetry::profiler::collapsed_report()) {
-            Ok(()) => info!("cli", "wrote {path}"),
-            Err(e) => {
-                error!("cli", "error: failed to write --profile-out {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let report = fedmigr_telemetry::profiler::collapsed_report();
+        write_artifact("--profile-out ", path, std::fs::write(path, report));
         if args.profile_alloc {
             let apath = format!("{path}.alloc");
-            match std::fs::write(&apath, fedmigr_telemetry::profiler::alloc_report()) {
-                Ok(()) => info!("cli", "wrote {apath}"),
-                Err(e) => {
-                    error!("cli", "error: failed to write {apath}: {e}");
-                    std::process::exit(2);
-                }
-            }
+            let report = fedmigr_telemetry::profiler::alloc_report();
+            write_artifact("", &apath, std::fs::write(&apath, report));
         }
     }
     if let (Some(chrome), Some(timeline)) = (&args.chrome_out, &args.timeline_out) {
-        let result = std::fs::read_to_string(timeline)
+        let converted = std::fs::read_to_string(timeline)
             .map_err(|e| e.to_string())
             .and_then(|text| fedmigr::diag::TimelineRecording::parse(&text))
             .and_then(|rec| {
                 std::fs::write(chrome, fedmigr::diag::chrome_trace(&rec)).map_err(|e| e.to_string())
             });
-        match result {
-            Ok(()) => info!("cli", "wrote {chrome}"),
-            Err(e) => {
-                error!("cli", "error: failed to write --chrome-out {chrome}: {e}");
-                std::process::exit(2);
-            }
-        }
+        write_artifact("--chrome-out ", chrome, converted);
     }
     if args.trace_out.is_some() {
         fedmigr_telemetry::close_trace();
@@ -617,6 +590,19 @@ fn parse_attack(spec: &str, seed: u64) -> AttackConfig {
 fn parse_suffix(spec: &str) -> f64 {
     let (_, v) = spec.split_once(':').expect("checked by caller");
     v.parse().unwrap_or_else(|_| die(&format!("bad numeric suffix in {spec:?}")))
+}
+
+/// Logs the outcome of writing the artifact behind `flag` (spelled with its
+/// trailing space; empty for a sidecar that has no flag of its own) to
+/// `path`; a failed write ends the process with status 2.
+fn write_artifact<E: std::fmt::Display>(flag: &str, path: &str, written: Result<(), E>) {
+    match written {
+        Ok(()) => info!("cli", "wrote {path}"),
+        Err(e) => {
+            error!("cli", "error: failed to write {flag}{path}: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn die(msg: &str) -> ! {

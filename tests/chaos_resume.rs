@@ -1,6 +1,6 @@
 //! Chaos kill-and-resume harness for the run-checkpoint subsystem.
 //!
-//! The crash-safety contract (DESIGN.md §11): a run killed at an arbitrary
+//! The crash-safety contract (DESIGN.md §14): a run killed at an arbitrary
 //! round and resumed from its latest checkpoint must finish **byte-identical**
 //! to the run that was never interrupted — same CSV export, same flight
 //! recording — on both transports, with wire codecs, injected churn and a

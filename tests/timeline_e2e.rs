@@ -11,8 +11,8 @@
 
 use fedmigr::core::{DiagConfig, Experiment, RunConfig, Scheme};
 use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
-use fedmigr::diag::netview;
 use fedmigr::diag::{chrome_trace, TimelineRecording, TIMELINE_VERSION};
+use fedmigr::diag::{gate, netview};
 use fedmigr::net::{ClientCompute, DeviceTier, Topology, TopologyConfig, TransportConfig};
 use fedmigr::nn::zoo::{self, NetScale};
 use fedmigr_telemetry::trace::JsonValue;
@@ -138,21 +138,22 @@ fn timeline_observes_without_perturbing() {
         // Round 0 is the seed broadcast; then one settled round per epoch.
         assert_eq!(rec.settled_rounds().len(), on.epochs() + 1);
 
-        // 3. Timeline invariants: start stamps never run backwards and
-        //    every interval is closed (same checks `telemetry_validate
-        //    --timeline` applies in CI).
+        // 3. Timeline invariants: start stamps never run backwards, every
+        //    interval is closed, every flow event rides a declared link (the
+        //    same check `fedmigr_netview` applies in CI).
+        rec.validate().unwrap_or_else(|v| panic!("[{tag}] timeline invariants broken: {v:?}"));
         for round in &rec.rounds {
             assert!(round.t1 >= round.t0, "[{tag}] round not closed");
             for iv in &round.intervals {
-                assert!(iv.t1 >= iv.t0, "[{tag}] interval not closed");
                 assert!(iv.t0 >= round.t0 - 1e-9, "[{tag}] interval starts before round");
             }
-            let links: std::collections::BTreeSet<&str> =
-                round.links.iter().map(|l| l.id.as_str()).collect();
+            // Stricter than `validate()`, which accepts a link declared in
+            // any earlier round: the runner re-declares its links each round.
             for f in &round.flows {
                 assert!(
-                    links.contains(f.link.as_str()),
-                    "[{tag}] flow event references undeclared link {:?}",
+                    round.links.iter().any(|l| l.id == f.link),
+                    "[{tag}] flow event references a link round {} did not declare: {:?}",
+                    round.epoch,
                     f.link
                 );
             }
@@ -162,12 +163,12 @@ fn timeline_observes_without_perturbing() {
         assert_well_nested(&chrome_trace(&rec));
 
         // 5. netview digests the recording into a consistent report.
-        let report = netview::analyze(&rec);
+        let mut report = netview::analyze(&rec);
         assert_eq!(report.rounds, rec.settled_rounds().len());
         assert!(report.makespan_s > 0.0);
-        let json = netview::render_json(&report);
+        let json = netview::render_json(&mut report);
         let parsed = JsonValue::parse(&json).expect("netview JSON parses");
-        assert!(netview::diff_json(&parsed, &parsed, 1e-9).is_empty(), "report self-diffs clean");
+        assert!(gate::diff_json(&parsed, &parsed, 1e-9).is_empty(), "report self-diffs clean");
 
         // The flow transport must actually produce flow events; lockstep
         // reduces to coarse intervals only.
