@@ -9,7 +9,6 @@
 //! *local* dynamic range, which matters because a model's first-layer
 //! weights and its biases can differ by orders of magnitude.
 
-use bytes::{BufMut, Bytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,11 +21,11 @@ pub const CHUNK: usize = 256;
 /// An encoded parameter vector plus its exact wire size.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CompressedBlob {
-    bytes: Bytes,
+    bytes: Vec<u8>,
 }
 
 impl CompressedBlob {
-    pub(crate) fn new(bytes: Bytes) -> Self {
+    pub(crate) fn new(bytes: Vec<u8>) -> Self {
         Self { bytes }
     }
 
@@ -37,7 +36,7 @@ impl CompressedBlob {
     }
 
     /// The raw encoded bytes.
-    pub fn bytes(&self) -> &Bytes {
+    pub fn bytes(&self) -> &[u8] {
         &self.bytes
     }
 }
@@ -120,9 +119,9 @@ impl Codec {
         scratch.wire.reserve(self.encoded_size(values.len()) as usize);
         match self {
             Codec::Identity => {
-                scratch.wire.put_u64_le(values.len() as u64);
+                put_u64(&mut scratch.wire, values.len() as u64);
                 for &v in values {
-                    scratch.wire.put_f32_le(v);
+                    put_f32(&mut scratch.wire, v);
                 }
             }
             Codec::Uniform(q) => q.encode_rounded(values, None, &mut scratch.wire),
@@ -164,7 +163,7 @@ impl WireCodec for Codec {
     fn encode(&self, values: &[f32], seed: u64) -> CompressedBlob {
         let mut scratch = Scratch::default();
         self.encode_into(values, seed, &mut scratch);
-        CompressedBlob::new(scratch.wire.into())
+        CompressedBlob::new(scratch.wire)
     }
 
     fn decode(&self, blob: &CompressedBlob) -> Option<Vec<f32>> {
@@ -215,7 +214,7 @@ impl QuantCodec {
     }
 
     fn encode_rounded(&self, values: &[f32], rng: Option<&mut StdRng>, buf: &mut Vec<u8>) {
-        buf.put_u64_le(values.len() as u64);
+        put_u64(buf, values.len() as u64);
         put_quantized(buf, values, self.bits, rng);
     }
 
@@ -246,8 +245,8 @@ pub(crate) fn put_quantized(
 ) {
     for chunk in values.chunks(CHUNK) {
         let (min, scale) = chunk_range(chunk, bits);
-        buf.put_f32_le(min);
-        buf.put_f32_le(scale);
+        put_f32(buf, min);
+        put_f32(buf, scale);
         let mut code = |&v: &f32| {
             let u = rng.as_deref_mut().map(|r| r.random::<f32>());
             quantize_one(v, min, scale, bits, u)
@@ -344,6 +343,18 @@ pub(crate) fn quantize_one(v: f32, min: f32, scale: f32, bits: u8, u: Option<f32
         }
     };
     (q.min(levels as f32)) as u8
+}
+
+/// Appends a little-endian `u64`.
+#[inline]
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `f32`.
+#[inline]
+pub(crate) fn put_f32(buf: &mut Vec<u8>, v: f32) {
+    buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// The little-endian `f32` in a 4-byte slice.
@@ -467,8 +478,8 @@ mod tests {
         let v = ramp(100);
         for codec in [Codec::Identity, Codec::Uniform(QuantCodec::new(8))] {
             let blob = codec.encode(&v, 0);
-            let raw = blob.bytes().clone();
-            let truncated = CompressedBlob::new(raw.slice(0..raw.len() - 1));
+            let raw = blob.bytes();
+            let truncated = CompressedBlob::new(raw[..raw.len() - 1].to_vec());
             assert!(codec.decode(&truncated).is_none());
         }
     }

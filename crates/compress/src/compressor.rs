@@ -15,11 +15,13 @@
 //! stream is consumed.
 
 use std::borrow::Cow;
+use std::io;
 
 use fedmigr_telemetry::metrics::{Counter, Histogram};
+use fedmigr_telemetry::wire::{self, Wire};
 
 use crate::codec::{Codec, Scratch, WireCodec};
-use crate::feedback::{sq_error, ErrorFeedback};
+use crate::feedback::{sq_error, ErrorFeedback, LANES_MISMATCH};
 use crate::stats::CompressionStats;
 use crate::CodecConfig;
 
@@ -29,22 +31,6 @@ fn mix(seed: u64, seq: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The silent mutable state of a [`Compressor`], as captured for run
-/// checkpoints: residual lanes in both directions, the transmission
-/// counter that seeds stochastic rounding, and cumulative stats. The codec
-/// itself is rebuilt from `RunConfig`, not persisted.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CompressorState {
-    /// Client-egress residual lanes (`None` without error feedback).
-    pub feedback: Option<Vec<Vec<f32>>>,
-    /// Server-egress residual lanes, last lane = broadcast.
-    pub down_feedback: Option<Vec<Vec<f32>>>,
-    /// Transmission counter (drives per-transfer rounding noise).
-    pub seq: u64,
-    /// Cumulative stats so far.
-    pub stats: CompressionStats,
 }
 
 /// The telemetry series one codec writes, labelled with its display name
@@ -133,34 +119,6 @@ impl Compressor {
                 (0..ef.lanes()).map(|l| ef.residual_norm(l)).sum::<f64>() / lanes as f64
             }
         }
-    }
-
-    /// Captures the compressor's mutable state for a run checkpoint.
-    pub fn export_state(&self) -> CompressorState {
-        CompressorState {
-            feedback: self.feedback.as_ref().map(|ef| ef.residuals().to_vec()),
-            down_feedback: self.down_feedback.as_ref().map(|ef| ef.residuals().to_vec()),
-            seq: self.seq,
-            stats: self.stats,
-        }
-    }
-
-    /// Restores state captured by [`Compressor::export_state`]. The
-    /// compressor must have been built from the same `CodecConfig` and lane
-    /// count (the snapshot's lane structure must match).
-    pub fn import_state(&mut self, state: CompressorState) {
-        let lanes = |fb: &Option<ErrorFeedback>| fb.as_ref().map(|ef| ef.lanes());
-        let snap_lanes = |fb: &Option<Vec<Vec<f32>>>| fb.as_ref().map(|r| r.len());
-        assert_eq!(lanes(&self.feedback), snap_lanes(&state.feedback), "egress lane mismatch");
-        assert_eq!(
-            lanes(&self.down_feedback),
-            snap_lanes(&state.down_feedback),
-            "downlink lane mismatch"
-        );
-        self.feedback = state.feedback.map(ErrorFeedback::from_residuals);
-        self.down_feedback = state.down_feedback.map(ErrorFeedback::from_residuals);
-        self.seq = state.seq;
-        self.stats = state.stats;
     }
 
     /// Client-egress transfer on `lane`: compensates with the lane's
@@ -347,6 +305,20 @@ impl Compressor {
     }
 }
 
+/// What a compressor carries between transfers, in wire order: the residual
+/// lanes of both directions (server egress last lane = broadcast), the
+/// transmission counter that seeds stochastic rounding, and the cumulative
+/// stats. The codec is rebuilt from `RunConfig`, not persisted, and with it
+/// the lane structure: a snapshot with other lanes is a mismatch.
+impl Wire for Compressor {
+    fn wire(&mut self, c: &mut wire::Codec<'_>) -> io::Result<()> {
+        c.in_place_opt(&mut self.feedback, LANES_MISMATCH)?;
+        c.in_place_opt(&mut self.down_feedback, LANES_MISMATCH)?;
+        self.seq.wire(c)?;
+        self.stats.wire(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,34 +329,6 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Everything a compressor carries between transfers, bit for bit:
-    /// residual lanes in both directions, `seq`, and the stats.
-    #[derive(Debug, PartialEq)]
-    struct StateBits {
-        up: Vec<Vec<u32>>,
-        down: Vec<Vec<u32>>,
-        seq: u64,
-        stats: [u64; 7],
-    }
-
-    fn state_bits(c: &Compressor) -> StateBits {
-        let st = c.export_state();
-        let lanes = |fb: Option<Vec<Vec<f32>>>| -> Vec<Vec<u32>> {
-            fb.unwrap_or_default().iter().map(|r| bits(r)).collect()
-        };
-        let s = st.stats;
-        let stats = [
-            s.encodes,
-            s.uncompressed_bytes,
-            s.compressed_bytes,
-            s.sum_sq_error.to_bits(),
-            s.coords,
-            s.residual_norm_sum.to_bits(),
-            s.ef_transmits,
-        ];
-        StateBits { up: lanes(st.feedback), down: lanes(st.down_feedback), seq: st.seq, stats }
     }
 
     /// Every lossy codec family, with and without error feedback.
@@ -553,9 +497,8 @@ mod tests {
         live.transmit(0, &v);
         live.broadcast(&v);
         live.transmit_down(1, &v);
-        let snap = live.export_state();
         let mut resumed = Compressor::new(&cfg, 2, 9);
-        resumed.import_state(snap);
+        wire::decode(&wire::encode(&mut live), &mut resumed).unwrap();
         for lane in [0usize, 1] {
             assert_eq!(live.transmit(lane, &v), resumed.transmit(lane, &v));
         }
@@ -564,11 +507,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "lane mismatch")]
     fn import_rejects_mismatched_lanes() {
         let cfg = CodecConfig::int8();
-        let snap = Compressor::new(&cfg, 2, 9).export_state();
-        Compressor::new(&cfg, 3, 9).import_state(snap);
+        let snap = wire::encode(&mut Compressor::new(&cfg, 2, 9));
+        let no_ef = cfg.clone().without_feedback();
+        for mut other in [Compressor::new(&cfg, 3, 9), Compressor::new(&no_ef, 2, 9)] {
+            let err = wire::decode(&snap, &mut other).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("lanes mismatch"), "{err}");
+        }
     }
 
     #[test]
@@ -592,7 +539,12 @@ mod tests {
                 let got: Vec<Vec<u32>> =
                     batched.transmit_batch(items).iter().map(|d| bits(d)).collect();
                 assert_eq!(got, expect, "codec {} round {round}", cfg.name());
-                assert_eq!(state_bits(&serial), state_bits(&batched), "codec {}", cfg.name());
+                assert_eq!(
+                    wire::encode(&mut serial),
+                    wire::encode(&mut batched),
+                    "codec {}",
+                    cfg.name()
+                );
             }
         }
     }
@@ -609,7 +561,12 @@ mod tests {
             let got: Vec<Vec<u32>> =
                 batched.transmit_batch(items).iter().map(|d| bits(d)).collect();
             assert_eq!(got, expect, "codec {}", cfg.name());
-            assert_eq!(state_bits(&serial), state_bits(&batched), "codec {}", cfg.name());
+            assert_eq!(
+                wire::encode(&mut serial),
+                wire::encode(&mut batched),
+                "codec {}",
+                cfg.name()
+            );
         }
     }
 
@@ -618,7 +575,7 @@ mod tests {
         for cfg in [vec![CodecConfig::Identity], lossy_codecs()].concat() {
             let mut c = Compressor::new(&cfg, 4, 9);
             c.transmit_batch((0..4).map(|l| (l, payload(400, l, false))).collect());
-            let before = state_bits(&c);
+            let before = wire::encode(&mut c);
             // Lanes may repeat: a preview consumes nothing.
             let items: Vec<(usize, Vec<f32>)> =
                 [2, 0, 2, 3, 1].iter().map(|&l| (l, payload(400, 7 + l, l == 3))).collect();
@@ -626,7 +583,7 @@ mod tests {
                 items.iter().map(|(l, v)| bits(&c.preview(*l, v))).collect();
             let got: Vec<Vec<u32>> = c.preview_batch(items).iter().map(|d| bits(d)).collect();
             assert_eq!(got, expect, "codec {}", cfg.name());
-            assert_eq!(state_bits(&c), before, "codec {}", cfg.name());
+            assert_eq!(wire::encode(&mut c), before, "codec {}", cfg.name());
         }
     }
 
@@ -639,7 +596,7 @@ mod tests {
             used.transmit(0, &payload(900, 1, true));
             used.transmit_down(1, &payload(700, 2, false));
             let mut fresh = Compressor::new(&cfg, 2, 9);
-            fresh.import_state(used.export_state());
+            wire::decode(&wire::encode(&mut used), &mut fresh).unwrap();
             for (lane, n) in [(1, 130), (0, 900), (0, 0)] {
                 let v = payload(n, 3, false);
                 assert_eq!(
@@ -648,7 +605,12 @@ mod tests {
                     "codec {} lane {lane} n {n}",
                     cfg.name()
                 );
-                assert_eq!(state_bits(&used), state_bits(&fresh), "codec {}", cfg.name());
+                assert_eq!(
+                    wire::encode(&mut used),
+                    wire::encode(&mut fresh),
+                    "codec {}",
+                    cfg.name()
+                );
             }
         }
     }
@@ -714,12 +676,10 @@ mod tests {
                 );
                 assert_eq!(bits(&c.transmit(0, &v)), bits(&expect), "codec {}", cfg.name());
             }
-            let got = state_bits(&c);
-            assert_eq!(got.seq, 4);
-            assert_eq!(got.up, residual.iter().map(|r| bits(r)).collect::<Vec<_>>());
-            let mut reference = Compressor::new(&cfg, 1, 9);
-            reference.stats = stats;
-            assert_eq!(got.stats, state_bits(&reference).stats, "codec {}", cfg.name());
+            assert_eq!(c.seq, 4);
+            let mut lanes = residual.map(|r| vec![r]);
+            assert_eq!(wire::encode(&mut c.feedback), wire::encode(&mut lanes), "{}", cfg.name());
+            assert_eq!(wire::encode(&mut c.stats), wire::encode(&mut stats), "{}", cfg.name());
         }
     }
 

@@ -8,6 +8,10 @@
 //! client's egress, each server-to-client unicast, and the shared
 //! broadcast — keeps the residual local (residuals never travel).
 
+use std::io;
+
+use fedmigr_telemetry::wire::{Codec, Wire};
+
 /// Per-lane residual state for error-feedback compression.
 #[derive(Clone, Debug, Default)]
 pub struct ErrorFeedback {
@@ -21,20 +25,9 @@ impl ErrorFeedback {
         Self { residuals: vec![Vec::new(); lanes] }
     }
 
-    /// Rebuilds residual state captured by [`ErrorFeedback::residuals`]
-    /// (run-checkpoint restore).
-    pub fn from_residuals(residuals: Vec<Vec<f32>>) -> Self {
-        Self { residuals }
-    }
-
     /// Number of lanes.
     pub fn lanes(&self) -> usize {
         self.residuals.len()
-    }
-
-    /// The raw per-lane residuals (run-checkpoint capture).
-    pub fn residuals(&self) -> &[Vec<f32>] {
-        &self.residuals
     }
 
     /// Turns `values` into the transmit intent for `lane` in place:
@@ -71,6 +64,17 @@ impl ErrorFeedback {
     /// L2 norm of a lane's residual (0 for an empty lane).
     pub fn residual_norm(&self, lane: usize) -> f64 {
         self.residuals[lane].iter().map(|&e| (e as f64) * (e as f64)).sum::<f64>().sqrt()
+    }
+}
+
+/// What a snapshot taken under another lane structure is refused with.
+pub(crate) const LANES_MISMATCH: &str = "codec residual lanes mismatch";
+
+/// The lanes in order, each `u64 n ‖ f32 LE…` (empty until first used). How
+/// many there are is configuration: another count is a mismatch.
+impl Wire for ErrorFeedback {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.in_place(&mut self.residuals, LANES_MISMATCH)
     }
 }
 
@@ -146,7 +150,7 @@ mod tests {
         assert_eq!(compensated(&ef, 0, &[3.0]), vec![3.0]);
         // ...and the next update replaces it whole.
         ef.update(0, &[3.0], &[1.0]);
-        assert_eq!(ef.residuals()[0], vec![2.0]);
+        assert_eq!(ef.residuals[0], vec![2.0]);
     }
 
     #[test]

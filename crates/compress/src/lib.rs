@@ -37,14 +37,12 @@ mod sparse;
 mod stats;
 
 pub use codec::{Codec, CompressedBlob, WireCodec, CHUNK};
-pub use compressor::{Compressor, CompressorState};
+pub use compressor::Compressor;
 pub use feedback::ErrorFeedback;
 pub use stats::CompressionStats;
 
-use serde::{Deserialize, Serialize};
-
 /// Selects the wire codec (and error-feedback policy) of a run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum CodecConfig {
     /// Uncompressed `u64 length || f32 LE` — byte-identical to the
     /// pre-compression wire format.

@@ -12,9 +12,9 @@
 //! the *lower* index, so selection is deterministic even for vectors full
 //! of equal weights, and any algorithm that returns that set is conformant.
 
-use bytes::BufMut;
-
-use crate::codec::{packed_len, put_quantized, take_quantized, Cursor, Scratch, CHUNK};
+use crate::codec::{
+    packed_len, put_f32, put_quantized, put_u64, take_quantized, Cursor, Scratch, CHUNK,
+};
 
 /// Coordinate `i`'s rank in the selection order as an integer: the bits of
 /// its magnitude (non-negative floats order like their bits; NaN counts as
@@ -45,8 +45,8 @@ fn select_topk(values: &[f32], k: usize, keys: &mut Vec<u64>) -> u64 {
 /// `scratch.kept`.
 fn put_selection(values: &[f32], k: usize, scratch: &mut Scratch) {
     let Scratch { wire, keys, kept } = scratch;
-    wire.put_u64_le(values.len() as u64);
-    wire.put_u64_le(k as u64);
+    put_u64(wire, values.len() as u64);
+    put_u64(wire, k as u64);
     let threshold = select_topk(values, k, keys);
     // Which coordinates pass is as good as random, so the pass over them is
     // branch-free: every coordinate is written to the next free slot and
@@ -131,7 +131,7 @@ impl TopKCodec {
     pub(crate) fn encode_into(&self, values: &[f32], scratch: &mut Scratch) {
         put_selection(values, self.keep(values.len()), scratch);
         for &v in &scratch.kept {
-            scratch.wire.put_f32_le(v);
+            put_f32(&mut scratch.wire, v);
         }
     }
 
@@ -301,11 +301,11 @@ mod tests {
                 .collect();
             let k = keep_count(frac, values.len());
             let plain = Codec::TopK(TopKCodec::new(frac)).encode(&values, 0);
-            prop_assert_eq!(&plain.bytes()[..], &reference_blob(&values, k, None)[..]);
+            prop_assert_eq!(plain.bytes(), &reference_blob(&values, k, None)[..]);
             for bits in [8, 4] {
                 let quantized = Codec::TopKUniform(TopKUniformCodec::new(frac, bits));
                 let blob = quantized.encode(&values, 0);
-                prop_assert_eq!(&blob.bytes()[..], &reference_blob(&values, k, Some(bits))[..]);
+                prop_assert_eq!(blob.bytes(), &reference_blob(&values, k, Some(bits))[..]);
             }
         }
     }
@@ -372,7 +372,7 @@ mod tests {
         let v = vec![1.0, 2.0, 3.0];
         for c in [topk(0.5), Codec::TopKUniform(TopKUniformCodec::new(0.5, 8))] {
             let raw = c.encode(&v, 0).bytes().to_vec();
-            let decode = |raw: &[u8]| c.decode(&CompressedBlob::new(raw.to_vec().into()));
+            let decode = |raw: &[u8]| c.decode(&CompressedBlob::new(raw.to_vec()));
             assert!(decode(&raw).is_some());
             // Corrupt the first index (offset 16) to point past the end.
             let mut bad = raw.clone();

@@ -1,13 +1,11 @@
 //! Cumulative compression accounting for a run.
 
-use serde::{Deserialize, Serialize};
-
 /// Byte and distortion totals across every model encode of a run.
 ///
 /// Counts are per *encode* (one per transmitted model copy on client egress
 /// and per distinct server payload; a broadcast of one blob to K receivers
 /// is one encode), while the network meter separately counts per-hop bytes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CompressionStats {
     /// Number of model vectors encoded.
     pub encodes: u64,
@@ -24,6 +22,11 @@ pub struct CompressionStats {
     /// Number of encodes that updated an error-feedback residual.
     pub ef_transmits: u64,
 }
+
+fedmigr_telemetry::wire_fields!(CompressionStats:
+    encodes, uncompressed_bytes, compressed_bytes, sum_sq_error, coords, residual_norm_sum,
+    ef_transmits
+);
 
 impl CompressionStats {
     /// Bytes saved versus uncompressed transfers (0 when compression costs

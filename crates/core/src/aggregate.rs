@@ -25,7 +25,6 @@
 
 use fedmigr_nn::params::weighted_average;
 use fedmigr_tensor::{all_finite, l2_norm_slice, pairwise_sq_distances};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::RobustStats;
 
@@ -38,7 +37,7 @@ use crate::metrics::RobustStats;
 /// how many aggregation rounds late it arrives — the standard staleness
 /// weighting of asynchronous FL, applied here as graceful degradation.
 /// Updates older than `max_age` rounds are dropped instead.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct StalenessPolicy {
     /// Per-round-of-age weight multiplier, in `(0, 1]`.
     pub discount: f64,
@@ -74,7 +73,7 @@ impl Default for StalenessPolicy {
 }
 
 /// The aggregation rule applied to the uploads of a synchronization round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum Aggregator {
     /// Sample-weighted mean — the paper's Eq. 7, bit-identical to the
     /// pre-defense code path. No screening, no robustness.

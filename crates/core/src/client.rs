@@ -13,7 +13,7 @@ pub struct FlClient {
     data: Arc<Dataset>,
     /// Local data indices in their current (shuffled) order.
     pub(crate) indices: Vec<usize>,
-    model: Model,
+    pub(crate) model: Model,
     opt: Sgd,
     /// The private batch-order RNG stream.
     pub(crate) rng: StdRng,

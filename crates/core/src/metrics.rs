@@ -1,10 +1,9 @@
 use fedmigr_compress::CompressionStats;
 use fedmigr_net::{TrafficBreakdown, TransportStats};
-use serde::Serialize;
 
 /// Fault-injection accounting for a run (all zero when the fault layer is
 /// disabled — see `fedmigr_net::FaultModel::none`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Client-epochs lost to crashes/dropouts (client was down).
     pub client_drops: usize,
@@ -37,7 +36,7 @@ impl FaultStats {
 /// [`RunMetrics::to_csv`] and the flight recording — a killed-and-resumed
 /// run accumulates different recovery counters than its uninterrupted twin
 /// while every learning-relevant output stays byte-identical.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Run-state snapshots taken (in memory and, when a checkpoint
     /// directory is configured, on disk).
@@ -63,7 +62,7 @@ impl RecoveryStats {
 
 /// Byzantine-defense accounting for a run (all zero when no adversary is
 /// configured and the plain FedAvg aggregator is in use).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RobustStats {
     /// Migrated models rejected by the quarantine (non-finite or
     /// norm-anomalous); the receiver kept its own model instead.
@@ -102,7 +101,7 @@ impl RobustStats {
 /// summation error) and the breakdown is byte-identical across reruns of
 /// the same seed — with telemetry on or off. Real wall-clock profiling is
 /// the telemetry side-channel's job; this struct is part of the result.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PhaseBreakdown {
     /// Virtual seconds spent in local training (straggler-limited).
     pub train_s: f64,
@@ -133,7 +132,7 @@ impl PhaseBreakdown {
 }
 
 /// Per-epoch measurements of a run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpochRecord {
     /// 1-based training epoch.
     pub epoch: usize,
@@ -169,7 +168,7 @@ pub struct EpochRecord {
 
 /// Everything a run produced: per-epoch curves, migration statistics and
 /// the stopping condition that ended it.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct RunMetrics {
     /// Scheme name (matches the paper's tables).
     pub scheme: String,

@@ -6,10 +6,9 @@
 //! Gaussian-mechanism bound `σ = C · sqrt(2 ln(1.25/δ)) / ε`.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Local differential-privacy configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DpConfig {
     /// Privacy budget ε (smaller = stronger privacy, more noise).
     pub epsilon: f64,

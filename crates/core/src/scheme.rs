@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 /// Fixed (non-learned) migration strategies for the Fig. 3 motivation
 /// experiment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MigrationStrategy {
     /// Every model migrates to a client in a *different* LAN (the clients
     /// within a LAN share a data distribution, so this maximizes exposure
@@ -28,7 +26,7 @@ impl MigrationStrategy {
 /// Hyper-parameters of the FedMigr scheme (the EMPG agent's environment
 /// coupling; the agent's own hyper-parameters live in
 /// [`fedmigr_drl::AgentConfig`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FedMigrConfig {
     /// Cost weight λ in the exploration oracle's objective
     /// (distribution-difference benefit minus λ × link cost).

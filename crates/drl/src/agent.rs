@@ -4,12 +4,13 @@ use std::path::Path;
 use fedmigr_nn::checkpoint;
 use fedmigr_nn::params::{grad_vector, param_vector, set_param_vector};
 use fedmigr_nn::{zoo, Layer, Model, Sgd};
+use fedmigr_telemetry::wire::{Codec, Wire};
 use fedmigr_tensor::{argmax_slice, softmax_rows, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::noise::{OuNoise, OuState};
-use crate::replay::{PrioritizedReplay, ReplayState, Transition};
+use crate::noise::OuNoise;
+use crate::replay::{PrioritizedReplay, Transition};
 
 /// Hyper-parameters of the EMPG agent (Alg. 1).
 #[derive(Clone, Debug)]
@@ -95,6 +96,10 @@ pub struct UpdateStats {
     pub actor_grad_norm: f64,
 }
 
+fedmigr_telemetry::wire_fields!(UpdateStats:
+    mean_q, mean_abs_td, max_abs_td, critic_grad_norm, actor_grad_norm
+);
+
 /// Shannon entropy (nats) and saturation (largest probability) of a policy
 /// distribution such as [`DdpgAgent::action_probs`]. Entropy near 0 with
 /// saturation near 1 means the policy has collapsed onto one destination;
@@ -110,36 +115,6 @@ pub fn policy_entropy_saturation(probs: &[f32]) -> (f64, f64) {
         saturation = saturation.max(p);
     }
     (entropy, saturation)
-}
-
-/// Complete checkpoint capture of a [`DdpgAgent`]: all four networks, the
-/// replay buffer, the exact RNG stream position, exploration-noise state,
-/// the annealed ρ, and learning bookkeeping. Unlike [`DdpgAgent::save`]
-/// (the deployment story: policy weights only), importing this resumes
-/// training bit-for-bit.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AgentState {
-    /// Actor network parameters.
-    pub actor: Vec<f32>,
-    /// Critic network parameters.
-    pub critic: Vec<f32>,
-    /// Actor target-network parameters.
-    pub actor_target: Vec<f32>,
-    /// Critic target-network parameters.
-    pub critic_target: Vec<f32>,
-    /// Replay-buffer contents and priorities.
-    pub replay: ReplayState,
-    /// Raw RNG state (exploration + replay sampling stream).
-    pub rng: [u64; 4],
-    /// Ornstein–Uhlenbeck noise state, if configured.
-    pub ou: Option<OuState>,
-    /// ρ-greedy exploration probability at capture time (annealed at
-    /// runtime via [`DdpgAgent::set_rho`]).
-    pub rho: f64,
-    /// Learning updates performed so far.
-    pub updates: u64,
-    /// Stats of the most recent update, if any.
-    pub last_stats: Option<UpdateStats>,
 }
 
 /// DDPG agent for migration-policy generation.
@@ -302,42 +277,6 @@ impl DdpgAgent {
         self.actor_target = self.actor.clone();
         self.critic_target = self.critic.clone();
         Ok(())
-    }
-
-    /// Captures the complete agent state for a run checkpoint.
-    pub fn export_state(&mut self) -> AgentState {
-        AgentState {
-            actor: self.actor.params(),
-            critic: self.critic.params(),
-            actor_target: self.actor_target.params(),
-            critic_target: self.critic_target.params(),
-            replay: self.replay.export_state(),
-            rng: self.rng.state(),
-            ou: self.ou.as_ref().map(OuNoise::export_state),
-            rho: self.config.rho,
-            updates: self.updates,
-            last_stats: self.last_stats,
-        }
-    }
-
-    /// Restores state captured by [`DdpgAgent::export_state`] into an agent
-    /// built from the same [`AgentConfig`]; training resumes bit-for-bit.
-    pub fn import_state(&mut self, state: AgentState) {
-        assert_eq!(state.actor.len(), self.actor.num_params(), "actor size mismatch");
-        assert_eq!(state.critic.len(), self.critic.num_params(), "critic size mismatch");
-        assert_eq!(state.ou.is_some(), self.ou.is_some(), "OU-noise configuration mismatch");
-        self.actor.set_params(&state.actor);
-        self.critic.set_params(&state.critic);
-        self.actor_target.set_params(&state.actor_target);
-        self.critic_target.set_params(&state.critic_target);
-        self.replay.import_state(state.replay);
-        self.rng = StdRng::from_state(state.rng);
-        if let (Some(ou), Some(snap)) = (self.ou.as_mut(), state.ou) {
-            ou.import_state(snap);
-        }
-        self.config.rho = state.rho;
-        self.updates = state.updates;
-        self.last_stats = state.last_stats;
     }
 
     /// Supervised (behavior-cloning) update of the actor towards choosing
@@ -513,9 +452,31 @@ fn softmax_backward(probs: &Tensor, grad: &[f32], b: usize, k: usize) -> Vec<f32
     out
 }
 
+/// The complete agent, in wire order: all four networks, the replay
+/// buffer, the exact RNG stream position, the exploration-noise process, the
+/// annealed ρ, and the learning bookkeeping. Unlike [`DdpgAgent::save`] (the
+/// deployment story: policy weights only), an agent built from the same
+/// [`AgentConfig`] and restored from this resumes training bit-for-bit; one
+/// built with other network sizes or the other noise choice is a mismatch.
+impl Wire for DdpgAgent {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.actor.wire(c)?;
+        self.critic.wire(c)?;
+        self.actor_target.wire(c)?;
+        self.critic_target.wire(c)?;
+        self.replay.wire(c)?;
+        self.rng.wire(c)?;
+        c.in_place_opt(&mut self.ou, "OU-noise configuration mismatch")?;
+        self.config.rho.wire(c)?;
+        self.updates.wire(c)?;
+        self.last_stats.wire(c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_telemetry::wire;
 
     fn bandit_config(k: usize) -> AgentConfig {
         let mut c = AgentConfig::new(3, k, 9);
@@ -641,10 +602,10 @@ mod tests {
             step(&mut live);
         }
         live.set_rho(0.11);
-        let snap = live.export_state();
+        let snap = wire::encode(&mut live);
         // A fresh agent from a different seed, then restored.
-        let mut resumed = DdpgAgent::new(AgentConfig { seed: 777, ..cfg });
-        resumed.import_state(snap);
+        let mut resumed = DdpgAgent::new(AgentConfig { seed: 777, ..cfg.clone() });
+        wire::decode(&snap, &mut resumed).unwrap();
         assert_eq!(resumed.updates(), live.updates());
         assert_eq!(resumed.config().rho, 0.11);
         for _ in 0..40 {
@@ -652,6 +613,16 @@ mod tests {
         }
         assert_eq!(live.action_probs(&state), resumed.action_probs(&state));
         assert_eq!(live.last_update_stats(), resumed.last_update_stats());
+        // An agent configured otherwise refuses the snapshot.
+        let mismatched = [
+            AgentConfig { ou_noise: false, ..cfg.clone() },
+            AgentConfig { hidden: cfg.hidden + 1, ..cfg.clone() },
+            AgentConfig { replay_capacity: 8, ..cfg },
+        ];
+        for other in mismatched {
+            let err = wire::decode(&snap, &mut DdpgAgent::new(other)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod qp;
 mod replay;
 mod state;
 
-pub use agent::{policy_entropy_saturation, AgentConfig, AgentState, DdpgAgent, UpdateStats};
-pub use noise::{OuNoise, OuState};
-pub use replay::{PrioritizedReplay, ReplayHealth, ReplayState, Transition};
+pub use agent::{policy_entropy_saturation, AgentConfig, DdpgAgent, UpdateStats};
+pub use noise::OuNoise;
+pub use replay::{PrioritizedReplay, ReplayHealth, Transition};
 pub use state::{MigrationState, PooledMigrationState};

@@ -3,6 +3,9 @@
 //! action exploration. Correlated noise explores more coherently than
 //! white Gaussian noise in environments with momentum.
 
+use std::io;
+
+use fedmigr_telemetry::wire::{Codec, Wire};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,34 +48,22 @@ impl OuNoise {
     pub fn reset(&mut self) {
         self.state.fill(self.mu);
     }
-
-    /// Captures the process for a run checkpoint.
-    pub fn export_state(&self) -> OuState {
-        OuState { state: self.state.clone(), rng: self.rng.state() }
-    }
-
-    /// Restores state captured by [`OuNoise::export_state`] into a process
-    /// of the same dimensionality.
-    pub fn import_state(&mut self, s: OuState) {
-        assert_eq!(s.state.len(), self.state.len(), "OU dimension mismatch");
-        self.state = s.state;
-        self.rng = StdRng::from_state(s.rng);
-    }
 }
 
-/// Checkpoint capture of an [`OuNoise`] process: the correlated-noise state
-/// vector plus the exact RNG stream position.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct OuState {
-    /// Current noise vector.
-    pub state: Vec<f32>,
-    /// Raw RNG state.
-    pub rng: [u64; 4],
+/// The correlated-noise vector, then the exact RNG stream position; θ, μ and
+/// σ are configuration, and so is the dimensionality — another one is a
+/// mismatch.
+impl Wire for OuNoise {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.in_place(&mut self.state, "OU dimension mismatch")?;
+        self.rng.wire(c)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_telemetry::wire;
 
     #[test]
     fn mean_reverts_to_mu() {
@@ -132,12 +123,14 @@ mod tests {
         for _ in 0..7 {
             live.sample();
         }
-        let snap = live.export_state();
+        let snap = wire::encode(&mut live);
         let mut resumed = OuNoise::standard(3, 999);
-        resumed.import_state(snap);
+        wire::decode(&snap, &mut resumed).unwrap();
         for _ in 0..20 {
             assert_eq!(live.sample().to_vec(), resumed.sample().to_vec());
         }
+        let err = wire::decode(&snap, &mut OuNoise::standard(4, 999)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

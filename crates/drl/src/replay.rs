@@ -1,3 +1,6 @@
+use std::io;
+
+use fedmigr_telemetry::wire::{bad, Codec, Wire};
 use rand::Rng;
 
 /// One experience tuple `z = (s_t, a_t, r_t, s_{t+1})`.
@@ -14,6 +17,8 @@ pub struct Transition {
     /// Whether this transition ended the episode.
     pub done: bool,
 }
+
+fedmigr_telemetry::wire_fields!(Transition: state, action, reward, next_state, done);
 
 /// Prioritized experience replay over a sum-tree.
 ///
@@ -36,26 +41,6 @@ pub struct PrioritizedReplay {
     /// Push counter value at which each occupied slot was last written —
     /// the basis of the age distribution in [`ReplayHealth`].
     inserted_at: Vec<u64>,
-}
-
-/// Checkpoint capture of a [`PrioritizedReplay`]: the stored transitions
-/// plus exactly the bookkeeping needed to resume sampling bit-for-bit.
-/// Only the leaf weights are captured — the sum-tree's internal nodes are
-/// recomputed on import.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplayState {
-    /// Stored transitions in slot order.
-    pub items: Vec<Transition>,
-    /// Stored sampling weights (`p^ξ`), one per item.
-    pub weights: Vec<f64>,
-    /// Ring-buffer write cursor.
-    pub next_slot: usize,
-    /// Running maximum priority assigned to new pushes.
-    pub max_priority: f64,
-    /// Lifetime push count.
-    pub pushes: u64,
-    /// Push counter at which each slot was last written.
-    pub inserted_at: Vec<u64>,
 }
 
 /// Point-in-time health summary of a [`PrioritizedReplay`] buffer: how
@@ -123,36 +108,6 @@ impl PrioritizedReplay {
         self.pushes += 1;
         self.set_weight(slot, self.max_priority.powf(self.xi));
         self.next_slot = (slot + 1) % self.capacity;
-    }
-
-    /// Captures the buffer for a run checkpoint.
-    pub fn export_state(&self) -> ReplayState {
-        ReplayState {
-            items: self.items.clone(),
-            weights: self.tree[self.capacity..self.capacity + self.items.len()].to_vec(),
-            next_slot: self.next_slot,
-            max_priority: self.max_priority,
-            pushes: self.pushes,
-            inserted_at: self.inserted_at.clone(),
-        }
-    }
-
-    /// Restores state captured by [`PrioritizedReplay::export_state`] into
-    /// a buffer of the same capacity; the sum-tree's internal nodes are
-    /// rebuilt from the captured leaf weights.
-    pub fn import_state(&mut self, state: ReplayState) {
-        assert!(state.items.len() <= self.capacity, "snapshot larger than capacity");
-        assert_eq!(state.items.len(), state.weights.len(), "weights/items mismatch");
-        assert_eq!(state.items.len(), state.inserted_at.len(), "ages/items mismatch");
-        self.items = state.items;
-        self.inserted_at = state.inserted_at;
-        self.next_slot = state.next_slot;
-        self.max_priority = state.max_priority;
-        self.pushes = state.pushes;
-        self.tree.fill(0.0);
-        for (i, w) in state.weights.into_iter().enumerate() {
-            self.set_weight(i, w);
-        }
     }
 
     /// Current buffer health: occupancy, sampling skew, and the age
@@ -256,9 +211,43 @@ impl PrioritizedReplay {
     }
 }
 
+/// The stored transitions plus exactly the bookkeeping needed to resume
+/// sampling bit-for-bit: the leaf weights (`p^ξ`, one per item), the ring
+/// cursor, the running maximum priority, the lifetime push count and each
+/// slot's insertion stamp. Only the sum-tree's leaves cross the wire; its
+/// internal nodes are re-summed on read. Capacity, ξ and β are
+/// configuration: a snapshot that does not fit is a mismatch.
+impl Wire for PrioritizedReplay {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.items.wire(c)?;
+        let (n, first_leaf) = (self.items.len(), self.capacity);
+        if n > first_leaf {
+            return Err(bad("replay snapshot larger than capacity"));
+        }
+        if c.reading() {
+            self.tree.fill(0.0);
+        }
+        c.in_place(&mut self.tree[first_leaf..first_leaf + n], "replay weights/items mismatch")?;
+        self.next_slot.wire(c)?;
+        self.max_priority.wire(c)?;
+        self.pushes.wire(c)?;
+        self.inserted_at.wire(c)?;
+        if self.inserted_at.len() != n {
+            return Err(bad("replay ages/items mismatch"));
+        }
+        if c.reading() {
+            for node in (1..first_leaf).rev() {
+                self.tree[node] = self.tree[2 * node] + self.tree[2 * node + 1];
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_telemetry::wire;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -396,9 +385,12 @@ mod tests {
             live.push(t(i as f32));
         }
         live.update_priority(1, 9.0);
-        let snap = live.export_state();
+        // Into a buffer that already holds other contents, as a rollback does.
         let mut resumed = PrioritizedReplay::new(4, 0.8, 0.5);
-        resumed.import_state(snap);
+        resumed.push(t(-1.0));
+        resumed.update_priority(0, 3.0);
+        wire::decode(&wire::encode(&mut live), &mut resumed).unwrap();
+        assert_eq!(resumed.tree, live.tree);
         assert_eq!(resumed.health(), live.health());
         let mut ra = StdRng::seed_from_u64(5);
         let mut rb = StdRng::seed_from_u64(5);
@@ -414,13 +406,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "larger than capacity")]
     fn import_rejects_oversized_snapshot() {
         let mut big = PrioritizedReplay::new(8, 0.6, 0.4);
         for i in 0..6 {
             big.push(t(i as f32));
         }
-        PrioritizedReplay::new(4, 0.6, 0.4).import_state(big.export_state());
+        let snap = wire::encode(&mut big);
+        let err = wire::decode(&snap, &mut PrioritizedReplay::new(4, 0.6, 0.4)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("larger than capacity"), "{err}");
+        // Ragged: one leaf weight fewer than there are items.
+        let items = wire::encode(&mut big.items).len();
+        let mut ragged = snap.clone();
+        ragged[items] -= 1;
+        ragged.drain(items + 8..items + 16);
+        let err = wire::decode(&ragged, &mut PrioritizedReplay::new(8, 0.6, 0.4)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("weights/items"), "{err}");
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //! model, train, and report back), so re-activation installs the global
 //! model rather than resurrecting stale local weights.
 
+use std::io;
+
 use fedmigr_data::{Dataset, SyntheticWorld};
 use fedmigr_net::DeviceTier;
+use fedmigr_telemetry::wire::{Codec, Wire};
 
 use crate::{FleetAssignment, FleetTopology};
 
@@ -31,6 +34,8 @@ pub struct DormantState {
     /// Rounds this client participated in.
     pub participations: u64,
 }
+
+fedmigr_telemetry::wire_fields!(DormantState: rng, migrations_received, participations);
 
 /// A dormant fleet client — everything needed to activate it, in ~100
 /// bytes.
@@ -137,22 +142,21 @@ impl ClientPool {
         d.migrations_received = migrations_received;
         d.participations += 1;
     }
+}
 
-    /// Snapshot of every stub's dormant state, in id order (for run
-    /// checkpoints).
-    pub fn export_dormant(&self) -> Vec<DormantState> {
-        self.stubs.iter().map(|s| s.dormant.clone()).collect()
+/// A stub crosses the wire as what survives dormancy; who it is and what
+/// data it holds are rebuilt from configuration.
+impl Wire for ClientStub {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.dormant.wire(c)
     }
+}
 
-    /// Restores dormant state captured by [`ClientPool::export_dormant`].
-    ///
-    /// # Panics
-    /// Panics when the snapshot's fleet size disagrees with this pool.
-    pub fn import_dormant(&mut self, dormant: Vec<DormantState>) {
-        assert_eq!(dormant.len(), self.stubs.len(), "dormant snapshot fleet size mismatch");
-        for (stub, d) in self.stubs.iter_mut().zip(dormant) {
-            stub.dormant = d;
-        }
+/// Every stub's [`DormantState`], in id order. The fleet size is
+/// configuration: a snapshot of another fleet is a mismatch.
+impl Wire for ClientPool {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        c.in_place(&mut self.stubs, "checkpoint client count")
     }
 }
 
@@ -168,6 +172,7 @@ mod tests {
     use super::*;
     use crate::FleetTopologyConfig;
     use fedmigr_data::SyntheticConfig;
+    use fedmigr_telemetry::wire;
 
     fn pool(k: usize, per_lan: usize) -> ClientPool {
         let world = SyntheticWorld::new(&SyntheticConfig::c10_like(4, 5), 8);
@@ -211,10 +216,15 @@ mod tests {
         assert_eq!(d.rng, Some([9, 9, 9, 9]));
         assert_eq!(d.migrations_received, 6);
         assert_eq!(d.participations, 2);
-        let snap = p.export_dormant();
+        let snap = wire::encode(&mut p);
         let mut q = pool(8, 4);
-        q.import_dormant(snap);
+        q.retire(5, [7, 7, 7, 7], 1);
+        wire::decode(&snap, &mut q).unwrap();
         assert_eq!(q.stub(2).dormant, p.stub(2).dormant);
+        assert_eq!(q.stub(5).dormant, DormantState::default());
+        // A fleet of another size refuses the snapshot.
+        let err = wire::decode(&snap, &mut pool(12, 4)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -16,13 +16,11 @@
 //! config) never consumes randomness and short-circuits every query, so a
 //! no-attack run is byte-identical to one executed without this layer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::hash_unit;
 
 /// What a Byzantine client does to the models it transmits (and, for
 /// [`AttackKind::LabelFlip`], to its own local training data).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AttackKind {
     /// Transmit `-w` instead of `w` — the classic sign-flip / gradient
     /// reversal attack. A single flipped model drags a plain mean far from
@@ -60,7 +58,7 @@ impl AttackKind {
 
 /// Configuration of the adversary. `fraction == 0` disables every attack
 /// process at zero cost.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AttackConfig {
     /// Fraction of the client population marked Byzantine. The actual count
     /// is `round(fraction * K)`, chosen deterministically from the seed.

@@ -1,9 +1,7 @@
-use serde::{Deserialize, Serialize};
-
 /// The resource budgets `B_c` (computation, sample-passes) and `B_b`
 /// (bandwidth, bytes) of the FLMM problem (Eq. 16). Infinite budgets model
 /// unconstrained runs.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ResourceBudget {
     /// Computation budget `B_c` in sample-passes.
     pub compute: f64,
@@ -24,7 +22,7 @@ impl ResourceBudget {
 }
 
 /// Traffic totals split the way the paper reports them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrafficBreakdown {
     /// Client<->server bytes over the WAN (model distribution, uploads).
     pub c2s: u64,
@@ -166,41 +164,14 @@ impl ResourceMeter {
     pub fn budget(&self) -> ResourceBudget {
         self.budget
     }
-
-    /// Captures the meter's accumulated consumption for a run checkpoint
-    /// (the budget itself is rebuilt from config).
-    pub fn export_state(&self) -> MeterState {
-        MeterState {
-            traffic: self.traffic,
-            overhead: self.overhead,
-            transfer_seconds: self.transfer_seconds,
-            compute_cost: self.compute_cost,
-        }
-    }
-
-    /// Restores consumption captured by [`ResourceMeter::export_state`].
-    /// Sets fields directly — deliberately bypassing the `record_*` paths so
-    /// restore does not double-count into telemetry byte counters.
-    pub fn import_state(&mut self, state: MeterState) {
-        self.traffic = state.traffic;
-        self.overhead = state.overhead;
-        self.transfer_seconds = state.transfer_seconds;
-        self.compute_cost = state.compute_cost;
-    }
 }
 
-/// Checkpoint capture of a [`ResourceMeter`]'s accumulated consumption.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeterState {
-    /// Payload traffic accumulated so far.
-    pub traffic: TrafficBreakdown,
-    /// Retransmission overhead bytes.
-    pub overhead: u64,
-    /// Simulated transfer seconds (flow transport).
-    pub transfer_seconds: f64,
-    /// Computation cost in sample-passes.
-    pub compute_cost: f64,
-}
+// A meter crosses the wire as its accumulated consumption (the budget is
+// rebuilt from config). A restore overwrites the fields directly — never
+// through the `record_*` paths — so it does not double-count into the
+// telemetry byte counters.
+fedmigr_telemetry::wire_fields!(ResourceMeter: traffic, overhead, transfer_seconds, compute_cost);
+fedmigr_telemetry::wire_fields!(TrafficBreakdown: c2s, c2c_local, c2c_global);
 
 /// Mirrors every meter charge into the `fedmigr_net_bytes_total{path}`
 /// telemetry counter. Side-channel only: the meter's own totals (which feed

@@ -1,8 +1,6 @@
-use serde::{Deserialize, Serialize};
-
 /// Hardware tier of an edge device, mirroring the paper's test-bed mix of
 /// NVIDIA Jetson TX2 (slower) and Xavier NX (faster) boards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceTier {
     /// Jetson-TX2-class device.
     Tx2,

@@ -14,10 +14,8 @@
 //!    randomness and every query short-circuits, so a fault-free run is
 //!    byte-identical to one executed without the fault layer at all.
 
-use serde::{Deserialize, Serialize};
-
 /// Bounded retry with exponential backoff for failed transfers.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Maximum number of retry attempts after the initial failure.
     pub max_retries: u32,
@@ -50,7 +48,7 @@ impl RetryPolicy {
 }
 
 /// Configuration of the fault processes. All probabilities are per epoch.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FaultConfig {
     /// Probability a live client begins an outage (crash/dropout) at a
     /// given epoch. The client rejoins automatically when the outage ends.

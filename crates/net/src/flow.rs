@@ -18,12 +18,10 @@
 //! so the same setup replays bit-identically, which the runner's
 //! determinism contract relies on.
 
-use serde::{Deserialize, Serialize};
-
 use crate::fault::hash_unit;
 
 /// How concurrent flows share a link's capacity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueDiscipline {
     /// Max-min fair share: capacity is split evenly among bottlenecked
     /// flows (progressive filling), the fluid limit of per-flow fair
@@ -38,7 +36,7 @@ pub enum QueueDiscipline {
 /// Tuning of the flow transport. [`FlowConfig::standard`] matches a small
 /// TCP-like profile sized for model-scale transfers (hundreds of KB) on
 /// megabyte-per-second edge links.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowConfig {
     /// Queueing discipline of shared links.
     pub discipline: QueueDiscipline,
@@ -124,7 +122,7 @@ impl FlowId {
 
 /// Result of one flow after [`FlowSim::run`]. Byte accounting satisfies
 /// `wire_bytes == delivered_bytes + retransmit_bytes` exactly.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FlowOutcome {
     /// Whether the whole payload was delivered.
     pub completed: bool,

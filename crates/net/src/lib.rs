@@ -33,7 +33,7 @@ mod topology;
 pub mod transport;
 
 pub use attack::{AttackConfig, AttackKind, AttackModel};
-pub use budget::{MeterState, ResourceBudget, ResourceMeter, TrafficBreakdown};
+pub use budget::{ResourceBudget, ResourceMeter, TrafficBreakdown};
 pub use clock::SimClock;
 pub use compute::{ClientCompute, DeviceTier};
 pub use fault::{FaultConfig, FaultModel, RetryPolicy};
@@ -44,8 +44,7 @@ pub use flow::{
 pub use topology::{LinkClass, Topology, TopologyConfig};
 pub use transport::{
     simulate_c2s, simulate_c2s_traced, simulate_migrations, simulate_migrations_traced,
-    upload_deadline, PhaseSim, PhaseTrace, TransportAccum, TransportAccumState, TransportConfig,
-    TransportStats,
+    upload_deadline, PhaseSim, PhaseTrace, TransportAccum, TransportConfig, TransportStats,
 };
 
 /// Seconds to move `bytes` over a link of `bandwidth` bytes/second, or

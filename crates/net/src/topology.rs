@@ -1,9 +1,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Speed class of a C2C link, matching Fig. 8's fast/moderate/slow split.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Intra-LAN or otherwise high-bandwidth link.
     Fast,
@@ -14,7 +13,7 @@ pub enum LinkClass {
 }
 
 /// Configuration for building a [`Topology`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TopologyConfig {
     /// Number of clients in each LAN; the sum is the client count `K`.
     pub lan_sizes: Vec<usize>,

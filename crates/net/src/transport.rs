@@ -18,13 +18,11 @@
 //! backbone. [`TransportAccum`] folds each phase's outcomes into the
 //! run-level [`TransportStats`] and mirrors them to telemetry.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::{FlowConfig, FlowOutcome, FlowSim, FlowTrace};
 use crate::{FaultModel, Topology};
 
 /// Which transport the runner charges communication through.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum TransportConfig {
     /// Nominal `bytes / bandwidth` accounting, no contention (the seeded
     /// baseline path).
@@ -267,7 +265,7 @@ pub fn upload_deadline(outcomes: &[FlowOutcome], factor: f64) -> f64 {
 /// Run-level transport aggregates, surfaced in `RunMetrics`. All zeros
 /// under the lockstep transport. Byte fields satisfy the same conservation
 /// rule as [`FlowOutcome`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TransportStats {
     /// Transfers simulated as flows.
     pub flows: u64,
@@ -301,18 +299,11 @@ impl TransportStats {
     }
 }
 
-/// Checkpoint capture of a [`TransportAccum`]: the running stats plus the
-/// raw per-flow queue-delay and per-phase utilization samples the final
-/// percentiles are computed from.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TransportAccumState {
-    /// Running counter totals.
-    pub stats: TransportStats,
-    /// Per-flow queueing delays seen so far.
-    pub queue_delays: Vec<f64>,
-    /// Per-phase mean link utilizations seen so far.
-    pub utils: Vec<f64>,
-}
+fedmigr_telemetry::wire_fields!(TransportStats:
+    flows, failed_flows, retransmits, timeouts, retransmit_bytes, queue_delay_p50,
+    queue_delay_p99, mean_link_utilization, late_uploads, stale_updates_folded,
+    stale_updates_dropped
+);
 
 /// Accumulates per-phase [`PhaseSim`] results into [`TransportStats`] over
 /// a run, mirroring counters and gauges to telemetry as it goes.
@@ -380,24 +371,6 @@ impl TransportAccum {
         self.stats.late_uploads
     }
 
-    /// Captures the accumulator for a run checkpoint.
-    pub fn export_state(&self) -> TransportAccumState {
-        TransportAccumState {
-            stats: self.stats,
-            queue_delays: self.queue_delays.clone(),
-            utils: self.utils.clone(),
-        }
-    }
-
-    /// Restores state captured by [`TransportAccum::export_state`]. Sets
-    /// fields directly, bypassing `absorb` so restore does not re-emit
-    /// telemetry for already-counted phases.
-    pub fn import_state(&mut self, state: TransportAccumState) {
-        self.stats = state.stats;
-        self.queue_delays = state.queue_delays;
-        self.utils = state.utils;
-    }
-
     /// Finalizes the run-level stats (computes the queue-delay percentiles
     /// and mean utilization).
     pub fn finish(&self) -> TransportStats {
@@ -414,6 +387,12 @@ impl TransportAccum {
         out
     }
 }
+
+// The running stats plus the raw per-flow queue-delay and per-phase
+// utilization samples the final percentiles are computed from. A restore
+// overwrites them directly, bypassing `absorb`, so it does not re-emit
+// telemetry for phases already counted.
+fedmigr_telemetry::wire_fields!(TransportAccum: stats, queue_delays, utils);
 
 #[cfg(test)]
 mod tests {

@@ -1,104 +1,45 @@
 //! Model checkpointing: save/load parameter snapshots to disk.
 //!
-//! The format is deliberately simple and stable: a magic tag, a
-//! length-prefixed UTF-8 model name, the little-endian parameter payload of
-//! [`crate::params::encode_params`], and a trailing CRC-32 over everything
-//! before it. Loading verifies the checksum, the name and the parameter
-//! count, so a corrupt or mismatched checkpoint cannot be silently loaded
-//! into the wrong architecture.
+//! The file is a [`Container`] — `FEDMIGR2` magic, format version, payload,
+//! trailing CRC-32 — whose payload is the model's name followed by the
+//! model itself (`Model: Wire`, its parameter vector). Loading verifies the
+//! checksum, the name and the parameter count before the first parameter
+//! is overwritten, so a corrupt or mismatched checkpoint cannot be silently
+//! loaded into the wrong architecture. (`FEDMIGR1` was the same content in
+//! a hand-rolled frame: `u32` name length, no version field.)
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use fedmigr_telemetry::wire::{bad, Container, Wire};
 
-use crate::params::{decode_params, encode_params};
 use crate::Model;
 
-const MAGIC: &[u8; 8] = b"FEDMIGR1";
-
-const fn make_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = make_crc32_table();
-
-/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) of `bytes`. Shared by every
-/// checkpoint format in the workspace so corruption detection is uniform.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+const MODEL_FILE: Container =
+    Container { magic: b"FEDMIGR2", version: 1, what: "model checkpoint" };
 
 /// Serializes a model snapshot to bytes.
-pub fn to_bytes(model: &mut Model) -> Bytes {
-    let params = model.params();
-    let name = model.name().as_bytes();
-    let payload = encode_params(&params);
-    let mut buf = BytesMut::with_capacity(8 + 4 + name.len() + payload.len() + 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(name.len() as u32);
-    buf.put_slice(name);
-    buf.put_slice(&payload);
-    let body = buf.freeze();
-    let mut out = BytesMut::with_capacity(body.len() + 4);
-    out.put_slice(&body);
-    out.put_u32_le(crc32(&body));
-    out.freeze()
+pub fn to_bytes(model: &mut Model) -> Vec<u8> {
+    MODEL_FILE.seal(|c| {
+        model.name().to_string().wire(c)?;
+        model.wire(c)
+    })
 }
 
 /// Restores a snapshot produced by [`to_bytes`] into `model`.
 ///
-/// Returns an error if the header is malformed, the model name differs, or
+/// Returns an error if the frame is malformed, the model name differs, or
 /// the parameter count does not match the target architecture.
-pub fn from_bytes(model: &mut Model, mut bytes: Bytes) -> io::Result<()> {
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-    if bytes.len() < 16 || &bytes[..8] != MAGIC {
-        return Err(bad("not a FedMigr checkpoint"));
-    }
-    let body_len = bytes.len() - 4;
-    let mut body = bytes.split_to(body_len);
-    let stored = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-    if crc32(&body) != stored {
-        return Err(bad("checkpoint checksum mismatch"));
-    }
-    body.advance(8);
-    let mut bytes = body;
-    let name_len = bytes.get_u32_le() as usize;
-    if bytes.len() < name_len {
-        return Err(bad("truncated checkpoint name"));
-    }
-    let name = bytes.split_to(name_len);
-    let name = std::str::from_utf8(&name).map_err(|_| bad("checkpoint name is not UTF-8"))?;
-    if name != model.name() {
-        return Err(bad(&format!("checkpoint is for model {name:?}, not {:?}", model.name())));
-    }
-    let params = decode_params(bytes).ok_or_else(|| bad("corrupt parameter payload"))?;
-    if params.len() != model.num_params() {
-        return Err(bad(&format!(
-            "checkpoint has {} parameters, model has {}",
-            params.len(),
-            model.num_params()
-        )));
-    }
-    model.set_params(&params);
-    Ok(())
+pub fn from_bytes(model: &mut Model, bytes: &[u8]) -> io::Result<()> {
+    MODEL_FILE.open(bytes, |c| {
+        let mut name = String::new();
+        name.wire(c)?;
+        if name != model.name() {
+            return Err(bad(&format!("checkpoint is for model {name:?}, not {:?}", model.name())));
+        }
+        model.wire(c)
+    })
 }
 
 /// Saves a model snapshot to `path`.
@@ -108,8 +49,7 @@ pub fn save(model: &mut Model, path: impl AsRef<Path>) -> io::Result<()> {
 
 /// Loads a snapshot from `path` into `model`.
 pub fn load(model: &mut Model, path: impl AsRef<Path>) -> io::Result<()> {
-    let data = fs::read(path)?;
-    from_bytes(model, Bytes::from(data))
+    from_bytes(model, &fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -123,7 +63,7 @@ mod tests {
         let snapshot = to_bytes(&mut a);
         let mut b = zoo::c10_cnn(1, 8, NetScale::Small, 99);
         assert_ne!(a.params(), b.params());
-        from_bytes(&mut b, snapshot).unwrap();
+        from_bytes(&mut b, &snapshot).unwrap();
         assert_eq!(a.params(), b.params());
     }
 
@@ -145,35 +85,16 @@ mod tests {
         let mut a = zoo::mlp(6, &[4], 3, 1);
         let snapshot = to_bytes(&mut a);
         let mut other_name = zoo::c10_cnn(1, 8, NetScale::Small, 1);
-        assert!(from_bytes(&mut other_name, snapshot.clone()).is_err());
+        assert!(from_bytes(&mut other_name, &snapshot).is_err());
         let mut other_size = zoo::mlp(6, &[8], 3, 1);
         // Same name "MLP" but different parameter count.
-        assert!(from_bytes(&mut other_size, snapshot).is_err());
+        assert!(from_bytes(&mut other_size, &snapshot).is_err());
     }
 
     #[test]
     fn rejects_garbage() {
         let mut m = zoo::mlp(2, &[], 2, 0);
-        assert!(from_bytes(&mut m, Bytes::from_static(b"nonsense")).is_err());
-        assert!(from_bytes(&mut m, Bytes::from_static(b"FEDMIGR1\xff\xff\xff\xff")).is_err());
-    }
-
-    #[test]
-    fn rejects_single_bit_flips() {
-        let mut a = zoo::mlp(3, &[4], 2, 1);
-        let snapshot = to_bytes(&mut a).to_vec();
-        for byte in [0, 9, 14, snapshot.len() / 2, snapshot.len() - 1] {
-            let mut corrupt = snapshot.clone();
-            corrupt[byte] ^= 0x10;
-            let err = from_bytes(&mut a, Bytes::from(corrupt)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "flip at byte {byte}");
-        }
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+        assert!(from_bytes(&mut m, b"nonsense").is_err());
+        assert!(from_bytes(&mut m, b"FEDMIGR2\xff\xff\xff\xff").is_err());
     }
 }

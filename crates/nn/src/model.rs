@@ -1,3 +1,6 @@
+use std::io;
+
+use fedmigr_telemetry::wire::{bad, Codec, Wire};
 use fedmigr_tensor::Tensor;
 
 use crate::optim::apply_prox_term;
@@ -149,6 +152,31 @@ impl Model {
     /// Replaces all parameters from a flat vector.
     pub fn set_params(&mut self, values: &[f32]) {
         set_param_vector(&mut self.net, values);
+    }
+}
+
+/// A model crosses the wire as its parameter vector — `u64 n ‖ f32 LE…`,
+/// the bytes of [`Model::params`] as a `Vec<f32>` — written from and read
+/// into the layers' own tensors. The architecture is configuration: a
+/// snapshot with another parameter count is a mismatch, found before the
+/// first parameter is overwritten.
+impl Wire for Model {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut n = self.num_params;
+        c.len(&mut n, f32::MIN_BYTES)?;
+        if n != self.num_params {
+            return Err(bad(&format!(
+                "model shape mismatch: snapshot has {n} parameters, {} has {}",
+                self.name, self.num_params
+            )));
+        }
+        let mut result = Ok(());
+        self.net.visit_params(&mut |p: &mut Tensor, _| {
+            if result.is_ok() {
+                result = p.data_mut().iter_mut().try_for_each(|v| v.wire(c));
+            }
+        });
+        result
     }
 }
 

@@ -3,11 +3,11 @@
 //! FedAvg's global aggregation (Eq. 7 of the paper) averages *parameter
 //! vectors*, and FedMigr's model migration ships a parameter vector from one
 //! client to another. These helpers convert between a model's per-layer
-//! tensors and a single `Vec<f32>` in stable visit order, plus a compact
-//! little-endian wire encoding used by the network simulator to account for
-//! transferred bytes.
+//! tensors and a single `Vec<f32>` in stable visit order, plus the wire
+//! encoding of such a vector (`Vec<f32>` as [`fedmigr_telemetry::wire`]
+//! lays it out), whose size the network simulator charges for a transfer.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use fedmigr_telemetry::wire;
 use fedmigr_tensor::Tensor;
 
 use crate::Layer;
@@ -76,32 +76,17 @@ pub fn wire_size(n: usize) -> u64 {
 }
 
 /// Encodes a parameter vector as `u64 length || f32 LE values`.
-pub fn encode_params(values: &[f32]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + 4 * values.len());
-    buf.put_u64_le(values.len() as u64);
-    for &v in values {
-        buf.put_f32_le(v);
-    }
-    buf.freeze()
+pub fn encode_params(values: &[f32]) -> Vec<u8> {
+    wire::encode(&mut values.to_vec())
 }
 
 /// Decodes a parameter vector produced by [`encode_params`].
 ///
 /// Returns `None` if the buffer is truncated or the length prefix is
 /// inconsistent.
-pub fn decode_params(mut bytes: Bytes) -> Option<Vec<f32>> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let n = bytes.get_u64_le() as usize;
-    if bytes.len() != 4 * n {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(bytes.get_f32_le());
-    }
-    Some(out)
+pub fn decode_params(bytes: &[u8]) -> Option<Vec<f32>> {
+    let mut out = Vec::new();
+    wire::decode(bytes, &mut out).ok().map(|()| out)
 }
 
 #[cfg(test)]
@@ -153,15 +138,14 @@ mod tests {
         let v = vec![1.5f32, -2.25, 0.0, f32::MIN_POSITIVE];
         let encoded = encode_params(&v);
         assert_eq!(encoded.len() as u64, wire_size(v.len()));
-        assert_eq!(decode_params(encoded).unwrap(), v);
+        assert_eq!(decode_params(&encoded).unwrap(), v);
     }
 
     #[test]
     fn decode_rejects_truncated() {
         let v = vec![1.0f32; 10];
         let encoded = encode_params(&v);
-        let truncated = encoded.slice(0..encoded.len() - 1);
-        assert!(decode_params(truncated).is_none());
-        assert!(decode_params(Bytes::from_static(&[0, 1, 2])).is_none());
+        assert!(decode_params(&encoded[..encoded.len() - 1]).is_none());
+        assert!(decode_params(&[0, 1, 2]).is_none());
     }
 }

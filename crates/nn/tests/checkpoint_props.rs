@@ -4,14 +4,13 @@
 
 use std::io;
 
-use bytes::Bytes;
 use fedmigr_nn::checkpoint::{from_bytes, to_bytes};
 use fedmigr_nn::zoo;
 use proptest::prelude::*;
 
 fn snapshot() -> Vec<u8> {
     let mut model = zoo::mlp(5, &[6], 3, 42);
-    to_bytes(&mut model).to_vec()
+    to_bytes(&mut model)
 }
 
 proptest! {
@@ -26,7 +25,7 @@ proptest! {
             m.params()
         };
         let mut target = zoo::mlp(5, &[6], 3, 7);
-        let err = from_bytes(&mut target, Bytes::from(corrupt))
+        let err = from_bytes(&mut target, &corrupt)
             .expect_err("bit-flipped checkpoint must not load");
         prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         // Rejection must leave the target model untouched.
@@ -38,7 +37,7 @@ proptest! {
         let clean = snapshot();
         let keep = keep % clean.len(); // Strictly shorter than the original.
         let mut target = zoo::mlp(5, &[6], 3, 7);
-        let err = from_bytes(&mut target, Bytes::from(clean[..keep].to_vec()))
+        let err = from_bytes(&mut target, &clean[..keep])
             .expect_err("truncated checkpoint must not load");
         prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -47,8 +46,7 @@ proptest! {
 #[test]
 fn clean_snapshot_still_loads() {
     let mut a = zoo::mlp(5, &[6], 3, 42);
-    let bytes = Bytes::from(snapshot());
     let mut b = zoo::mlp(5, &[6], 3, 7);
-    from_bytes(&mut b, bytes).unwrap();
+    from_bytes(&mut b, &snapshot()).unwrap();
     assert_eq!(a.params(), b.params());
 }

@@ -1,4 +1,6 @@
-//! Zero-dependency structured observability for the FedMigr workspace.
+//! Structured observability for the FedMigr workspace, and — because this
+//! is the one crate below every other — its two codecs: [`record`] (text,
+//! every JSON artifact) and [`wire`] (binary, every checkpointed value).
 //!
 //! Three instruments share one [`Telemetry`] engine:
 //!
@@ -37,6 +39,7 @@ pub mod profiler;
 pub mod record;
 pub mod rss;
 pub mod trace;
+pub mod wire;
 
 use std::collections::BTreeMap;
 use std::io::Write;

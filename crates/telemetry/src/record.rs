@@ -5,7 +5,7 @@
 //! A [`Record`] lists its fields once, in wire order; [`Fields`] decides the
 //! direction, writing `"key":value` pairs through the crate's one number and
 //! string formatter or reading them back from a parsed object. It is the
-//! text twin of the binary checkpoint codec in `fedmigr-core`.
+//! text twin of the binary codec, [`crate::wire`].
 //!
 //! A *stream* is JSONL: one `{"kind":"header","version":N,...}` line, then
 //! payload lines that carry the `epoch` they belong to, then at most one

@@ -1,0 +1,522 @@
+//! The wire: the one binary codec behind every checkpointed value — the run
+//! checkpoint (`FEDMIGRR`), the model file (`FEDMIGR2`) and the parameter
+//! payload. It is the binary twin of [`crate::record`].
+//!
+//! A [`Wire`] type lists its fields once, in wire order, in the module that
+//! declares them; the [`Codec`] it is handed decides the direction, so the
+//! encoder cannot drift from the decoder and private fields stay private.
+//! Everything is little-endian; sequences carry a `u64` length prefix that a
+//! reader bounds by the bytes that remain before it allocates.
+//!
+//! A *live* object (one whose shape the run's configuration fixed: lane
+//! counts, network sizes, fleet size) is overwritten in place and checks
+//! each count against itself as it is read — a snapshot taken under another
+//! configuration is [`io::ErrorKind::InvalidData`], never a panic and never
+//! a resize.
+//!
+//! A [`Container`] frames a payload for storage:
+//!
+//! ```text
+//! [8]  magic
+//! [4]  u32    format version
+//! [..] payload
+//! [4]  u32    CRC-32 (IEEE) over everything above
+//! ```
+//!
+//! Magic, CRC and version are verified, in that order, before the payload's
+//! first byte is interpreted.
+
+use std::collections::VecDeque;
+use std::io;
+
+use rand::rngs::StdRng;
+
+/// An [`io::ErrorKind::InvalidData`] error: the one kind every malformed,
+/// truncated or mismatched wire value is reported as.
+pub fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// One side of the wire: the buffer being written, or the bytes being read.
+pub enum Codec<'a> {
+    /// Capture: values are appended.
+    Write(Vec<u8>),
+    /// Restore: values are overwritten from `b[pos..]`.
+    Read {
+        /// The payload (container header and CRC trailer stripped).
+        b: &'a [u8],
+        /// Read cursor.
+        pos: usize,
+    },
+}
+
+impl Codec<'_> {
+    /// Whether values are being overwritten rather than captured.
+    pub fn reading(&self) -> bool {
+        matches!(self, Codec::Read { .. })
+    }
+
+    /// Moves `N` raw bytes between `v` and the stream.
+    pub fn raw<const N: usize>(&mut self, v: &mut [u8; N]) -> io::Result<()> {
+        match self {
+            Codec::Write(buf) => buf.extend_from_slice(v),
+            Codec::Read { b, pos } => {
+                let rest = &b[*pos..];
+                if rest.len() < N {
+                    return Err(bad("wire value truncated"));
+                }
+                v.copy_from_slice(&rest[..N]);
+                *pos += N;
+            }
+        }
+        Ok(())
+    }
+
+    /// A length prefix for elements of at least `elem` bytes each; on read
+    /// it is rejected when the declared payload exceeds the remaining
+    /// buffer (a corrupt length must not trigger a huge allocation).
+    pub fn len(&mut self, n: &mut usize, elem: usize) -> io::Result<()> {
+        n.wire(self)?;
+        match self {
+            Codec::Read { b, pos } if n.saturating_mul(elem.max(1)) > b.len() - *pos => {
+                Err(bad("length prefix exceeds the remaining bytes"))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Wires live objects in place: the count is part of the run's
+    /// configuration, so a snapshot that disagrees is the mismatch `what`
+    /// names, not a resize.
+    pub fn in_place<T: Wire>(&mut self, items: &mut [T], what: &str) -> io::Result<()> {
+        let mut n = items.len();
+        self.len(&mut n, T::MIN_BYTES)?;
+        if n != items.len() {
+            return Err(bad(what));
+        }
+        items.iter_mut().try_for_each(|item| item.wire(self))
+    }
+
+    /// Wires an optional live subsystem in place. Whether it exists is
+    /// decided by the run's configuration; a snapshot taken under the
+    /// other choice is the mismatch `what` names.
+    pub fn in_place_opt<T: Wire>(&mut self, live: &mut Option<T>, what: &str) -> io::Result<()> {
+        let mut present = live.is_some();
+        present.wire(self)?;
+        if present != live.is_some() {
+            return Err(bad(what));
+        }
+        live.as_mut().map_or(Ok(()), |v| v.wire(self))
+    }
+}
+
+/// A type that can cross the wire. The one method visits the type's fields
+/// in order; the codec decides the direction.
+pub trait Wire {
+    /// Smallest encoding of one value, bounding how many a length prefix
+    /// may plausibly announce.
+    const MIN_BYTES: usize = 1;
+
+    /// Writes `self` to, or overwrites `self` from, the codec.
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()>;
+}
+
+/// Implements [`Wire`] for a struct whose encoding is its listed fields, in
+/// wire order, each through its own `Wire` impl.
+#[macro_export]
+macro_rules! wire_fields {
+    ($t:ty: $($f:ident),+ $(,)?) => {
+        impl $crate::wire::Wire for $t {
+            fn wire(&mut self, c: &mut $crate::wire::Codec<'_>) -> std::io::Result<()> {
+                $($crate::wire::Wire::wire(&mut self.$f, c)?;)+
+                Ok(())
+            }
+        }
+    };
+}
+
+/// Encodes a bare value (no container).
+pub fn encode(x: &mut impl Wire) -> Vec<u8> {
+    write_all(|c| x.wire(c))
+}
+
+/// Decodes a bare value over `into`, requiring every byte be consumed.
+pub fn decode(bytes: &[u8], into: &mut impl Wire) -> io::Result<()> {
+    read_all(bytes, "value", |c| into.wire(c))
+}
+
+fn write_all(body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) -> Vec<u8> {
+    let mut c = Codec::Write(Vec::with_capacity(4096));
+    body(&mut c).expect("the writing codec never fails");
+    let Codec::Write(buf) = c else { unreachable!("codec direction is fixed") };
+    buf
+}
+
+fn read_all(
+    b: &[u8],
+    what: &str,
+    body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut c = Codec::Read { b, pos: 0 };
+    body(&mut c)?;
+    match c {
+        Codec::Read { b, pos } if pos != b.len() => {
+            Err(bad(&format!("trailing bytes after {what} payload")))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A stored format: what opens the file, which layout follows, and what to
+/// call it in errors.
+pub struct Container {
+    /// Magic tag opening every file of this format.
+    pub magic: &'static [u8; 8],
+    /// The one payload layout this build reads and writes.
+    pub version: u32,
+    /// The format's name in error messages (`"run checkpoint"`).
+    pub what: &'static str,
+}
+
+impl Container {
+    /// Frames the payload `body` writes: magic and version before it, the
+    /// CRC-32 of everything after it.
+    pub fn seal(&self, body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) -> Vec<u8> {
+        let mut buf = write_all(|c| {
+            (*self.magic, self.version).wire(c)?;
+            body(c)
+        });
+        buf.extend_from_slice(&crc32(&buf).to_le_bytes());
+        buf
+    }
+
+    /// Verifies length, magic, CRC and version, then hands the payload to
+    /// `body`, which must consume it exactly. Any fault is
+    /// [`io::ErrorKind::InvalidData`]; `body` does not run unless the frame
+    /// is sound.
+    pub fn open(
+        &self,
+        bytes: &[u8],
+        body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let what = self.what;
+        if bytes.len() < self.magic.len() + 8 {
+            return Err(bad(&format!("{what} too short")));
+        }
+        if &bytes[..8] != self.magic {
+            return Err(bad(&format!("not a fedmigr {what} (bad magic)")));
+        }
+        let body_len = bytes.len() - 4;
+        let stored = u32::from_le_bytes(bytes[body_len..].try_into().expect("four trailer bytes"));
+        if crc32(&bytes[..body_len]) != stored {
+            return Err(bad(&format!("{what} checksum mismatch")));
+        }
+        read_all(&bytes[8..body_len], what, |c| {
+            let mut version = 0u32;
+            version.wire(c)?;
+            if version != self.version {
+                return Err(bad(&format!(
+                    "unsupported {what} version {version} (expected {})",
+                    self.version
+                )));
+            }
+            body(c)
+        })
+    }
+}
+
+const fn make_crc32_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+}
+
+static CRC32_TABLE: [u32; 256] = make_crc32_table();
+
+/// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) of `bytes` — the trailer of
+/// every [`Container`].
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+// ---------------------------------------------------------------------------
+// Primitives and collections.
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+                let mut raw = self.to_le_bytes();
+                c.raw(&mut raw)?;
+                *self = <$t>::from_le_bytes(raw);
+                Ok(())
+            }
+        }
+    )*};
+}
+wire_le!(u8, u32, u64, f32, f64);
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut v = *self as u64;
+        v.wire(c)?;
+        *self = usize::try_from(v).map_err(|_| bad("count overflows usize"))?;
+        Ok(())
+    }
+}
+
+impl Wire for bool {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut v = *self as u8;
+        v.wire(c)?;
+        *self = match v {
+            0 => false,
+            1 => true,
+            _ => return Err(bad("invalid bool byte")),
+        };
+        Ok(())
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut bytes = std::mem::take(self).into_bytes();
+        bytes.wire(c)?;
+        *self = String::from_utf8(bytes).map_err(|_| bad("invalid utf-8 string"))?;
+        Ok(())
+    }
+}
+
+impl<T: Wire, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.iter_mut().try_for_each(|v| v.wire(c))
+    }
+}
+
+impl<T: Wire + Default> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut n = self.len();
+        c.len(&mut n, T::MIN_BYTES)?;
+        if c.reading() {
+            self.clear();
+            self.resize_with(n, T::default);
+        }
+        self.iter_mut().try_for_each(|v| v.wire(c))
+    }
+}
+
+impl<T: Wire + Default> Wire for VecDeque<T> {
+    const MIN_BYTES: usize = 8;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut items = Vec::from(std::mem::take(self));
+        let result = items.wire(c);
+        *self = items.into();
+        result
+    }
+}
+
+impl<T: Wire + Default> Wire for Option<T> {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut present = self.is_some();
+        present.wire(c)?;
+        if c.reading() {
+            *self = present.then(T::default);
+        }
+        self.as_mut().map_or(Ok(()), |v| v.wire(c))
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.0.wire(c)?;
+        self.1.wire(c)
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES + C::MIN_BYTES;
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        self.0.wire(c)?;
+        self.1.wire(c)?;
+        self.2.wire(c)
+    }
+}
+
+/// The raw xoshiro state — restored, never reseeded. All-zero (the one
+/// state the generator could never leave) is refused.
+impl Wire for StdRng {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        let mut state = self.state();
+        state.wire(c)?;
+        if state == [0; 4] {
+            return Err(bad("all-zero rng state"));
+        }
+        *self = StdRng::from_state(state);
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The codec law every `Wire` type must obey: `decode(encode(x)) == x`,
+    /// and re-encoding what was decoded is byte-equal.
+    fn assert_value_round_trips<T: Wire + Default + PartialEq + std::fmt::Debug>(mut x: T) {
+        let bytes = encode(&mut x);
+        let mut back = T::default();
+        decode(&bytes, &mut back).expect("own encoding decodes");
+        assert_eq!(back, x, "decode(encode(x)) must equal x");
+        assert_eq!(encode(&mut back), bytes, "encode(decode(encode(x))) must be byte-equal");
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Sample {
+        id: u32,
+        name: String,
+        lanes: Vec<Vec<f32>>,
+    }
+    wire_fields!(Sample: id, name, lanes);
+
+    #[test]
+    fn every_value_type_round_trips() {
+        assert_value_round_trips(0xA5u8);
+        assert_value_round_trips(0xDEAD_BEEFu32);
+        assert_value_round_trips(u64::MAX - 1);
+        assert_value_round_trips(usize::MAX / 3);
+        assert_value_round_trips(-1.5f32);
+        assert_value_round_trips(f64::MIN_POSITIVE);
+        assert_value_round_trips(true);
+        assert_value_round_trips(String::from("top25%+int8+ef"));
+        assert_value_round_trips([1u64, 2, 3, 4]);
+        assert_value_round_trips(vec![vec![0.25f64, 0.75], vec![]]);
+        assert_value_round_trips(VecDeque::from(vec![1.0f64, 1.5]));
+        assert_value_round_trips(Some(1.25f32));
+        assert_value_round_trips(None::<f64>);
+        assert_value_round_trips((0.1f64, 0.2f64));
+        assert_value_round_trips(vec![(vec![1.0f32, 2.0], 0usize, 1usize)]);
+        assert_value_round_trips(Sample {
+            id: 7,
+            name: "s".into(),
+            lanes: vec![vec![0.5], vec![]],
+        });
+        let mut rng = StdRng::from_state([9, 10, 11, 12]);
+        let mut back = StdRng::from_state([1; 4]);
+        decode(&encode(&mut rng), &mut back).unwrap();
+        assert_eq!(back.state(), [9, 10, 11, 12]);
+    }
+
+    #[test]
+    fn the_layout_is_little_endian_and_length_prefixed() {
+        assert_eq!(encode(&mut 0x0102_0304u32), [4, 3, 2, 1]);
+        assert_eq!(encode(&mut vec![1.0f32]), [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x3f]);
+        assert_eq!(encode(&mut Some(2u8)), [1, 2]);
+        assert_eq!(encode(&mut String::from("ab")), [2, 0, 0, 0, 0, 0, 0, 0, b'a', b'b']);
+    }
+
+    #[test]
+    fn malformed_values_are_invalid_data() {
+        let cases: [(&str, io::Result<()>); 6] = [
+            ("bool", decode(&[2], &mut false)),
+            ("utf-8", decode(&[2, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xfe], &mut String::new())),
+            ("length", decode(&[0xff; 8], &mut Vec::<f32>::new())),
+            ("rng", decode(&[0; 32], &mut StdRng::from_state([1, 2, 3, 4]))),
+            ("truncated", decode(&[1, 2, 3], &mut 0u32)),
+            ("trailing", decode(&[1, 2, 3, 4, 5], &mut 0u32)),
+        ];
+        for (name, result) in cases {
+            assert_eq!(result.unwrap_err().kind(), io::ErrorKind::InvalidData, "{name}");
+        }
+    }
+
+    #[test]
+    fn live_values_reject_a_different_shape_in_place() {
+        let bytes = encode(&mut vec![1.0f32, 2.0]);
+        let mut c = Codec::Read { b: &bytes, pos: 0 };
+        let err = c.in_place(&mut [0.0f32; 3], "lane count").unwrap_err();
+        assert_eq!(
+            (err.kind(), err.to_string().as_str()),
+            (io::ErrorKind::InvalidData, "lane count")
+        );
+        let mut c = Codec::Read { b: &bytes, pos: 0 };
+        let mut live = [0.0f32; 2];
+        c.in_place(&mut live, "lane count").unwrap();
+        assert_eq!(live, [1.0, 2.0]);
+        // An optional subsystem: presence is configuration too.
+        let mut c = Codec::Read { b: &[0], pos: 0 };
+        assert!(c.in_place_opt(&mut Some(1u8), "presence").is_err());
+        let mut c = Codec::Read { b: &[1, 9], pos: 0 };
+        let mut live = Some(1u8);
+        c.in_place_opt(&mut live, "presence").unwrap();
+        assert_eq!(live, Some(9));
+    }
+
+    const FILE: Container = Container { magic: b"FEDMIGRT", version: 4, what: "test file" };
+
+    #[test]
+    fn a_container_verifies_the_frame_before_the_payload_runs() {
+        let sealed = FILE.seal(|c| 7u64.wire(c));
+        assert_eq!(sealed.len(), 8 + 4 + 8 + 4);
+        let mut got = 0u64;
+        FILE.open(&sealed, |c| got.wire(c)).unwrap();
+        assert_eq!(got, 7);
+
+        let refuse = |bytes: &[u8], needle: &str| {
+            let err = FILE
+                .open(bytes, |_| unreachable!("the payload must not be read: {needle}"))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{needle}");
+            assert!(err.to_string().contains(needle), "{needle}: {err}");
+        };
+        for keep in 0..sealed.len() {
+            let err = FILE.open(&sealed[..keep], |c| 0u64.wire(c)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "len {keep}");
+        }
+        refuse(&sealed[..15], "too short");
+        let mut wrong_magic = sealed.clone();
+        wrong_magic[..8].copy_from_slice(b"FEDMIGRR");
+        refuse(&wrong_magic, "magic");
+        for pos in 8..sealed.len() {
+            let mut flipped = sealed.clone();
+            flipped[pos] ^= 0x10;
+            refuse(&flipped, "checksum");
+        }
+        // Another version, correctly checksummed, is still refused.
+        let mut other = sealed.clone();
+        other[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let body_len = other.len() - 4;
+        let crc = crc32(&other[..body_len]).to_le_bytes();
+        other[body_len..].copy_from_slice(&crc);
+        refuse(&other, "unsupported test file version 5");
+        // A payload that leaves bytes behind is not the payload.
+        let err = FILE.open(&sealed, |c| 0u32.wire(c)).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
+    }
+
+    #[test]
+    fn crc32_matches_known_vector() {
+        // IEEE CRC-32 of "123456789" is the classic check value.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+}

@@ -23,10 +23,14 @@ use fedmigr::net::{
 };
 use fedmigr::nn::zoo::{self, NetScale};
 
-const K: usize = 6;
 const EPOCHS: usize = 10;
 
 fn experiment(seed: u64) -> Experiment {
+    experiment_of(vec![3, 3], seed)
+}
+
+fn experiment_of(lans: Vec<usize>, seed: u64) -> Experiment {
+    let k = lans.iter().sum();
     let data = SyntheticDataset::generate(&SyntheticConfig {
         num_classes: 4,
         train_per_class: 24,
@@ -40,13 +44,13 @@ fn experiment(seed: u64) -> Experiment {
         private_frac: 0.5,
         seed,
     });
-    let parts = partition_shards(&data.train, K, 1, seed);
+    let parts = partition_shards(&data.train, k, 1, seed);
     Experiment::new(
         data.train,
         data.test,
         parts,
-        Topology::new(&TopologyConfig::default_edge(vec![3, 3], seed)),
-        ClientCompute::testbed_mix(K),
+        Topology::new(&TopologyConfig::default_edge(lans, seed)),
+        ClientCompute::testbed_mix(k),
         zoo::c10_cnn(1, 8, NetScale::Small, seed),
     )
 }
@@ -221,6 +225,69 @@ fn killed_and_resumed_fleet_run_is_byte_identical() {
         }
     }
     let _ = std::fs::remove_dir_all(&ck_dir);
+}
+
+/// FNV-1a (64-bit) of `latest.fmrs` after `run` wrote checkpoints to `dir`.
+fn latest_digest(tag: &str, run: impl FnOnce(String)) -> u64 {
+    let dir = tmp(tag);
+    run(dir.to_string_lossy().into_owned());
+    let bytes = std::fs::read(dir.join("latest.fmrs")).expect("the run left a checkpoint");
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// The run-checkpoint bytes, pinned. The digests were taken at the commit
+/// before `Wire` moved below every crate (format version 3) and hold at
+/// both: a field that moves, is dropped or changes width fails here. A
+/// deliberate layout change bumps `RUN_STATE_VERSION` and re-pins.
+#[test]
+fn run_state_bytes_are_pinned() {
+    assert_eq!(fedmigr::core::RUN_STATE_VERSION, 3);
+
+    // (a) Dense FedMigr with every optional subsystem live: K = 10, top-k +
+    // int8 with error feedback, flow transport under churn and network
+    // stress, a sign-flip adversary (quarantine) and the watchdog.
+    let dense = latest_digest("pin-dense", |dir| {
+        let mut cfg = stressed_config(TransportConfig::flow(5));
+        cfg.epochs = 12;
+        cfg.fault = FaultConfig::edge_churn(0.2, 42).with_network_stress(0.3);
+        cfg.watchdog = WatchdogConfig { enabled: true, ..WatchdogConfig::default() };
+        cfg.checkpoint_every = Some(4);
+        cfg.checkpoint_dir = Some(dir);
+        assert_eq!(experiment_of(vec![4, 3, 3], 5).run(&cfg).epochs(), 12);
+    });
+
+    // (b) Dense FedSwap, stochastic rounding (the compressor's counter is
+    // run state), lockstep.
+    let swap = latest_digest("pin-swap", |dir| {
+        let mut cfg = stressed_config(TransportConfig::Lockstep);
+        cfg.scheme = Scheme::FedSwap;
+        cfg.codec = CodecConfig::parse("stoch8").expect("codec spec");
+        cfg.checkpoint_every = Some(5);
+        cfg.checkpoint_dir = Some(dir);
+        assert_eq!(experiment(5).run(&cfg).epochs(), EPOCHS);
+    });
+
+    // (c) Fleet FedMigr, K = 2,000, checkpointed at a block boundary.
+    let fleet = latest_digest("pin-fleet", |dir| {
+        let mut cfg = RunConfig::new(Scheme::fedmigr(11), 10);
+        cfg.agg_interval = 5;
+        cfg.eval_interval = 10;
+        cfg.batch_size = 8;
+        cfg.max_batches_per_epoch = Some(1);
+        cfg.seed = 11;
+        cfg.fleet = Some(FleetOptions { sample_frac: 0.02, top_m: 4 });
+        cfg.checkpoint_every = Some(5);
+        cfg.checkpoint_dir = Some(dir);
+        let model = zoo::c10_cnn(3, 8, NetScale::Small, 11);
+        assert_eq!(FleetExperiment::synthetic(2000, 8, 12, 4, 11, model).run(&cfg).epochs(), 10);
+    });
+
+    assert_eq!(
+        [dense, swap, fleet].map(|digest| format!("{digest:#018x}")),
+        ["0x113f53b0ddd01f47", "0x0dcb1758ee272167", "0x291f3345846eef37"],
+        "latest.fmrs of (a) dense FedMigr, (b) dense FedSwap, (c) fleet FedMigr"
+    );
 }
 
 #[test]

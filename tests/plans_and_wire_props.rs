@@ -83,7 +83,7 @@ proptest! {
     #[test]
     fn wire_round_trips(values in prop::collection::vec(-1e6f32..1e6, 0..256)) {
         let encoded = encode_params(&values);
-        let decoded = decode_params(encoded).expect("well-formed");
+        let decoded = decode_params(&encoded).expect("well-formed");
         prop_assert_eq!(decoded, values);
     }
 
@@ -96,7 +96,7 @@ proptest! {
     ) {
         let encoded = encode_params(&values);
         prop_assume!(cut < encoded.len());
-        let truncated = encoded.slice(0..cut.min(encoded.len() - 1));
+        let truncated = &encoded[..cut.min(encoded.len() - 1)];
         prop_assert!(decode_params(truncated).is_none());
     }
 }

@@ -16,7 +16,7 @@ fn wire_format_round_trips_a_real_model() {
     let encoded = encode_params(&params);
     assert_eq!(encoded.len() as u64, wire_size(params.len()));
     assert_eq!(model.wire_bytes(), wire_size(params.len()));
-    let decoded = decode_params(encoded).expect("well-formed payload");
+    let decoded = decode_params(&encoded).expect("well-formed payload");
     assert_eq!(decoded, params);
 }
 
