@@ -116,8 +116,8 @@ fn main() {
         });
     }
     {
-        // One full CNN training step: conv im2col/col2im, pool, batchnorm,
-        // softmax and the optimizer sweep in their production composition.
+        // One full CNN training step: conv im2col/col2im, pool, softmax and
+        // the optimizer sweep in their production composition.
         let mut model = zoo::c10_cnn(3, 8, NetScale::Small, 7);
         let mut opt = Sgd::new(0.01);
         let batch = 16usize;

@@ -109,18 +109,6 @@ impl Compressor {
         self.stats
     }
 
-    /// Mean error-feedback residual norm across lanes right now (0 without
-    /// error feedback).
-    pub fn current_residual_norm(&self) -> f64 {
-        match &self.feedback {
-            None => 0.0,
-            Some(ef) => {
-                let lanes = ef.lanes().max(1);
-                (0..ef.lanes()).map(|l| ef.residual_norm(l)).sum::<f64>() / lanes as f64
-            }
-        }
-    }
-
     /// Client-egress transfer on `lane`: compensates with the lane's
     /// error-feedback residual, encodes, updates the residual with what the
     /// wire lost, and returns what the receiver decodes. Call only for

@@ -193,11 +193,6 @@ impl DdpgAgent {
         self.updates
     }
 
-    /// Number of buffered transitions.
-    pub fn replay_len(&self) -> usize {
-        self.replay.len()
-    }
-
     /// Health summary of the prioritized replay buffer.
     pub fn replay_health(&self) -> crate::replay::ReplayHealth {
         self.replay.health()

@@ -11,8 +11,8 @@ use fedmigr_tensor::Tensor;
 ///
 /// Layers are `Send` so the FL simulator can train clients on worker threads.
 pub trait Layer: Send {
-    /// Computes the layer output for `input`. `train` distinguishes training
-    /// from inference for layers like dropout.
+    /// Computes the layer output for `input`. `train` is true for a forward
+    /// that a `backward` will follow, false for inference.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backpropagates `grad_out` (gradient w.r.t. the forward output),

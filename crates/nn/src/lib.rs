@@ -7,7 +7,7 @@
 //! * a [`Layer`] trait where `forward` caches activations and `backward`
 //!   produces parameter and input gradients (no general autograd — each
 //!   layer owns its backward kernel),
-//! * dense, convolution, pooling, activation, dropout and residual layers,
+//! * dense, convolution, pooling, activation and residual layers,
 //! * a [`Sequential`] container and a [`Model`] wrapper with the softmax
 //!   cross-entropy training step used by every FL client,
 //! * an [`Sgd`] optimizer with momentum/weight-decay and the FedProx
@@ -35,13 +35,9 @@
 //! ```
 
 mod activations;
-mod adam;
-mod avgpool;
-mod batchnorm;
 pub mod checkpoint;
 mod conv;
 mod dense;
-mod extra_activations;
 mod layer;
 mod loss;
 mod model;
@@ -49,22 +45,16 @@ mod optim;
 pub mod params;
 mod pool;
 mod residual;
-mod schedule;
 mod sequential;
 pub mod zoo;
 
-pub use activations::{Dropout, Flatten, Relu};
-pub use adam::Adam;
-pub use avgpool::AvgPool2d;
-pub use batchnorm::BatchNorm2d;
+pub use activations::{Flatten, Relu};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use extra_activations::{Sigmoid, Tanh};
 pub use layer::Layer;
 pub use loss::{accuracy, softmax_cross_entropy};
 pub use model::Model;
 pub use optim::{clip_grad_norm, Sgd};
 pub use pool::MaxPool2d;
 pub use residual::ResidualBlock;
-pub use schedule::LrSchedule;
 pub use sequential::Sequential;

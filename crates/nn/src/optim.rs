@@ -63,12 +63,6 @@ impl Sgd {
             idx += 1;
         });
     }
-
-    /// Drops momentum state; use when the model parameters are replaced
-    /// wholesale (e.g. after a model migration or global aggregation).
-    pub fn reset_state(&mut self) {
-        self.velocity.clear();
-    }
 }
 
 /// Scales the model's accumulated gradients so their global L2 norm does

@@ -130,14 +130,6 @@ impl Filter {
         }
     }
 
-    /// Adds or replaces a per-target override.
-    pub fn with_target(mut self, target: &str, threshold: Threshold) -> Self {
-        self.targets.retain(|(t, _)| t != target);
-        self.targets.push((target.to_string(), threshold));
-        self.targets.sort_by_key(|t| std::cmp::Reverse(t.0.len()));
-        self
-    }
-
     /// Whether a record at `level` for `target` passes this filter.
     pub fn enabled(&self, target: &str, level: Level) -> bool {
         let threshold = self

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of named kernels (length of [`Kernel::ALL`]).
-pub const KERNEL_COUNT: usize = 10;
+pub const KERNEL_COUNT: usize = 9;
 
 /// The named kernels with dedicated accounting slots.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,9 +50,7 @@ pub enum Kernel {
     Softmax,
     /// Max-pool forward/backward window scans.
     Pool,
-    /// Batch-norm forward/backward channel loops.
-    BatchNorm,
-    /// SGD / Adam parameter-update sweeps.
+    /// SGD parameter-update sweeps.
     Optimizer,
 }
 
@@ -67,7 +65,6 @@ impl Kernel {
         Kernel::Norm,
         Kernel::Softmax,
         Kernel::Pool,
-        Kernel::BatchNorm,
         Kernel::Optimizer,
     ];
 
@@ -82,7 +79,6 @@ impl Kernel {
             Kernel::Norm => "norm",
             Kernel::Softmax => "softmax",
             Kernel::Pool => "pool",
-            Kernel::BatchNorm => "batchnorm",
             Kernel::Optimizer => "optimizer",
         }
     }
@@ -148,11 +144,6 @@ impl KernelSnapshot {
     /// Sum of declared FLOPs across all kernels (saturating).
     pub fn total_flops(&self) -> u64 {
         self.stats.iter().fold(0u64, |acc, s| acc.saturating_add(s.flops))
-    }
-
-    /// Sum of outermost wall seconds across all kernels.
-    pub fn total_seconds(&self) -> f64 {
-        self.stats.iter().map(KStat::seconds).sum()
     }
 
     /// Whether any kernel recorded any call.

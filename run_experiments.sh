@@ -1,36 +1,17 @@
 #!/bin/bash
-# Regenerates every table and figure of the paper (plus ablations and the
-# async-FL extension) at smoke scale. Outputs land in results/<name>.txt.
-# Pass "--scale paper" through by editing the run lines below; paper scale
-# takes hours per experiment on one core.
+# Regenerates every table and figure of the paper (plus ablations and
+# extensions): runs each experiment of `fedmigr_bench --list` except the
+# reduced `*_ci` matrices, writing results/<name>.txt. Arguments are passed
+# to every run, e.g. `./run_experiments.sh --scale paper` (hours per
+# experiment on one core).
 set -u
 cd "$(dirname "$0")"
-BIN=./target/release
-run() {
-  out=$1; name=$2; shift 2
-  echo "=== $out: $(date +%H:%M:%S) ==="
-  "$BIN/$name" "$@" > "results/$out.txt" 2>&1
-  echo "--- done $out ($?)"
-}
+BIN=./target/release/fedmigr_bench
 mkdir -p results
-run fig6_scalability   fig6_scalability
-run fig8_link_speed    fig8_link_speed
-run fig3_strategies    fig3_strategies
-run table1_motivation  table1_motivation
-run fig4_privacy       fig4_privacy
-run fig5_agg_freq      fig5_agg_freq
-run fig7_convergence   fig7_convergence
-run table3_resources   table3_resources
-run fig9_budgets       fig9_budgets
-run fig10_c10          fig10_noniid_levels
-run fig10_c100         fig10_noniid_levels --workload c100
-run fig11_noniid       fig11_noniid_resources
-run ext_async          ext_async
-run ablation_reward    ablation_reward
-run ablation_replay    ablation_replay
-run ablation_policy    ablation_policy
-run table2_accuracy    table2_accuracy
-run figR_fault_tolerance figR_fault_tolerance
-run figB_byzantine     figB_byzantine
-run figC_compression   figC_compression
+for name in $("$BIN" --list); do
+  case $name in *_ci) continue ;; esac
+  echo "=== $name: $(date +%H:%M:%S) ==="
+  "$BIN" "$name" "$@" > "results/$name.txt" 2>&1
+  echo "--- done $name ($?)"
+done
 echo "ALL EXPERIMENTS DONE $(date +%H:%M:%S)"
