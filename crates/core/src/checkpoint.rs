@@ -21,8 +21,8 @@
 //! `fedmigr-drl`, the meter and transport accumulator in `fedmigr-net`, the
 //! stub pool in `fedmigr-fleet`, a model in `fedmigr-nn` — and this module
 //! lists the fields of core's own types. Capture walks the live state into
-//! a buffer ([`encode`]); resume and rollback walk the same fields back in
-//! place ([`restore`]).
+//! a buffer ([`encode_into`]); resume and rollback walk the same fields
+//! back in place ([`restore`]).
 //!
 //! Determinism contract: restoring a state and replaying rounds `epoch+1..`
 //! must be *byte-identical* to never having stopped. That is only possible
@@ -104,12 +104,13 @@ impl RunStamp {
     }
 }
 
-/// Encodes `state` under `stamp` into the checkpoint wire format.
-pub(crate) fn encode(stamp: &RunStamp, state: &mut impl Wire) -> Vec<u8> {
-    RUN_FILE.seal(|c| {
+/// Encodes `state` under `stamp` into the checkpoint wire format, replacing
+/// what `buf` held and reusing its allocation.
+pub(crate) fn encode_into(buf: &mut Vec<u8>, stamp: &RunStamp, state: &mut impl Wire) {
+    RUN_FILE.seal_into(buf, |c| {
         stamp.clone().wire(c)?;
         state.wire(c)
-    })
+    });
 }
 
 /// Restores `state` in place from a checkpoint. Magic, version, CRC and
@@ -315,6 +316,13 @@ mod tests {
         unraw(&bytes, blank).expect("own encoding decodes");
         assert_eq!(raw(blank), bytes, "encode(decode(encode(x))) must be byte-equal");
         bytes
+    }
+
+    /// A checkpoint encoded into a fresh buffer.
+    fn encode(stamp: &RunStamp, state: &mut impl Wire) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_into(&mut buf, stamp, state);
+        buf
     }
 
     /// [`assert_round_trips`] for plain values, which can also be compared.
@@ -839,6 +847,49 @@ mod tests {
         restore(&written, &run_stamp, &mut fresh).unwrap();
         assert_eq!(fresh.common.epoch, 5);
         assert_eq!(encode(&run_stamp, &mut fresh), written);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_recycled_buffer_carries_nothing_over() {
+        let (exp, cfg) = (experiment(), full_cfg());
+        let mut big = sample_state(&exp, &cfg);
+        big.late_buf.push(LateUpload { client: 0, params: vec![2.5; 59], seq: 4 });
+        let mut buf = encode(&stamp(), &mut big);
+        let mut small = RoundState::fresh(&exp, &cfg);
+        let fresh = encode(&stamp(), &mut small);
+        assert!(buf.len() > fresh.len(), "the buffer holds a longer snapshot");
+        encode_into(&mut buf, &stamp(), &mut small);
+        assert_eq!(buf, fresh);
+    }
+
+    #[test]
+    fn snapshots_after_a_rollback_are_fresh_encodes() {
+        // A NaN adversary makes the watchdog roll back: the state it
+        // restores is smaller than the one the snapshot buffer last held.
+        // Every checkpoint the run leaves behind must be the bytes a fresh
+        // buffer would hold for the state it restores to.
+        let exp = trainable_experiment();
+        let dir = std::env::temp_dir().join(format!("fedmigr_rollback_{}", std::process::id()));
+        let mut cfg = RunConfig::new(Scheme::FedAvg, 8);
+        cfg.agg_interval = 1;
+        cfg.eval_interval = 4;
+        cfg.batch_size = 16;
+        cfg.max_batches_per_epoch = Some(1);
+        cfg.attack = AttackConfig::nan_inject(0.3, 7);
+        cfg.watchdog = crate::WatchdogConfig { enabled: true, ..Default::default() };
+        cfg.checkpoint_every = Some(1);
+        cfg.checkpoint_dir = Some(dir.to_string_lossy().into_owned());
+        let m = exp.run(&cfg);
+        assert!(m.recovery.rollbacks >= 1, "the adversary must force a rollback");
+        let num_params = RoundState::fresh(&exp, &cfg).clients[0].num_params();
+        let run_stamp = RunStamp::of(&cfg, 4, num_params, "dense");
+        for epoch in 1..=8 {
+            let written = std::fs::read(dir.join(format!("ckpt_round_{epoch}.fmrs"))).unwrap();
+            let mut fresh = RoundState::fresh(&exp, &cfg);
+            restore(&written, &run_stamp, &mut fresh).unwrap();
+            assert_eq!(encode(&run_stamp, &mut fresh), written, "epoch {epoch}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -249,8 +249,12 @@ pub(crate) trait RoundLoop {
     fn begin(&mut self, _start_epoch: usize) {}
     fn round(&mut self, epoch: usize) -> Outcome;
     /// Offers the loop the snapshot taken after `epoch` (the dense
-    /// watchdog's rollback target).
-    fn keep_snapshot(&mut self, _epoch: usize, _bytes: Vec<u8>) {}
+    /// watchdog's rollback target) and returns the buffer the next snapshot
+    /// is encoded into: the one a kept snapshot displaced, or `bytes`
+    /// itself when the loop keeps nothing.
+    fn keep_snapshot(&mut self, _epoch: usize, bytes: Vec<u8>) -> Vec<u8> {
+        bytes
+    }
     /// Closes loop-specific outputs and reports loop-specific totals.
     fn finish(&mut self, exit: &Exit) -> Totals;
 }
@@ -262,6 +266,9 @@ pub(crate) trait RoundLoop {
 /// not belong to this run.
 pub(crate) fn run(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     let stamp = lp.stamp().clone();
+    // What the next snapshot is encoded into: a recycled buffer, never a
+    // fresh one per round.
+    let mut spare = Vec::new();
     let mut start_epoch = 1;
     if let Some(path) = cfg.resume.as_deref() {
         let loaded = std::fs::read(path).and_then(|bytes| {
@@ -271,7 +278,7 @@ pub(crate) fn run(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
         let bytes = loaded.unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
         let ck_epoch = lp.common().epoch;
         lp.common().recovery.checkpoints_loaded += 1;
-        lp.keep_snapshot(ck_epoch, bytes);
+        spare = lp.keep_snapshot(ck_epoch, bytes);
         start_epoch = ck_epoch + 1;
         fedmigr_telemetry::info!(
             "core::runner",
@@ -280,8 +287,8 @@ pub(crate) fn run(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     } else if cfg.watchdog.enabled {
         // The watchdog always has somewhere to roll back to: a pristine
         // epoch-0 snapshot covers divergence in the very first round.
-        let bytes = checkpoint::encode(&stamp, lp.state());
-        lp.keep_snapshot(0, bytes);
+        checkpoint::encode_into(&mut spare, &stamp, lp.state());
+        spare = lp.keep_snapshot(0, spare);
     }
     lp.begin(start_epoch);
 
@@ -305,7 +312,7 @@ pub(crate) fn run(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
                 }
             }
         }
-        snapshot(cfg, &stamp, &mut lp, epoch);
+        snapshot(cfg, &stamp, &mut lp, epoch, &mut spare);
         if cfg.kill_at == Some(epoch) {
             exit.killed = true;
             fedmigr_telemetry::warn!(
@@ -358,28 +365,35 @@ pub(crate) fn run(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
 }
 
 /// Snapshot cadence: every `checkpoint_every` completed epochs (every epoch
-/// while the watchdog is armed), persisted when a directory is configured.
-/// Capturing consumes no randomness and never touches the virtual clock.
-fn snapshot(cfg: &RunConfig, stamp: &RunStamp, lp: &mut impl RoundLoop, epoch: usize) {
+/// while the watchdog is armed), encoded into `buf` and persisted when a
+/// directory is configured. Capturing consumes no randomness and never
+/// touches the virtual clock.
+fn snapshot(
+    cfg: &RunConfig,
+    stamp: &RunStamp,
+    lp: &mut impl RoundLoop,
+    epoch: usize,
+    buf: &mut Vec<u8>,
+) {
     let every = cfg.checkpoint_every.unwrap_or(1);
     let armed = cfg.checkpoint_every.is_some() || cfg.watchdog.enabled;
     if !armed || !epoch.is_multiple_of(every) {
         return;
     }
     lp.common().epoch = epoch;
-    let bytes = checkpoint::encode(stamp, lp.state());
+    checkpoint::encode_into(buf, stamp, lp.state());
     let recovery = &mut lp.common().recovery;
     recovery.checkpoints_written += 1;
-    recovery.checkpoint_bytes += bytes.len() as u64;
+    recovery.checkpoint_bytes += buf.len() as u64;
     if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-        if let Err(e) = checkpoint::persist(Path::new(dir), epoch, &bytes) {
+        if let Err(e) = checkpoint::persist(Path::new(dir), epoch, buf) {
             fedmigr_telemetry::error!(
                 "core::runner",
                 "checkpoint write failed at epoch {epoch} in {dir}: {e}"
             );
         }
     }
-    lp.keep_snapshot(epoch, bytes);
+    *buf = lp.keep_snapshot(epoch, std::mem::take(buf));
 }
 
 /// Test accuracy of `params` loaded into `scratch`, evaluated in batches

@@ -19,20 +19,34 @@ use std::collections::BTreeMap;
 use fedmigr_telemetry::names;
 use fedmigr_tensor::kcount::{self, Kernel, KernelSnapshot};
 
-/// Process CPU time (utime + stime, all threads) in nanoseconds, read from
-/// `/proc/self/stat`. `None` off Linux or if the file is unparsable. Ticks
-/// are converted at the kernel's universal `USER_HZ = 100` (the value is
-/// ABI-frozen on Linux; `sysconf` would need libc).
+/// Process CPU time (user + system, all threads) in nanoseconds, from
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`: one syscall, nanosecond
+/// resolution. `None` off 64-bit Linux or if the clock is unreadable.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
 fn process_cpu_nanos() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
-    // comm (field 2) may contain spaces; everything after the last ')' is
-    // whitespace-separated. utime/stime are overall fields 14/15, i.e. the
-    // 12th/13th tokens after comm.
-    let rest = &stat[stat.rfind(')')? + 1..];
-    let mut it = rest.split_ascii_whitespace().skip(11);
-    let utime: u64 = it.next()?.parse().ok()?;
-    let stime: u64 = it.next()?.parse().ok()?;
-    Some((utime + stime) * 10_000_000)
+    /// `struct timespec` in the LP64 Linux layout.
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: i64,
+        tv_nsec: i64,
+    }
+    // Declared by hand because no `libc` crate is vendored.
+    extern "C" {
+        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is live, writable and laid out as the kernel's
+    // `struct timespec`; the call writes nothing else.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return None;
+    }
+    Some(u64::try_from(ts.tv_sec).ok()? * 1_000_000_000 + u64::try_from(ts.tv_nsec).ok()?)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn process_cpu_nanos() -> Option<u64> {
+    None
 }
 
 /// Tracks the last kernel snapshot and attributes growth to named phases.
@@ -115,8 +129,8 @@ struct Row {
 /// clock; kernel time is summed across worker threads, so wall shares
 /// above 100% simply mean the phase ran kernels on several threads at
 /// once. The trailing `total` row per phase carries the phase-level
-/// shares. `%cpu` renders as `-` when process CPU was unreadable (no
-/// `/proc`, i.e. off Linux).
+/// shares. `%cpu` renders as `-` when process CPU was unreadable (off
+/// Linux).
 pub fn kernel_table() -> Option<String> {
     let reg = fedmigr_telemetry::global().registry();
     let nanos = reg.counter_family(names::KERNEL_NANOS_TOTAL);
@@ -228,7 +242,8 @@ pub fn phase_coverage(phase: &str) -> Option<f64> {
 }
 
 /// Accounted kernel time over *process CPU time* for `phase`, uncapped, or
-/// `None` when either side recorded nothing (e.g. no `/proc` off Linux).
+/// `None` when either side recorded nothing (e.g. no process CPU clock off
+/// Linux).
 /// Unlike [`phase_coverage`] this is an honest ratio on parallel phases —
 /// both numerator and denominator sum across threads — so values should
 /// sit near 1.0 and the CI gate bands it at 90–110%. Values persistently

@@ -357,7 +357,7 @@ struct DenseRun<'a> {
     /// Model the evaluations load parameters into.
     scratch: Model,
     /// The watchdog's rollback target: the last good snapshot and the epoch
-    /// it was taken after.
+    /// it was taken after. Only an armed watchdog keeps one.
     last_good: Option<(usize, Vec<u8>)>,
     /// Which clients transmitted a non-finite payload since the last good
     /// snapshot — the sources a rollback implicates.
@@ -1754,9 +1754,12 @@ impl RoundLoop for DenseRun<'_> {
         Outcome::Done(r.accuracy)
     }
 
-    fn keep_snapshot(&mut self, epoch: usize, bytes: Vec<u8>) {
-        self.last_good = Some((epoch, bytes));
+    fn keep_snapshot(&mut self, epoch: usize, bytes: Vec<u8>) -> Vec<u8> {
         self.nan_sources.fill(false);
+        if !self.ctx.cfg.watchdog.enabled {
+            return bytes;
+        }
+        self.last_good.replace((epoch, bytes)).map(|(_, displaced)| displaced).unwrap_or_default()
     }
 
     fn finish(&mut self, exit: &Exit) -> Totals {
@@ -2591,6 +2594,28 @@ mod tests {
         assert_eq!(m.epochs(), 12);
         assert!(m.fault.transfer_retries > 0, "60% WAN outage should force retries: {:?}", m.fault);
         assert!(m.fault.wasted_bytes > 0);
+    }
+
+    #[test]
+    fn only_an_armed_watchdog_holds_a_snapshot() {
+        let exp = small_experiment(false);
+        let mut cfg = quick_cfg(Scheme::FedAvg, 4);
+        let mut run = DenseRun::new(&exp, &cfg);
+        let bytes = vec![1u8; 64];
+        let ptr = bytes.as_ptr();
+        let back = run.keep_snapshot(1, bytes);
+        assert_eq!(back.as_ptr(), ptr, "handed straight back");
+        assert!(run.last_good.is_none());
+
+        cfg.watchdog = WatchdogConfig { enabled: true, ..WatchdogConfig::default() };
+        let mut run = DenseRun::new(&exp, &cfg);
+        let (first, second) = (vec![1u8; 64], vec![2u8; 32]);
+        let (first_ptr, second_ptr) = (first.as_ptr(), second.as_ptr());
+        assert!(run.keep_snapshot(1, first).is_empty(), "nothing displaced yet");
+        let displaced = run.keep_snapshot(2, second);
+        assert_eq!((displaced.as_ptr(), displaced.len()), (first_ptr, 64));
+        let (epoch, kept) = run.last_good.as_ref().expect("an armed watchdog keeps it");
+        assert_eq!((*epoch, kept.as_ptr()), (2, second_ptr));
     }
 
     /// FNV-1a over an artifact's bytes: pins them without checking the

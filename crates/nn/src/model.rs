@@ -173,7 +173,7 @@ impl Wire for Model {
         let mut result = Ok(());
         self.net.visit_params(&mut |p: &mut Tensor, _| {
             if result.is_ok() {
-                result = p.data_mut().iter_mut().try_for_each(|v| v.wire(c));
+                result = f32::wire_slice(p.data_mut(), c);
             }
         });
         result
@@ -207,6 +207,16 @@ mod tests {
         assert!(after < before * 0.5, "loss {before} -> {after}");
         let (_, acc) = model.evaluate(&x, &labels);
         assert_eq!(acc, 1.0);
+    }
+
+    #[test]
+    fn the_wire_form_is_the_parameter_vector() {
+        let mut model = zoo::c10_cnn(3, 8, zoo::NetScale::Small, 4);
+        let bytes = fedmigr_telemetry::wire::encode(&mut model);
+        assert_eq!(bytes, fedmigr_telemetry::wire::encode(&mut model.params()));
+        let mut other = zoo::c10_cnn(3, 8, zoo::NetScale::Small, 5);
+        fedmigr_telemetry::wire::decode(&bytes, &mut other).unwrap();
+        assert_eq!(other.params(), model.params());
     }
 
     #[test]

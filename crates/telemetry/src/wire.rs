@@ -94,7 +94,7 @@ impl Codec<'_> {
         if n != items.len() {
             return Err(bad(what));
         }
-        items.iter_mut().try_for_each(|item| item.wire(self))
+        T::wire_slice(items, self)
     }
 
     /// Wires an optional live subsystem in place. Whether it exists is
@@ -119,6 +119,17 @@ pub trait Wire {
 
     /// Writes `self` to, or overwrites `self` from, the codec.
     fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()>;
+
+    /// Wires `items` back to back, with no count of their own: the body of
+    /// a sequence whose length is already on the wire. Visits each item in
+    /// turn; the fixed-width scalars override it with one bulk copy of the
+    /// same bytes.
+    fn wire_slice(items: &mut [Self], c: &mut Codec<'_>) -> io::Result<()>
+    where
+        Self: Sized,
+    {
+        items.iter_mut().try_for_each(|v| v.wire(c))
+    }
 }
 
 /// Implements [`Wire`] for a struct whose encoding is its listed fields, in
@@ -137,7 +148,9 @@ macro_rules! wire_fields {
 
 /// Encodes a bare value (no container).
 pub fn encode(x: &mut impl Wire) -> Vec<u8> {
-    write_all(|c| x.wire(c))
+    let mut buf = Vec::with_capacity(4096);
+    write_into(&mut buf, |c| x.wire(c));
+    buf
 }
 
 /// Decodes a bare value over `into`, requiring every byte be consumed.
@@ -145,11 +158,14 @@ pub fn decode(bytes: &[u8], into: &mut impl Wire) -> io::Result<()> {
     read_all(bytes, "value", |c| into.wire(c))
 }
 
-fn write_all(body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) -> Vec<u8> {
-    let mut c = Codec::Write(Vec::with_capacity(4096));
+/// Replaces the contents of `buf` with what `body` writes, keeping its
+/// allocation.
+fn write_into(buf: &mut Vec<u8>, body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) {
+    buf.clear();
+    let mut c = Codec::Write(std::mem::take(buf));
     body(&mut c).expect("the writing codec never fails");
-    let Codec::Write(buf) = c else { unreachable!("codec direction is fixed") };
-    buf
+    let Codec::Write(written) = c else { unreachable!("codec direction is fixed") };
+    *buf = written;
 }
 
 fn read_all(
@@ -182,12 +198,25 @@ impl Container {
     /// Frames the payload `body` writes: magic and version before it, the
     /// CRC-32 of everything after it.
     pub fn seal(&self, body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) -> Vec<u8> {
-        let mut buf = write_all(|c| {
+        let mut buf = Vec::with_capacity(4096);
+        self.seal_into(&mut buf, body);
+        buf
+    }
+
+    /// [`Container::seal`] into `buf`, replacing what it held: a caller that
+    /// seals every round reuses one allocation instead of growing a fresh
+    /// one. The bytes do not depend on what `buf` held before.
+    pub fn seal_into(
+        &self,
+        buf: &mut Vec<u8>,
+        body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>,
+    ) {
+        write_into(buf, |c| {
             (*self.magic, self.version).wire(c)?;
             body(c)
         });
-        buf.extend_from_slice(&crc32(&buf).to_le_bytes());
-        buf
+        let crc = crc32(buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
     }
 
     /// Verifies length, magic, CRC and version, then hands the payload to
@@ -225,8 +254,12 @@ impl Container {
     }
 }
 
-const fn make_crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLE[s][b]` is the CRC register after byte `b` is followed by
+/// `s` zero bytes: row 0 is the classic byte-at-a-time table, and rows
+/// 0..16 together fold a 16-byte block into the register in one step
+/// (slicing-by-16).
+const fn make_crc32_table() -> [[u32; 256]; 16] {
+    let mut table = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -235,20 +268,39 @@ const fn make_crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        table[0][i] = c;
         i += 1;
+    }
+    let mut s = 1;
+    while s < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = table[s - 1][i];
+            table[s][i] = (prev >> 8) ^ table[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        s += 1;
     }
     table
 }
 
-static CRC32_TABLE: [u32; 256] = make_crc32_table();
+static CRC32_TABLE: [[u32; 256]; 16] = make_crc32_table();
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) of `bytes` — the trailer of
-/// every [`Container`].
+/// every [`Container`]. Sixteen bytes per step (slicing-by-16), the tail
+/// byte by byte; the value is the byte-at-a-time CRC's.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut block: [u8; 16] = block.try_into().expect("a 16-byte block");
+        for (b, r) in block.iter_mut().zip(c.to_le_bytes()) {
+            *b ^= r;
+        }
+        c = block.iter().enumerate().fold(0, |acc, (j, &b)| acc ^ CRC32_TABLE[15 - j][b as usize]);
+    }
+    for &b in blocks.remainder() {
+        c = CRC32_TABLE[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -264,6 +316,33 @@ macro_rules! wire_le {
                 let mut raw = self.to_le_bytes();
                 c.raw(&mut raw)?;
                 *self = <$t>::from_le_bytes(raw);
+                Ok(())
+            }
+
+            /// One length check and one little-endian copy for the whole
+            /// run: the bytes of the per-scalar loop.
+            fn wire_slice(items: &mut [Self], c: &mut Codec<'_>) -> io::Result<()> {
+                const W: usize = std::mem::size_of::<$t>();
+                let n = items.len() * W;
+                match c {
+                    Codec::Write(buf) => {
+                        let start = buf.len();
+                        buf.resize(start + n, 0);
+                        for (out, v) in buf[start..].chunks_exact_mut(W).zip(items.iter()) {
+                            out.copy_from_slice(&v.to_le_bytes());
+                        }
+                    }
+                    Codec::Read { b, pos } => {
+                        if b.len() - *pos < n {
+                            return Err(bad("wire value truncated"));
+                        }
+                        let raw = b[*pos..*pos + n].chunks_exact(W);
+                        for (v, raw) in items.iter_mut().zip(raw) {
+                            *v = <$t>::from_le_bytes(raw.try_into().expect("a W-byte chunk"));
+                        }
+                        *pos += n;
+                    }
+                }
                 Ok(())
             }
         }
@@ -307,7 +386,7 @@ impl Wire for String {
 impl<T: Wire, const N: usize> Wire for [T; N] {
     const MIN_BYTES: usize = N * T::MIN_BYTES;
     fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
-        self.iter_mut().try_for_each(|v| v.wire(c))
+        T::wire_slice(self, c)
     }
 }
 
@@ -320,7 +399,7 @@ impl<T: Wire + Default> Wire for Vec<T> {
             self.clear();
             self.resize_with(n, T::default);
         }
-        self.iter_mut().try_for_each(|v| v.wire(c))
+        T::wire_slice(self, c)
     }
 }
 
@@ -378,6 +457,9 @@ impl Wire for StdRng {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::{RngCore, SeedableRng};
+
     use super::*;
 
     /// The codec law every `Wire` type must obey: `decode(encode(x)) == x`,
@@ -518,5 +600,125 @@ mod tests {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The reference: one byte per step through row 0 of the table.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLE[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    fn random_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.next_u32() as u8).collect()
+    }
+
+    proptest! {
+        /// Every block/tail split and every alignment of the start.
+        #[test]
+        fn crc32_equals_the_bytewise_loop_at_every_length_and_offset(seed in any::<u64>()) {
+            let bytes = random_bytes(seed, 16 + 64);
+            for start in 0..16 {
+                for len in 0..=64 {
+                    let window = &bytes[start..start + len];
+                    prop_assert_eq!(crc32(window), crc32_bytewise(window));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop_on_a_snapshot_sized_buffer() {
+        let bytes = random_bytes(27, 3 * 1024 * 1024 + 13);
+        assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+    }
+
+    /// `items` through the one-value path: each scalar its own `wire` call.
+    fn per_scalar<T: Wire>(items: &mut [T]) -> Vec<u8> {
+        let mut c = Codec::Write(Vec::new());
+        items.iter_mut().try_for_each(|v| v.wire(&mut c)).unwrap();
+        let Codec::Write(buf) = c else { unreachable!() };
+        buf
+    }
+
+    /// The bulk path writes the per-scalar bytes, reads them back exactly,
+    /// and refuses every truncation without a panic.
+    fn assert_bulk_matches_per_scalar<T>(mut items: Vec<T>, bits: impl Fn(&T) -> u64)
+    where
+        T: Wire + Default + Copy + std::fmt::Debug,
+    {
+        let bytes = per_scalar(&mut items);
+        let mut bulk = Codec::Write(Vec::new());
+        T::wire_slice(&mut items, &mut bulk).unwrap();
+        let Codec::Write(bulk) = bulk else { unreachable!() };
+        assert_eq!(bulk, bytes, "bulk bytes");
+        let mut prefixed = encode(&mut items.len());
+        prefixed.extend_from_slice(&bytes);
+        assert_eq!(encode(&mut items), prefixed, "Vec<T> is its length, then the run");
+
+        let mut back = vec![T::default(); items.len()];
+        let mut c = Codec::Read { b: &bytes, pos: 0 };
+        T::wire_slice(&mut back, &mut c).unwrap();
+        let same = back.iter().map(&bits).eq(items.iter().map(&bits));
+        assert!(same, "bit-exact read: {back:?} vs {items:?}");
+        for keep in 0..bytes.len() {
+            let mut c = Codec::Read { b: &bytes[..keep], pos: 0 };
+            let err = T::wire_slice(&mut back, &mut c).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "slice prefix {keep}");
+        }
+        for keep in 0..prefixed.len() {
+            let err = decode(&prefixed[..keep], &mut Vec::<T>::new()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "vec prefix {keep}");
+        }
+    }
+
+    #[test]
+    fn bulk_scalar_slices_write_the_per_scalar_bytes() {
+        let f32s = [
+            f32::from_bits(0x7FC0_1234), // quiet NaN with a payload
+            f32::from_bits(0xFF80_0001), // signalling NaN, sign set
+            0.0,
+            -0.0,
+            f32::from_bits(1), // smallest subnormal
+            -f32::from_bits(0x007F_FFFF),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -3.25e-7,
+        ];
+        assert_bulk_matches_per_scalar(f32s.to_vec(), |v| v.to_bits() as u64);
+        let f64s = [
+            f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+            f64::from_bits(0xFFF0_0000_0000_0001),
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -2.5e300,
+        ];
+        assert_bulk_matches_per_scalar(f64s.to_vec(), |v| v.to_bits());
+        assert_bulk_matches_per_scalar(vec![0, 1, u64::MAX, 0x0102_0304_0506_0708], |&v| v);
+        assert_bulk_matches_per_scalar(vec![0, 7, u32::MAX, 0xA1B2_C3D4], |&v| v as u64);
+        assert_bulk_matches_per_scalar(random_bytes(5, 37), |&v| v as u64);
+        assert_bulk_matches_per_scalar(Vec::<f32>::new(), |v| v.to_bits() as u64);
+        // A fixed-size array is the run without its length.
+        let mut arr = [1.0f64, -0.0, f64::NAN];
+        assert_eq!(encode(&mut arr), per_scalar(&mut arr));
+        // A live slice of the wrong size still names its mismatch.
+        let bytes = encode(&mut vec![1u64, 2, 3]);
+        let err = Codec::Read { b: &bytes, pos: 0 }.in_place(&mut [0u64; 2], "k").unwrap_err();
+        assert_eq!((err.kind(), err.to_string().as_str()), (io::ErrorKind::InvalidData, "k"));
+    }
+
+    #[test]
+    fn sealing_into_a_used_buffer_writes_the_fresh_bytes() {
+        let fresh = FILE.seal(|c| vec![1.5f32, -2.0].wire(c));
+        let mut buf = FILE.seal(|c| vec![9u8; 1000].wire(c));
+        FILE.seal_into(&mut buf, |c| vec![1.5f32, -2.0].wire(c));
+        assert_eq!(buf, fresh);
     }
 }

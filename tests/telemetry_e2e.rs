@@ -186,11 +186,10 @@ fn telemetry_observes_without_perturbing() {
     let cov = fedmigr::core::kernels::phase_coverage("local_train")
         .expect("local_train kernel coverage is measurable");
     assert!(cov >= 0.1, "kernel coverage of local_train {cov:.3} below 10%");
-    // CPU-based attribution must also be measurable. The upper bound is very
-    // loose: /proc/self/stat ticks at USER_HZ (10 ms), so on a sub-second
-    // smoke run per-phase CPU quantizes coarsely and the ratio is noisy in
-    // both directions. The strict band is gated on the long release fig7
-    // config in CI, where quantization error is negligible.
+    // CPU-based attribution must also be measurable. The bounds are loose for
+    // the same debug-build reason as above, and because other tests share the
+    // process (and its CPU clock) while this one runs. The strict band is
+    // gated on a release run in CI.
     let cpu_cov = fedmigr::core::kernels::phase_cpu_coverage("local_train")
         .expect("local_train CPU coverage is measurable");
     assert!(
