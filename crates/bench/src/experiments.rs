@@ -1,4 +1,4 @@
-//! The experiment table behind `fedmigr_bench`: every table and figure of
+//! The experiment table behind `fedmigr bench`: every table and figure of
 //! the paper, its ablations and extensions, as one list of [`Entry`]s.
 //!
 //! An entry is data: a name (also the stem of `results/<name>.txt`), its
@@ -38,7 +38,7 @@ use crate::{
 };
 
 /// The one entry that takes `--timeline-out`: it streams the round timeline
-/// of its flow-transport run for `fedmigr_netview`.
+/// of its flow-transport run for `fedmigr netview`.
 pub const TIMELINE_EXPERIMENT: &str = "fig8_link_speed";
 
 /// Seeds Fig. R's fault schedules and its NaN adversary.

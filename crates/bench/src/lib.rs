@@ -1,8 +1,8 @@
-//! Shared harness for `fedmigr_bench`, the one runner behind every table
+//! Shared harness for `fedmigr bench`, the one runner behind every table
 //! and figure of the FedMigr paper (see DESIGN.md §4 for the index), and
-//! for the `fedmigr_perf` ledger.
+//! for the `fedmigr perf` ledger.
 //!
-//! `fedmigr_bench <experiment> [--scale smoke|paper]` runs one entry of
+//! `fedmigr bench <experiment> [--scale smoke|paper]` runs one entry of
 //! [`experiments::table`] (default scale `smoke`): `smoke` runs in
 //! seconds-to-minutes on a laptop and preserves the qualitative shape of
 //! each result; `paper` uses larger datasets, more epochs and the paper's
@@ -11,19 +11,25 @@
 pub mod experiments;
 pub mod perf;
 
+use std::process::ExitCode;
+
 use fedmigr_core::{Experiment, RunConfig, Scheme};
 use fedmigr_data::{
-    partition_dominant, partition_iid, partition_lan_shards, partition_missing_classes,
-    partition_shards, SyntheticConfig, SyntheticDataset,
+    partition_dirichlet, partition_dominant, partition_iid, partition_lan_shards,
+    partition_missing_classes, partition_shards, Dataset, SyntheticConfig, SyntheticDataset,
 };
 use fedmigr_net::{ClientCompute, Topology, TopologyConfig};
 use fedmigr_nn::zoo::{self, NetScale};
 use fedmigr_nn::Model;
+use fedmigr_telemetry::cli::{
+    observability_flags, on, put, put_some, usage_error, Command, Flag, Observability,
+};
 
 /// Run scale selected on the command line.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds-to-minutes runs preserving qualitative shape.
+    #[default]
     Smoke,
     /// Longer runs approximating the paper's settings.
     Paper,
@@ -134,8 +140,42 @@ pub enum Partition {
     Dominant(f64),
     /// Each client misses a fraction of classes (test-bed CIFAR-100 layout).
     MissingClasses(f64),
+    /// Per-client label mix drawn from a Dirichlet with this concentration.
+    Dirichlet(f64),
     /// The clients of each LAN share one label distribution (Fig. 3).
     LanShared,
+}
+
+impl Partition {
+    /// Reads the command-line spelling: `iid | shards | dominant:<frac> |
+    /// missing:<frac> | dirichlet:<alpha>`.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let suffix = |v: &str| v.parse().map_err(|_| format!("bad numeric suffix in {spec:?}"));
+        Ok(match spec.split_once(':') {
+            None if spec == "iid" => Partition::Iid,
+            None if spec == "shards" => Partition::Shards,
+            Some(("dominant", v)) => Partition::Dominant(suffix(v)?),
+            Some(("missing", v)) => Partition::MissingClasses(suffix(v)?),
+            Some(("dirichlet", v)) => Partition::Dirichlet(suffix(v)?),
+            _ => return Err(format!("unknown partition {spec:?}")),
+        })
+    }
+
+    /// Deals `train` to the clients of LANs of `lan_sizes`.
+    pub fn deal(self, train: &Dataset, lan_sizes: &[usize], seed: u64) -> Vec<Vec<usize>> {
+        let k = lan_sizes.iter().sum();
+        match self {
+            Partition::Iid => partition_iid(train, k, seed),
+            Partition::Shards => {
+                let classes_per_client = train.num_classes() / k;
+                partition_shards(train, k, classes_per_client.max(1), seed)
+            }
+            Partition::Dominant(p) => partition_dominant(train, k, p, seed),
+            Partition::MissingClasses(p) => partition_missing_classes(train, k, p, seed),
+            Partition::Dirichlet(alpha) => partition_dirichlet(train, k, alpha, seed),
+            Partition::LanShared => partition_lan_shards(train, lan_sizes, seed),
+        }
+    }
 }
 
 /// Builds the standard [`Experiment`] for a workload, scale and layout,
@@ -154,24 +194,14 @@ pub fn build_experiment_with_samples(
         data_config.train_per_class = n;
     }
     let data = SyntheticDataset::generate(&data_config);
-    let k = workload.clients();
     let topo_config = workload.topology_config(seed);
-    let parts = match partition {
-        Partition::Iid => partition_iid(&data.train, k, seed),
-        Partition::Shards => {
-            let classes_per_client = data.train.num_classes() / k;
-            partition_shards(&data.train, k, classes_per_client.max(1), seed)
-        }
-        Partition::Dominant(p) => partition_dominant(&data.train, k, p, seed),
-        Partition::MissingClasses(p) => partition_missing_classes(&data.train, k, p, seed),
-        Partition::LanShared => partition_lan_shards(&data.train, &topo_config.lan_sizes, seed),
-    };
+    let parts = partition.deal(&data.train, &topo_config.lan_sizes, seed);
     Experiment::new(
         data.train,
         data.test,
         parts,
         Topology::new(&topo_config),
-        ClientCompute::testbed_mix(k),
+        ClientCompute::testbed_mix(workload.clients()),
         workload.model(seed),
     )
 }
@@ -202,159 +232,108 @@ pub fn standard_config(scheme: Scheme, scale: Scale, seed: u64) -> RunConfig {
     cfg
 }
 
-/// What `fedmigr_bench`'s command line asked for.
-#[derive(Debug, PartialEq)]
-pub enum Command {
-    /// `--list`: print every experiment name, one per line.
-    List,
-    /// Run one experiment.
-    Run(Options),
-}
-
-/// The options of one `fedmigr_bench <experiment>` run.
-#[derive(Debug, PartialEq)]
+/// The options of one `fedmigr bench` run.
+#[derive(Debug, Default, PartialEq)]
 pub struct Options {
     /// The table entry to run.
     pub experiment: String,
+    /// `--list`: print every experiment name instead of running one.
+    pub list: bool,
     /// `--scale smoke|paper` (default smoke).
     pub scale: Scale,
     /// `--timeline-out <path>`: the round timeline of Fig. 8's flow run.
     pub timeline_out: Option<String>,
-    /// `--log-level <spec>`: same syntax as `FEDMIGR_LOG`
-    /// (`debug,drl=trace,net=off`).
-    pub log_level: Option<String>,
-    /// `--trace-out <path>`: stream a JSONL span/log trace.
-    pub trace_out: Option<String>,
-    /// `--metrics-out <path>`: dump the Prometheus-style metrics exposition
-    /// when the run ends.
-    pub metrics_out: Option<String>,
+    /// `--log-level`, `--trace-out`, `--metrics-out`.
+    pub obs: Observability,
 }
 
-/// Parses `fedmigr_bench`'s arguments (without the program name). An
-/// unknown experiment, an unknown flag, a flag without its value, a bad
-/// scale or an option the experiment cannot use is an error naming it.
-pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    if args == ["--list"] {
-        return Ok(Command::List);
+impl AsMut<Observability> for Options {
+    fn as_mut(&mut self) -> &mut Observability {
+        &mut self.obs
     }
-    let names = experiments::names();
-    let mut opts = Options {
-        experiment: String::new(),
-        scale: Scale::Smoke,
-        timeline_out: None,
-        log_level: None,
-        trace_out: None,
-        metrics_out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if !arg.starts_with("--") {
-            if !opts.experiment.is_empty() {
-                return Err(format!("unexpected argument {arg:?}"));
-            }
-            if !names.contains(&arg) {
-                return Err(format!("unknown experiment {arg:?}; one of: {}", names.join(", ")));
-            }
-            opts.experiment = arg.to_string();
-            i += 1;
-            continue;
-        }
-        let mut scale = None;
-        let slot = match arg {
-            "--scale" => &mut scale,
-            "--timeline-out" => &mut opts.timeline_out,
-            "--log-level" => &mut opts.log_level,
-            "--trace-out" => &mut opts.trace_out,
-            "--metrics-out" => &mut opts.metrics_out,
-            other => return Err(format!("unknown flag {other:?}")),
-        };
-        *slot = Some(args.get(i + 1).ok_or_else(|| format!("flag {arg} needs a value"))?.clone());
-        opts.scale = match scale.as_deref() {
-            None => opts.scale,
-            Some("smoke") => Scale::Smoke,
-            Some("paper") => Scale::Paper,
-            Some(other) => return Err(format!("unknown scale {other:?}; use smoke or paper")),
-        };
-        i += 2;
-    }
-    if opts.experiment.is_empty() {
-        return Err(format!("no experiment given; one of: {}", names.join(", ")));
-    }
-    if opts.timeline_out.is_some() && opts.experiment != experiments::TIMELINE_EXPERIMENT {
-        return Err(format!("--timeline-out applies only to {}", experiments::TIMELINE_EXPERIMENT));
-    }
-    Ok(Command::Run(opts))
 }
 
-/// Shared observability setup for `fedmigr_bench`, from the three shared
-/// flags of [`Options`]: the log filter (flag > `FEDMIGR_LOG` > default),
-/// the JSONL trace and the metrics dump.
-///
-/// Bind the guard for the whole run: it opens a `bench_main` span so
-/// per-phase histograms nest under a stable root, and on drop it writes the
-/// metrics dump and flushes the trace — logging failures instead of
-/// panicking, so a full result table is never lost to a bad output path.
-/// A bad `--log-level` or an unopenable `--trace-out` ends the process with
-/// status 2.
-pub fn init_observability(opts: &Options) -> ObservabilityGuard {
-    let log_env = std::env::var("FEDMIGR_LOG").ok();
-    match fedmigr_telemetry::Filter::resolve(opts.log_level.as_deref(), log_env.as_deref()) {
-        Ok(f) => fedmigr_telemetry::set_filter(f),
-        Err(e) if opts.log_level.is_some() => {
-            fedmigr_telemetry::error!("bench", "error: bad --log-level: {e}");
-            std::process::exit(2);
-        }
+/// `fedmigr bench <experiment>`: runs one entry of [`experiments::table`]
+/// and prints its tables as Markdown; `--list` prints every name. Exit
+/// status: 0 on success, 1 when a named check fails, 2 on bad input.
+#[rustfmt::skip]
+pub fn command() -> Command<Options> {
+    let mut flags: Vec<Flag<Options>> = vec![
+        Flag { name: "--list", value: "", default: "", set: |o, _| on(&mut o.list),
+            help: "print every experiment name, one per line" },
+        Flag { name: "--scale", value: "<smoke|paper>", default: "smoke",
+            help: "smoke runs in seconds to minutes and keeps each result's shape; paper uses \
+                   larger datasets, more epochs and the paper's aggregation interval of 50",
+            set: |o, v| {
+                o.scale = match v {
+                    "smoke" => Scale::Smoke,
+                    "paper" => Scale::Paper,
+                    _ => return Err("use smoke or paper".into()),
+                };
+                Ok(())
+            } },
+        Flag { name: "--timeline-out", value: "<path>", default: "", set: |o, v| put_some(&mut o.timeline_out, v),
+            help: "record the round timeline of the flow run (fig8_link_speed only)" },
+    ];
+    flags.extend(observability_flags());
+    let about = "run one experiment of the paper's evaluation and print its tables as Markdown";
+    Command {
+        positional: |o, v| {
+            let names = experiments::names();
+            if !o.experiment.is_empty() {
+                return Err(format!("unexpected argument {v:?}"));
+            }
+            if !names.contains(&v) {
+                return Err(format!("unknown experiment {v:?}; one of: {}", names.join(", ")));
+            }
+            put(&mut o.experiment, v)
+        },
+        check: |o| match (o.list, o.experiment.as_str()) {
+            (true, "") => Ok(()),
+            (true, _) => Err("--list takes no experiment".into()),
+            (false, "") => Err(format!("no experiment given; one of: {}", experiments::names().join(", "))),
+            (false, e) if o.timeline_out.is_some() && e != experiments::TIMELINE_EXPERIMENT => {
+                Err(format!("--timeline-out applies only to {}", experiments::TIMELINE_EXPERIMENT))
+            }
+            _ => Ok(()),
+        },
+        ..Command::new("bench", "<experiment>", about, flags, run)
+    }
+}
+
+fn run(opts: Options) -> ExitCode {
+    if opts.list {
+        experiments::names().iter().for_each(|name| println!("{name}"));
+        return ExitCode::SUCCESS;
+    }
+    if let Err(e) = opts.obs.init() {
+        return usage_error("bench", &e);
+    }
+    // A stable root for the per-phase histograms.
+    let span = fedmigr_telemetry::global().span_labeled(
+        "bench",
+        "bench_main",
+        vec![("bench".to_string(), opts.experiment.clone())],
+    );
+    let mut code = match experiments::run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            // A malformed environment spec must not kill a result run.
-            fedmigr_telemetry::warn!("bench", "ignoring FEDMIGR_LOG: {e}");
+            eprintln!("error: {}: {e}", opts.experiment);
+            ExitCode::from(1)
         }
+    };
+    drop(span);
+    if let Err(e) = opts.obs.finish() {
+        eprintln!("error: {e}");
+        code = ExitCode::from(2);
     }
-    if let Some(path) = &opts.trace_out {
-        if let Err(e) = fedmigr_telemetry::set_trace_file(path) {
-            fedmigr_telemetry::error!("bench", "error: cannot open --trace-out {path}: {e}");
-            std::process::exit(2);
-        }
-    }
-    let bench = opts.experiment.clone();
-    fedmigr_telemetry::debug!("bench", "starting {bench}");
-    ObservabilityGuard {
-        metrics_out: opts.metrics_out.clone(),
-        span: Some(fedmigr_telemetry::global().span_labeled(
-            "bench",
-            "bench_main",
-            vec![("bench".to_string(), bench.clone())],
-        )),
-        bench,
-    }
-}
-
-/// RAII guard returned by [`init_observability`].
-pub struct ObservabilityGuard {
-    bench: String,
-    metrics_out: Option<String>,
-    span: Option<fedmigr_telemetry::Span<'static>>,
-}
-
-impl Drop for ObservabilityGuard {
-    fn drop(&mut self) {
-        drop(self.span.take());
-        fedmigr_telemetry::debug!("bench", "finished {}", self.bench);
-        if let Some(path) = self.metrics_out.take() {
-            match std::fs::write(&path, fedmigr_telemetry::render_metrics()) {
-                Ok(()) => fedmigr_telemetry::debug!("bench", "wrote {path}"),
-                Err(e) => fedmigr_telemetry::error!(
-                    "bench",
-                    "error: failed to write --metrics-out {path}: {e}"
-                ),
-            }
-        }
-        fedmigr_telemetry::close_trace();
-    }
+    code
 }
 
 #[cfg(test)]
 mod tests {
+    use fedmigr_telemetry::cli::Stop;
+
     use super::*;
 
     #[test]
@@ -379,30 +358,31 @@ mod tests {
         assert_eq!(schemes[4].name(), "FedMigr");
     }
 
-    fn parse(line: &str) -> Result<Command, String> {
-        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    fn parse(line: &str) -> Result<Options, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        command().parse(&args).map_err(|stop| match stop {
+            Stop::Usage(e) => e,
+            Stop::Help(_) => panic!("{line}: unexpected --help"),
+        })
     }
 
     #[test]
     fn parses_an_experiment_with_every_option() {
-        let Ok(Command::Run(opts)) = parse(
+        let opts = parse(
             "fig8_link_speed --scale paper --timeline-out t.jsonl --log-level debug \
              --trace-out t.json --metrics-out m.prom",
-        ) else {
-            panic!("a full command line parses");
-        };
+        )
+        .expect("a full command line parses");
         assert_eq!(opts.experiment, "fig8_link_speed");
         assert_eq!(opts.scale, Scale::Paper);
         assert_eq!(opts.timeline_out.as_deref(), Some("t.jsonl"));
-        assert_eq!(opts.log_level.as_deref(), Some("debug"));
-        assert_eq!(opts.trace_out.as_deref(), Some("t.json"));
-        assert_eq!(opts.metrics_out.as_deref(), Some("m.prom"));
+        assert_eq!(opts.obs.log_level, Some("debug".parse().unwrap()));
+        assert_eq!(opts.obs.trace_out.as_deref(), Some("t.json"));
+        assert_eq!(opts.obs.metrics_out.as_deref(), Some("m.prom"));
         // Flags may come first; the scale defaults to smoke.
-        let Ok(Command::Run(opts)) = parse("--log-level info table1_motivation") else {
-            panic!("flags before the experiment parse");
-        };
+        let opts = parse("--log-level info table1_motivation").expect("flags first parse");
         assert_eq!((opts.experiment.as_str(), opts.scale), ("table1_motivation", Scale::Smoke));
-        assert_eq!(parse("--list"), Ok(Command::List));
+        assert!(parse("--list").expect("--list alone parses").list);
     }
 
     #[test]
@@ -424,10 +404,12 @@ mod tests {
             let err = parse(&format!("fig10_c10 {flags}")).expect_err(flags);
             assert!(err.starts_with("unknown flag"), "{flags}: {err}");
         }
-        for flag in ["--target 0.5", "--eps 1", "--workload c100", "--list"] {
+        for flag in ["--target 0.5", "--eps 1", "--workload c100"] {
             let err = parse(&format!("table1_motivation {flag}")).expect_err(flag);
             assert!(err.starts_with("unknown flag"), "{flag}: {err}");
         }
+        let err = parse("table1_motivation --list").unwrap_err();
+        assert_eq!(err, "--list takes no experiment");
     }
 
     #[test]
@@ -436,7 +418,8 @@ mod tests {
             let err = parse(&format!("fig10_c10 {flag}")).expect_err(flag);
             assert_eq!(err, format!("flag {flag} needs a value"));
         }
-        assert!(parse("fig10_c10 --scale huge").unwrap_err().contains("unknown scale \"huge\""));
+        let err = parse("fig10_c10 --scale huge").unwrap_err();
+        assert_eq!(err, "bad value \"huge\" for --scale: use smoke or paper");
     }
 
     #[test]

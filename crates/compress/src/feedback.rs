@@ -60,11 +60,6 @@ impl ErrorFeedback {
             })
             .sum()
     }
-
-    /// L2 norm of a lane's residual (0 for an empty lane).
-    pub fn residual_norm(&self, lane: usize) -> f64 {
-        self.residuals[lane].iter().map(|&e| (e as f64) * (e as f64)).sum::<f64>().sqrt()
-    }
 }
 
 /// What a snapshot taken under another lane structure is refused with.
@@ -102,6 +97,13 @@ pub(crate) fn sq_error(intent: &[f32], decoded: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ErrorFeedback {
+        /// L2 norm of a lane's residual (0 for an empty lane).
+        fn residual_norm(&self, lane: usize) -> f64 {
+            self.residuals[lane].iter().map(|&e| (e as f64) * (e as f64)).sum::<f64>().sqrt()
+        }
+    }
 
     fn compensated(ef: &ErrorFeedback, lane: usize, values: &[f32]) -> Vec<f32> {
         let mut v = values.to_vec();

@@ -29,12 +29,6 @@ fedmigr_telemetry::wire_fields!(CompressionStats:
 );
 
 impl CompressionStats {
-    /// Bytes saved versus uncompressed transfers (0 when compression costs
-    /// more, e.g. top-k with a high fraction on tiny models).
-    pub fn saved(&self) -> u64 {
-        self.uncompressed_bytes.saturating_sub(self.compressed_bytes)
-    }
-
     /// Compression ratio `uncompressed / compressed` (1.0 when nothing was
     /// encoded).
     pub fn ratio(&self) -> f64 {
@@ -66,6 +60,15 @@ impl CompressionStats {
     /// Whether any encoding happened.
     pub fn any(&self) -> bool {
         self.encodes > 0
+    }
+}
+
+#[cfg(test)]
+impl CompressionStats {
+    /// Bytes saved versus uncompressed transfers (0 when compression costs
+    /// more, e.g. top-k with a high fraction on tiny models).
+    pub(crate) fn saved(&self) -> u64 {
+        self.uncompressed_bytes.saturating_sub(self.compressed_bytes)
     }
 }
 

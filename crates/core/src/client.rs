@@ -137,12 +137,6 @@ impl FlClient {
         self.model.take_non_finite_batches()
     }
 
-    /// Mean loss of the current local model over the local data (no update).
-    pub fn local_loss(&mut self) -> f32 {
-        let (x, labels) = self.data.batch(&self.indices);
-        self.model.loss(&x, &labels)
-    }
-
     /// Current model parameters (the migrated/uploaded representation).
     pub fn params(&mut self) -> Vec<f32> {
         self.model.params()
@@ -173,6 +167,15 @@ mod tests {
     use super::*;
     use fedmigr_data::{partition_iid, SyntheticConfig, SyntheticDataset};
     use fedmigr_nn::zoo;
+
+    impl FlClient {
+        /// Mean loss of the current local model over the local data (no
+        /// update): the yardstick the training tests measure against.
+        fn local_loss(&mut self) -> f32 {
+            let (x, labels) = self.data.batch(&self.indices);
+            self.model.loss(&x, &labels)
+        }
+    }
 
     fn make_client() -> FlClient {
         let ds = Arc::new(SyntheticDataset::generate(&SyntheticConfig::c10_like(10, 1)).train);

@@ -31,7 +31,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fedmigr_compress::CodecConfig;
 use fedmigr_data::{Dataset, SyntheticConfig, SyntheticWorld};
 use fedmigr_drl::qp::FlmmRelaxation;
 use fedmigr_drl::PooledMigrationState;
@@ -139,49 +138,15 @@ impl FleetExperiment {
     /// back into the pool.
     ///
     /// # Panics
-    /// Panics on configurations fleet mode does not support (see the
-    /// asserts at the top: lockstep transport, identity codec, no
-    /// fault/attack/DP injection, FedAvg or FedMigr scheme).
+    /// Panics when `cfg` fails [`RunConfig::validate`] or does not select
+    /// fleet mode (`cfg.fleet` unset).
     pub fn run(&mut self, cfg: &RunConfig) -> RunMetrics {
-        assert!(cfg.epochs > 0 && cfg.agg_interval > 0 && cfg.eval_interval > 0);
-        let opts = cfg.fleet.unwrap_or_default();
-        assert!(
-            opts.sample_frac > 0.0 && opts.sample_frac <= 1.0,
-            "fleet sample_frac must be in (0, 1]"
-        );
-        assert!(opts.top_m > 0, "fleet top_m must be positive");
-        assert!(
-            matches!(cfg.scheme, Scheme::FedAvg | Scheme::FedMigr(_)),
-            "fleet mode supports FedAvg and FedMigr, not {}",
-            cfg.scheme.name()
-        );
-        assert!(
-            matches!(cfg.codec, CodecConfig::Identity),
-            "fleet mode requires the identity codec (per-client error-feedback residuals would \
-             scale memory with K)"
-        );
-        assert!(cfg.transport.name() == "lockstep", "fleet mode requires the lockstep transport");
-        assert!(cfg.fault.is_none(), "fleet mode does not support fault injection");
-        assert!(cfg.attack.is_none(), "fleet mode does not support Byzantine attacks");
-        assert!(cfg.dp.is_none(), "fleet mode does not support differential privacy");
-        assert!(
-            matches!(cfg.aggregator, Aggregator::FedAvg),
-            "fleet mode requires the FedAvg aggregator"
-        );
-        assert!(!cfg.watchdog.enabled, "fleet mode does not support the divergence watchdog");
-        assert!(
-            cfg.participation >= 1.0,
-            "fleet mode samples via fleet.sample_frac; leave participation at 1.0"
-        );
-        if let Some(every) = cfg.checkpoint_every {
-            // Only at block boundaries is the cohort retired, making the
-            // dormant stubs the complete per-client state.
-            assert!(
-                matches!(cfg.scheme, Scheme::FedAvg) || every.is_multiple_of(cfg.agg_interval),
-                "fleet checkpoints land on aggregation boundaries: checkpoint_every must be a \
-                 multiple of agg_interval"
-            );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid run config: {e}");
         }
+        let Some(opts) = cfg.fleet else {
+            panic!("a FleetExperiment runs fleet mode: set RunConfig::fleet")
+        };
         let run = FleetRun::new(self, cfg, opts);
         fedmigr_telemetry::debug!(
             "core::fleet",
@@ -747,6 +712,7 @@ fn aggregate_cohort(cohort: &mut [FlClient], prev_global: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_compress::CodecConfig;
     use fedmigr_nn::zoo::{c10_cnn, NetScale};
     use rand::SeedableRng;
 

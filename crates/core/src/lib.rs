@@ -58,9 +58,8 @@
 //! Runs are instrumented two ways (see `DESIGN.md` §11):
 //!
 //! * A deterministic **virtual** per-phase breakdown of the simulation
-//!   clock ([`PhaseBreakdown`]) lands in every [`EpochRecord`], the CSV
-//!   export and [`SchemeComparison::phase_report`] — byte-identical whether
-//!   telemetry is on or off.
+//!   clock ([`PhaseBreakdown`]) lands in every [`EpochRecord`] and the CSV
+//!   export — byte-identical whether telemetry is on or off.
 //! * Real wall-clock spans, counters and histograms flow through the
 //!   `fedmigr-telemetry` side-channel (`--trace-out` / `--metrics-out` on
 //!   the CLI) and never touch `RunMetrics`.
@@ -77,7 +76,6 @@ mod privacy;
 mod reward;
 mod runner;
 mod scheme;
-mod summary;
 mod timeline_capture;
 
 pub use aggregate::{Aggregator, StalenessPolicy};
@@ -92,6 +90,5 @@ pub use metrics::{
 pub use migration::{MigrationPlan, Quarantine, QuarantineConfig};
 pub use privacy::DpConfig;
 pub use reward::{step_reward, terminal_reward, RewardConfig};
-pub use runner::{Experiment, RunConfig, WatchdogConfig};
+pub use runner::{ConfigError, Experiment, RunConfig, WatchdogConfig};
 pub use scheme::{FedMigrConfig, MigrationStrategy, Scheme};
-pub use summary::SchemeComparison;

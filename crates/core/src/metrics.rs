@@ -233,22 +233,6 @@ impl RunMetrics {
         self.records.iter().find(|r| r.test_accuracy.is_some_and(|a| a >= target)).map(|r| r.epoch)
     }
 
-    /// Cumulative traffic (bytes) when `target` accuracy was first reached.
-    pub fn traffic_to_accuracy(&self, target: f64) -> Option<u64> {
-        self.records
-            .iter()
-            .find(|r| r.test_accuracy.is_some_and(|a| a >= target))
-            .map(|r| r.traffic.total())
-    }
-
-    /// Virtual time (seconds) when `target` accuracy was first reached.
-    pub fn time_to_accuracy(&self, target: f64) -> Option<f64> {
-        self.records
-            .iter()
-            .find(|r| r.test_accuracy.is_some_and(|a| a >= target))
-            .map(|r| r.sim_time)
-    }
-
     /// Best accuracy among evaluations whose cumulative traffic stayed
     /// within `budget_bytes` (the Fig. 9 bandwidth sweep).
     pub fn accuracy_within_traffic(&self, budget_bytes: u64) -> f64 {
@@ -267,11 +251,6 @@ impl RunMetrics {
             .filter(|r| r.sim_time <= seconds)
             .filter_map(|r| r.test_accuracy)
             .fold(0.0, f64::max)
-    }
-
-    /// Total client-epochs lost to dropouts across the run.
-    pub fn total_drops(&self) -> usize {
-        self.fault.client_drops
     }
 
     /// One-line human-readable fault summary for run logs, or `None` when
@@ -443,27 +422,6 @@ impl RunMetrics {
         out
     }
 
-    /// Renders the run-level `TransportStats` as a one-row CSV (bench
-    /// outputs and the flow determinism tests).
-    pub fn transport_csv(&self) -> String {
-        let t = &self.transport_stats;
-        format!(
-            "transport,flows,failed_flows,retransmits,timeouts,retransmit_bytes,queue_delay_p50,queue_delay_p99,mean_link_utilization,late_uploads,stale_folded,stale_dropped\n{},{},{},{},{},{},{:.6},{:.6},{:.6},{},{},{}\n",
-            self.transport,
-            t.flows,
-            t.failed_flows,
-            t.retransmits,
-            t.timeouts,
-            t.retransmit_bytes,
-            t.queue_delay_p50,
-            t.queue_delay_p99,
-            t.mean_link_utilization,
-            t.late_uploads,
-            t.stale_updates_folded,
-            t.stale_updates_dropped,
-        )
-    }
-
     /// Renders the run-level `RobustStats` as a one-row CSV (used by the
     /// determinism tests: same attack seed ⇒ byte-identical output).
     pub fn robust_csv(&self) -> String {
@@ -534,8 +492,6 @@ mod tests {
         assert_eq!(m.epochs_to_accuracy(0.5), Some(2));
         assert_eq!(m.epochs_to_accuracy(0.7), Some(4));
         assert_eq!(m.epochs_to_accuracy(0.9), None);
-        assert_eq!(m.traffic_to_accuracy(0.7), Some(400));
-        assert_eq!(m.time_to_accuracy(0.5), Some(2.0));
     }
 
     #[test]
@@ -608,7 +564,6 @@ mod tests {
         ] {
             assert!(s.contains(needle), "summary {s:?} missing {needle:?}");
         }
-        assert_eq!(m.total_drops(), 7);
     }
 
     #[test]
@@ -666,9 +621,6 @@ mod tests {
         {
             assert!(s.contains(needle), "summary {s:?} missing {needle:?}");
         }
-        let csv = m.transport_csv();
-        assert!(csv.starts_with("transport,flows,"));
-        assert!(csv.contains("flow,120,3,40,7,65536,"), "csv {csv:?}");
     }
 
     #[test]

@@ -102,32 +102,6 @@ impl MigrationPlan {
         Self::new(dest)
     }
 
-    /// Resolves possibly-conflicting desired destinations (several models
-    /// wanting the same host) into a permutation: clients are visited in
-    /// random order; a client whose desired host is taken falls back to the
-    /// free host maximizing `benefit[i][j]`.
-    pub fn from_desired(desired: &[usize], benefit: &[Vec<f64>], rng: &mut StdRng) -> Self {
-        let k = desired.len();
-        let mut order: Vec<usize> = (0..k).collect();
-        order.shuffle(rng);
-        let mut free = vec![true; k];
-        let mut dest = vec![usize::MAX; k];
-        for &i in &order {
-            let want = desired[i];
-            let j = if want < k && free[want] {
-                want
-            } else {
-                (0..k)
-                    .filter(|&j| free[j])
-                    .max_by(|&a, &b| benefit[i][a].total_cmp(&benefit[i][b]))
-                    .expect("at least one host must be free")
-            };
-            dest[i] = j;
-            free[j] = false;
-        }
-        Self::new(dest)
-    }
-
     /// A uniformly random permutation over the clients marked `true` in
     /// `active`; everyone else keeps their model (partial participation).
     pub fn random_subset(k: usize, active: &[bool], rng: &mut StdRng) -> Self {
@@ -225,11 +199,6 @@ impl MigrationPlan {
     /// fixed points.
     pub fn moves(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.dest.iter().enumerate().filter(|&(i, &j)| i != j).map(|(i, &j)| (i, j))
-    }
-
-    /// Number of models that actually move.
-    pub fn num_moves(&self) -> usize {
-        self.moves().count()
     }
 
     /// Applies the plan to a vector of per-client model parameters:
@@ -401,7 +370,7 @@ mod tests {
     #[test]
     fn identity_moves_nothing() {
         let p = MigrationPlan::identity(5);
-        assert_eq!(p.num_moves(), 0);
+        assert_eq!(p.moves().count(), 0);
         let data = vec![1, 2, 3, 4, 5];
         assert_eq!(p.apply(&data), data);
     }
@@ -435,7 +404,7 @@ mod tests {
                 assert!(t.same_lan(i, j), "move {i}->{j} crossed a LAN");
             }
             // LANs have >= 3 clients, so every model moves.
-            assert_eq!(p.num_moves(), 10);
+            assert_eq!(p.moves().count(), 10);
         }
     }
 
@@ -455,25 +424,6 @@ mod tests {
             }
         }
         assert!(crossing as f64 / total as f64 > 0.8, "only {crossing}/{total} moves crossed LANs");
-    }
-
-    #[test]
-    fn from_desired_respects_free_wishes_and_resolves_conflicts() {
-        let mut rng = StdRng::seed_from_u64(9);
-        // Both 0 and 1 want host 2; benefit breaks the tie for the loser.
-        let desired = vec![2, 2, 0];
-        let benefit = vec![vec![0.0, 1.0, 2.0], vec![0.5, 0.0, 2.0], vec![2.0, 1.0, 0.0]];
-        for _ in 0..10 {
-            let p = MigrationPlan::from_desired(&desired, &benefit, &mut rng);
-            // Exactly one of clients 0/1 got host 2.
-            assert!(p.dest(0) == 2 || p.dest(1) == 2);
-            // It is a permutation regardless.
-            let mut seen = [false; 3];
-            for i in 0..3 {
-                seen[p.dest(i)] = true;
-            }
-            assert!(seen.iter().all(|&s| s));
-        }
     }
 
     #[test]

@@ -33,16 +33,15 @@ impl DpConfig {
     /// Clips `params` to L2 norm `C` (Eq. 30) and adds `N(0, σ²)` noise to
     /// every coordinate (Eq. 31), in place.
     pub fn apply<R: Rng>(&self, params: &mut [f32], rng: &mut R) {
-        let norm: f32 = params.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let scale = 1.0 / (norm / self.clip).max(1.0);
         let sigma = self.sigma();
+        self.clip(params);
         for p in params.iter_mut() {
-            *p = *p * scale + gaussian(rng) * sigma;
+            *p += gaussian(rng) * sigma;
         }
     }
 
-    /// Clipping only (for callers that add noise at a different point).
-    pub fn clip_only(&self, params: &mut [f32]) {
+    /// Clips `params` to L2 norm `C` (Eq. 30), in place.
+    fn clip(&self, params: &mut [f32]) {
         let norm: f32 = params.iter().map(|x| x * x).sum::<f32>().sqrt();
         let scale = 1.0 / (norm / self.clip).max(1.0);
         for p in params.iter_mut() {
@@ -75,13 +74,13 @@ mod tests {
     fn clip_bounds_norm_and_preserves_small_vectors() {
         let cfg = DpConfig { epsilon: 100.0, delta: 1e-5, clip: 1.0 };
         let mut big = vec![3.0f32, 4.0]; // norm 5
-        cfg.clip_only(&mut big);
+        cfg.clip(&mut big);
         let norm: f32 = big.iter().map(|x| x * x).sum::<f32>().sqrt();
         assert!((norm - 1.0).abs() < 1e-6);
 
         let mut small = vec![0.3f32, 0.4]; // norm 0.5 < C
         let before = small.clone();
-        cfg.clip_only(&mut small);
+        cfg.clip(&mut small);
         assert_eq!(small, before);
     }
 

@@ -135,10 +135,23 @@ pub struct RunConfig {
     /// Fleet mode: lazy sharded client state for populations far beyond
     /// what the dense runner can hold ([`crate::FleetExperiment`]). `None`
     /// (the default) keeps the dense path byte-identical to the seeded
-    /// baselines; `Some` is only meaningful to [`crate::FleetExperiment`] —
-    /// the dense [`Experiment::run`] rejects it.
+    /// baselines; `Some` is what [`crate::FleetExperiment`] runs — the dense
+    /// [`Experiment::run`] rejects it.
     pub fleet: Option<crate::fleet::FleetOptions>,
 }
+
+/// A [`RunConfig`] that breaks one of [`RunConfig::validate`]'s rules; it
+/// displays as the rule.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigError(String);
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Configuration of the divergence watchdog (see `DESIGN.md` §14). The
 /// default is disabled and provably zero-cost: no snapshots are taken, no
@@ -194,6 +207,65 @@ impl RunConfig {
             fleet: None,
         }
     }
+
+    /// Checks every rule a run configuration must keep, in one place: the
+    /// CLI calls this before it builds the world (and exits 2 with the
+    /// rule), both runners before they start (and panic with it). Fleet
+    /// mode (`fleet` set) adds the sharded runner's rules.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        fn rule(ok: bool, broken: impl Into<String>) -> Result<(), ConfigError> {
+            if ok {
+                Ok(())
+            } else {
+                Err(ConfigError(broken.into()))
+            }
+        }
+        rule(self.epochs > 0, "epochs must be at least 1")?;
+        rule(self.agg_interval > 0, "agg_interval must be at least 1")?;
+        rule(self.eval_interval > 0, "eval_interval must be at least 1")?;
+        let p = self.participation;
+        rule(p > 0.0 && p <= 1.0, format!("participation must be in (0, 1], got {p}"))?;
+        rule(
+            p >= 1.0 || !matches!(self.scheme, Scheme::Fixed(_)),
+            "fixed migration strategies require full participation",
+        )?;
+        let Some(fleet) = self.fleet else { return Ok(()) };
+        let frac = fleet.sample_frac;
+        rule(
+            frac > 0.0 && frac <= 1.0,
+            format!("fleet sample_frac must be in (0, 1], got {frac}"),
+        )?;
+        rule(fleet.top_m > 0, "fleet top_m must be positive")?;
+        rule(
+            matches!(self.scheme, Scheme::FedAvg | Scheme::FedMigr(_)),
+            format!("fleet mode supports FedAvg and FedMigr, not {}", self.scheme.name()),
+        )?;
+        rule(
+            matches!(self.codec, CodecConfig::Identity),
+            "fleet mode requires the identity codec (per-client error-feedback residuals would \
+             scale memory with K)",
+        )?;
+        rule(self.transport.name() == "lockstep", "fleet mode requires the lockstep transport")?;
+        rule(self.fault.is_none(), "fleet mode does not support fault injection")?;
+        rule(self.attack.is_none(), "fleet mode does not support Byzantine attacks")?;
+        rule(self.dp.is_none(), "fleet mode does not support differential privacy")?;
+        rule(
+            matches!(self.aggregator, Aggregator::FedAvg),
+            "fleet mode requires the FedAvg aggregator",
+        )?;
+        rule(!self.watchdog.enabled, "fleet mode does not support the divergence watchdog")?;
+        rule(p >= 1.0, "fleet mode samples via fleet.sample_frac; leave participation at 1.0")?;
+        // Only at block boundaries is the cohort retired, making the dormant
+        // stubs the complete per-client state.
+        rule(
+            matches!(self.scheme, Scheme::FedAvg)
+                || self
+                    .checkpoint_every
+                    .is_none_or(|every| every.is_multiple_of(self.agg_interval)),
+            "fleet checkpoints land on aggregation boundaries: checkpoint_every must be a \
+             multiple of agg_interval",
+        )
+    }
 }
 
 /// A reusable experiment: datasets, partition, topology, devices and the
@@ -245,21 +317,19 @@ impl Experiment {
     }
 
     /// Executes `cfg` and returns the collected metrics.
+    ///
+    /// # Panics
+    /// Panics when `cfg` fails [`RunConfig::validate`] or selects fleet
+    /// mode.
     pub fn run(&self, cfg: &RunConfig) -> RunMetrics {
-        assert!(cfg.epochs > 0 && cfg.agg_interval > 0 && cfg.eval_interval > 0);
-        assert!(
-            cfg.fleet.is_none(),
-            "fleet mode needs the sharded runner: build a FleetExperiment instead of a dense \
-             Experiment"
-        );
-        assert!(
-            cfg.participation > 0.0 && cfg.participation <= 1.0,
-            "participation must be in (0, 1]"
-        );
-        assert!(
-            cfg.participation >= 1.0 || !matches!(cfg.scheme, Scheme::Fixed(_)),
-            "fixed migration strategies require full participation"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid run config: {e}");
+        }
+        let None = cfg.fleet else {
+            panic!(
+                "fleet mode needs the sharded runner: build a FleetExperiment, not an Experiment"
+            )
+        };
         fedmigr_telemetry::debug!(
             "core::runner",
             "run start: scheme={} clients={} epochs={} agg={} seed={}",

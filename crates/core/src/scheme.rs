@@ -143,11 +143,6 @@ impl Scheme {
         }
     }
 
-    /// Whether local models travel client-to-client (vs through the server).
-    pub fn uses_c2c_migration(&self) -> bool {
-        matches!(self, Scheme::RandMigr | Scheme::FedMigr(_) | Scheme::Fixed(_))
-    }
-
     /// Whether every epoch routes all models through the server.
     pub fn uploads_every_epoch(&self) -> bool {
         matches!(self, Scheme::FedAvg | Scheme::FedProx { .. } | Scheme::FedSwap)
@@ -176,7 +171,6 @@ mod tests {
         assert_eq!(Scheme::fedasync().name(), "FedAsync");
         assert!(Scheme::fedasync().is_async());
         assert!(!Scheme::fedasync().uploads_every_epoch());
-        assert!(!Scheme::fedasync().uses_c2c_migration());
     }
 
     #[test]
@@ -184,7 +178,5 @@ mod tests {
         assert!(Scheme::FedAvg.uploads_every_epoch());
         assert!(Scheme::FedSwap.uploads_every_epoch());
         assert!(!Scheme::RandMigr.uploads_every_epoch());
-        assert!(Scheme::fedmigr(0).uses_c2c_migration());
-        assert!(!Scheme::FedAvg.uses_c2c_migration());
     }
 }

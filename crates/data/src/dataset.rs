@@ -82,9 +82,13 @@ impl Dataset {
         let indices: Vec<usize> = (0..self.len()).collect();
         self.batch(&indices)
     }
+}
 
-    /// Per-class sample counts.
-    pub fn class_counts(&self) -> Vec<usize> {
+#[cfg(test)]
+impl Dataset {
+    /// Per-class sample counts: the tally the crate's tests check layouts
+    /// against.
+    pub(crate) fn class_counts(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.num_classes];
         for &l in &self.labels {
             counts[l] += 1;

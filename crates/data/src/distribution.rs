@@ -5,8 +5,8 @@
 //! `q(y = l)`. Model migration shrinks that distance: Eq. (13) gives the
 //! *virtual* distribution a migrated model effectively trains on, and
 //! Eq. (15) shows it is strictly closer to the population distribution.
-//! This module implements those quantities plus the pairwise
-//! distribution-difference matrix `D_t` used in the DRL state.
+//! This module implements those quantities; the test module checks the
+//! contraction itself on real partitions.
 
 use crate::Dataset;
 
@@ -24,13 +24,6 @@ pub fn label_distribution(ds: &Dataset, indices: &[usize]) -> Vec<f64> {
         }
     }
     counts
-}
-
-/// Population label marginal `q` of the whole dataset.
-pub fn population_distribution(ds: &Dataset) -> Vec<f64> {
-    let counts = ds.class_counts();
-    let total: f64 = counts.iter().map(|&c| c as f64).sum();
-    counts.iter().map(|&c| c as f64 / total).collect()
 }
 
 /// Total-variation-style L1 distance `sum_l |a_l - b_l|` — the
@@ -66,21 +59,6 @@ pub fn normalized_emd(a: &[f64], b: &[f64]) -> f64 {
     emd_1d(a, b) / (a.len() - 1) as f64
 }
 
-/// The `K x K` symmetric matrix `D_t` of pairwise L1 distances between
-/// client label distributions — part of the DRL state (Sec. III-C).
-pub fn pairwise_distance_matrix(dists: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let k = dists.len();
-    let mut m = vec![vec![0.0f64; k]; k];
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let d = l1_distance(&dists[i], &dists[j]);
-            m[i][j] = d;
-            m[j][i] = d;
-        }
-    }
-    m
-}
-
 /// The virtual distribution of Eq. (13): after `m` random migrations among
 /// `k` clients, a model that started on a client with class counts
 /// `local_counts` (sizes `n_k^l`) effectively trains on
@@ -104,11 +82,29 @@ pub fn virtual_distribution(
         .collect()
 }
 
+/// Mean L1 distance of per-client distributions to the population — a
+/// scalar "non-IID level" used when reporting experiments.
+pub fn mean_divergence(client_dists: &[Vec<f64>], population: &[f64]) -> f64 {
+    if client_dists.is_empty() {
+        return 0.0;
+    }
+    client_dists.iter().map(|q| l1_distance(q, population)).sum::<f64>() / client_dists.len() as f64
+}
+
+/// Population label marginal `q` of the whole dataset.
+#[cfg(test)]
+pub(crate) fn population_distribution(ds: &Dataset) -> Vec<f64> {
+    let counts = ds.class_counts();
+    let total: f64 = counts.iter().map(|&c| c as f64).sum();
+    counts.iter().map(|&c| c as f64 / total).collect()
+}
+
 /// Per-client report of the Eq. 13–15 contraction: for each client, the
 /// L1 distance of its label distribution to the population before and
 /// after `m` uniform migrations among `k` clients. The paper's convergence
 /// argument is exactly that `after <= before` for every client.
-pub fn contraction_report(ds: &Dataset, partitions: &[Vec<usize>], m: usize) -> Vec<(f64, f64)> {
+#[cfg(test)]
+fn contraction_report(ds: &Dataset, partitions: &[Vec<usize>], m: usize) -> Vec<(f64, f64)> {
     let k = partitions.len();
     let pop_counts = ds.class_counts();
     let n: f64 = pop_counts.iter().map(|&c| c as f64).sum();
@@ -126,15 +122,6 @@ pub fn contraction_report(ds: &Dataset, partitions: &[Vec<usize>], m: usize) -> 
             (before, after)
         })
         .collect()
-}
-
-/// Mean L1 distance of per-client distributions to the population — a
-/// scalar "non-IID level" used when reporting experiments.
-pub fn mean_divergence(client_dists: &[Vec<f64>], population: &[f64]) -> f64 {
-    if client_dists.is_empty() {
-        return 0.0;
-    }
-    client_dists.iter().map(|q| l1_distance(q, population)).sum::<f64>() / client_dists.len() as f64
 }
 
 #[cfg(test)]
@@ -164,20 +151,6 @@ mod tests {
         assert_eq!(normalized_emd(&[0.2, 0.8], &[0.2, 0.8]), 0.0);
         // One-label supports admit no transport at all.
         assert_eq!(normalized_emd(&[1.0], &[1.0]), 0.0);
-    }
-
-    #[test]
-    fn pairwise_matrix_is_symmetric_with_zero_diagonal() {
-        let dists = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![0.5, 0.5]];
-        let m = pairwise_distance_matrix(&dists);
-        for i in 0..3 {
-            assert_eq!(m[i][i], 0.0);
-            for j in 0..3 {
-                assert_eq!(m[i][j], m[j][i]);
-            }
-        }
-        assert_eq!(m[0][1], 2.0);
-        assert_eq!(m[0][2], 1.0);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //!
 //! [`distribution`] implements the label-distribution analysis of
 //! Sec. II-C: per-client label marginals, L1/EMD distances to the
-//! population distribution, the pairwise difference matrix `D_t` the DRL
-//! state uses, and the *virtual distribution* of Eq. (13) whose contraction
-//! (Eq. 15) is the paper's convergence argument.
+//! population distribution, and the *virtual distribution* of Eq. (13)
+//! whose contraction (Eq. 15) is the paper's convergence argument.
 
 pub mod augment;
 mod dataset;

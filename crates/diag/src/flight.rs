@@ -12,7 +12,7 @@
 //! 3. at most one `summary` ([`FlightSummary`]) — run-level outcome, the
 //!    closing line;
 //! 4. at most one `tolerances` ([`Tolerances`]) — regression budgets,
-//!    present on checked-in baselines so `fedmigr_diff` runs self-contained
+//!    present on checked-in baselines so `fedmigr diff` runs self-contained
 //!    in CI.
 //!
 //! All numbers are written as JSON floats (integers gain `.0`), matching

@@ -1,5 +1,5 @@
 //! The regression gate: one comparison of a fresh artifact against its
-//! checked-in baseline, behind the `fedmigr_diff` binary.
+//! checked-in baseline, behind `fedmigr diff`.
 //!
 //! The kind of artifact is recognised from the baseline's content and
 //! decides the rule:
@@ -17,7 +17,9 @@
 //! 0 clean, 1 regressed, 2 unreadable or incomparable inputs.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
+use fedmigr_telemetry::cli::Command;
 use fedmigr_telemetry::record_fields;
 use fedmigr_telemetry::trace::JsonValue;
 
@@ -346,6 +348,34 @@ pub fn check(baseline_path: &str, current_path: &str) -> Outcome {
         })
     };
     compare().unwrap_or_else(Outcome::Error)
+}
+
+/// The options of one `fedmigr diff` run: the baseline, then the current.
+#[derive(Debug, Default)]
+pub struct Options {
+    paths: Vec<String>,
+}
+
+/// `fedmigr diff <baseline> <current>`: gates the current artifact against
+/// its baseline ([`check`]); the exit status is [`Outcome::code`].
+pub fn command() -> Command<Options> {
+    let about = "gate a fresh artifact against its checked-in baseline (exit 0 clean, 1 \
+                 regressed, 2 unreadable)";
+    Command {
+        positional: |o, v| {
+            o.paths.push(v.into());
+            Ok(())
+        },
+        check: |o| match o.paths.len() {
+            2 => Ok(()),
+            _ => Err("want exactly two artifacts: <baseline> <current>".into()),
+        },
+        ..Command::new("diff", "<baseline> <current>", about, Vec::new(), |o| {
+            let outcome = check(&o.paths[0], &o.paths[1]);
+            outcome.report();
+            ExitCode::from(outcome.code())
+        })
+    }
 }
 
 #[cfg(test)]

@@ -18,10 +18,10 @@
 //!   analytics over the round's [`MigrationEdge`] list).
 //! * **The run's record streams** — the flight recording
 //!   ([`FlightRecorder`] writes, [`FlightRecording`] parses; rendered by
-//!   `fedmigr_report`) and the round timeline ([`TimelineRecorder`],
-//!   [`TimelineRecording`]; analyzed by `fedmigr_netview`), both schemas
+//!   `fedmigr report`) and the round timeline ([`TimelineRecorder`],
+//!   [`TimelineRecording`]; analyzed by `fedmigr netview`), both schemas
 //!   over [`fedmigr_telemetry::record`]; and the one regression gate behind
-//!   `fedmigr_diff` (see [`gate`]).
+//!   `fedmigr diff` (see [`gate`]).
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,6 @@
 //! Network & round-timeline analysis: critical path, makespan
 //! decomposition, per-link utilization histograms and the overlap
-//! opportunity estimate — the analysis layer behind `fedmigr_netview`.
+//! opportunity estimate — the analysis layer behind `fedmigr netview`.
 //!
 //! Everything works off a parsed [`TimelineRecording`] (see
 //! [`crate::timeline`]); only settled rounds (the survivors of any
@@ -8,7 +8,9 @@
 //! seeded run produces an identical report on every host.
 
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
+use fedmigr_telemetry::cli::{first, put_some, usage_error, Command, Flag};
 use fedmigr_telemetry::record::{self, Fields, Record};
 use fedmigr_telemetry::record_fields;
 
@@ -335,6 +337,77 @@ pub fn render_text(r: &NetviewReport) -> String {
         ));
     }
     out
+}
+
+/// The options of one `fedmigr netview` run.
+#[derive(Debug, Default)]
+pub struct Options {
+    timeline: Option<String>,
+    json: Option<String>,
+    chrome_out: Option<String>,
+}
+
+/// `fedmigr netview <timeline.jsonl> [--json <out.json>] [--chrome-out
+/// <trace.json>]`: holds the timeline to its invariants
+/// ([`TimelineRecording::validate`]: versioned header first, start stamps
+/// monotone, intervals closed, flow events on declared links), then prints
+/// the text summary; `--json` writes the deterministic JSON report (gate it
+/// with `fedmigr diff`), `--chrome-out` the Chrome trace-event JSON. Exits
+/// 0 when clean, 1 when the timeline breaks an invariant, 2 on usage, read
+/// or write errors.
+#[rustfmt::skip]
+pub fn command() -> Command<Options> {
+    let flags: Vec<Flag<Options>> = vec![
+        Flag { name: "--json", value: "<out.json>", default: "", set: |o, v| put_some(&mut o.json, v),
+            help: "write the deterministic JSON report" },
+        Flag { name: "--chrome-out", value: "<trace.json>", default: "", set: |o, v| put_some(&mut o.chrome_out, v),
+            help: "convert the timeline to Chrome trace-event JSON (Perfetto-viewable)" },
+    ];
+    let about = "validate and analyze a round timeline: critical path, makespan decomposition, \
+                 link utilization, overlap opportunity";
+    Command {
+        positional: |o, v| first(&mut o.timeline, v),
+        ..Command::new("netview", "<timeline.jsonl>", about, flags, run)
+    }
+}
+
+fn run(opts: Options) -> ExitCode {
+    let Some(path) = &opts.timeline else { return usage_error("netview", "no timeline given") };
+    let rec = match std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| TimelineRecording::parse(&text).map_err(|e| format!("{path}: {e}")))
+    {
+        Ok(rec) => rec,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match rec.validate() {
+        Ok(summary) => println!("{path}: {summary}"),
+        Err(violations) => {
+            violations.iter().for_each(|v| eprintln!("{path}: {v}"));
+            return ExitCode::from(1);
+        }
+    }
+    let mut report = analyze(&rec);
+    print!("{}", render_text(&report));
+    let write = |out: &str, body: String| match std::fs::write(out, body) {
+        Ok(()) => {
+            println!("wrote {out}");
+            true
+        }
+        Err(e) => {
+            eprintln!("error: cannot write {out}: {e}");
+            false
+        }
+    };
+    let json_ok =
+        opts.json.is_none_or(|out| write(&out, format!("{}\n", render_json(&mut report))));
+    if !json_ok || !opts.chrome_out.is_none_or(|out| write(&out, crate::chrome_trace(&rec))) {
+        return ExitCode::from(2);
+    }
+    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
-//! The `fedmigr_perf` report (`BENCH_perf.json`): one entry of median/min
+//! The `fedmigr perf` report (`BENCH_perf.json`): one entry of median/min
 //! wall nanoseconds per benchmark, as a versioned JSON document. The
-//! `fedmigr_perf` binary in `fedmigr-bench` writes it; the gate in
+//! `fedmigr perf` binary in `fedmigr-bench` writes it; the gate in
 //! [`crate::gate`] compares it against `results/baselines/perf_baseline.json`.
 
 use fedmigr_telemetry::record;

@@ -1,7 +1,10 @@
-//! Human-readable rendering of a flight recording (`fedmigr_report`).
+//! Human-readable rendering of a flight recording (`fedmigr report`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
+use std::process::ExitCode;
+
+use fedmigr_telemetry::cli::{first, usage_error, Command};
 
 use crate::flight::FlightRecording;
 
@@ -218,6 +221,34 @@ fn phase_section(out: &mut String, rec: &FlightRecording) {
         ("backoff", r.phase.backoff_s),
     ] {
         let _ = writeln!(out, "{name:>10}: {secs:>10.1}s ({:>5.1}%)", 100.0 * secs / total);
+    }
+}
+
+/// The options of one `fedmigr report` run.
+#[derive(Debug, Default)]
+pub struct Options {
+    flight: Option<String>,
+}
+
+/// `fedmigr report <flight.jsonl>`: prints the report of a flight
+/// recording. Exits 0 on success, 2 on usage or parse errors.
+pub fn command() -> Command<Options> {
+    let about = "render a human-readable report from a flight recording";
+    Command {
+        positional: |o, v| first(&mut o.flight, v),
+        ..Command::new("report", "<flight.jsonl>", about, Vec::new(), |o| {
+            let Some(path) = o.flight else { return usage_error("report", "no flight given") };
+            match FlightRecording::from_file(&path) {
+                Ok(rec) => {
+                    print!("{}", render_report(&rec));
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::from(2)
+                }
+            }
+        })
     }
 }
 

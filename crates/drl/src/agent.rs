@@ -211,11 +211,6 @@ impl DdpgAgent {
         self.config.rho = rho;
     }
 
-    /// Deterministic (greedy) action: argmax of the actor's softmax.
-    pub fn select_greedy(&mut self, state: &[f32]) -> usize {
-        argmax_slice(&self.action_probs(state))
-    }
-
     /// The actor's softmax policy π(s|θ) over destinations.
     pub fn action_probs(&mut self, state: &[f32]) -> Vec<f32> {
         let x = Tensor::from_vec(vec![1, self.config.state_dim], state.to_vec());
@@ -472,6 +467,14 @@ impl Wire for DdpgAgent {
 mod tests {
     use super::*;
     use fedmigr_telemetry::wire;
+
+    impl DdpgAgent {
+        /// Deterministic (greedy) action: argmax of the actor's softmax —
+        /// how the tests read off what the policy learned.
+        fn select_greedy(&mut self, state: &[f32]) -> usize {
+            argmax_slice(&self.action_probs(state))
+        }
+    }
 
     fn bandit_config(k: usize) -> AgentConfig {
         let mut c = AgentConfig::new(3, k, 9);

@@ -27,21 +27,6 @@ pub struct FlmmRelaxation {
 }
 
 impl FlmmRelaxation {
-    /// Objective value `Σ_ij P_ij (benefit - λ·cost) + μ H(P)` for a
-    /// row-stochastic `p`.
-    pub fn objective(&self, p: &[Vec<f64>]) -> f64 {
-        let mut total = 0.0;
-        for (i, row) in p.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                total += v * (self.benefit[i][j] - self.lambda * self.cost[i][j]);
-                if v > 0.0 {
-                    total -= self.entropy * v * v.ln();
-                }
-            }
-        }
-        total
-    }
-
     /// Solves the relaxation by `iters` steps of entropic mirror descent
     /// (exponentiated gradient) with step size `step`, returning a
     /// row-stochastic migration matrix.
@@ -127,6 +112,23 @@ pub fn project_simplex(v: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FlmmRelaxation {
+        /// Objective value `Σ_ij P_ij (benefit - λ·cost) + μ H(P)` for a
+        /// row-stochastic `p`: what the solver is checked to improve.
+        fn objective(&self, p: &[Vec<f64>]) -> f64 {
+            let mut total = 0.0;
+            for (i, row) in p.iter().enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    total += v * (self.benefit[i][j] - self.lambda * self.cost[i][j]);
+                    if v > 0.0 {
+                        total -= self.entropy * v * v.ln();
+                    }
+                }
+            }
+            total
+        }
+    }
 
     #[test]
     fn simplex_projection_of_point_on_simplex_is_identity() {

@@ -63,24 +63,9 @@ impl FleetAssignment {
         Self { starts, owner, per_client, total: sum }
     }
 
-    /// Total number of assigned samples (the cover is `[0, total)`).
-    pub fn total_samples(&self) -> u64 {
-        self.total
-    }
-
     /// Number of clients.
     pub fn num_clients(&self) -> usize {
         self.per_client.len()
-    }
-
-    /// The client owning global `sample`.
-    ///
-    /// # Panics
-    /// Panics when `sample >= total_samples()`.
-    pub fn client_of(&self, sample: u64) -> u32 {
-        assert!(sample < self.total, "sample {sample} outside the assigned space");
-        let pos = self.starts.partition_point(|&s| s <= sample) - 1;
-        self.owner[pos]
     }
 
     /// The `(start, len)` global range of `client`.
@@ -102,6 +87,24 @@ impl FleetAssignment {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl FleetAssignment {
+        /// Total number of assigned samples (the cover is `[0, total)`).
+        fn total_samples(&self) -> u64 {
+            self.total
+        }
+
+        /// The client owning global `sample`: the reference the cover is
+        /// checked against.
+        ///
+        /// # Panics
+        /// Panics when `sample >= total_samples()`.
+        fn client_of(&self, sample: u64) -> u32 {
+            assert!(sample < self.total, "sample {sample} outside the assigned space");
+            let pos = self.starts.partition_point(|&s| s <= sample) - 1;
+            self.owner[pos]
+        }
+    }
 
     #[test]
     fn assignment_is_deterministic() {

@@ -188,9 +188,10 @@ mod tests {
             let stub = p.stub(id);
             let ds = p.materialize(id);
             assert_eq!(ds.len() as u64, stub.len);
-            let counts = ds.class_counts();
-            for (c, &m) in counts.iter().zip(&stub.marginal) {
-                assert!((m - *c as f32 / ds.len() as f32).abs() < 1e-6);
+            let all: Vec<usize> = (0..ds.len()).collect();
+            let marginal = fedmigr_data::distribution::label_distribution(&ds, &all);
+            for (&q, &m) in marginal.iter().zip(&stub.marginal) {
+                assert!((m as f64 - q).abs() < 1e-6);
             }
             let sum: f32 = stub.marginal.iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);

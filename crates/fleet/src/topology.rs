@@ -110,11 +110,6 @@ impl FleetTopology {
         self.offsets.partition_point(|&o| o <= i) - 1
     }
 
-    /// The contiguous client range of LAN `l`.
-    pub fn lan_members(&self, l: usize) -> std::ops::Range<usize> {
-        self.offsets[l]..self.offsets[l + 1]
-    }
-
     /// Whether clients `i` and `j` share a LAN.
     pub fn same_lan(&self, i: usize, j: usize) -> bool {
         self.lan_of(i) == self.lan_of(j)
@@ -198,7 +193,7 @@ mod tests {
         assert_eq!(t.lan_of(99), 3);
         assert!(t.same_lan(0, 24));
         assert!(!t.same_lan(24, 25));
-        assert_eq!(t.lan_members(2), 50..75);
+        assert_eq!((t.lan_of(50), t.lan_of(74), t.lan_of(75)), (2, 2, 3));
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl Dense {
         self.weight.shape()[0]
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.weight.shape()[1]
-    }
-
     fn affine(&self, input: &Tensor) -> Tensor {
         assert_eq!(
             input.cols(),

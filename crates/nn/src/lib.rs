@@ -10,7 +10,7 @@
 //! * dense, convolution, pooling, activation and residual layers,
 //! * a [`Sequential`] container and a [`Model`] wrapper with the softmax
 //!   cross-entropy training step used by every FL client,
-//! * an [`Sgd`] optimizer with momentum/weight-decay and the FedProx
+//! * an [`Sgd`] optimizer with weight decay and the FedProx
 //!   proximal-term hook,
 //! * parameter flattening ([`params`]) — the representation that is
 //!   aggregated (Eq. 7 of the paper) and *migrated* between clients,

@@ -4,7 +4,7 @@ use fedmigr_telemetry::wire::{bad, Codec, Wire};
 use fedmigr_tensor::Tensor;
 
 use crate::optim::apply_prox_term;
-use crate::params::{grad_vector, param_vector, set_param_vector, wire_size};
+use crate::params::{param_vector, set_param_vector, wire_size};
 use crate::{accuracy, softmax_cross_entropy, Layer, Sequential, Sgd};
 
 /// A classification model: a [`Sequential`] network plus the metadata an FL
@@ -142,11 +142,6 @@ impl Model {
     /// Flattened parameters (the migrated/aggregated representation).
     pub fn params(&mut self) -> Vec<f32> {
         param_vector(&mut self.net)
-    }
-
-    /// Flattened accumulated gradients.
-    pub fn grads(&mut self) -> Vec<f32> {
-        grad_vector(&mut self.net)
     }
 
     /// Replaces all parameters from a flat vector.

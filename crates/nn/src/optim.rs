@@ -3,30 +3,19 @@ use fedmigr_tensor::Tensor;
 
 use crate::Layer;
 
-/// Mini-batch SGD with optional momentum and weight decay.
-///
-/// Velocity buffers are keyed by visit order, which is stable for a given
-/// model architecture (see [`Layer::visit_params`]).
+/// Mini-batch SGD with optional weight decay.
 #[derive(Clone, Debug)]
 pub struct Sgd {
     /// Learning rate η.
     pub lr: f32,
-    /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
     /// L2 weight decay added to gradients before the update.
     pub weight_decay: f32,
-    velocity: Vec<Vec<f32>>,
 }
 
 impl Sgd {
     /// Plain SGD with the given learning rate.
     pub fn new(lr: f32) -> Self {
-        Self { lr, momentum: 0.0, weight_decay: 0.0, velocity: Vec::new() }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self { momentum, ..Self::new(lr) }
+        Self { lr, weight_decay: 0.0 }
     }
 
     /// Sets L2 weight decay, builder-style.
@@ -39,28 +28,12 @@ impl Sgd {
     /// accumulated gradients, then leaves the gradients untouched (call
     /// [`Layer::zero_grad`] before the next accumulation).
     pub fn step(&mut self, model: &mut dyn Layer) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
+        let (lr, wd) = (self.lr, self.weight_decay);
         model.visit_params(&mut |p: &mut Tensor, g: &mut Tensor| {
-            if velocity.len() <= idx {
-                velocity.push(vec![0.0; p.numel()]);
-            }
-            let v = &mut velocity[idx];
-            assert_eq!(v.len(), p.numel(), "parameter shape changed between steps");
             let _k = kcount::scope(Kernel::Optimizer, 4 * p.numel() as u64, 20 * p.numel() as u64);
-            for ((pv, gv), vel) in p.data_mut().iter_mut().zip(g.data()).zip(v.iter_mut()) {
-                let grad = gv + wd * *pv;
-                if momentum > 0.0 {
-                    *vel = momentum * *vel + grad;
-                    *pv -= lr * *vel;
-                } else {
-                    *pv -= lr * grad;
-                }
+            for (pv, gv) in p.data_mut().iter_mut().zip(g.data()) {
+                *pv -= lr * (gv + wd * *pv);
             }
-            idx += 1;
         });
     }
 }
@@ -123,21 +96,6 @@ mod tests {
         opt.step(&mut layer);
         let w = param_vector(&mut layer);
         assert!((w[0] - 1.5).abs() < 1e-6, "w after step: {}", w[0]);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut layer = Dense::new(1, 1, 0);
-        layer.visit_params(&mut |p, g| {
-            p.fill_zero();
-            g.data_mut().fill(1.0);
-        });
-        let mut opt = Sgd::with_momentum(1.0, 0.5);
-        opt.step(&mut layer); // v = 1, w = -1
-        layer.visit_params(&mut |_, g| g.data_mut().fill(1.0));
-        opt.step(&mut layer); // v = 1.5, w = -2.5
-        let w = param_vector(&mut layer);
-        assert!((w[0] + 2.5).abs() < 1e-6, "w = {}", w[0]);
     }
 
     #[test]

@@ -116,20 +116,6 @@ impl Filter {
         Ok(filter)
     }
 
-    /// Resolves the effective process filter from an explicit `--log-level`
-    /// flag value and the `FEDMIGR_LOG` environment spec, in precedence
-    /// order **flag > env > default**: a present flag wins outright (even
-    /// over a set environment variable), the environment is consulted only
-    /// when no flag was given, and with neither the [`Filter::default`]
-    /// (`info`) applies. Returns the parse error of whichever layer won.
-    pub fn resolve(flag: Option<&str>, env: Option<&str>) -> Result<Self, String> {
-        match (flag, env) {
-            (Some(spec), _) => Self::parse(spec),
-            (None, Some(spec)) => Self::parse(spec),
-            (None, None) => Ok(Self::default()),
-        }
-    }
-
     /// Whether a record at `level` for `target` passes this filter.
     pub fn enabled(&self, target: &str, level: Level) -> bool {
         let threshold = self
@@ -143,11 +129,13 @@ impl Filter {
             None => false,
         }
     }
+}
 
-    /// The most verbose threshold any target can reach (used to short-cut
-    /// fully-silent paths).
-    pub fn max_threshold(&self) -> Threshold {
-        self.targets.iter().map(|(_, t)| *t).chain([self.default]).max().flatten()
+impl std::str::FromStr for Filter {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        Self::parse(spec)
     }
 }
 
@@ -177,7 +165,6 @@ mod tests {
         assert!(f.enabled("core", Level::Warn));
         assert!(f.enabled("drl::agent", Level::Trace));
         assert!(!f.enabled("net", Level::Error));
-        assert_eq!(f.max_threshold(), Some(Level::Trace));
     }
 
     #[test]
@@ -191,23 +178,6 @@ mod tests {
     fn off_is_silent_everywhere() {
         let f = Filter::off();
         assert!(!f.enabled("anything", Level::Error));
-        assert_eq!(f.max_threshold(), None);
-    }
-
-    #[test]
-    fn resolve_precedence_is_flag_env_default() {
-        // Flag beats a set environment variable.
-        let f = Filter::resolve(Some("debug"), Some("trace")).unwrap();
-        assert!(f.enabled("core", Level::Debug) && !f.enabled("core", Level::Trace));
-        // Environment applies only when no flag is given.
-        let f = Filter::resolve(None, Some("warn,drl=trace")).unwrap();
-        assert!(!f.enabled("core", Level::Info) && f.enabled("drl", Level::Trace));
-        // Neither set: the stock `info` default.
-        assert_eq!(Filter::resolve(None, None).unwrap(), Filter::default());
-        // The winning layer's parse error surfaces; the loser is ignored.
-        assert!(Filter::resolve(Some("loud"), Some("info")).is_err());
-        assert!(Filter::resolve(None, Some("loud")).is_err());
-        assert!(Filter::resolve(Some("info"), Some("loud")).is_ok());
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 #![warn(missing_docs)]
 
+pub mod cli;
 mod clock;
 mod level;
 pub mod metrics;
@@ -39,12 +40,13 @@ pub mod profiler;
 pub mod record;
 pub mod rss;
 pub mod trace;
+pub mod validate;
 pub mod wire;
 
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, OnceLock, RwLock};
 
 pub use clock::{FakeClock, MonotonicClock, TelemetryClock};
 pub use level::{Filter, Level};
@@ -56,7 +58,7 @@ pub use trace::TraceEvent;
 pub const PHASE_SECONDS: &str = "fedmigr_phase_seconds";
 
 /// Canonical metric names shared across crates, so producers (the network
-/// simulator, the runner) and consumers (`telemetry_validate`, dashboards)
+/// simulator, the runner) and consumers (`fedmigr validate`, dashboards)
 /// agree on spelling.
 pub mod names {
     /// Gauge: mean link utilization of the last simulated transport phase.
@@ -94,16 +96,6 @@ pub mod names {
     pub const PHASE_CPU_NANOS_TOTAL: &str = "fedmigr_phase_cpu_nanos_total";
 }
 
-/// Where rendered log lines go.
-pub enum LogSink {
-    /// Standard error (the default — matches the historical `eprintln!`s).
-    Stderr,
-    /// Drop everything (sub-silent even for passing levels).
-    Silent,
-    /// Append to a shared in-memory buffer (tests).
-    Memory(Arc<Mutex<String>>),
-}
-
 /// One observability engine: clock + filter + registry + sinks.
 ///
 /// Production code uses the process-wide [`global`] instance; tests build
@@ -114,9 +106,7 @@ pub struct Telemetry {
     registry: Registry,
     tracer: Mutex<Option<Box<dyn Write + Send>>>,
     trace_on: AtomicBool,
-    spans_on: AtomicBool,
     depth: AtomicUsize,
-    sink: Mutex<LogSink>,
 }
 
 impl Default for Telemetry {
@@ -139,9 +129,7 @@ impl Telemetry {
             registry: Registry::new(),
             tracer: Mutex::new(None),
             trace_on: AtomicBool::new(false),
-            spans_on: AtomicBool::new(true),
             depth: AtomicUsize::new(0),
-            sink: Mutex::new(LogSink::Stderr),
         }
     }
 
@@ -165,16 +153,6 @@ impl Telemetry {
         self.filter.read().expect("telemetry filter poisoned").enabled(target, level)
     }
 
-    /// Replaces the log sink.
-    pub fn set_sink(&self, sink: LogSink) {
-        *self.sink.lock().expect("telemetry sink poisoned") = sink;
-    }
-
-    /// Enables/disables span recording entirely (both histogram and trace).
-    pub fn set_spans_enabled(&self, on: bool) {
-        self.spans_on.store(on, Ordering::Relaxed);
-    }
-
     /// Emits one log record if the filter passes. Prefer the [`error!`] …
     /// [`trace!`] macros, which route here through the global engine.
     pub fn log(&self, level: Level, target: &str, args: std::fmt::Arguments<'_>) {
@@ -182,18 +160,7 @@ impl Telemetry {
             return;
         }
         let msg = args.to_string();
-        {
-            let mut sink = self.sink.lock().expect("telemetry sink poisoned");
-            match &mut *sink {
-                LogSink::Stderr => eprintln!("{msg}"),
-                LogSink::Silent => {}
-                LogSink::Memory(buf) => {
-                    let mut buf = buf.lock().expect("telemetry memory sink poisoned");
-                    buf.push_str(&msg);
-                    buf.push('\n');
-                }
-            }
-        }
+        eprintln!("{msg}");
         if self.trace_on.load(Ordering::Relaxed) {
             let ev = TraceEvent::Log { ts: self.now(), level, target: target.to_string(), msg };
             self.write_event(ev);
@@ -214,23 +181,12 @@ impl Telemetry {
         name: &'static str,
         labels: Vec<(String, String)>,
     ) -> Span<'_> {
-        if !self.spans_on.load(Ordering::Relaxed) {
-            return Span {
-                engine: None,
-                target,
-                name,
-                start: 0.0,
-                depth: 0,
-                labels: Vec::new(),
-                _frame: profiler::Frame::inert(),
-            };
-        }
         let depth = self.depth.fetch_add(1, Ordering::Relaxed);
         // Spans double as profiler frames so the collapsed-stack report
         // nests under the same phase names as the trace (inert when
         // profiling is off).
         let frame = profiler::frame(name);
-        Span { engine: Some(self), target, name, start: self.now(), depth, labels, _frame: frame }
+        Span { engine: self, target, name, start: self.now(), depth, labels, _frame: frame }
     }
 
     /// Attaches a JSONL trace writer; subsequent spans and passing log
@@ -285,7 +241,6 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("trace_on", &self.trace_on.load(Ordering::Relaxed))
-            .field("spans_on", &self.spans_on.load(Ordering::Relaxed))
             .finish_non_exhaustive()
     }
 }
@@ -295,7 +250,7 @@ impl std::fmt::Debug for Telemetry {
 /// records into the `fedmigr_phase_seconds` histogram and the trace.
 #[must_use = "a span measures until dropped; binding it to _ drops it immediately"]
 pub struct Span<'a> {
-    engine: Option<&'a Telemetry>,
+    engine: &'a Telemetry,
     target: &'static str,
     name: &'static str,
     start: f64,
@@ -307,7 +262,7 @@ pub struct Span<'a> {
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(engine) = self.engine else { return };
+        let engine = self.engine;
         let dur = (engine.now() - self.start).max(0.0);
         engine.depth.fetch_sub(1, Ordering::Relaxed);
         engine
@@ -331,15 +286,19 @@ impl Drop for Span<'_> {
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
 /// The process-wide engine. First use initializes the filter from the
-/// `FEDMIGR_LOG` environment variable (malformed specs fall back to the
-/// default with a warning).
+/// `FEDMIGR_LOG` environment variable, the one place that reads it: a
+/// malformed spec is reported once, as a warning, and the default filter
+/// applies (a bad environment never stops a run; `--log-level` replaces
+/// the filter either way).
 pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(|| {
         let t = Telemetry::new();
         if let Ok(spec) = std::env::var("FEDMIGR_LOG") {
             match Filter::parse(&spec) {
                 Ok(f) => t.set_filter(f),
-                Err(e) => eprintln!("fedmigr-telemetry: ignoring FEDMIGR_LOG: {e}"),
+                Err(e) => {
+                    t.log(Level::Warn, "telemetry", format_args!("ignoring FEDMIGR_LOG: {e}"))
+                }
             }
         }
         t
@@ -483,25 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_spans_cost_nothing_and_record_nothing() {
-        let (t, clock) = fake_engine();
-        t.set_spans_enabled(false);
-        {
-            let _s = t.span("core", "round");
-            clock.advance(1.0);
-        }
-        let snap = t
-            .registry()
-            .histogram(PHASE_SECONDS, &[("target", "core"), ("phase", "round")])
-            .snapshot();
-        assert_eq!(snap.count, 0);
-    }
-
-    #[test]
     fn log_respects_filter_and_mirrors_to_trace() {
         let (t, _clock) = fake_engine();
-        let lines = Arc::new(Mutex::new(String::new()));
-        t.set_sink(LogSink::Memory(Arc::clone(&lines)));
         let buf = Buf::default();
         t.set_trace_writer(Box::new(buf.clone()));
         t.set_filter(Filter::parse("warn,core=debug").unwrap());
@@ -509,10 +451,14 @@ mod tests {
         t.log(Level::Debug, "core::runner", format_args!("shown {}", 42));
         t.log(Level::Error, "net", format_args!("also shown"));
         t.close_trace();
-        assert_eq!(*lines.lock().unwrap(), "shown 42\nalso shown\n");
         let evs = events(&buf);
         assert_eq!(evs.len(), 2);
-        assert!(matches!(&evs[0], TraceEvent::Log { level: Level::Debug, .. }));
+        assert!(
+            matches!(&evs[0], TraceEvent::Log { level: Level::Debug, msg, .. } if msg == "shown 42")
+        );
+        assert!(
+            matches!(&evs[1], TraceEvent::Log { level: Level::Error, msg, .. } if msg == "also shown")
+        );
     }
 
     #[test]

@@ -189,13 +189,6 @@ pub struct Frame {
     start: Option<Instant>,
 }
 
-impl Frame {
-    /// A guard that records nothing (for spans built while disabled).
-    pub fn inert() -> Frame {
-        Frame { start: None }
-    }
-}
-
 impl Drop for Frame {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
@@ -275,11 +268,6 @@ pub fn alloc_report() -> String {
         ));
     }
     out
-}
-
-/// Aggregated statistics per stack path (for tests and custom renderers).
-pub fn report_table() -> Vec<(String, ScopeStat)> {
-    merged_table().into_iter().collect()
 }
 
 /// Clears all recorded frames (global table and the calling thread's).
@@ -379,7 +367,7 @@ mod tests {
         {
             let _f = frame("prof_ignored");
         }
-        let stat = |path: &str| report_table().into_iter().find(|(p, _)| p == path).map(|(_, s)| s);
+        let stat = |path: &str| merged_table().into_iter().find(|(p, _)| p == path).map(|(_, s)| s);
         assert!(stat("prof_ignored").is_none());
 
         set_enabled(true);

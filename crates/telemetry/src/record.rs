@@ -1,6 +1,6 @@
 //! Record streams: the one text codec behind every JSON artifact a run
 //! leaves — the flight recording, the round timeline, the span trace, the
-//! `fedmigr_perf` report and the netview report.
+//! `fedmigr perf` report and the netview report.
 //!
 //! A [`Record`] lists its fields once, in wire order; [`Fields`] decides the
 //! direction, writing `"key":value` pairs through the crate's one number and

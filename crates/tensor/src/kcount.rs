@@ -141,11 +141,6 @@ impl KernelSnapshot {
         out
     }
 
-    /// Sum of declared FLOPs across all kernels (saturating).
-    pub fn total_flops(&self) -> u64 {
-        self.stats.iter().fold(0u64, |acc, s| acc.saturating_add(s.flops))
-    }
-
     /// Whether any kernel recorded any call.
     pub fn is_empty(&self) -> bool {
         self.stats.iter().all(|s| s.calls == 0)
@@ -331,7 +326,6 @@ mod tests {
         assert!(snap.get(Kernel::Optimizer).nanos > 0);
         // Worker-thread stats merged on thread exit.
         assert_eq!(snap.get(Kernel::Col2im).flops, 7);
-        assert!(snap.total_flops() >= 100 + 10 + 1 + 7);
 
         // Deltas subtract field-wise.
         let later = {

@@ -89,16 +89,6 @@ impl Tensor {
         self.zip_with(other, |a, b| a + b)
     }
 
-    /// Elementwise subtraction; shapes must match.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a - b)
-    }
-
-    /// Elementwise (Hadamard) product; shapes must match.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.zip_with(other, |a, b| a * b)
-    }
-
     /// In-place elementwise `self += other`.
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "shape mismatch in add_assign");
@@ -208,27 +198,6 @@ impl Tensor {
         self.data().iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Euclidean distance between two same-shape tensors, flattened.
-    ///
-    /// # Panics
-    /// Panics on a shape mismatch.
-    pub fn l2_distance(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape(), other.shape(), "l2_distance shape mismatch");
-        crate::norms::l2_distance_slice(self.data(), other.data()) as f32
-    }
-
-    /// Column sums of a 2-D tensor: `[m, n] -> [n]`.
-    pub fn sum_axis0(&self) -> Tensor {
-        let (m, n) = (self.rows(), self.cols());
-        let mut out = vec![0.0f32; n];
-        for r in 0..m {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
-        Tensor::from_vec(vec![n], out)
-    }
-
     /// Maximum element (NaN-free input assumed).
     pub fn max(&self) -> f32 {
         self.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max)
@@ -243,13 +212,6 @@ impl Tensor {
     pub fn clip(&self, lo: f32, hi: f32) -> Tensor {
         assert!(lo <= hi, "invalid clip range");
         self.map(|x| x.clamp(lo, hi))
-    }
-
-    /// Dot product of two tensors of identical shape.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in dot");
-        let _k = kcount::scope(Kernel::Elementwise, 2 * n64(self.numel()), 8 * n64(self.numel()));
-        self.data().iter().zip(other.data()).map(|(a, b)| a * b).sum()
     }
 
     fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
@@ -275,8 +237,6 @@ mod tests {
         let a = t(&[2, 2], &[1.0, 2.0, 3.0, 4.0]);
         let b = t(&[2, 2], &[4.0, 3.0, 2.0, 1.0]);
         assert_eq!(a.add(&b).data(), &[5.0, 5.0, 5.0, 5.0]);
-        assert_eq!(a.sub(&b).data(), &[-3.0, -1.0, 1.0, 3.0]);
-        assert_eq!(a.mul(&b).data(), &[4.0, 6.0, 6.0, 4.0]);
     }
 
     #[test]
@@ -405,19 +365,11 @@ mod tests {
     }
 
     #[test]
-    fn sum_axis0_sums_columns() {
-        let a = t(&[2, 3], &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.sum_axis0().data(), &[5.0, 7.0, 9.0]);
-    }
-
-    #[test]
     fn min_max_clip_dot() {
         let a = t(&[4], &[-2.0, 0.5, 3.0, 1.0]);
         assert_eq!(a.max(), 3.0);
         assert_eq!(a.min(), -2.0);
         assert_eq!(a.clip(-1.0, 1.0).data(), &[-1.0, 0.5, 1.0, 1.0]);
-        let b = t(&[4], &[1.0, 2.0, 0.0, -1.0]);
-        assert_eq!(a.dot(&b), -2.0 + 1.0 + 0.0 - 1.0);
     }
 
     #[test]

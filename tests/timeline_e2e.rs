@@ -2,7 +2,7 @@
 //! recording a timeline (`--timeline-out`) must not perturb a seeded run
 //! by a single byte — CSV and flight recording alike, on both transports —
 //! and the artifacts it produces (versioned JSONL, Chrome trace JSON, the
-//! `fedmigr_netview` report) must all be well-formed and agree with the
+//! `fedmigr netview` report) must all be well-formed and agree with the
 //! run they observed.
 //!
 //! Everything lives in ONE test function: the telemetry engine is
@@ -140,7 +140,7 @@ fn timeline_observes_without_perturbing() {
 
         // 3. Timeline invariants: start stamps never run backwards, every
         //    interval is closed, every flow event rides a declared link (the
-        //    same check `fedmigr_netview` applies in CI).
+        //    same check `fedmigr netview` applies in CI).
         rec.validate().unwrap_or_else(|v| panic!("[{tag}] timeline invariants broken: {v:?}"));
         for round in &rec.rounds {
             assert!(round.t1 >= round.t0, "[{tag}] round not closed");
