@@ -127,7 +127,7 @@ fn run(opts: Options) -> ExitCode {
         });
     }
     {
-        // One full CNN training step: conv im2col/col2im, pool, softmax and
+        // One full CNN training step: conv padded copy/GEMM/col2im, pool, softmax and
         // the optimizer sweep in their production composition.
         let mut model = zoo::c10_cnn(3, 8, NetScale::Small, 7);
         let mut opt = Sgd::new(0.01);

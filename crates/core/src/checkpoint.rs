@@ -543,7 +543,7 @@ mod tests {
             // The restored state is live, not just equal on the wire.
             assert_eq!(fresh.common.epoch, 6);
             assert_eq!(fresh.clients[1].params(), vec![0.5; 59]);
-            assert_eq!(fresh.clients[1].migrations_received(), 1);
+            assert_eq!(fresh.clients[1].migrations_received, 1);
             assert_eq!(fresh.excluded, [false, true]);
         }
     }

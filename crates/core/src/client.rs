@@ -76,11 +76,6 @@ impl FlClient {
         &self.label_dist
     }
 
-    /// Number of foreign models this client has hosted so far.
-    pub fn migrations_received(&self) -> usize {
-        self.migrations_received
-    }
-
     /// Runs one local epoch of mini-batch SGD (Eq. 6); `max_batches` caps
     /// the number of mini-batches (None = full pass). `prox` enables the
     /// FedProx proximal term towards the given global parameter vector.
@@ -247,10 +242,10 @@ mod tests {
     fn migration_counter_increments() {
         let mut c = make_client();
         let p = c.params();
-        assert_eq!(c.migrations_received(), 0);
+        assert_eq!(c.migrations_received, 0);
         c.set_params(&p, true);
-        assert_eq!(c.migrations_received(), 1);
+        assert_eq!(c.migrations_received, 1);
         c.set_params(&p, false);
-        assert_eq!(c.migrations_received(), 1);
+        assert_eq!(c.migrations_received, 1);
     }
 }

@@ -41,6 +41,7 @@ use fedmigr_fleet::{
 use fedmigr_net::transfer_time;
 use fedmigr_nn::Model;
 use fedmigr_telemetry::span;
+use fedmigr_tensor::kcount;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -683,6 +684,7 @@ fn train_cohort(
             .chunks_mut(chunk)
             .map(|part| {
                 s.spawn(move || {
+                    let _busy = kcount::worker();
                     part.iter_mut()
                         .map(|c| c.train_epoch(batch_size, max_batches, None))
                         .collect::<Vec<f32>>()

@@ -15,44 +15,15 @@
 //! renders as `None`.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use fedmigr_telemetry::names;
 use fedmigr_tensor::kcount::{self, Kernel, KernelSnapshot};
 
-/// Process CPU time (user + system, all threads) in nanoseconds, from
-/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`: one syscall, nanosecond
-/// resolution. `None` off 64-bit Linux or if the clock is unreadable.
-#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-fn process_cpu_nanos() -> Option<u64> {
-    /// `struct timespec` in the LP64 Linux layout.
-    #[repr(C)]
-    struct Timespec {
-        tv_sec: i64,
-        tv_nsec: i64,
-    }
-    // Declared by hand because no `libc` crate is vendored.
-    extern "C" {
-        fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
-    }
-    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
-    let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
-    // SAFETY: `ts` is live, writable and laid out as the kernel's
-    // `struct timespec`; the call writes nothing else.
-    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
-        return None;
-    }
-    Some(u64::try_from(ts.tv_sec).ok()? * 1_000_000_000 + u64::try_from(ts.tv_nsec).ok()?)
-}
-
-#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
-fn process_cpu_nanos() -> Option<u64> {
-    None
-}
-
 /// Tracks the last kernel snapshot and attributes growth to named phases.
 pub struct KernelPhases {
     last: KernelSnapshot,
-    last_cpu: Option<u64>,
+    last_wall: Instant,
 }
 
 impl Default for KernelPhases {
@@ -64,7 +35,7 @@ impl Default for KernelPhases {
 impl KernelPhases {
     /// Starts recording from the current kernel totals.
     pub fn new() -> Self {
-        Self { last: kcount::snapshot(), last_cpu: process_cpu_nanos() }
+        Self { last: kcount::snapshot(), last_wall: Instant::now() }
     }
 
     /// Credits everything the kernels did since the previous boundary to
@@ -73,23 +44,21 @@ impl KernelPhases {
         let now = kcount::snapshot();
         let delta = now.delta(&self.last);
         self.last = now;
-        // The CPU window must close at *every* boundary, or a kernel-free
-        // phase's CPU would leak into the next phase's denominator. The
-        // counter is only emitted for phases that ran kernels, so the
-        // family stays absent whenever kernel accounting is off.
-        let cpu = process_cpu_nanos();
-        let cpu_delta = match (self.last_cpu, cpu) {
-            (Some(prev), Some(now_cpu)) => Some(now_cpu.saturating_sub(prev)),
-            _ => None,
-        };
-        self.last_cpu = cpu;
+        // The window must close at *every* boundary, or a kernel-free phase's
+        // time would leak into the next phase's denominator. The counter is
+        // only emitted for phases that ran kernels, so the family stays
+        // absent whenever kernel accounting is off.
+        let window = u64::try_from(self.last_wall.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.last_wall = Instant::now();
         if delta.is_empty() {
             return;
         }
+        // Busy time is the workers' wall spans when the phase handed its work
+        // to workers, else this thread's own window: the clock its kernel
+        // scopes ran on.
+        let busy = if delta.busy_nanos() > 0 { delta.busy_nanos() } else { window };
         let reg = fedmigr_telemetry::global().registry();
-        if let Some(d) = cpu_delta {
-            reg.counter(names::PHASE_CPU_NANOS_TOTAL, &[("phase", phase)]).add(d);
-        }
+        reg.counter(names::PHASE_BUSY_NANOS_TOTAL, &[("phase", phase)]).add(busy);
         for k in Kernel::ALL {
             let s = delta.get(k);
             if s.calls == 0 {
@@ -122,15 +91,15 @@ struct Row {
 ///
 /// Columns: declared GFLOP, achieved GFLOP/s (declared FLOPs over outermost
 /// kernel wall time), GB moved, arithmetic intensity (FLOP per byte), and
-/// two attribution shares. `%cpu` divides accounted kernel time by the
-/// *process CPU time* the phase consumed (utime + stime across all
-/// threads) — the honest coverage number for parallel phases, and the one
-/// the CI 90–110% band gates on. `%wall` divides by the phase's wall
-/// clock; kernel time is summed across worker threads, so wall shares
-/// above 100% simply mean the phase ran kernels on several threads at
-/// once. The trailing `total` row per phase carries the phase-level
-/// shares. `%cpu` renders as `-` when process CPU was unreadable (off
-/// Linux).
+/// two attribution shares. `%busy` divides accounted kernel time by the
+/// summed wall time of the threads that ran the phase's kernels (the
+/// workers' [`kcount::worker`] spans, or the runner thread's window for a
+/// phase without workers) — one clock on both sides, so the share holds
+/// when workers share a core, and the one the CI 90–110% band gates on.
+/// `%wall` divides by the phase's wall clock; kernel time is summed across
+/// worker threads, so wall shares above 100% simply mean the phase ran
+/// kernels on several threads at once. The trailing `total` row per phase
+/// carries the phase-level shares.
 pub fn kernel_table() -> Option<String> {
     let reg = fedmigr_telemetry::global().registry();
     let nanos = reg.counter_family(names::KERNEL_NANOS_TOTAL);
@@ -156,20 +125,20 @@ pub fn kernel_table() -> Option<String> {
         let phase = label_of(&labels, "phase");
         *phase_wall.entry(phase).or_insert(0.0) += snap.sum;
     }
-    // Process CPU seconds per phase, recorded at the credit boundaries.
-    let mut phase_cpu: BTreeMap<String, f64> = BTreeMap::new();
-    for (labels, v) in reg.counter_family(names::PHASE_CPU_NANOS_TOTAL) {
-        *phase_cpu.entry(label_of(&labels, "phase")).or_insert(0.0) += v as f64 / 1e9;
+    // Busy seconds per phase, recorded at the credit boundaries.
+    let mut phase_busy: BTreeMap<String, f64> = BTreeMap::new();
+    for (labels, v) in reg.counter_family(names::PHASE_BUSY_NANOS_TOTAL) {
+        *phase_busy.entry(label_of(&labels, "phase")).or_insert(0.0) += v as f64 / 1e9;
     }
 
     let mut out = String::new();
     out.push_str(
-        "kernel accounting by phase (%cpu = kernel time over process CPU; %wall = over phase \
-         wall, >100% ⇒ parallel workers):\n",
+        "kernel accounting by phase (%busy = kernel time over the busy time of the threads \
+         that ran it; %wall = over phase wall, >100% ⇒ parallel workers):\n",
     );
     out.push_str(&format!(
         "  {:<14} {:<12} {:>9} {:>10} {:>8} {:>9} {:>7} {:>7} {:>7}\n",
-        "phase", "kernel", "calls", "GFLOP", "GFLOP/s", "GB", "FLOP/B", "%wall", "%cpu"
+        "phase", "kernel", "calls", "GFLOP", "GFLOP/s", "GB", "FLOP/B", "%wall", "%busy"
     ));
 
     let mut phases: Vec<&String> = rows.keys().map(|(p, _)| p).collect();
@@ -177,7 +146,7 @@ pub fn kernel_table() -> Option<String> {
     let phases: Vec<String> = phases.into_iter().cloned().collect();
     for phase in &phases {
         let wall = phase_wall.get(phase).copied().unwrap_or(0.0);
-        let cpu = phase_cpu.get(phase).copied();
+        let busy = phase_busy.get(phase).copied().unwrap_or(0.0);
         let mut total = Row::default();
         let mut kernels: Vec<(&str, Row)> = rows
             .iter()
@@ -191,29 +160,33 @@ pub fn kernel_table() -> Option<String> {
             total.flops = total.flops.saturating_add(r.flops);
             total.bytes = total.bytes.saturating_add(r.bytes);
             total.nanos = total.nanos.saturating_add(r.nanos);
-            out.push_str(&row_line(phase, kernel, *r, wall, cpu));
+            out.push_str(&row_line(phase, kernel, *r, wall, busy));
         }
         if kernels.len() > 1 {
-            out.push_str(&row_line(phase, "total", total, wall, cpu));
+            out.push_str(&row_line(phase, "total", total, wall, busy));
         }
     }
     Some(out)
 }
 
-fn row_line(phase: &str, kernel: &str, r: Row, phase_wall: f64, phase_cpu: Option<f64>) -> String {
+fn row_line(phase: &str, kernel: &str, r: Row, phase_wall: f64, phase_busy: f64) -> String {
     let secs = r.nanos as f64 / 1e9;
     let gflop = r.flops as f64 / 1e9;
     let gflops = if secs > 0.0 { gflop / secs } else { 0.0 };
     let gb = r.bytes as f64 / 1e9;
     let intensity = if r.bytes > 0 { r.flops as f64 / r.bytes as f64 } else { 0.0 };
-    let wall_share = if phase_wall > 0.0 { 100.0 * secs / phase_wall } else { 0.0 };
-    let cpu_share = match phase_cpu {
-        Some(c) if c > 0.0 => format!("{:>6.1}%", 100.0 * secs / c),
-        _ => format!("{:>7}", "-"),
-    };
+    let share = |of: f64| if of > 0.0 { 100.0 * secs / of } else { 0.0 };
     format!(
-        "  {:<14} {:<12} {:>9} {:>10.3} {:>8.2} {:>9.3} {:>7.2} {:>6.1}% {}\n",
-        phase, kernel, r.calls, gflop, gflops, gb, intensity, wall_share, cpu_share
+        "  {:<14} {:<12} {:>9} {:>10.3} {:>8.2} {:>9.3} {:>7.2} {:>6.1}% {:>6.1}%\n",
+        phase,
+        kernel,
+        r.calls,
+        gflop,
+        gflops,
+        gb,
+        intensity,
+        share(phase_wall),
+        share(phase_busy)
     )
 }
 
@@ -241,15 +214,14 @@ pub fn phase_coverage(phase: &str) -> Option<f64> {
     }
 }
 
-/// Accounted kernel time over *process CPU time* for `phase`, uncapped, or
-/// `None` when either side recorded nothing (e.g. no process CPU clock off
-/// Linux).
+/// Accounted kernel time over the *busy time* of the threads that ran
+/// `phase`'s kernels, uncapped, or `None` when either side recorded nothing.
 /// Unlike [`phase_coverage`] this is an honest ratio on parallel phases —
-/// both numerator and denominator sum across threads — so values should
-/// sit near 1.0 and the CI gate bands it at 90–110%. Values persistently
-/// above ~1.1 would mean kernel scopes over-report (e.g. nested scopes
-/// double-counted); below ~0.9, unaccounted compute.
-pub fn phase_cpu_coverage(phase: &str) -> Option<f64> {
+/// both numerator and denominator sum across threads, on one clock — so
+/// values should sit near 1.0 and the CI gate bands it at 90–110%. Values
+/// persistently above ~1.1 would mean kernel scopes over-report (e.g. nested
+/// scopes double-counted); below ~0.9, unaccounted compute.
+pub fn phase_busy_coverage(phase: &str) -> Option<f64> {
     let reg = fedmigr_telemetry::global().registry();
     let mut kernel_secs = 0.0;
     for (labels, v) in reg.counter_family(names::KERNEL_NANOS_TOTAL) {
@@ -257,14 +229,14 @@ pub fn phase_cpu_coverage(phase: &str) -> Option<f64> {
             kernel_secs += v as f64 / 1e9;
         }
     }
-    let mut cpu = 0.0;
-    for (labels, v) in reg.counter_family(names::PHASE_CPU_NANOS_TOTAL) {
+    let mut busy = 0.0;
+    for (labels, v) in reg.counter_family(names::PHASE_BUSY_NANOS_TOTAL) {
         if label_of(&labels, "phase") == phase {
-            cpu += v as f64 / 1e9;
+            busy += v as f64 / 1e9;
         }
     }
-    if cpu > 0.0 && kernel_secs > 0.0 {
-        Some(kernel_secs / cpu)
+    if busy > 0.0 && kernel_secs > 0.0 {
+        Some(kernel_secs / busy)
     } else {
         None
     }
@@ -284,7 +256,8 @@ mod tests {
             let _s = kcount::scope(Kernel::Matmul, 2_000_000, 1_000_000);
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        let mut phases = KernelPhases { last: KernelSnapshot::default(), last_cpu: None };
+        let mut phases =
+            KernelPhases { last: KernelSnapshot::default(), last_wall: Instant::now() };
         phases.credit("unit_test_phase");
         kcount::set_enabled(false);
 

@@ -326,11 +326,6 @@ impl Quarantine {
         &self.suspicion
     }
 
-    /// Total migrations rejected so far.
-    pub fn rejected(&self) -> usize {
-        self.rejected
-    }
-
     /// Raises suspicion on `src` without counting a screening rejection —
     /// the rollback watchdog's escalation path when a client is implicated
     /// in a divergence (its uploads went non-finite since the last good
@@ -530,7 +525,7 @@ mod tests {
         let mut poisoned = vec![0.1f32; 8];
         poisoned[3] = f32::NAN;
         assert!(!q.screen(2, &poisoned, &resident));
-        assert_eq!(q.rejected(), 1);
+        assert_eq!(q.rejected, 1);
         assert!(q.suspicion()[2] > 0.0, "rejection must raise suspicion");
         assert_eq!(q.suspicion()[0], 0.0);
     }
@@ -545,11 +540,11 @@ mod tests {
             m[i % 16] = 1.0 + 0.01 * (i % 5) as f32;
             assert!(q.screen(i % 3, &m, &resident), "benign migration {i} rejected");
         }
-        assert_eq!(q.rejected(), 0);
+        assert_eq!(q.rejected, 0);
         // A sign-flip-scale outlier (distance ~400) must be rejected.
         let outlier = vec![100.0f32; 16];
         assert!(!q.screen(3, &outlier, &resident));
-        assert_eq!(q.rejected(), 1);
+        assert_eq!(q.rejected, 1);
         assert!(q.suspicion()[3] > 0.4);
     }
 
@@ -561,7 +556,7 @@ mod tests {
         // only the finite-ness screen applies.
         let big = vec![1000.0f32; 4];
         assert!(q.screen(0, &big, &resident));
-        assert_eq!(q.rejected(), 0);
+        assert_eq!(q.rejected, 0);
     }
 
     #[test]
@@ -583,10 +578,10 @@ mod tests {
         let mut q = Quarantine::new(QuarantineConfig::default(), 3);
         assert!(!q.screen(2, &[f32::NAN; 4], &[0.0f32; 4]));
         let before = q.suspicion()[1];
-        let rejected = q.rejected();
+        let rejected = q.rejected;
         q.escalate(1);
         assert!(q.suspicion()[1] > before);
-        assert_eq!(q.rejected(), rejected);
+        assert_eq!(q.rejected, rejected);
     }
 
     #[test]

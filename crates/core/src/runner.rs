@@ -18,6 +18,7 @@ use fedmigr_net::{
     TransportConfig,
 };
 use fedmigr_nn::Model;
+use fedmigr_tensor::kcount;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
@@ -2155,6 +2156,7 @@ fn train_all(
                 let base = ci * chunk;
                 let prox_ref = prox.map(|(g, mu)| (g.as_slice(), *mu));
                 s.spawn(move || {
+                    let _busy = kcount::worker();
                     part.iter_mut()
                         .zip(act)
                         .enumerate()

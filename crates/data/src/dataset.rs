@@ -53,11 +53,6 @@ impl Dataset {
         self.num_classes
     }
 
-    /// All labels.
-    pub fn labels(&self) -> &[usize] {
-        &self.labels
-    }
-
     /// Label of sample `i`.
     pub fn label(&self, i: usize) -> usize {
         self.labels[i]

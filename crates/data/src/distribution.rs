@@ -83,8 +83,9 @@ pub fn virtual_distribution(
 }
 
 /// Mean L1 distance of per-client distributions to the population — a
-/// scalar "non-IID level" used when reporting experiments.
-pub fn mean_divergence(client_dists: &[Vec<f64>], population: &[f64]) -> f64 {
+/// scalar "non-IID level" the partition tests compare layouts by.
+#[cfg(test)]
+pub(crate) fn mean_divergence(client_dists: &[Vec<f64>], population: &[f64]) -> f64 {
     if client_dists.is_empty() {
         return 0.0;
     }

@@ -23,7 +23,6 @@
 //! population distribution, and the *virtual distribution* of Eq. (13)
 //! whose contraction (Eq. 15) is the paper's convergence argument.
 
-pub mod augment;
 mod dataset;
 pub mod distribution;
 mod partition;

@@ -212,7 +212,7 @@ mod tests {
         let a = SyntheticDataset::generate(&cfg);
         let b = SyntheticDataset::generate(&cfg);
         assert_eq!(a.train.full_batch().0, b.train.full_batch().0);
-        assert_eq!(a.test.labels(), b.test.labels());
+        assert_eq!(a.test.full_batch().1, b.test.full_batch().1);
     }
 
     #[test]

@@ -168,7 +168,7 @@ mod tests {
         assert_eq!(w.label_of(5), 1);
         assert_eq!(w.label_of(5 * 10), 0, "layout wraps after one full cycle");
         let ds = w.materialize(0, 12);
-        assert_eq!(ds.labels(), &[0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2]);
+        assert_eq!(ds.full_batch().1, [0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2]);
     }
 
     #[test]

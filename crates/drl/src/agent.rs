@@ -188,11 +188,6 @@ impl DdpgAgent {
         &self.config
     }
 
-    /// Number of learning updates performed so far.
-    pub fn updates(&self) -> u64 {
-        self.updates
-    }
-
     /// Health summary of the prioritized replay buffer.
     pub fn replay_health(&self) -> crate::replay::ReplayHealth {
         self.replay.health()
@@ -535,7 +530,7 @@ mod tests {
             agent.update();
             let _ = step;
         }
-        assert!(agent.updates() > 100);
+        assert!(agent.updates > 100);
         assert_eq!(agent.select_greedy(&state), 0, "agent failed to learn the bandit");
         let probs = agent.action_probs(&state);
         assert!(probs[0] > 0.5, "probs {probs:?}");
@@ -604,7 +599,7 @@ mod tests {
         // A fresh agent from a different seed, then restored.
         let mut resumed = DdpgAgent::new(AgentConfig { seed: 777, ..cfg.clone() });
         wire::decode(&snap, &mut resumed).unwrap();
-        assert_eq!(resumed.updates(), live.updates());
+        assert_eq!(resumed.updates, live.updates);
         assert_eq!(resumed.config().rho, 0.11);
         for _ in 0..40 {
             assert_eq!(step(&mut live), step(&mut resumed));

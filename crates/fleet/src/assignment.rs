@@ -5,7 +5,7 @@
 //! shuffled order claims the next contiguous run of global sample indices
 //! (`[sum, sum + num)`), until the whole space is covered. The result is an
 //! exact cover of `[0, total)` — every global sample belongs to exactly one
-//! client — queryable in `O(log K)` by binary search over interval starts.
+//! client — and each client's range is one lookup by id.
 //!
 //! The shuffle matters: under the blocked label layout of
 //! [`fedmigr_data::SyntheticWorld`], contiguous ranges are non-IID (a few
@@ -19,14 +19,8 @@ use rand::{Rng, SeedableRng};
 /// An exact-cover assignment of global sample ranges to fleet clients.
 #[derive(Clone, Debug)]
 pub struct FleetAssignment {
-    /// Interval start per position, ascending; position `p` covers
-    /// `[starts[p], starts[p + 1])` (the last runs to `total`).
-    starts: Vec<u64>,
-    /// Owning client id per position.
-    owner: Vec<u32>,
     /// `(start, len)` per client id.
     per_client: Vec<(u64, u64)>,
-    total: u64,
 }
 
 impl FleetAssignment {
@@ -44,8 +38,6 @@ impl FleetAssignment {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA551_6E00);
         order.shuffle(&mut rng);
         let jitter_span = (base_samples / 4) as u64;
-        let mut starts = Vec::with_capacity(num_clients);
-        let mut owner = Vec::with_capacity(num_clients);
         let mut per_client = vec![(0u64, 0u64); num_clients];
         let mut sum = 0u64;
         for &id in &order {
@@ -55,12 +47,10 @@ impl FleetAssignment {
                 let delta = rng.random_range(0..=2 * jitter_span) as i64 - jitter_span as i64;
                 ((base_samples as i64 + delta).max(1)) as u64
             };
-            starts.push(sum);
-            owner.push(id);
             per_client[id as usize] = (sum, num);
             sum += num;
         }
-        Self { starts, owner, per_client, total: sum }
+        Self { per_client }
     }
 
     /// Number of clients.
@@ -72,15 +62,6 @@ impl FleetAssignment {
     pub fn range_of(&self, client: u32) -> (u64, u64) {
         self.per_client[client as usize]
     }
-
-    /// Iterates the cover in ascending start order as `(start, end, client)`
-    /// half-open triples.
-    pub fn intervals(&self) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
-        (0..self.starts.len()).map(move |p| {
-            let end = self.starts.get(p + 1).copied().unwrap_or(self.total);
-            (self.starts[p], end, self.owner[p])
-        })
-    }
 }
 
 #[cfg(test)]
@@ -89,20 +70,27 @@ mod tests {
     use proptest::prelude::*;
 
     impl FleetAssignment {
-        /// Total number of assigned samples (the cover is `[0, total)`).
-        fn total_samples(&self) -> u64 {
-            self.total
+        /// The cover in ascending start order as `(start, end, client)`
+        /// half-open triples.
+        fn intervals(&self) -> impl Iterator<Item = (u64, u64, u32)> {
+            let mut cover: Vec<_> =
+                self.per_client.iter().zip(0..).map(|(&(s, len), c)| (s, s + len, c)).collect();
+            cover.sort_unstable();
+            cover.into_iter()
         }
 
-        /// The client owning global `sample`: the reference the cover is
-        /// checked against.
+        /// Total number of assigned samples (the cover is `[0, total)`).
+        fn total_samples(&self) -> u64 {
+            self.per_client.iter().map(|&(_, len)| len).sum()
+        }
+
+        /// The client whose range holds global `sample`.
         ///
         /// # Panics
         /// Panics when `sample >= total_samples()`.
         fn client_of(&self, sample: u64) -> u32 {
-            assert!(sample < self.total, "sample {sample} outside the assigned space");
-            let pos = self.starts.partition_point(|&s| s <= sample) - 1;
-            self.owner[pos]
+            let owner = self.per_client.iter().position(|&(s, len)| (s..s + len).contains(&sample));
+            owner.expect("sample outside the assigned space") as u32
         }
     }
 

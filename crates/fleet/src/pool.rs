@@ -204,7 +204,7 @@ mod tests {
         let a = p.materialize(3);
         let b = p.materialize(3);
         assert_eq!(a.full_batch().0, b.full_batch().0);
-        assert_eq!(a.labels(), b.labels());
+        assert_eq!(a.full_batch().1, b.full_batch().1);
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl AttackModel {
         &self.config
     }
 
-    /// Number of Byzantine clients.
-    pub fn num_byzantine(&self) -> usize {
-        self.num_byzantine
-    }
-
     /// Whether `client` is Byzantine.
     pub fn is_byzantine(&self, client: usize) -> bool {
         self.byzantine[client]
@@ -273,7 +268,7 @@ mod tests {
     fn none_is_fully_transparent() {
         let a = AttackModel::none(8);
         assert!(!a.enabled());
-        assert_eq!(a.num_byzantine(), 0);
+        assert_eq!(a.num_byzantine, 0);
         let mut p = vec![1.0f32, -2.0, 3.0];
         for c in 0..8 {
             assert!(!a.is_byzantine(c));
@@ -286,7 +281,7 @@ mod tests {
     fn byzantine_count_matches_fraction_and_is_seed_deterministic() {
         let a = AttackModel::new(AttackConfig::sign_flip(0.2, 7), 10);
         let b = AttackModel::new(AttackConfig::sign_flip(0.2, 7), 10);
-        assert_eq!(a.num_byzantine(), 2);
+        assert_eq!(a.num_byzantine, 2);
         for i in 0..10 {
             assert_eq!(a.is_byzantine(i), b.is_byzantine(i));
         }
@@ -299,9 +294,9 @@ mod tests {
 
     #[test]
     fn fraction_rounds_to_nearest_client() {
-        assert_eq!(AttackModel::new(AttackConfig::sign_flip(0.2, 1), 4).num_byzantine(), 1);
-        assert_eq!(AttackModel::new(AttackConfig::sign_flip(0.5, 1), 4).num_byzantine(), 2);
-        assert_eq!(AttackModel::new(AttackConfig::sign_flip(1.0, 1), 4).num_byzantine(), 4);
+        assert_eq!(AttackModel::new(AttackConfig::sign_flip(0.2, 1), 4).num_byzantine, 1);
+        assert_eq!(AttackModel::new(AttackConfig::sign_flip(0.5, 1), 4).num_byzantine, 2);
+        assert_eq!(AttackModel::new(AttackConfig::sign_flip(1.0, 1), 4).num_byzantine, 4);
     }
 
     #[test]

@@ -116,16 +116,6 @@ impl ResourceMeter {
         self.traffic
     }
 
-    /// Retransmission overhead accumulated so far (flow transport only).
-    pub fn overhead(&self) -> u64 {
-        self.overhead
-    }
-
-    /// Simulated transfer seconds accumulated so far (flow transport only).
-    pub fn transfer_seconds(&self) -> f64 {
-        self.transfer_seconds
-    }
-
     /// Every byte charged against the bandwidth budget: payload traffic
     /// plus retransmission overhead.
     fn billed_bytes(&self) -> u64 {
@@ -215,12 +205,12 @@ mod tests {
         m.record_overhead(30);
         m.record_transfer_seconds(1.5);
         assert_eq!(m.traffic().total(), 60, "payload breakdown excludes overhead");
-        assert_eq!(m.overhead(), 30);
+        assert_eq!(m.overhead, 30);
         assert!((m.bandwidth_remaining_frac() - 0.1).abs() < 1e-12);
         assert!(!m.exhausted());
         m.record_overhead(10);
         assert!(m.exhausted(), "overhead must exhaust the budget like payload");
-        assert!((m.transfer_seconds() - 1.5).abs() < 1e-12);
+        assert!((m.transfer_seconds - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl ClientCompute {
         self.tiers.is_empty()
     }
 
-    /// Tier of client `i`.
-    pub fn tier(&self, i: usize) -> DeviceTier {
-        self.tiers[i]
-    }
-
     /// Seconds for client `i` to run one local epoch over `samples` samples.
     pub fn epoch_time(&self, i: usize, samples: usize) -> f64 {
         samples as f64 / self.tiers[i].samples_per_second()
@@ -81,8 +76,8 @@ mod tests {
     #[test]
     fn nx_is_faster_than_tx2() {
         let c = ClientCompute::testbed_mix(4);
-        assert_eq!(c.tier(0), DeviceTier::Tx2);
-        assert_eq!(c.tier(1), DeviceTier::Nx);
+        assert_eq!(c.tiers[0], DeviceTier::Tx2);
+        assert_eq!(c.tiers[1], DeviceTier::Nx);
         assert!(c.epoch_time(0, 600) > c.epoch_time(1, 600));
         assert!((c.epoch_time(0, 600) - 1.0).abs() < 1e-9);
     }

@@ -1,7 +1,5 @@
-use std::cell::RefCell;
-
 use fedmigr_tensor::kcount::{self, Kernel};
-use fedmigr_tensor::{he_std, Tensor};
+use fedmigr_tensor::{he_std, Gather, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -9,41 +7,12 @@ use crate::dense::{accumulate_bias_grad, add_bias};
 use crate::layer::Cache;
 use crate::Layer;
 
-thread_local! {
-    /// Patch buffers `backward` is done with, kept for this thread's next
-    /// `im2col`. The patch matrix is the one per-step allocation large enough
-    /// for malloc to map and trim: allocated and freed every step, it makes
-    /// the heap grow and shrink at a rate that depends on thread timing, and
-    /// the same run takes 16k or 67k page faults. Reused, a worker maps one
-    /// buffer per conv layer and the count is steady.
-    static SPARE_PATCHES: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// A step reuses one buffer per conv layer; the cap bounds what a thread
-/// retains whatever order its callers run forwards and backwards in.
-const MAX_SPARE_PATCHES: usize = 8;
-
-/// A zeroed buffer of `len` floats, from this thread's spares if it has one.
-fn zeroed_patches(len: usize) -> Vec<f32> {
-    let mut buf = SPARE_PATCHES.with(|s| s.borrow_mut().pop()).unwrap_or_default();
-    buf.clear();
-    buf.resize(len, 0.0);
-    buf
-}
-
-fn recycle_patches(cols: Tensor) {
-    SPARE_PATCHES.with(|s| {
-        let mut spares = s.borrow_mut();
-        if spares.len() < MAX_SPARE_PATCHES {
-            spares.push(cols.into_data());
-        }
-    });
-}
-
-/// A 2-D convolution over `[B, C, H, W]` inputs, implemented with im2col.
+/// A 2-D convolution over `[B, C, H, W]` inputs, as an implicit GEMM.
 ///
 /// Weights are stored as a `[C*KH*KW, OC]` matrix so both the forward pass
-/// and the weight gradient reduce to a single matrix multiply.
+/// and the weight gradient reduce to a single matrix multiply whose left
+/// operand, the im2col patch matrix, is read in place from the zero-padded
+/// input ([`Gather`]) and never built.
 #[derive(Clone)]
 pub struct Conv2d {
     in_channels: usize,
@@ -55,8 +24,25 @@ pub struct Conv2d {
     bias: Tensor,
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_cols: Cache<Option<Tensor>>,
+    /// The patches of a training-mode forward, for the weight gradient.
+    cached_patches: Cache<Option<Patches>>,
     cached_input_shape: [usize; 4],
+}
+
+/// The im2col patch matrix `[B*OH*OW, C*K*K]` of an input, held as the input
+/// zero-padded and the offsets a [`Gather`] reads the matrix through: where
+/// each row (output position `(bi, oy, ox)`) starts in the padded input and
+/// where each column (tap `(ci, ky, kx)`) sits from there.
+struct Patches {
+    padded: Vec<f32>,
+    rows: Vec<usize>,
+    taps: Vec<usize>,
+}
+
+impl Patches {
+    fn gather(&self) -> Gather<'_> {
+        Gather { src: &self.padded, rows: &self.rows, cols: &self.taps }
+    }
 }
 
 impl Conv2d {
@@ -82,7 +68,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_channels]),
             grad_weight: Tensor::zeros(&[patch, out_channels]),
             grad_bias: Tensor::zeros(&[out_channels]),
-            cached_cols: Cache(None),
+            cached_patches: Cache(None),
             cached_input_shape: [0; 4],
         }
     }
@@ -126,18 +112,26 @@ impl Conv2d {
         }
     }
 
-    fn im2col(&self, input: &Tensor) -> Tensor {
-        let shape = four(input.shape());
-        let [b, c, h, w] = shape;
-        let rows = b * self.out_size(h) * self.out_size(w);
-        let patch = c * self.kernel * self.kernel;
-        let _k = kcount::scope(Kernel::Im2col, 0, 4 * (input.numel() + rows * patch) as u64);
-        let mut cols = zeroed_patches(rows * patch);
-        let data = input.data();
-        self.for_each_run(shape, |src, dst, n| {
-            cols[dst..dst + n].copy_from_slice(&data[src..src + n]);
-        });
-        Tensor::from_vec(vec![rows, patch], cols)
+    /// The patches of `input`, zero-padded by `padding` on every border to
+    /// `[B, C, H+2p, W+2p]`.
+    fn patches(&self, input: &Tensor) -> Patches {
+        let [b, c, h, w] = four(input.shape());
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let _k = kcount::scope(Kernel::Im2col, 0, 4 * (input.numel() + b * c * hp * wp) as u64);
+        let mut padded = vec![0.0f32; b * c * hp * wp];
+        for (plane, image) in padded.chunks_exact_mut(hp * wp).zip(input.data().chunks_exact(h * w))
+        {
+            for (line, row) in plane[p * wp..].chunks_exact_mut(wp).zip(image.chunks_exact(w)) {
+                line[p..p + w].copy_from_slice(row);
+            }
+        }
+        let (oh, ow) = (self.out_size(h), self.out_size(w));
+        let image = c * hp * wp;
+        let rows =
+            (0..b * oh * ow).map(|q| q / (oh * ow) * image + (q / ow % oh * wp + q % ow) * s);
+        let taps = (0..c * k * k).map(|t| t / (k * k) * hp * wp + t / k % k * wp + t % k);
+        Patches { padded, rows: rows.collect(), taps: taps.collect() }
     }
 
     fn col2im(&self, grad_cols: &Tensor) -> Tensor {
@@ -158,11 +152,11 @@ impl Conv2d {
         out
     }
 
-    /// Accumulates `dW = colsᵀ g` and `db = Σ_rows g` and returns `g`, the
+    /// Accumulates `dW = patchesᵀ g` and `db = Σ_rows g` and returns `g`, the
     /// output gradient rearranged `[B, OC, OH, OW] -> [B*OH*OW, OC]`.
     fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
-        let cols = self
-            .cached_cols
+        let patches = self
+            .cached_patches
             .0
             .take()
             .expect("Conv2d::backward called before a training-mode forward");
@@ -183,9 +177,8 @@ impl Conv2d {
         }
         let g2 = Tensor::from_vec(vec![b * oh * ow, oc], g2);
         drop(rearrange);
-        self.grad_weight.add_assign(&cols.matmul_tn(&g2));
+        self.grad_weight.add_assign(&patches.gather().matmul_tn(&g2));
         accumulate_bias_grad(&mut self.grad_bias, &g2);
-        recycle_patches(cols);
         g2
     }
 }
@@ -195,12 +188,12 @@ impl Layer for Conv2d {
         let [b, c, h, w] = four(input.shape());
         assert_eq!(c, self.in_channels, "Conv2d channel mismatch");
         let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let cols = self.im2col(input);
-        let mut out2 = cols.matmul(&self.weight); // [B*OH*OW, OC]
+        let patches = self.patches(input);
+        let mut out2 = patches.gather().matmul(&self.weight); // [B*OH*OW, OC]
         add_bias(&mut out2, &self.bias);
         // Only a training step reads the patches again; an evaluation must
         // not leave a batch of them resident in the model.
-        self.cached_cols = Cache(train.then_some(cols));
+        self.cached_patches = Cache(train.then_some(patches));
         self.cached_input_shape = [b, c, h, w];
         // Rearrange [B*OH*OW, OC] -> [B, OC, OH, OW].
         let oc = self.out_channels;
@@ -403,40 +396,132 @@ mod tests {
     }
 
     #[test]
-    fn patches_are_cached_for_one_training_step_only() {
+    fn a_clone_and_an_evaluation_leave_no_cached_input() {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, 0);
         let x = Tensor::ones(&[2, 2, 4, 4]);
         let y = conv.forward(&x, true);
-        assert!(conv.cached_cols.0.is_some());
+        assert!(conv.cached_patches.0.is_some());
         // A clone is a layer value, not a step in flight.
-        assert!(conv.clone().cached_cols.0.is_none());
+        assert!(conv.clone().cached_patches.0.is_none());
         conv.backward(&y);
-        assert!(conv.cached_cols.0.is_none(), "backward releases the patches");
+        assert!(conv.cached_patches.0.is_none(), "backward releases the patches");
         conv.forward(&x, true);
         conv.forward(&x, false);
-        assert!(conv.cached_cols.0.is_none(), "an evaluation leaves nothing resident");
+        assert!(conv.cached_patches.0.is_none(), "an evaluation leaves nothing resident");
+    }
+
+    /// Calls `f(q, t, i)` for every entry `(q, t)` of the im2col patch
+    /// matrix of a `[b, c, h, w]` input, in row-major order, with `i` the input
+    /// element the entry copies (`None` in the padding): the order the old
+    /// im2col wrote the matrix in and col2im added it back in.
+    fn for_each_entry(
+        conv: &Conv2d,
+        [b, c, h, w]: [usize; 4],
+        mut f: impl FnMut(usize, usize, Option<usize>),
+    ) {
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding);
+        let (oh, ow) = (conv.out_size(h), conv.out_size(w));
+        for q in 0..b * oh * ow {
+            let (bi, oy, ox) = (q / (oh * ow), q / ow % oh, q % ow);
+            for t in 0..c * k * k {
+                let (ci, ky, kx) = (t / (k * k), t / k % k, t % k);
+                let at = |o: usize, kk: usize, len: usize| {
+                    (o * s + kk).checked_sub(p).filter(|&i| i < len)
+                };
+                let i = at(oy, ky, h)
+                    .zip(at(ox, kx, w))
+                    .map(|(iy, ix)| ((bi * c + ci) * h + iy) * w + ix);
+                f(q, t, i);
+            }
+        }
+    }
+
+    /// `y`, `dx`, `dW` and `db` of `conv` the way the layer computed them
+    /// through a materialized patch matrix: im2col, `matmul`, `matmul_tn`,
+    /// `g Wᵀ` and col2im.
+    fn im2col_conv(conv: &Conv2d, x: &Tensor, g: &Tensor) -> [Vec<f32>; 4] {
+        let [b, oc, oh, ow] = four(g.shape());
+        let patch = conv.weight.rows();
+        let mut cols = vec![0.0f32; b * oh * ow * patch];
+        for_each_entry(conv, four(x.shape()), |q, t, i| {
+            if let Some(i) = i {
+                cols[q * patch + t] = x.data()[i];
+            }
+        });
+        let cols = Tensor::from_vec(vec![b * oh * ow, patch], cols);
+        let mut y2 = cols.matmul(&conv.weight);
+        add_bias(&mut y2, &conv.bias);
+        let plane = oh * ow;
+        let nchw = |q: usize, co: usize| (q / plane * oc + co) * plane + q % plane;
+        let (mut y, mut g2) = (vec![0.0f32; g.numel()], vec![0.0f32; g.numel()]);
+        for q in 0..b * plane {
+            for co in 0..oc {
+                y[nchw(q, co)] = y2.data()[q * oc + co];
+                g2[q * oc + co] = g.data()[nchw(q, co)];
+            }
+        }
+        let g2 = Tensor::from_vec(vec![b * plane, oc], g2);
+        let mut dw = Tensor::zeros(conv.weight.shape());
+        dw.add_assign(&cols.matmul_tn(&g2));
+        let mut db = Tensor::zeros(&[oc]);
+        accumulate_bias_grad(&mut db, &g2);
+        let grad_cols = g2.matmul(&conv.weight.transpose2());
+        let mut dx = vec![0.0f32; x.numel()];
+        for_each_entry(conv, four(x.shape()), |q, t, i| {
+            if let Some(i) = i {
+                dx[i] += grad_cols.data()[q * patch + t];
+            }
+        });
+        [y, dx, dw.into_data(), db.into_data()]
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn a_training_step_reuses_the_patch_buffer_of_the_one_before() {
-        let spares = || SPARE_PATCHES.with(|s| s.borrow().len());
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, 0);
-        let x = Tensor::ones(&[2, 2, 4, 4]);
-        assert_eq!(spares(), 0);
-        let y = conv.forward(&x, true);
-        let first = conv.cached_cols.0.as_ref().unwrap().data().as_ptr();
-        conv.backward(&y);
-        assert_eq!(spares(), 1, "backward hands the buffer back");
-        // A smaller batch fits the same buffer; what it held is zeroed.
-        let half = Tensor::ones(&[1, 2, 4, 4]);
-        let mut fresh = conv.clone();
-        let y_half = conv.forward(&half, true);
-        assert_eq!(spares(), 0);
-        assert_eq!(conv.cached_cols.0.as_ref().unwrap().data().as_ptr(), first);
-        assert_eq!(y_half, fresh.forward(&half, true));
-        // An evaluation frees its patches: nothing outlives it on the thread.
-        conv.forward(&x, false);
-        assert_eq!(spares(), 0);
+    fn implicit_gemm_is_bit_identical_to_the_im2col_path() {
+        // (channels, out channels, kernel, stride, padding, [b, h, w]): the
+        // zoo's 5x5/pad 2 and 3x3/pad 1, stride 2, no padding, a 1x1 kernel
+        // and padding wider than the kernel; every case has a row count
+        // `b*oh*ow` that is not a multiple of 4, and between them more than 8
+        // output channels and patches wider than 8.
+        let cases = [
+            (3, 11, 5, 1, 2, [3, 7, 6]),
+            (4, 9, 3, 1, 1, [1, 5, 5]),
+            (3, 5, 3, 2, 1, [1, 5, 5]),
+            (2, 17, 2, 2, 0, [3, 5, 5]),
+            (5, 3, 1, 1, 0, [1, 3, 3]),
+            (2, 3, 2, 1, 3, [1, 4, 4]),
+        ];
+        for (c, oc, k, s, p, [b, h, w]) in cases {
+            for salted in [false, true] {
+                let mut conv = Conv2d::new(c, oc, k, s, p, 23);
+                let mut rng = StdRng::seed_from_u64(k as u64);
+                conv.bias = Tensor::randn(&[oc], 0.5, &mut rng);
+                let mut x = Tensor::randn(&[b, c, h, w], 0.5, &mut rng);
+                if salted {
+                    // Non-finite values in the input and the weights must
+                    // propagate the same way, `0 · NaN = NaN` included.
+                    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+                    for (i, v) in specials.into_iter().enumerate() {
+                        x.data_mut()[(7 * i + 3) % (b * c * h * w)] = v;
+                        let n = conv.weight.numel();
+                        conv.weight.data_mut()[(5 * i + 1) % n] = v;
+                    }
+                }
+                let y = conv.forward(&x, true);
+                let g = Tensor::randn(y.shape(), 0.5, &mut rng);
+                conv.zero_grad();
+                let dx = conv.backward(&g);
+                let [want_y, want_dx, want_dw, want_db] = im2col_conv(&conv, &x, &g);
+                let case = format!("c{c} oc{oc} k{k} s{s} p{p} {b}x{h}x{w} salted {salted}");
+                assert_eq!(bits(y.data()), bits(&want_y), "y, {case}");
+                assert_eq!(bits(dx.data()), bits(&want_dx), "dx, {case}");
+                assert_eq!(bits(conv.grad_weight.data()), bits(&want_dw), "dW, {case}");
+                assert_eq!(bits(conv.grad_bias.data()), bits(&want_db), "db, {case}");
+            }
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use dense::Dense;
 pub use layer::Layer;
 pub use loss::{accuracy, softmax_cross_entropy};
 pub use model::Model;
-pub use optim::{clip_grad_norm, Sgd};
+pub use optim::Sgd;
 pub use pool::MaxPool2d;
 pub use residual::ResidualBlock;
 pub use sequential::Sequential;

@@ -18,12 +18,6 @@ impl Sgd {
         Self { lr, weight_decay: 0.0 }
     }
 
-    /// Sets L2 weight decay, builder-style.
-    pub fn weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-
     /// Applies one update to every parameter of `model` using its
     /// accumulated gradients, then leaves the gradients untouched (call
     /// [`Layer::zero_grad`] before the next accumulation).
@@ -36,23 +30,6 @@ impl Sgd {
             }
         });
     }
-}
-
-/// Scales the model's accumulated gradients so their global L2 norm does
-/// not exceed `max_norm`; returns the pre-clip norm. A standard guard
-/// against exploding gradients in long federated runs.
-pub fn clip_grad_norm(model: &mut dyn Layer, max_norm: f32) -> f32 {
-    assert!(max_norm > 0.0, "max_norm must be positive");
-    let mut sq = 0.0f32;
-    model.visit_params(&mut |_, g: &mut Tensor| {
-        sq += g.data().iter().map(|x| x * x).sum::<f32>();
-    });
-    let norm = sq.sqrt();
-    if norm > max_norm {
-        let scale = max_norm / norm;
-        model.visit_params(&mut |_, g: &mut Tensor| g.scale_assign(scale));
-    }
-    norm
 }
 
 /// Adds the FedProx proximal gradient `mu * (w - w_global)` to the model's
@@ -114,35 +91,13 @@ mod tests {
     }
 
     #[test]
-    fn clip_grad_norm_rescales_large_gradients() {
-        let mut layer = Dense::new(1, 1, 0);
-        layer.visit_params(&mut |_, g| g.data_mut().fill(3.0));
-        // Two grads of 3.0 -> norm sqrt(18) ≈ 4.24.
-        let norm = clip_grad_norm(&mut layer, 1.0);
-        assert!((norm - 18.0f32.sqrt()).abs() < 1e-5);
-        let mut after = 0.0f32;
-        layer.visit_params(&mut |_, g| after += g.data().iter().map(|x| x * x).sum::<f32>());
-        assert!((after.sqrt() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn clip_grad_norm_leaves_small_gradients_alone() {
-        let mut layer = Dense::new(1, 1, 0);
-        layer.visit_params(&mut |_, g| g.data_mut().fill(0.1));
-        clip_grad_norm(&mut layer, 10.0);
-        let mut grads = Vec::new();
-        layer.visit_params(&mut |_, g| grads.extend_from_slice(g.data()));
-        assert!(grads.iter().all(|&g| (g - 0.1).abs() < 1e-7));
-    }
-
-    #[test]
     fn weight_decay_shrinks_parameters() {
         let mut layer = Dense::new(1, 1, 0);
         layer.visit_params(&mut |p, g| {
             p.data_mut().fill(1.0);
             g.fill_zero();
         });
-        let mut opt = Sgd::new(0.1).weight_decay(1.0);
+        let mut opt = Sgd { weight_decay: 1.0, ..Sgd::new(0.1) };
         opt.step(&mut layer);
         let w = param_vector(&mut layer);
         assert!(w.iter().all(|&x| (x - 0.9).abs() < 1e-6));

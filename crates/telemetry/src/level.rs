@@ -90,11 +90,6 @@ impl Filter {
         Self { default: Some(level), targets: Vec::new() }
     }
 
-    /// A fully silent filter.
-    pub fn off() -> Self {
-        Self { default: None, targets: Vec::new() }
-    }
-
     /// Parses the `FEDMIGR_LOG` syntax: a comma-separated list of either a
     /// bare threshold (the new default) or `target=threshold` overrides.
     pub fn parse(spec: &str) -> Result<Self, String> {
@@ -176,7 +171,7 @@ mod tests {
 
     #[test]
     fn off_is_silent_everywhere() {
-        let f = Filter::off();
+        let f = Filter::parse("off").unwrap();
         assert!(!f.enabled("anything", Level::Error));
     }
 

@@ -89,11 +89,12 @@ pub mod names {
     /// nanoseconds (a counter, not a histogram, so per-phase GFLOP/s is an
     /// exact ratio of two counters).
     pub const KERNEL_NANOS_TOTAL: &str = "fedmigr_kernel_nanos_total";
-    /// Counter: process CPU time (utime + stime across all threads) per
-    /// `{phase}`, in nanoseconds. The honest denominator for kernel
-    /// attribution: kernel nanos are summed across worker threads, so
-    /// dividing by wall clock overstates coverage on parallel phases.
-    pub const PHASE_CPU_NANOS_TOTAL: &str = "fedmigr_phase_cpu_nanos_total";
+    /// Counter: busy wall time per `{phase}` of the threads that ran its
+    /// kernels (worker spans, or the runner thread's window), in
+    /// nanoseconds. The honest denominator for kernel attribution: kernel
+    /// nanos are summed across worker threads, so dividing by the phase's
+    /// wall clock overstates coverage on parallel phases.
+    pub const PHASE_BUSY_NANOS_TOTAL: &str = "fedmigr_phase_busy_nanos_total";
 }
 
 /// One observability engine: clock + filter + registry + sinks.

@@ -54,7 +54,7 @@ impl Gauge {
 
 /// Default duration buckets: 1 µs to ~4.5 min in ×4 steps. Wide enough for
 /// per-batch kernels at the bottom and whole-run phases at the top.
-pub fn duration_buckets() -> Vec<f64> {
+fn duration_buckets() -> Vec<f64> {
     (0..14).map(|i| 1e-6 * 4f64.powi(i)).collect()
 }
 
@@ -155,48 +155,6 @@ impl HistogramSnapshot {
         } else {
             self.sum / self.count as f64
         }
-    }
-
-    /// The `q`-quantile (`q` in `[0, 1]`) estimated with linear
-    /// interpolation inside the target bucket, Prometheus-style: the rank
-    /// is assumed uniformly distributed between the bucket's edges, the
-    /// first bucket's lower edge is 0 when its bound is positive, and
-    /// ranks falling in the overflow bucket clamp to the highest finite
-    /// bound. Monotone in `q`; 0 when empty. (The previous estimator
-    /// snapped to bucket upper bounds, which misranks everything sharing a
-    /// bucket — fatal for comparing kernel timings.)
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q * self.count as f64;
-        let mut cum = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let prev = cum as f64;
-            cum += c;
-            if cum as f64 >= rank {
-                let Some(&hi) = self.bounds.get(i) else {
-                    // Overflow bucket: no upper edge to interpolate towards.
-                    return self.bounds.last().copied().unwrap_or(f64::INFINITY);
-                };
-                let lo = if i == 0 {
-                    if hi > 0.0 {
-                        0.0
-                    } else {
-                        hi
-                    }
-                } else {
-                    self.bounds[i - 1]
-                };
-                let frac = ((rank - prev) / c as f64).clamp(0.0, 1.0);
-                return lo + (hi - lo) * frac;
-            }
-        }
-        self.bounds.last().copied().unwrap_or(f64::INFINITY)
     }
 }
 
@@ -489,37 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_interpolates_within_buckets() {
-        // counts per bucket: le=1 -> 2, le=2 -> 1, le=4 -> 1, +Inf -> 1.
-        let h = Histogram::new(vec![1.0, 2.0, 4.0]);
-        for v in [0.5, 0.6, 1.5, 3.0, 100.0] {
-            h.observe(v);
-        }
-        let s = h.snapshot();
-        // rank 0 sits at the first bucket's lower edge (0 for positive bounds).
-        assert_eq!(s.quantile(0.0), 0.0);
-        // rank 1.0 of 2 observations in [0, 1] -> halfway up the bucket.
-        assert!((s.quantile(0.2) - 0.5).abs() < 1e-12);
-        // rank 2.5: 0.5 into the single observation of bucket (1, 2].
-        assert!((s.quantile(0.5) - 1.5).abs() < 1e-12);
-        // rank 4.0 exhausts bucket (2, 4] exactly -> its upper bound.
-        assert!((s.quantile(0.8) - 4.0).abs() < 1e-12);
-        // Ranks in the overflow bucket clamp to the highest finite bound.
-        assert_eq!(s.quantile(1.0), 4.0);
-    }
-
-    #[test]
-    fn quantile_of_single_bucket_histogram_stays_finite() {
-        let h = Histogram::new(vec![8.0]);
-        for v in [1.0, 3.0, 20.0] {
-            h.observe(v);
-        }
-        let s = h.snapshot();
-        assert!((s.quantile(0.5) - 6.0).abs() < 1e-12, "1.5/2 of [0, 8]");
-        assert_eq!(s.quantile(1.0), 8.0);
-    }
-
-    #[test]
     fn prometheus_rendering_is_sorted_and_typed() {
         let r = Registry::new();
         r.counter("b_total", &[("k", "2")]).add(7);
@@ -637,16 +564,5 @@ mod tests {
             prop_assert!((merged.sum - union.sum).abs() < 1e-6 * (1.0 + union.sum.abs()));
         }
 
-        /// The quantile estimator is monotone in q.
-        #[test]
-        fn quantiles_are_monotone(values in prop::collection::vec(0.0f64..1e4, 1..100)) {
-            let h = Histogram::new(duration_buckets());
-            for &v in &values { h.observe(v); }
-            let s = h.snapshot();
-            let qs = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0];
-            for w in qs.windows(2) {
-                prop_assert!(s.quantile(w[0]) <= s.quantile(w[1]));
-            }
-        }
     }
 }

@@ -22,6 +22,12 @@
 //! summed kernel seconds never double-count a kernel that calls another
 //! (e.g. an optimizer step that scales a tensor). FLOPs and bytes are
 //! always credited to the kernel that declared them.
+//!
+//! Busy time: a worker thread holds a [`worker`] span for as long as it runs
+//! a phase's work. Its wall time is what that worker's kernel time is a
+//! share of. Both are read from the same wall clock, so when workers share
+//! a core, each side counts the sibling's timeslices alike and the share
+//! stays honest.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,7 +46,8 @@ pub enum Kernel {
     Transpose,
     /// Elementwise maps/zips: add/sub/mul/axpy/scale/map/dot.
     Elementwise,
-    /// Patch extraction for convolution (`Conv2d::im2col`).
+    /// The convolution's zero-padded input copy, which its implicit-GEMM
+    /// products read the im2col patches from (`Conv2d::patches`).
     Im2col,
     /// Gradient scatter back to image layout (`Conv2d::col2im`).
     Col2im,
@@ -109,11 +116,6 @@ impl KStat {
         self.bytes = self.bytes.saturating_add(bytes);
         self.nanos = self.nanos.saturating_add(nanos);
     }
-
-    /// Wall seconds spent in outermost invocations.
-    pub fn seconds(&self) -> f64 {
-        self.nanos as f64 / 1e9
-    }
 }
 
 /// A point-in-time copy of all kernel totals (process-wide plus the calling
@@ -121,6 +123,7 @@ impl KStat {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelSnapshot {
     stats: [KStat; KERNEL_COUNT],
+    busy_nanos: u64,
 }
 
 impl KernelSnapshot {
@@ -129,9 +132,17 @@ impl KernelSnapshot {
         self.stats[kernel.index()]
     }
 
+    /// Wall nanoseconds spent inside [`worker`] spans.
+    pub fn busy_nanos(&self) -> u64 {
+        self.busy_nanos
+    }
+
     /// Per-kernel growth since `earlier` (saturating at zero per field).
     pub fn delta(&self, earlier: &KernelSnapshot) -> KernelSnapshot {
-        let mut out = KernelSnapshot::default();
+        let mut out = KernelSnapshot {
+            busy_nanos: self.busy_nanos.saturating_sub(earlier.busy_nanos),
+            ..KernelSnapshot::default()
+        };
         for (i, slot) in out.stats.iter_mut().enumerate() {
             slot.calls = self.stats[i].calls.saturating_sub(earlier.stats[i].calls);
             slot.flops = self.stats[i].flops.saturating_sub(earlier.stats[i].flops);
@@ -148,19 +159,22 @@ impl KernelSnapshot {
 }
 
 const FIELDS: usize = 4;
+/// The slot of [`GLOBAL`] after the per-kernel fields: busy nanoseconds.
+const BUSY: usize = KERNEL_COUNT * FIELDS;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: [AtomicU64; KERNEL_COUNT * FIELDS] =
-    [const { AtomicU64::new(0) }; KERNEL_COUNT * FIELDS];
+static GLOBAL: [AtomicU64; BUSY + 1] = [const { AtomicU64::new(0) }; BUSY + 1];
 
 struct Local {
     stats: RefCell<[KStat; KERNEL_COUNT]>,
     depth: Cell<usize>,
+    busy_nanos: Cell<u64>,
 }
 
 impl Drop for Local {
     fn drop(&mut self) {
         flush(&self.stats.borrow());
+        saturating_fetch_add(&GLOBAL[BUSY], self.busy_nanos.get());
     }
 }
 
@@ -191,6 +205,7 @@ thread_local! {
     static LOCAL: Local = Local {
         stats: RefCell::new([KStat::default(); KERNEL_COUNT]),
         depth: Cell::new(0),
+        busy_nanos: Cell::new(0),
     };
 }
 
@@ -248,6 +263,25 @@ impl Drop for KScope {
     }
 }
 
+/// Opens a worker's busy span: the wall time until the guard drops is
+/// credited as busy time. Inert when accounting is disabled.
+pub fn worker() -> WorkerSpan {
+    WorkerSpan { start: enabled().then(Instant::now) }
+}
+
+/// RAII guard returned by [`worker`]; records on drop.
+pub struct WorkerSpan {
+    start: Option<Instant>,
+}
+
+impl Drop for WorkerSpan {
+    fn drop(&mut self) {
+        let Some(start) = self.start else { return };
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let _ = LOCAL.try_with(|l| l.busy_nanos.set(l.busy_nanos.get().saturating_add(nanos)));
+    }
+}
+
 /// Current totals: the process-wide merged table plus the calling thread's
 /// unflushed local table. Worker threads that have exited are fully
 /// included; live sibling threads are not — snapshot after joining them.
@@ -259,10 +293,12 @@ pub fn snapshot() -> KernelSnapshot {
         slot.bytes = GLOBAL[i * FIELDS + 2].load(Ordering::Relaxed);
         slot.nanos = GLOBAL[i * FIELDS + 3].load(Ordering::Relaxed);
     }
+    out.busy_nanos = GLOBAL[BUSY].load(Ordering::Relaxed);
     let _ = LOCAL.try_with(|l| {
         for (i, s) in l.stats.borrow().iter().enumerate() {
             out.stats[i].absorb(s.calls, s.flops, s.bytes, s.nanos);
         }
+        out.busy_nanos = out.busy_nanos.saturating_add(l.busy_nanos.get());
     });
     out
 }
@@ -276,6 +312,7 @@ pub fn reset() {
     }
     let _ = LOCAL.try_with(|l| {
         *l.stats.borrow_mut() = [KStat::default(); KERNEL_COUNT];
+        l.busy_nanos.set(0);
     });
 }
 
@@ -311,6 +348,7 @@ mod tests {
         // Joined, not left to the scope: a scope only waits for the closure,
         // and the merge runs after it, when the thread's locals are dropped.
         std::thread::spawn(|| {
+            let _busy = worker();
             let _s = scope(Kernel::Col2im, 7, 8);
         })
         .join()
@@ -324,8 +362,11 @@ mod tests {
         let inner = snap.get(Kernel::Pool);
         assert_eq!((inner.calls, inner.flops, inner.nanos), (1, 1, 0));
         assert!(snap.get(Kernel::Optimizer).nanos > 0);
-        // Worker-thread stats merged on thread exit.
+        // Worker-thread stats and busy time merged on thread exit; the busy
+        // span encloses the worker's kernel scope.
         assert_eq!(snap.get(Kernel::Col2im).flops, 7);
+        assert!(snap.busy_nanos() >= snap.get(Kernel::Col2im).nanos);
+        assert!(snap.busy_nanos() > 0);
 
         // Deltas subtract field-wise.
         let later = {

@@ -29,5 +29,6 @@ mod tensor;
 
 pub use init::{he_std, xavier_std};
 pub use norms::{all_finite, l2_distance_slice, l2_norm_slice, pairwise_sq_distances};
+pub use ops::Gather;
 pub use stats::{argmax_slice, log_softmax_rows, softmax_rows};
 pub use tensor::Tensor;

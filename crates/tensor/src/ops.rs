@@ -69,6 +69,53 @@ fn gemm<I: Iterator<Item = [f32; MR]>>(
     out
 }
 
+/// A GEMM left operand read in place from a flat buffer:
+/// `A[q, t] = src[rows[q] + cols[t]]`. A convolution's im2col patch matrix
+/// is this view of its zero-padded input (a row per output position, a
+/// column per kernel tap), so no patch matrix is built.
+///
+/// The products are [`Tensor::matmul`]'s and [`Tensor::matmul_tn`]'s on the
+/// materialized `A`, bit for bit: only the address each `A` element is
+/// loaded from differs (see [`gemm`]).
+pub struct Gather<'a> {
+    /// The buffer every element of `A` is read from.
+    pub src: &'a [f32],
+    /// Offset in `src` of each row of `A`.
+    pub rows: &'a [usize],
+    /// Offset of each column of `A` from its row's offset.
+    pub cols: &'a [usize],
+}
+
+impl Gather<'_> {
+    /// `A x b -> [m, n]` for `A: [m, k]` and `b: [k, n]`.
+    pub fn matmul(&self, b: &Tensor) -> Tensor {
+        let (m, k) = (self.rows.len(), self.cols.len());
+        let (k2, n) = (b.rows(), b.cols());
+        assert_eq!(k, k2, "gathered matmul inner dimensions differ: {k} vs {k2}");
+        let _k = matmul_scope(m, k, n);
+        let Gather { src, rows, cols } = *self;
+        let out = gemm(m, n, b.data(), |qs| {
+            let bases = qs.map(|q| rows[q]);
+            cols.iter().map(move |&col| bases.map(|base| src[base + col]))
+        });
+        Tensor::from_vec(vec![m, n], out)
+    }
+
+    /// `Aᵀ x b -> [k, n]` for `A: [m, k]` and `b: [m, n]`.
+    pub fn matmul_tn(&self, b: &Tensor) -> Tensor {
+        let (m, k) = (self.rows.len(), self.cols.len());
+        let (m2, n) = (b.rows(), b.cols());
+        assert_eq!(m, m2, "gathered matmul_tn inner dimensions differ: {m} vs {m2}");
+        let _k = matmul_scope(k, m, n);
+        let Gather { src, rows, cols } = *self;
+        let out = gemm(k, n, b.data(), |ts| {
+            let offsets = ts.map(|t| cols[t]);
+            rows.iter().map(move |&base| offsets.map(|col| src[base + col]))
+        });
+        Tensor::from_vec(vec![k, n], out)
+    }
+}
+
 /// One accumulator tile: `acc[r][c] += a[r] * b[c]` over the zipped `k` walk.
 #[inline(always)]
 fn tile(a: impl Iterator<Item = [f32; MR]>, b: impl Iterator<Item = [f32; NR]>) -> [[f32; NR]; MR] {
@@ -325,6 +372,43 @@ mod tests {
             let fast = at.matmul_tn(&b);
             prop_assert_eq!(fast.shape(), &[m, n]);
             prop_assert_eq!(bits(&fast), bits(&matmul_reference(&a, &b)));
+        }
+    }
+
+    /// `A` of a gathered operand, built element by element.
+    fn materialize(g: &Gather) -> Tensor {
+        let data = g.rows.iter().flat_map(|&row| g.cols.iter().map(move |&col| g.src[row + col]));
+        Tensor::from_vec(vec![g.rows.len(), g.cols.len()], data.collect())
+    }
+
+    proptest! {
+        /// Arbitrary (overlapping, repeated, unordered) offsets, empty
+        /// operands and every tile remainder; the source is salted with
+        /// zeros, NaN and infinities.
+        #[test]
+        fn gathered_products_are_bit_identical_to_the_materialized_ones(
+            m in 0usize..14, k in 0usize..11, n in 0usize..20, seed in any::<u64>()
+        ) {
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let rows: Vec<usize> = (0..m).map(|_| rng.random_range(0..40)).collect();
+            let cols: Vec<usize> = (0..k).map(|_| rng.random_range(0..40)).collect();
+            let mut src = Tensor::randn(&[80], 1.0, &mut rng);
+            for x in src.data_mut() {
+                match rng.random_range(0..12u32) {
+                    0 => *x = 0.0,
+                    1 => *x = -0.0,
+                    2 => *x = f32::NAN,
+                    3 => *x = f32::INFINITY,
+                    _ => {}
+                }
+            }
+            let g = Gather { src: src.data(), rows: &rows, cols: &cols };
+            let a = materialize(&g);
+            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+            prop_assert_eq!(bits(&g.matmul(&b)), bits(&a.matmul(&b)));
+            let bt = Tensor::randn(&[m, n], 1.0, &mut rng);
+            prop_assert_eq!(bits(&g.matmul_tn(&bt)), bits(&a.matmul_tn(&bt)));
         }
     }
 

@@ -186,14 +186,14 @@ fn telemetry_observes_without_perturbing() {
     let cov = fedmigr::core::kernels::phase_coverage("local_train")
         .expect("local_train kernel coverage is measurable");
     assert!(cov >= 0.1, "kernel coverage of local_train {cov:.3} below 10%");
-    // CPU-based attribution must also be measurable. The bounds are loose for
+    // Busy-time attribution must also be measurable. The bounds are loose for
     // the same debug-build reason as above, and because other tests share the
-    // process (and its CPU clock) while this one runs. The strict band is
+    // process (and its kernel table) while this one runs. The strict band is
     // gated on a release run in CI.
-    let cpu_cov = fedmigr::core::kernels::phase_cpu_coverage("local_train")
-        .expect("local_train CPU coverage is measurable");
+    let busy_cov = fedmigr::core::kernels::phase_busy_coverage("local_train")
+        .expect("local_train busy coverage is measurable");
     assert!(
-        cpu_cov > 0.05 && cpu_cov < 10.0,
-        "CPU coverage of local_train {cpu_cov:.3} outside (0.05, 10)"
+        busy_cov > 0.05 && busy_cov < 10.0,
+        "busy coverage of local_train {busy_cov:.3} outside (0.05, 10)"
     );
 }
