@@ -335,14 +335,24 @@ pub(crate) fn quantize_one(v: f32, min: f32, scale: f32, bits: u8, u: Option<f32
         return 0;
     }
     let t = ((v - min) / scale).clamp(0.0, levels as f32);
-    let q = match u {
-        None => t.round(),
+    match u {
+        None => round_code(t) as u8,
         Some(u) => {
             let floor = t.floor();
-            floor + if u < t - floor { 1.0 } else { 0.0 }
+            let q = floor + if u < t - floor { 1.0 } else { 0.0 };
+            (q.min(levels as f32)) as u8
         }
-    };
-    (q.min(levels as f32)) as u8
+    }
+}
+
+/// `t.round()` for a `t` in `[0, 255]`, without the libm call: the
+/// truncation plus one when the fraction, which is exact, is at least a
+/// half. Held equal to `round` on every `f32` in that range by a test;
+/// `(t + 0.5) as u32` is not (at `t = 0.49999997` the sum rounds up to 1).
+#[inline]
+fn round_code(t: f32) -> u32 {
+    let q = t as u32;
+    q + (t - q as f32 >= 0.5) as u32
 }
 
 /// Appends a little-endian `u64`.
@@ -491,6 +501,43 @@ mod tests {
             assert_eq!(blob.wire_bytes(), codec.encoded_size(0));
             assert_eq!(codec.decode(&blob).unwrap(), Vec::<f32>::new());
         }
+    }
+
+    /// `round_code(t)` against `t.round()` on every `f32` in `[0, 255]`
+    /// (≈ 1.13e9 values) and `-0.0`, in chunks the test harness runs in
+    /// parallel. Exhaustive: a sample would miss the one value where the
+    /// naive `(t + 0.5) as u32` differs.
+    fn assert_round_code_is_round(chunk: u64, chunks: u64) {
+        let end = 255.0f32.to_bits() as u64 + 1;
+        let bound = |c: u64| (end * c / chunks) as u32;
+        for t in (bound(chunk)..bound(chunk + 1)).map(f32::from_bits) {
+            if round_code(t) != t.round() as u32 {
+                panic!("round_code({t:e}) = {}, round = {}", round_code(t), t.round());
+            }
+        }
+    }
+
+    #[test]
+    fn round_code_is_round_on_every_code_0() {
+        assert_round_code_is_round(0, 4);
+        assert_eq!(round_code(-0.0), 0);
+        let trap = 0.49999997f32;
+        assert_eq!((trap.round() as u32, round_code(trap), (trap + 0.5) as u32), (0, 0, 1));
+    }
+
+    #[test]
+    fn round_code_is_round_on_every_code_1() {
+        assert_round_code_is_round(1, 4);
+    }
+
+    #[test]
+    fn round_code_is_round_on_every_code_2() {
+        assert_round_code_is_round(2, 4);
+    }
+
+    #[test]
+    fn round_code_is_round_on_every_code_3() {
+        assert_round_code_is_round(3, 4);
     }
 
     #[test]

@@ -132,10 +132,13 @@ pub fn kernel_table() -> Option<String> {
     }
 
     let mut out = String::new();
-    out.push_str(
-        "kernel accounting by phase (%busy = kernel time over the busy time of the threads \
-         that ran it; %wall = over phase wall, >100% ⇒ parallel workers):\n",
-    );
+    // The title names the GEMM build: GFLOP/s from an AVX2 host and an
+    // SSE2 one do not compare.
+    out.push_str(&format!(
+        "kernel accounting by phase (gemm: {}; %busy = kernel time over the busy time of the \
+         threads that ran it; %wall = over phase wall, >100% ⇒ parallel workers):\n",
+        fedmigr_tensor::gemm_build()
+    ));
     out.push_str(&format!(
         "  {:<14} {:<12} {:>9} {:>10} {:>8} {:>9} {:>7} {:>7} {:>7}\n",
         "phase", "kernel", "calls", "GFLOP", "GFLOP/s", "GB", "FLOP/B", "%wall", "%busy"
@@ -262,6 +265,8 @@ mod tests {
         kcount::set_enabled(false);
 
         let table = kernel_table().expect("kernel rows were credited");
+        let build = fedmigr_tensor::gemm_build();
+        assert!(table.starts_with(&format!("kernel accounting by phase (gemm: {build};")));
         assert!(table.contains("unit_test_phase"));
         assert!(table.contains("matmul"));
 

@@ -500,10 +500,10 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(k as u64);
                 conv.bias = Tensor::randn(&[oc], 0.5, &mut rng);
                 let mut x = Tensor::randn(&[b, c, h, w], 0.5, &mut rng);
+                let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
                 if salted {
                     // Non-finite values in the input and the weights must
                     // propagate the same way, `0 · NaN = NaN` included.
-                    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
                     for (i, v) in specials.into_iter().enumerate() {
                         x.data_mut()[(7 * i + 3) % (b * c * h * w)] = v;
                         let n = conv.weight.numel();
@@ -511,7 +511,15 @@ mod tests {
                     }
                 }
                 let y = conv.forward(&x, true);
-                let g = Tensor::randn(y.shape(), 0.5, &mut rng);
+                let mut g = Tensor::randn(y.shape(), 0.5, &mut rng);
+                if salted {
+                    // ... and so must those in the output gradient, through
+                    // `dW`, `db` and `dx`.
+                    for (i, v) in specials.into_iter().enumerate() {
+                        let n = g.numel();
+                        g.data_mut()[(11 * i + 2) % n] = v;
+                    }
+                }
                 conv.zero_grad();
                 let dx = conv.backward(&g);
                 let [want_y, want_dx, want_dw, want_db] = im2col_conv(&conv, &x, &g);

@@ -16,7 +16,8 @@ fn matmul_scope(m: usize, k: usize, n: usize) -> kcount::KScope {
 }
 
 /// Rows and columns of the accumulator tile [`gemm`] keeps in registers
-/// across the whole `k` loop: 4 x 8 `f32` is eight SSE2 vectors.
+/// across the whole `k` loop: 4 x 8 `f32` is four AVX2 vectors, or eight
+/// SSE2 vectors in the baseline build.
 const MR: usize = 4;
 const NR: usize = 8;
 
@@ -29,7 +30,54 @@ const NR: usize = 8;
 /// loop nest with that per-element order gives the same bits, so tiling,
 /// vectorizing across columns and reading `A` through a transpose are all
 /// free; splitting the `k` loop is not.
+///
+/// One source, two builds: on a CPU with AVX2 the body runs compiled for
+/// AVX2, which only widens the lanes (FMA stays off, and Rust never
+/// contracts `a * b + c`), so both builds give the same bits.
 fn gemm<I: Iterator<Item = [f32; MR]>>(
+    m: usize,
+    n: usize,
+    b: &[f32],
+    a_tile: impl Fn([usize; MR]) -> I,
+) -> Vec<f32> {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU reports AVX2, the one feature `gemm_avx2`
+        // is compiled with.
+        return unsafe { gemm_avx2(m, n, b, a_tile) };
+    }
+    gemm_body(m, n, b, a_tile)
+}
+
+/// [`gemm_body`] compiled for AVX2; callable only on a CPU that has it. The
+/// body is inlined here, not passed in as a closure: a closure's body would
+/// keep the baseline build.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<I: Iterator<Item = [f32; MR]>>(
+    m: usize,
+    n: usize,
+    b: &[f32],
+    a_tile: impl Fn([usize; MR]) -> I,
+) -> Vec<f32> {
+    gemm_body(m, n, b, a_tile)
+}
+
+/// The build [`gemm`] runs on this CPU: `"avx2"`, or the baseline `"sse2"`.
+pub fn gemm_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    BASELINE_BUILD
+}
+
+/// What the baseline build of [`gemm`] vectorizes with.
+const BASELINE_BUILD: &str = if cfg!(target_arch = "x86_64") { "sse2" } else { "portable" };
+
+/// The source of both builds of [`gemm`].
+#[inline(always)]
+fn gemm_body<I: Iterator<Item = [f32; MR]>>(
     m: usize,
     n: usize,
     b: &[f32],
@@ -93,12 +141,7 @@ impl Gather<'_> {
         let (k2, n) = (b.rows(), b.cols());
         assert_eq!(k, k2, "gathered matmul inner dimensions differ: {k} vs {k2}");
         let _k = matmul_scope(m, k, n);
-        let Gather { src, rows, cols } = *self;
-        let out = gemm(m, n, b.data(), |qs| {
-            let bases = qs.map(|q| rows[q]);
-            cols.iter().map(move |&col| bases.map(|base| src[base + col]))
-        });
-        Tensor::from_vec(vec![m, n], out)
+        Tensor::from_vec(vec![m, n], gemm(m, n, b.data(), |qs| self.rows_tile(qs)))
     }
 
     /// `Aᵀ x b -> [k, n]` for `A: [m, k]` and `b: [m, n]`.
@@ -107,13 +150,33 @@ impl Gather<'_> {
         let (m2, n) = (b.rows(), b.cols());
         assert_eq!(m, m2, "gathered matmul_tn inner dimensions differ: {m} vs {m2}");
         let _k = matmul_scope(k, m, n);
-        let Gather { src, rows, cols } = *self;
-        let out = gemm(k, n, b.data(), |ts| {
-            let offsets = ts.map(|t| cols[t]);
-            rows.iter().map(move |&base| offsets.map(|col| src[base + col]))
-        });
-        Tensor::from_vec(vec![k, n], out)
+        Tensor::from_vec(vec![k, n], gemm(k, n, b.data(), |ts| self.cols_tile(ts)))
     }
+
+    /// A tile of `A` for [`gemm`]: rows `qs`, ascending columns.
+    fn rows_tile(&self, qs: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
+        let bases = qs.map(|q| self.rows[q]);
+        self.cols.iter().map(move |&col| bases.map(|base| self.src[base + col]))
+    }
+
+    /// A tile of `Aᵀ` for [`gemm`]: columns `ts` of `A`, ascending rows.
+    fn cols_tile(&self, ts: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
+        let offsets = ts.map(|t| self.cols[t]);
+        self.rows.iter().map(move |&base| offsets.map(|col| self.src[base + col]))
+    }
+}
+
+/// A tile of a row-major `a: [_, k]` for [`gemm`]: rows `rows`, ascending
+/// `k`.
+fn row_major_tile(a: &[f32], k: usize, rows: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
+    let rows = rows.map(|i| &a[i * k..][..k]);
+    (0..k).map(move |p| rows.map(|row| row[p]))
+}
+
+/// A tile of `aᵀ` for a row-major `a: [_, m]` for [`gemm`]: columns `cols`
+/// of `a`, ascending rows.
+fn col_major_tile(a: &[f32], m: usize, cols: [usize; MR]) -> impl Iterator<Item = [f32; MR]> + '_ {
+    a.chunks_exact(m).map(move |arow| cols.map(|i| arow[i]))
 }
 
 /// One accumulator tile: `acc[r][c] += a[r] * b[c]` over the zipped `k` walk.
@@ -191,12 +254,10 @@ impl Tensor {
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
         let _k = matmul_scope(m, k, n);
-        let a = self.data();
-        let out = gemm(m, n, other.data(), |rows| {
-            let rows = rows.map(|i| &a[i * k..][..k]);
-            (0..k).map(move |p| rows.map(|row| row[p]))
-        });
-        Tensor::from_vec(vec![m, n], out)
+        Tensor::from_vec(
+            vec![m, n],
+            gemm(m, n, other.data(), |rows| row_major_tile(self.data(), k, rows)),
+        )
     }
 
     /// `selfᵀ x other` without materializing the transpose:
@@ -209,11 +270,10 @@ impl Tensor {
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_tn inner dimensions differ: {k} vs {k2}");
         let _k = matmul_scope(m, k, n);
-        let a = self.data();
-        let out = gemm(m, n, other.data(), |rows| {
-            a.chunks_exact(m).map(move |arow| rows.map(|i| arow[i]))
-        });
-        Tensor::from_vec(vec![m, n], out)
+        Tensor::from_vec(
+            vec![m, n],
+            gemm(m, n, other.data(), |rows| col_major_tile(self.data(), m, rows)),
+        )
     }
 
     /// Transpose of a 2-D tensor.
@@ -419,6 +479,95 @@ mod tests {
             let want = bits(&matmul_reference(&a, &b));
             assert_eq!(bits(&a.matmul(&b)), want, "matmul {m}x{k}x{n}");
             assert_eq!(bits(&a.transpose2().matmul_tn(&b)), want, "matmul_tn {m}x{k}x{n}");
+        }
+    }
+
+    /// Random values, a third of them `+0.0` or `-0.0`, and `nonfinite` of
+    /// them (at random positions) NaN, `+∞` or `-∞` in turn.
+    fn salted(shape: &[usize], nonfinite: usize, rng: &mut rand::rngs::StdRng) -> Tensor {
+        use rand::Rng;
+        let mut t = Tensor::randn(shape, 1.0, rng);
+        for x in t.data_mut() {
+            match rng.random_range(0..6u32) {
+                0 => *x = 0.0,
+                1 => *x = -0.0,
+                _ => {}
+            }
+        }
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for i in 0..nonfinite {
+            let at = rng.random_range(0..t.numel());
+            t.data_mut()[at] = specials[i % 3];
+        }
+        t
+    }
+
+    /// `gemm`'s bits from the baseline build (its body, called directly)
+    /// and from the build it dispatches to on this CPU.
+    fn builds<I: Iterator<Item = [f32; MR]>>(
+        m: usize,
+        n: usize,
+        b: &[f32],
+        a_tile: impl Fn([usize; MR]) -> I,
+    ) -> [Vec<u32>; 2] {
+        [gemm_body(m, n, b, &a_tile), gemm(m, n, b, &a_tile)]
+            .map(|out| out.iter().map(|x| x.to_bits()).collect())
+    }
+
+    /// Holds the dispatched build to the baseline build on every form that
+    /// calls `gemm`: `a: [m, k]` times `b: [k, n]` read directly and through
+    /// a transpose, and the gathered `g: [m, k]` times `b` and, transposed,
+    /// times `bt: [m, n]`.
+    fn assert_builds_agree(a: &Tensor, b: &Tensor, g: &Gather, bt: &Tensor) {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let at = a.transpose2();
+        let forms = [
+            ("matmul", builds(m, n, b.data(), |rows| row_major_tile(a.data(), k, rows))),
+            ("matmul_tn", builds(m, n, b.data(), |rows| col_major_tile(at.data(), m, rows))),
+            ("Gather::matmul", builds(m, n, b.data(), |qs| g.rows_tile(qs))),
+            ("Gather::matmul_tn", builds(k, n, bt.data(), |ts| g.cols_tile(ts))),
+        ];
+        for (form, [baseline, dispatched]) in forms {
+            assert!(baseline == dispatched, "{form} {m}x{k}x{n}: the gemm builds differ");
+        }
+    }
+
+    /// Every shape the proptests above draw from (each tile remainder,
+    /// `n < 8`, `k` of 0 and 1) and the conv GEMM shapes, with `±0.0`, NaN
+    /// and `±∞` salted into both operands. Prints the builds it compared, so
+    /// a CPU without AVX2 says so instead of passing silently.
+    #[test]
+    fn gemm_builds_are_bit_identical() {
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(30);
+        for m in 0..14 {
+            for k in 0..11 {
+                for n in 0..20 {
+                    let a = salted(&[m, k], m * k / 8, &mut rng);
+                    let b = salted(&[k, n], k * n / 8, &mut rng);
+                    let bt = salted(&[m, n], m * n / 8, &mut rng);
+                    let src = salted(&[80], 10, &mut rng);
+                    let rows: Vec<usize> = (0..m).map(|_| rng.random_range(0..40)).collect();
+                    let cols: Vec<usize> = (0..k).map(|_| rng.random_range(0..40)).collect();
+                    let g = Gather { src: src.data(), rows: &rows, cols: &cols };
+                    assert_builds_agree(&a, &b, &g, &bt);
+                }
+            }
+        }
+        for (m, k, n) in [(2048, 75, 8), (512, 200, 16), (75, 2048, 8)] {
+            let a = salted(&[m, k], 6, &mut rng);
+            let b = salted(&[k, n], 6, &mut rng);
+            let bt = salted(&[m, n], 6, &mut rng);
+            // The gathered form reads `a` itself, row by row.
+            let rows: Vec<usize> = (0..m).map(|i| i * k).collect();
+            let cols: Vec<usize> = (0..k).collect();
+            let g = Gather { src: a.data(), rows: &rows, cols: &cols };
+            assert_builds_agree(&a, &b, &g, &bt);
+        }
+        let dispatched = gemm_build();
+        println!("gemm builds compared: {BASELINE_BUILD} vs {dispatched}");
+        if dispatched == BASELINE_BUILD {
+            println!("this CPU has no AVX2: only the baseline build was run");
         }
     }
 
