@@ -1,12 +1,13 @@
+use fedmigr_tensor::kcount::{self, Kernel};
 use fedmigr_tensor::Tensor;
 
-use crate::layer::Cache;
+use crate::layer::{four, transpose_images, Cache};
 use crate::Layer;
 
-/// Rectified linear unit. Caches the sign mask from the forward pass.
+/// Rectified linear unit. A training-mode forward caches the sign mask.
 #[derive(Clone, Default)]
 pub struct Relu {
-    mask: Cache<Vec<bool>>,
+    mask: Cache<Option<Vec<bool>>>,
 }
 
 impl Relu {
@@ -17,21 +18,32 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.mask.0.clear();
-        self.mask.0.extend(input.data().iter().map(|&x| x > 0.0));
-        input.map(|x| x.max(0.0))
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_owned(input.clone(), train)
+    }
+
+    fn forward_owned(&mut self, mut input: Tensor, train: bool) -> Tensor {
+        self.mask = Cache(train.then(|| input.data().iter().map(|&x| x > 0.0).collect()));
+        let n = input.numel() as u64;
+        let _k = kcount::scope(Kernel::Elementwise, n, 8 * n);
+        for x in input.data_mut() {
+            *x = x.max(0.0);
+        }
+        input
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(grad_out.numel(), self.mask.0.len(), "Relu backward before forward");
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(&self.mask.0)
-            .map(|(&g, &m)| if m { g } else { 0.0 })
-            .collect();
+        let mask =
+            self.mask.0.take().expect("Relu::backward called before a training-mode forward");
+        assert_eq!(grad_out.numel(), mask.len(), "Relu::backward grad shape mismatch");
+        let data =
+            grad_out.data().iter().zip(&mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
         Tensor::from_vec(grad_out.shape().to_vec(), data)
+    }
+
+    #[cfg(test)]
+    fn holds_cache(&self) -> bool {
+        self.mask.0.is_some()
     }
 
     fn name(&self) -> &'static str {
@@ -43,10 +55,12 @@ impl Layer for Relu {
     }
 }
 
-/// Flattens `[B, ...]` to `[B, prod(...)]`, remembering the original shape.
+/// Flattens an NHWC `[B, H, W, C]` activation to `[B, C*H*W]` features in
+/// channel-major `(c, h, w)` order: the order an NCHW activation is stored
+/// in, which the weights of the dense layer after it are laid out for.
 #[derive(Clone, Default)]
 pub struct Flatten {
-    input_shape: Vec<usize>,
+    input_shape: [usize; 4],
 }
 
 impl Flatten {
@@ -57,21 +71,26 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.forward_owned(input.clone(), train)
-    }
-
-    fn forward_owned(&mut self, input: Tensor, _train: bool) -> Tensor {
-        let shape = input.shape();
-        assert!(shape.len() >= 2, "Flatten expects a batch dimension");
-        self.input_shape = shape.to_vec();
-        let b = shape[0];
-        let rest: usize = shape[1..].iter().product();
-        Tensor::from_vec(vec![b, rest], input.into_data())
+    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        let [b, h, w, c] = four(input.shape());
+        self.input_shape = [b, h, w, c];
+        let features = transpose_images(input.data(), h * w * c, h * w, c);
+        Tensor::from_vec(vec![b, c * h * w], features)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.reshape(&self.input_shape)
+        let [b, h, w, c] = self.input_shape;
+        assert_eq!(grad_out.shape(), [b, c * h * w], "Flatten::backward grad shape mismatch");
+        Tensor::from_vec(
+            self.input_shape.to_vec(),
+            transpose_images(grad_out.data(), h * w * c, c, h * w),
+        )
+    }
+
+    /// Only the input's shape is kept, never a batch.
+    #[cfg(test)]
+    fn holds_cache(&self) -> bool {
+        false
     }
 
     fn name(&self) -> &'static str {
@@ -86,6 +105,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::nchw_to_nhwc;
 
     #[test]
     fn relu_clamps_and_masks() {
@@ -105,5 +125,18 @@ mod tests {
         assert_eq!(y.shape(), &[2, 48]);
         let g = f.backward(&Tensor::ones(&[2, 48]));
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
+    }
+
+    #[test]
+    fn flatten_emits_the_nchw_order_and_inverts_it() {
+        // Features of an NHWC activation are those of the same activation
+        // stored NCHW; the backward pass is the inverse permutation.
+        let nchw = Tensor::from_vec(vec![2, 3, 2, 5], (0..60).map(|v| v as f32).collect());
+        let nhwc = nchw_to_nhwc(&nchw);
+        let mut f = Flatten::new();
+        let y = f.forward(&nhwc, true);
+        assert_eq!(y.shape(), &[2, 30]);
+        assert_eq!(y.data(), nchw.data());
+        assert_eq!(f.backward(&y), nhwc);
     }
 }

@@ -103,6 +103,11 @@ impl Layer for Dense {
         f(&mut self.bias, &mut self.grad_bias);
     }
 
+    #[cfg(test)]
+    fn holds_cache(&self) -> bool {
+        self.cached_input.0.is_some()
+    }
+
     fn name(&self) -> &'static str {
         "Dense"
     }

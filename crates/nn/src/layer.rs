@@ -1,3 +1,4 @@
+use fedmigr_tensor::kcount::{self, Kernel};
 use fedmigr_tensor::Tensor;
 
 /// A differentiable network layer.
@@ -8,6 +9,10 @@ use fedmigr_tensor::Tensor;
 /// gradients internally. `backward` may release the cache, so it runs at
 /// most once per training-mode `forward`; calling it otherwise is a
 /// programming error and may panic.
+///
+/// Every 4-D activation a layer sees is NHWC, `[B, H, W, C]`: channels are
+/// the contiguous axis. [`crate::Model`] takes NCHW batches and permutes
+/// them once on entry; [`crate::Flatten`] emits channel-major features.
 ///
 /// Layers are `Send` so the FL simulator can train clients on worker threads.
 pub trait Layer: Send {
@@ -52,6 +57,10 @@ pub trait Layer: Send {
         n
     }
 
+    /// Whether the layer holds forward-pass state for a backward pass.
+    #[cfg(test)]
+    fn holds_cache(&self) -> bool;
+
     /// Human-readable layer name for debugging.
     fn name(&self) -> &'static str;
 
@@ -70,6 +79,29 @@ impl<T: Default> Clone for Cache<T> {
     fn clone(&self) -> Self {
         Self::default()
     }
+}
+
+/// The four axes of a 4-D shape.
+pub(crate) fn four(shape: &[usize]) -> [usize; 4] {
+    assert_eq!(shape.len(), 4, "expected a 4-D tensor, got shape {shape:?}");
+    [shape[0], shape[1], shape[2], shape[3]]
+}
+
+/// Moves each `image`-long block of `src` from `[n, m]` to `[m, n]`: with
+/// `(n, m) = (C, H*W)` from NCHW to NHWC, and with `(H*W, C)` back.
+pub(crate) fn transpose_images(src: &[f32], image: usize, n: usize, m: usize) -> Vec<f32> {
+    let _k = kcount::scope(Kernel::Transpose, 0, 8 * src.len() as u64);
+    let mut out = vec![0.0f32; src.len()];
+    if image > 0 {
+        for (dst, src) in out.chunks_exact_mut(image).zip(src.chunks_exact(image)) {
+            for (i, row) in src.chunks_exact(m).enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    dst[j * n + i] = v;
+                }
+            }
+        }
+    }
+    out
 }
 
 impl Clone for Box<dyn Layer> {
@@ -104,7 +136,7 @@ mod tests {
     #[test]
     fn backward_params_only_leaves_the_same_parameter_gradients() {
         let mut rng = StdRng::seed_from_u64(4);
-        let image = Tensor::randn(&[3, 2, 6, 6], 1.0, &mut rng);
+        let image = Tensor::randn(&[3, 6, 6, 2], 1.0, &mut rng);
         let flat = Tensor::randn(&[5, 7], 1.0, &mut rng);
         let cnn = Sequential::new()
             .push(Conv2d::new(2, 4, 5, 1, 2, 1))
@@ -124,6 +156,34 @@ mod tests {
             let full = grad_bits(layer.as_mut(), x, false);
             assert!(full.iter().any(|&b| b != 0), "{}: gradients flowed", layer.name());
             assert_eq!(grad_bits(layer.as_mut(), x, true), full, "{}", layer.name());
+        }
+    }
+
+    #[test]
+    fn a_clone_and_an_evaluation_leave_no_cached_input() {
+        let image = Tensor::ones(&[2, 4, 4, 2]);
+        let flat = Tensor::ones(&[2, 5]);
+        let cases: Vec<(Box<dyn Layer>, &Tensor)> = vec![
+            (Box::new(Conv2d::new(2, 3, 3, 1, 1, 0)), &image),
+            (Box::new(Dense::new(5, 3, 1)), &flat),
+            (Box::new(Relu::new()), &image),
+            (Box::new(MaxPool2d::new(2, 2)), &image),
+            (Box::new(Flatten::new()), &image),
+            (Box::new(ResidualBlock::new(2, 2)), &image),
+            (Box::new(Sequential::new().push(Relu::new()).push(MaxPool2d::new(2, 2))), &image),
+        ];
+        for (mut layer, x) in cases {
+            let name = layer.name();
+            let trains = !matches!(name, "Flatten");
+            let y = layer.forward(x, true);
+            assert_eq!(layer.holds_cache(), trains, "{name}: a training forward caches");
+            // A clone is a layer value, not a step in flight.
+            assert!(!layer.clone().holds_cache(), "{name}: a clone starts empty");
+            layer.backward(&y);
+            assert!(!layer.holds_cache(), "{name}: backward releases the cache");
+            layer.forward(x, true);
+            layer.forward(x, false);
+            assert!(!layer.holds_cache(), "{name}: an evaluation leaves nothing resident");
         }
     }
 }

@@ -7,7 +7,8 @@
 //! * a [`Layer`] trait where `forward` caches activations and `backward`
 //!   produces parameter and input gradients (no general autograd — each
 //!   layer owns its backward kernel),
-//! * dense, convolution, pooling, activation and residual layers,
+//! * dense, convolution, pooling, activation and residual layers over NHWC
+//!   activations (a [`Model`] takes NCHW batches and permutes them once),
 //! * a [`Sequential`] container and a [`Model`] wrapper with the softmax
 //!   cross-entropy training step used by every FL client,
 //! * an [`Sgd`] optimizer with weight decay and the FedProx
@@ -44,6 +45,8 @@ mod model;
 mod optim;
 pub mod params;
 mod pool;
+#[cfg(test)]
+mod reference;
 mod residual;
 mod sequential;
 pub mod zoo;

@@ -1,14 +1,19 @@
+use std::borrow::Cow;
 use std::io;
 
 use fedmigr_telemetry::wire::{bad, Codec, Wire};
 use fedmigr_tensor::Tensor;
 
+use crate::layer::transpose_images;
 use crate::optim::apply_prox_term;
 use crate::params::{param_vector, set_param_vector, wire_size};
 use crate::{accuracy, softmax_cross_entropy, Layer, Sequential, Sgd};
 
 /// A classification model: a [`Sequential`] network plus the metadata an FL
 /// client needs (per-sample input shape, class count, a human-readable name).
+///
+/// Image batches are NCHW, `[B, C, H, W]`, at this boundary; the network
+/// works on NHWC activations, so a 4-D batch is permuted once on entry.
 #[derive(Clone)]
 pub struct Model {
     net: Sequential,
@@ -36,7 +41,7 @@ impl Model {
         }
     }
 
-    /// Per-sample input shape.
+    /// Per-sample input shape (`[C, H, W]` for images).
     pub fn input_shape(&self) -> &[usize] {
         &self.input_shape
     }
@@ -69,18 +74,18 @@ impl Model {
 
     /// Forward pass on a batch `[B, ...input_shape]`.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        self.net.forward(x, train)
+        self.net.forward(&nhwc(x), train)
     }
 
     /// Mean cross-entropy loss on a batch (inference mode, no grads).
     pub fn loss(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
-        let logits = self.net.forward(x, false);
+        let logits = self.forward(x, false);
         softmax_cross_entropy(&logits, labels).0
     }
 
     /// Loss and accuracy on a batch (inference mode).
     pub fn evaluate(&mut self, x: &Tensor, labels: &[usize]) -> (f32, f64) {
-        let logits = self.net.forward(x, false);
+        let logits = self.forward(x, false);
         let (loss, _) = softmax_cross_entropy(&logits, labels);
         (loss, accuracy(&logits, labels))
     }
@@ -110,7 +115,7 @@ impl Model {
         opt: &mut Sgd,
         prox: Option<(&[f32], f32)>,
     ) -> f32 {
-        let logits = self.net.forward(x, true);
+        let logits = self.forward(x, true);
         let (loss, grad) = softmax_cross_entropy(&logits, labels);
         if !loss.is_finite() {
             // A NaN/Inf batch loss means the gradient is garbage: stepping
@@ -148,6 +153,14 @@ impl Model {
     pub fn set_params(&mut self, values: &[f32]) {
         set_param_vector(&mut self.net, values);
     }
+}
+
+/// A batch in the network's layout: an NCHW `[B, C, H, W]` batch permuted
+/// to NHWC `[B, H, W, C]`, and any other batch as it is.
+fn nhwc(x: &Tensor) -> Cow<'_, Tensor> {
+    let &[b, c, h, w] = x.shape() else { return Cow::Borrowed(x) };
+    let pixels = transpose_images(x.data(), c * h * w, c, h * w);
+    Cow::Owned(Tensor::from_vec(vec![b, h, w, c], pixels))
 }
 
 /// A model crosses the wire as its parameter vector — `u64 n ‖ f32 LE…`,

@@ -28,8 +28,7 @@ impl ResidualBlock {
 impl Layer for ResidualBlock {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let f = self.path.forward(input, train);
-        let summed = f.add(input);
-        self.out_relu.forward(&summed, train)
+        self.out_relu.forward_owned(f.add(input), train)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -41,6 +40,11 @@ impl Layer for ResidualBlock {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
         self.path.visit_params(f);
+    }
+
+    #[cfg(test)]
+    fn holds_cache(&self) -> bool {
+        self.path.holds_cache() || self.out_relu.holds_cache()
     }
 
     fn name(&self) -> &'static str {
@@ -61,7 +65,7 @@ mod tests {
     #[test]
     fn preserves_shape() {
         let mut block = ResidualBlock::new(4, 0);
-        let x = Tensor::zeros(&[2, 4, 6, 6]);
+        let x = Tensor::zeros(&[2, 6, 6, 4]);
         let y = block.forward(&x, true);
         assert_eq!(y.shape(), x.shape());
     }
@@ -79,7 +83,7 @@ mod tests {
     fn numerical_gradient_check_includes_skip() {
         let mut block = ResidualBlock::new(2, 11);
         let mut rng = StdRng::seed_from_u64(3);
-        let x = Tensor::randn(&[1, 2, 3, 3], 1.0, &mut rng);
+        let x = Tensor::randn(&[1, 3, 3, 2], 1.0, &mut rng);
         let y = block.forward(&x, true);
         block.zero_grad();
         let gx = block.backward(&Tensor::ones(y.shape()));

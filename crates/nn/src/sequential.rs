@@ -65,6 +65,11 @@ impl Layer for Sequential {
         }
     }
 
+    #[cfg(test)]
+    fn holds_cache(&self) -> bool {
+        self.layers.iter().any(|layer| layer.holds_cache())
+    }
+
     fn name(&self) -> &'static str {
         "Sequential"
     }

@@ -41,15 +41,18 @@ pub const KERNEL_COUNT: usize = 9;
 pub enum Kernel {
     /// Dense 2-D matrix multiply (`Tensor::matmul`).
     Matmul,
-    /// Layout shuffles: `transpose2` and the NCHW↔row-major rearranges in
-    /// the convolution forward/backward passes.
+    /// Layout shuffles: `transpose2` of a weight, the NCHW → NHWC permute of
+    /// an image batch entering a model, and `Flatten`'s NHWC ↔ channel-major
+    /// reorder. Convolutions rearrange nothing: their activations are NHWC.
     Transpose,
     /// Elementwise maps/zips: add/sub/mul/axpy/scale/map/dot.
     Elementwise,
-    /// The convolution's zero-padded input copy, which its implicit-GEMM
-    /// products read the im2col patches from (`Conv2d::patches`).
+    /// The convolution's zero-padded NHWC input copy and offset tables,
+    /// which its implicit-GEMM products read the im2col patches through
+    /// (`Conv2d::patches`).
     Im2col,
-    /// Gradient scatter back to image layout (`Conv2d::col2im`).
+    /// Gradient scatter back to image layout (`Conv2d::col2im`), and the
+    /// channels-last `Wᵀ` whose product it scatters.
     Col2im,
     /// L2 norms and distances over flat parameter slices.
     Norm,
