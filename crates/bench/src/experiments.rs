@@ -1071,11 +1071,12 @@ fn scop_vs_drl(_: &Entry, _: &Options) -> Result<(), String> {
         let mut agent = DdpgAgent::new(AgentConfig::new(featurizer.dim(), k, 1));
         let states: Vec<Vec<f32>> =
             (0..k).map(|i| featurizer.build(0.5, 1.0, -0.01, 0.9, 0.9, &benefit[i])).collect();
+        let everyone = vec![true; k];
         let drl_ms = time_ms(REPS, || {
             let probs = states.iter().map(|s| agent.action_probs(s));
             let scores: Vec<Vec<f64>> =
                 probs.map(|p| p.iter().map(|&p| p as f64).collect()).collect();
-            std::hint::black_box(MigrationPlan::greedy_assignment(&scores));
+            std::hint::black_box(MigrationPlan::greedy_assignment_masked(&scores, &everyone));
         });
         print_row(&[
             k.to_string(),
@@ -1119,10 +1120,11 @@ fn planner_scaling(_: &Entry, _: &Options) -> Result<(), String> {
         };
 
         let dense_ms = (k <= 2000).then(|| {
+            let everyone = vec![true; k];
             time_ms((4_000_000 / (k * k)).clamp(1, 20), || {
                 let scores: Vec<Vec<f64>> =
                     (0..k).map(|i| (0..k).map(|j| score(i, j)).collect()).collect();
-                std::hint::black_box(MigrationPlan::greedy_assignment(&scores));
+                std::hint::black_box(MigrationPlan::greedy_assignment_masked(&scores, &everyone));
             })
         });
         let cfg = FleetPlannerConfig { top_m: 8, lambda: 0.1, seed: 7 };

@@ -33,43 +33,18 @@ use crate::metrics::RobustStats;
 /// Under the flow transport an upload can finish after its round's
 /// deadline. Rather than stalling the round (or discarding the work), the
 /// runner buffers the late update and folds it into a *later* aggregation
-/// with its sample weight scaled by `discount^age`, where `age >= 1` is
-/// how many aggregation rounds late it arrives — the standard staleness
+/// with its sample weight scaled by `STALE_DISCOUNT^age`, where `age >= 1`
+/// is how many aggregation rounds late it arrives — the standard staleness
 /// weighting of asynchronous FL, applied here as graceful degradation.
-/// Updates older than `max_age` rounds are dropped instead.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StalenessPolicy {
-    /// Per-round-of-age weight multiplier, in `(0, 1]`.
-    pub discount: f64,
-    /// Oldest age (in aggregation rounds) still folded in; older updates
-    /// are dropped.
-    pub max_age: usize,
-}
+/// Updates older than [`STALE_MAX_AGE`] rounds are dropped instead.
+const STALE_DISCOUNT: f64 = 0.6;
+/// Oldest age (in aggregation rounds) still folded in; older updates are
+/// dropped.
+pub(crate) const STALE_MAX_AGE: usize = 3;
 
-impl StalenessPolicy {
-    /// The standard policy: weight x0.6 per round of age, dropped after 3.
-    pub fn standard() -> Self {
-        Self { discount: 0.6, max_age: 3 }
-    }
-
-    /// Weight multiplier for an update `age` aggregation rounds old.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range discount.
-    pub fn weight(&self, age: usize) -> f64 {
-        assert!(
-            self.discount > 0.0 && self.discount <= 1.0,
-            "staleness discount must be in (0, 1], got {}",
-            self.discount
-        );
-        self.discount.powi(age as i32)
-    }
-}
-
-impl Default for StalenessPolicy {
-    fn default() -> Self {
-        Self::standard()
-    }
+/// Weight multiplier for an update `age` aggregation rounds old.
+fn stale_weight(age: usize) -> f64 {
+    STALE_DISCOUNT.powi(age as i32)
 }
 
 /// The aggregation rule applied to the uploads of a synchronization round.
@@ -210,15 +185,14 @@ impl Aggregator {
 
     /// [`Self::aggregate`] with a staleness-tolerant degraded path: `stale`
     /// entries are `(params, weight, age)` for uploads that missed their
-    /// round's deadline, folded in with weight `w * discount^age`. Callers
-    /// drop entries past `policy.max_age` before calling (and account them
+    /// round's deadline, folded in with weight `w * 0.6^age`. Callers drop
+    /// entries more than three rounds old before calling (and account them
     /// as dropped). With no stale entries this is exactly
     /// [`Self::aggregate`] — fresh-only rounds stay bit-identical.
     pub fn aggregate_with_stale(
         &self,
         fresh: &[(&[f32], f64)],
         stale: &[(&[f32], f64, usize)],
-        policy: &StalenessPolicy,
         prev_global: &[f32],
         stats: &mut RobustStats,
     ) -> Vec<f32> {
@@ -228,8 +202,8 @@ impl Aggregator {
         let mut entries: Vec<(&[f32], f64)> = fresh.to_vec();
         for &(p, w, age) in stale {
             debug_assert!(age >= 1, "a stale update is at least one round old");
-            debug_assert!(age <= policy.max_age, "caller must drop over-age updates");
-            entries.push((p, w * policy.weight(age)));
+            debug_assert!(age <= STALE_MAX_AGE, "caller must drop over-age updates");
+            entries.push((p, w * stale_weight(age)));
         }
         self.aggregate(&entries, prev_global, stats)
     }
@@ -486,11 +460,9 @@ mod tests {
 
     #[test]
     fn staleness_weight_decays_geometrically() {
-        let p = StalenessPolicy::standard();
-        assert_eq!(p.weight(0), 1.0);
-        assert!((p.weight(1) - 0.6).abs() < 1e-12);
-        assert!((p.weight(3) - 0.216).abs() < 1e-12);
-        assert_eq!(StalenessPolicy { discount: 1.0, max_age: 2 }.weight(5), 1.0);
+        assert_eq!(stale_weight(0), 1.0);
+        assert!((stale_weight(1) - 0.6).abs() < 1e-12);
+        assert!((stale_weight(3) - 0.216).abs() < 1e-12);
     }
 
     #[test]
@@ -499,26 +471,14 @@ mod tests {
         let late = vec![10.0f32];
         let fresh_entries: Vec<(&[f32], f64)> = vec![(&fresh, 1.0)];
         let stale_entries: Vec<(&[f32], f64, usize)> = vec![(&late, 1.0, 1)];
-        let policy = StalenessPolicy { discount: 0.5, max_age: 3 };
         let mut s = stats();
-        let got = Aggregator::FedAvg.aggregate_with_stale(
-            &fresh_entries,
-            &stale_entries,
-            &policy,
-            &[0.0],
-            &mut s,
-        );
-        // Weighted mean of 0 (w=1) and 10 (w=0.5): 10/3.
-        assert!((got[0] - 10.0 / 3.0).abs() < 1e-5, "got {got:?}");
-        // An age-2 update counts half as much again.
+        let got =
+            Aggregator::FedAvg.aggregate_with_stale(&fresh_entries, &stale_entries, &[0.0], &mut s);
+        // Weighted mean of 0 (w=1) and 10 (w=0.6): 6/1.6.
+        assert!((got[0] - 6.0 / 1.6).abs() < 1e-5, "got {got:?}");
+        // An age-2 update counts 0.6 as much again.
         let stale2: Vec<(&[f32], f64, usize)> = vec![(&late, 1.0, 2)];
-        let got2 = Aggregator::FedAvg.aggregate_with_stale(
-            &fresh_entries,
-            &stale2,
-            &policy,
-            &[0.0],
-            &mut s,
-        );
+        let got2 = Aggregator::FedAvg.aggregate_with_stale(&fresh_entries, &stale2, &[0.0], &mut s);
         assert!(got2[0] < got[0], "older updates must weigh less: {got2:?} vs {got:?}");
     }
 
@@ -531,13 +491,7 @@ mod tests {
             let mut s1 = stats();
             let mut s2 = stats();
             let plain = agg.aggregate(&entries, &[0.0; 2], &mut s1);
-            let with = agg.aggregate_with_stale(
-                &entries,
-                &[],
-                &StalenessPolicy::standard(),
-                &[0.0; 2],
-                &mut s2,
-            );
+            let with = agg.aggregate_with_stale(&entries, &[], &[0.0; 2], &mut s2);
             assert_eq!(plain, with, "{}", agg.name());
         }
     }

@@ -621,8 +621,7 @@ mod tests {
         let err = unraw(&raw(donor.quarantine.as_mut().unwrap()), &mut small).unwrap_err();
         assert!(err.to_string().contains("quarantine client mismatch"), "{err}");
         // The leaf crates refuse their own mismatches: a compressor with
-        // other residual lanes, an agent whose replay buffer is too small or
-        // whose exploration noise is configured the other way.
+        // other residual lanes, an agent whose replay buffer is too small.
         let refused = |err: io::Error, needle: &str| {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{needle}");
             assert!(err.to_string().contains(needle), "{needle}: {err}");
@@ -637,10 +636,8 @@ mod tests {
         let state = vec![0.5; ac.state_dim];
         agent.observe(Transition { state: state.clone(), next_state: state, ..transition() });
         let snapshot = raw(agent);
-        let mut tiny = DdpgAgent::new(AgentConfig { replay_capacity: 1, ..ac.clone() });
+        let mut tiny = DdpgAgent::new(AgentConfig { replay_capacity: 1, ..ac });
         refused(unraw(&snapshot, &mut tiny).unwrap_err(), "larger than capacity");
-        let mut noisy = DdpgAgent::new(AgentConfig { ou_noise: !ac.ou_noise, ..ac });
-        refused(unraw(&snapshot, &mut noisy).unwrap_err(), "OU-noise configuration mismatch");
         // A population of a different size: the agent's networks notice
         // first, the client list when there is no agent.
         let three = experiment_of(3);

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use crate::checkpoint::{self, RunStamp, Wire};
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, FaultStats, RecoveryStats, RobustStats, RunMetrics};
-use crate::reward::{step_reward, terminal_reward, RewardConfig};
+use crate::reward::{step_reward, terminal_reward};
 use crate::runner::{PhasedClock, RunConfig};
 use crate::scheme::{FedMigrConfig, Scheme};
 use crate::timeline_capture::TimelineCapture;
@@ -29,7 +29,6 @@ use crate::timeline_capture::TimelineCapture;
 pub(crate) struct AgentCtx {
     pub agent: DdpgAgent,
     pub fc: FedMigrConfig,
-    reward: RewardConfig,
     warmup_epochs: usize,
     /// Decisions awaiting their reward: `(state, executed destination,
     /// deciding client or cohort position)`.
@@ -45,7 +44,6 @@ impl AgentCtx {
         Self {
             agent: DdpgAgent::new(ac),
             fc: fc.clone(),
-            reward: RewardConfig { upsilon: fc.upsilon, terminal_bonus: fc.terminal_bonus },
             warmup_epochs: (fc.oracle_warmup_frac * epochs as f64) as usize,
             pending: Vec::new(),
         }
@@ -129,7 +127,7 @@ impl CommonState {
         let Some(ctx) = self.agent.as_mut() else { return };
         let (cu, bu) = if ctx.fc.resource_reward { self.last_epoch_usage } else { (0.0, 0.0) };
         let reward = step_reward(
-            &ctx.reward,
+            ctx.fc.upsilon,
             self.prev_loss.map(|p| (mean_loss - p) as f64).unwrap_or(0.0),
             self.prev_loss.unwrap_or(mean_loss) as f64,
             cu,
@@ -147,12 +145,10 @@ impl CommonState {
         }
     }
 
-    /// Runs the epoch's agent learning updates.
+    /// Runs the epoch's agent learning update.
     pub fn learn(&mut self) {
         if let Some(ctx) = self.agent.as_mut() {
-            for _ in 0..ctx.fc.updates_per_epoch {
-                ctx.agent.update();
-            }
+            ctx.agent.update();
         }
     }
 
@@ -183,7 +179,7 @@ impl CommonState {
     /// Terminal transition flush (Eq. 18).
     fn flush_terminal(&mut self, completed: bool) {
         let Some(ctx) = self.agent.as_mut() else { return };
-        let terminal = terminal_reward(&ctx.reward, self.last_step_reward, completed);
+        let terminal = terminal_reward(self.last_step_reward, completed);
         for (state, action, _) in ctx.pending.drain(..) {
             let next_state = state.clone();
             ctx.agent.observe(Transition {

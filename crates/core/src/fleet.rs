@@ -52,7 +52,6 @@ use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Tota
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, RobustStats, RunMetrics};
 use crate::runner::{RunConfig, VPhase};
-use crate::scheme::Scheme;
 use crate::timeline_capture::TimelineCapture;
 
 /// Fleet-mode knobs, carried in [`RunConfig::fleet`].
@@ -560,10 +559,7 @@ impl<'a> RoundLoop for FleetRun<'a> {
         self.decide(&mut r);
         // (4) Communication: C2C migration between aggregations (FedMigr),
         // or upload + aggregate + retire on block ends.
-        let is_agg = match cfg.scheme {
-            Scheme::FedAvg => true,
-            _ => epoch.is_multiple_of(cfg.agg_interval),
-        };
+        let is_agg = cfg.scheme.aggregates_at(epoch, cfg.agg_interval);
         let is_eval = epoch.is_multiple_of(cfg.eval_interval) || epoch == cfg.epochs;
         if is_agg {
             self.aggregate_block(&mut r, is_eval);
@@ -714,6 +710,7 @@ fn aggregate_cohort(cohort: &mut [FlClient], prev_global: &[f32]) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::Scheme;
     use fedmigr_compress::CodecConfig;
     use fedmigr_nn::zoo::{c10_cnn, NetScale};
     use rand::SeedableRng;

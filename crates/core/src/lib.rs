@@ -78,7 +78,7 @@ mod runner;
 mod scheme;
 mod timeline_capture;
 
-pub use aggregate::{Aggregator, StalenessPolicy};
+pub use aggregate::Aggregator;
 pub use checkpoint::{RunStamp, RUN_STATE_MAGIC, RUN_STATE_VERSION};
 pub use client::FlClient;
 pub use fedmigr_compress::{CodecConfig, CompressionStats};
@@ -89,6 +89,6 @@ pub use metrics::{
 };
 pub use migration::{MigrationPlan, Quarantine, QuarantineConfig};
 pub use privacy::DpConfig;
-pub use reward::{step_reward, terminal_reward, RewardConfig};
+pub use reward::{step_reward, terminal_reward};
 pub use runner::{ConfigError, Experiment, RunConfig, WatchdogConfig};
 pub use scheme::{FedMigrConfig, MigrationStrategy, Scheme};

@@ -34,23 +34,11 @@ impl MigrationPlan {
         Self { dest: (0..k).collect() }
     }
 
-    /// A uniformly random permutation (the RandMigr policy).
-    pub fn random(k: usize, rng: &mut StdRng) -> Self {
-        let mut dest: Vec<usize> = (0..k).collect();
-        dest.shuffle(rng);
-        Self { dest }
-    }
-
-    /// A random cyclic shift *within* each LAN: models never cross a LAN
-    /// boundary (the Fig. 3 "within-LAN" strategy). Single-client LANs keep
-    /// their model.
-    pub fn within_lan(topo: &Topology, rng: &mut StdRng) -> Self {
-        Self::within_lan_masked(topo, &vec![true; topo.num_clients()], rng)
-    }
-
-    /// Like [`MigrationPlan::within_lan`], but only the clients marked
-    /// `true` in `active` take part in the rotation; dead or absent clients
-    /// are fixed points and are never chosen as destinations.
+    /// A random cyclic shift *within* each LAN among the clients marked
+    /// `true` in `active`: models never cross a LAN boundary (the Fig. 3
+    /// "within-LAN" strategy). Dead or absent clients are fixed points and
+    /// are never chosen as destinations; a LAN with one active client keeps
+    /// its model.
     pub fn within_lan_masked(topo: &Topology, active: &[bool], rng: &mut StdRng) -> Self {
         let k = topo.num_clients();
         assert_eq!(active.len(), k);
@@ -74,14 +62,9 @@ impl MigrationPlan {
     }
 
     /// A permutation preferring *cross-LAN* destinations (the Fig. 3
-    /// "cross-LAN" strategy): clients are matched greedily, in random
-    /// order, to free clients of a different LAN whenever one exists.
-    pub fn cross_lan(topo: &Topology, rng: &mut StdRng) -> Self {
-        Self::cross_lan_masked(topo, &vec![true; topo.num_clients()], rng)
-    }
-
-    /// Like [`MigrationPlan::cross_lan`], but matching happens only among
-    /// the clients marked `true` in `active`; the rest are fixed points.
+    /// "cross-LAN" strategy): the clients marked `true` in `active` are
+    /// matched greedily, in random order, to free active clients of a
+    /// different LAN whenever one exists; the rest are fixed points.
     pub fn cross_lan_masked(topo: &Topology, active: &[bool], rng: &mut StdRng) -> Self {
         let k = topo.num_clients();
         assert_eq!(active.len(), k);
@@ -103,7 +86,8 @@ impl MigrationPlan {
     }
 
     /// A uniformly random permutation over the clients marked `true` in
-    /// `active`; everyone else keeps their model (partial participation).
+    /// `active` (the RandMigr policy); everyone else keeps their model
+    /// (partial participation).
     pub fn random_subset(k: usize, active: &[bool], rng: &mut StdRng) -> Self {
         assert_eq!(active.len(), k);
         let members: Vec<usize> = (0..k).filter(|&i| active[i]).collect();
@@ -116,8 +100,13 @@ impl MigrationPlan {
         Self::new(dest)
     }
 
-    /// Like [`MigrationPlan::greedy_assignment`], but only the clients
-    /// marked `true` in `active` exchange models; the rest are fixed points.
+    /// Builds a permutation by globally greedy matching on a score matrix:
+    /// repeatedly commits the highest-scoring `(source, destination)` pair
+    /// among unassigned sources and free destinations. This is the integer
+    /// recovery step applied to the relaxed-FLMM solution — it preserves
+    /// far more of the relaxation's value than independent per-row argmax
+    /// followed by conflict fallback. Only the clients marked `true` in
+    /// `active` exchange models; the rest are fixed points.
     pub fn greedy_assignment_masked(scores: &[Vec<f64>], active: &[bool]) -> Self {
         let k = scores.len();
         assert_eq!(active.len(), k);
@@ -149,33 +138,6 @@ impl MigrationPlan {
             };
             dest[i] = j;
             taken[j] = true;
-        }
-        Self::new(dest)
-    }
-
-    /// Builds a permutation by globally greedy matching on a score matrix:
-    /// repeatedly commits the highest-scoring `(source, destination)` pair
-    /// among unassigned sources and free destinations. This is the integer
-    /// recovery step applied to the relaxed-FLMM solution — it preserves
-    /// far more of the relaxation's value than independent per-row argmax
-    /// followed by conflict fallback.
-    pub fn greedy_assignment(scores: &[Vec<f64>]) -> Self {
-        let k = scores.len();
-        let mut pairs: Vec<(usize, usize)> =
-            (0..k).flat_map(|i| (0..k).map(move |j| (i, j))).collect();
-        pairs.sort_by(|&(ai, aj), &(bi, bj)| scores[bi][bj].total_cmp(&scores[ai][aj]));
-        let mut dest = vec![usize::MAX; k];
-        let mut taken = vec![false; k];
-        let mut assigned = 0usize;
-        for (i, j) in pairs {
-            if dest[i] == usize::MAX && !taken[j] {
-                dest[i] = j;
-                taken[j] = true;
-                assigned += 1;
-                if assigned == k {
-                    break;
-                }
-            }
         }
         Self::new(dest)
     }
@@ -256,7 +218,7 @@ impl Default for QuarantineConfig {
 /// (the receiver keeps its own), the event is counted, and the source's
 /// *suspicion* score rises — a `[0, 1]` EMA that the FedMigr oracle and the
 /// DDPG state consume to steer migrations away from poisoned sources,
-/// exactly as `liveness_penalty` steers them away from dead ones.
+/// exactly as the oracle's liveness penalty steers them away from dead ones.
 #[derive(Clone, Debug)]
 pub struct Quarantine {
     config: QuarantineConfig,
@@ -380,7 +342,7 @@ mod tests {
     fn random_is_a_permutation() {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..10 {
-            let p = MigrationPlan::random(7, &mut rng);
+            let p = MigrationPlan::random_subset(7, &[true; 7], &mut rng);
             let mut seen = [false; 7];
             for i in 0..7 {
                 seen[p.dest(i)] = true;
@@ -394,7 +356,7 @@ mod tests {
         let t = topo();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10 {
-            let p = MigrationPlan::within_lan(&t, &mut rng);
+            let p = MigrationPlan::within_lan_masked(&t, &[true; 10], &mut rng);
             for (i, j) in p.moves() {
                 assert!(t.same_lan(i, j), "move {i}->{j} crossed a LAN");
             }
@@ -410,7 +372,7 @@ mod tests {
         let mut crossing = 0usize;
         let mut total = 0usize;
         for _ in 0..20 {
-            let p = MigrationPlan::cross_lan(&t, &mut rng);
+            let p = MigrationPlan::cross_lan_masked(&t, &[true; 10], &mut rng);
             for (i, j) in p.moves() {
                 total += 1;
                 if !t.same_lan(i, j) {
@@ -472,28 +434,10 @@ mod tests {
     }
 
     #[test]
-    fn masked_variants_with_full_mask_match_unmasked() {
-        let t = topo();
-        let all = vec![true; 10];
-        let mut a = StdRng::seed_from_u64(21);
-        let mut b = StdRng::seed_from_u64(21);
-        for _ in 0..5 {
-            assert_eq!(
-                MigrationPlan::within_lan(&t, &mut a),
-                MigrationPlan::within_lan_masked(&t, &all, &mut b)
-            );
-            assert_eq!(
-                MigrationPlan::cross_lan(&t, &mut a),
-                MigrationPlan::cross_lan_masked(&t, &all, &mut b)
-            );
-        }
-    }
-
-    #[test]
     fn greedy_assignment_maximizes_scores() {
         // 0 prefers 1, 1 prefers 0, 2 prefers 2: a clean assignment exists.
         let scores = vec![vec![0.0, 5.0, 1.0], vec![5.0, 0.0, 1.0], vec![1.0, 1.0, 3.0]];
-        let p = MigrationPlan::greedy_assignment(&scores);
+        let p = MigrationPlan::greedy_assignment_masked(&scores, &[true; 3]);
         assert_eq!(p.dest(0), 1);
         assert_eq!(p.dest(1), 0);
         assert_eq!(p.dest(2), 2);

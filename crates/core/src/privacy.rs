@@ -7,27 +7,29 @@
 
 use rand::Rng;
 
-/// Local differential-privacy configuration.
+/// Failure probability δ of the (ε, δ) guarantee: the paper's 1e-5.
+const DELTA: f64 = 1e-5;
+/// L2 clipping threshold `C` (Eq. 30).
+const CLIP: f32 = 10.0;
+
+/// Local differential-privacy configuration: the budget ε, with the
+/// paper's δ = 1e-5 and clipping threshold `C` = 10.
 #[derive(Clone, Copy, Debug)]
 pub struct DpConfig {
     /// Privacy budget ε (smaller = stronger privacy, more noise).
     pub epsilon: f64,
-    /// Failure probability δ of the (ε, δ) guarantee.
-    pub delta: f64,
-    /// L2 clipping threshold `C` (Eq. 30).
-    pub clip: f32,
 }
 
 impl DpConfig {
-    /// A configuration with the paper's δ = 1e-5 and clipping threshold 10.
+    /// A configuration with privacy budget `epsilon`.
     pub fn with_epsilon(epsilon: f64) -> Self {
-        Self { epsilon, delta: 1e-5, clip: 10.0 }
+        Self { epsilon }
     }
 
     /// Gaussian-mechanism noise scale σ for this budget.
     pub fn sigma(&self) -> f32 {
-        assert!(self.epsilon > 0.0 && self.delta > 0.0 && self.delta < 1.0);
-        (self.clip as f64 * (2.0 * (1.25 / self.delta).ln()).sqrt() / self.epsilon) as f32
+        assert!(self.epsilon > 0.0);
+        (CLIP as f64 * (2.0 * (1.25 / DELTA).ln()).sqrt() / self.epsilon) as f32
     }
 
     /// Clips `params` to L2 norm `C` (Eq. 30) and adds `N(0, σ²)` noise to
@@ -43,7 +45,7 @@ impl DpConfig {
     /// Clips `params` to L2 norm `C` (Eq. 30), in place.
     fn clip(&self, params: &mut [f32]) {
         let norm: f32 = params.iter().map(|x| x * x).sum::<f32>().sqrt();
-        let scale = 1.0 / (norm / self.clip).max(1.0);
+        let scale = 1.0 / (norm / CLIP).max(1.0);
         for p in params.iter_mut() {
             *p *= scale;
         }
@@ -72,13 +74,13 @@ mod tests {
 
     #[test]
     fn clip_bounds_norm_and_preserves_small_vectors() {
-        let cfg = DpConfig { epsilon: 100.0, delta: 1e-5, clip: 1.0 };
-        let mut big = vec![3.0f32, 4.0]; // norm 5
+        let cfg = DpConfig::with_epsilon(100.0);
+        let mut big = vec![30.0f32, 40.0]; // norm 50
         cfg.clip(&mut big);
         let norm: f32 = big.iter().map(|x| x * x).sum::<f32>().sqrt();
-        assert!((norm - 1.0).abs() < 1e-6);
+        assert!((norm - CLIP).abs() < 1e-5);
 
-        let mut small = vec![0.3f32, 0.4]; // norm 0.5 < C
+        let mut small = vec![3.0f32, 4.0]; // norm 5 < C
         let before = small.clone();
         cfg.clip(&mut small);
         assert_eq!(small, before);
@@ -86,7 +88,7 @@ mod tests {
 
     #[test]
     fn apply_adds_noise_of_expected_scale() {
-        let cfg = DpConfig { epsilon: 50.0, delta: 1e-5, clip: 1.0 };
+        let cfg = DpConfig::with_epsilon(50.0);
         let mut rng = StdRng::seed_from_u64(1);
         let n = 20_000;
         let mut v = vec![0.0f32; n];

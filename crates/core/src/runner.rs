@@ -12,10 +12,10 @@ use fedmigr_diag::{
 use fedmigr_drl::qp::FlmmRelaxation;
 use fedmigr_drl::MigrationState;
 use fedmigr_net::{
-    simulate_c2s_traced, simulate_migrations_traced, transfer_time, transfer_time_with_latency,
-    try_transfer_time_with_latency, upload_deadline, AttackConfig, AttackModel, ClientCompute,
-    FaultConfig, FaultModel, FlowConfig, ResourceBudget, SimClock, Topology, TransportAccum,
-    TransportConfig,
+    retry_backoff, simulate_c2s_traced, simulate_migrations_traced, transfer_time,
+    transfer_time_with_latency, try_transfer_time_with_latency, upload_deadline, AttackConfig,
+    AttackModel, ClientCompute, FaultConfig, FaultModel, FlowConfig, ResourceBudget, SimClock,
+    Topology, TransportAccum, TransportConfig, MAX_RETRIES,
 };
 use fedmigr_nn::Model;
 use fedmigr_tensor::kcount;
@@ -24,7 +24,7 @@ use rand::seq::SliceRandom;
 
 use fedmigr_telemetry::{span, warn};
 
-use crate::aggregate::{Aggregator, StalenessPolicy};
+use crate::aggregate::{Aggregator, STALE_MAX_AGE};
 use crate::checkpoint::{self, RunStamp};
 use crate::client::FlClient;
 use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
@@ -34,6 +34,20 @@ use crate::migration::{MigrationPlan, Quarantine, QuarantineConfig};
 use crate::privacy::DpConfig;
 use crate::scheme::{FedMigrConfig, MigrationStrategy, Scheme};
 use crate::timeline_capture::TimelineCapture;
+
+/// Penalty weight on targeting *flaky* destinations: the FedMigr oracle
+/// subtracts `LIVENESS_PENALTY x flakiness(j)` from every `(i, j)` score,
+/// where `flakiness` is an exponential moving average of observed
+/// per-client downtime. Zero-cost without fault injection (the EMA stays
+/// identically zero).
+const LIVENESS_PENALTY: f64 = 0.5;
+/// Penalty weight on migrating *suspect* models: the FedMigr oracle
+/// subtracts `SUSPICION_PENALTY x suspicion(i)` from every off-diagonal
+/// `(i, j)` score, where `suspicion` is the migration quarantine's
+/// per-source rejection EMA — a poisoned model is nudged to stay home
+/// instead of contaminating a fresh client. Zero-cost without an adversary
+/// (the quarantine is off and suspicion stays identically zero).
+const SUSPICION_PENALTY: f64 = 0.5;
 
 /// Configuration of one federated-learning run.
 #[derive(Clone, Debug)]
@@ -97,9 +111,6 @@ pub struct RunConfig {
     /// timeout/retransmission state machines, per-round upload deadlines
     /// and staleness-tolerant degraded aggregation.
     pub transport: TransportConfig,
-    /// How late uploads are folded into later aggregations under the flow
-    /// transport. Irrelevant under lockstep (no upload is ever late).
-    pub stale: StalenessPolicy,
     /// Seed for client batch order, migration randomness and DP noise.
     pub seed: u64,
     /// Learning-dynamics diagnostics (EMD/drift/DRL introspection gauges
@@ -162,10 +173,8 @@ pub struct WatchdogConfig {
     /// Master switch.
     pub enabled: bool,
     /// Declare divergence when the round's mean training loss exceeds
-    /// `spike_factor` times the mean over the trailing window.
+    /// `spike_factor` times the mean over the trailing five rounds.
     pub spike_factor: f64,
-    /// Trailing-window length (completed rounds) for the loss baseline.
-    pub window: usize,
     /// Retry budget: after this many rollbacks the watchdog gives up and
     /// lets the run continue (never an infinite replay loop).
     pub max_rollbacks: usize,
@@ -173,9 +182,13 @@ pub struct WatchdogConfig {
 
 impl Default for WatchdogConfig {
     fn default() -> Self {
-        Self { enabled: false, spike_factor: 4.0, window: 5, max_rollbacks: 3 }
+        Self { enabled: false, spike_factor: 4.0, max_rollbacks: 3 }
     }
 }
+
+/// Trailing-window length (completed rounds) of the watchdog's loss
+/// baseline.
+const WATCHDOG_WINDOW: usize = 5;
 
 impl RunConfig {
     /// A configuration with evaluation-scale defaults.
@@ -197,7 +210,6 @@ impl RunConfig {
             aggregator: Aggregator::FedAvg,
             codec: CodecConfig::Identity,
             transport: TransportConfig::Lockstep,
-            stale: StalenessPolicy::standard(),
             seed: 7,
             diag: DiagConfig::default(),
             checkpoint_every: None,
@@ -800,11 +812,7 @@ impl<'a> DenseRun<'a> {
     fn communicate(&mut self, r: &mut Round) {
         let comm_span = span!("core::runner", "communicate");
         let cfg = self.ctx.cfg;
-        let is_agg = match cfg.scheme {
-            Scheme::FedAvg | Scheme::FedProx { .. } => true,
-            Scheme::FedAsync { .. } => false,
-            _ => r.epoch.is_multiple_of(cfg.agg_interval),
-        };
+        let is_agg = cfg.scheme.aggregates_at(r.epoch, cfg.agg_interval);
         if let Scheme::FedAsync { beta } = cfg.scheme {
             self.communicate_async(r, beta);
         } else if cfg.scheme.uploads_every_epoch() || is_agg {
@@ -1299,7 +1307,7 @@ impl<'a> DenseRun<'a> {
             .records
             .iter()
             .rev()
-            .take(wd.window.max(1))
+            .take(WATCHDOG_WINDOW)
             .map(|r| r.train_loss)
             .filter(|l| l.is_finite())
             .collect();
@@ -1504,7 +1512,6 @@ impl<'a> DenseRun<'a> {
             return arrived.to_vec();
         }
         let stats = &mut self.st.fault_stats;
-        let policy = fault.retry();
         let mut synced = vec![false; arrived.len()];
         let mut backoff_total = 0.0f64;
         for i in (0..arrived.len()).filter(|&i| arrived[i]) {
@@ -1513,10 +1520,10 @@ impl<'a> DenseRun<'a> {
                 continue;
             }
             stats.wasted_bytes += self.ctx.model_bytes;
-            for attempt in 1..=policy.max_retries {
+            for attempt in 1..=MAX_RETRIES {
                 stats.transfer_retries += 1;
                 count_net("fedmigr_net_transfer_retries_total", &[]);
-                backoff_total += policy.backoff(attempt);
+                backoff_total += retry_backoff(attempt);
                 if fault.retry_succeeds(i, usize::MAX, epoch, attempt) {
                     synced[i] = true;
                     break;
@@ -1566,8 +1573,8 @@ impl<'a> DenseRun<'a> {
                     .enumerate()
                     .map(|(j, (&d, &f))| {
                         let keep_home =
-                            if i != j { fc.suspicion_penalty * r.suspicion[i] } else { 0.0 };
-                        d - fc.liveness_penalty * f - keep_home
+                            if i != j { SUSPICION_PENALTY * r.suspicion[i] } else { 0.0 };
+                        d - LIVENESS_PENALTY * f - keep_home
                     })
                     .collect()
             })
@@ -1621,12 +1628,11 @@ impl<'a> DenseRun<'a> {
         let eff = |a: usize, b: usize| effective_bandwidth(fault, topology, a, b, epoch);
         let (meter, stats) = (&mut self.st.common.meter, &mut self.st.fault_stats);
         // (b) Bounded retries with exponential backoff on the same link.
-        let policy = fault.retry();
         let mut elapsed = 0.0;
-        for attempt in 1..=policy.max_retries {
+        for attempt in 1..=MAX_RETRIES {
             stats.transfer_retries += 1;
             count_net("fedmigr_net_transfer_retries_total", &[]);
-            elapsed += policy.backoff(attempt);
+            elapsed += retry_backoff(attempt);
             if fault.retry_succeeds(i, j, epoch, attempt) {
                 meter.record_c2c(model_bytes, topology.same_lan(i, j));
                 let bw = topology.c2c_bandwidth(i, j, epoch) * fault.link_quality(i, j, epoch);
@@ -1705,7 +1711,7 @@ impl<'a> DenseRun<'a> {
             tcap.active(),
         );
         st.taccum.absorb(&sim);
-        let deadline = upload_deadline(&sim.outcomes, fc.deadline_factor);
+        let deadline = upload_deadline(&sim.outcomes);
         let dur = sim.makespan.min(deadline);
         for (o, &c) in sim.outcomes.iter().zip(&uploaders) {
             if o.completed {
@@ -1894,7 +1900,7 @@ impl RoundState {
             // at least one aggregation round old by the time the next one
             // runs.
             let age = (self.agg_seq - lu.seq).max(1);
-            if on_time[lu.client] || age > cfg.stale.max_age {
+            if on_time[lu.client] || age > STALE_MAX_AGE {
                 dropped += 1;
             } else {
                 stale_entries.push((lu.params.as_slice(), weight(lu.client), age));
@@ -1912,7 +1918,6 @@ impl RoundState {
             Some(cfg.aggregator.aggregate_with_stale(
                 &fresh,
                 &stale_entries,
-                &cfg.stale,
                 &self.common.global,
                 stats,
             ))
@@ -2598,13 +2603,12 @@ mod tests {
     #[test]
     fn lockstep_run_ignores_transport_state() {
         // A default (lockstep) run must be bit-identical whether or not the
-        // flow tuning or staleness policy fields are explicitly set: no flow
-        // code path may consume RNG, clock, or meter state.
+        // transport is explicitly set: no flow code path may consume RNG,
+        // clock, or meter state.
         let exp = small_experiment(true);
         let base = exp.run(&quick_cfg(Scheme::RandMigr, 8));
         let mut cfg = quick_cfg(Scheme::RandMigr, 8);
         cfg.transport = TransportConfig::Lockstep;
-        cfg.stale = StalenessPolicy { discount: 0.2, max_age: 9 }; // irrelevant under lockstep
         let m = exp.run(&cfg);
         assert_eq!(m.final_accuracy(), base.final_accuracy());
         assert_eq!(m.traffic(), base.traffic());

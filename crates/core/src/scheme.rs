@@ -33,36 +33,18 @@ pub struct FedMigrConfig {
     pub lambda: f64,
     /// Base Υ of the exponential loss-trend term in the reward (Eq. 17).
     pub upsilon: f64,
-    /// Terminal bonus/penalty C (Eq. 18).
-    pub terminal_bonus: f64,
     /// ρ-greedy exploration probability (overrides the agent default).
     pub rho: f64,
     /// Fraction of the run during which decisions come purely from the
     /// exploration oracle while the agent trains in the background — the
     /// paper's offline pre-training phase, folded into the run.
     pub oracle_warmup_frac: f64,
-    /// Learning updates per epoch (0 freezes a pre-trained agent).
-    pub updates_per_epoch: usize,
     /// Prioritization exponent ξ of the replay buffer (0 = uniform replay;
     /// the replay ablation flips this).
     pub replay_xi: f64,
     /// Whether the reward includes the resource terms of Eq. 17 (the
     /// reward-shaping ablation disables them).
     pub resource_reward: bool,
-    /// Penalty weight on targeting *flaky* destinations: the exploration
-    /// oracle subtracts `liveness_penalty x flakiness(j)` from every
-    /// `(i, j)` score, where `flakiness` is an exponential moving average
-    /// of observed per-client downtime. Zero-cost without fault injection
-    /// (the EMA stays identically zero).
-    pub liveness_penalty: f64,
-    /// Penalty weight on migrating *suspect* models: the exploration
-    /// oracle subtracts `suspicion_penalty x suspicion(i)` from every
-    /// off-diagonal `(i, j)` score, where `suspicion` is the migration
-    /// quarantine's per-source rejection EMA — a poisoned model is nudged
-    /// to stay home instead of contaminating a fresh client. Zero-cost
-    /// without an adversary (the quarantine is off and suspicion stays
-    /// identically zero).
-    pub suspicion_penalty: f64,
     /// Seed for the agent.
     pub agent_seed: u64,
 }
@@ -73,14 +55,10 @@ impl FedMigrConfig {
         Self {
             lambda: 0.08,
             upsilon: 4.0,
-            terminal_bonus: 5.0,
             rho: 0.7,
             oracle_warmup_frac: 0.5,
-            updates_per_epoch: 1,
             replay_xi: 0.6,
             resource_reward: true,
-            liveness_penalty: 0.5,
-            suspicion_penalty: 0.5,
             agent_seed,
         }
     }
@@ -148,6 +126,17 @@ impl Scheme {
         matches!(self, Scheme::FedAvg | Scheme::FedProx { .. } | Scheme::FedSwap)
     }
 
+    /// Whether `epoch` ends in a global aggregation: every epoch for
+    /// FedAvg and FedProx, never for FedAsync (it mixes in one upload per
+    /// epoch instead), and every `agg_interval` epochs for the rest.
+    pub fn aggregates_at(&self, epoch: usize, agg_interval: usize) -> bool {
+        match self {
+            Scheme::FedAvg | Scheme::FedProx { .. } => true,
+            Scheme::FedAsync { .. } => false,
+            _ => epoch.is_multiple_of(agg_interval),
+        }
+    }
+
     /// Whether the server applies asynchronous single-client updates.
     pub fn is_async(&self) -> bool {
         matches!(self, Scheme::FedAsync { .. })
@@ -171,6 +160,17 @@ mod tests {
         assert_eq!(Scheme::fedasync().name(), "FedAsync");
         assert!(Scheme::fedasync().is_async());
         assert!(!Scheme::fedasync().uploads_every_epoch());
+    }
+
+    #[test]
+    fn aggregation_epochs_follow_the_scheme() {
+        assert!((1..=6).all(|e| Scheme::FedAvg.aggregates_at(e, 3)));
+        assert!((1..=6).all(|e| Scheme::fedprox().aggregates_at(e, 3)));
+        assert!((1..=6).all(|e| !Scheme::fedasync().aggregates_at(e, 3)));
+        for scheme in [Scheme::fedmigr(0), Scheme::RandMigr, Scheme::FedSwap] {
+            let agg: Vec<usize> = (1..=7).filter(|&e| scheme.aggregates_at(e, 3)).collect();
+            assert_eq!(agg, vec![3, 6], "{}", scheme.name());
+        }
     }
 
     #[test]

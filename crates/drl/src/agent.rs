@@ -4,12 +4,11 @@ use std::path::Path;
 use fedmigr_nn::checkpoint;
 use fedmigr_nn::params::{grad_vector, param_vector, set_param_vector};
 use fedmigr_nn::{zoo, Layer, Model, Sgd};
-use fedmigr_telemetry::wire::{Codec, Wire};
+use fedmigr_telemetry::wire::{bad, Codec, Wire};
 use fedmigr_tensor::{argmax_slice, softmax_rows, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::noise::OuNoise;
 use crate::replay::{PrioritizedReplay, Transition};
 
 /// Hyper-parameters of the EMPG agent (Alg. 1).
@@ -34,9 +33,6 @@ pub struct AgentConfig {
     pub rho: f64,
     /// Std of Gaussian noise added to actor logits during exploration.
     pub noise_std: f32,
-    /// Use temporally correlated Ornstein-Uhlenbeck noise instead of white
-    /// Gaussian noise for actor exploration (classic DDPG).
-    pub ou_noise: bool,
     /// Replay-buffer capacity.
     pub replay_capacity: usize,
     /// Mini-batch size for updates.
@@ -66,7 +62,6 @@ impl AgentConfig {
             tau: 0.05,
             rho: 0.2,
             noise_std: 0.3,
-            ou_noise: false,
             replay_capacity: 4096,
             batch_size: 32,
             xi: 0.6,
@@ -134,7 +129,6 @@ pub struct DdpgAgent {
     critic_opt: Sgd,
     replay: PrioritizedReplay,
     rng: StdRng,
-    ou: Option<OuNoise>,
     updates: u64,
     last_stats: Option<UpdateStats>,
 }
@@ -158,15 +152,6 @@ impl DdpgAgent {
         );
         let actor_target = actor.clone();
         let critic_target = critic.clone();
-        let ou = config.ou_noise.then(|| {
-            OuNoise::new(
-                config.num_actions,
-                0.15,
-                0.0,
-                config.noise_std,
-                config.seed.wrapping_add(99),
-            )
-        });
         Self {
             actor_opt: Sgd::new(config.actor_lr),
             critic_opt: Sgd::new(config.critic_lr),
@@ -177,7 +162,6 @@ impl DdpgAgent {
             actor_target,
             critic_target,
             config,
-            ou,
             updates: 0,
             last_stats: None,
         }
@@ -231,11 +215,7 @@ impl DdpgAgent {
         }
         let x = Tensor::from_vec(vec![1, self.config.state_dim], state.to_vec());
         let mut logits = self.actor.forward(&x, false);
-        if let Some(ou) = self.ou.as_mut() {
-            for (l, n) in logits.data_mut().iter_mut().zip(ou.sample()) {
-                *l += n;
-            }
-        } else if self.config.noise_std > 0.0 {
+        if self.config.noise_std > 0.0 {
             let noise = Tensor::randn(logits.shape(), self.config.noise_std, &mut self.rng);
             logits.add_assign(&noise);
         }
@@ -438,11 +418,16 @@ fn softmax_backward(probs: &Tensor, grad: &[f32], b: usize, k: usize) -> Vec<f32
 }
 
 /// The complete agent, in wire order: all four networks, the replay
-/// buffer, the exact RNG stream position, the exploration-noise process, the
-/// annealed ρ, and the learning bookkeeping. Unlike [`DdpgAgent::save`] (the
-/// deployment story: policy weights only), an agent built from the same
+/// buffer, the exact RNG stream position, a reserved byte, the annealed ρ,
+/// and the learning bookkeeping. Unlike [`DdpgAgent::save`] (the deployment
+/// story: policy weights only), an agent built from the same
 /// [`AgentConfig`] and restored from this resumes training bit-for-bit; one
-/// built with other network sizes or the other noise choice is a mismatch.
+/// built with other network sizes is a mismatch.
+///
+/// The reserved byte is where `RUN_STATE_VERSION` 3 records whether an
+/// Ornstein-Uhlenbeck noise process follows. Exploration is always
+/// Gaussian now, so the byte is always 0, and a snapshot carrying 1 is
+/// refused. It goes at the next version bump.
 impl Wire for DdpgAgent {
     fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
         self.actor.wire(c)?;
@@ -451,7 +436,11 @@ impl Wire for DdpgAgent {
         self.critic_target.wire(c)?;
         self.replay.wire(c)?;
         self.rng.wire(c)?;
-        c.in_place_opt(&mut self.ou, "OU-noise configuration mismatch")?;
+        let mut ou_noise = false;
+        ou_noise.wire(c)?;
+        if ou_noise {
+            return Err(bad("OU-noise exploration is no longer supported"));
+        }
         self.config.rho.wire(c)?;
         self.updates.wire(c)?;
         self.last_stats.wire(c)
@@ -537,28 +526,6 @@ mod tests {
     }
 
     #[test]
-    fn ou_noise_exploration_still_learns_the_bandit() {
-        let mut cfg = bandit_config(4);
-        cfg.ou_noise = true;
-        cfg.noise_std = 0.5;
-        let mut agent = DdpgAgent::new(cfg);
-        let state = vec![1.0f32, 0.0, 0.0];
-        for _ in 0..600 {
-            let a = agent.select_action(&state, None);
-            let r = if a == 0 { 1.0 } else { 0.0 };
-            agent.observe(Transition {
-                state: state.clone(),
-                action: a,
-                reward: r,
-                next_state: state.clone(),
-                done: true,
-            });
-            agent.update();
-        }
-        assert_eq!(agent.select_greedy(&state), 0);
-    }
-
-    #[test]
     fn save_load_round_trips_the_policy() {
         let dir = std::env::temp_dir().join("fedmigr-agent-test");
         let mut a = DdpgAgent::new(AgentConfig::new(4, 3, 5));
@@ -576,8 +543,7 @@ mod tests {
 
     #[test]
     fn full_state_round_trip_resumes_training_bit_for_bit() {
-        let mut cfg = bandit_config(4);
-        cfg.ou_noise = true;
+        let cfg = bandit_config(4);
         let mut live = DdpgAgent::new(cfg.clone());
         let state = vec![1.0f32, 0.0, 0.0];
         let step = |agent: &mut DdpgAgent| {
@@ -608,7 +574,6 @@ mod tests {
         assert_eq!(live.last_update_stats(), resumed.last_update_stats());
         // An agent configured otherwise refuses the snapshot.
         let mismatched = [
-            AgentConfig { ou_noise: false, ..cfg.clone() },
             AgentConfig { hidden: cfg.hidden + 1, ..cfg.clone() },
             AgentConfig { replay_capacity: 8, ..cfg },
         ];
@@ -616,6 +581,29 @@ mod tests {
             let err = wire::decode(&snap, &mut DdpgAgent::new(other)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
+    }
+
+    #[test]
+    fn snapshot_with_the_ou_noise_byte_set_is_refused() {
+        let mut agent = DdpgAgent::new(AgentConfig::new(3, 2, 4));
+        let mut snap = wire::encode(&mut agent);
+        // The reserved byte follows the four networks, the replay buffer
+        // and the RNG.
+        let at = [
+            wire::encode(&mut agent.actor).len(),
+            wire::encode(&mut agent.critic).len(),
+            wire::encode(&mut agent.actor_target).len(),
+            wire::encode(&mut agent.critic_target).len(),
+            wire::encode(&mut agent.replay).len(),
+            wire::encode(&mut agent.rng).len(),
+        ]
+        .iter()
+        .sum::<usize>();
+        assert_eq!(snap[at], 0, "the reserved byte is written as 0");
+        wire::decode(&snap, &mut DdpgAgent::new(AgentConfig::new(3, 2, 4))).unwrap();
+        snap[at] = 1;
+        let err = wire::decode(&snap, &mut DdpgAgent::new(AgentConfig::new(3, 2, 4))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //!   of Sec. III-C.
 
 mod agent;
-mod noise;
 pub mod qp;
 mod replay;
 mod state;
 
 pub use agent::{policy_entropy_saturation, AgentConfig, DdpgAgent, UpdateStats};
-pub use noise::OuNoise;
 pub use replay::{PrioritizedReplay, ReplayHealth, Transition};
 pub use state::{MigrationState, PooledMigrationState};

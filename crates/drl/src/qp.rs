@@ -199,6 +199,42 @@ mod tests {
         assert_eq!(dest[0], 2);
     }
 
+    /// The relaxation is separable by row, and from the uniform start every
+    /// mirror-descent step keeps `ln p_j` an increasing affine function of
+    /// `benefit_j - λ·cost_j`. So the runner's solve rounds to the per-row
+    /// argmax of that objective whenever the row's top two entries differ
+    /// by more than rounding can blur (here, more than 1e-9).
+    #[test]
+    fn rounded_solve_is_the_per_row_argmax_of_the_objective() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut checked = 0;
+        while checked < 200 {
+            let k = rng.random_range(2..13);
+            let mut draw = || -> Vec<Vec<f64>> {
+                (0..k).map(|_| (0..k).map(|_| rng.random::<f64>()).collect()).collect()
+            };
+            let (benefit, cost) = (draw(), draw());
+            let lambda = rng.random::<f64>() * 0.5;
+            let lin = |i: usize, j: usize| benefit[i][j] - lambda * cost[i][j];
+            let separated = (0..k).all(|i| {
+                let mut row: Vec<f64> = (0..k).map(|j| lin(i, j)).collect();
+                row.sort_by(|a, b| b.total_cmp(a));
+                row[0] - row[1] > 1e-9
+            });
+            if !separated {
+                continue;
+            }
+            let argmax: Vec<usize> = (0..k)
+                .map(|i| (0..k).fold(0, |best, j| if lin(i, j) > lin(i, best) { j } else { best }))
+                .collect();
+            let inst = FlmmRelaxation { benefit, cost, lambda, entropy: 0.05 };
+            assert_eq!(FlmmRelaxation::round(&inst.solve(40, 0.4)), argmax, "k = {k}");
+            checked += 1;
+        }
+    }
+
     #[test]
     fn entropy_keeps_solution_interior() {
         let mut inst = small_instance();

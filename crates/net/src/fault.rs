@@ -14,37 +14,21 @@
 //!    randomness and every query short-circuits, so a fault-free run is
 //!    byte-identical to one executed without the fault layer at all.
 
-/// Bounded retry with exponential backoff for failed transfers.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Maximum number of retry attempts after the initial failure.
-    pub max_retries: u32,
-    /// Backoff charged before the first retry, in seconds.
-    pub base_backoff: f64,
-    /// Multiplicative backoff growth per attempt (>= 1).
-    pub backoff_factor: f64,
-    /// Probability that an individual retry attempt goes through (models
-    /// transient recovery within an epoch).
-    pub retry_success_prob: f64,
-}
+/// Retries a failed transfer gets after its first attempt.
+pub const MAX_RETRIES: u32 = 3;
+/// Backoff charged before the first retry, in seconds.
+const BASE_BACKOFF_S: f64 = 0.5;
+/// Multiplicative backoff growth per attempt.
+const BACKOFF_FACTOR: f64 = 2.0;
+/// Probability that an individual retry attempt goes through (models
+/// transient recovery within an epoch).
+const RETRY_SUCCESS_PROB: f64 = 0.5;
 
-impl RetryPolicy {
-    /// The default policy: three retries starting at 0.5 s, doubling.
-    pub fn standard() -> Self {
-        Self { max_retries: 3, base_backoff: 0.5, backoff_factor: 2.0, retry_success_prob: 0.5 }
-    }
-
-    /// Backoff charged before retry `attempt` (1-based), in seconds.
-    pub fn backoff(&self, attempt: u32) -> f64 {
-        assert!(attempt >= 1, "attempts are 1-based");
-        self.base_backoff * self.backoff_factor.powi(attempt as i32 - 1)
-    }
-
-    /// Total backoff charged by `attempts` consecutive retries. Monotone
-    /// non-decreasing in `attempts` (each term is non-negative).
-    pub fn total_backoff(&self, attempts: u32) -> f64 {
-        (1..=attempts).map(|a| self.backoff(a)).sum()
-    }
+/// Backoff charged before retry `attempt` (1-based), in seconds: 0.5 s,
+/// doubling per attempt.
+pub fn retry_backoff(attempt: u32) -> f64 {
+    assert!(attempt >= 1, "attempts are 1-based");
+    BASE_BACKOFF_S * BACKOFF_FACTOR.powi(attempt as i32 - 1)
 }
 
 /// Configuration of the fault processes. All probabilities are per epoch.
@@ -87,8 +71,6 @@ pub struct FaultConfig {
     pub bw_collapse_prob: f64,
     /// Bandwidth multiplier on a collapsed link, in `(0, 1]`.
     pub bw_collapse_factor: f64,
-    /// Retry/backoff policy for failed transfers.
-    pub retry: RetryPolicy,
     /// Explicit `(client, epoch)` pairs at which the client's training
     /// thread panics mid-round — a deterministic stand-in for software
     /// crashes (poisoned inputs, OOM aborts) as opposed to the
@@ -118,7 +100,6 @@ impl FaultConfig {
             burst_loss_rate: 0.0,
             bw_collapse_prob: 0.0,
             bw_collapse_factor: 1.0,
-            retry: RetryPolicy::standard(),
             panics: Vec::new(),
             seed: 0,
         }
@@ -145,7 +126,6 @@ impl FaultConfig {
             burst_loss_rate: 0.0,
             bw_collapse_prob: 0.0,
             bw_collapse_factor: 1.0,
-            retry: RetryPolicy::standard(),
             panics: Vec::new(),
             seed,
         }
@@ -248,7 +228,6 @@ impl FaultModel {
             config.flap_prob,
             config.burst_loss_prob,
             config.bw_collapse_prob,
-            config.retry.retry_success_prob,
         ] {
             assert!((0.0..=1.0).contains(&p), "probabilities must be in [0, 1], got {p}");
         }
@@ -372,8 +351,7 @@ impl FaultModel {
             return true;
         }
         let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-        self.unit(TAG_RETRY, a, b, (epoch as u64) << 8 | attempt as u64)
-            < self.config.retry.retry_success_prob
+        self.unit(TAG_RETRY, a, b, (epoch as u64) << 8 | attempt as u64) < RETRY_SUCCESS_PROB
     }
 
     /// Up/down cycle of the `i <-> j` link at `epoch` when it flaps:
@@ -429,11 +407,6 @@ impl FaultModel {
     /// (the explicit `panics` injection list).
     pub fn client_panics(&self, client: usize, epoch: usize) -> bool {
         self.enabled && self.config.panics.contains(&(client, epoch))
-    }
-
-    /// The retry policy in force.
-    pub fn retry(&self) -> RetryPolicy {
-        self.config.retry
     }
 
     /// Straggler deadline in seconds given the median per-client round time
@@ -558,13 +531,12 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_total_is_monotone() {
-        let p = RetryPolicy::standard();
-        assert_eq!(p.backoff(1), 0.5);
-        assert_eq!(p.backoff(2), 1.0);
-        assert_eq!(p.backoff(3), 2.0);
+        assert_eq!(retry_backoff(1), 0.5);
+        assert_eq!(retry_backoff(2), 1.0);
+        assert_eq!(retry_backoff(3), 2.0);
         let mut prev = 0.0;
         for n in 0..10 {
-            let t = p.total_backoff(n);
+            let t: f64 = (1..=n).map(retry_backoff).sum();
             assert!(t >= prev);
             prev = t;
         }

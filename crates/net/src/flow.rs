@@ -3,12 +3,12 @@
 //! The lockstep accounting in [`crate::transfer_time`] prices every
 //! transfer at `bytes / bandwidth` as if it had the wire to itself. This
 //! module replaces that with a fluid *flow* model: concurrent transfers
-//! share link capacity under a configurable queueing discipline, and every
-//! transfer runs a small transport state machine — segments are lost to
-//! burst loss and retransmitted, an AIMD congestion window throttles the
-//! send rate, and a flow that gets no capacity (downed or flapping link)
-//! arms a retransmission timeout with bounded exponential backoff before
-//! giving up. A transfer's completion time therefore depends on what else
+//! share link capacity max-min fairly (the fluid limit of per-flow fair
+//! queueing), and every transfer runs a small transport state machine —
+//! segments are lost to burst loss and retransmitted, an AIMD congestion
+//! window throttles the send rate, and a flow that gets no capacity
+//! (downed or flapping link) arms a retransmission timeout with bounded
+//! exponential backoff before giving up. A transfer's completion time therefore depends on what else
 //! is on the wire, not on a fixed nominal latency.
 //!
 //! The simulator is a *pure* function of its inputs: capacities, flows and
@@ -20,81 +20,43 @@
 
 use crate::fault::hash_unit;
 
-/// How concurrent flows share a link's capacity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueDiscipline {
-    /// Max-min fair share: capacity is split evenly among bottlenecked
-    /// flows (progressive filling), the fluid limit of per-flow fair
-    /// queueing.
-    #[default]
-    FairShare,
-    /// Per-link FIFO: the oldest active flow on a link holds it until done;
-    /// later arrivals queue behind it.
-    Fifo,
-}
+/// Segment size in bytes — the granularity of loss, retransmission and
+/// congestion-window accounting.
+const SEGMENT_BYTES: u64 = 16 * 1024;
+/// Initial congestion window in segments.
+const INIT_CWND: u32 = 4;
+/// Slow-start threshold in segments; below it the window grows by one
+/// segment per delivered segment, above it by roughly one per window.
+const SSTHRESH: u32 = 32;
+/// Congestion-window ceiling in segments.
+const MAX_CWND: u32 = 256;
+/// Round-trip-time floor in seconds; the window caps the send rate at
+/// `cwnd * SEGMENT_BYTES / max(MIN_RTT_S, 2 * path_latency)`.
+const MIN_RTT_S: f64 = 0.01;
+/// Retransmission timeout armed when a flow receives no capacity, in
+/// seconds.
+const BASE_RTO_S: f64 = 0.25;
+/// Multiplicative RTO growth per consecutive timeout.
+const RTO_BACKOFF: f64 = 2.0;
+/// Consecutive timeouts tolerated before the flow fails. Bounds how long a
+/// flow can stall on a dead link, so rounds never hang.
+const MAX_TIMEOUTS: u32 = 5;
 
-/// Tuning of the flow transport. [`FlowConfig::standard`] matches a small
-/// TCP-like profile sized for model-scale transfers (hundreds of KB) on
-/// megabyte-per-second edge links.
+/// Tuning of the flow transport: the seed of its loss schedule. The
+/// TCP-like profile is fixed — 16 KiB segments, a 4-segment initial window,
+/// a 10 ms RTT floor, a 250 ms base RTO doubling up to five timeouts — and
+/// sized for model-scale transfers (hundreds of KB) on megabyte-per-second
+/// edge links. Shared links split their capacity max-min fairly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlowConfig {
-    /// Queueing discipline of shared links.
-    pub discipline: QueueDiscipline,
-    /// Segment size in bytes — the granularity of loss, retransmission and
-    /// congestion-window accounting.
-    pub segment_bytes: u64,
-    /// Initial congestion window in segments.
-    pub init_cwnd: u32,
-    /// Slow-start threshold in segments; below it the window grows by one
-    /// segment per delivered segment, above it by roughly one per window.
-    pub ssthresh: u32,
-    /// Congestion-window ceiling in segments.
-    pub max_cwnd: u32,
-    /// Round-trip-time floor in seconds; the window caps the send rate at
-    /// `cwnd * segment_bytes / max(min_rtt, 2 * path_latency)`.
-    pub min_rtt: f64,
-    /// Retransmission timeout armed when a flow receives no capacity, in
-    /// seconds.
-    pub base_rto: f64,
-    /// Multiplicative RTO growth per consecutive timeout (>= 1).
-    pub rto_backoff: f64,
-    /// Consecutive timeouts tolerated before the flow fails. Bounds how
-    /// long a flow can stall on a dead link, so rounds never hang.
-    pub max_timeouts: u32,
-    /// Per-round upload deadline as a multiple of the *median* completed
-    /// upload time; uploads finishing later are folded in as stale on a
-    /// later round. `f64::INFINITY` disables the deadline.
-    pub deadline_factor: f64,
     /// Seed of the per-segment loss schedule.
     pub seed: u64,
 }
 
 impl FlowConfig {
-    /// The standard profile: fair-share links, 16 KiB segments, a 4-segment
-    /// initial window, 10 ms RTT floor, 250 ms base RTO doubling up to five
-    /// timeouts, and a 3x-median upload deadline.
+    /// The flow transport with loss schedule `seed`.
     pub fn standard(seed: u64) -> Self {
-        Self {
-            discipline: QueueDiscipline::FairShare,
-            segment_bytes: 16 * 1024,
-            init_cwnd: 4,
-            ssthresh: 32,
-            max_cwnd: 256,
-            min_rtt: 0.01,
-            base_rto: 0.25,
-            rto_backoff: 2.0,
-            max_timeouts: 5,
-            deadline_factor: 3.0,
-            seed,
-        }
-    }
-
-    fn validate(&self) {
-        assert!(self.segment_bytes > 0, "segment size must be positive");
-        assert!(self.init_cwnd >= 1 && self.max_cwnd >= self.init_cwnd, "bad cwnd bounds");
-        assert!(self.min_rtt > 0.0 && self.base_rto > 0.0, "rtt/rto must be positive");
-        assert!(self.rto_backoff >= 1.0, "rto backoff must be >= 1");
-        assert!(self.deadline_factor > 0.0, "deadline factor must be positive");
+        Self { seed }
     }
 }
 
@@ -328,7 +290,6 @@ pub struct FlowSim {
 impl FlowSim {
     /// An empty simulation at time zero.
     pub fn new(cfg: FlowConfig) -> Self {
-        cfg.validate();
         Self { cfg, links: Vec::new(), flows: Vec::new(), now: 0.0, trace: None }
     }
 
@@ -396,8 +357,7 @@ impl FlowSim {
         assert!(!path.is_empty(), "flow needs at least one link");
         let path: Vec<usize> = path.iter().map(|l| l.0).collect();
         let latency: f64 = path.iter().map(|&l| self.links[l].latency).sum();
-        let cfg = &self.cfg;
-        let seg = (cfg.segment_bytes as f64).min((bytes as f64).max(1.0));
+        let seg = (SEGMENT_BYTES as f64).min((bytes as f64).max(1.0));
         self.flows.push(Flow {
             path,
             bytes,
@@ -406,9 +366,9 @@ impl FlowSim {
             seg_sent: 0.0,
             tx_counter: 0,
             state: if bytes == 0 { FlowState::Done { at: 0.0 } } else { FlowState::Running },
-            cwnd: cfg.init_cwnd as f64,
-            ssthresh: cfg.ssthresh as f64,
-            rto: cfg.base_rto,
+            cwnd: INIT_CWND as f64,
+            ssthresh: SSTHRESH as f64,
+            rto: BASE_RTO_S,
             strikes: 0,
             stall_since: None,
             retransmits: 0,
@@ -416,7 +376,7 @@ impl FlowSim {
             wire_bytes: 0.0,
             retransmit_bytes: 0.0,
             queue_delay: 0.0,
-            rtt: cfg.min_rtt.max(2.0 * latency),
+            rtt: MIN_RTT_S.max(2.0 * latency),
             rate: 0.0,
         });
         let i = self.flows.len() - 1;
@@ -461,75 +421,54 @@ impl FlowSim {
 
     /// Per-flow rate cap imposed by the congestion window.
     fn cwnd_cap(&self, f: &Flow) -> f64 {
-        f.cwnd * self.cfg.segment_bytes as f64 / f.rtt
+        f.cwnd * SEGMENT_BYTES as f64 / f.rtt
     }
 
-    /// Computes the instantaneous rate of every flow under the configured
-    /// discipline, and starts/clears stall timers accordingly.
+    /// Computes the instantaneous max-min fair rate of every flow
+    /// (progressive filling), and starts/clears stall timers accordingly.
     fn assign_rates(&mut self) {
         let caps: Vec<f64> =
             self.links.iter().map(|l| if l.up_at(self.now) { l.capacity } else { 0.0 }).collect();
         let n = self.flows.len();
         let mut rates = vec![0.0f64; n];
-        let running: Vec<usize> =
-            (0..n).filter(|&i| matches!(self.flows[i].state, FlowState::Running)).collect();
-        match self.cfg.discipline {
-            QueueDiscipline::FairShare => {
-                let mut unfrozen: Vec<usize> = running
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.flows[i].path.iter().all(|&l| caps[l] > EPS_RATE))
-                    .collect();
-                let mut used = vec![0.0f64; self.links.len()];
-                while !unfrozen.is_empty() {
-                    let mut crossing = vec![0usize; self.links.len()];
-                    for &i in &unfrozen {
-                        for &l in &self.flows[i].path {
-                            crossing[l] += 1;
-                        }
-                    }
-                    let mut delta = f64::INFINITY;
-                    for (l, &c) in crossing.iter().enumerate() {
-                        if c > 0 {
-                            delta = delta.min((caps[l] - used[l]).max(0.0) / c as f64);
-                        }
-                    }
-                    for &i in &unfrozen {
-                        delta = delta.min((self.cwnd_cap(&self.flows[i]) - rates[i]).max(0.0));
-                    }
-                    for &i in &unfrozen {
-                        rates[i] += delta;
-                        for &l in &self.flows[i].path {
-                            used[l] += delta;
-                        }
-                    }
-                    // Freeze flows that hit their window cap or a saturated
-                    // link; at least one freezes per pass, so this halts.
-                    let before = unfrozen.len();
-                    unfrozen.retain(|&i| {
-                        rates[i] + EPS_RATE < self.cwnd_cap(&self.flows[i])
-                            && self.flows[i].path.iter().all(|&l| used[l] + EPS_RATE < caps[l])
-                    });
-                    if unfrozen.len() == before {
-                        break;
-                    }
+        let mut unfrozen: Vec<usize> = (0..n)
+            .filter(|&i| {
+                let f = &self.flows[i];
+                matches!(f.state, FlowState::Running) && f.path.iter().all(|&l| caps[l] > EPS_RATE)
+            })
+            .collect();
+        let mut used = vec![0.0f64; self.links.len()];
+        while !unfrozen.is_empty() {
+            let mut crossing = vec![0usize; self.links.len()];
+            for &i in &unfrozen {
+                for &l in &self.flows[i].path {
+                    crossing[l] += 1;
                 }
             }
-            QueueDiscipline::Fifo => {
-                // A flow holds a link iff no lower-indexed running flow
-                // shares it; index order is admission order, and the
-                // total order keeps head-of-line globally consistent.
-                for &i in &running {
-                    let blocked = running
-                        .iter()
-                        .any(|&j| j < i && shares_link(&self.flows[i].path, &self.flows[j].path));
-                    if blocked {
-                        continue;
-                    }
-                    let link_cap =
-                        self.flows[i].path.iter().map(|&l| caps[l]).fold(f64::INFINITY, f64::min);
-                    rates[i] = link_cap.min(self.cwnd_cap(&self.flows[i]));
+            let mut delta = f64::INFINITY;
+            for (l, &c) in crossing.iter().enumerate() {
+                if c > 0 {
+                    delta = delta.min((caps[l] - used[l]).max(0.0) / c as f64);
                 }
+            }
+            for &i in &unfrozen {
+                delta = delta.min((self.cwnd_cap(&self.flows[i]) - rates[i]).max(0.0));
+            }
+            for &i in &unfrozen {
+                rates[i] += delta;
+                for &l in &self.flows[i].path {
+                    used[l] += delta;
+                }
+            }
+            // Freeze flows that hit their window cap or a saturated
+            // link; at least one freezes per pass, so this halts.
+            let before = unfrozen.len();
+            unfrozen.retain(|&i| {
+                rates[i] + EPS_RATE < self.cwnd_cap(&self.flows[i])
+                    && self.flows[i].path.iter().all(|&l| used[l] + EPS_RATE < caps[l])
+            });
+            if unfrozen.len() == before {
+                break;
             }
         }
         for (i, f) in self.flows.iter_mut().enumerate() {
@@ -544,9 +483,8 @@ impl FlowSim {
                         f.stall_since = Some(self.now);
                     }
                 } else {
-                    // Queued behind other flows on a live link: waiting is
-                    // queue delay, not a timeout — the queue drains via the
-                    // head flow's events.
+                    // Queued on a live link that has no rate left for it:
+                    // waiting is queue delay, not a timeout.
                     f.stall_since = None;
                 }
             }
@@ -669,13 +607,13 @@ impl FlowSim {
                         f.remaining -= f.seg_size;
                         f.seg_sent = 0.0;
                         f.strikes = 0;
-                        f.rto = cfg.base_rto;
+                        f.rto = BASE_RTO_S;
                         if f.cwnd < f.ssthresh {
                             f.cwnd += 1.0;
                         } else {
                             f.cwnd += 1.0 / f.cwnd;
                         }
-                        f.cwnd = f.cwnd.min(cfg.max_cwnd as f64);
+                        f.cwnd = f.cwnd.min(MAX_CWND as f64);
                         if f.remaining <= EPS_BYTES {
                             f.remaining = 0.0;
                             f.state = FlowState::Done { at: now };
@@ -683,7 +621,7 @@ impl FlowSim {
                                 st.push(now, i, FlowEventKind::Done, f.cwnd);
                             }
                         } else {
-                            f.seg_size = (cfg.segment_bytes as f64).min(f.remaining);
+                            f.seg_size = (SEGMENT_BYTES as f64).min(f.remaining);
                             if let Some(st) = tr.as_deref_mut() {
                                 if f.cwnd.floor() != st.last_cwnd_floor[i] {
                                     st.last_cwnd_floor[i] = f.cwnd.floor();
@@ -699,15 +637,15 @@ impl FlowSim {
                             f.timeouts += 1;
                             f.strikes += 1;
                             f.stall_since = None;
-                            if f.strikes > cfg.max_timeouts {
+                            if f.strikes > MAX_TIMEOUTS {
                                 f.state = FlowState::Failed { at: now };
                                 if let Some(st) = tr.as_deref_mut() {
                                     st.push(now, i, FlowEventKind::Failed, f.cwnd);
                                 }
                             } else {
                                 f.state = FlowState::Backoff { until: now + f.rto };
-                                f.rto *= cfg.rto_backoff;
-                                f.cwnd = cfg.init_cwnd as f64;
+                                f.rto *= RTO_BACKOFF;
+                                f.cwnd = INIT_CWND as f64;
                                 f.seg_sent = 0.0;
                                 if let Some(st) = tr.as_deref_mut() {
                                     st.last_cwnd_floor[i] = f.cwnd.floor();
@@ -795,10 +733,6 @@ fn is_settled(s: FlowState) -> bool {
     matches!(s, FlowState::Done { .. } | FlowState::Failed { .. })
 }
 
-fn shares_link(a: &[usize], b: &[usize]) -> bool {
-    a.iter().any(|l| b.contains(l))
-}
-
 fn path_loss(path: &[usize], links: &[Link]) -> f64 {
     path.iter().map(|&l| links[l].loss).fold(0.0, f64::max)
 }
@@ -843,20 +777,6 @@ mod tests {
         // Both contend for the whole run: each sees ~half the link.
         assert!((oa.finish - ob.finish).abs() < 0.05, "{} vs {}", oa.finish, ob.finish);
         assert!(oa.finish > 0.9, "contention must slow both flows: {}", oa.finish);
-    }
-
-    #[test]
-    fn fifo_serves_in_admission_order() {
-        let mut c = cfg();
-        c.discipline = QueueDiscipline::Fifo;
-        let mut sim = FlowSim::new(c);
-        let l = sim.add_link(1.0e6, 0.0, 0.0, None);
-        let a = sim.add_flow(&[l], 500_000);
-        let b = sim.add_flow(&[l], 500_000);
-        sim.run();
-        let (oa, ob) = (sim.outcome(a), sim.outcome(b));
-        assert!(oa.finish < ob.finish, "head of line finishes first");
-        assert!(ob.queue_delay > 0.3, "the queued flow waits: {}", ob.queue_delay);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   local/global C2C traffic,
 //! * [`SimClock`] — virtual wall-clock time of a synchronous FL round,
 //! * [`FlowSim`] / [`TransportConfig`] — an event-driven flow transport in
-//!   which concurrent transfers share link capacity (fair-share or FIFO)
-//!   and run timeout/retransmission state machines with AIMD congestion
+//!   which concurrent transfers share link capacity max-min fairly and
+//!   run timeout/retransmission state machines with AIMD congestion
 //!   control; the lockstep accounting above remains the default and stays
 //!   byte-identical to the seeded baselines.
 
@@ -36,11 +36,8 @@ pub use attack::{AttackConfig, AttackKind, AttackModel};
 pub use budget::{ResourceBudget, ResourceMeter, TrafficBreakdown};
 pub use clock::SimClock;
 pub use compute::{ClientCompute, DeviceTier};
-pub use fault::{FaultConfig, FaultModel, RetryPolicy};
-pub use flow::{
-    FlowConfig, FlowEvent, FlowEventKind, FlowOutcome, FlowSim, FlowTrace, LinkSeries,
-    QueueDiscipline,
-};
+pub use fault::{retry_backoff, FaultConfig, FaultModel, MAX_RETRIES};
+pub use flow::{FlowConfig, FlowEvent, FlowEventKind, FlowOutcome, FlowSim, FlowTrace, LinkSeries};
 pub use topology::{LinkClass, Topology, TopologyConfig};
 pub use transport::{
     simulate_c2s, simulate_c2s_traced, simulate_migrations, simulate_migrations_traced,

@@ -240,26 +240,26 @@ pub fn simulate_migrations_traced(
 /// Domain-separates the loss schedule per `(epoch, phase)` so each phase
 /// rolls independent losses from the same configured seed.
 fn phase_cfg(cfg: &FlowConfig, epoch: usize, phase: u64) -> FlowConfig {
-    let mut out = *cfg;
-    out.seed =
-        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add((epoch as u64) << 8 | phase);
-    out
+    FlowConfig::standard(
+        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add((epoch as u64) << 8 | phase),
+    )
 }
 
-/// Per-round upload deadline: `factor` times the median *completed* upload
-/// time. Infinite when nothing completed (the round then waits for every
-/// flow to settle) or when the deadline is disabled.
-pub fn upload_deadline(outcomes: &[FlowOutcome], factor: f64) -> f64 {
-    if !factor.is_finite() {
-        return f64::INFINITY;
-    }
+/// Per-round upload deadline as a multiple of the *median* completed upload
+/// time; uploads finishing later are folded in as stale on a later round.
+const UPLOAD_DEADLINE_FACTOR: f64 = 3.0;
+
+/// Per-round upload deadline: three times the median *completed* upload
+/// time. Infinite when nothing completed (the round then
+/// waits for every flow to settle).
+pub fn upload_deadline(outcomes: &[FlowOutcome]) -> f64 {
     let mut finished: Vec<f64> =
         outcomes.iter().filter(|o| o.completed).map(|o| o.finish).collect();
     if finished.is_empty() {
         return f64::INFINITY;
     }
     finished.sort_by(f64::total_cmp);
-    factor * finished[finished.len() / 2]
+    UPLOAD_DEADLINE_FACTOR * finished[finished.len() / 2]
 }
 
 /// Run-level transport aggregates, surfaced in `RunMetrics`. All zeros
@@ -520,9 +520,8 @@ mod tests {
             ..FlowOutcome::default()
         };
         let outs = vec![mk(1.0, true), mk(2.0, true), mk(9.0, true), mk(50.0, false)];
-        assert_eq!(upload_deadline(&outs, 3.0), 6.0);
-        assert_eq!(upload_deadline(&outs, f64::INFINITY), f64::INFINITY);
-        assert_eq!(upload_deadline(&[mk(5.0, false)], 3.0), f64::INFINITY);
+        assert_eq!(upload_deadline(&outs), 6.0);
+        assert_eq!(upload_deadline(&[mk(5.0, false)]), f64::INFINITY);
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! lockstep transport with the seeded baselines plus liveness of flow runs
 //! under network stress.
 
-use fedmigr::core::{Experiment, RunConfig, Scheme, StalenessPolicy};
+use fedmigr::core::{Experiment, RunConfig, Scheme};
 use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
 use fedmigr::net::{
-    ClientCompute, DeviceTier, FlowConfig, FlowSim, QueueDiscipline, Topology, TopologyConfig,
-    TransportConfig,
+    ClientCompute, DeviceTier, FlowConfig, FlowSim, Topology, TopologyConfig, TransportConfig,
 };
 use fedmigr::nn::zoo::{self, NetScale};
 use proptest::prelude::*;
@@ -62,13 +61,9 @@ proptest! {
     fn flow_simulations_are_deterministic(
         seed in 0u64..500,
         loss in 0.0f64..0.4,
-        fifo in any::<bool>(),
         sizes in prop::collection::vec(1u64..1_000_000, 1..6),
     ) {
-        let mut cfg = FlowConfig::standard(seed);
-        if fifo {
-            cfg.discipline = QueueDiscipline::Fifo;
-        }
+        let cfg = FlowConfig::standard(seed);
         let (sa, a) = contended_sim(cfg, 1_500_000.0, loss, &sizes);
         let (sb, b) = contended_sim(cfg, 1_500_000.0, loss, &sizes);
         prop_assert_eq!(sa.makespan().to_bits(), sb.makespan().to_bits());
@@ -83,21 +78,15 @@ proptest! {
     }
 
     /// No starvation under saturation: when many flows pile onto one live
-    /// (loss-free) link, every flow still completes under both disciplines —
-    /// fair share drains them together, FIFO drains them in order — and no
-    /// flow strikes out on timeouts merely because the link is busy.
+    /// (loss-free) link, fair share drains every flow together, and no flow
+    /// strikes out on timeouts merely because the link is busy.
     #[test]
     fn saturation_never_starves_a_flow(
         seed in 0u64..300,
-        fifo in any::<bool>(),
         sizes in prop::collection::vec(50_000u64..1_500_000, 4..12),
     ) {
-        let mut cfg = FlowConfig::standard(seed);
-        if fifo {
-            cfg.discipline = QueueDiscipline::Fifo;
-        }
         // Deliberately undersized link: total demand takes many seconds.
-        let (_, outcomes) = contended_sim(cfg, 400_000.0, 0.0, &sizes);
+        let (_, outcomes) = contended_sim(FlowConfig::standard(seed), 400_000.0, 0.0, &sizes);
         let total: u64 = sizes.iter().sum();
         let lower_bound = total as f64 / 400_000.0;
         for o in &outcomes {
@@ -135,8 +124,7 @@ fn tiny_experiment(seed: u64) -> Experiment {
 }
 
 /// The lockstep transport is byte-identical to the pre-flow baseline: an
-/// explicit `TransportConfig::Lockstep` (with a non-default staleness
-/// policy, which lockstep must ignore) reproduces the default run bit for
+/// explicit `TransportConfig::Lockstep` reproduces the default run bit for
 /// bit — loss, accuracy, traffic and simulated time.
 #[test]
 fn lockstep_transport_is_byte_identical_to_seeded_baseline() {
@@ -146,7 +134,6 @@ fn lockstep_transport_is_byte_identical_to_seeded_baseline() {
         base.batch_size = 16;
         let mut lockstep = base.clone();
         lockstep.transport = TransportConfig::Lockstep;
-        lockstep.stale = StalenessPolicy { discount: 0.123, max_age: 9 };
         let a = tiny_experiment(seed).run(&base);
         let b = tiny_experiment(seed).run(&lockstep);
         assert_eq!(a.records.len(), b.records.len());

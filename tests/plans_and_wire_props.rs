@@ -20,12 +20,30 @@ fn is_permutation(plan: &MigrationPlan) -> bool {
     true
 }
 
+/// Largest total score of any assignment that permutes `members` among
+/// themselves, by enumerating every permutation.
+fn brute_force_optimum(scores: &[Vec<f64>], members: &[usize]) -> f64 {
+    fn best(scores: &[Vec<f64>], members: &[usize], pos: usize, used: &mut [bool]) -> f64 {
+        let Some(&i) = members.get(pos) else { return 0.0 };
+        let mut top = f64::NEG_INFINITY;
+        for (slot, &j) in members.iter().enumerate() {
+            if !used[slot] {
+                used[slot] = true;
+                top = top.max(scores[i][j] + best(scores, members, pos + 1, used));
+                used[slot] = false;
+            }
+        }
+        top
+    }
+    best(scores, members, 0, &mut vec![false; members.len()])
+}
+
 proptest! {
-    /// Random plans are permutations for every size and seed.
+    /// Random plans over everyone are permutations for every size and seed.
     #[test]
     fn random_plans_are_permutations(k in 1usize..24, seed in 0u64..1000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = MigrationPlan::random(k, &mut rng);
+        let plan = MigrationPlan::random_subset(k, &vec![true; k], &mut rng);
         prop_assert!(is_permutation(&plan));
     }
 
@@ -46,24 +64,31 @@ proptest! {
         }
     }
 
-    /// Greedy assignment is a permutation and, for non-negative scores,
-    /// achieves at least half the optimal assignment value (the classic
+    /// Greedy assignment is a permutation that keeps inactive clients in
+    /// place and, for non-negative scores, achieves at least half the
+    /// optimal assignment value over the active set (the classic
     /// greedy-matching guarantee; exact optimality does NOT hold — the
-    /// largest cell can force a poor complement).
+    /// largest cell can force a poor complement). The optimum is found by
+    /// enumerating every permutation of the active clients.
     #[test]
-    fn greedy_assignment_is_half_optimal_on_2x2(
-        flat in prop::collection::vec(0.0f64..10.0, 4..=4),
+    fn greedy_assignment_is_half_optimal_against_brute_force(
+        k in 1usize..8,
+        mask in prop::collection::vec(any::<bool>(), 7),
+        flat in prop::collection::vec(0.0f64..10.0, 49),
     ) {
-        let scores = vec![
-            vec![flat[0], flat[1]],
-            vec![flat[2], flat[3]],
-        ];
-        let plan = MigrationPlan::greedy_assignment(&scores);
+        let scores: Vec<Vec<f64>> =
+            (0..k).map(|i| (0..k).map(|j| flat[i * 7 + j]).collect()).collect();
+        let active = &mask[..k];
+        let plan = MigrationPlan::greedy_assignment_masked(&scores, active);
         prop_assert!(is_permutation(&plan));
-        let total: f64 = (0..2).map(|i| scores[i][plan.dest(i)]).sum();
-        let identity: f64 = scores[0][0] + scores[1][1];
-        let swap: f64 = scores[0][1] + scores[1][0];
-        let optimum = identity.max(swap);
+        let members: Vec<usize> = (0..k).filter(|&i| active[i]).collect();
+        for i in 0..k {
+            if !active[i] {
+                prop_assert_eq!(plan.dest(i), i);
+            }
+        }
+        let total: f64 = members.iter().map(|&i| scores[i][plan.dest(i)]).sum();
+        let optimum = brute_force_optimum(&scores, &members);
         prop_assert!(2.0 * total >= optimum - 1e-9, "greedy {total} vs optimum {optimum}");
     }
 
@@ -72,7 +97,7 @@ proptest! {
     #[test]
     fn apply_preserves_models(k in 1usize..12, seed in 0u64..500) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = MigrationPlan::random(k, &mut rng);
+        let plan = MigrationPlan::random_subset(k, &vec![true; k], &mut rng);
         let models: Vec<usize> = (0..k).collect();
         let mut routed = plan.apply(&models);
         routed.sort_unstable();
