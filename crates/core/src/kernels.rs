@@ -132,8 +132,8 @@ pub fn kernel_table() -> Option<String> {
     }
 
     let mut out = String::new();
-    // The title names the GEMM build: GFLOP/s from an AVX2 host and an
-    // SSE2 one do not compare.
+    // The title names the GEMM build: GFLOP/s from an AVX-512, an AVX2 and
+    // an SSE2 host do not compare.
     out.push_str(&format!(
         "kernel accounting by phase (gemm: {}; %busy = kernel time over the busy time of the \
          threads that ran it; %wall = over phase wall, >100% ⇒ parallel workers):\n",
@@ -267,6 +267,11 @@ mod tests {
         let table = kernel_table().expect("kernel rows were credited");
         let build = fedmigr_tensor::gemm_build();
         assert!(table.starts_with(&format!("kernel accounting by phase (gemm: {build};")));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
+            let title = "kernel accounting by phase (gemm: avx512 (n ≥ 16; avx2 below);";
+            assert!(table.starts_with(title), "the title names the AVX-512 build");
+        }
         assert!(table.contains("unit_test_phase"));
         assert!(table.contains("matmul"));
 

@@ -255,7 +255,7 @@ impl DdpgAgent {
         let mut grad = softmax_rows(&logits);
         grad.data_mut()[action] -= 1.0;
         self.actor.net_mut().zero_grad();
-        self.actor.net_mut().backward_params_only(&grad);
+        self.actor.net_mut().backward_params_only(grad);
         self.actor_opt.step(self.actor.net_mut());
     }
 
@@ -323,7 +323,7 @@ impl DdpgAgent {
             grad_q.push(2.0 * weights[i] * e / b as f32);
         }
         self.critic.net_mut().zero_grad();
-        self.critic.net_mut().backward_params_only(&Tensor::from_vec(vec![b, 1], grad_q));
+        self.critic.net_mut().backward_params_only(Tensor::from_vec(vec![b, 1], grad_q));
         let critic_grad_norm = l2_norm(&grad_vector(self.critic.net_mut()));
         self.critic_opt.step(self.critic.net_mut());
 
@@ -345,7 +345,7 @@ impl DdpgAgent {
         }
         let grad_logits = softmax_backward(&probs, &grad_action, b, k);
         self.actor.net_mut().zero_grad();
-        self.actor.net_mut().backward_params_only(&Tensor::from_vec(vec![b, k], grad_logits));
+        self.actor.net_mut().backward_params_only(Tensor::from_vec(vec![b, k], grad_logits));
         let actor_grad_norm = l2_norm(&grad_vector(self.actor.net_mut()));
         self.actor_opt.step(self.actor.net_mut());
         // Drop the gradients the actor pass left in the critic.

@@ -33,12 +33,19 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_owned(grad_out.clone())
+    }
+
+    fn backward_owned(&mut self, mut grad_out: Tensor) -> Tensor {
         let mask =
             self.mask.0.take().expect("Relu::backward called before a training-mode forward");
         assert_eq!(grad_out.numel(), mask.len(), "Relu::backward grad shape mismatch");
-        let data =
-            grad_out.data().iter().zip(&mask).map(|(&g, &m)| if m { g } else { 0.0 }).collect();
-        Tensor::from_vec(grad_out.shape().to_vec(), data)
+        // A select, not a branch on each lane: the mask is data, and a
+        // mispredicted branch per element costs more than the store.
+        for (g, &m) in grad_out.data_mut().iter_mut().zip(&mask) {
+            *g = if m { *g } else { 0.0 };
+        }
+        grad_out
     }
 
     #[cfg(test)]

@@ -187,9 +187,9 @@ impl Conv2d {
     }
 
     /// Accumulates `dW = patchesᵀ g` and `db = Σ_rows g` and returns `g`: the
-    /// NHWC output gradient as the `[B*OH*OW, OC]` matrix it already is in
-    /// memory (one flat copy, since `Layer::backward` only borrows it).
-    fn accumulate_param_grads(&mut self, grad_out: &Tensor) -> Tensor {
+    /// NHWC output gradient relabelled, in its own buffer, as the
+    /// `[B*OH*OW, OC]` matrix it already is in memory.
+    fn accumulate_param_grads(&mut self, grad_out: Tensor) -> Tensor {
         let patches = self
             .cached_patches
             .0
@@ -197,7 +197,7 @@ impl Conv2d {
             .expect("Conv2d::backward called before a training-mode forward");
         let [b, oh, ow, oc] = four(grad_out.shape());
         assert_eq!(oc, self.out_channels);
-        let g2 = grad_out.reshape(&[b * oh * ow, oc]);
+        let g2 = grad_out.into_shape(&[b * oh * ow, oc]);
         self.grad_weight.add_assign(&patches.gather().matmul_tn(&g2));
         accumulate_bias_grad(&mut self.grad_bias, &g2);
         g2
@@ -220,12 +220,16 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_owned(grad_out.clone())
+    }
+
+    fn backward_owned(&mut self, grad_out: Tensor) -> Tensor {
         let g2 = self.accumulate_param_grads(grad_out);
         let grad_cols = g2.matmul(&self.weight_t_channels_last());
         self.col2im(&grad_cols)
     }
 
-    fn backward_params_only(&mut self, grad_out: &Tensor) {
+    fn backward_params_only(&mut self, grad_out: Tensor) {
         self.accumulate_param_grads(grad_out);
     }
 

@@ -46,6 +46,17 @@ impl Dense {
         add_bias(&mut out, &self.bias);
         out
     }
+
+    /// Accumulates `dW = xᵀ g` and `db = Σ_rows g`.
+    fn accumulate_param_grads(&mut self, grad_out: &Tensor) {
+        let input = self
+            .cached_input
+            .0
+            .take()
+            .expect("Dense::backward called before a training-mode forward");
+        self.grad_weight.add_assign(&input.matmul_tn(grad_out));
+        accumulate_bias_grad(&mut self.grad_bias, grad_out);
+    }
 }
 
 /// `out[r, :] += bias` for every row of a `[rows, n]` matrix.
@@ -84,18 +95,12 @@ impl Layer for Dense {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         // dW = x^T g, db = sum_rows(g), dx = g W^T
-        self.backward_params_only(grad_out);
+        self.accumulate_param_grads(grad_out);
         grad_out.matmul(&self.weight.transpose2())
     }
 
-    fn backward_params_only(&mut self, grad_out: &Tensor) {
-        let input = self
-            .cached_input
-            .0
-            .take()
-            .expect("Dense::backward called before a training-mode forward");
-        self.grad_weight.add_assign(&input.matmul_tn(grad_out));
-        accumulate_bias_grad(&mut self.grad_bias, grad_out);
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.accumulate_param_grads(&grad_out);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {

@@ -32,12 +32,19 @@ pub trait Layer: Send {
         self.forward(&input, train)
     }
 
-    /// [`Layer::backward`] for a caller that will not read the input
+    /// [`Layer::backward`] for a caller that is done with `grad_out`: a layer
+    /// that only masks or relabels it works in its buffer instead of
+    /// copying it.
+    fn backward_owned(&mut self, grad_out: Tensor) -> Tensor {
+        self.backward(&grad_out)
+    }
+
+    /// [`Layer::backward_owned`] for a caller that will not read the input
     /// gradient (the first layer of a network): parameter gradients are
     /// accumulated bit-identically, and a layer may skip the work that only
     /// the input gradient needs.
-    fn backward_params_only(&mut self, grad_out: &Tensor) {
-        self.backward(grad_out);
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        self.backward_owned(grad_out);
     }
 
     /// Visits every `(parameter, gradient)` pair, in a stable order.
@@ -117,22 +124,36 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Parameter-gradient bits after one forward and one backward pass,
-    /// through `backward` or through `backward_params_only`.
-    fn grad_bits(layer: &mut dyn Layer, x: &Tensor, params_only: bool) -> Vec<u32> {
+    /// The three ways to run a backward pass.
+    #[derive(Clone, Copy, Debug)]
+    enum Pass {
+        Borrowed,
+        Owned,
+        ParamsOnly,
+    }
+
+    /// Parameter-gradient bits, then input-gradient bits (none for
+    /// `ParamsOnly`), after one forward and one backward pass.
+    fn grad_bits(layer: &mut dyn Layer, x: &Tensor, pass: Pass) -> Vec<u32> {
         let y = layer.forward(x, true);
         let g = Tensor::randn(y.shape(), 1.0, &mut StdRng::seed_from_u64(99));
         layer.zero_grad();
-        if params_only {
-            layer.backward_params_only(&g);
-        } else {
-            layer.backward(&g);
-        }
+        let gx = match pass {
+            Pass::Borrowed => Some(layer.backward(&g)),
+            Pass::Owned => Some(layer.backward_owned(g)),
+            Pass::ParamsOnly => {
+                layer.backward_params_only(g);
+                None
+            }
+        };
         let mut bits = Vec::new();
         layer.visit_params(&mut |_, grad| bits.extend(grad.data().iter().map(|v| v.to_bits())));
+        bits.extend(gx.iter().flat_map(|gx| gx.data().iter().map(|v| v.to_bits())));
         bits
     }
 
+    /// `backward_owned` leaves `backward`'s parameter and input gradients,
+    /// and `backward_params_only` its parameter gradients, bit for bit.
     #[test]
     fn backward_params_only_leaves_the_same_parameter_gradients() {
         let mut rng = StdRng::seed_from_u64(4);
@@ -153,9 +174,12 @@ mod tests {
             (Box::new(cnn), &image),
         ];
         for (mut layer, x) in cases {
-            let full = grad_bits(layer.as_mut(), x, false);
-            assert!(full.iter().any(|&b| b != 0), "{}: gradients flowed", layer.name());
-            assert_eq!(grad_bits(layer.as_mut(), x, true), full, "{}", layer.name());
+            let params = layer.param_count();
+            let full = grad_bits(layer.as_mut(), x, Pass::Borrowed);
+            assert!(full[..params].iter().any(|&b| b != 0), "{}: gradients flowed", layer.name());
+            assert_eq!(grad_bits(layer.as_mut(), x, Pass::Owned), full, "{}", layer.name());
+            let params_only = grad_bits(layer.as_mut(), x, Pass::ParamsOnly);
+            assert_eq!(params_only, full[..params], "{}", layer.name());
         }
     }
 

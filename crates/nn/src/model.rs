@@ -125,7 +125,7 @@ impl Model {
             return loss;
         }
         self.net.zero_grad();
-        self.net.backward_params_only(&grad);
+        self.net.backward_params_only(grad);
         if let Some((global, mu)) = prox {
             apply_prox_term(&mut self.net, global, mu);
         }

@@ -32,10 +32,10 @@ impl Sequential {
     }
 }
 
-/// Backpropagates through a non-empty run of layers, last to first.
-fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: &Tensor) -> Tensor {
-    let (last, rest) = layers.split_last_mut().expect("non-empty layer run");
-    rest.iter_mut().rev().fold(last.backward(grad_out), |g, layer| layer.backward(&g))
+/// Backpropagates an owned gradient through a run of layers, last to first,
+/// handing each layer the gradient the one after it returned.
+fn backward_through(layers: &mut [Box<dyn Layer>], grad_out: Tensor) -> Tensor {
+    layers.iter_mut().rev().fold(grad_out, |g, layer| layer.backward_owned(g))
 }
 
 impl Layer for Sequential {
@@ -45,17 +45,17 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        if self.layers.is_empty() {
-            return grad_out.clone();
-        }
+        let Some((last, rest)) = self.layers.split_last_mut() else { return grad_out.clone() };
+        backward_through(rest, last.backward(grad_out))
+    }
+
+    fn backward_owned(&mut self, grad_out: Tensor) -> Tensor {
         backward_through(&mut self.layers, grad_out)
     }
 
-    fn backward_params_only(&mut self, grad_out: &Tensor) {
-        match self.layers.split_first_mut() {
-            None => {}
-            Some((first, [])) => first.backward_params_only(grad_out),
-            Some((first, rest)) => first.backward_params_only(&backward_through(rest, grad_out)),
+    fn backward_params_only(&mut self, grad_out: Tensor) {
+        if let Some((first, rest)) = self.layers.split_first_mut() {
+            first.backward_params_only(backward_through(rest, grad_out));
         }
     }
 

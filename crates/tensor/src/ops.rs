@@ -1,3 +1,5 @@
+use std::ops::Range;
+
 use crate::kcount::{self, Kernel};
 use crate::Tensor;
 
@@ -15,11 +17,13 @@ fn matmul_scope(m: usize, k: usize, n: usize) -> kcount::KScope {
     )
 }
 
-/// Rows and columns of the accumulator tile [`gemm`] keeps in registers
-/// across the whole `k` loop: 4 x 8 `f32` is four AVX2 vectors, or eight
-/// SSE2 vectors in the baseline build.
+/// Rows of the accumulator tile [`gemm`] keeps in registers across the
+/// whole `k` loop. Its columns are the panel width `W` of the build: `NR`
+/// (4 x 8 `f32` is four AVX2 vectors, or eight SSE2 vectors in the baseline
+/// build) or `NR_WIDE` (four AVX-512 vectors).
 const MR: usize = 4;
 const NR: usize = 8;
+const NR_WIDE: usize = 16;
 
 /// `A x B -> [m, n]` for a row-major `b: [k, n]`. `a_tile(rows)` walks `A`
 /// in ascending `k`, yielding `A[rows[r], p]` for the four rows of a tile.
@@ -31,53 +35,14 @@ const NR: usize = 8;
 /// vectorizing across columns and reading `A` through a transpose are all
 /// free; splitting the `k` loop is not.
 ///
-/// One source, two builds: on a CPU with AVX2 the body runs compiled for
-/// AVX2, which only widens the lanes (FMA stays off, and Rust never
-/// contracts `a * b + c`), so both builds give the same bits.
+/// One source, three builds, which only widen the lanes (Rust never
+/// contracts `a * b + c`, so no build fuses a multiply-add), so all give
+/// the same bits. On a CPU with AVX-512F, the 16-column panels run in the
+/// AVX-512 build and the `n % 16` columns left over in the AVX2 build; on
+/// a CPU with AVX2 every panel runs in the AVX2 build; otherwise in the
+/// baseline build. The AVX-512 build runs no 8-column panel: LLVM packs
+/// that tile two rows per register there, several times slower.
 fn gemm<I: Iterator<Item = [f32; MR]>>(
-    m: usize,
-    n: usize,
-    b: &[f32],
-    a_tile: impl Fn([usize; MR]) -> I,
-) -> Vec<f32> {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU reports AVX2, the one feature `gemm_avx2`
-        // is compiled with.
-        return unsafe { gemm_avx2(m, n, b, a_tile) };
-    }
-    gemm_body(m, n, b, a_tile)
-}
-
-/// [`gemm_body`] compiled for AVX2; callable only on a CPU that has it. The
-/// body is inlined here, not passed in as a closure: a closure's body would
-/// keep the baseline build.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn gemm_avx2<I: Iterator<Item = [f32; MR]>>(
-    m: usize,
-    n: usize,
-    b: &[f32],
-    a_tile: impl Fn([usize; MR]) -> I,
-) -> Vec<f32> {
-    gemm_body(m, n, b, a_tile)
-}
-
-/// The build [`gemm`] runs on this CPU: `"avx2"`, or the baseline `"sse2"`.
-pub fn gemm_build() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    BASELINE_BUILD
-}
-
-/// What the baseline build of [`gemm`] vectorizes with.
-const BASELINE_BUILD: &str = if cfg!(target_arch = "x86_64") { "sse2" } else { "portable" };
-
-/// The source of both builds of [`gemm`].
-#[inline(always)]
-fn gemm_body<I: Iterator<Item = [f32; MR]>>(
     m: usize,
     n: usize,
     b: &[f32],
@@ -87,12 +52,92 @@ fn gemm_body<I: Iterator<Item = [f32; MR]>>(
     if out.is_empty() {
         return out;
     }
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    {
+        if n >= NR_WIDE && is_x86_feature_detected!("avx512f") {
+            done = n - n % NR_WIDE;
+            // SAFETY: the running CPU reports AVX-512F, the one feature
+            // `gemm_avx512` is compiled with.
+            unsafe { gemm_avx512(&mut out, n, 0..done, b, &a_tile) };
+        }
+        if done < n && is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU reports AVX2, the one feature
+            // `gemm_avx2` is compiled with.
+            unsafe { gemm_avx2(&mut out, n, done..n, b, &a_tile) };
+            return out;
+        }
+    }
+    gemm_body::<NR, _>(&mut out, n, done..n, b, &a_tile);
+    out
+}
+
+/// [`gemm_body`] compiled for AVX2 on 8-column panels; callable only on a
+/// CPU that has it. The body is inlined here, not passed in as a closure: a
+/// closure's body would keep the baseline build.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2<I: Iterator<Item = [f32; MR]>>(
+    out: &mut [f32],
+    n: usize,
+    cols: Range<usize>,
+    b: &[f32],
+    a_tile: impl Fn([usize; MR]) -> I,
+) {
+    gemm_body::<NR, _>(out, n, cols, b, a_tile)
+}
+
+/// [`gemm_body`] compiled for AVX-512F on 16-column panels; callable only on
+/// a CPU that has it, and only for whole panels (`cols` a multiple of 16
+/// wide), so no padded panel is allocated here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512<I: Iterator<Item = [f32; MR]>>(
+    out: &mut [f32],
+    n: usize,
+    cols: Range<usize>,
+    b: &[f32],
+    a_tile: impl Fn([usize; MR]) -> I,
+) {
+    debug_assert!(cols.len().is_multiple_of(NR_WIDE), "whole 16-column panels only");
+    gemm_body::<NR_WIDE, _>(out, n, cols, b, a_tile)
+}
+
+/// The build [`gemm`] runs on this CPU: `"avx512 (n ≥ 16; avx2 below)"`,
+/// `"avx2"`, or the baseline `"sse2"`.
+pub fn gemm_build() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
+            return "avx512 (n ≥ 16; avx2 below)";
+        }
+        if is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+    }
+    BASELINE_BUILD
+}
+
+/// What the baseline build of [`gemm`] vectorizes with.
+const BASELINE_BUILD: &str = if cfg!(target_arch = "x86_64") { "sse2" } else { "portable" };
+
+/// The source of every build of [`gemm`]: fills columns `cols` of
+/// `out: [m, n]` in `W`-column panels.
+#[inline(always)]
+fn gemm_body<const W: usize, I: Iterator<Item = [f32; MR]>>(
+    out: &mut [f32],
+    n: usize,
+    cols: Range<usize>,
+    b: &[f32],
+    a_tile: impl Fn([usize; MR]) -> I,
+) {
+    let m = out.len() / n;
     let brows = b.chunks_exact(n);
-    for j0 in (0..n).step_by(NR) {
-        let nr = NR.min(n - j0);
-        // A last panel narrower than NR is packed once with zero columns
+    for j0 in cols.clone().step_by(W) {
+        let nr = W.min(cols.end - j0);
+        // A last panel narrower than W is packed once with zero columns
         // appended, so one tile body serves every panel.
-        let padded: Vec<[f32; NR]> = if nr < NR {
+        let padded: Vec<[f32; W]> = if nr < W {
             let pad =
                 |brow: &[f32]| std::array::from_fn(|c| if c < nr { brow[j0 + c] } else { 0.0 });
             brows.clone().map(pad).collect()
@@ -103,8 +148,8 @@ fn gemm_body<I: Iterator<Item = [f32; MR]>>(
             // A tile hanging over the last row repeats it; the surplus rows
             // and the padded columns are computed and not stored.
             let a = a_tile(std::array::from_fn(|r| (i0 + r).min(m - 1)));
-            let acc = if nr == NR {
-                let full = |brow: &[f32]| brow[j0..j0 + NR].try_into().expect("NR columns");
+            let acc = if nr == W {
+                let full = |brow: &[f32]| brow[j0..j0 + W].try_into().expect("W columns");
                 tile(a, brows.clone().map(full))
             } else {
                 tile(a, padded.iter().copied())
@@ -114,7 +159,6 @@ fn gemm_body<I: Iterator<Item = [f32; MR]>>(
             }
         }
     }
-    out
 }
 
 /// A GEMM left operand read in place from a flat buffer:
@@ -181,8 +225,11 @@ fn col_major_tile(a: &[f32], m: usize, cols: [usize; MR]) -> impl Iterator<Item 
 
 /// One accumulator tile: `acc[r][c] += a[r] * b[c]` over the zipped `k` walk.
 #[inline(always)]
-fn tile(a: impl Iterator<Item = [f32; MR]>, b: impl Iterator<Item = [f32; NR]>) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
+fn tile<const W: usize>(
+    a: impl Iterator<Item = [f32; MR]>,
+    b: impl Iterator<Item = [f32; W]>,
+) -> [[f32; W]; MR] {
+    let mut acc = [[0.0f32; W]; MR];
     for (av, bv) in a.zip(b) {
         for (acc_row, &a) in acc.iter_mut().zip(&av) {
             for (o, &b) in acc_row.iter_mut().zip(&bv) {
@@ -502,21 +549,51 @@ mod tests {
         t
     }
 
-    /// `gemm`'s bits from the baseline build (its body, called directly)
-    /// and from the build it dispatches to on this CPU.
+    /// `a · b`'s bits from each build of `gemm` this CPU can run, called
+    /// directly, then from the dispatched `gemm`; the baseline build's come
+    /// first. The AVX-512 build fills only whole 16-column panels, so the
+    /// columns left over are the baseline's, and the rest start as a NaN no
+    /// build makes.
     fn builds<I: Iterator<Item = [f32; MR]>>(
         m: usize,
         n: usize,
         b: &[f32],
         a_tile: impl Fn([usize; MR]) -> I,
-    ) -> [Vec<u32>; 2] {
-        [gemm_body(m, n, b, &a_tile), gemm(m, n, b, &a_tile)]
-            .map(|out| out.iter().map(|x| x.to_bits()).collect())
+    ) -> Vec<(&'static str, Vec<u32>)> {
+        let fresh = || vec![f32::from_bits(0x7fa0_0001); m * n];
+        let mut baseline = fresh();
+        if n > 0 {
+            gemm_body::<NR, _>(&mut baseline, n, 0..n, b, &a_tile);
+        }
+        let mut outs = vec![(BASELINE_BUILD, baseline.clone())];
+        #[cfg(target_arch = "x86_64")]
+        if n > 0 {
+            if is_x86_feature_detected!("avx2") {
+                let mut out = fresh();
+                // SAFETY: the running CPU reports AVX2.
+                unsafe { gemm_avx2(&mut out, n, 0..n, b, &a_tile) };
+                outs.push(("avx2", out));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                let wide = n - n % NR_WIDE;
+                let mut out = fresh();
+                // SAFETY: the running CPU reports AVX-512F.
+                unsafe { gemm_avx512(&mut out, n, 0..wide, b, &a_tile) };
+                for (row, want) in out.chunks_exact_mut(n).zip(baseline.chunks_exact(n)) {
+                    row[wide..].copy_from_slice(&want[wide..]);
+                }
+                outs.push(("avx512", out));
+            }
+        }
+        outs.push(("dispatched", gemm(m, n, b, &a_tile)));
+        outs.into_iter()
+            .map(|(build, out)| (build, out.iter().map(|x| x.to_bits()).collect()))
+            .collect()
     }
 
-    /// Holds the dispatched build to the baseline build on every form that
-    /// calls `gemm`: `a: [m, k]` times `b: [k, n]` read directly and through
-    /// a transpose, and the gathered `g: [m, k]` times `b` and, transposed,
+    /// Holds every build to the baseline build on every form that calls
+    /// `gemm`: `a: [m, k]` times `b: [k, n]` read directly and through a
+    /// transpose, and the gathered `g: [m, k]` times `b` and, transposed,
     /// times `bt: [m, n]`.
     fn assert_builds_agree(a: &Tensor, b: &Tensor, g: &Gather, bt: &Tensor) {
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -527,22 +604,26 @@ mod tests {
             ("Gather::matmul", builds(m, n, b.data(), |qs| g.rows_tile(qs))),
             ("Gather::matmul_tn", builds(k, n, bt.data(), |ts| g.cols_tile(ts))),
         ];
-        for (form, [baseline, dispatched]) in forms {
-            assert!(baseline == dispatched, "{form} {m}x{k}x{n}: the gemm builds differ");
+        for (form, outs) in forms {
+            let (_, baseline) = &outs[0];
+            for (build, out) in &outs[1..] {
+                assert!(out == baseline, "{form} {m}x{k}x{n}: the {build} build differs");
+            }
         }
     }
 
-    /// Every shape the proptests above draw from (each tile remainder,
-    /// `n < 8`, `k` of 0 and 1) and the conv GEMM shapes, with `±0.0`, NaN
-    /// and `±∞` salted into both operands. Prints the builds it compared, so
-    /// a CPU without AVX2 says so instead of passing silently.
+    /// Every shape the proptests above draw from (each tile remainder, every
+    /// split of `n` into 16-column panels and what is left, `k` of 0 and 1)
+    /// and the conv and dense GEMM shapes, with `±0.0`, NaN and `±∞` salted
+    /// into both operands. Prints the builds it compared, so a CPU without
+    /// AVX2 or AVX-512F says so instead of passing silently.
     #[test]
     fn gemm_builds_are_bit_identical() {
         use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(30);
         for m in 0..14 {
             for k in 0..11 {
-                for n in 0..20 {
+                for n in (0..40).chain([200]) {
                     let a = salted(&[m, k], m * k / 8, &mut rng);
                     let b = salted(&[k, n], k * n / 8, &mut rng);
                     let bt = salted(&[m, n], m * n / 8, &mut rng);
@@ -554,7 +635,15 @@ mod tests {
                 }
             }
         }
-        for (m, k, n) in [(2048, 75, 8), (512, 200, 16), (75, 2048, 8)] {
+        let shapes = [
+            (2048, 75, 8),
+            (512, 200, 16),
+            (75, 2048, 8),
+            (200, 512, 16),
+            (512, 16, 200),
+            (32, 64, 64),
+        ];
+        for (m, k, n) in shapes {
             let a = salted(&[m, k], 6, &mut rng);
             let b = salted(&[k, n], 6, &mut rng);
             let bt = salted(&[m, n], 6, &mut rng);
@@ -564,11 +653,19 @@ mod tests {
             let g = Gather { src: a.data(), rows: &rows, cols: &cols };
             assert_builds_agree(&a, &b, &g, &bt);
         }
-        let dispatched = gemm_build();
-        println!("gemm builds compared: {BASELINE_BUILD} vs {dispatched}");
-        if dispatched == BASELINE_BUILD {
-            println!("this CPU has no AVX2: only the baseline build was run");
+        let mut compared = vec![BASELINE_BUILD];
+        #[cfg(target_arch = "x86_64")]
+        for (feature, build) in [
+            (is_x86_feature_detected!("avx2"), "avx2"),
+            (is_x86_feature_detected!("avx512f"), "avx512"),
+        ] {
+            if feature {
+                compared.push(build);
+            } else {
+                println!("this CPU has no {build}: its build was not run");
+            }
         }
+        println!("gemm builds compared: {}", compared.join(" vs "));
     }
 
     /// The one intended semantic change of dropping the zero skip: a zero in

@@ -105,6 +105,20 @@ impl Tensor {
         Self::from_vec(shape.to_vec(), self.data.clone())
     }
 
+    /// [`Tensor::reshape`] for an owner done with `self`: the data keeps its
+    /// buffer, so nothing is copied.
+    ///
+    /// # Panics
+    /// Panics if the element counts differ or the shape is empty.
+    pub fn into_shape(mut self, shape: &[usize]) -> Self {
+        let numel: usize = shape.iter().product();
+        assert_eq!(numel, self.data.len(), "reshape must preserve element count");
+        assert!(!shape.is_empty(), "tensor shape must be non-empty");
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self
+    }
+
     /// Number of rows when interpreted as a 2-D matrix.
     ///
     /// # Panics
@@ -198,6 +212,10 @@ mod tests {
         let r = t.reshape(&[3, 2]);
         assert_eq!(r.shape(), &[3, 2]);
         assert_eq!(r.data(), t.data());
+        let buffer = t.data().as_ptr();
+        let owned = t.into_shape(&[6]);
+        assert_eq!((owned.shape(), owned.data()), (&[6][..], r.data()));
+        assert_eq!(owned.data().as_ptr(), buffer, "into_shape keeps the buffer");
     }
 
     #[test]
