@@ -245,10 +245,8 @@ impl Compressor {
 
     /// Compensates every item in place with its lane's client-egress
     /// residual and round-trips the intents, item `j` under sequence number
-    /// `seq(j)`. The items are chunked across `available_parallelism`
-    /// workers, each with its own scratch and each joined before this
-    /// returns, so a worker's thread-local telemetry has been flushed by
-    /// then; a one-worker host, or a single item, spawns nothing.
+    /// `seq(j)`, in parallel through [`fedmigr_telemetry::fan_out`] (one
+    /// scratch per worker).
     fn round_trips(
         &self,
         items: &mut [(usize, Vec<f32>)],
@@ -259,26 +257,12 @@ impl Compressor {
                 ef.compensate(*lane, values);
             }
         }
-        let run = |first: usize, part: &[(usize, Vec<f32>)]| {
+        fedmigr_telemetry::fan_out(items, |first, part| {
             let mut scratch = Scratch::default();
             let trip = |(j, (_, intent)): (usize, &(usize, Vec<f32>))| {
                 self.codec.round_trip(intent, mix(self.base_seed, seq(first + j)), &mut scratch)
             };
-            part.iter().enumerate().map(trip).collect::<Vec<_>>()
-        };
-        let workers = std::thread::available_parallelism().map_or(1, |p| p.get()).min(items.len());
-        if workers < 2 {
-            return run(0, items);
-        }
-        let chunk = items.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let run = &run;
-            let handles: Vec<_> = items
-                .chunks(chunk)
-                .enumerate()
-                .map(|(w, part)| scope.spawn(move || run(w * chunk, part)))
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("codec worker panicked")).collect()
+            part.iter().enumerate().map(trip).collect()
         })
     }
 

@@ -1,9 +1,8 @@
 //! Versioned whole-run checkpoints: everything a round depends on, in one
 //! magic-tagged, CRC-checked binary blob.
 //!
-//! The file is a [`fedmigr_telemetry::wire`] container — the same frame and
-//! the same codec as the model file of `fedmigr_nn::checkpoint` — carrying
-//! a *run* under its own magic:
+//! The file is a [`fedmigr_telemetry::wire`] container carrying a *run*
+//! under its own magic:
 //!
 //! ```text
 //! [8]  magic  b"FEDMIGRR"
@@ -46,8 +45,7 @@ use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RecoveryStats, Rob
 use crate::migration::Quarantine;
 use crate::runner::{LateUpload, PhasedClock, RoundState, RunConfig};
 
-/// Magic tag opening every run checkpoint (distinct from the model
-/// checkpoint's `FEDMIGR2`).
+/// Magic tag opening every run checkpoint.
 pub const RUN_STATE_MAGIC: &[u8; 8] = b"FEDMIGRR";
 
 /// Current run-checkpoint format version. Version 2 added the stamp's

@@ -38,10 +38,9 @@ use fedmigr_fleet::{
     plan_migrations, ClientPool, FleetAssignment, FleetPlannerConfig, FleetTopology,
     FleetTopologyConfig, LanProfile,
 };
-use fedmigr_net::transfer_time;
+use fedmigr_net::{transfer_time, FaultModel};
 use fedmigr_nn::Model;
 use fedmigr_telemetry::span;
-use fedmigr_tensor::kcount;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -51,7 +50,7 @@ use crate::client::FlClient;
 use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, RobustStats, RunMetrics};
-use crate::runner::{RunConfig, VPhase};
+use crate::runner::{train_all, RunConfig, VPhase};
 use crate::timeline_capture::TimelineCapture;
 
 /// Fleet-mode knobs, carried in [`RunConfig::fleet`].
@@ -321,7 +320,13 @@ impl<'a> FleetRun<'a> {
             .map(|c| c.num_samples() as f64 / st.pool.stub(c.id()).tier.samples_per_second())
             .collect();
         let compute: f64 = st.cohort.iter().map(|c| c.num_samples() as f64).sum();
-        let losses = train_cohort(&mut st.cohort, cfg.batch_size, cfg.max_batches_per_epoch);
+        // Faults are rejected in fleet mode, so every client trains, and a
+        // panicking one aborts the run.
+        let all = vec![true; st.cohort.len()];
+        let none = FaultModel::none(st.cohort.len());
+        let (losses, _) = train_all(&mut st.cohort, cfg, None, &all, &none, r.epoch);
+        let losses: Vec<f32> =
+            losses.into_iter().map(|l| l.expect("fleet training panicked")).collect();
         st.common.meter.record_compute(compute);
         let train_t0 = st.common.clock.now();
         if self.obs.tcap.active() {
@@ -588,29 +593,17 @@ fn activate(
     global: &[f32],
     lr: f32,
 ) -> Vec<FlClient> {
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let chunk = ids.len().div_ceil(workers.max(1)).max(1);
-    let mut out = Vec::with_capacity(ids.len());
     // `Model` is Send but not Sync (boxed layers), so clone the models
-    // here and move them into the workers; only the pool is shared.
-    std::thread::scope(|s| {
-        let handles: Vec<_> = ids
-            .chunks(chunk)
-            .map(|part| {
-                let models: Vec<Model> = part.iter().map(|_| template.clone()).collect();
-                s.spawn(move || {
-                    part.iter()
-                        .zip(models)
-                        .map(|(&id, model)| activate_one(pool, id, model, global, lr))
-                        .collect::<Vec<_>>()
-                })
+    // here and hand them to the workers; only the pool is shared.
+    let mut models: Vec<Option<Model>> = ids.iter().map(|_| Some(template.clone())).collect();
+    fedmigr_telemetry::fan_out(&mut models, |first, part| {
+        part.iter_mut()
+            .zip(&ids[first..])
+            .map(|(model, &id)| {
+                activate_one(pool, id, model.take().expect("taken once"), global, lr)
             })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("fleet activation panicked"));
-        }
-    });
-    out
+            .collect()
+    })
 }
 
 /// LAN-level migration cost matrix for the pooled FLMM oracle, normalized
@@ -663,35 +656,6 @@ fn sample_cohort(rng: &mut StdRng, k: usize, n: usize) -> Vec<usize> {
     }
     out.sort_unstable();
     out
-}
-
-/// One parallel local epoch over the cohort; returns per-position losses.
-fn train_cohort(
-    cohort: &mut [FlClient],
-    batch_size: usize,
-    max_batches: Option<usize>,
-) -> Vec<f32> {
-    let n = cohort.len();
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let chunk = n.div_ceil(workers.max(1)).max(1);
-    let mut losses = Vec::with_capacity(n);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = cohort
-            .chunks_mut(chunk)
-            .map(|part| {
-                s.spawn(move || {
-                    let _busy = kcount::worker();
-                    part.iter_mut()
-                        .map(|c| c.train_epoch(batch_size, max_batches, None))
-                        .collect::<Vec<f32>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            losses.extend(h.join().expect("fleet training panicked"));
-        }
-    });
-    losses
 }
 
 /// Sample-weighted FedAvg over the cohort's models (Eq. 7), bit-identical

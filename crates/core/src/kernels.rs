@@ -86,8 +86,7 @@ struct Row {
 }
 
 /// Renders the per-phase kernel table from the metric registry, or `None`
-/// when kernel accounting recorded nothing (e.g. the `kcount` feature or
-/// runtime switch is off).
+/// when kernel accounting recorded nothing (e.g. `--no-kcount`).
 ///
 /// Columns: declared GFLOP, achieved GFLOP/s (declared FLOPs over outermost
 /// kernel wall time), GB moved, arithmetic intensity (FLOP per byte), and

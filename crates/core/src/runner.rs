@@ -2131,15 +2131,15 @@ fn effective_samples(n: usize, cfg: &RunConfig) -> usize {
 /// whether injected by [`FaultConfig::panics`] or a genuine bug in one
 /// client's training path — is contained per client (`catch_unwind`
 /// inside the worker): the client is treated as crashed for the round,
-/// its chunk-mates keep training, and the run survives.
+/// its chunk-mates keep training, and the run survives. The fleet runner
+/// trains its cohort here too, with every client active and no faults.
 ///
-/// Work is chunked across `available_parallelism` workers (mirroring the
-/// fleet runner's `train_cohort`) rather than one thread per client:
-/// oversubscribing cores makes each kernel's *wall* time include
-/// descheduled gaps, which used to inflate the summed `local_train`
-/// kernel time to several multiples of the phase's process CPU time and
-/// wreck the attribution numbers.
-fn train_all(
+/// Work is chunked by [`fedmigr_telemetry::fan_out`], one worker per core,
+/// rather than one thread per client: oversubscribing cores makes each
+/// kernel's *wall* time include descheduled gaps, which used to inflate
+/// the summed `local_train` kernel time to several multiples of the
+/// phase's process CPU time and wreck the attribution numbers.
+pub(crate) fn train_all(
     clients: &mut [FlClient],
     cfg: &RunConfig,
     prox: Option<&(Vec<f32>, f32)>,
@@ -2147,62 +2147,42 @@ fn train_all(
     fault: &FaultModel,
     epoch: usize,
 ) -> (Vec<Option<f32>>, Vec<bool>) {
-    let k = clients.len();
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let chunk = k.div_ceil(workers.max(1)).max(1);
-    let mut losses: Vec<Option<f32>> = Vec::with_capacity(k);
-    let mut panicked = vec![false; k];
-    std::thread::scope(|s| {
-        let handles: Vec<_> = clients
-            .chunks_mut(chunk)
-            .zip(active.chunks(chunk))
+    let prox = prox.map(|(g, mu)| (g.as_slice(), *mu));
+    let results = fedmigr_telemetry::fan_out(clients, |first, part| {
+        let _busy = kcount::worker();
+        part.iter_mut()
             .enumerate()
-            .map(|(ci, (part, act))| {
-                let base = ci * chunk;
-                let prox_ref = prox.map(|(g, mu)| (g.as_slice(), *mu));
-                s.spawn(move || {
-                    let _busy = kcount::worker();
-                    part.iter_mut()
-                        .zip(act)
-                        .enumerate()
-                        .map(|(j, (c, &is_active))| {
-                            let i = base + j;
-                            is_active.then(|| {
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if fault.client_panics(i, epoch) {
-                                        panic!("injected client panic (client {i}, epoch {epoch})");
-                                    }
-                                    c.train_epoch(
-                                        cfg.batch_size,
-                                        cfg.max_batches_per_epoch,
-                                        prox_ref,
-                                    )
-                                }))
-                            })
-                        })
-                        .collect::<Vec<Option<Result<f32, _>>>>()
+            .map(|(j, c)| {
+                let i = first + j;
+                active[i].then(|| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if fault.client_panics(i, epoch) {
+                            panic!("injected client panic (client {i}, epoch {epoch})");
+                        }
+                        c.train_epoch(cfg.batch_size, cfg.max_batches_per_epoch, prox)
+                    }))
                 })
             })
-            .collect();
-        for h in handles {
-            for r in h.join().expect("chunk worker survives client panics") {
-                let i = losses.len();
-                match r {
-                    None => losses.push(None),
-                    Some(Ok(loss)) => losses.push(Some(loss)),
-                    Some(Err(_)) => {
-                        fedmigr_telemetry::error!(
-                            "core::runner",
-                            "client {i} training panicked at epoch {epoch}; \
-                             treating the client as crashed for this round"
-                        );
-                        panicked[i] = true;
-                        losses.push(None);
-                    }
-                }
-            }
-        }
+            .collect()
     });
+    let mut panicked = vec![false; results.len()];
+    let losses = results
+        .into_iter()
+        .enumerate()
+        .map(|(i, r)| match r {
+            None => None,
+            Some(Ok(loss)) => Some(loss),
+            Some(Err(_)) => {
+                fedmigr_telemetry::error!(
+                    "core::runner",
+                    "client {i} training panicked at epoch {epoch}; \
+                     treating the client as crashed for this round"
+                );
+                panicked[i] = true;
+                None
+            }
+        })
+        .collect();
     (losses, panicked)
 }
 

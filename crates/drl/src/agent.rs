@@ -1,7 +1,5 @@
 use std::io;
-use std::path::Path;
 
-use fedmigr_nn::checkpoint;
 use fedmigr_nn::params::{grad_vector, param_vector, set_param_vector};
 use fedmigr_nn::{zoo, Layer, Model, Sgd};
 use fedmigr_telemetry::wire::{bad, Codec, Wire};
@@ -222,28 +220,6 @@ impl DdpgAgent {
         argmax_slice(logits.data())
     }
 
-    /// Saves the actor and critic networks to `dir` as two checkpoint
-    /// files. Target networks and optimizer state are not persisted: a
-    /// loaded agent restarts fine-tuning from fresh targets, which is the
-    /// standard deployment story ("pre-train offline, deploy, adapt").
-    pub fn save(&mut self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        checkpoint::save(&mut self.actor, dir.join("actor.fmck"))?;
-        checkpoint::save(&mut self.critic, dir.join("critic.fmck"))
-    }
-
-    /// Restores the actor and critic saved by [`DdpgAgent::save`]; target
-    /// networks are re-cloned from the restored weights.
-    pub fn load(&mut self, dir: impl AsRef<Path>) -> io::Result<()> {
-        let dir = dir.as_ref();
-        checkpoint::load(&mut self.actor, dir.join("actor.fmck"))?;
-        checkpoint::load(&mut self.critic, dir.join("critic.fmck"))?;
-        self.actor_target = self.actor.clone();
-        self.critic_target = self.critic.clone();
-        Ok(())
-    }
-
     /// Supervised (behavior-cloning) update of the actor towards choosing
     /// `action` in `state` — used while pre-training on the exploration
     /// oracle's decisions, before RL fine-tuning takes over. One
@@ -419,8 +395,7 @@ fn softmax_backward(probs: &Tensor, grad: &[f32], b: usize, k: usize) -> Vec<f32
 
 /// The complete agent, in wire order: all four networks, the replay
 /// buffer, the exact RNG stream position, a reserved byte, the annealed ρ,
-/// and the learning bookkeeping. Unlike [`DdpgAgent::save`] (the deployment
-/// story: policy weights only), an agent built from the same
+/// and the learning bookkeeping. An agent built from the same
 /// [`AgentConfig`] and restored from this resumes training bit-for-bit; one
 /// built with other network sizes is a mismatch.
 ///
@@ -526,22 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_the_policy() {
-        let dir = std::env::temp_dir().join("fedmigr-agent-test");
-        let mut a = DdpgAgent::new(AgentConfig::new(4, 3, 5));
-        // Nudge the actor away from init so the round trip is non-trivial.
-        for _ in 0..5 {
-            a.imitate(&[0.1, 0.2, 0.3, 0.4], 1);
-        }
-        a.save(&dir).unwrap();
-        let mut b = DdpgAgent::new(AgentConfig::new(4, 3, 999));
-        assert_ne!(a.action_probs(&[0.0; 4]), b.action_probs(&[0.0; 4]));
-        b.load(&dir).unwrap();
-        assert_eq!(a.action_probs(&[0.0; 4]), b.action_probs(&[0.0; 4]));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn full_state_round_trip_resumes_training_bit_for_bit() {
         let cfg = bandit_config(4);
         let mut live = DdpgAgent::new(cfg.clone());
@@ -604,16 +563,6 @@ mod tests {
         snap[at] = 1;
         let err = wire::decode(&snap, &mut DdpgAgent::new(AgentConfig::new(3, 2, 4))).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn load_rejects_mismatched_architecture() {
-        let dir = std::env::temp_dir().join("fedmigr-agent-mismatch");
-        let mut a = DdpgAgent::new(AgentConfig::new(4, 3, 5));
-        a.save(&dir).unwrap();
-        let mut b = DdpgAgent::new(AgentConfig::new(6, 3, 5));
-        assert!(b.load(&dir).is_err());
-        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

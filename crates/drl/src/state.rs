@@ -33,9 +33,9 @@ impl MigrationState {
     }
 
     /// Builds the state for a migration decision about client `i`, assuming
-    /// a fully live population (every liveness feature 1.0). Convenience
-    /// wrapper over [`Self::build_with_liveness`] for fault-free call
-    /// sites.
+    /// a fully live population (every liveness feature 1.0) and no
+    /// quarantine evidence (every suspicion feature 0.0). Convenience
+    /// wrapper over [`Self::build_with_health`] for fault-free call sites.
     ///
     /// * `epoch_frac` — `t / T` in `[0, 1]`,
     /// * `loss` — current global loss `F_t` (clamped to a sane range),
@@ -51,33 +51,6 @@ impl MigrationState {
         compute_remaining: f64,
         distance_row: &[f64],
     ) -> Vec<f32> {
-        let all_live = vec![true; self.num_clients];
-        self.build_with_liveness(
-            epoch_frac,
-            loss,
-            dloss,
-            bw_remaining,
-            compute_remaining,
-            distance_row,
-            &all_live,
-        )
-    }
-
-    /// Builds the state for a migration decision about client `i` with
-    /// explicit liveness: `live[j]` is whether client `j` is up this epoch.
-    /// Suspicion features are all zero (no quarantine evidence).
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_with_liveness(
-        &self,
-        epoch_frac: f64,
-        loss: f64,
-        dloss: f64,
-        bw_remaining: f64,
-        compute_remaining: f64,
-        distance_row: &[f64],
-        live: &[bool],
-    ) -> Vec<f32> {
-        let no_suspicion = vec![0.0f64; self.num_clients];
         self.build_with_health(
             epoch_frac,
             loss,
@@ -85,8 +58,8 @@ impl MigrationState {
             bw_remaining,
             compute_remaining,
             distance_row,
-            live,
-            &no_suspicion,
+            &vec![true; self.num_clients],
+            &vec![0.0; self.num_clients],
         )
     }
 
@@ -228,12 +201,12 @@ mod tests {
     #[test]
     fn liveness_features_reflect_down_clients() {
         let f = MigrationState::new(4);
-        let s =
-            f.build_with_liveness(0.1, 1.0, 0.0, 1.0, 1.0, &[0.0; 4], &[true, false, true, false]);
+        let live = [true, false, true, false];
+        let s = f.build_with_health(0.1, 1.0, 0.0, 1.0, 1.0, &[0.0; 4], &live, &[0.0; 4]);
         assert_eq!(s.len(), f.dim());
         assert_eq!(s[5], 0.5, "half the population is live");
         assert_eq!(&s[10..14], &[1.0, 0.0, 1.0, 0.0]);
-        assert_eq!(&s[14..], &[0.0; 4], "liveness-only path carries zero suspicion");
+        assert_eq!(&s[14..], &[0.0; 4], "zero suspicion stays zero");
     }
 
     #[test]
@@ -274,7 +247,7 @@ mod tests {
     #[should_panic(expected = "one entry per client")]
     fn wrong_liveness_length_panics() {
         let f = MigrationState::new(2);
-        let _ = f.build_with_liveness(0.0, 0.0, 0.0, 1.0, 1.0, &[0.0, 0.0], &[true]);
+        let _ = f.build_with_health(0.0, 0.0, 0.0, 1.0, 1.0, &[0.0, 0.0], &[true], &[0.0, 0.0]);
     }
 
     #[test]

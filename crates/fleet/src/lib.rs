@@ -23,6 +23,6 @@ mod pool;
 mod topology;
 
 pub use assignment::FleetAssignment;
-pub use planner::{plan_migrations, FleetPlannerConfig, LanProfile, PlannedMove};
+pub use planner::{plan_migrations, FleetPlannerConfig, LanProfile};
 pub use pool::{ClientPool, ClientStub, DormantState};
 pub use topology::{FleetTopology, FleetTopologyConfig};

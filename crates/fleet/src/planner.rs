@@ -116,15 +116,6 @@ pub struct FleetPlannerConfig {
     pub seed: u64,
 }
 
-/// One scored migration the planner committed.
-#[derive(Clone, Copy, Debug)]
-pub struct PlannedMove {
-    /// Source active position.
-    pub from: usize,
-    /// Destination active position.
-    pub to: usize,
-}
-
 /// Plans this round's migrations over the active set. Inputs are indexed
 /// by *active position* `0..n`: `lans[i]` / `marginals[i]` describe active
 /// participant `i`, `desired_lan[i]` is the DDPG policy's destination LAN

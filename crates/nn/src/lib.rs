@@ -36,7 +36,6 @@
 //! ```
 
 mod activations;
-pub mod checkpoint;
 mod conv;
 mod dense;
 mod layer;

@@ -326,6 +326,39 @@ pub fn render_metrics() -> String {
     global().render_metrics()
 }
 
+/// The workspace's one parallel loop: cuts `items` into
+/// `ceil(n / cores)`-sized chunks (cores = the affinity mask's width), runs
+/// `work(first, chunk)` on one scoped thread per chunk, `first` being the
+/// chunk's offset into `items`, and returns the results in item order. A
+/// single chunk (one core, or at most one item) runs on the calling thread
+/// and spawns nothing. Every worker is joined before this returns, so its
+/// thread-local telemetry has been flushed; a worker's panic resumes on the
+/// caller with its payload.
+pub fn fan_out<T, R, F>(items: &mut [T], work: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> Vec<R> + Sync,
+{
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let chunk = items.len().div_ceil(cores).max(1);
+    if items.len() <= chunk {
+        return work(0, items);
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = items
+            .chunks_mut(chunk)
+            .enumerate()
+            .map(|(c, part)| s.spawn(move || work(c * chunk, part)))
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    })
+}
+
 /// Logs at [`Level::Error`]: `error!("target", "format {}", args)`.
 #[macro_export]
 macro_rules! error {
@@ -489,6 +522,63 @@ mod tests {
             .histogram(PHASE_SECONDS, &[("target", "core"), ("phase", "round")])
             .snapshot();
         assert_eq!(snap.count, 2);
+    }
+
+    fn cores() -> usize {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_and_chunk_offsets() {
+        let cores = cores();
+        for n in 0..=2 * cores + 1 {
+            let chunk = n.div_ceil(cores).max(1);
+            let mut items: Vec<usize> = (0..n).collect();
+            let out = fan_out(&mut items, |first, part| {
+                part.iter_mut()
+                    .enumerate()
+                    .map(|(j, x)| {
+                        assert_eq!(*x, first + j, "n = {n}: offset of a chunk item");
+                        *x += 100;
+                        (first, *x - 100)
+                    })
+                    .collect()
+            });
+            let order: Vec<usize> = out.iter().map(|&(_, x)| x).collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "n = {n}: results in item order");
+            for &(first, x) in &out {
+                assert_eq!(first, x / chunk * chunk, "n = {n}: item {x} in the wrong chunk");
+            }
+            assert!(items.iter().enumerate().all(|(i, &x)| x == i + 100), "n = {n}: writes land");
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_a_single_chunk_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut one = [0u8];
+        let ids =
+            fan_out(&mut one, |_, part| part.iter().map(|_| std::thread::current().id()).collect());
+        assert_eq!(ids, vec![caller]);
+        // No items is one empty chunk, too.
+        let mut none: [u8; 0] = [];
+        assert_eq!(fan_out(&mut none, |first, part| vec![(first, part.len())]), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn fan_out_resumes_a_worker_panic_on_the_caller() {
+        let n = 2 * cores() + 1;
+        let mut items: Vec<usize> = (0..n).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            fan_out(&mut items, |_, part| {
+                if part.contains(&(n - 1)) {
+                    std::panic::panic_any(n - 1);
+                }
+                part.to_vec()
+            })
+        }));
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<usize>(), Some(&(n - 1)));
     }
 
     #[test]

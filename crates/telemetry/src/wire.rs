@@ -1,6 +1,6 @@
 //! The wire: the one binary codec behind every checkpointed value — the run
-//! checkpoint (`FEDMIGRR`), the model file (`FEDMIGR2`) and the parameter
-//! payload. It is the binary twin of [`crate::record`].
+//! checkpoint (`FEDMIGRR`) and the parameter payload. It is the binary twin
+//! of [`crate::record`].
 //!
 //! A [`Wire`] type lists its fields once, in wire order, in the module that
 //! declares them; the [`Codec`] it is handed decides the direction, so the

@@ -13,9 +13,7 @@
 //! influence kernel results, so seeded runs are byte-identical with
 //! accounting on or off (asserted by `tests/telemetry_e2e.rs`).
 //!
-//! Cost contract: with the `kcount` cargo feature disabled (it is on by
-//! default) [`enabled`] is compile-time `false` and every scope folds to an
-//! inert guard. With the feature on but accounting not enabled at runtime,
+//! Cost contract: with accounting not enabled at runtime (`--no-kcount`),
 //! the cost is one relaxed atomic load and a branch per kernel call.
 //!
 //! Nesting: only the outermost live scope on a thread accrues wall time, so
@@ -212,16 +210,15 @@ thread_local! {
     };
 }
 
-/// Turns runtime accounting on or off. A no-op (always off) when the
-/// `kcount` cargo feature is disabled.
+/// Turns runtime accounting on or off.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on && cfg!(feature = "kcount"), Ordering::Relaxed);
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether kernel accounting is currently active.
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "kcount") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Opens an accounting scope for one kernel invocation, declaring its
@@ -329,7 +326,6 @@ mod tests {
     // tests' tensor ops record too; it therefore asserts only on kernels no
     // op of this crate opens (the `fedmigr-nn` ones).
     #[test]
-    #[cfg(feature = "kcount")]
     fn scopes_accumulate_and_merge_across_threads() {
         reset();
         assert!(snapshot().is_empty());
@@ -383,17 +379,6 @@ mod tests {
         assert_eq!(d.get(Kernel::Im2col).flops, 50);
         assert_eq!(d.get(Kernel::Col2im).calls, 0);
         reset();
-    }
-
-    #[test]
-    #[cfg(not(feature = "kcount"))]
-    fn feature_off_is_compile_time_inert() {
-        set_enabled(true);
-        assert!(!enabled());
-        {
-            let _s = scope(Kernel::Matmul, 1, 1);
-        }
-        assert!(snapshot().is_empty());
     }
 
     proptest! {

@@ -65,7 +65,6 @@ pub struct RunArgs {
     diag: bool,
     flight_out: Option<String>,
     timeline_out: Option<String>,
-    chrome_out: Option<String>,
     profile_out: Option<String>,
     profile_alloc: bool,
     no_kcount: bool,
@@ -184,9 +183,6 @@ pub fn command() -> Command<RunArgs> {
                    per-flow lifecycle events and per-link utilization series; \
                    observation-only — results are byte-identical (validate and analyze with \
                    fedmigr netview)" },
-        Flag { name: "--chrome-out", value: "<path>", default: "", set: |a, v| put_some(&mut a.chrome_out, v),
-            help: "also convert the timeline to Chrome trace-event JSON viewable in Perfetto \
-                   (needs --timeline-out)" },
     ];
     let profiling: [Flag<RunArgs>; 3] = [
         Flag { name: "--profile-out", value: "<path>", default: "", set: |a, v| put_some(&mut a.profile_out, v),
@@ -280,9 +276,6 @@ fn compose(a: &RunArgs) -> Result<(RunConfig, Partition), String> {
     if a.profile_alloc && a.profile_out.is_none() {
         return Err("--profile-alloc needs --profile-out".into());
     }
-    if a.chrome_out.is_some() && a.timeline_out.is_none() {
-        return Err("--chrome-out needs --timeline-out".into());
-    }
     cfg.validate().map_err(|e| e.to_string())?;
     Ok((cfg, partition))
 }
@@ -349,13 +342,6 @@ fn run(a: RunArgs) -> ExitCode {
         if a.profile_alloc {
             write("", &format!("{path}.alloc"), Ok(fedmigr_telemetry::profiler::alloc_report()));
         }
-    }
-    if let (Some(chrome), Some(timeline)) = (&a.chrome_out, &a.timeline_out) {
-        let trace = std::fs::read_to_string(timeline)
-            .map_err(|e| e.to_string())
-            .and_then(|text| fedmigr_diag::TimelineRecording::parse(&text))
-            .map(|rec| fedmigr_diag::chrome_trace(&rec));
-        write("--chrome-out ", chrome, trace);
     }
     failed.extend(a.obs.finish().err());
     failed.iter().for_each(|e| eprintln!("error: {e}"));

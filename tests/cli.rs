@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// Every flag of `fedmigr run`.
-const RUN_FLAGS: [&str; 43] = [
+const RUN_FLAGS: [&str; 42] = [
     "--scheme",
     "--partition",
     "--classes",
@@ -42,7 +42,6 @@ const RUN_FLAGS: [&str; 43] = [
     "--diag",
     "--flight-out",
     "--timeline-out",
-    "--chrome-out",
     "--log-level",
     "--trace-out",
     "--metrics-out",
