@@ -29,7 +29,8 @@ use crate::timeline_capture::TimelineCapture;
 pub(crate) struct AgentCtx {
     pub agent: DdpgAgent,
     pub fc: FedMigrConfig,
-    warmup_epochs: usize,
+    /// Epochs up to this one take pure-oracle decisions the actor imitates.
+    pub warmup_epochs: usize,
     /// Decisions awaiting their reward: `(state, executed destination,
     /// deciding client or cohort position)`.
     pub pending: Vec<(Vec<f32>, usize, usize)>,
@@ -47,23 +48,6 @@ impl AgentCtx {
             warmup_epochs: (fc.oracle_warmup_frac * epochs as f64) as usize,
             pending: Vec::new(),
         }
-    }
-
-    /// Whether `epoch` still falls in the oracle-imitation warmup; also
-    /// sets the epoch's exploration rate (pure oracle while warming up).
-    pub fn begin_decisions(&mut self, epoch: usize) -> bool {
-        let warmup = epoch <= self.warmup_epochs;
-        self.agent.set_rho(if warmup { 1.0 } else { self.fc.rho });
-        warmup
-    }
-
-    /// Queues the decision taken from `state`, cloning the committed plan's
-    /// behaviour into the actor during warmup.
-    pub fn decided(&mut self, state: &[f32], dest: usize, who: usize, warmup: bool) {
-        if warmup {
-            self.agent.imitate(state, dest);
-        }
-        self.pending.push((state.to_vec(), dest, who));
     }
 }
 

@@ -14,7 +14,7 @@
 //! Migration planning is factored the same way: instead of the dense
 //! `K × K` objective, the DDPG agent sees a pooled fixed-dimension state
 //! (per-LAN aggregates, `6 + 3·L` features) and picks a destination *LAN*;
-//! [`plan_migrations`] then shortlists same-LAN plus `top_m` hash-sampled
+//! [`fedmigr_fleet::plan_migrations`] then shortlists same-LAN plus `top_m` hash-sampled
 //! cross-LAN candidates per participant and commits greedily — decision
 //! cost is `O(n · (lan_size + top_m))` per round rather than `O(K²)`.
 //!
@@ -32,12 +32,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fedmigr_data::{Dataset, SyntheticConfig, SyntheticWorld};
-use fedmigr_drl::qp::FlmmRelaxation;
 use fedmigr_drl::PooledMigrationState;
-use fedmigr_fleet::{
-    plan_migrations, ClientPool, FleetAssignment, FleetPlannerConfig, FleetTopology,
-    FleetTopologyConfig, LanProfile,
-};
+use fedmigr_fleet::{ClientPool, FleetAssignment, FleetTopology, FleetTopologyConfig, LanProfile};
 use fedmigr_net::{transfer_time, FaultModel};
 use fedmigr_nn::Model;
 use fedmigr_telemetry::span;
@@ -50,6 +46,7 @@ use crate::client::FlClient;
 use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, RobustStats, RunMetrics};
+use crate::migration::{self, cohort_profile, CohortRound, MigrationPlan};
 use crate::runner::{train_all, RunConfig, VPhase};
 use crate::timeline_capture::TimelineCapture;
 
@@ -210,17 +207,6 @@ struct Round {
     mean_loss: f32,
     states: Option<Vec<Vec<f32>>>,
     accuracy: Option<f64>,
-}
-
-/// The cohort's LANs and label marginals, by cohort position.
-fn cohort_profile<'p>(pool: &'p ClientPool, cohort: &[FlClient]) -> (Vec<u32>, Vec<&'p [f32]>) {
-    cohort
-        .iter()
-        .map(|c| {
-            let stub = pool.stub(c.id());
-            (stub.lan, stub.marginal.as_slice())
-        })
-        .unzip()
 }
 
 impl<'a> FleetRun<'a> {
@@ -408,8 +394,19 @@ impl<'a> FleetRun<'a> {
     fn migrate_block(&mut self, r: &mut Round, is_eval: bool) {
         let migrate_span = span!("core::fleet", "migrate");
         if let Some(states) = r.states.as_ref() {
-            let dest = self.plan(r.epoch, states);
-            self.execute(r.epoch, &dest);
+            let (ctx, st) = (&self.ctx, &mut self.st);
+            let round = CohortRound {
+                topo: ctx.topo,
+                pool: st.pool,
+                cohort: &st.cohort,
+                epoch: r.epoch,
+                model_bytes: ctx.model_bytes,
+                top_m: ctx.opts.top_m,
+                seed: ctx.cfg.seed ^ 0x00F1_EE75,
+            };
+            let agent = st.common.agent.as_mut().expect("states imply an agent");
+            let plan = migration::plan_cohort(&round, states, agent);
+            self.execute(r.epoch, &plan);
         }
         drop(migrate_span);
         self.obs.kphases.credit("migrate");
@@ -423,51 +420,11 @@ impl<'a> FleetRun<'a> {
         }
     }
 
-    /// Plans this epoch's migrations: the agent picks destination *LANs*
-    /// (guided by an `L × L` FLMM oracle instead of the dense `K × K` one),
-    /// the factored planner commits them to a permutation of cohort
-    /// positions.
-    fn plan(&mut self, epoch: usize, states: &[Vec<f32>]) -> Vec<usize> {
-        let (ctx, st) = (&self.ctx, &mut self.st);
-        let agent = st.common.agent.as_mut().expect("states imply an agent");
-        let warmup = agent.begin_decisions(epoch);
-        let (lans, marginals) = cohort_profile(st.pool, &st.cohort);
-        let profile = LanProfile::build(&lans, &marginals, ctx.num_lans, ctx.num_classes);
-        let relax = FlmmRelaxation {
-            benefit: profile.benefit_matrix(),
-            cost: lan_cost_matrix(ctx.topo, ctx.model_bytes),
-            lambda: agent.fc.lambda,
-            entropy: 0.05,
-        };
-        let oracle = relax.solve(40, 0.4);
-        let desired: Vec<u32> = states
-            .iter()
-            .zip(&lans)
-            .map(|(s, &lan)| agent.agent.select_action(s, Some(&oracle[lan as usize])) as u32)
-            .collect();
-        let gids: Vec<usize> = st.cohort.iter().map(|c| c.id()).collect();
-        let cross_slow = ctx.topo.config().cross_slow_bandwidth;
-        let pcfg = FleetPlannerConfig {
-            top_m: ctx.opts.top_m,
-            lambda: agent.fc.lambda,
-            seed: ctx.cfg.seed ^ 0x00F1_EE75,
-        };
-        let dest = plan_migrations(&pcfg, epoch as u64, &lans, &marginals, &desired, |i, j| {
-            // Normalized transfer price: slowest link = 1.
-            cross_slow / ctx.topo.c2c_bandwidth(gids[i], gids[j], epoch)
-        });
-        for (i, state) in states.iter().enumerate() {
-            agent.decided(state, lans[dest[i]] as usize, i, warmup);
-        }
-        dest
-    }
-
     /// Executes the permutation: the model of position `i` lands on
     /// position `dest[i]`'s host.
-    fn execute(&mut self, epoch: usize, dest: &[usize]) {
+    fn execute(&mut self, epoch: usize, plan: &MigrationPlan) {
         let (ctx, st) = (&self.ctx, &mut self.st);
-        let moves: Vec<(usize, usize)> =
-            dest.iter().enumerate().filter(|&(i, &d)| d != i).map(|(i, &d)| (i, d)).collect();
+        let moves: Vec<(usize, usize)> = plan.moves().collect();
         if moves.is_empty() {
             return;
         }
@@ -604,22 +561,6 @@ fn activate(
             })
             .collect()
     })
-}
-
-/// LAN-level migration cost matrix for the pooled FLMM oracle, normalized
-/// so the most expensive class costs 1. Cross-LAN entries use the expected
-/// bandwidth over the moderate/slow link-class mix.
-fn lan_cost_matrix(topo: &FleetTopology, model_bytes: u64) -> Vec<Vec<f64>> {
-    let c = topo.config();
-    let l = topo.num_lans();
-    let cross_bw = (1.0 - c.slow_fraction) * c.cross_moderate_bandwidth
-        + c.slow_fraction * c.cross_slow_bandwidth;
-    let intra = model_bytes as f64 / c.lan_bandwidth;
-    let cross = model_bytes as f64 / cross_bw;
-    let max = intra.max(cross).max(1e-12);
-    (0..l)
-        .map(|a| (0..l).map(|b| if a == b { intra / max } else { cross / max }).collect())
-        .collect()
 }
 
 /// Activates one client: rematerializes its dataset from the stub range,

@@ -1,10 +1,40 @@
+//! Migration planning in one place: every planner both round loops call
+//! (one call per migration round), the FLMM oracle, the steering sequence
+//! that blends the DDPG agent into a plan, and the receiver-side
+//! quarantine. The greedy commit and the agent bonus sit one crate down,
+//! in `fedmigr_fleet`, because its shortlist planner commits through them.
+
 use std::collections::VecDeque;
 
-use fedmigr_net::Topology;
+use fedmigr_drl::qp::FlmmRelaxation;
+use fedmigr_fleet::{
+    greedy_commit, plan_migrations, ClientPool, FleetPlannerConfig, FleetTopology, LanProfile,
+    AGENT_BONUS,
+};
+use fedmigr_net::{transfer_time, Topology};
+use fedmigr_telemetry::profiler;
 use fedmigr_tensor::{all_finite, l2_distance_slice};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+
+use crate::client::FlClient;
+use crate::engine::AgentCtx;
+use crate::scheme::{MigrationStrategy, Scheme};
+
+/// Penalty weight on targeting *flaky* destinations: the FedMigr oracle
+/// subtracts `LIVENESS_PENALTY x flakiness(j)` from every `(i, j)` score,
+/// where `flakiness` is an exponential moving average of observed
+/// per-client downtime. Zero-cost without fault injection (the EMA stays
+/// identically zero).
+const LIVENESS_PENALTY: f64 = 0.5;
+/// Penalty weight on migrating *suspect* models: the FedMigr oracle
+/// subtracts `SUSPICION_PENALTY x suspicion(i)` from every off-diagonal
+/// `(i, j)` score, where `suspicion` is the migration quarantine's
+/// per-source rejection EMA — a poisoned model is nudged to stay home
+/// instead of contaminating a fresh client. Zero-cost without an adversary
+/// (the quarantine is off and suspicion stays identically zero).
+const SUSPICION_PENALTY: f64 = 0.5;
 
 /// A one-round migration assignment: `dest[i] = j` means client `i`'s model
 /// moves to client `j` this round. The assignment is always a permutation —
@@ -100,46 +130,38 @@ impl MigrationPlan {
         Self::new(dest)
     }
 
-    /// Builds a permutation by globally greedy matching on a score matrix:
-    /// repeatedly commits the highest-scoring `(source, destination)` pair
-    /// among unassigned sources and free destinations. This is the integer
-    /// recovery step applied to the relaxed-FLMM solution — it preserves
-    /// far more of the relaxation's value than independent per-row argmax
-    /// followed by conflict fallback. Only the clients marked `true` in
-    /// `active` exchange models; the rest are fixed points.
+    /// FedSwap's per-round action: swap the models of `pairs` random
+    /// disjoint pairs among the clients marked `true` in `active`.
+    pub fn swap_pairs(active: &[bool], pairs: usize, rng: &mut StdRng) -> Self {
+        let k = active.len();
+        let mut order: Vec<usize> = (0..k).filter(|&i| active[i]).collect();
+        if order.len() < 2 {
+            return Self::identity(k);
+        }
+        order.shuffle(rng);
+        let mut dest: Vec<usize> = (0..k).collect();
+        for pair in order.chunks(2).take(pairs.max(1)) {
+            if let [a, b] = *pair {
+                dest.swap(a, b);
+            }
+        }
+        Self::new(dest)
+    }
+
+    /// The integer recovery step applied to the relaxed-FLMM solution:
+    /// [`greedy_commit`] over every pair of clients marked `true` in
+    /// `active`, with no floor, so every active source is matched whatever
+    /// its scores (even −∞); the rest are fixed points.
     pub fn greedy_assignment_masked(scores: &[Vec<f64>], active: &[bool]) -> Self {
         let k = scores.len();
         assert_eq!(active.len(), k);
-        let mut pairs: Vec<(usize, usize)> = (0..k)
+        let pairs: Vec<(f64, u32, u32)> = (0..k)
             .filter(|&i| active[i])
-            .flat_map(|i| (0..k).filter(|&j| active[j]).map(move |j| (i, j)))
+            .flat_map(|i| {
+                (0..k).filter(|&j| active[j]).map(move |j| (scores[i][j], i as u32, j as u32))
+            })
             .collect();
-        pairs.sort_by(|&(ai, aj), &(bi, bj)| scores[bi][bj].total_cmp(&scores[ai][aj]));
-        let mut dest: Vec<usize> = (0..k).collect();
-        let mut assigned = vec![false; k];
-        let mut taken = vec![false; k];
-        for (i, j) in pairs {
-            if !assigned[i] && !taken[j] {
-                dest[i] = j;
-                assigned[i] = true;
-                taken[j] = true;
-            }
-        }
-        // Any active client left unassigned (possible only when its
-        // candidates were all taken) keeps its model if free, else takes
-        // the first free active host.
-        for i in (0..k).filter(|&i| active[i] && !assigned[i]) {
-            let j = if !taken[i] {
-                i
-            } else {
-                (0..k)
-                    .find(|&j| active[j] && !taken[j])
-                    .expect("active sources and hosts are in bijection")
-            };
-            dest[i] = j;
-            taken[j] = true;
-        }
-        Self::new(dest)
+        Self::new(greedy_commit(k, pairs, None))
     }
 
     /// Destination of client `i`'s model.
@@ -173,6 +195,194 @@ impl MigrationPlan {
         }
         out.into_iter().map(|x| x.expect("permutation covers all hosts")).collect()
     }
+}
+
+/// One dense migration round as its planner sees it, by client index.
+pub(crate) struct DenseRound<'a> {
+    pub scheme: &'a Scheme,
+    pub topology: &'a Topology,
+    pub epoch: usize,
+    pub model_bytes: u64,
+    /// Live clients that made the deadline: plans never touch the others.
+    pub active: &'a [bool],
+    /// Per-client DRL states, present exactly under FedMigr.
+    pub states: Option<&'a [Vec<f32>]>,
+    pub dmat: &'a [Vec<f64>],
+    pub flaky: &'a [f64],
+    pub suspicion: &'a [f64],
+}
+
+/// Plans one dense migration round with its scheme's planner.
+pub(crate) fn plan_dense(
+    round: &DenseRound,
+    rng: &mut StdRng,
+    agent: Option<&mut AgentCtx>,
+) -> MigrationPlan {
+    use MigrationStrategy::{CrossLan, Random, WithinLan};
+    let (topology, active) = (round.topology, round.active);
+    match (round.scheme, round.states, agent) {
+        (Scheme::RandMigr | Scheme::Fixed(Random), ..) => {
+            MigrationPlan::random_subset(active.len(), active, rng)
+        }
+        (Scheme::Fixed(WithinLan), ..) => MigrationPlan::within_lan_masked(topology, active, rng),
+        (Scheme::Fixed(CrossLan), ..) => MigrationPlan::cross_lan_masked(topology, active, rng),
+        (Scheme::FedMigr(_), Some(states), Some(agent)) => plan_flmm(round, states, agent),
+        _ => unreachable!("scheme/state combination"),
+    }
+}
+
+/// The dense FedMigr planner over the `K × K` oracle. Its benefit is the
+/// distribution difference minus a flakiness penalty on the destination and
+/// a suspicion penalty on migrating *sources* (both vanish with no observed
+/// downtime and no quarantine rejections); its cost is the transfer time.
+fn plan_flmm(round: &DenseRound, states: &[Vec<f32>], agent: &mut AgentCtx) -> MigrationPlan {
+    let oracle_frame = profiler::frame("plan_oracle");
+    let (topology, epoch, bytes) = (round.topology, round.epoch, round.model_bytes);
+    let (oracle, mut scores) = flmm_oracle(
+        round.active.len(),
+        agent.fc.lambda,
+        |i, j| {
+            let keep_home = if i != j { SUSPICION_PENALTY * round.suspicion[i] } else { 0.0 };
+            round.dmat[i][j] - LIVENESS_PENALTY * round.flaky[j] - keep_home
+        },
+        |i, j| topology.try_c2c_bandwidth(i, j, epoch).map_or(0.0, |bw| transfer_time(bytes, bw)),
+    );
+    drop(oracle_frame);
+    steer(agent, epoch, states, &oracle, std::convert::identity, |actions| {
+        for (row, &a) in scores.iter_mut().zip(actions) {
+            row[a] += AGENT_BONUS;
+        }
+        MigrationPlan::greedy_assignment_masked(&scores, round.active)
+    })
+}
+
+/// One fleet migration round as its planner sees it.
+pub(crate) struct CohortRound<'a> {
+    pub topo: &'a FleetTopology,
+    pub pool: &'a ClientPool,
+    /// The active clients; the plan is a permutation of their positions.
+    pub cohort: &'a [FlClient],
+    pub epoch: usize,
+    pub model_bytes: u64,
+    /// Shortlist width and hash seed of [`plan_migrations`].
+    pub top_m: usize,
+    pub seed: u64,
+}
+
+/// The fleet FedMigr planner: the agent picks destination *LANs* against
+/// the `L × L` oracle over per-LAN aggregates (priced by expected transfer
+/// time), and the shortlist planner commits them to a permutation of cohort
+/// positions (priced by bandwidth against the slowest link class).
+pub(crate) fn plan_cohort(
+    round: &CohortRound,
+    states: &[Vec<f32>],
+    agent: &mut AgentCtx,
+) -> MigrationPlan {
+    let (topo, lambda) = (round.topo, agent.fc.lambda);
+    let (lans, marginals) = cohort_profile(round.pool, round.cohort);
+    let oracle_frame = profiler::frame("plan_oracle");
+    let num_classes = round.pool.world().num_classes();
+    let benefit =
+        LanProfile::build(&lans, &marginals, topo.num_lans(), num_classes).benefit_matrix();
+    let c = topo.config();
+    let cross_bw = (1.0 - c.slow_fraction) * c.cross_moderate_bandwidth
+        + c.slow_fraction * c.cross_slow_bandwidth;
+    let (intra, cross) =
+        (round.model_bytes as f64 / c.lan_bandwidth, round.model_bytes as f64 / cross_bw);
+    let lan_cost = |a: usize, b: usize| if a == b { intra } else { cross };
+    let (oracle, _) = flmm_oracle(topo.num_lans(), lambda, |a, b| benefit[a][b], lan_cost);
+    drop(oracle_frame);
+    let pcfg = FleetPlannerConfig { top_m: round.top_m, lambda, seed: round.seed };
+    let price = |i: usize, j: usize| {
+        let (gi, gj) = (round.cohort[i].id(), round.cohort[j].id());
+        c.cross_slow_bandwidth / topo.c2c_bandwidth(gi, gj, round.epoch)
+    };
+    let lan_of = |i: usize| lans[i] as usize;
+    steer(agent, round.epoch, states, &oracle, lan_of, |actions| {
+        let desired: Vec<u32> = actions.iter().map(|&a| a as u32).collect();
+        let epoch = round.epoch as u64;
+        MigrationPlan { dest: plan_migrations(&pcfg, epoch, &lans, &marginals, &desired, price) }
+    })
+}
+
+/// The cohort's LANs and label marginals, by cohort position.
+pub(crate) fn cohort_profile<'p>(
+    pool: &'p ClientPool,
+    cohort: &[FlClient],
+) -> (Vec<u32>, Vec<&'p [f32]>) {
+    cohort
+        .iter()
+        .map(|c| {
+            let stub = pool.stub(c.id());
+            (stub.lan, stub.marginal.as_slice())
+        })
+        .unzip()
+}
+
+/// The relaxed-FLMM oracle (Sec. III-D) both FedMigr planners consult,
+/// over `n` rows: the `cost` matrix is divided by its largest entry (when
+/// positive), and the relaxation is solved by 40 mirror-descent steps of
+/// size 0.4 at entropy weight 0.05. Returns the relaxed solution's rows and
+/// the objective `benefit − λ·cost` it was solved against.
+fn flmm_oracle(
+    n: usize,
+    lambda: f64,
+    benefit: impl Fn(usize, usize) -> f64,
+    cost: impl Fn(usize, usize) -> f64,
+) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+    let matrix = |f: &dyn Fn(usize, usize) -> f64| -> Vec<Vec<f64>> {
+        (0..n).map(|i| (0..n).map(|j| f(i, j)).collect()).collect()
+    };
+    let (benefit, mut cost) = (matrix(&benefit), matrix(&cost));
+    let max = cost.iter().flatten().fold(0.0f64, |m, &c| m.max(c));
+    if max > 0.0 {
+        cost.iter_mut().flatten().for_each(|c| *c /= max);
+    }
+    let objective = benefit
+        .iter()
+        .zip(&cost)
+        .map(|(b, c)| b.iter().zip(c).map(|(&b, &c)| b - lambda * c).collect())
+        .collect();
+    let relax = FlmmRelaxation { benefit, cost, lambda, entropy: 0.05 };
+    (relax.solve(40, 0.4), objective)
+}
+
+/// The steering sequence both FedMigr planners run. `action_of(i)` is the
+/// action that names client `i` as a destination (the client itself, or its
+/// LAN), and its oracle row is the oracle's advice for client `i`'s state.
+/// During the oracle-imitation warmup the exploration rate is 1 (pure
+/// oracle) and the actor clones the committed plan; afterwards the ρ-greedy
+/// blend decides. `commit` adds [`AGENT_BONUS`] to the chosen actions and
+/// recovers a permutation; every decision then waits for its reward.
+fn steer(
+    agent: &mut AgentCtx,
+    epoch: usize,
+    states: &[Vec<f32>],
+    oracle: &[Vec<f64>],
+    action_of: impl Fn(usize) -> usize,
+    commit: impl FnOnce(&[usize]) -> MigrationPlan,
+) -> MigrationPlan {
+    let warmup = epoch <= agent.warmup_epochs;
+    agent.agent.set_rho(if warmup { 1.0 } else { agent.fc.rho });
+    let select_frame = profiler::frame("plan_select");
+    let actions: Vec<usize> = states
+        .iter()
+        .enumerate()
+        .map(|(i, state)| agent.agent.select_action(state, Some(&oracle[action_of(i)])))
+        .collect();
+    drop(select_frame);
+    let commit_frame = profiler::frame("plan_commit");
+    let plan = commit(&actions);
+    drop(commit_frame);
+    let _imitate = profiler::frame("plan_imitate");
+    for (i, state) in states.iter().enumerate() {
+        let action = action_of(plan.dest(i));
+        if warmup {
+            agent.agent.imitate(state, action);
+        }
+        agent.pending.push((state.to_vec(), action, i));
+    }
+    plan
 }
 
 /// Tunables of the migration [`Quarantine`].
@@ -270,10 +480,7 @@ impl Quarantine {
 
     fn reject(&mut self, src: usize) {
         self.rejected += 1;
-        let g = self.config.suspicion_gain;
-        if let Some(s) = self.suspicion.get_mut(src) {
-            *s = (1.0 - g) * *s + g;
-        }
+        self.escalate(src);
     }
 
     /// Decays every suspicion score; call once per epoch.
@@ -300,18 +507,21 @@ impl Quarantine {
     }
 }
 
-/// Median and median-absolute-deviation of a slice (which it sorts a copy
-/// of). Returns `(0, 0)` for an empty slice.
+/// Median and median-absolute-deviation of a slice; `(0, 0)` when empty.
 fn median_mad(xs: &[f64]) -> (f64, f64) {
+    let m = median(xs);
+    let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
+    (m, median(&devs))
+}
+
+/// Median of `xs` (upper median for even lengths); 0 when empty.
+pub(crate) fn median(xs: &[f64]) -> f64 {
     if xs.is_empty() {
-        return (0.0, 0.0);
+        return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let median = sorted[sorted.len() / 2];
-    let mut devs: Vec<f64> = sorted.iter().map(|x| (x - median).abs()).collect();
-    devs.sort_by(f64::total_cmp);
-    (median, devs[devs.len() / 2])
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 #[cfg(test)]
@@ -452,6 +662,38 @@ mod tests {
         // Actives swap (their mutual score 9 beats staying at 0).
         assert_eq!(p.dest(0), 2);
         assert_eq!(p.dest(2), 0);
+    }
+
+    #[test]
+    fn swap_pairs_swaps_disjoint_active_pairs() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let active = [true, true, false, true, true, true, true];
+        for pairs in 1..5 {
+            let p = MigrationPlan::swap_pairs(&active, pairs, &mut rng);
+            assert_eq!(p.dest(2), 2);
+            for (i, j) in p.moves() {
+                assert_eq!(p.dest(j), i, "{i}->{j} is not a swap");
+            }
+            assert_eq!(p.moves().count(), 2 * pairs.min(3));
+        }
+        assert_eq!(
+            MigrationPlan::swap_pairs(&[true, false], 2, &mut rng),
+            MigrationPlan::identity(2)
+        );
+    }
+
+    #[test]
+    fn oracle_divides_cost_by_its_largest_entry() {
+        let (rows, objective) =
+            flmm_oracle(2, 0.5, |i, j| (i + j) as f64, |i, j| 4.0 * (i * 2 + j) as f64);
+        // Costs 0, 4, 8, 12 become 0, 1/3, 2/3, 1.
+        assert_eq!(objective, vec![vec![0.0, 1.0 - 0.5 / 3.0], vec![1.0 - 1.0 / 3.0, 2.0 - 0.5]]);
+        for row in &rows {
+            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        }
+        // An all-zero cost is left as it is.
+        let (_, objective) = flmm_oracle(2, 0.5, |_, _| 1.0, |_, _| 0.0);
+        assert_eq!(objective, vec![vec![1.0; 2]; 2]);
     }
 
     #[test]

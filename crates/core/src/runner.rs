@@ -9,17 +9,15 @@ use fedmigr_diag::{
     DiagConfig, DriftSnapshot, DrlSnapshot, EdgeOutcome, EmdSnapshot, FlightHeader, FlightRecorder,
     FlightSummary, GraphSnapshot, MigrationEdge, PhaseSeconds, RoundRecord, FLIGHT_VERSION,
 };
-use fedmigr_drl::qp::FlmmRelaxation;
 use fedmigr_drl::MigrationState;
 use fedmigr_net::{
-    retry_backoff, simulate_c2s_traced, simulate_migrations_traced, transfer_time,
-    transfer_time_with_latency, try_transfer_time_with_latency, upload_deadline, AttackConfig,
-    AttackModel, ClientCompute, FaultConfig, FaultModel, FlowConfig, ResourceBudget, SimClock,
-    Topology, TransportAccum, TransportConfig, MAX_RETRIES,
+    retry_backoff, simulate_c2s_traced, simulate_migrations_traced, transfer_time_with_latency,
+    try_transfer_time_with_latency, upload_deadline, AttackConfig, AttackModel, ClientCompute,
+    FaultConfig, FaultModel, FlowConfig, ResourceBudget, SimClock, Topology, TransportAccum,
+    TransportConfig, MAX_RETRIES,
 };
 use fedmigr_nn::Model;
 use fedmigr_tensor::kcount;
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use fedmigr_telemetry::{span, warn};
@@ -30,24 +28,10 @@ use crate::client::FlClient;
 use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RobustStats, RunMetrics};
-use crate::migration::{MigrationPlan, Quarantine, QuarantineConfig};
+use crate::migration::{self, median, DenseRound, MigrationPlan, Quarantine, QuarantineConfig};
 use crate::privacy::DpConfig;
-use crate::scheme::{FedMigrConfig, MigrationStrategy, Scheme};
+use crate::scheme::Scheme;
 use crate::timeline_capture::TimelineCapture;
-
-/// Penalty weight on targeting *flaky* destinations: the FedMigr oracle
-/// subtracts `LIVENESS_PENALTY x flakiness(j)` from every `(i, j)` score,
-/// where `flakiness` is an exponential moving average of observed
-/// per-client downtime. Zero-cost without fault injection (the EMA stays
-/// identically zero).
-const LIVENESS_PENALTY: f64 = 0.5;
-/// Penalty weight on migrating *suspect* models: the FedMigr oracle
-/// subtracts `SUSPICION_PENALTY x suspicion(i)` from every off-diagonal
-/// `(i, j)` score, where `suspicion` is the migration quarantine's
-/// per-source rejection EMA — a poisoned model is nudged to stay home
-/// instead of contaminating a fresh client. Zero-cost without an adversary
-/// (the quarantine is off and suspicion stays identically zero).
-const SUSPICION_PENALTY: f64 = 0.5;
 
 /// Configuration of one federated-learning run.
 #[derive(Clone, Debug)]
@@ -992,7 +976,7 @@ impl<'a> DenseRun<'a> {
     /// Under the flow transport a late upload simply sits the swap out.
     fn swap(&mut self, r: &Round, uploads: Vec<Vec<f32>>, on_time: &[bool]) {
         let st = &mut self.st;
-        let plan = swap_pairs_plan(on_time, self.ctx.k.div_ceil(4), &mut st.common.rng);
+        let plan = MigrationPlan::swap_pairs(on_time, self.ctx.k.div_ceil(4), &mut st.common.rng);
         let uploads = plan.apply(&uploads);
         st.mix = plan.apply(&st.mix);
         if self.ctx.cfg.diag.active() {
@@ -1018,46 +1002,22 @@ impl<'a> DenseRun<'a> {
     /// C2C migration epoch: plan, then move the models.
     fn communicate_migrate(&mut self, r: &mut Round) {
         let plan_span = span!("core::runner", "migration_plan");
-        let plan = self.plan_migration(r);
+        let st = &mut self.st;
+        let round = DenseRound {
+            scheme: &self.ctx.cfg.scheme,
+            topology: &self.ctx.exp.topology,
+            epoch: r.epoch,
+            model_bytes: self.ctx.model_bytes,
+            active: &r.arrived,
+            states: r.states.as_deref(),
+            dmat: &r.dmat,
+            flaky: &st.flaky,
+            suspicion: &r.suspicion,
+        };
+        let plan = migration::plan_dense(&round, &mut st.common.rng, st.common.agent.as_mut());
         drop(plan_span);
         let _transfer = span!("core::runner", "migration_transfer");
         self.migrate(r, &plan);
-    }
-
-    /// Every planner is masked to the clients that are live *and* made this
-    /// round's deadline, so plans never target a dead destination.
-    fn plan_migration(&mut self, r: &Round) -> MigrationPlan {
-        let (k, epoch) = (self.ctx.k, r.epoch);
-        let (cfg, topology) = (self.ctx.cfg, &self.ctx.exp.topology);
-        let rng = &mut self.st.common.rng;
-        match (&cfg.scheme, r.states.as_ref()) {
-            (Scheme::RandMigr, _) | (Scheme::Fixed(MigrationStrategy::Random), _) => {
-                MigrationPlan::random_subset(k, &r.arrived, rng)
-            }
-            (Scheme::Fixed(MigrationStrategy::WithinLan), _) => {
-                MigrationPlan::within_lan_masked(topology, &r.arrived, rng)
-            }
-            (Scheme::Fixed(MigrationStrategy::CrossLan), _) => {
-                MigrationPlan::cross_lan_masked(topology, &r.arrived, rng)
-            }
-            (Scheme::FedMigr(fc), Some(states)) => {
-                let (oracle, mut scores) = self.solve_oracle(fc, r);
-                let ctx = self.st.common.agent.as_mut().expect("FedMigr context");
-                let warmup = ctx.begin_decisions(epoch);
-                // Blend the relaxed-FLMM objective with the agent's
-                // per-client desires, then recover a permutation by
-                // globally greedy matching over the active clients.
-                for (i, state) in states.iter().enumerate() {
-                    scores[i][ctx.agent.select_action(state, Some(&oracle[i]))] += 0.25;
-                }
-                let plan = MigrationPlan::greedy_assignment_masked(&scores, &r.arrived);
-                for (i, state) in states.iter().enumerate() {
-                    ctx.decided(state, plan.dest(i), i, warmup);
-                }
-                plan
-            }
-            _ => unreachable!("scheme/state combination"),
-        }
     }
 
     /// Executes `plan`. Under the flow transport the whole migration wave
@@ -1533,60 +1493,6 @@ impl<'a> DenseRun<'a> {
         }
         self.st.common.clock.advance(VPhase::Backoff, backoff_total);
         synced
-    }
-
-    /// Solves the relaxed FLMM oracle for the current epoch: benefit is the
-    /// pairwise distribution difference minus a flakiness penalty on the
-    /// destination and a suspicion penalty on migrating *sources*, cost the
-    /// normalized link price. With no observed downtime (`flaky` all zero)
-    /// and no quarantine rejections (suspicion all zero) both penalties
-    /// vanish entirely, leaving the seed objective bit-identical.
-    /// Returns `(relaxed solution rows, raw objective matrix)`.
-    fn solve_oracle(&self, fc: &FedMigrConfig, r: &Round) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-        let k = self.ctx.k;
-        let topology = &self.ctx.exp.topology;
-        let mut cost = vec![vec![0.0f64; k]; k];
-        let mut max_cost = 0.0f64;
-        for (i, row) in cost.iter_mut().enumerate() {
-            for (j, c) in row.iter_mut().enumerate() {
-                if i != j {
-                    let bandwidth = topology.c2c_bandwidth(i, j, r.epoch);
-                    *c = transfer_time(self.ctx.model_bytes, bandwidth);
-                    max_cost = max_cost.max(*c);
-                }
-            }
-        }
-        if max_cost > 0.0 {
-            for row in cost.iter_mut() {
-                for c in row.iter_mut() {
-                    *c /= max_cost;
-                }
-            }
-        }
-        let benefit: Vec<Vec<f64>> = r
-            .dmat
-            .iter()
-            .enumerate()
-            .map(|(i, row)| {
-                row.iter()
-                    .zip(&self.st.flaky)
-                    .enumerate()
-                    .map(|(j, (&d, &f))| {
-                        let keep_home =
-                            if i != j { SUSPICION_PENALTY * r.suspicion[i] } else { 0.0 };
-                        d - LIVENESS_PENALTY * f - keep_home
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut objective = vec![vec![0.0f64; k]; k];
-        for i in 0..k {
-            for j in 0..k {
-                objective[i][j] = benefit[i][j] - fc.lambda * cost[i][j];
-            }
-        }
-        let relax = FlmmRelaxation { benefit, cost, lambda: fc.lambda, entropy: 0.05 };
-        (relax.solve(40, 0.4), objective)
     }
 
     /// Delivers one planned migration `i -> j` under the fault model,
@@ -2088,34 +1994,6 @@ fn observe_link_time(path: &'static str, seconds: f64) {
         .registry()
         .histogram("fedmigr_link_transfer_seconds", &[("path", path)])
         .observe(seconds);
-}
-
-/// FedSwap's per-round action: swap the models of `pairs` random disjoint
-/// pairs among the participating clients.
-fn swap_pairs_plan(active: &[bool], pairs: usize, rng: &mut StdRng) -> MigrationPlan {
-    let k = active.len();
-    let mut order: Vec<usize> = (0..k).filter(|&i| active[i]).collect();
-    if order.len() < 2 {
-        return MigrationPlan::identity(k);
-    }
-    order.shuffle(rng);
-    let mut dest: Vec<usize> = (0..k).collect();
-    for pair in order.chunks(2).take(pairs.max(1)) {
-        if let [a, b] = *pair {
-            dest.swap(a, b);
-        }
-    }
-    MigrationPlan::new(dest)
-}
-
-/// Median of `xs` (upper median for even lengths); 0 when empty.
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
 }
 
 fn effective_samples(n: usize, cfg: &RunConfig) -> usize {

@@ -373,8 +373,8 @@ mod tests {
             part.iter().map(|&i| ds.label(i)).collect()
         };
         let lan0 = classes(&parts[0]);
-        for c in 1..4 {
-            assert_eq!(classes(&parts[c]), lan0, "LAN members must share classes");
+        for part in &parts[1..4] {
+            assert_eq!(classes(part), lan0, "LAN members must share classes");
         }
         let lan1 = classes(&parts[4]);
         assert!(lan0.is_disjoint(&lan1), "LANs must hold different classes");

@@ -254,9 +254,9 @@ mod tests {
         let (x, y) = ds.train.full_batch();
         let mut means = vec![vec![0.0f32; per]; 4];
         let mut counts = vec![0usize; 4];
-        for (i, &l) in y.iter().enumerate() {
-            for j in 0..per {
-                means[l][j] += x.data()[i * per + j];
+        for (row, &l) in x.data().chunks(per).zip(&y) {
+            for (m, &v) in means[l].iter_mut().zip(row) {
+                *m += v;
             }
             counts[l] += 1;
         }

@@ -15,7 +15,8 @@
 //!   [`fedmigr_data::SyntheticWorld`].
 //! - [`plan_migrations`] / [`LanProfile`] — LAN-local candidate pruning
 //!   plus top-M shortlists and pooled per-LAN aggregates, replacing the
-//!   dense `K²` planning path.
+//!   dense `K²` planning path; [`greedy_commit`] and [`AGENT_BONUS`] are
+//!   the integer recovery and the agent's score boost both paths share.
 
 mod assignment;
 mod planner;
@@ -23,6 +24,6 @@ mod pool;
 mod topology;
 
 pub use assignment::FleetAssignment;
-pub use planner::{plan_migrations, FleetPlannerConfig, LanProfile};
+pub use planner::{greedy_commit, plan_migrations, FleetPlannerConfig, LanProfile, AGENT_BONUS};
 pub use pool::{ClientPool, ClientStub, DormantState};
 pub use topology::{FleetTopology, FleetTopologyConfig};

@@ -11,15 +11,16 @@
 //!    hash-sampled down to `4·top_m` when a LAN's active group is larger)
 //!    plus up to `top_m` hash-sampled cross-LAN actives, kept only if they
 //!    score among the participant's `top_m` best candidates,
-//! 3. greedily commits the best-scoring (source, destination) pairs into a
-//!    permutation of the active set.
+//! 3. greedily commits the best-scoring positive (source, destination)
+//!    pairs into a permutation of the active set ([`greedy_commit`], the
+//!    dense planner's integer recovery too).
 //!
 //! Per-participant work is O(min(LAN-actives, 4·top_m) + top_m) — total
 //! planning cost grows *linearly* in the number of participants regardless
 //! of how the actives cluster, and (at fixed sampling fraction) linearly in
 //! `K`, versus the dense path's `K²`. The DDPG policy steers the plan through
 //! `desired_lan`: candidates inside a source's desired destination LAN get
-//! the same score boost the dense runner gives the agent's chosen
+//! the [`AGENT_BONUS`] the dense planner gives the agent's chosen
 //! destination.
 
 /// Per-LAN aggregates of the active participant set — the pooled view the
@@ -75,33 +76,23 @@ impl LanProfile {
     /// distance between LAN `a`'s and LAN `b`'s active mean marginals
     /// (migrating a model between differently-distributed LANs exposes it
     /// to complementary data). Rows/columns of empty LANs are zero.
-    #[allow(clippy::needless_range_loop)] // symmetric fill: both indices write
     pub fn benefit_matrix(&self) -> Vec<Vec<f64>> {
         let l = self.num_lans();
-        let mut out = vec![vec![0.0f64; l]; l];
-        for a in 0..l {
-            if self.counts[a] == 0 {
-                continue;
+        let benefit = |a: usize, b: usize| {
+            let both = a != b && self.counts[a] > 0 && self.counts[b] > 0;
+            if both {
+                half_l1(&self.mean_marginal[a], &self.mean_marginal[b])
+            } else {
+                0.0
             }
-            for b in (a + 1)..l {
-                if self.counts[b] == 0 {
-                    continue;
-                }
-                let d = half_l1_f64(&self.mean_marginal[a], &self.mean_marginal[b]);
-                out[a][b] = d;
-                out[b][a] = d;
-            }
-        }
-        out
+        };
+        (0..l).map(|a| (0..l).map(|b| benefit(a, b)).collect()).collect()
     }
 }
 
-fn half_l1(a: &[f32], b: &[f64]) -> f64 {
-    0.5 * a.iter().zip(b).map(|(&x, &y)| (x as f64 - y).abs()).sum::<f64>()
-}
-
-fn half_l1_f64(a: &[f64], b: &[f64]) -> f64 {
-    0.5 * a.iter().zip(b).map(|(&x, &y)| (x - y).abs()).sum::<f64>()
+/// Half the L1 distance between two label marginals, in `f64`.
+fn half_l1<A: Copy + Into<f64>, B: Copy + Into<f64>>(a: &[A], b: &[B]) -> f64 {
+    0.5 * a.iter().zip(b).map(|(&x, &y)| (x.into() - y.into()).abs()).sum::<f64>()
 }
 
 /// Configuration of [`plan_migrations`].
@@ -150,88 +141,86 @@ pub fn plan_migrations(
     let mut mine: Vec<(f64, u32)> = Vec::new();
     for i in 0..n {
         mine.clear();
-        let mut consider = |i: usize, j: usize, mine: &mut Vec<(f64, u32)>| {
-            if i == j {
-                return;
+        // Scores `i -> j` unless `j` is `i` itself; says whether it did.
+        let mut consider = |j: usize| {
+            if j == i {
+                return false;
             }
-            let mut s = half_l1_f32(marginals[i], marginals[j]) - cfg.lambda * cost(i, j);
+            let mut s = half_l1(marginals[i], marginals[j]) - cfg.lambda * cost(i, j);
             if lans[j] == desired_lan[i] {
-                // The dense runner boosts the agent's chosen destination by
-                // 0.25 before the greedy assignment; do the same at LAN
-                // granularity.
-                s += 0.25;
+                s += AGENT_BONUS;
             }
             mine.push((s, j as u32));
+            true
         };
         // Same-LAN candidates: exhaustive for small groups, hash-sampled
         // down to `4·top_m` draws when a LAN's active group is large, so a
         // round concentrated in one giant LAN still plans in linear time.
         let group = &lan_groups[lans[i] as usize];
         let local_cap = 4 * cfg.top_m.max(1);
+        let key = (i as u64) << 32;
         if group.len() <= local_cap + 1 {
             for &j in group {
-                consider(i, j as usize, &mut mine);
+                consider(j as usize);
             }
         } else {
-            let mut picked = 0usize;
-            for t in 0..2 * local_cap {
-                if picked >= local_cap {
-                    break;
-                }
-                let idx = (splitmix(
-                    cfg.seed ^ epoch.wrapping_mul(0xA076_1D64_78BD_642F),
-                    ((i as u64) << 32) | (1 << 31) | t as u64,
-                ) % group.len() as u64) as usize;
-                let j = group[idx] as usize;
-                if j != i {
-                    consider(i, j, &mut mine);
-                    picked += 1;
-                }
-            }
+            let seed = cfg.seed ^ epoch.wrapping_mul(0xA076_1D64_78BD_642F);
+            sample(local_cap, seed, key | (1 << 31), group.len(), |x| consider(group[x] as usize));
         }
-        // Hash-sampled cross-LAN candidates: deterministic in (seed, epoch,
-        // source), at most 2·top_m draws so a mostly-one-LAN round cannot
-        // stall the sampler.
-        let mut picked = 0usize;
-        for t in 0..2 * cfg.top_m {
-            if picked >= cfg.top_m {
-                break;
-            }
-            let j = (splitmix(
-                cfg.seed ^ epoch.wrapping_mul(0xD6E8_FEB8_6659_FD93),
-                ((i as u64) << 32) | t as u64,
-            ) % n as u64) as usize;
-            if j != i && lans[j] != lans[i] {
-                consider(i, j, &mut mine);
-                picked += 1;
-            }
-        }
+        // Hash-sampled cross-LAN candidates.
+        let seed = cfg.seed ^ epoch.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        sample(cfg.top_m, seed, key, n, |j| lans[j] != lans[i] && consider(j));
         // Keep the participant's top_m best candidates (deterministic
         // tiebreak on the destination id).
         mine.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
         mine.dedup_by_key(|c| c.1);
-        for &(s, j) in mine.iter().take(cfg.top_m.max(1)) {
-            scored.push((s, i as u32, j));
-        }
+        scored.extend(mine.iter().take(cfg.top_m.max(1)).map(|&(s, j)| (s, i as u32, j)));
     }
 
-    // Greedy global commit, best score first — the shortlist analogue of
-    // the dense `greedy_assignment_masked`.
+    greedy_commit(n, scored, Some(0.0))
+}
+
+/// Feeds `accept` up to `2·cap` hash draws in `0..len`, deterministic in
+/// `(seed, key + draw)`, until it has accepted `cap`: a pool that rejects
+/// most draws cannot stall the sampler.
+fn sample(cap: usize, seed: u64, key: u64, len: usize, mut accept: impl FnMut(usize) -> bool) {
+    let mut picked = 0usize;
+    for t in 0..2 * cap as u64 {
+        if picked >= cap {
+            break;
+        }
+        if accept((splitmix(seed, key | t) % len as u64) as usize) {
+            picked += 1;
+        }
+    }
+}
+
+/// Score added to the agent's chosen destination before the greedy
+/// commit: the dense planner adds it to the chosen client's cell, the
+/// fleet planner to every shortlisted candidate in the chosen LAN.
+pub const AGENT_BONUS: f64 = 0.25;
+
+/// Greedy integer recovery, shared by the dense and the fleet planner:
+/// commits `(score, source, destination)` triples best score first (by
+/// `total_cmp`; ties go to the lower source, then the lower destination)
+/// whenever the source is unassigned and the destination still free.
+/// With a `floor`, commits stop at the first score `<= floor`. A source
+/// left without a destination keeps its own slot when free, else takes the
+/// first free host, so the result is always a permutation of `0..n`.
+pub fn greedy_commit(n: usize, mut scored: Vec<(f64, u32, u32)>, floor: Option<f64>) -> Vec<usize> {
     scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     let mut dest: Vec<Option<usize>> = vec![None; n];
     let mut hosted = vec![false; n];
     for &(score, i, j) in &scored {
-        let (i, j) = (i as usize, j as usize);
-        if score <= 0.0 {
+        if floor.is_some_and(|f| score <= f) {
             break;
         }
+        let (i, j) = (i as usize, j as usize);
         if dest[i].is_none() && !hosted[j] {
             dest[i] = Some(j);
             hosted[j] = true;
         }
     }
-    // Unassigned sources keep their own slot when free, else take the
-    // first free host, so the result is always a permutation.
     for i in 0..n {
         if dest[i].is_none() && !hosted[i] {
             dest[i] = Some(i);
@@ -244,10 +233,6 @@ pub fn plan_migrations(
         .collect();
     debug_assert!(is_permutation(&out));
     out
-}
-
-fn half_l1_f32(a: &[f32], b: &[f32]) -> f64 {
-    0.5 * a.iter().zip(b).map(|(&x, &y)| (x as f64 - y as f64).abs()).sum::<f64>()
 }
 
 fn is_permutation(dest: &[usize]) -> bool {
@@ -378,6 +363,24 @@ mod tests {
         // attempts (all rejected — there is no other LAN).
         assert!(evals <= 400 * 32, "evaluated {evals} pairs");
         assert!(is_permutation(&dest));
+    }
+
+    #[test]
+    fn no_floor_commits_every_score_and_a_minus_infinity_floor_none() {
+        // The dense planner passes no floor: a −∞ score still commits. A
+        // floor of −∞ would stop at it and leave both sources at home.
+        let scored = || vec![(f64::NEG_INFINITY, 0, 1), (f64::NEG_INFINITY, 1, 0)];
+        assert_eq!(greedy_commit(2, scored(), None), vec![1, 0]);
+        assert_eq!(greedy_commit(2, scored(), Some(f64::NEG_INFINITY)), vec![0, 1]);
+    }
+
+    #[test]
+    fn a_displaced_source_takes_the_first_free_host() {
+        // 0 -> 1 commits above the floor; 1 -> 0 and 2 -> 2 never score,
+        // so 1, whose own slot is taken, is sent to 0, the first free host,
+        // and 2 stays home.
+        let dest = greedy_commit(3, vec![(1.0, 0, 1), (-1.0, 1, 0)], Some(0.0));
+        assert_eq!(dest, vec![1, 0, 2]);
     }
 
     #[test]
