@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use fedmigr_data::{Dataset, SyntheticConfig, SyntheticWorld};
 use fedmigr_drl::PooledMigrationState;
-use fedmigr_fleet::{ClientPool, FleetAssignment, FleetTopology, FleetTopologyConfig, LanProfile};
+use fedmigr_fleet::{ClientPool, FleetAssignment, FleetTopology, FleetTopologyConfig};
 use fedmigr_net::{transfer_time, FaultModel};
 use fedmigr_nn::Model;
 use fedmigr_telemetry::span;
@@ -46,7 +46,7 @@ use crate::client::FlClient;
 use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, RobustStats, RunMetrics};
-use crate::migration::{self, cohort_profile, CohortRound, MigrationPlan};
+use crate::migration::{self, CohortProfile, CohortRound, MigrationPlan};
 use crate::runner::{train_all, RunConfig, VPhase};
 use crate::timeline_capture::TimelineCapture;
 
@@ -183,7 +183,6 @@ struct FleetCtx<'a> {
     k: usize,
     cohort_n: usize,
     num_lans: usize,
-    num_classes: usize,
     model_bytes: u64,
     /// Static share of fleet data per LAN (a pooled-state feature).
     lan_load: Vec<f64>,
@@ -206,6 +205,8 @@ struct Round {
     compute_before: f64,
     mean_loss: f32,
     states: Option<Vec<Vec<f32>>>,
+    /// The cohort profile the states were built from, present with them.
+    profile: Option<CohortProfile>,
     accuracy: Option<f64>,
 }
 
@@ -232,7 +233,6 @@ impl<'a> FleetRun<'a> {
             k,
             cohort_n: ((opts.sample_frac * k as f64).ceil() as usize).clamp(1, k),
             num_lans,
-            num_classes: exp.pool.world().num_classes(),
             model_bytes: scratch.wire_bytes(),
             lan_load,
             stamp: RunStamp::of(cfg, k, scratch.num_params(), "fleet"),
@@ -333,15 +333,16 @@ impl<'a> FleetRun<'a> {
     /// previous round's pending decisions (Eq. 17).
     fn decide(&mut self, r: &mut Round) {
         let decision_span = span!("core::fleet", "decision");
-        let (ctx, common) = (&self.ctx, &mut self.st.common);
-        r.states = common.agent.is_some().then(|| {
-            let (lans, marginals) = cohort_profile(self.st.pool, &self.st.cohort);
-            let profile = LanProfile::build(&lans, &marginals, ctx.num_lans, ctx.num_classes);
+        let (ctx, st) = (&self.ctx, &mut self.st);
+        if st.common.agent.is_some() {
+            let marginals = migration::cohort_marginals(st.pool, &st.cohort);
+            let profile = CohortProfile::build(st.pool, &st.cohort, &marginals, ctx.num_lans);
             let mut active_frac = vec![0.0f64; ctx.num_lans];
-            for &l in &lans {
-                active_frac[l as usize] += 1.0 / lans.len() as f64;
+            for &l in &profile.lans {
+                active_frac[l as usize] += 1.0 / profile.lans.len() as f64;
             }
-            marginals
+            let common = &st.common;
+            let states: Vec<Vec<f32>> = marginals
                 .iter()
                 .map(|marginal| {
                     ctx.pooled.build(
@@ -351,15 +352,15 @@ impl<'a> FleetRun<'a> {
                         common.meter.bandwidth_remaining_frac(),
                         common.meter.compute_remaining_frac(),
                         1.0,
-                        &profile.distance_row(marginal),
+                        &profile.lan.distance_row(marginal),
                         &active_frac,
                         &ctx.lan_load,
                     )
                 })
-                .collect()
-        });
-        if let Some(states) = r.states.as_ref() {
-            common.settle(r.mean_loss, states);
+                .collect();
+            st.common.settle(r.mean_loss, &states);
+            r.states = Some(states);
+            r.profile = Some(profile);
         }
         drop(decision_span);
         self.obs.kphases.credit("decision");
@@ -393,12 +394,13 @@ impl<'a> FleetRun<'a> {
     /// then a shadow evaluation if one is due.
     fn migrate_block(&mut self, r: &mut Round, is_eval: bool) {
         let migrate_span = span!("core::fleet", "migrate");
-        if let Some(states) = r.states.as_ref() {
+        if let (Some(states), Some(profile)) = (&r.states, &r.profile) {
             let (ctx, st) = (&self.ctx, &mut self.st);
             let round = CohortRound {
                 topo: ctx.topo,
                 pool: st.pool,
                 cohort: &st.cohort,
+                profile,
                 epoch: r.epoch,
                 model_bytes: ctx.model_bytes,
                 top_m: ctx.opts.top_m,
@@ -514,6 +516,7 @@ impl<'a> RoundLoop for FleetRun<'a> {
             compute_before: common.meter.compute_cost(),
             mean_loss: 0.0,
             states: None,
+            profile: None,
             accuracy: None,
         };
         self.activate(epoch);

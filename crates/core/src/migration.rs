@@ -6,7 +6,6 @@
 
 use std::collections::VecDeque;
 
-use fedmigr_drl::qp::FlmmRelaxation;
 use fedmigr_fleet::{
     greedy_commit, plan_migrations, ClientPool, FleetPlannerConfig, FleetTopology, LanProfile,
     AGENT_BONUS,
@@ -148,7 +147,7 @@ impl MigrationPlan {
         Self::new(dest)
     }
 
-    /// The integer recovery step applied to the relaxed-FLMM solution:
+    /// The integer recovery step applied to the FLMM objective's scores:
     /// [`greedy_commit`] over every pair of clients marked `true` in
     /// `active`, with no floor, so every active source is matched whatever
     /// its scores (even −∞); the rest are fixed points.
@@ -235,10 +234,11 @@ pub(crate) fn plan_dense(
 /// distribution difference minus a flakiness penalty on the destination and
 /// a suspicion penalty on migrating *sources* (both vanish with no observed
 /// downtime and no quarantine rejections); its cost is the transfer time.
+/// The oracle rows, plus the agent's bonus, are also the commit's scores.
 fn plan_flmm(round: &DenseRound, states: &[Vec<f32>], agent: &mut AgentCtx) -> MigrationPlan {
     let oracle_frame = profiler::frame("plan_oracle");
     let (topology, epoch, bytes) = (round.topology, round.epoch, round.model_bytes);
-    let (oracle, mut scores) = flmm_oracle(
+    let oracle = flmm_oracle(
         round.active.len(),
         agent.fc.lambda,
         |i, j| {
@@ -248,7 +248,7 @@ fn plan_flmm(round: &DenseRound, states: &[Vec<f32>], agent: &mut AgentCtx) -> M
         |i, j| topology.try_c2c_bandwidth(i, j, epoch).map_or(0.0, |bw| transfer_time(bytes, bw)),
     );
     drop(oracle_frame);
-    steer(agent, epoch, states, &oracle, std::convert::identity, |actions| {
+    steer(agent, epoch, states, oracle, std::convert::identity, |actions, mut scores| {
         for (row, &a) in scores.iter_mut().zip(actions) {
             row[a] += AGENT_BONUS;
         }
@@ -262,6 +262,8 @@ pub(crate) struct CohortRound<'a> {
     pub pool: &'a ClientPool,
     /// The active clients; the plan is a permutation of their positions.
     pub cohort: &'a [FlClient],
+    /// The cohort's profile, built by this round's state builder.
+    pub profile: &'a CohortProfile,
     pub epoch: usize,
     pub model_bytes: u64,
     /// Shortlist width and hash seed of [`plan_migrations`].
@@ -279,88 +281,95 @@ pub(crate) fn plan_cohort(
     agent: &mut AgentCtx,
 ) -> MigrationPlan {
     let (topo, lambda) = (round.topo, agent.fc.lambda);
-    let (lans, marginals) = cohort_profile(round.pool, round.cohort);
     let oracle_frame = profiler::frame("plan_oracle");
-    let num_classes = round.pool.world().num_classes();
-    let benefit =
-        LanProfile::build(&lans, &marginals, topo.num_lans(), num_classes).benefit_matrix();
+    let benefit = round.profile.lan.benefit_matrix();
     let c = topo.config();
     let cross_bw = (1.0 - c.slow_fraction) * c.cross_moderate_bandwidth
         + c.slow_fraction * c.cross_slow_bandwidth;
     let (intra, cross) =
         (round.model_bytes as f64 / c.lan_bandwidth, round.model_bytes as f64 / cross_bw);
     let lan_cost = |a: usize, b: usize| if a == b { intra } else { cross };
-    let (oracle, _) = flmm_oracle(topo.num_lans(), lambda, |a, b| benefit[a][b], lan_cost);
+    let oracle = flmm_oracle(topo.num_lans(), lambda, |a, b| benefit[a][b], lan_cost);
     drop(oracle_frame);
     let pcfg = FleetPlannerConfig { top_m: round.top_m, lambda, seed: round.seed };
     let price = |i: usize, j: usize| {
         let (gi, gj) = (round.cohort[i].id(), round.cohort[j].id());
         c.cross_slow_bandwidth / topo.c2c_bandwidth(gi, gj, round.epoch)
     };
+    let lans = &round.profile.lans;
     let lan_of = |i: usize| lans[i] as usize;
-    steer(agent, round.epoch, states, &oracle, lan_of, |actions| {
+    steer(agent, round.epoch, states, oracle, lan_of, |actions, _| {
         let desired: Vec<u32> = actions.iter().map(|&a| a as u32).collect();
+        let marginals = cohort_marginals(round.pool, round.cohort);
         let epoch = round.epoch as u64;
-        MigrationPlan { dest: plan_migrations(&pcfg, epoch, &lans, &marginals, &desired, price) }
+        MigrationPlan { dest: plan_migrations(&pcfg, epoch, lans, &marginals, &desired, price) }
     })
 }
 
-/// The cohort's LANs and label marginals, by cohort position.
-pub(crate) fn cohort_profile<'p>(
-    pool: &'p ClientPool,
-    cohort: &[FlClient],
-) -> (Vec<u32>, Vec<&'p [f32]>) {
-    cohort
-        .iter()
-        .map(|c| {
-            let stub = pool.stub(c.id());
-            (stub.lan, stub.marginal.as_slice())
-        })
-        .unzip()
+/// A fleet cohort's LAN by position and its per-LAN aggregates: built once
+/// a round by the pooled state builder and read again by [`plan_cohort`].
+pub(crate) struct CohortProfile {
+    pub lans: Vec<u32>,
+    pub lan: LanProfile,
 }
 
-/// The relaxed-FLMM oracle (Sec. III-D) both FedMigr planners consult,
-/// over `n` rows: the `cost` matrix is divided by its largest entry (when
-/// positive), and the relaxation is solved by 40 mirror-descent steps of
-/// size 0.4 at entropy weight 0.05. Returns the relaxed solution's rows and
-/// the objective `benefit − λ·cost` it was solved against.
+impl CohortProfile {
+    /// Profiles `cohort` over `num_lans` LANs; `marginals` are its label
+    /// marginals by position ([`cohort_marginals`]).
+    pub fn build(
+        pool: &ClientPool,
+        cohort: &[FlClient],
+        marginals: &[&[f32]],
+        num_lans: usize,
+    ) -> Self {
+        let lans: Vec<u32> = cohort.iter().map(|c| pool.stub(c.id()).lan).collect();
+        let lan = LanProfile::build(&lans, marginals, num_lans, pool.world().num_classes());
+        Self { lans, lan }
+    }
+}
+
+/// The cohort's label marginals, by cohort position.
+pub(crate) fn cohort_marginals<'p>(pool: &'p ClientPool, cohort: &[FlClient]) -> Vec<&'p [f32]> {
+    cohort.iter().map(|c| pool.stub(c.id()).marginal.as_slice()).collect()
+}
+
+/// The FLMM oracle (Sec. III-D) both FedMigr planners consult, over `n`
+/// rows: the objective `benefit − λ·cost`, with `cost` divided by its
+/// largest entry (when positive). The relaxed program separates by row and
+/// its solve rounds each row to the objective's argmax (DESIGN.md §5 item 8), so
+/// the objective rows are the oracle's advice.
 fn flmm_oracle(
     n: usize,
     lambda: f64,
     benefit: impl Fn(usize, usize) -> f64,
     cost: impl Fn(usize, usize) -> f64,
-) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let matrix = |f: &dyn Fn(usize, usize) -> f64| -> Vec<Vec<f64>> {
-        (0..n).map(|i| (0..n).map(|j| f(i, j)).collect()).collect()
-    };
-    let (benefit, mut cost) = (matrix(&benefit), matrix(&cost));
-    let max = cost.iter().flatten().fold(0.0f64, |m, &c| m.max(c));
-    if max > 0.0 {
-        cost.iter_mut().flatten().for_each(|c| *c /= max);
+) -> Vec<Vec<f64>> {
+    let mut rows: Vec<Vec<f64>> = (0..n).map(|i| (0..n).map(|j| cost(i, j)).collect()).collect();
+    let max = rows.iter().flatten().fold(0.0f64, |m, &c| m.max(c));
+    let scale = if max > 0.0 { max } else { 1.0 };
+    for (i, row) in rows.iter_mut().enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = benefit(i, j) - lambda * (*v / scale);
+        }
     }
-    let objective = benefit
-        .iter()
-        .zip(&cost)
-        .map(|(b, c)| b.iter().zip(c).map(|(&b, &c)| b - lambda * c).collect())
-        .collect();
-    let relax = FlmmRelaxation { benefit, cost, lambda, entropy: 0.05 };
-    (relax.solve(40, 0.4), objective)
+    rows
 }
 
 /// The steering sequence both FedMigr planners run. `action_of(i)` is the
 /// action that names client `i` as a destination (the client itself, or its
-/// LAN), and its oracle row is the oracle's advice for client `i`'s state.
+/// LAN), and its oracle row is the objective row for client `i`'s state.
 /// During the oracle-imitation warmup the exploration rate is 1 (pure
 /// oracle) and the actor clones the committed plan; afterwards the ρ-greedy
-/// blend decides. `commit` adds [`AGENT_BONUS`] to the chosen actions and
-/// recovers a permutation; every decision then waits for its reward.
+/// blend decides. `commit` gets the actions and the oracle rows, adds
+/// [`AGENT_BONUS`] to the chosen actions and recovers a permutation; every
+/// decision then waits for its reward.
 fn steer(
     agent: &mut AgentCtx,
     epoch: usize,
     states: &[Vec<f32>],
-    oracle: &[Vec<f64>],
+    oracle: Vec<Vec<f64>>,
     action_of: impl Fn(usize) -> usize,
-    commit: impl FnOnce(&[usize]) -> MigrationPlan,
+    commit: impl FnOnce(&[usize], Vec<Vec<f64>>) -> MigrationPlan,
 ) -> MigrationPlan {
     let warmup = epoch <= agent.warmup_epochs;
     agent.agent.set_rho(if warmup { 1.0 } else { agent.fc.rho });
@@ -372,7 +381,7 @@ fn steer(
         .collect();
     drop(select_frame);
     let commit_frame = profiler::frame("plan_commit");
-    let plan = commit(&actions);
+    let plan = commit(&actions, oracle);
     drop(commit_frame);
     let _imitate = profiler::frame("plan_imitate");
     for (i, state) in states.iter().enumerate() {
@@ -684,16 +693,24 @@ mod tests {
 
     #[test]
     fn oracle_divides_cost_by_its_largest_entry() {
-        let (rows, objective) =
-            flmm_oracle(2, 0.5, |i, j| (i + j) as f64, |i, j| 4.0 * (i * 2 + j) as f64);
+        let oracle = flmm_oracle(2, 0.5, |i, j| (i + j) as f64, |i, j| 4.0 * (i * 2 + j) as f64);
         // Costs 0, 4, 8, 12 become 0, 1/3, 2/3, 1.
-        assert_eq!(objective, vec![vec![0.0, 1.0 - 0.5 / 3.0], vec![1.0 - 1.0 / 3.0, 2.0 - 0.5]]);
-        for row in &rows {
-            assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        }
+        assert_eq!(oracle, vec![vec![0.0, 1.0 - 0.5 / 3.0], vec![1.0 - 1.0 / 3.0, 2.0 - 0.5]]);
         // An all-zero cost is left as it is.
-        let (_, objective) = flmm_oracle(2, 0.5, |_, _| 1.0, |_, _| 0.0);
-        assert_eq!(objective, vec![vec![1.0; 2]; 2]);
+        assert_eq!(flmm_oracle(2, 0.5, |_, _| 1.0, |_, _| 0.0), vec![vec![1.0; 2]; 2]);
+    }
+
+    /// The relaxed solve rounded a 1-ulp lead at 1.5 into an exact tie,
+    /// which the agent's oracle pick broke toward the lower index.
+    #[test]
+    fn a_one_ulp_lead_wins_the_oracle_pick() {
+        use fedmigr_drl::{AgentConfig, DdpgAgent};
+        let lead = f64::from_bits(1.5f64.to_bits() + 1);
+        let oracle = flmm_oracle(2, 0.0, |_, j| if j == 1 { lead } else { 1.5 }, |_, _| 0.0);
+        let mut cfg = AgentConfig::new(1, 2, 0);
+        cfg.rho = 1.0;
+        let mut agent = DdpgAgent::new(cfg);
+        assert_eq!(agent.select_action(&[0.0], Some(&oracle[0])), 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct AgentConfig {
     /// Soft target-update coefficient τ (θ' ← τθ + (1-τ)θ').
     pub tau: f32,
     /// ρ-greedy exploration probability: with probability ρ the action
-    /// comes from the relaxed-FLMM oracle instead of the policy network.
+    /// comes from the FLMM oracle instead of the policy network.
     pub rho: f64,
     /// Std of Gaussian noise added to actor logits during exploration.
     pub noise_std: f32,
@@ -196,8 +196,9 @@ impl DdpgAgent {
     }
 
     /// ρ-greedy action selection: with probability ρ, delegate to the
-    /// exploration oracle's scores (the relaxed-FLMM solution row for this
-    /// client); otherwise use the policy network with logit noise.
+    /// exploration oracle's scores (this client's row of the FLMM objective
+    /// `benefit − λ·cost`), taking their first maximum; otherwise use the
+    /// policy network with logit noise.
     pub fn select_action(&mut self, state: &[f32], oracle_scores: Option<&[f64]>) -> usize {
         if let Some(scores) = oracle_scores {
             if self.rng.random::<f64>() < self.config.rho {

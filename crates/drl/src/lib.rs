@@ -13,10 +13,11 @@
 //!   with the paper's mixed priority `ε·|TD| + (1-ε)·|∇_a Q|` (Eq. 25),
 //!   exponent-`ξ` sampling (Eq. 26) and importance-sampling weights
 //!   (Eq. 29).
-//! * [`qp`] — the ρ-greedy exploration oracle: the relaxed FLMM problem
-//!   (integer variables dropped to `[0,1]`, Sec. III-D) solved by projected
-//!   gradient ascent over row-stochastic migration matrices — the role CVX
-//!   plays in the paper.
+//! * [`qp`] — the relaxed FLMM problem (integer variables dropped to
+//!   `[0,1]`, Sec. III-D) solved by entropic mirror descent over
+//!   row-stochastic migration matrices — the role CVX plays in the paper.
+//!   Its rounded solve is the per-row argmax of `benefit − λ·cost`, which
+//!   is the row the ρ-greedy exploration oracle reads.
 //! * [`MigrationState`] — the state featurizer `(t, F_t, D_t, R_t, G_t)`
 //!   of Sec. III-C.
 

@@ -1,4 +1,4 @@
-//! The ρ-greedy exploration oracle: the relaxed FLMM problem.
+//! The relaxed FLMM problem and its solver.
 //!
 //! Sec. III-D relaxes the boolean migration variables `p_{i,j} ∈ {0,1}` to
 //! `[0, 1]` and solves the resulting program with a convex solver (CVX in
@@ -8,9 +8,10 @@
 //! objective rewards migrating towards clients with *different* data
 //! distributions and penalizes link cost, and an entropy term keeps the
 //! iterate interior (the relaxed optimum of the linear part alone is a
-//! vertex). The solver is deterministic and allocation-light; its wall-time
-//! as a function of client count is exactly what Fig. 6 compares against
-//! DRL inference.
+//! vertex). The program separates by row and the rounded solve is the
+//! per-row argmax of `benefit − λ·cost`, so the FedMigr planners read that
+//! objective directly (DESIGN.md §5); the solver is what Fig. 6's S-COP
+//! column and fedbench's `drl.oracle_k30_ms` probe time.
 
 /// Relaxed-FLMM instance for one migration round.
 #[derive(Clone, Debug)]
@@ -36,8 +37,7 @@ impl FlmmRelaxation {
     /// `p ∝ exp((b - λc)/μ)`; with `μ = 0` the iterate converges to the
     /// vertex (hard argmax) solution of the relaxed linear program. The
     /// simplex geometry keeps every iterate feasible, so no projection step
-    /// is needed; [`project_simplex`] is still provided for callers that
-    /// post-process externally produced migration matrices.
+    /// is needed.
     pub fn solve(&self, iters: usize, step: f64) -> Vec<Vec<f64>> {
         let k = self.benefit.len();
         assert!(k > 0, "empty instance");
@@ -48,10 +48,11 @@ impl FlmmRelaxation {
         );
         let mut p = vec![vec![1.0 / k as f64; k]; k];
         let decay = 1.0 - step * self.entropy;
+        // Every row writes all `k` entries before reading any.
+        let mut logs = vec![0.0f64; k];
         for _ in 0..iters {
             for (i, row) in p.iter_mut().enumerate() {
                 let mut max_log = f64::NEG_INFINITY;
-                let mut logs = vec![0.0f64; k];
                 for j in 0..k {
                     let lin = self.benefit[i][j] - self.lambda * self.cost[i][j];
                     logs[j] = decay * row[j].max(1e-300).ln() + step * lin;
@@ -85,30 +86,6 @@ impl FlmmRelaxation {
     }
 }
 
-/// Projects `v` onto the probability simplex in place
-/// (Duchi et al. 2008: sort, find the threshold, clip).
-pub fn project_simplex(v: &mut [f64]) {
-    let n = v.len();
-    assert!(n > 0, "cannot project an empty vector");
-    let mut sorted: Vec<f64> = v.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let mut cumsum = 0.0;
-    let mut rho = 0usize;
-    let mut theta = 0.0;
-    for (i, &u) in sorted.iter().enumerate() {
-        cumsum += u;
-        let candidate = (cumsum - 1.0) / (i + 1) as f64;
-        if u - candidate > 0.0 {
-            rho = i;
-            theta = candidate;
-        }
-    }
-    let _ = rho;
-    for x in v.iter_mut() {
-        *x = (*x - theta).max(0.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,33 +105,6 @@ mod tests {
             }
             total
         }
-    }
-
-    #[test]
-    fn simplex_projection_of_point_on_simplex_is_identity() {
-        let mut v = vec![0.2, 0.3, 0.5];
-        project_simplex(&mut v);
-        assert!((v[0] - 0.2).abs() < 1e-9);
-        assert!((v[1] - 0.3).abs() < 1e-9);
-        assert!((v[2] - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn simplex_projection_sums_to_one_and_is_nonnegative() {
-        let cases = vec![vec![10.0, -5.0, 3.0], vec![-1.0, -2.0, -3.0], vec![0.0; 5], vec![100.0]];
-        for mut v in cases {
-            project_simplex(&mut v);
-            assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{v:?}");
-            assert!(v.iter().all(|&x| x >= 0.0), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn simplex_projection_prefers_larger_coordinates() {
-        let mut v = vec![3.0, 1.0, 0.0];
-        project_simplex(&mut v);
-        assert!(v[0] > v[1] && v[1] >= v[2]);
-        assert!((v[0] - 1.0).abs() < 1e-9, "far-dominant coordinate takes all mass");
     }
 
     fn small_instance() -> FlmmRelaxation {

