@@ -21,7 +21,7 @@ use fedmigr_telemetry::metrics::{Counter, Histogram};
 use fedmigr_telemetry::wire::{self, Wire};
 
 use crate::codec::{Codec, Scratch, WireCodec};
-use crate::feedback::{sq_error, ErrorFeedback, LANES_MISMATCH};
+use crate::feedback::{compensate, sq_error, update, ErrorFeedback, LANES_MISMATCH};
 use crate::stats::CompressionStats;
 use crate::CodecConfig;
 
@@ -68,10 +68,40 @@ pub struct Compressor {
     base_seed: u64,
     seq: u64,
     stats: CompressionStats,
-    /// Buffers of the serial transfers (batch workers bring their own):
-    /// the compensated intent and the codec's round-trip scratch.
+    /// Buffers of the serial transfers (batch workers bring their own).
+    buffers: Buffers,
+}
+
+/// What one worker reuses from transfer to transfer: the compensated
+/// intent and the codec's scratch.
+#[derive(Clone, Debug, Default)]
+struct Buffers {
     intent: Vec<f32>,
     scratch: Scratch,
+}
+
+/// One transfer's round trip on a lane holding `residual` (`None` without
+/// error feedback): compensates `values`, round-trips the intent under
+/// `seed`, and overwrites the residual with what the wire lost. Returns
+/// the decoded vector and Σ(intent − decoded)² over the finite terms, in
+/// index order — the residual's squared norm when there is one.
+fn trip(
+    codec: &Codec,
+    seed: u64,
+    values: &[f32],
+    residual: Option<&mut Vec<f32>>,
+    buffers: &mut Buffers,
+) -> (Vec<f32>, f64) {
+    let intent = match residual.as_deref() {
+        Some(r) => compensate(values, r, &mut buffers.intent),
+        None => values,
+    };
+    let decoded = codec.round_trip(intent, seed, &mut buffers.scratch);
+    let sq = match residual {
+        Some(r) => update(r, intent, &decoded),
+        None => sq_error(intent, &decoded),
+    };
+    (decoded, sq)
 }
 
 impl Compressor {
@@ -89,8 +119,7 @@ impl Compressor {
             base_seed,
             seq: 0,
             stats: CompressionStats::default(),
-            intent: Vec::new(),
-            scratch: Scratch::default(),
+            buffers: Buffers::default(),
         }
     }
 
@@ -153,70 +182,79 @@ impl Compressor {
             self.count(values.len(), values.len() as u64 * 4 + 8, 0.0);
             return values.into_owned();
         }
-        let values = &*values;
-        let mut intent = std::mem::take(&mut self.intent);
-        let fb = if down { &self.down_feedback } else { &self.feedback };
-        let sent: &[f32] = match fb {
-            Some(ef) => {
-                intent.clear();
-                intent.extend_from_slice(values);
-                ef.compensate(lane, &mut intent);
-                &intent
-            }
-            None => values,
-        };
-        let decoded = self.codec.round_trip(sent, mix(self.base_seed, seq), &mut self.scratch);
-        self.settle(down, lane, sent, &decoded);
-        self.intent = intent;
+        let fb = if down { &mut self.down_feedback } else { &mut self.feedback };
+        let residual = fb.as_mut().map(|ef| ef.lane_mut(lane));
+        let with_ef = residual.is_some();
+        let seed = mix(self.base_seed, seq);
+        let (decoded, sq) = trip(&self.codec, seed, &values, residual, &mut self.buffers);
+        self.settle(with_ef, values.len(), sq);
         decoded
     }
 
-    /// The bookkeeping of one completed transfer, in transfer order: the
-    /// lane's residual takes what the wire lost and the stats take the
-    /// residual norm and the distortion — one pass over the vectors, since
-    /// the two f64 sums are the same sum.
-    fn settle(&mut self, down: bool, lane: usize, intent: &[f32], decoded: &[f32]) {
-        let fb = if down { &mut self.down_feedback } else { &mut self.feedback };
-        let sq = match fb {
-            Some(ef) => {
-                let sq = ef.update(lane, intent, decoded);
-                self.stats.residual_norm_sum += sq.sqrt();
-                self.stats.ef_transmits += 1;
-                sq
-            }
-            None => sq_error(intent, decoded),
-        };
-        self.count(intent.len(), self.codec.encoded_size(intent.len()), sq);
+    /// The stats of one completed transfer of `n` values, in transfer
+    /// order: the residual norm when the lane has error feedback, and the
+    /// distortion `sq` — one sum, since the two are the same.
+    fn settle(&mut self, with_ef: bool, n: usize, sq: f64) {
+        if with_ef {
+            self.stats.residual_norm_sum += sq.sqrt();
+            self.stats.ef_transmits += 1;
+        }
+        self.count(n, self.codec.encoded_size(n), sq);
     }
 
     /// Batched client-egress transfers: byte-identical to calling
     /// [`Compressor::transmit`] on each `(lane, values)` item in order, but
-    /// with the encode/decode round trips computed in parallel.
+    /// with the transfers computed in parallel. Items may lend their values
+    /// (`&[f32]`) or hand them over (`Vec<f32>`, which the identity codec
+    /// passes back without a copy).
     ///
     /// Parallelism is sound because the serial data flow factors cleanly:
-    /// sequence numbers are assigned in item order up front, each lane's
-    /// compensated intent depends only on that lane's residual (valid
-    /// because lanes within one batch are **distinct** — duplicates fall
-    /// back to the serial path), the round trip itself is a pure function
-    /// of `(intent, seq)`, and residual updates plus f64 stats accumulation
-    /// replay serially in item order afterwards.
-    pub fn transmit_batch(&mut self, mut items: Vec<(usize, Vec<f32>)>) -> Vec<Vec<f32>> {
-        let distinct = {
-            let mut lanes: Vec<usize> = items.iter().map(|(l, _)| *l).collect();
-            lanes.sort_unstable();
-            lanes.windows(2).all(|w| w[0] != w[1])
-        };
-        if self.is_identity() || !distinct {
-            return items.into_iter().map(|(lane, v)| self.send(false, lane, v.into())).collect();
+    /// sequence numbers are assigned in item order up front, and each
+    /// transfer — compensation, round trip, residual update and its f64
+    /// sum — reads and writes only its own lane's residual. With error
+    /// feedback that needs the batch's lanes to be **distinct** (a batch
+    /// that repeats one runs serially); without it a transfer touches no
+    /// lane state at all. Only the `+=` of each transfer's sums into the
+    /// stats replays serially, in item order.
+    pub fn transmit_batch<V>(&mut self, items: Vec<(usize, V)>) -> Vec<Vec<f32>>
+    where
+        V: AsRef<[f32]> + Into<Vec<f32>> + Sync,
+    {
+        if self.is_identity() {
+            return self.transmit_each(items);
         }
+        let lanes: Vec<usize> = items.iter().map(|&(lane, _)| lane).collect();
+        let residuals: Vec<Option<&mut Vec<f32>>> = match self.feedback.as_mut() {
+            None => lanes.iter().map(|_| None).collect(),
+            Some(ef) => match ef.distinct_lanes_mut(&lanes) {
+                Some(residuals) => residuals.into_iter().map(Some).collect(),
+                None => return self.transmit_each(items),
+            },
+        };
         let tel = fedmigr_telemetry::global();
         let start = tel.now();
         let seq0 = self.seq;
+        let (codec, base_seed) = (&self.codec, self.base_seed);
+        let mut jobs: Vec<(&[f32], Option<&mut Vec<f32>>)> =
+            items.iter().map(|(_, v)| v.as_ref()).zip(residuals).collect();
+        let done = fedmigr_telemetry::fan_out(&mut jobs, |first, part| {
+            let mut buffers = Buffers::default();
+            let run = |(j, (values, residual)): (usize, &mut (&[f32], Option<&mut Vec<f32>>))| {
+                let seed = mix(base_seed, seq0 + (first + j) as u64);
+                trip(codec, seed, values, residual.as_deref_mut(), &mut buffers)
+            };
+            part.iter_mut().enumerate().map(run).collect()
+        });
+        drop(jobs);
         self.seq += items.len() as u64;
-        let decoded = self.round_trips(&mut items, |j| seq0 + j as u64);
-        for ((lane, intent), dec) in items.iter().zip(&decoded) {
-            self.settle(false, *lane, intent, dec);
-        }
+        let with_ef = self.feedback.is_some();
+        let decoded: Vec<Vec<f32>> = done
+            .into_iter()
+            .map(|(decoded, sq)| {
+                self.settle(with_ef, decoded.len(), sq);
+                decoded
+            })
+            .collect();
         // One host-time observation per item (averaged) so the per-codec
         // timing histogram keeps comparable counts to the serial path.
         let per_item = (tel.now() - start) / items.len() as f64;
@@ -226,43 +264,45 @@ impl Compressor {
         decoded
     }
 
+    /// [`Compressor::transmit`] of each item in turn, handing owned values
+    /// to the codec as they are.
+    fn transmit_each<V: Into<Vec<f32>>>(&mut self, items: Vec<(usize, V)>) -> Vec<Vec<f32>> {
+        let send = |(lane, v): (usize, V)| self.send(false, lane, Cow::Owned(v.into()));
+        items.into_iter().map(send).collect()
+    }
+
     /// What `transmit(lane, values)` *would* deliver, without updating the
     /// residual, the counter, or the stats. Used for hypothetical transfers
     /// (e.g. evaluation-time shadow uploads) so measurement reflects codec
     /// distortion without perturbing run state.
     pub fn preview(&self, lane: usize, values: &[f32]) -> Vec<f32> {
-        self.preview_batch(vec![(lane, values.to_vec())]).pop().expect("one item in, one out")
+        self.preview_batch(vec![(lane, values)]).pop().expect("one item in, one out")
     }
 
-    /// [`Compressor::preview`] of every `(lane, values)` item: each is what
-    /// the *next* transmit on its lane would deliver, so lanes may repeat.
-    pub fn preview_batch(&self, mut items: Vec<(usize, Vec<f32>)>) -> Vec<Vec<f32>> {
+    /// [`Compressor::preview`] of every `(lane, values)` item, in parallel:
+    /// each is what the *next* transmit on its lane would deliver, so lanes
+    /// may repeat.
+    pub fn preview_batch<V>(&self, items: Vec<(usize, V)>) -> Vec<Vec<f32>>
+    where
+        V: AsRef<[f32]> + Into<Vec<f32>> + Sync,
+    {
         if self.is_identity() {
-            return items.into_iter().map(|(_, v)| v).collect();
+            return items.into_iter().map(|(_, v)| v.into()).collect();
         }
-        self.round_trips(&mut items, |_| self.seq)
-    }
-
-    /// Compensates every item in place with its lane's client-egress
-    /// residual and round-trips the intents, item `j` under sequence number
-    /// `seq(j)`, in parallel through [`fedmigr_telemetry::fan_out`] (one
-    /// scratch per worker).
-    fn round_trips(
-        &self,
-        items: &mut [(usize, Vec<f32>)],
-        seq: impl Fn(usize) -> u64 + Sync,
-    ) -> Vec<Vec<f32>> {
-        if let Some(ef) = &self.feedback {
-            for (lane, values) in items.iter_mut() {
-                ef.compensate(*lane, values);
-            }
-        }
-        fedmigr_telemetry::fan_out(items, |first, part| {
-            let mut scratch = Scratch::default();
-            let trip = |(j, (_, intent)): (usize, &(usize, Vec<f32>))| {
-                self.codec.round_trip(intent, mix(self.base_seed, seq(first + j)), &mut scratch)
+        let seed = mix(self.base_seed, self.seq);
+        let residual = |lane| self.feedback.as_ref().map(|ef| ef.lane(lane));
+        let mut jobs: Vec<(&[f32], Option<&[f32]>)> =
+            items.iter().map(|(lane, v)| (v.as_ref(), residual(*lane))).collect();
+        fedmigr_telemetry::fan_out(&mut jobs, |_, part| {
+            let mut buffers = Buffers::default();
+            let run = |&mut (values, residual): &mut (&[f32], Option<&[f32]>)| {
+                let intent = match residual {
+                    Some(r) => compensate(values, r, &mut buffers.intent),
+                    None => values,
+                };
+                self.codec.round_trip(intent, seed, &mut buffers.scratch)
             };
-            part.iter().enumerate().map(trip).collect()
+            part.iter_mut().map(run).collect()
         })
     }
 
@@ -665,13 +705,22 @@ mod tests {
             CodecConfig::topk(0.1),
             CodecConfig::topk_int8(0.25),
         ] {
+            // Without feedback the intent is the values themselves.
+            let cfg = cfg.without_feedback();
+            let codec = Codec::from_config(&cfg);
             let mut c = Compressor::new(&cfg, 1, 5);
             for n in [0usize, 1, 255, 256, 257, 1000] {
                 let v = vals(n);
+                let wire = codec.encode(&v, mix(5, c.seq)).wire_bytes();
                 let before = c.stats().compressed_bytes;
                 c.transmit(0, &v);
-                let wire = c.stats().compressed_bytes - before;
-                assert_eq!(wire, c.encoded_size(n), "codec {} n {}", cfg.name(), n);
+                let charged = c.stats().compressed_bytes - before;
+                assert_eq!(
+                    (charged, c.encoded_size(n)),
+                    (wire, wire),
+                    "codec {} n {n}",
+                    cfg.name()
+                );
             }
         }
     }

@@ -30,36 +30,58 @@ impl ErrorFeedback {
         self.residuals.len()
     }
 
-    /// Turns `values` into the transmit intent for `lane` in place:
-    /// `values + residual`. An empty (never-updated) or stale-length
-    /// residual leaves them as they are.
-    pub fn compensate(&self, lane: usize, values: &mut [f32]) {
-        let r = &self.residuals[lane];
-        if r.len() == values.len() {
-            for (v, &e) in values.iter_mut().zip(r) {
-                *v += e;
-            }
-        }
+    /// The lane's residual (empty until the lane is first updated).
+    pub(crate) fn lane(&self, lane: usize) -> &[f32] {
+        &self.residuals[lane]
     }
 
-    /// Overwrites the lane's residual with `intent − decoded` after a
-    /// completed transmission and returns its squared L2 norm. Non-finite
-    /// entries (a NaN'd intent, e.g. from Byzantine corruption upstream) are
-    /// sanitized to zero so one poisoned round cannot wedge the lane
-    /// forever — which makes the returned sum, term for term and in index
-    /// order, the transfer's squared error as well (`sq_error`).
-    pub fn update(&mut self, lane: usize, intent: &[f32], decoded: &[f32]) -> f64 {
-        debug_assert_eq!(intent.len(), decoded.len());
-        let r = &mut self.residuals[lane];
-        r.resize(intent.len(), 0.0);
-        r.iter_mut()
-            .zip(intent.iter().zip(decoded))
-            .map(|(r, (&a, &b))| {
-                *r = finite_or_zero(a - b);
-                (*r as f64) * (*r as f64)
-            })
-            .sum()
+    /// The lane's residual, to [`update`].
+    pub(crate) fn lane_mut(&mut self, lane: usize) -> &mut Vec<f32> {
+        &mut self.residuals[lane]
     }
+
+    /// The residuals of `lanes`, in their order, each borrowed mutably —
+    /// so that transfers on distinct lanes can update them in parallel.
+    /// `None` when a lane repeats.
+    pub(crate) fn distinct_lanes_mut(&mut self, lanes: &[usize]) -> Option<Vec<&mut Vec<f32>>> {
+        let mut slots: Vec<Option<&mut Vec<f32>>> = self.residuals.iter_mut().map(Some).collect();
+        lanes.iter().map(|&lane| slots[lane].take()).collect()
+    }
+}
+
+/// The transmit intent of `values` on a lane holding `residual`:
+/// `values + residual`, written into `buf`. An empty (never-updated) or
+/// stale-length residual leaves the values as they are.
+pub(crate) fn compensate<'a>(
+    values: &'a [f32],
+    residual: &[f32],
+    buf: &'a mut Vec<f32>,
+) -> &'a [f32] {
+    if residual.len() != values.len() {
+        return values;
+    }
+    buf.clear();
+    buf.extend(values.iter().zip(residual).map(|(&v, &e)| v + e));
+    buf
+}
+
+/// Overwrites a lane's `residual` with `intent − decoded` after a completed
+/// transmission and returns its squared L2 norm. Non-finite entries (a
+/// NaN'd intent, e.g. from Byzantine corruption upstream) are sanitized to
+/// zero so one poisoned round cannot wedge the lane forever — which makes
+/// the returned sum, term for term and in index order, the transfer's
+/// squared error as well ([`sq_error`]).
+pub(crate) fn update(residual: &mut Vec<f32>, intent: &[f32], decoded: &[f32]) -> f64 {
+    debug_assert_eq!(intent.len(), decoded.len());
+    residual.resize(intent.len(), 0.0);
+    residual
+        .iter_mut()
+        .zip(intent.iter().zip(decoded))
+        .map(|(r, (&a, &b))| {
+            *r = finite_or_zero(a - b);
+            (*r as f64) * (*r as f64)
+        })
+        .sum()
 }
 
 /// What a snapshot taken under another lane structure is refused with.
@@ -103,12 +125,14 @@ mod tests {
         fn residual_norm(&self, lane: usize) -> f64 {
             self.residuals[lane].iter().map(|&e| (e as f64) * (e as f64)).sum::<f64>().sqrt()
         }
+
+        fn update(&mut self, lane: usize, intent: &[f32], decoded: &[f32]) -> f64 {
+            update(self.lane_mut(lane), intent, decoded)
+        }
     }
 
     fn compensated(ef: &ErrorFeedback, lane: usize, values: &[f32]) -> Vec<f32> {
-        let mut v = values.to_vec();
-        ef.compensate(lane, &mut v);
-        v
+        compensate(values, ef.lane(lane), &mut Vec::new()).to_vec()
     }
 
     #[test]
@@ -153,6 +177,16 @@ mod tests {
         // ...and the next update replaces it whole.
         ef.update(0, &[3.0], &[1.0]);
         assert_eq!(ef.residuals[0], vec![2.0]);
+    }
+
+    #[test]
+    fn distinct_lanes_are_lent_in_their_order_and_repeats_are_refused() {
+        let mut ef = ErrorFeedback::new(3);
+        for (lane, r) in [2, 0].into_iter().zip(ef.distinct_lanes_mut(&[2, 0]).unwrap()) {
+            r.push(lane as f32);
+        }
+        assert_eq!((ef.lane(0), ef.lane(1), ef.lane(2)), (&[0.0][..], &[][..], &[2.0][..]));
+        assert!(ef.distinct_lanes_mut(&[1, 2, 1]).is_none());
     }
 
     #[test]

@@ -13,60 +13,210 @@
 //! of equal weights, and any algorithm that returns that set is conformant.
 
 use crate::codec::{
-    packed_len, put_f32, put_quantized, put_u64, take_quantized, Cursor, Scratch, CHUNK,
+    dequantize, packed_len, put_chunk, put_f32, put_u64, quantize, take_quantized, Cursor, Scratch,
+    CHUNK,
 };
 
-/// Coordinate `i`'s rank in the selection order as an integer: the bits of
-/// its magnitude (non-negative floats order like their bits; NaN counts as
+/// The key of +∞, which NaN shares.
+const INF_KEY: u32 = 0x7F80_0000;
+
+/// Key bits below a histogram bucket: a bucket is an exponent and the top
+/// three bits of the mantissa.
+const SHIFT: u32 = 20;
+
+/// Histogram buckets: every key lies in one.
+const BUCKETS: usize = (INF_KEY >> SHIFT) as usize + 1;
+
+/// A coordinate's magnitude as an integer that orders like it: the bits of
+/// `|v|` (non-negative floats order like their bits), with NaN counted as
 /// +∞ so corruption still travels and gets screened on decode by the
-/// receiver's integrity checks) above the complemented index. A larger key
-/// sorts earlier, and no two coordinates share one.
-fn key(i: usize, v: f32) -> u64 {
-    let a = v.abs();
-    let magnitude = if a.is_nan() { f32::INFINITY } else { a };
-    (u64::from(magnitude.to_bits()) << 32) | u64::from(!(i as u32))
+/// receiver's integrity checks. Equal magnitudes, ±0 included, share a key.
+#[inline]
+fn key(v: f32) -> u32 {
+    (v.to_bits() & 0x7FFF_FFFF).min(INF_KEY)
 }
 
-/// The smallest key among the `k ≤ n` first coordinates in the selection
-/// order, found by an O(n) selection: coordinate `i` is kept exactly when
-/// `key(i, values[i])` reaches it.
-fn select_topk(values: &[f32], k: usize, keys: &mut Vec<u64>) -> u64 {
-    if k == 0 {
-        // Keys leave their top bit clear, so nothing reaches this.
-        return u64::MAX;
+/// A top-k selection's buffers: after [`Selection::select`], the kept
+/// indices in ascending order and their values.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Selection {
+    idx: Vec<u32>,
+    kept: Vec<f32>,
+    /// Keys of the bucket the threshold lies in.
+    ties: Vec<u32>,
+}
+
+/// Above every key and every index.
+const UNBOUNDED: u32 = i32::MAX as u32;
+
+/// Which coordinates a [`Selection::gather`] keeps: those whose key is
+/// above `t`, or equal to it at an index below `cut` — and in either case
+/// below `hi`. Every bound is at most [`UNBOUNDED`], and keys and indices
+/// are below it.
+#[derive(Clone, Copy, Debug)]
+struct Bounds {
+    t: u32,
+    cut: u32,
+    hi: u32,
+}
+
+impl Bounds {
+    /// Every key at least `lo` and below `hi`.
+    fn range(lo: u32, hi: u32) -> Self {
+        Self { t: lo, cut: UNBOUNDED, hi }
     }
-    keys.clear();
-    keys.extend(values.iter().enumerate().map(|(i, &v)| key(i, v)));
-    *keys.select_nth_unstable(values.len() - k).1
+
+    /// Whether coordinate `i`, of key `x`, is kept. Evaluates every
+    /// comparison (`|` and `&`, not `||` and `&&`), so it compiles to no
+    /// branch.
+    #[inline]
+    fn keeps(self, i: usize, x: u32) -> bool {
+        ((x > self.t) | ((x == self.t) & (i < self.cut as usize))) & (x < self.hi)
+    }
 }
 
-/// Writes the part both top-k formats share — `n`, `k` and the kept indices,
-/// ascending — into `scratch.wire`, and leaves the kept values in
-/// `scratch.kept`.
-fn put_selection(values: &[f32], k: usize, scratch: &mut Scratch) {
-    let Scratch { wire, keys, kept } = scratch;
-    put_u64(wire, values.len() as u64);
-    put_u64(wire, k as u64);
-    let threshold = select_topk(values, k, keys);
-    // Which coordinates pass is as good as random, so the pass over them is
-    // branch-free: every coordinate is written to the next free slot and
-    // only a kept one advances it (hence the one spare slot).
-    let idx_at = wire.len();
-    wire.resize(idx_at + 4 * (k + 1), 0);
-    kept.clear();
-    kept.resize(k + 1, 0.0);
-    let mut count = 0;
+impl Selection {
+    /// Selects the first `k ≤ n` coordinates of `values` in the selection
+    /// order, in O(n) and without a sort. A histogram of the keys' top bits
+    /// finds the bucket holding the k-th largest key; when the quota left
+    /// for that bucket is short of its size, one pass gathers the bucket,
+    /// whose keys alone give the threshold key `t`, and the index `cut` at
+    /// which the keys equal to `t` fill the quota in index order — the
+    /// order's tie-break. A last pass gathers the kept coordinates: those
+    /// above `t`, and those equal to it below `cut`.
+    fn select(&mut self, values: &[f32], k: usize) {
+        assert!(values.len() < UNBOUNDED as usize, "top-k indexes fewer than 2^31 - 1 values");
+        debug_assert!(k <= values.len());
+        if k == 0 {
+            self.idx.clear();
+            self.kept.clear();
+            return;
+        }
+        // Bucketed by the magnitude's bits as they are, NaNs spread over
+        // buckets above +∞'s, which then take them in.
+        let mut hist = [0u32; 1 << (31 - SHIFT)];
+        for &v in values {
+            hist[((v.to_bits() << 1) >> (SHIFT + 1)) as usize] += 1;
+        }
+        let (hist, nan) = hist.split_at_mut(BUCKETS);
+        hist[BUCKETS - 1] += nan.iter().sum::<u32>();
+        let (mut bucket, mut above) = (BUCKETS, 0);
+        loop {
+            bucket -= 1;
+            if above + hist[bucket] as usize >= k {
+                break;
+            }
+            above += hist[bucket] as usize;
+        }
+        let (lo, hi) = ((bucket as u32) << SHIFT, (bucket as u32 + 1) << SHIFT);
+        let need = k - above;
+        let bounds = if need == hist[bucket] as usize {
+            Bounds::range(lo, UNBOUNDED)
+        } else {
+            self.gather(values, Bounds::range(lo, hi));
+            self.ties.clear();
+            self.ties.extend(self.kept.iter().map(|&v| key(v)));
+            let t = *self.ties.select_nth_unstable_by(need - 1, |a, b| b.cmp(a)).1;
+            let quota = need - self.ties.iter().filter(|&&x| x > t).count();
+            let equal = self.idx.iter().zip(&self.kept).filter(|&(_, &v)| key(v) == t);
+            let last = equal.map(|(&i, _)| i).nth(quota - 1).expect("the quota is within the ties");
+            Bounds { t, cut: last + 1, hi: UNBOUNDED }
+        };
+        self.gather(values, bounds);
+        debug_assert_eq!(self.idx.len(), k);
+    }
+
+    /// Sets the selection to the coordinates `bounds` keeps, in index
+    /// order. Which ones pass is as good as random, so no build branches on
+    /// it: each writes every coordinate to the next free slot and advances
+    /// only past those that pass — the AVX-512 build sixteen at a time, the
+    /// baseline build one.
+    fn gather(&mut self, values: &[f32], bounds: Bounds) {
+        let (idx, kept) = (&mut self.idx, &mut self.kept);
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt") {
+                // SAFETY: the running CPU reports AVX-512F and POPCNT, the
+                // features `gather_avx512` is compiled with.
+                return unsafe { gather_avx512(values, bounds, idx, kept) };
+            }
+        }
+        gather_baseline(values, bounds, idx, kept)
+    }
+
+    /// Writes the part both top-k formats share — `n`, `k` and the kept
+    /// indices, ascending.
+    fn put(&self, n: usize, wire: &mut Vec<u8>) {
+        put_u64(wire, n as u64);
+        put_u64(wire, self.idx.len() as u64);
+        wire.extend(self.idx.iter().flat_map(|i| i.to_le_bytes()));
+    }
+}
+
+/// [`Selection::gather`] one coordinate at a time.
+fn gather_baseline(values: &[f32], bounds: Bounds, idx: &mut Vec<u32>, kept: &mut Vec<f32>) {
+    idx.resize(values.len(), 0);
+    kept.resize(values.len(), 0.0);
+    let mut w = 0;
     for (i, &v) in values.iter().enumerate() {
-        wire[idx_at + 4 * count..][..4].copy_from_slice(&(i as u32).to_le_bytes());
-        kept[count] = v;
-        count += usize::from(key(i, v) >= threshold);
+        // `w ≤ i`: every slot written is in bounds.
+        idx[w] = i as u32;
+        kept[w] = v;
+        w += usize::from(bounds.keeps(i, key(v)));
     }
-    debug_assert_eq!(count, k);
-    wire.truncate(idx_at + 4 * k);
-    kept.truncate(k);
+    idx.truncate(w);
+    kept.truncate(w);
 }
 
-/// Reads what [`put_selection`] wrote: the zeroed length-`n` output and the
+/// [`Selection::gather`] sixteen coordinates at a time: test the keys
+/// against `bounds` into a mask, compress the passing indices and values to
+/// the front, store all sixteen lanes at the next free slot and advance past
+/// the passing ones. Callable only on a CPU with AVX-512F and POPCNT.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,popcnt")]
+fn gather_avx512(values: &[f32], bounds: Bounds, idx: &mut Vec<u32>, kept: &mut Vec<f32>) {
+    use std::arch::x86_64::*;
+    let (blocks, rest) = values.as_chunks::<16>();
+    idx.clear();
+    kept.clear();
+    // Sixteen lanes of room past the last coordinate.
+    idx.reserve(values.len() + 16);
+    kept.reserve(values.len() + 16);
+    let (idx_at, kept_at) = (idx.as_mut_ptr(), kept.as_mut_ptr());
+    // Keys, indices and bounds are below 2^31: signed comparisons are exact.
+    let splat = |x: u32| _mm512_set1_epi32(x as i32);
+    let (magnitude, inf) = (splat(0x7FFF_FFFF), splat(INF_KEY));
+    let (t, cut, hi) = (splat(bounds.t), splat(bounds.cut), splat(bounds.hi));
+    let mut lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let mut w = 0;
+    for block in blocks {
+        // SAFETY: `block` is 16 floats.
+        let v = unsafe { _mm512_loadu_ps(block.as_ptr()) };
+        let keys = _mm512_min_epu32(_mm512_and_si512(_mm512_castps_si512(v), magnitude), inf);
+        let tie = _mm512_cmpeq_epi32_mask(keys, t) & _mm512_cmplt_epi32_mask(lanes, cut);
+        let mask = (_mm512_cmpgt_epi32_mask(keys, t) | tie) & _mm512_cmplt_epi32_mask(keys, hi);
+        // SAFETY: `w` counts passing coordinates among those before this
+        // block, so `w + 16 ≤ values.len() + 16`, which both buffers reserve.
+        unsafe {
+            _mm512_storeu_si512(idx_at.add(w).cast(), _mm512_maskz_compress_epi32(mask, lanes));
+            _mm512_storeu_ps(kept_at.add(w), _mm512_maskz_compress_ps(mask, v));
+        }
+        w += mask.count_ones() as usize;
+        lanes = _mm512_add_epi32(lanes, splat(16));
+    }
+    // SAFETY: the first `w` slots of both were written above.
+    unsafe {
+        idx.set_len(w);
+        kept.set_len(w);
+    }
+    let first = values.len() - rest.len();
+    for (i, &v) in (first..).zip(rest).filter(|&(i, &v)| bounds.keeps(i, key(v))) {
+        idx.push(i as u32);
+        kept.push(v);
+    }
+}
+
+/// Reads what [`Selection::put`] wrote: the zeroed length-`n` output and the
 /// kept indices, each checked against `n` as it is drawn.
 fn take_selection<'a>(
     cur: &mut Cursor<'a>,
@@ -129,10 +279,20 @@ impl TopKCodec {
     }
 
     pub(crate) fn encode_into(&self, values: &[f32], scratch: &mut Scratch) {
-        put_selection(values, self.keep(values.len()), scratch);
-        for &v in &scratch.kept {
-            put_f32(&mut scratch.wire, v);
+        let Scratch { wire, selection } = scratch;
+        selection.select(values, self.keep(values.len()));
+        selection.put(values.len(), wire);
+        selection.kept.iter().for_each(|&v| put_f32(wire, v));
+    }
+
+    /// `decode(encode(values))`: the kept values in place, zeros elsewhere.
+    pub(crate) fn round_trip(&self, values: &[f32], selection: &mut Selection) -> Vec<f32> {
+        selection.select(values, self.keep(values.len()));
+        let mut out = vec![0.0f32; values.len()];
+        for (&i, &v) in selection.idx.iter().zip(&selection.kept) {
+            out[i as usize] = v;
         }
+        out
     }
 
     pub(crate) fn decode(&self, bytes: &[u8]) -> Option<Vec<f32>> {
@@ -172,8 +332,26 @@ impl TopKUniformCodec {
     }
 
     pub(crate) fn encode_into(&self, values: &[f32], scratch: &mut Scratch) {
-        put_selection(values, self.keep(values.len()), scratch);
-        put_quantized(&mut scratch.wire, &scratch.kept, self.bits, None);
+        let Scratch { wire, selection } = scratch;
+        selection.select(values, self.keep(values.len()));
+        selection.put(values.len(), wire);
+        quantize(&selection.kept, self.bits, None, |min, scale, codes| {
+            put_chunk(wire, min, scale, codes, self.bits)
+        });
+    }
+
+    /// `decode(encode(values))`: each kept value dequantized from its code
+    /// in place, zeros elsewhere.
+    pub(crate) fn round_trip(&self, values: &[f32], selection: &mut Selection) -> Vec<f32> {
+        selection.select(values, self.keep(values.len()));
+        let mut out = vec![0.0f32; values.len()];
+        let mut idx = selection.idx.iter();
+        quantize(&selection.kept, self.bits, None, |min, scale, codes| {
+            for (&q, &i) in codes.iter().zip(&mut idx) {
+                out[i as usize] = dequantize(min, scale, q);
+            }
+        });
+        out
     }
 
     pub(crate) fn decode(&self, bytes: &[u8]) -> Option<Vec<f32>> {
@@ -192,7 +370,7 @@ impl TopKUniformCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{chunk_range, quantize_one, Codec, CompressedBlob, WireCodec};
+    use crate::codec::{reference, Codec, CompressedBlob, WireCodec};
     use proptest::prelude::*;
 
     /// The selection order executed literally — sort every index, keep the
@@ -226,17 +404,7 @@ mod tests {
             out.extend(kept.iter().flat_map(|v| v.to_le_bytes()));
             return out;
         };
-        for chunk in kept.chunks(CHUNK) {
-            let (min, scale) = chunk_range(chunk, bits);
-            out.extend(min.to_le_bytes());
-            out.extend(scale.to_le_bytes());
-            let codes: Vec<u8> =
-                chunk.iter().map(|&v| quantize_one(v, min, scale, bits, None)).collect();
-            match bits {
-                8 => out.extend(&codes),
-                _ => out.extend(codes.chunks(2).map(|p| p[0] | (p.get(1).unwrap_or(&0) << 4))),
-            }
-        }
+        reference::put_quantized(&kept, bits, &mut out);
         out
     }
 
@@ -259,10 +427,37 @@ mod tests {
         -f32::NAN,
     ];
 
+    type Gather = fn(&[f32], Bounds, &mut Vec<u32>, &mut Vec<f32>);
+
+    /// Every build of [`Selection::gather`] this CPU runs, by name.
+    fn gather_builds() -> Vec<(&'static str, Gather)> {
+        #[allow(unused_mut)]
+        let mut builds: Vec<(&str, Gather)> = vec![("baseline", gather_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt") {
+            // SAFETY: pushed only on a CPU with AVX-512F and POPCNT.
+            builds.push(("avx512", |v, b, i, k| unsafe { gather_avx512(v, b, i, k) }));
+        }
+        builds
+    }
+
+    #[test]
+    fn every_gather_build_this_cpu_has_is_compared() {
+        let names: Vec<&str> = gather_builds().iter().map(|&(name, _)| name).collect();
+        println!("gather builds compared: {}", names.join(" vs "));
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt") {
+            assert!(names.contains(&"avx512"), "an AVX-512 CPU must compare its AVX-512 build");
+        }
+    }
+
     fn selected(values: &[f32], k: usize) -> Vec<u32> {
-        let mut keys = vec![7; 3]; // stale scratch must not matter
-        let threshold = select_topk(values, k, &mut keys);
-        (0..values.len()).filter(|&i| key(i, values[i]) >= threshold).map(|i| i as u32).collect()
+        let mut sel = Selection::default();
+        sel.select(&[7.0; 900], 300); // stale scratch must not matter
+        sel.select(values, k);
+        let kept: Vec<u32> = sel.idx.iter().map(|&i| values[i as usize].to_bits()).collect();
+        assert_eq!(kept, sel.kept.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+        sel.idx
     }
 
     proptest! {
@@ -280,11 +475,39 @@ mod tests {
 
         #[test]
         fn selection_matches_the_full_sort_on_distinct_magnitudes(
-            values in prop::collection::vec(-100.0f32..100.0, 0..=600),
-            k in 0usize..=600,
+            values in prop::collection::vec(-100.0f32..100.0, 0..=3000),
+            k in 0usize..=3000,
         ) {
             let k = k.min(values.len());
             prop_assert_eq!(selected(&values, k), select_topk_reference(&values, k));
+        }
+
+        #[test]
+        fn gather_builds_keep_what_the_bounds_keep(
+            picks in prop::collection::vec(0usize..2 * PALETTE.len(), 0..=300),
+            t_at in 0usize..300,
+            cut in 0u32..=310,
+            hi_pick in 0usize..3,
+        ) {
+            let values: Vec<f32> = picks
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| PALETTE.get(p).copied().unwrap_or(i as f32 * 0.37 - 50.0))
+                .collect();
+            let keys: Vec<u32> = values.iter().map(|&v| key(v)).collect();
+            let t = keys.get(t_at).copied().unwrap_or(INF_KEY);
+            let hi = [UNBOUNDED, t + 1, ((t >> SHIFT) + 1) << SHIFT][hi_pick];
+            let bounds = Bounds { t, cut, hi };
+            let expect: Vec<u32> =
+                (0..values.len()).filter(|&i| bounds.keeps(i, keys[i])).map(|i| i as u32).collect();
+            let expect_kept: Vec<u32> = expect.iter().map(|&i| values[i as usize].to_bits()).collect();
+            for (_, build) in gather_builds() {
+                let (mut idx, mut kept) = (vec![9; 5], vec![9.0; 5]);
+                build(&values, bounds, &mut idx, &mut kept);
+                prop_assert_eq!(&idx, &expect);
+                let kept: Vec<u32> = kept.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&kept, &expect_kept);
+            }
         }
 
         #[test]

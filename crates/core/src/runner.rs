@@ -20,7 +20,7 @@ use fedmigr_nn::Model;
 use fedmigr_tensor::kcount;
 use rand::seq::SliceRandom;
 
-use fedmigr_telemetry::{span, warn};
+use fedmigr_telemetry::{profiler, span, warn};
 
 use crate::aggregate::{Aggregator, STALE_MAX_AGE};
 use crate::checkpoint::{self, RunStamp};
@@ -1027,7 +1027,9 @@ impl<'a> DenseRun<'a> {
     fn migrate(&mut self, r: &mut Round, plan: &MigrationPlan) {
         let (k, epoch, model_bytes) = (self.ctx.k, r.epoch, self.ctx.model_bytes);
         let topology = &self.ctx.exp.topology;
+        let install_frame = profiler::frame("transfer_install");
         let params = self.collect_params(epoch);
+        drop(install_frame);
         // `src_of[j]` is the client whose model client `j` hosts after this
         // round. A failed delivery leaves `j` on its own retained copy
         // instead of breaking the permutation. `delivered_payload[j]` is
@@ -1038,6 +1040,7 @@ impl<'a> DenseRun<'a> {
         let mut move_times = Vec::new();
         let mut delivered = Vec::new();
         let mig_t0 = self.st.common.clock.now();
+        let flow_frame = profiler::frame("transfer_flow");
         let wave = self.ctx.flow.map(|fc| {
             let mv: Vec<(usize, usize)> = plan.moves().collect();
             let traced = self.obs.tcap.active();
@@ -1086,12 +1089,15 @@ impl<'a> DenseRun<'a> {
                 delivered.push((i, j));
             }
         }
+        drop(flow_frame);
         // Encode only transfers that completed: a cancelled migration must
         // not consume the sender's error-feedback residual. A plan moves
         // each model at most once, so the wave's source lanes are distinct
         // and it encodes as one batch, sequence numbers in move order.
-        let items = delivered.iter().map(|&(i, _)| (i, params[i].clone())).collect();
+        let codec_frame = profiler::frame("transfer_codec");
+        let items = delivered.iter().map(|&(i, _)| (i, params[i].as_slice())).collect();
         let payloads = self.st.compressor.transmit_batch(items);
+        drop(codec_frame);
         for ((i, j), payload) in delivered.into_iter().zip(payloads) {
             // The receiver screens the *decoded* payload before adoption. A
             // rejected model was still transmitted (the bytes are burned)
@@ -1135,9 +1141,10 @@ impl<'a> DenseRun<'a> {
             // finish).
             self.obs.tcap.phase_trace("migration", mig_t0, st.common.clock.now(), pt);
         }
-        st.mix = src_of.iter().map(|&s| st.mix[s].clone()).collect();
+        let _install = profiler::frame("transfer_install");
+        st.mix = hosted(std::mem::take(&mut st.mix), &src_of);
         if diag_on {
-            st.train_mix = src_of.iter().map(|&s| st.train_mix[s].clone()).collect();
+            st.train_mix = hosted(std::mem::take(&mut st.train_mix), &src_of);
         }
         for (j, c) in st.clients.iter_mut().enumerate() {
             match delivered_payload[j].take() {
@@ -2116,6 +2123,23 @@ struct FlowUploadOutcome {
     failed: usize,
 }
 
+/// Row `j` of the result is row `src_of[j]` of `rows`: each source row
+/// moves to the last slot hosting it and is cloned only for earlier ones
+/// (a model whose own slot keeps it after a failed delivery has two).
+fn hosted<T: Clone>(rows: Vec<T>, src_of: &[usize]) -> Vec<T> {
+    let mut uses = vec![0usize; rows.len()];
+    for &s in src_of {
+        uses[s] += 1;
+    }
+    let mut rows: Vec<Option<T>> = rows.into_iter().map(Some).collect();
+    let mut take = |s: usize| {
+        uses[s] -= 1;
+        let row = if uses[s] == 0 { rows[s].take() } else { rows[s].clone() };
+        row.expect("a row moves out at its last use")
+    };
+    src_of.iter().map(|&s| take(s)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2175,6 +2199,14 @@ mod tests {
         cfg.batch_size = 16;
         cfg.lr = 0.05;
         cfg
+    }
+
+    #[test]
+    fn hosted_moves_each_row_to_its_last_slot_and_clones_the_rest() {
+        let rows = vec![vec![0.5], vec![1.5], vec![2.5]];
+        // Slot 1 adopts model 0, whose own slot kept it; model 1 is gone.
+        assert_eq!(hosted(rows.clone(), &[0, 0, 2]), vec![vec![0.5], vec![0.5], vec![2.5]]);
+        assert_eq!(hosted(rows, &[2, 0, 1]), vec![vec![2.5], vec![0.5], vec![1.5]]);
     }
 
     #[test]
