@@ -268,8 +268,9 @@ mod tests {
         assert!(table.starts_with(&format!("kernel accounting by phase (gemm: {build};")));
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
-            let title = "kernel accounting by phase (gemm: avx512 (n ≥ 16; avx2 below);";
-            assert!(table.starts_with(title), "the title names the AVX-512 build");
+            let title = "kernel accounting by phase (gemm: avx512 (16-column panels; an 8-column \
+                         rest transposed; avx2 other rests);";
+            assert!(table.starts_with(title), "the title names the AVX-512 builds");
         }
         assert!(table.contains("unit_test_phase"));
         assert!(table.contains("matmul"));

@@ -287,10 +287,31 @@ const fn make_crc32_table() -> [[u32; 256]; 16] {
 static CRC32_TABLE: [[u32; 256]; 16] = make_crc32_table();
 
 /// CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) of `bytes` — the trailer of
-/// every [`Container`]. Sixteen bytes per step (slicing-by-16), the tail
-/// byte by byte; the value is the byte-at-a-time CRC's.
+/// every [`Container`]; the value is the byte-at-a-time CRC's. Inputs of
+/// [`CLMUL_MIN`] bytes and more run in the carry-less-multiply build on a
+/// CPU with PCLMULQDQ and SSE4.1, everything else by slicing-by-16.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+    #[cfg(target_arch = "x86_64")]
+    if bytes.len() >= CLMUL_MIN && clmul_detected() {
+        // SAFETY: the running CPU reports both features `crc32_clmul` is
+        // compiled with.
+        return !unsafe { crc32_clmul(!0, bytes) };
+    }
+    !crc32_slicing16(!0, bytes)
+}
+
+/// The shortest input [`crc32`] folds with carry-less multiplies (the fold
+/// starts from four 16-byte blocks, so it needs at least 64 bytes).
+const CLMUL_MIN: usize = 128;
+
+#[cfg(target_arch = "x86_64")]
+fn clmul_detected() -> bool {
+    is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+}
+
+/// The CRC register `c` (pre-inverted, as the byte loop keeps it) after
+/// `bytes`: sixteen bytes per step, the tail byte by byte.
+fn crc32_slicing16(mut c: u32, bytes: &[u8]) -> u32 {
     let mut blocks = bytes.chunks_exact(16);
     for block in &mut blocks {
         let mut block: [u8; 16] = block.try_into().expect("a 16-byte block");
@@ -302,7 +323,59 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         c = CRC32_TABLE[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// [`crc32_slicing16`]'s register after `bytes`, its whole 16-byte blocks
+/// folded four at a time with carry-less multiplies and reduced to 32 bits
+/// by Barrett reduction (Gopal et al., "Fast CRC Computation for Generic
+/// Polynomials Using PCLMULQDQ Instruction", Intel, 2009; the constants are
+/// `x^k mod P` for the bit-reflected polynomial), the tail by slicing-by-16.
+/// Inputs under 64 bytes go to slicing-by-16 whole. Callable only on a CPU
+/// with PCLMULQDQ and SSE4.1.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn crc32_clmul(c: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    if bytes.len() < 64 {
+        return crc32_slicing16(c, bytes);
+    }
+    let (body, tail) = bytes.split_at(bytes.len() & !15);
+    let mut blocks = body.chunks_exact(16).map(|block| {
+        // SAFETY: `block` is the 16 bytes an unaligned load reads.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    });
+    let mut next = || blocks.next().expect("a 16-byte block");
+    // `x` folded forward by `k` (x^(k1), x^(k2) in its two halves) into `y`.
+    let fold = |x: __m128i, k: __m128i, y: __m128i| {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(hi, lo), y)
+    };
+    let k1k2 = _mm_set_epi64x(0x01_c6e4_1596, 0x01_5444_2bd4);
+    let k3k4 = _mm_set_epi64x(0x00_ccaa_009e, 0x01_7519_97d0);
+    let mut x = [next(), next(), next(), next()];
+    x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(c as i32));
+    for _ in 1..body.len() / 64 {
+        x = x.map(|x| fold(x, k1k2, next()));
+    }
+    let mut acc = fold(fold(fold(x[0], k3k4, x[1]), k3k4, x[2]), k3k4, x[3]);
+    for _ in 0..body.len() % 64 / 16 {
+        acc = fold(acc, k3k4, next());
+    }
+    // 128 bits to 64, then Barrett reduction to the 32-bit register.
+    let low32 = _mm_setr_epi32(!0, 0, !0, 0);
+    let acc = _mm_xor_si128(_mm_srli_si128::<8>(acc), _mm_clmulepi64_si128::<0x10>(acc, k3k4));
+    let k5 = _mm_set_epi64x(0, 0x01_63cd_6124);
+    let acc = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(acc, low32), k5),
+        _mm_srli_si128::<4>(acc),
+    );
+    let poly_mu = _mm_set_epi64x(0x01_f701_1641, 0x01_db71_0641);
+    let t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(acc, low32), poly_mu);
+    let t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), poly_mu);
+    let c = _mm_extract_epi32::<1>(_mm_xor_si128(acc, t)) as u32;
+    crc32_slicing16(c, tail)
 }
 
 // ---------------------------------------------------------------------------
@@ -634,6 +707,37 @@ mod tests {
     fn crc32_equals_the_bytewise_loop_on_a_snapshot_sized_buffer() {
         let bytes = random_bytes(27, 3 * 1024 * 1024 + 13);
         assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+    }
+
+    /// Each build of [`crc32`] this CPU can run, called directly, against the
+    /// byte loop at every length 0–300 (the fold's four-block, one-block and
+    /// tail splits on both sides of [`CLMUL_MIN`]) and every start offset
+    /// 0–15. Prints the builds it compared, so a CPU without PCLMULQDQ says
+    /// so instead of passing silently.
+    #[test]
+    fn crc32_builds_match_the_bytewise_loop() {
+        type Build = fn(u32, &[u8]) -> u32;
+        let mut builds: Vec<(&str, Build)> = vec![("slicing16", crc32_slicing16)];
+        #[cfg(target_arch = "x86_64")]
+        if clmul_detected() {
+            // SAFETY: the running CPU reports both features of the build.
+            builds.push(("pclmul", |c, bytes| unsafe { crc32_clmul(c, bytes) }));
+        } else {
+            println!("this CPU has no pclmulqdq and sse4.1: the pclmul build was not run");
+        }
+        let bytes = random_bytes(41, 15 + 300);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let window = &bytes[start..start + len];
+                let want = crc32_bytewise(window);
+                for (build, crc) in &builds {
+                    assert_eq!(!crc(!0, window), want, "{build}: offset {start}, length {len}");
+                }
+                assert_eq!(crc32(window), want, "dispatched: offset {start}, length {len}");
+            }
+        }
+        let names: Vec<&str> = builds.iter().map(|(name, _)| *name).collect();
+        println!("crc32 builds compared: {}", names.join(" vs "));
     }
 
     /// `items` through the one-value path: each scalar its own `wire` call.

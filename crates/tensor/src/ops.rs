@@ -26,27 +26,36 @@ const NR: usize = 8;
 const NR_WIDE: usize = 16;
 
 /// `A x B -> [m, n]` for a row-major `b: [k, n]`. `a_tile(rows)` walks `A`
-/// in ascending `k`, yielding `A[rows[r], p]` for the four rows of a tile.
+/// in ascending `k`, yielding `A[rows[r], p]` for the four rows of a tile;
+/// `a` says where the same elements sit.
 ///
 /// What defines the bits: each output element is its own accumulator that
 /// starts at `+0.0` and adds its `k` products in ascending `k`, each product
 /// rounded once and each sum rounded once (no FMA, no reassociation). Any
 /// loop nest with that per-element order gives the same bits, so tiling,
-/// vectorizing across columns and reading `A` through a transpose are all
-/// free; splitting the `k` loop is not.
+/// vectorizing across columns or across rows and reading `A` through a
+/// transpose are all free; splitting the `k` loop is not.
 ///
-/// One source, three builds, which only widen the lanes (Rust never
-/// contracts `a * b + c`, so no build fuses a multiply-add), so all give
-/// the same bits. On a CPU with AVX-512F, the 16-column panels run in the
-/// AVX-512 build and the `n % 16` columns left over in the AVX2 build; on
-/// a CPU with AVX2 every panel runs in the AVX2 build; otherwise in the
-/// baseline build. The AVX-512 build runs no 8-column panel: LLVM packs
-/// that tile two rows per register there, several times slower.
-fn gemm<I: Iterator<Item = [f32; MR]>>(
+/// Four builds, which only widen the lanes (Rust never contracts
+/// `a * b + c`, so no build fuses a multiply-add), so all give the same
+/// bits, NaN payloads aside: where two NaNs with different payloads meet
+/// in one product or sum, the result carries the payload of the operand
+/// the instruction names first, and in the three panel builds LLVM's
+/// register allocation picks that, tile row by tile row.
+///
+/// On a CPU with AVX-512F, the 16-column panels run in the AVX-512 build,
+/// an 8-column rest (`n % 16 == 8`, conv1's `n = 8` included) in the
+/// narrow AVX-512 build and any other rest in the AVX2 build; on a CPU
+/// with AVX2 every panel runs in the AVX2 build; otherwise in the baseline
+/// build. The AVX-512 build runs no 8-column panel: LLVM packs that tile
+/// two rows per register there, several times slower; the narrow build
+/// turns the panel on its side instead.
+fn gemm<I: Iterator<Item = [f32; MR]>, L: Fn(usize) -> usize, K: Fn(usize) -> usize>(
     m: usize,
     n: usize,
     b: &[f32],
     a_tile: impl Fn([usize; MR]) -> I,
+    a: &Offsets<'_, L, K>,
 ) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     if out.is_empty() {
@@ -55,11 +64,18 @@ fn gemm<I: Iterator<Item = [f32; MR]>>(
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
     {
-        if n >= NR_WIDE && is_x86_feature_detected!("avx512f") {
+        if is_x86_feature_detected!("avx512f") {
             done = n - n % NR_WIDE;
-            // SAFETY: the running CPU reports AVX-512F, the one feature
-            // `gemm_avx512` is compiled with.
-            unsafe { gemm_avx512(&mut out, n, 0..done, b, &a_tile) };
+            if done > 0 {
+                // SAFETY: the running CPU reports AVX-512F, the one feature
+                // `gemm_avx512` is compiled with.
+                unsafe { gemm_avx512(&mut out, n, 0..done, b, &a_tile) };
+            }
+            if n - done == NR {
+                // SAFETY: as above, for `gemm_narrow`.
+                unsafe { gemm_narrow(&mut out, n, done, b, a) };
+                return out;
+            }
         }
         if done < n && is_x86_feature_detected!("avx2") {
             // SAFETY: the running CPU reports AVX2, the one feature
@@ -70,6 +86,19 @@ fn gemm<I: Iterator<Item = [f32; MR]>>(
     }
     gemm_body::<NR, _>(&mut out, n, done..n, b, &a_tile);
     out
+}
+
+/// Where the elements of a GEMM's left operand `A: [m, k]` sit in a flat
+/// buffer: `A[i, p] = src[long(i) + inner(p)]`. Every form of [`gemm`] is
+/// this view of something (a row-major matrix, its transpose, a
+/// [`Gather`] or its transpose), so [`gemm_narrow`] serves them all.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+struct Offsets<'a, L, K> {
+    src: &'a [f32],
+    /// Offset of row `i` of `A`.
+    long: L,
+    /// Offset of column `p` of `A` from its row's.
+    inner: K,
 }
 
 /// [`gemm_body`] compiled for AVX2 on 8-column panels; callable only on a
@@ -103,13 +132,113 @@ fn gemm_avx512<I: Iterator<Item = [f32; MR]>>(
     gemm_body::<NR_WIDE, _>(out, n, cols, b, a_tile)
 }
 
-/// The build [`gemm`] runs on this CPU: `"avx512 (n ≥ 16; avx2 below)"`,
-/// `"avx2"`, or the baseline `"sse2"`.
+/// [`gemm`]'s 8 columns `j0..j0 + 8` of `out: [m, n]` compiled for
+/// AVX-512F, with the product transposed: each zmm holds 16 consecutive
+/// rows of one output column. Per `k` step one gather fills a zmm with
+/// `A[i0..i0 + 16, p]` and each of the 8 column accumulators adds that
+/// times a broadcast of `b[p, j0 + c]`, so each element's sums run in the
+/// other builds' order and give their bits. Every product names the
+/// gathered operand first, as [`tile`]'s `a * b` does. The sum is written
+/// product first: that is the machine order of [`tile`]'s `*o += a * b`
+/// unoptimized (the backend folds the accumulator's load as the second
+/// source), and optimized LLVM emits the accumulator first in this build
+/// as in the panel builds. The tile is stored transposed. A tile hanging
+/// over the last row repeats it, as in [`gemm_body`]. Callable only on a
+/// CPU that has AVX-512F.
+///
+/// Panics, before the first gather, unless every `long(i) + inner(p)` is an
+/// index of `src` that fits in `i32`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_narrow<L: Fn(usize) -> usize, K: Fn(usize) -> usize>(
+    out: &mut [f32],
+    n: usize,
+    j0: usize,
+    b: &[f32],
+    a: &Offsets<'_, L, K>,
+) {
+    use std::arch::x86_64::*;
+    const LANES: usize = 16;
+    let (m, k) = (out.len() / n, b.len() / n);
+    if let (Some(long), Some(inner)) = ((0..m).map(&a.long).max(), (0..k).map(&a.inner).max()) {
+        let reach = long.checked_add(inner);
+        assert!(
+            reach.is_some_and(|r| r < a.src.len() && i32::try_from(r).is_ok()),
+            "gathered GEMM operand: an offset is out of bounds of its {}-element source",
+            a.src.len()
+        );
+    }
+    let perm: [[__m512i; 2]; 3] = std::array::from_fn(|round| {
+        std::array::from_fn(|h| {
+            let lanes = transpose_lanes(round, h);
+            // SAFETY: `lanes` is 16 `i32`s, the 64 bytes an unaligned load reads.
+            unsafe { _mm512_loadu_si512(lanes.as_ptr().cast()) }
+        })
+    });
+    for i0 in (0..m).step_by(LANES) {
+        let rows: [i32; LANES] = std::array::from_fn(|l| (a.long)((i0 + l).min(m - 1)) as i32);
+        // SAFETY: `rows` is 16 `i32`s, the 64 bytes an unaligned load reads.
+        let rows = unsafe { _mm512_loadu_si512(rows.as_ptr().cast()) };
+        let mut acc = [_mm512_setzero_ps(); NR];
+        for (p, brow) in b.chunks_exact(n).enumerate() {
+            // SAFETY: every lane reads `src[long(i) + inner(p)]` for an
+            // `i < m`, which the assert above holds in bounds.
+            let av = unsafe { _mm512_i32gather_ps::<4>(rows, a.src.as_ptr().add((a.inner)(p))) };
+            for (acc, &bv) in acc.iter_mut().zip(&brow[j0..j0 + NR]) {
+                *acc = _mm512_add_ps(_mm512_mul_ps(av, _mm512_set1_ps(bv)), *acc);
+            }
+        }
+        // Transposed in three rounds of two-source permutes, each pairing
+        // the vectors of the columns that differ in one bit, into `tile`
+        // row-major: row `r`, column `c` at `8r + c`.
+        let x: [[__m512; 2]; 4] = std::array::from_fn(|a| {
+            std::array::from_fn(|h| _mm512_permutex2var_ps(acc[2 * a], perm[0][h], acc[2 * a + 1]))
+        });
+        let y: [[[__m512; 2]; 2]; 2] = std::array::from_fn(|c2| {
+            std::array::from_fn(|h3| {
+                std::array::from_fn(|h2| {
+                    _mm512_permutex2var_ps(x[2 * c2][h3], perm[1][h2], x[2 * c2 + 1][h3])
+                })
+            })
+        });
+        let mut tile = [0.0f32; LANES * NR];
+        for (q, two_rows) in tile.chunks_exact_mut(LANES).enumerate() {
+            let (h3, h2, h1) = (q >> 2, (q >> 1) & 1, q & 1);
+            let v = _mm512_permutex2var_ps(y[0][h3][h2], perm[2][h1], y[1][h3][h2]);
+            // SAFETY: `two_rows` is the 16 `f32`s an unaligned store writes.
+            unsafe { _mm512_storeu_ps(two_rows.as_mut_ptr(), v) };
+        }
+        for (orow, row) in out[i0 * n..].chunks_mut(n).zip(tile.chunks_exact(NR)) {
+            orow[j0..j0 + NR].copy_from_slice(row);
+        }
+    }
+}
+
+/// The permutes that transpose [`gemm_narrow`]'s tile: for round `round`
+/// and output half `h`, the source of each output lane (16 and up: the
+/// second operand). Round 0 pairs columns by bit 0 and splits rows by bit
+/// 3, round 1 columns by bit 1 and rows by bit 2, round 2 columns by bit 2
+/// and rows by bit 1, leaving row bit 0 and the column in each lane.
+#[cfg(target_arch = "x86_64")]
+fn transpose_lanes(round: usize, h: usize) -> [i32; 16] {
+    std::array::from_fn(|l| {
+        let lane = match round {
+            0 => (l >> 3) * 16 + h * 8 + (l & 7),
+            1 => (l >> 3) * 16 + ((l >> 2) & 1) * 8 + h * 4 + (l & 3),
+            _ => ((l >> 2) & 1) * 16 + ((l >> 1) & 1) * 8 + (l & 1) * 4 + h * 2 + (l >> 3),
+        };
+        lane as i32
+    })
+}
+
+/// The build [`gemm`] runs on this CPU: `"avx512 (16-column panels; an
+/// 8-column rest transposed; avx2 other rests)"`, `"avx2"`, or the baseline
+/// `"sse2"`.
 pub fn gemm_build() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx2") {
-            return "avx512 (n ≥ 16; avx2 below)";
+            return "avx512 (16-column panels; an 8-column rest transposed; avx2 other rests)";
         }
         if is_x86_feature_detected!("avx2") {
             return "avx2";
@@ -185,7 +314,8 @@ impl Gather<'_> {
         let (k2, n) = (b.rows(), b.cols());
         assert_eq!(k, k2, "gathered matmul inner dimensions differ: {k} vs {k2}");
         let _k = matmul_scope(m, k, n);
-        Tensor::from_vec(vec![m, n], gemm(m, n, b.data(), |qs| self.rows_tile(qs)))
+        let a = Offsets { src: self.src, long: |i| self.rows[i], inner: |p| self.cols[p] };
+        Tensor::from_vec(vec![m, n], gemm(m, n, b.data(), |qs| self.rows_tile(qs), &a))
     }
 
     /// `Aᵀ x b -> [k, n]` for `A: [m, k]` and `b: [m, n]`.
@@ -194,7 +324,8 @@ impl Gather<'_> {
         let (m2, n) = (b.rows(), b.cols());
         assert_eq!(m, m2, "gathered matmul_tn inner dimensions differ: {m} vs {m2}");
         let _k = matmul_scope(k, m, n);
-        Tensor::from_vec(vec![k, n], gemm(k, n, b.data(), |ts| self.cols_tile(ts)))
+        let a = Offsets { src: self.src, long: |t| self.cols[t], inner: |q| self.rows[q] };
+        Tensor::from_vec(vec![k, n], gemm(k, n, b.data(), |ts| self.cols_tile(ts), &a))
     }
 
     /// A tile of `A` for [`gemm`]: rows `qs`, ascending columns.
@@ -301,9 +432,10 @@ impl Tensor {
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
         let _k = matmul_scope(m, k, n);
+        let a = Offsets { src: self.data(), long: |i| i * k, inner: |p| p };
         Tensor::from_vec(
             vec![m, n],
-            gemm(m, n, other.data(), |rows| row_major_tile(self.data(), k, rows)),
+            gemm(m, n, other.data(), |rows| row_major_tile(self.data(), k, rows), &a),
         )
     }
 
@@ -317,9 +449,10 @@ impl Tensor {
         let (k2, n) = (other.rows(), other.cols());
         assert_eq!(k, k2, "matmul_tn inner dimensions differ: {k} vs {k2}");
         let _k = matmul_scope(m, k, n);
+        let a = Offsets { src: self.data(), long: |i| i, inner: |p| p * m };
         Tensor::from_vec(
             vec![m, n],
-            gemm(m, n, other.data(), |rows| col_major_tile(self.data(), m, rows)),
+            gemm(m, n, other.data(), |rows| col_major_tile(self.data(), m, rows), &a),
         )
     }
 
@@ -551,14 +684,15 @@ mod tests {
 
     /// `a · b`'s bits from each build of `gemm` this CPU can run, called
     /// directly, then from the dispatched `gemm`; the baseline build's come
-    /// first. The AVX-512 build fills only whole 16-column panels, so the
-    /// columns left over are the baseline's, and the rest start as a NaN no
-    /// build makes.
-    fn builds<I: Iterator<Item = [f32; MR]>>(
+    /// first. The AVX-512 build fills only whole 16-column panels and the
+    /// narrow one only the last 8 columns, so the columns left over are the
+    /// baseline's, and the rest start as a NaN no build makes.
+    fn builds<I: Iterator<Item = [f32; MR]>, L: Fn(usize) -> usize, K: Fn(usize) -> usize>(
         m: usize,
         n: usize,
         b: &[f32],
         a_tile: impl Fn([usize; MR]) -> I,
+        a: &Offsets<'_, L, K>,
     ) -> Vec<(&'static str, Vec<u32>)> {
         let fresh = || vec![f32::from_bits(0x7fa0_0001); m * n];
         let mut baseline = fresh();
@@ -568,6 +702,15 @@ mod tests {
         let mut outs = vec![(BASELINE_BUILD, baseline.clone())];
         #[cfg(target_arch = "x86_64")]
         if n > 0 {
+            // Columns `cols` of `out`, the rest from the baseline build.
+            let rest_from_baseline = |mut out: Vec<f32>, cols: Range<usize>| {
+                for (row, want) in out.chunks_exact_mut(n).zip(baseline.chunks_exact(n)) {
+                    for j in (0..n).filter(|j| !cols.contains(j)) {
+                        row[j] = want[j];
+                    }
+                }
+                out
+            };
             if is_x86_feature_detected!("avx2") {
                 let mut out = fresh();
                 // SAFETY: the running CPU reports AVX2.
@@ -579,61 +722,130 @@ mod tests {
                 let mut out = fresh();
                 // SAFETY: the running CPU reports AVX-512F.
                 unsafe { gemm_avx512(&mut out, n, 0..wide, b, &a_tile) };
-                for (row, want) in out.chunks_exact_mut(n).zip(baseline.chunks_exact(n)) {
-                    row[wide..].copy_from_slice(&want[wide..]);
+                outs.push(("avx512", rest_from_baseline(out, 0..wide)));
+                if n >= NR {
+                    outs.push((NARROW_BUILD, rest_from_baseline(narrow(m, n, b, a), n - NR..n)));
                 }
-                outs.push(("avx512", out));
             }
         }
-        outs.push(("dispatched", gemm(m, n, b, &a_tile)));
+        outs.push(("dispatched", gemm(m, n, b, &a_tile, a)));
         outs.into_iter()
             .map(|(build, out)| (build, out.iter().map(|x| x.to_bits()).collect()))
             .collect()
     }
 
-    /// Holds every build to the baseline build on every form that calls
-    /// `gemm`: `a: [m, k]` times `b: [k, n]` read directly and through a
-    /// transpose, and the gathered `g: [m, k]` times `b` and, transposed,
-    /// times `bt: [m, n]`.
-    fn assert_builds_agree(a: &Tensor, b: &Tensor, g: &Gather, bt: &Tensor) {
-        let (m, k, n) = (a.rows(), a.cols(), b.cols());
-        let at = a.transpose2();
-        let forms = [
-            ("matmul", builds(m, n, b.data(), |rows| row_major_tile(a.data(), k, rows))),
-            ("matmul_tn", builds(m, n, b.data(), |rows| col_major_tile(at.data(), m, rows))),
-            ("Gather::matmul", builds(m, n, b.data(), |qs| g.rows_tile(qs))),
-            ("Gather::matmul_tn", builds(k, n, bt.data(), |ts| g.cols_tile(ts))),
-        ];
-        for (form, outs) in forms {
-            let (_, baseline) = &outs[0];
-            for (build, out) in &outs[1..] {
-                assert!(out == baseline, "{form} {m}x{k}x{n}: the {build} build differs");
-            }
+    /// The narrow build's last 8 columns of `A · b` (`n ≥ 8`); the others
+    /// stay a NaN no build makes. Only on a CPU with AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    fn narrow<L: Fn(usize) -> usize, K: Fn(usize) -> usize>(
+        m: usize,
+        n: usize,
+        b: &[f32],
+        a: &Offsets<'_, L, K>,
+    ) -> Vec<f32> {
+        assert!(is_x86_feature_detected!("avx512f"));
+        let mut out = vec![f32::from_bits(0x7fa0_0001); m * n];
+        // SAFETY: the running CPU reports AVX-512F.
+        unsafe { gemm_narrow(&mut out, n, n - NR, b, a) };
+        out
+    }
+
+    /// Holds every build of one form of `gemm` to the baseline build: `a_tile`
+    /// and `a` are two views of `a_mat`.
+    fn assert_form_agrees<
+        I: Iterator<Item = [f32; MR]>,
+        L: Fn(usize) -> usize,
+        K: Fn(usize) -> usize,
+    >(
+        form: &str,
+        a_mat: &Tensor,
+        b: &Tensor,
+        a_tile: impl Fn([usize; MR]) -> I,
+        a: &Offsets<'_, L, K>,
+    ) {
+        let (m, k, n) = (a_mat.rows(), a_mat.cols(), b.cols());
+        let outs = builds(m, n, b.data(), a_tile, a);
+        let (_, baseline) = &outs[0];
+        for (build, out) in &outs[1..] {
+            assert!(out == baseline, "{form} {m}x{k}x{n}: the {build} build differs");
         }
     }
 
+    /// [`assert_form_agrees`] on every form that calls `gemm`: `a: [m, k]`
+    /// times `b: [k, n]` read directly and through a transpose, and the
+    /// gathered `g: [m, k]` times `b` and, transposed, times `bt: [m, n]`.
+    fn assert_builds_agree(a: &Tensor, b: &Tensor, g: &Gather, bt: &Tensor) {
+        let (m, k) = (a.rows(), a.cols());
+        let at = a.transpose2();
+        let ga = materialize(g);
+        let row_major = &Offsets { src: a.data(), long: |i| i * k, inner: |p| p };
+        assert_form_agrees("matmul", a, b, |rows| row_major_tile(a.data(), k, rows), row_major);
+        let col_major = &Offsets { src: at.data(), long: |i| i, inner: |p| p * m };
+        assert_form_agrees("matmul_tn", a, b, |rows| col_major_tile(at.data(), m, rows), col_major);
+        let gathered = &Offsets { src: g.src, long: |i| g.rows[i], inner: |p| g.cols[p] };
+        assert_form_agrees("Gather::matmul", &ga, b, |qs| g.rows_tile(qs), gathered);
+        let gathered_t = &Offsets { src: g.src, long: |t| g.cols[t], inner: |q| g.rows[q] };
+        assert_form_agrees(
+            "Gather::matmul_tn",
+            &ga.transpose2(),
+            bt,
+            |ts| g.cols_tile(ts),
+            gathered_t,
+        );
+    }
+
+    /// What the narrow AVX-512 build is called in the test log.
+    const NARROW_BUILD: &str = "avx512-narrow";
+
+    /// conv1's gathered operand at batch `batch` (3 channels, 8 x 8 images
+    /// padded by 2, 5 x 5 taps, stride 1): the offsets `Conv2d` builds, over
+    /// a salted NHWC source.
+    fn conv1_gather(
+        batch: usize,
+        rng: &mut rand::rngs::StdRng,
+    ) -> (Tensor, Vec<usize>, Vec<usize>) {
+        let (c, k, hw, wp) = (3, 5, 8, 12);
+        let src = salted(&[batch * wp * wp * c], batch, rng);
+        let rows = (0..batch * hw * hw)
+            .map(|q| ((q / (hw * hw) * wp + q / hw % hw) * wp + q % hw) * c)
+            .collect();
+        let taps = (0..c * k * k).map(|t| (t / k % k * wp + t % k) * c + t / (k * k)).collect();
+        (src, rows, taps)
+    }
+
     /// Every shape the proptests above draw from (each tile remainder, every
-    /// split of `n` into 16-column panels and what is left, `k` of 0 and 1)
-    /// and the conv and dense GEMM shapes, with `±0.0`, NaN and `±∞` salted
+    /// split of `n` into 16-column panels and what is left, `k` of 0 and 1),
+    /// long sides on both sides of 16 for the narrow build, conv1's gathers
+    /// at the batch sizes the dense and fleet runs train with, and the conv
+    /// and dense GEMM shapes, with `±0.0`, two NaN payloads and `±∞` salted
     /// into both operands. Prints the builds it compared, so a CPU without
     /// AVX2 or AVX-512F says so instead of passing silently.
     #[test]
     fn gemm_builds_are_bit_identical() {
         use rand::Rng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(30);
-        for m in 0..14 {
-            for k in 0..11 {
-                for n in (0..40).chain([200]) {
-                    let a = salted(&[m, k], m * k / 8, &mut rng);
-                    let b = salted(&[k, n], k * n / 8, &mut rng);
-                    let bt = salted(&[m, n], m * n / 8, &mut rng);
-                    let src = salted(&[80], 10, &mut rng);
-                    let rows: Vec<usize> = (0..m).map(|_| rng.random_range(0..40)).collect();
-                    let cols: Vec<usize> = (0..k).map(|_| rng.random_range(0..40)).collect();
-                    let g = Gather { src: src.data(), rows: &rows, cols: &cols };
-                    assert_builds_agree(&a, &b, &g, &bt);
-                }
+        let small = (0..14).flat_map(|m| (0..11).map(move |k| (m, k)));
+        let long = [(16, 3), (17, 16), (3, 17), (31, 33), (33, 1), (1, 47), (48, 0), (0, 48)];
+        for (m, k) in small.chain(long) {
+            for n in (0..40).chain([200]) {
+                let a = salted(&[m, k], m * k / 8, &mut rng);
+                let b = salted(&[k, n], k * n / 8, &mut rng);
+                let bt = salted(&[m, n], m * n / 8, &mut rng);
+                let src = salted(&[80], 10, &mut rng);
+                let rows: Vec<usize> = (0..m).map(|_| rng.random_range(0..40)).collect();
+                let cols: Vec<usize> = (0..k).map(|_| rng.random_range(0..40)).collect();
+                let g = Gather { src: src.data(), rows: &rows, cols: &cols };
+                assert_builds_agree(&a, &b, &g, &bt);
             }
+        }
+        for batch in [1, 3, 8, 10, 32] {
+            let (src, rows, taps) = conv1_gather(batch, &mut rng);
+            let g = Gather { src: src.data(), rows: &rows, cols: &taps };
+            let (m, k, n) = (rows.len(), taps.len(), 8);
+            let a = salted(&[m, k], 6, &mut rng);
+            let b = salted(&[k, n], 6, &mut rng);
+            let bt = salted(&[m, n], 6, &mut rng);
+            assert_builds_agree(&a, &b, &g, &bt);
         }
         let shapes = [
             (2048, 75, 8),
@@ -658,6 +870,7 @@ mod tests {
         for (feature, build) in [
             (is_x86_feature_detected!("avx2"), "avx2"),
             (is_x86_feature_detected!("avx512f"), "avx512"),
+            (is_x86_feature_detected!("avx512f"), NARROW_BUILD),
         ] {
             if feature {
                 compared.push(build);
@@ -666,6 +879,45 @@ mod tests {
             }
         }
         println!("gemm builds compared: {}", compared.join(" vs "));
+    }
+
+    /// Where a NaN of `A` meets a NaN of `b` in a product, the narrow build
+    /// keeps `A`'s payload: the operand `tile`'s `a * b` names first. With
+    /// `k = 1` no sum meets two NaNs, so only the product's operand order
+    /// shows. The panel builds are not held to this: in some tile rows their
+    /// register allocation names `b` first.
+    #[test]
+    fn narrow_products_keep_the_gathered_nan_payload() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            let (from_a, from_b) = (0x7fc0_0a0a, 0x7fc0_0b0b);
+            let src = vec![f32::from_bits(from_a); 40];
+            for (m, n) in [(1, 8), (15, 8), (16, 24), (17, 8), (33, 200)] {
+                let b = vec![f32::from_bits(from_b); n];
+                let rows: Vec<usize> = (0..m).collect();
+                let gathered = Offsets { src: &src, long: |i| rows[i], inner: |_| 3 };
+                let row_major = Offsets { src: &src, long: |i| i, inner: |p| p };
+                for out in [narrow(m, n, &b, &gathered), narrow(m, n, &b, &row_major)] {
+                    for row in out.chunks_exact(n) {
+                        assert!(row[n - NR..].iter().all(|x| x.to_bits() == from_a), "{m}x1x{n}");
+                    }
+                }
+            }
+            return;
+        }
+        println!("this CPU has no avx512f: the narrow build was not run");
+    }
+
+    /// A gathered operand whose offsets reach past its source panics on
+    /// every build, the narrow one (which reads through `vgatherdps`)
+    /// included, before it reads anything.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn gathered_offsets_past_the_source_panic() {
+        let src = [1.0f32; 20];
+        let (rows, cols) = ([0, 4, 8, 12, 16], [0, 1, 2, 3, 4]);
+        let g = Gather { src: &src, rows: &rows, cols: &cols };
+        let _ = g.matmul(&Tensor::zeros(&[5, 8]));
     }
 
     /// The one intended semantic change of dropping the zero skip: a zero in
