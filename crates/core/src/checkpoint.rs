@@ -124,6 +124,35 @@ pub(crate) fn restore(bytes: &[u8], expect: &RunStamp, state: &mut impl Wire) ->
     })
 }
 
+/// The rest of a payload, left unread: what [`RunConfig::check_resume`]
+/// hands [`restore`] in place of a run's state.
+struct Unread;
+
+impl Wire for Unread {
+    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
+        if let Codec::Read { b, pos } = c {
+            *pos = b.len();
+        }
+        Ok(())
+    }
+}
+
+impl RunConfig {
+    /// Checks the checkpoint [`RunConfig::resume`] names, if any, as a
+    /// resume would — it must read and pass [`restore`]'s frame and stamp
+    /// rules for this run over `clients` clients of a `num_params`-parameter
+    /// model — before anything is built. The error reads `cannot resume
+    /// from <path>: <reason>`.
+    pub fn check_resume(&self, clients: usize, num_params: usize) -> Result<(), String> {
+        let Some(path) = self.resume.as_deref() else { return Ok(()) };
+        let mode = if self.fleet.is_some() { "fleet" } else { "dense" };
+        let stamp = RunStamp::of(self, clients, num_params, mode);
+        std::fs::read(path)
+            .and_then(|bytes| restore(&bytes, &stamp, &mut Unread))
+            .map_err(|e| format!("cannot resume from {path}: {e}"))
+    }
+}
+
 /// Writes an encoded checkpoint into `dir` as `ckpt_round_<epoch>.fmrs`
 /// plus the rolling `latest.fmrs`, each atomically (sibling temp file, then
 /// rename): a crash mid-write never leaves a torn checkpoint where a good

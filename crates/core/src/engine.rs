@@ -239,12 +239,18 @@ pub(crate) trait RoundLoop {
     fn finish(&mut self, exit: &Exit) -> Totals;
 }
 
-/// Runs `lp` from its first (or resumed) round to the end of the run.
+/// Builds a round loop with `build` and runs it from its first (or resumed)
+/// round to the end of the run, setup included, under the run's instrument
+/// switches (`cfg.diag`); the calling thread gets its own back afterwards.
 ///
 /// # Panics
 /// Panics when `cfg.resume` names a checkpoint that cannot be read or does
 /// not belong to this run.
-pub(crate) fn run(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
+pub(crate) fn run<L: RoundLoop>(cfg: &RunConfig, build: impl FnOnce() -> L) -> RunMetrics {
+    fedmigr_telemetry::ledger::with_switches(cfg.diag.switches(), || rounds(cfg, build()))
+}
+
+fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     let stamp = lp.stamp().clone();
     // What the next snapshot is encoded into: a recycled buffer, never a
     // fresh one per round.

@@ -143,18 +143,20 @@ impl FleetExperiment {
         let Some(opts) = cfg.fleet else {
             panic!("a FleetExperiment runs fleet mode: set RunConfig::fleet")
         };
-        let run = FleetRun::new(self, cfg, opts);
-        fedmigr_telemetry::debug!(
-            "core::fleet",
-            "fleet run start: scheme={} K={} cohort={} lans={} epochs={} seed={}",
-            cfg.scheme.name(),
-            run.ctx.k,
-            run.ctx.cohort_n,
-            run.ctx.num_lans,
-            cfg.epochs,
-            cfg.seed
-        );
-        engine::run(cfg, run)
+        engine::run(cfg, || {
+            let run = FleetRun::new(self, cfg, opts);
+            fedmigr_telemetry::debug!(
+                "core::fleet",
+                "fleet run start: scheme={} K={} cohort={} lans={} epochs={} seed={}",
+                cfg.scheme.name(),
+                run.ctx.k,
+                run.ctx.cohort_n,
+                run.ctx.num_lans,
+                cfg.epochs,
+                cfg.seed
+            );
+            run
+        })
     }
 }
 

@@ -1,12 +1,13 @@
 //! Per-phase kernel attribution and the run-summary kernel table.
 //!
 //! The tensor/nn kernels account FLOPs, bytes and outermost wall time into
-//! the process-wide table in [`fedmigr_tensor::kcount`]. Runners hold a
+//! the calling thread's ledger ([`fedmigr_tensor::kcount`]). Runners hold a
 //! [`KernelPhases`] recorder and call [`KernelPhases::credit`] at each phase
-//! boundary; the delta since the previous boundary lands in the
-//! `fedmigr_kernel_*` counter families labelled `{kernel, phase}`. Because
-//! the runner's phases are sequential and worker threads join inside the
-//! training phase, the deltas partition the kernel totals exactly.
+//! boundary; the delta of the run thread's ledger since the previous
+//! boundary lands in the `fedmigr_kernel_*` counter families labelled
+//! `{kernel, phase}`. Because the runner's phases are sequential and
+//! `fan_out` merges each worker's ledger at its join, inside the phase that
+//! started it, the deltas partition the kernel totals exactly.
 //!
 //! [`kernel_table`] renders those counters (plus the `fedmigr_phase_seconds`
 //! wall-clock histograms) into the per-phase GFLOP/s / arithmetic-intensity
@@ -14,13 +15,14 @@
 //! accounting disabled no counter series is ever registered and the table
 //! renders as `None`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use fedmigr_telemetry::names;
+use fedmigr_telemetry::{names, PHASE_SECONDS};
 use fedmigr_tensor::kcount::{self, Kernel, KernelSnapshot};
 
-/// Tracks the last kernel snapshot and attributes growth to named phases.
+/// Tracks the run thread's last kernel snapshot and attributes growth to
+/// named phases.
 pub struct KernelPhases {
     last: KernelSnapshot,
     last_wall: Instant,
@@ -86,7 +88,7 @@ struct Row {
 }
 
 /// Renders the per-phase kernel table from the metric registry, or `None`
-/// when kernel accounting recorded nothing (e.g. `--no-kcount`).
+/// when kernel accounting recorded nothing (a run with `kcount` off).
 ///
 /// Columns: declared GFLOP, achieved GFLOP/s (declared FLOPs over outermost
 /// kernel wall time), GB moved, arithmetic intensity (FLOP per byte), and
@@ -120,7 +122,7 @@ pub fn kernel_table() -> Option<String> {
 
     // Wall seconds per phase from the span histograms, any target.
     let mut phase_wall: BTreeMap<String, f64> = BTreeMap::new();
-    for (labels, snap) in reg.histogram_family(fedmigr_telemetry::PHASE_SECONDS) {
+    for (labels, snap) in reg.histogram_family(PHASE_SECONDS) {
         let phase = label_of(&labels, "phase");
         *phase_wall.entry(phase).or_insert(0.0) += snap.sum;
     }
@@ -143,10 +145,8 @@ pub fn kernel_table() -> Option<String> {
         "phase", "kernel", "calls", "GFLOP", "GFLOP/s", "GB", "FLOP/B", "%wall", "%busy"
     ));
 
-    let mut phases: Vec<&String> = rows.keys().map(|(p, _)| p).collect();
-    phases.dedup();
-    let phases: Vec<String> = phases.into_iter().cloned().collect();
-    for phase in &phases {
+    let phases: BTreeSet<&String> = rows.keys().map(|(p, _)| p).collect();
+    for phase in phases {
         let wall = phase_wall.get(phase).copied().unwrap_or(0.0);
         let busy = phase_busy.get(phase).copied().unwrap_or(0.0);
         let mut total = Row::default();
@@ -192,28 +192,25 @@ fn row_line(phase: &str, kernel: &str, r: Row, phase_wall: f64, phase_busy: f64)
     )
 }
 
+/// Seconds a nanosecond counter `family` holds for `phase`.
+fn phase_secs(family: &str, phase: &str) -> f64 {
+    let reg = fedmigr_telemetry::global().registry();
+    let counters = reg.counter_family(family).into_iter();
+    counters
+        .filter(|(labels, _)| label_of(labels, "phase") == phase)
+        .map(|(_, v)| v as f64 / 1e9)
+        .sum()
+}
+
 /// Coverage of `phase`'s wall clock by accounted kernel time, in `[0, 1]`,
 /// or `None` when either side recorded nothing. Drives the CI attribution
 /// check without reparsing the rendered table.
 pub fn phase_coverage(phase: &str) -> Option<f64> {
-    let reg = fedmigr_telemetry::global().registry();
-    let mut kernel_secs = 0.0;
-    for (labels, v) in reg.counter_family(names::KERNEL_NANOS_TOTAL) {
-        if label_of(&labels, "phase") == phase {
-            kernel_secs += v as f64 / 1e9;
-        }
-    }
-    let mut wall = 0.0;
-    for (labels, snap) in reg.histogram_family(fedmigr_telemetry::PHASE_SECONDS) {
-        if label_of(&labels, "phase") == phase {
-            wall += snap.sum;
-        }
-    }
-    if wall > 0.0 && kernel_secs > 0.0 {
-        Some((kernel_secs / wall).min(1.0))
-    } else {
-        None
-    }
+    let kernel = phase_secs(names::KERNEL_NANOS_TOTAL, phase);
+    let spans = fedmigr_telemetry::global().registry().histogram_family(PHASE_SECONDS);
+    let of_phase = spans.into_iter().filter(|(labels, _)| label_of(labels, "phase") == phase);
+    let wall: f64 = of_phase.map(|(_, snap)| snap.sum).sum();
+    (wall > 0.0 && kernel > 0.0).then(|| (kernel / wall).min(1.0))
 }
 
 /// Accounted kernel time over the *busy time* of the threads that ran
@@ -224,44 +221,26 @@ pub fn phase_coverage(phase: &str) -> Option<f64> {
 /// persistently above ~1.1 would mean kernel scopes over-report (e.g. nested
 /// scopes double-counted); below ~0.9, unaccounted compute.
 pub fn phase_busy_coverage(phase: &str) -> Option<f64> {
-    let reg = fedmigr_telemetry::global().registry();
-    let mut kernel_secs = 0.0;
-    for (labels, v) in reg.counter_family(names::KERNEL_NANOS_TOTAL) {
-        if label_of(&labels, "phase") == phase {
-            kernel_secs += v as f64 / 1e9;
-        }
-    }
-    let mut busy = 0.0;
-    for (labels, v) in reg.counter_family(names::PHASE_BUSY_NANOS_TOTAL) {
-        if label_of(&labels, "phase") == phase {
-            busy += v as f64 / 1e9;
-        }
-    }
-    if busy > 0.0 && kernel_secs > 0.0 {
-        Some(kernel_secs / busy)
-    } else {
-        None
-    }
+    let kernel = phase_secs(names::KERNEL_NANOS_TOTAL, phase);
+    let busy = phase_secs(names::PHASE_BUSY_NANOS_TOTAL, phase);
+    (busy > 0.0 && kernel > 0.0).then(|| kernel / busy)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedmigr_telemetry::ledger::{with_switches, Switches};
 
     #[test]
     fn table_renders_rows_and_coverage_reads_back() {
-        // Uses the process-global registry and kernel table, so this is the
-        // single test that touches them (mirrors the kcount test policy).
-        kcount::reset();
-        kcount::set_enabled(true);
-        {
+        // The kernel totals are this test thread's own; the registry is the
+        // process's, and this is the one test of the crate that credits it.
+        let mut phases = KernelPhases::new();
+        with_switches(Switches { kcount: true, ..Switches::default() }, || {
             let _s = kcount::scope(Kernel::Matmul, 2_000_000, 1_000_000);
             std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let mut phases =
-            KernelPhases { last: KernelSnapshot::default(), last_wall: Instant::now() };
+        });
         phases.credit("unit_test_phase");
-        kcount::set_enabled(false);
 
         let table = kernel_table().expect("kernel rows were credited");
         let build = fedmigr_tensor::gemm_build();
@@ -278,13 +257,9 @@ mod tests {
         // Phase wall histogram present -> coverage is computable and sane.
         fedmigr_telemetry::global()
             .registry()
-            .histogram(
-                fedmigr_telemetry::PHASE_SECONDS,
-                &[("target", "unit"), ("phase", "unit_test_phase")],
-            )
+            .histogram(PHASE_SECONDS, &[("target", "unit"), ("phase", "unit_test_phase")])
             .observe(10.0);
         let cov = phase_coverage("unit_test_phase").expect("both sides recorded");
         assert!(cov > 0.0 && cov <= 1.0, "coverage {cov} out of range");
-        kcount::reset();
     }
 }

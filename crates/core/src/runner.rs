@@ -336,7 +336,7 @@ impl Experiment {
             cfg.agg_interval,
             cfg.seed
         );
-        engine::run(cfg, DenseRun::new(self, cfg))
+        engine::run(cfg, || DenseRun::new(self, cfg))
     }
 }
 

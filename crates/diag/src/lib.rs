@@ -36,6 +36,8 @@ pub mod perf;
 pub mod report;
 pub mod timeline;
 
+use fedmigr_telemetry::ledger::{Profile, Switches};
+
 pub use drift::DriftSnapshot;
 pub use drl_probe::DrlSnapshot;
 pub use emd::EmdSnapshot;
@@ -51,12 +53,15 @@ pub use timeline::{
     TIMELINE_VERSION,
 };
 
-/// Switches for the runner's learning-dynamics diagnostics.
+/// Switches for the runner's observation: learning-dynamics diagnostics,
+/// the round timeline, and the instruments of the run's ledger.
 ///
 /// Diagnostics are *active* when either flag is set: `enabled` exports the
 /// per-round gauges and EMD-delta logs through the telemetry engine;
 /// `flight_out` additionally streams the versioned JSONL flight recording
-/// to the given path. Both are observation-only (see the crate docs).
+/// to the given path. `kcount` and `profile` are the run's instrument
+/// switches, which the run applies to its own thread (and its workers) for
+/// its length. All are observation-only (see the crate docs).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DiagConfig {
     /// Export per-round diagnostic gauges and logs.
@@ -67,12 +72,22 @@ pub struct DiagConfig {
     /// learning-dynamics diagnostics: it does not imply [`Self::active`],
     /// so the per-round snapshot work stays off unless asked for.
     pub timeline_out: Option<String>,
+    /// Account kernel FLOPs, bytes and time per phase (the CLI always does;
+    /// library runs default to off).
+    pub kcount: bool,
+    /// What the in-process profiler records.
+    pub profile: Profile,
 }
 
 impl DiagConfig {
     /// Whether any learning-dynamics diagnostic work should happen at all.
     pub fn active(&self) -> bool {
         self.enabled || self.flight_out.is_some()
+    }
+
+    /// The run's instrument switches.
+    pub fn switches(&self) -> Switches {
+        Switches { kcount: self.kcount, profile: self.profile }
     }
 }
 

@@ -19,6 +19,11 @@
 //!   histogram and (when a trace writer is attached) appends a JSONL event
 //!   to the trace stream ([`set_trace_file`]).
 //!
+//! The engine is the process's one export sink. What a run *counts* —
+//! kernel work, profiler frames, span depth — lives instead in the
+//! [`ledger`] of the thread that runs it, merged from its workers by
+//! [`fan_out`], under switches the run sets for its own length.
+//!
 //! # Determinism contract
 //!
 //! Telemetry is *observation only*: it never consumes an experiment's RNG
@@ -34,6 +39,7 @@
 
 pub mod cli;
 mod clock;
+pub mod ledger;
 mod level;
 pub mod metrics;
 pub mod profiler;
@@ -45,7 +51,7 @@ pub mod wire;
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 
 pub use clock::{FakeClock, MonotonicClock, TelemetryClock};
@@ -107,7 +113,6 @@ pub struct Telemetry {
     registry: Registry,
     tracer: Mutex<Option<Box<dyn Write + Send>>>,
     trace_on: AtomicBool,
-    depth: AtomicUsize,
 }
 
 impl Default for Telemetry {
@@ -130,7 +135,6 @@ impl Telemetry {
             registry: Registry::new(),
             tracer: Mutex::new(None),
             trace_on: AtomicBool::new(false),
-            depth: AtomicUsize::new(0),
         }
     }
 
@@ -182,7 +186,9 @@ impl Telemetry {
         name: &'static str,
         labels: Vec<(String, String)>,
     ) -> Span<'_> {
-        let depth = self.depth.fetch_add(1, Ordering::Relaxed);
+        // The depth counts this thread's open spans, whatever engine opened
+        // them: a span's trace depth never depends on another thread's run.
+        let depth = ledger::open_span();
         // Spans double as profiler frames so the collapsed-stack report
         // nests under the same phase names as the trace (inert when
         // profiling is off).
@@ -265,7 +271,7 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         let engine = self.engine;
         let dur = (engine.now() - self.start).max(0.0);
-        engine.depth.fetch_sub(1, Ordering::Relaxed);
+        ledger::close_span();
         engine
             .registry
             .histogram(PHASE_SECONDS, &[("target", self.target), ("phase", self.name)])
@@ -331,9 +337,11 @@ pub fn render_metrics() -> String {
 /// `work(first, chunk)` on one scoped thread per chunk, `first` being the
 /// chunk's offset into `items`, and returns the results in item order. A
 /// single chunk (one core, or at most one item) runs on the calling thread
-/// and spawns nothing. Every worker is joined before this returns, so its
-/// thread-local telemetry has been flushed; a worker's panic resumes on the
-/// caller with its payload.
+/// and spawns nothing. Each worker runs under the caller's instrument
+/// switches, and when its closure returns, its [`ledger`] comes back with
+/// its results and is added into the caller's: the one merge. Every worker
+/// is joined before this returns; a worker's panic resumes on the caller
+/// with its payload.
 pub fn fan_out<T, R, F>(items: &mut [T], work: F) -> Vec<R>
 where
     T: Send,
@@ -346,15 +354,25 @@ where
         return work(0, items);
     }
     let work = &work;
+    let switches = ledger::switches();
     std::thread::scope(|s| {
         let workers: Vec<_> = items
             .chunks_mut(chunk)
             .enumerate()
-            .map(|(c, part)| s.spawn(move || work(c * chunk, part)))
+            .map(|(c, part)| {
+                s.spawn(move || {
+                    ledger::with_switches(switches, || (work(c * chunk, part), ledger::take()))
+                })
+            })
             .collect();
         workers
             .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .flat_map(|w| {
+                let (results, tally) =
+                    w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                ledger::merge(tally);
+                results
+            })
             .collect()
     })
 }
@@ -579,6 +597,78 @@ mod tests {
         }));
         let payload = caught.expect_err("the panic reaches the caller");
         assert_eq!(payload.downcast_ref::<usize>(), Some(&(n - 1)));
+    }
+
+    const ALL_ON: ledger::Switches =
+        ledger::Switches { kcount: true, profile: ledger::Profile::Frames };
+
+    fn frame_count(path: &str) -> u64 {
+        ledger::with(|l| l.tally.borrow().frames.get(path).map_or(0, |s| s.count)).unwrap_or(0)
+    }
+
+    /// Per item: one `Pool` scope declaring 1 FLOP and 2 bytes, one `name`
+    /// frame, and the switches the item ran under.
+    fn record_each(items: &mut [usize], name: &'static str) -> Vec<ledger::Switches> {
+        fan_out(items, |_, part| {
+            part.iter()
+                .map(|_| {
+                    let _f = profiler::frame(name);
+                    drop(ledger::scope(ledger::Kernel::Pool, 1, 2));
+                    ledger::switches()
+                })
+                .collect()
+        })
+    }
+
+    // Each test runs on its own thread, so the ledger it reads is its own.
+    #[test]
+    fn fan_out_brings_every_workers_ledger_home_at_join() {
+        let n = 2 * cores() + 1;
+        let mut items: Vec<usize> = (0..n).collect();
+        let seen = ledger::with_switches(ALL_ON, || record_each(&mut items, "fan_item"));
+        assert!(seen.iter().all(|&s| s == ALL_ON), "every worker ran under the caller's switches");
+        let pool = ledger::snapshot().get(ledger::Kernel::Pool);
+        let n = n as u64;
+        assert_eq!((pool.calls, pool.flops, pool.bytes), (n, n, 2 * n));
+        assert_eq!(frame_count("fan_item"), n, "a worker roots its own stack");
+    }
+
+    #[test]
+    fn fan_out_workers_stay_off_when_the_caller_is_off() {
+        let mut items: Vec<usize> = (0..2 * cores() + 1).collect();
+        let seen = record_each(&mut items, "fan_off");
+        assert!(seen.iter().all(|&s| s == ledger::Switches::default()));
+        assert!(ledger::snapshot().is_empty());
+        assert_eq!(frame_count("fan_off"), 0);
+    }
+
+    #[test]
+    fn fan_out_single_chunk_records_once_on_the_caller() {
+        let mut one = [0usize];
+        ledger::with_switches(ALL_ON, || {
+            let _outer = profiler::frame("caller");
+            (0..3).for_each(|_| drop(ledger::scope(ledger::Kernel::Pool, 1, 2)));
+            record_each(&mut one, "fan_single");
+        });
+        let pool = ledger::snapshot().get(ledger::Kernel::Pool);
+        assert_eq!((pool.calls, pool.bytes), (4, 8), "no copy of the caller's ledger merged back");
+        // On the calling thread the item's frame nests under the caller's.
+        assert_eq!(frame_count("caller;fan_single"), 1);
+        assert_eq!(frame_count("fan_single"), 0);
+    }
+
+    #[test]
+    fn a_thread_outside_fan_out_keeps_its_ledger_to_itself() {
+        std::thread::spawn(|| {
+            ledger::with_switches(ALL_ON, || {
+                let _f = profiler::frame("stray");
+                drop(ledger::scope(ledger::Kernel::Pool, 1, 2));
+            })
+        })
+        .join()
+        .expect("stray thread");
+        assert!(ledger::snapshot().is_empty());
+        assert_eq!(frame_count("stray"), 0);
     }
 
     #[test]

@@ -11,45 +11,46 @@
 //! under the same phase names as the JSONL trace; hot code can add finer
 //! frames with [`frame`] directly.
 //!
+//! Frames record into the thread's [`ledger`](crate::ledger), under its
+//! [`Profile`] switch, which a run sets for its own length. A worker of
+//! [`crate::fan_out`] profiles under its caller's switch, roots its own
+//! stack, and its frames join the caller's table when the worker is
+//! joined; the reports read the calling thread's table.
+//!
 //! Allocation accounting requires two opt-ins: the binary must register
-//! [`CountingAlloc`] as its `#[global_allocator]`, and
-//! [`set_alloc_enabled`] must be turned on (the CLI's `--profile-alloc`).
-//! Each frame then also records the allocations, allocated bytes, and peak
-//! net live bytes observed on its thread while it was open.
+//! [`CountingAlloc`] as its `#[global_allocator]`, and the switch must be
+//! [`Profile::FramesAndAllocs`] (the CLI's `--profile-alloc`). Each frame
+//! then also records the allocations, allocated bytes, and peak net live
+//! bytes observed on its thread while it was open.
 //!
 //! Determinism contract: like the rest of the telemetry crate, the
 //! profiler is observation-only — it never touches an experiment's RNG or
 //! simulated clock, so seeded runs are byte-identical with profiling on or
-//! off (`tests/telemetry_e2e.rs` asserts this). Disabled, the cost is one
-//! relaxed atomic load per span/frame and per allocation.
+//! off (`tests/telemetry_e2e.rs` asserts this). Off, the cost is one
+//! thread-local load per span/frame and per allocation.
 //!
 //! [collapsed-stack format]: https://github.com/brendangregg/FlameGraph
+//! [`Span`]: crate::Span
 //!
 //! # Example
 //!
 //! ```
+//! use fedmigr_telemetry::ledger::{self, Profile, Switches};
 //! use fedmigr_telemetry::profiler;
 //!
-//! profiler::reset();
-//! profiler::set_enabled(true);
-//! {
+//! ledger::with_switches(Switches { profile: Profile::Frames, ..Switches::default() }, || {
 //!     let _outer = profiler::frame("round");
 //!     let _inner = profiler::frame("local_train");
-//! }
-//! profiler::set_enabled(false);
+//! });
 //! let report = profiler::collapsed_report();
 //! assert!(report.lines().any(|l| l.starts_with("round;local_train ")));
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ALLOC_ENABLED: AtomicBool = AtomicBool::new(false);
+use crate::ledger::{self, Profile};
 
 /// Aggregated statistics for one stack path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,7 +69,7 @@ pub struct ScopeStat {
 }
 
 impl ScopeStat {
-    fn absorb(&mut self, other: &ScopeStat) {
+    pub(crate) fn absorb(&mut self, other: &ScopeStat) {
         self.count = self.count.saturating_add(other.count);
         self.self_nanos = self.self_nanos.saturating_add(other.self_nanos);
         self.allocs = self.allocs.saturating_add(other.allocs);
@@ -76,8 +77,6 @@ impl ScopeStat {
         self.peak_bytes = self.peak_bytes.max(other.peak_bytes);
     }
 }
-
-static GLOBAL: Mutex<Option<BTreeMap<String, ScopeStat>>> = Mutex::new(None);
 
 struct StackEntry {
     name: &'static str,
@@ -91,94 +90,54 @@ struct StackEntry {
     saved_peak: u64,
 }
 
-struct Local {
-    stack: RefCell<Vec<StackEntry>>,
-    table: RefCell<BTreeMap<String, ScopeStat>>,
+/// A thread's open frames and allocation counters: the profiler's part of
+/// the thread's ledger.
+pub(crate) struct Stack {
+    entries: RefCell<Vec<StackEntry>>,
     /// Reentrancy guard: the profiler's own bookkeeping allocates.
-    in_profiler: Cell<bool>,
-    /// Thread-local allocation counters fed by [`CountingAlloc`].
+    pub(crate) in_profiler: Cell<bool>,
+    /// Allocation counters fed by [`CountingAlloc`].
     alloc_count: Cell<u64>,
     alloc_bytes: Cell<u64>,
     live_bytes: Cell<u64>,
     live_peak: Cell<u64>,
 }
 
-impl Drop for Local {
-    fn drop(&mut self) {
-        flush_table(&self.table.borrow());
-    }
-}
-
-fn flush_table(table: &BTreeMap<String, ScopeStat>) {
-    if table.is_empty() {
-        return;
-    }
-    let mut global = GLOBAL.lock().expect("profiler table poisoned");
-    let global = global.get_or_insert_with(BTreeMap::new);
-    for (path, stat) in table {
-        global.entry(path.clone()).or_default().absorb(stat);
-    }
-}
-
-thread_local! {
-    static LOCAL: Local = const {
-        Local {
-            stack: RefCell::new(Vec::new()),
-            table: RefCell::new(BTreeMap::new()),
+impl Stack {
+    pub(crate) const fn new() -> Self {
+        Stack {
+            entries: RefCell::new(Vec::new()),
             in_profiler: Cell::new(false),
             alloc_count: Cell::new(0),
             alloc_bytes: Cell::new(0),
             live_bytes: Cell::new(0),
             live_peak: Cell::new(0),
         }
-    };
-}
-
-/// Turns frame timing on or off. Spans opened while enabled automatically
-/// become frames.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether frame timing is active.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns per-scope allocation accounting on or off. Only produces data in
-/// binaries that register [`CountingAlloc`] as their global allocator.
-pub fn set_alloc_enabled(on: bool) {
-    ALLOC_ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether allocation accounting is active.
-#[inline]
-pub fn alloc_enabled() -> bool {
-    ALLOC_ENABLED.load(Ordering::Relaxed)
+    }
 }
 
 /// Opens a profiled frame named `name` on this thread. Inert (and
-/// allocation-free) when profiling is disabled.
+/// allocation-free) when this thread's profiling is off.
 pub fn frame(name: &'static str) -> Frame {
-    if !enabled() {
+    if ledger::switches().profile == Profile::Off {
         return Frame { start: None };
     }
     let start = Instant::now();
-    let _ = LOCAL.try_with(|l| {
-        l.in_profiler.set(true);
+    ledger::with(|l| {
+        let s = &l.stack;
+        s.in_profiler.set(true);
         let entry = StackEntry {
             name,
             child_nanos: 0,
-            allocs_at_entry: l.alloc_count.get(),
-            bytes_at_entry: l.alloc_bytes.get(),
-            level_at_entry: l.live_bytes.get(),
-            saved_peak: l.live_peak.get(),
+            allocs_at_entry: s.alloc_count.get(),
+            bytes_at_entry: s.alloc_bytes.get(),
+            level_at_entry: s.live_bytes.get(),
+            saved_peak: s.live_peak.get(),
         };
         // Peak within this frame is measured from the current level.
-        l.live_peak.set(l.live_bytes.get());
-        l.stack.borrow_mut().push(entry);
-        l.in_profiler.set(false);
+        s.live_peak.set(s.live_bytes.get());
+        s.entries.borrow_mut().push(entry);
+        s.in_profiler.set(false);
     });
     Frame { start: Some(start) }
 }
@@ -192,12 +151,13 @@ pub struct Frame {
 impl Drop for Frame {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let _ = LOCAL.try_with(|l| {
-            l.in_profiler.set(true);
-            let mut stack = l.stack.borrow_mut();
+        let elapsed = ledger::elapsed_nanos(start);
+        ledger::with(|l| {
+            let s = &l.stack;
+            s.in_profiler.set(true);
+            let mut stack = s.entries.borrow_mut();
             let Some(entry) = stack.pop() else {
-                l.in_profiler.set(false);
+                s.in_profiler.set(false);
                 return;
             };
             let path = {
@@ -209,31 +169,33 @@ impl Drop for Frame {
                 p.push_str(entry.name);
                 p
             };
-            let frame_peak = l.live_peak.get();
+            let frame_peak = s.live_peak.get();
             let stat = ScopeStat {
                 count: 1,
                 self_nanos: elapsed.saturating_sub(entry.child_nanos),
-                allocs: l.alloc_count.get().saturating_sub(entry.allocs_at_entry),
-                alloc_bytes: l.alloc_bytes.get().saturating_sub(entry.bytes_at_entry),
+                allocs: s.alloc_count.get().saturating_sub(entry.allocs_at_entry),
+                alloc_bytes: s.alloc_bytes.get().saturating_sub(entry.bytes_at_entry),
                 peak_bytes: frame_peak.saturating_sub(entry.level_at_entry),
             };
             if let Some(parent) = stack.last_mut() {
                 parent.child_nanos = parent.child_nanos.saturating_add(elapsed);
             }
             // The enclosing frame's peak must cover anything seen in here.
-            l.live_peak.set(entry.saved_peak.max(frame_peak));
+            s.live_peak.set(entry.saved_peak.max(frame_peak));
             drop(stack);
-            l.table.borrow_mut().entry(path).or_default().absorb(&stat);
-            l.in_profiler.set(false);
+            l.tally.borrow_mut().frames.entry(path).or_default().absorb(&stat);
+            s.in_profiler.set(false);
         });
     }
 }
 
-fn merged_table() -> BTreeMap<String, ScopeStat> {
-    let mut out = GLOBAL.lock().expect("profiler table poisoned").clone().unwrap_or_default();
-    let _ = LOCAL.try_with(|l| {
-        for (path, stat) in l.table.borrow().iter() {
-            out.entry(path.clone()).or_default().absorb(stat);
+/// Renders one line per stack path of this thread's frame table (workers
+/// joined by [`crate::fan_out`] included), sorted by path.
+fn report(header: &str, line: impl Fn(&str, &ScopeStat) -> String) -> String {
+    let mut out = String::from(header);
+    ledger::with(|l| {
+        for (path, stat) in &l.tally.borrow().frames {
+            out.push_str(&line(path, stat));
         }
     });
     out
@@ -241,81 +203,59 @@ fn merged_table() -> BTreeMap<String, ScopeStat> {
 
 /// The collapsed-stack report: one `outer;inner;leaf <self-microseconds>`
 /// line per observed stack path, sorted by path — directly consumable by
-/// flamegraph tooling. Includes frames from exited threads and the calling
-/// thread; live sibling threads contribute after they exit.
+/// flamegraph tooling.
 pub fn collapsed_report() -> String {
-    let mut out = String::new();
-    for (path, stat) in merged_table() {
-        out.push_str(&path);
-        out.push(' ');
-        out.push_str(&(stat.self_nanos / 1_000).to_string());
-        out.push('\n');
-    }
-    out
+    report("", |path, stat| format!("{path} {}\n", stat.self_nanos / 1_000))
 }
 
 /// The allocation report: one line per stack path with call count,
 /// allocations, allocated bytes, and peak net live bytes. Only meaningful
-/// in binaries running under [`CountingAlloc`] with [`set_alloc_enabled`]
-/// on; otherwise all allocation columns are zero.
+/// in binaries running under [`CountingAlloc`] with
+/// [`Profile::FramesAndAllocs`]; otherwise all allocation columns are zero.
 pub fn alloc_report() -> String {
-    let table = merged_table();
-    let mut out = String::from("# scope calls allocs bytes peak_bytes\n");
-    for (path, stat) in table {
-        out.push_str(&format!(
-            "{path} {} {} {} {}\n",
-            stat.count, stat.allocs, stat.alloc_bytes, stat.peak_bytes
-        ));
-    }
-    out
-}
-
-/// Clears all recorded frames (global table and the calling thread's).
-/// Call only while no sibling thread is profiling.
-pub fn reset() {
-    *GLOBAL.lock().expect("profiler table poisoned") = None;
-    let _ = LOCAL.try_with(|l| {
-        l.table.borrow_mut().clear();
-    });
+    report("# scope calls allocs bytes peak_bytes\n", |path, stat| {
+        format!("{path} {} {} {} {}\n", stat.count, stat.allocs, stat.alloc_bytes, stat.peak_bytes)
+    })
 }
 
 #[inline]
 fn note_alloc(size: usize) {
-    if !alloc_enabled() {
+    if ledger::switches().profile != Profile::FramesAndAllocs {
         return;
     }
-    let _ = LOCAL.try_with(|l| {
-        if l.in_profiler.get() {
+    ledger::with(|l| {
+        let s = &l.stack;
+        if s.in_profiler.get() {
             return;
         }
-        l.alloc_count.set(l.alloc_count.get().saturating_add(1));
-        l.alloc_bytes.set(l.alloc_bytes.get().saturating_add(size as u64));
-        let live = l.live_bytes.get().saturating_add(size as u64);
-        l.live_bytes.set(live);
-        if live > l.live_peak.get() {
-            l.live_peak.set(live);
+        s.alloc_count.set(s.alloc_count.get().saturating_add(1));
+        s.alloc_bytes.set(s.alloc_bytes.get().saturating_add(size as u64));
+        let live = s.live_bytes.get().saturating_add(size as u64);
+        s.live_bytes.set(live);
+        if live > s.live_peak.get() {
+            s.live_peak.set(live);
         }
     });
 }
 
 #[inline]
 fn note_dealloc(size: usize) {
-    if !alloc_enabled() {
+    if ledger::switches().profile != Profile::FramesAndAllocs {
         return;
     }
-    let _ = LOCAL.try_with(|l| {
-        if l.in_profiler.get() {
-            return;
+    ledger::with(|l| {
+        let s = &l.stack;
+        if !s.in_profiler.get() {
+            s.live_bytes.set(s.live_bytes.get().saturating_sub(size as u64));
         }
-        l.live_bytes.set(l.live_bytes.get().saturating_sub(size as u64));
     });
 }
 
 /// A counting wrapper around the system allocator. Register it in a binary
 /// with `#[global_allocator]`; it forwards every call to [`System`] and,
-/// when [`set_alloc_enabled`] is on, feeds the thread-local allocation
-/// counters the profiler samples at frame boundaries. Disabled, the
-/// overhead is one relaxed atomic load per allocator call.
+/// under [`Profile::FramesAndAllocs`], feeds the thread's allocation
+/// counters the profiler samples at frame boundaries. Otherwise the
+/// overhead is one thread-local load per allocator call.
 pub struct CountingAlloc;
 
 // SAFETY: every method forwards to `System` with the caller's layout
@@ -355,84 +295,84 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::{with_switches, Switches};
 
-    // The profiler table and its on/off switch are process-global, and other
-    // tests in this binary open spans (which double as frames) while this
-    // one has the switch on. So every frame here has a name no other test
-    // uses, and every assertion reads only those paths — never the size of
-    // the table or of a report.
+    fn profiled<R>(profile: Profile, f: impl FnOnce() -> R) -> R {
+        with_switches(Switches { profile, ..Switches::default() }, f)
+    }
+
+    fn stat(path: &str) -> Option<ScopeStat> {
+        ledger::with(|l| l.tally.borrow().frames.get(path).copied()).flatten()
+    }
+
+    // Each test runs on its own thread, so the frame table it reads holds
+    // exactly the frames it (and the workers it joined) opened.
     #[test]
     fn frames_nest_self_time_and_merge_across_threads() {
-        // Disabled frames record nothing.
+        // Frames opened with profiling off record nothing.
         {
-            let _f = frame("prof_ignored");
+            let _f = frame("ignored");
         }
-        let stat = |path: &str| merged_table().into_iter().find(|(p, _)| p == path).map(|(_, s)| s);
-        assert!(stat("prof_ignored").is_none());
+        assert_eq!(collapsed_report(), "");
 
-        set_enabled(true);
-        {
-            let _outer = frame("prof_outer");
+        profiled(Profile::Frames, || {
+            let _outer = frame("outer");
             std::thread::sleep(std::time::Duration::from_millis(2));
-            {
-                let _inner = frame("prof_inner");
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-        }
-        // Joined, not merely scoped: a scope waits for the closure, the
-        // join also waits for the thread-local destructor that merges.
-        std::thread::spawn(|| {
-            let _f = frame("prof_worker");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        })
-        .join()
-        .expect("worker thread");
-
-        let outer = stat("prof_outer").expect("outer frame recorded");
-        let inner = stat("prof_outer;prof_inner").expect("nested path recorded");
-        let worker = stat("prof_worker").expect("worker thread flushed on exit");
-        assert_eq!(outer.count, 1);
-        assert_eq!(inner.count, 1);
+            let _inner = frame("inner");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        });
+        let outer = stat("outer").expect("outer frame recorded");
+        let inner = stat("outer;inner").expect("nested path recorded");
+        assert_eq!((outer.count, inner.count), (1, 1));
         assert!(inner.self_nanos >= 1_000_000, "inner slept ~2ms");
-        assert!(worker.self_nanos >= 500_000, "worker slept ~1ms");
         // Self time: the outer frame's own time excludes the inner frame's,
         // which alone is the 2 ms the outer frame also slept.
         assert!(outer.self_nanos >= 1_000_000, "outer slept ~2ms itself");
 
         // Collapsed report: one "path micros" line per path, sorted.
         let report = collapsed_report();
-        let ours: Vec<&str> = report.lines().filter(|l| l.starts_with("prof_")).collect();
-        assert_eq!(ours.len(), 3, "{report}");
-        assert!(ours[0].starts_with("prof_outer "));
-        assert!(ours[1].starts_with("prof_outer;prof_inner "));
-        assert!(ours[2].starts_with("prof_worker "));
-        for l in &ours {
-            let count = l.rsplit(' ').next().unwrap();
-            count.parse::<u64>().expect("count column is an integer");
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(lines.len(), 2, "{report}");
+        assert!(lines[0].starts_with("outer "));
+        assert!(lines[1].starts_with("outer;inner "));
+        for l in &lines {
+            l.rsplit(' ').next().unwrap().parse::<u64>().expect("count column is an integer");
         }
-
         // Alloc report renders a row per path (zero columns without the
         // counting allocator installed in the test binary).
         let alloc = alloc_report();
-        assert!(alloc.starts_with("# scope"));
-        assert_eq!(alloc.lines().filter(|l| l.starts_with("prof_")).count(), 3, "{alloc}");
+        assert!(alloc.starts_with("# scope calls allocs bytes peak_bytes\n"));
+        assert!(alloc.contains("\nouter 1 0 0 0\nouter;inner 1 0 0 0\n"), "{alloc}");
 
+        // Workers profile under this thread's switch, and their frames join
+        // its table at fan_out's join. A worker roots its own stack; on one
+        // core the lone chunk runs here, with no frame open, so "worker" is
+        // a root path either way.
+        let mut items = [0u8; 5];
+        profiled(Profile::Frames, || {
+            crate::fan_out(&mut items, |_, part| {
+                part.iter().map(|_| drop(frame("worker"))).collect()
+            })
+        });
+        assert_eq!(stat("worker").map(|s| s.count), Some(5));
+    }
+
+    #[test]
+    fn allocations_are_charged_only_under_frames_and_allocs() {
         // Drive note_alloc/note_dealloc directly (the test binary does not
         // install CountingAlloc), checking the per-frame delta plumbing.
-        set_alloc_enabled(true);
-        let f = frame("prof_alloc_scope");
-        note_alloc(1000);
-        note_alloc(500);
-        note_dealloc(500);
-        drop(f);
-        set_alloc_enabled(false);
-        set_enabled(false);
-        let s = stat("prof_alloc_scope").expect("frame recorded");
-        assert_eq!(s.allocs, 2);
-        assert_eq!(s.alloc_bytes, 1500);
-        assert_eq!(s.peak_bytes, 1500);
-
-        reset();
-        assert!(stat("prof_outer").is_none(), "reset clears the table");
+        profiled(Profile::Frames, || {
+            let _f = frame("frames_only");
+            note_alloc(1000);
+        });
+        assert_eq!(stat("frames_only").map(|s| s.allocs), Some(0));
+        profiled(Profile::FramesAndAllocs, || {
+            let _f = frame("alloc_scope");
+            note_alloc(1000);
+            note_alloc(500);
+            note_dealloc(500);
+        });
+        let s = stat("alloc_scope").expect("frame recorded");
+        assert_eq!((s.allocs, s.alloc_bytes, s.peak_bytes), (2, 1500, 1500));
     }
 }

@@ -21,10 +21,12 @@ use fedmigr_net::{
     AttackConfig, ClientCompute, FaultConfig, Topology, TopologyConfig, TransportConfig,
 };
 use fedmigr_nn::zoo::{self, NetScale};
+use fedmigr_nn::Model;
 use fedmigr_telemetry::cli::{
     observability_flags, on, put, put_some, usage_error, Command, Flag, Observability,
 };
-use fedmigr_telemetry::info;
+use fedmigr_telemetry::ledger::Profile;
+use fedmigr_telemetry::{info, profiler};
 
 /// The raw values of `fedmigr run`'s flags, as the table recorded them.
 #[derive(Debug, Default)]
@@ -67,7 +69,6 @@ pub struct RunArgs {
     timeline_out: Option<String>,
     profile_out: Option<String>,
     profile_alloc: bool,
-    no_kcount: bool,
     obs: Observability,
 }
 
@@ -184,7 +185,7 @@ pub fn command() -> Command<RunArgs> {
                    observation-only — results are byte-identical (validate and analyze with \
                    fedmigr netview)" },
     ];
-    let profiling: [Flag<RunArgs>; 3] = [
+    let profiling: [Flag<RunArgs>; 2] = [
         Flag { name: "--profile-out", value: "<path>", default: "", set: |a, v| put_some(&mut a.profile_out, v),
             help: "enable the in-process profiler and write a collapsed-stack report \
                    (flamegraph.pl / inferno input) at exit; observation-only — results are \
@@ -192,9 +193,6 @@ pub fn command() -> Command<RunArgs> {
         Flag { name: "--profile-alloc", value: "", default: "", set: |a, _| on(&mut a.profile_alloc),
             help: "also count allocations per profiled scope (needs --profile-out; writes \
                    <path>.alloc)" },
-        Flag { name: "--no-kcount", value: "", default: "", set: |a, _| on(&mut a.no_kcount),
-            help: "disable kernel FLOP/byte accounting and the per-phase kernel table in the \
-                   summary" },
     ];
     flags.extend(observability_flags());
     flags.extend(profiling);
@@ -254,10 +252,19 @@ fn compose(a: &RunArgs) -> Result<(RunConfig, Partition), String> {
     cfg.watchdog.spike_factor = a.spike_factor;
     cfg.watchdog.max_rollbacks = a.max_rollbacks;
     cfg.seed = a.seed;
+    // Kernel accounting feeds the summary's per-phase GFLOP/s table.
+    // Observation-only (results are byte-identical either way), so the CLI
+    // always has it on.
     cfg.diag = DiagConfig {
         enabled: a.diag,
         flight_out: a.flight_out.clone(),
         timeline_out: a.timeline_out.clone(),
+        kcount: true,
+        profile: match (&a.profile_out, a.profile_alloc) {
+            (None, _) => Profile::Off,
+            (Some(_), false) => Profile::Frames,
+            (Some(_), true) => Profile::FramesAndAllocs,
+        },
     };
     if a.fleet {
         if a.partition != "shards" {
@@ -313,17 +320,19 @@ fn run(a: RunArgs) -> ExitCode {
         Ok(composed) => composed,
         Err(e) => return usage_error("run", &e),
     };
+    // A checkpoint that cannot be resumed is refused before any world is
+    // built; only the model is, for its parameter count.
+    let model = zoo::c10_cnn(3, 8, NetScale::Small, a.seed);
+    let clients = if a.fleet { a.fleet_clients } else { a.lans.iter().sum() };
+    if let Err(e) = cfg.check_resume(clients, model.num_params()) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     if let Err(e) = a.obs.init() {
         return usage_error("run", &e);
     }
-    // Kernel accounting feeds the per-phase GFLOP/s table. Observation-only
-    // (results are byte-identical either way), so it defaults to on.
-    fedmigr_tensor::kcount::set_enabled(!a.no_kcount);
-    if a.profile_out.is_some() {
-        fedmigr_telemetry::profiler::set_enabled(true);
-        fedmigr_telemetry::profiler::set_alloc_enabled(a.profile_alloc);
-    }
-    let metrics = if a.fleet { run_fleet(&a, &cfg) } else { run_dense(&a, &cfg, partition) };
+    let metrics =
+        if a.fleet { run_fleet(&a, &cfg, model) } else { run_dense(&a, &cfg, partition, model) };
     print_summary(&metrics, a.fleet);
 
     // Every artifact is attempted; any failed write ends the run with 2.
@@ -337,10 +346,12 @@ fn run(a: RunArgs) -> ExitCode {
     if let Some(path) = &a.csv {
         write("--csv ", path, Ok(metrics.to_csv()));
     }
+    // The run profiled on this thread, so its frames are in this thread's
+    // ledger, its workers' merged in.
     if let Some(path) = &a.profile_out {
-        write("--profile-out ", path, Ok(fedmigr_telemetry::profiler::collapsed_report()));
+        write("--profile-out ", path, Ok(profiler::collapsed_report()));
         if a.profile_alloc {
-            write("", &format!("{path}.alloc"), Ok(fedmigr_telemetry::profiler::alloc_report()));
+            write("", &format!("{path}.alloc"), Ok(profiler::alloc_report()));
         }
     }
     failed.extend(a.obs.finish().err());
@@ -399,21 +410,15 @@ fn print_summary(metrics: &RunMetrics, fleet: bool) {
 
 /// Builds the dense federation (dataset, partition, full topology) and runs
 /// the selected scheme over materialised clients.
-fn run_dense(a: &RunArgs, cfg: &RunConfig, partition: Partition) -> RunMetrics {
+fn run_dense(a: &RunArgs, cfg: &RunConfig, partition: Partition, model: Model) -> RunMetrics {
     let data_cfg =
         SyntheticConfig { num_classes: a.classes, ..SyntheticConfig::c10_like(a.samples, a.seed) };
     let data = SyntheticDataset::generate(&data_cfg);
     let k: usize = a.lans.iter().sum();
     let parts = partition.deal(&data.train, &a.lans, a.seed);
     let topo = Topology::new(&TopologyConfig::default_edge(a.lans.clone(), a.seed));
-    let exp = Experiment::new(
-        data.train,
-        data.test,
-        parts,
-        topo,
-        ClientCompute::testbed_mix(k),
-        zoo::c10_cnn(3, 8, NetScale::Small, a.seed),
-    );
+    let exp =
+        Experiment::new(data.train, data.test, parts, topo, ClientCompute::testbed_mix(k), model);
     info!(
         "cli",
         "running {} on {k} clients ({} classes, partition {}) for up to {} epochs...",
@@ -427,7 +432,7 @@ fn run_dense(a: &RunArgs, cfg: &RunConfig, partition: Partition) -> RunMetrics {
 
 /// Builds the lazy sharded fleet (dormant stubs, O(LANs) topology) and runs
 /// the selected scheme with per-block cohort activation.
-fn run_fleet(a: &RunArgs, cfg: &RunConfig) -> RunMetrics {
+fn run_fleet(a: &RunArgs, cfg: &RunConfig, model: Model) -> RunMetrics {
     info!(
         "cli",
         "running {} on a fleet of {} clients across {} LANs (cohort {:.1}%) for up to {} \
@@ -438,13 +443,7 @@ fn run_fleet(a: &RunArgs, cfg: &RunConfig) -> RunMetrics {
         100.0 * a.sample_frac,
         a.epochs
     );
-    let mut exp = FleetExperiment::synthetic(
-        a.fleet_clients,
-        a.fleet_lans,
-        a.samples,
-        16,
-        a.seed,
-        zoo::c10_cnn(3, 8, NetScale::Small, a.seed),
-    );
+    let mut exp =
+        FleetExperiment::synthetic(a.fleet_clients, a.fleet_lans, a.samples, 16, a.seed, model);
     exp.run(cfg)
 }

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 /// Every flag of `fedmigr run`.
-const RUN_FLAGS: [&str; 42] = [
+const RUN_FLAGS: [&str; 41] = [
     "--scheme",
     "--partition",
     "--classes",
@@ -47,7 +47,6 @@ const RUN_FLAGS: [&str; 42] = [
     "--metrics-out",
     "--profile-out",
     "--profile-alloc",
-    "--no-kcount",
 ];
 
 const SUBCOMMANDS: [&str; 7] = ["run", "bench", "perf", "report", "diff", "netview", "validate"];
@@ -249,5 +248,43 @@ fn a_shared_flag_that_cannot_do_its_job_exits_2() {
         let out = fedmigr(args);
         assert_eq!(code(&out), 2, "{args:?}: {}", stderr(&out));
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_that_cannot_be_resumed_exits_2_before_any_world_is_built() {
+    let dir = scratch("resume");
+    let ckpt = dir.join("run");
+    let mut args = TINY.to_vec();
+    args.extend(["--checkpoint-dir", ckpt.to_str().unwrap()]);
+    assert_eq!(code(&fedmigr(&args)), 0);
+    let good = std::fs::read(ckpt.join("latest.fmrs")).expect("the run wrote latest.fmrs");
+    let truncated = dir.join("truncated.fmrs");
+    std::fs::write(&truncated, &good[..good.len() / 2]).unwrap();
+    let flipped = dir.join("flipped.fmrs");
+    let mut bytes = good.clone();
+    bytes[good.len() / 2] ^= 0x10;
+    std::fs::write(&flipped, bytes).unwrap();
+    let (missing, latest) = (dir.join("missing/latest.fmrs"), ckpt.join("latest.fmrs"));
+    for (path, seed, why) in [
+        (&missing, "7", "No such file"),
+        (&truncated, "7", "checksum mismatch"),
+        (&flipped, "7", "checksum mismatch"),
+        (&latest, "8", "run checkpoint seed mismatch"),
+    ] {
+        let path = path.to_str().unwrap();
+        let mut args = TINY.to_vec();
+        args.extend(["--seed", seed, "--resume", path]);
+        let out = fedmigr(&args);
+        let err = stderr(&out);
+        assert_eq!(code(&out), 2, "{path}: {err}");
+        assert!(err.starts_with(&format!("error: cannot resume from {path}: ")), "{path}: {err}");
+        assert!(err.contains(why), "{path}: {err}");
+        assert!(!err.contains("running") && out.stdout.is_empty(), "{path}: a run started");
+    }
+    // The checkpoint itself resumes.
+    let mut args = TINY.to_vec();
+    args.extend(["--resume", latest.to_str().unwrap()]);
+    assert_eq!(code(&fedmigr(&args)), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,9 +3,9 @@
 //! byte, and the recorded artifact must round-trip through the parser, the
 //! report renderer and the regression differ.
 //!
-//! Everything lives in ONE test function: the telemetry engine (gauges,
-//! span-depth counter) is process-global, so concurrent experiment runs in
-//! this binary would interleave their measurements.
+//! Everything lives in ONE test function: the metrics registry (gauges) and
+//! the trace sink are the process's, so concurrent experiment runs in this
+//! binary would interleave their measurements.
 
 use fedmigr::core::{DiagConfig, Experiment, RunConfig, Scheme};
 use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};

@@ -1,15 +1,15 @@
 //! End-to-end telemetry contract: observation never perturbs a run, the
 //! JSONL trace is well-formed, and spans account for the round wall-clock.
 //!
-//! Everything that attaches a writer to the process-global engine lives in
-//! ONE test function: the engine (and its span-depth counter) is shared by
-//! every test thread in this binary, so concurrent experiment runs would
-//! interleave their events.
+//! Everything lives in ONE test function: the trace sink and the metrics
+//! registry are the process's, shared by every test thread in this binary,
+//! so concurrent experiment runs would interleave their events and series.
 
 use fedmigr::core::{Experiment, RunConfig, Scheme};
 use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
 use fedmigr::net::{ClientCompute, DeviceTier, Topology, TopologyConfig};
 use fedmigr::nn::zoo::{self, NetScale};
+use fedmigr_telemetry::ledger::Profile;
 use fedmigr_telemetry::TraceEvent;
 
 use std::io::Write;
@@ -142,15 +142,9 @@ fn telemetry_observes_without_perturbing() {
     //    observation-only: a third identical run with every observability
     //    layer enabled stays byte-identical to the baseline, while the
     //    collapsed-stack, allocation and kernel-counter outputs all fill.
-    fedmigr::tensor::kcount::reset();
-    fedmigr::tensor::kcount::set_enabled(true);
-    fedmigr_telemetry::profiler::reset();
-    fedmigr_telemetry::profiler::set_enabled(true);
-    fedmigr_telemetry::profiler::set_alloc_enabled(true);
+    cfg.diag.kcount = true;
+    cfg.diag.profile = Profile::FramesAndAllocs;
     let profiled = experiment(3).run(&cfg);
-    fedmigr_telemetry::profiler::set_enabled(false);
-    fedmigr_telemetry::profiler::set_alloc_enabled(false);
-    fedmigr::tensor::kcount::set_enabled(false);
 
     assert_eq!(off.to_csv(), profiled.to_csv(), "profiling must not perturb a seeded run");
     assert_eq!(off.link_migrations, profiled.link_migrations);
@@ -187,9 +181,8 @@ fn telemetry_observes_without_perturbing() {
         .expect("local_train kernel coverage is measurable");
     assert!(cov >= 0.1, "kernel coverage of local_train {cov:.3} below 10%");
     // Busy-time attribution must also be measurable. The bounds are loose for
-    // the same debug-build reason as above, and because other tests share the
-    // process (and its kernel table) while this one runs. The strict band is
-    // gated on a release run in CI.
+    // the same debug-build reason as above. The strict band is gated on a
+    // release run in CI.
     let busy_cov = fedmigr::core::kernels::phase_busy_coverage("local_train")
         .expect("local_train busy coverage is measurable");
     assert!(

@@ -5,9 +5,9 @@
 //! `fedmigr netview` report) must all be well-formed and agree with the
 //! run they observed.
 //!
-//! Everything lives in ONE test function: the telemetry engine is
-//! process-global, so concurrent experiment runs in this binary would
-//! interleave their counters.
+//! Everything lives in ONE test function: the metrics registry and the
+//! trace sink are the process's, so concurrent experiment runs in this
+//! binary would interleave their counters.
 
 use fedmigr::core::{DiagConfig, Experiment, RunConfig, Scheme};
 use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
@@ -115,6 +115,7 @@ fn timeline_observes_without_perturbing() {
             enabled: true,
             flight_out: Some(flight_on.clone()),
             timeline_out: Some(timeline.clone()),
+            ..DiagConfig::default()
         };
         let on = experiment(3).run(&cfg_on);
 
