@@ -310,11 +310,7 @@ fn run(opts: Options) -> ExitCode {
         return usage_error("bench", &e);
     }
     // A stable root for the per-phase histograms.
-    let span = fedmigr_telemetry::global().span_labeled(
-        "bench",
-        "bench_main",
-        vec![("bench".to_string(), opts.experiment.clone())],
-    );
+    let span = fedmigr_telemetry::span!("bench", "bench_main", "bench" => opts.experiment);
     let mut code = match experiments::run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -16,8 +16,9 @@
 
 use std::borrow::Cow;
 use std::io;
+use std::time::Instant;
 
-use fedmigr_telemetry::metrics::{Counter, Histogram};
+use fedmigr_telemetry::metrics;
 use fedmigr_telemetry::wire::{self, Wire};
 
 use crate::codec::{Codec, Scratch, WireCodec};
@@ -33,36 +34,13 @@ fn mix(seed: u64, seq: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The telemetry series one codec writes, labelled with its display name
-/// and resolved once: a transfer then costs three atomic updates instead of
-/// three registry lookups by string.
-#[derive(Clone, Debug)]
-struct Series {
-    transfer_seconds: Histogram,
-    bytes_in: Counter,
-    bytes_out: Counter,
-}
-
-impl Series {
-    fn of(codec: &str) -> Self {
-        let registry = fedmigr_telemetry::global().registry();
-        let bytes =
-            |dir| registry.counter("fedmigr_codec_bytes_total", &[("codec", codec), ("dir", dir)]);
-        Self {
-            transfer_seconds: registry
-                .histogram("fedmigr_codec_transfer_seconds", &[("codec", codec)]),
-            bytes_in: bytes("in"),
-            bytes_out: bytes("out"),
-        }
-    }
-}
-
 /// Stateful wire compressor for one run: a codec, per-lane error-feedback
 /// residuals, a transmission counter, and cumulative stats.
 #[derive(Clone, Debug)]
 pub struct Compressor {
     codec: Codec,
-    series: Series,
+    /// The codec's display name, the `codec` label of its series.
+    name: String,
     feedback: Option<ErrorFeedback>,
     down_feedback: Option<ErrorFeedback>,
     base_seed: u64,
@@ -113,7 +91,7 @@ impl Compressor {
         let with_ef = config.error_feedback() && !matches!(config, CodecConfig::Identity);
         Self {
             codec: Codec::from_config(config),
-            series: Series::of(&config.name()),
+            name: config.name(),
             feedback: with_ef.then(|| ErrorFeedback::new(lanes)),
             down_feedback: with_ef.then(|| ErrorFeedback::new(lanes + 1)),
             base_seed,
@@ -167,10 +145,9 @@ impl Compressor {
     fn send(&mut self, down: bool, lane: usize, values: Cow<'_, [f32]>) -> Vec<f32> {
         // Real (host) encode+decode time per completed transfer; a pure
         // telemetry observation that never feeds back into the run.
-        let tel = fedmigr_telemetry::global();
-        let start = tel.now();
+        let start = Instant::now();
         let decoded = self.send_inner(down, lane, values);
-        self.series.transfer_seconds.observe(tel.now() - start);
+        self.observe_seconds(start.elapsed().as_secs_f64());
         decoded
     }
 
@@ -231,8 +208,7 @@ impl Compressor {
                 None => return self.transmit_each(items),
             },
         };
-        let tel = fedmigr_telemetry::global();
-        let start = tel.now();
+        let start = Instant::now();
         let seq0 = self.seq;
         let (codec, base_seed) = (&self.codec, self.base_seed);
         let mut jobs: Vec<(&[f32], Option<&mut Vec<f32>>)> =
@@ -257,9 +233,9 @@ impl Compressor {
             .collect();
         // One host-time observation per item (averaged) so the per-codec
         // timing histogram keeps comparable counts to the serial path.
-        let per_item = (tel.now() - start) / items.len() as f64;
+        let per_item = start.elapsed().as_secs_f64() / items.len() as f64;
         for _ in 0..items.len() {
-            self.series.transfer_seconds.observe(per_item);
+            self.observe_seconds(per_item);
         }
         decoded
     }
@@ -312,8 +288,17 @@ impl Compressor {
         self.stats.compressed_bytes += wire;
         self.stats.sum_sq_error += sq;
         self.stats.coords += n as u64;
-        self.series.bytes_in.add(8 + 4 * n as u64);
-        self.series.bytes_out.add(wire);
+        let codec = self.name.as_str();
+        metrics::add(
+            "fedmigr_codec_bytes_total",
+            &[("codec", codec), ("dir", "in")],
+            8 + 4 * n as u64,
+        );
+        metrics::add("fedmigr_codec_bytes_total", &[("codec", codec), ("dir", "out")], wire);
+    }
+
+    fn observe_seconds(&self, seconds: f64) {
+        metrics::observe("fedmigr_codec_transfer_seconds", &[("codec", &self.name)], seconds);
     }
 }
 

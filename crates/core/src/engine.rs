@@ -241,13 +241,19 @@ pub(crate) trait RoundLoop {
 
 /// Builds a round loop with `build` and runs it from its first (or resumed)
 /// round to the end of the run, setup included, under the run's instrument
-/// switches (`cfg.diag`); the calling thread gets its own back afterwards.
+/// switches (`cfg.diag`) and on a tally of its own, so the run reads back
+/// only itself; the calling thread gets its switches back afterwards, and
+/// the run's tally added into its own.
 ///
 /// # Panics
 /// Panics when `cfg.resume` names a checkpoint that cannot be read or does
 /// not belong to this run.
 pub(crate) fn run<L: RoundLoop>(cfg: &RunConfig, build: impl FnOnce() -> L) -> RunMetrics {
-    fedmigr_telemetry::ledger::with_switches(cfg.diag.switches(), || rounds(cfg, build()))
+    use fedmigr_telemetry::ledger;
+    let mut metrics = None;
+    let run = || metrics = Some(rounds(cfg, build()));
+    ledger::with_switches(cfg.diag.switches(), || ledger::isolated(run));
+    metrics.expect("a finished run has its metrics")
 }
 
 fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
@@ -324,7 +330,7 @@ fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     }
     if recovery.any() {
         let gauge = |name: &str, v: f64| {
-            fedmigr_telemetry::global().registry().gauge(name, &[]).set(v);
+            fedmigr_telemetry::metrics::set(name, &[], v);
         };
         gauge("fedmigr_recovery_checkpoints_written", recovery.checkpoints_written as f64);
         gauge("fedmigr_recovery_checkpoint_bytes", recovery.checkpoint_bytes as f64);

@@ -494,14 +494,9 @@ impl<'a> RoundLoop for FleetRun<'a> {
 
     fn round(&mut self, epoch: usize) -> Outcome {
         let cfg = self.ctx.cfg;
-        let _round = fedmigr_telemetry::global().span_labeled(
-            "core::fleet",
-            "round",
-            vec![
-                ("epoch".to_string(), epoch.to_string()),
-                ("scheme".to_string(), cfg.scheme.name()),
-            ],
-        );
+        let scheme = cfg.scheme.name();
+        let _round =
+            fedmigr_telemetry::span!("core::fleet", "round", "epoch" => epoch, "scheme" => scheme);
         let common = &mut self.st.common;
         self.obs.tcap.round_start(epoch, common.clock.now());
         // (0) Budget gate: a run whose budget is already spent records the

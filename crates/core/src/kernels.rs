@@ -4,20 +4,22 @@
 //! the calling thread's ledger ([`fedmigr_tensor::kcount`]). Runners hold a
 //! [`KernelPhases`] recorder and call [`KernelPhases::credit`] at each phase
 //! boundary; the delta of the run thread's ledger since the previous
-//! boundary lands in the `fedmigr_kernel_*` counter families labelled
-//! `{kernel, phase}`. Because the runner's phases are sequential and
+//! boundary lands in the run thread's `fedmigr_kernel_*` counter families
+//! labelled `{kernel, phase}`. Because the runner's phases are sequential and
 //! `fan_out` merges each worker's ledger at its join, inside the phase that
 //! started it, the deltas partition the kernel totals exactly.
 //!
 //! [`kernel_table`] renders those counters (plus the `fedmigr_phase_seconds`
-//! wall-clock histograms) into the per-phase GFLOP/s / arithmetic-intensity
-//! table shown in the run summary. Everything here is observation-only: with
-//! accounting disabled no counter series is ever registered and the table
-//! renders as `None`.
+//! wall-clock histograms) from the calling thread's registry into the
+//! per-phase GFLOP/s / arithmetic-intensity table shown in the run summary:
+//! what the runs this thread ran recorded, and nothing another thread ran.
+//! Everything here is observation-only: with accounting disabled no counter
+//! series is ever registered and the table renders as `None`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
+use fedmigr_telemetry::metrics::{self, label};
 use fedmigr_telemetry::{names, PHASE_SECONDS};
 use fedmigr_tensor::kcount::{self, Kernel, KernelSnapshot};
 
@@ -59,24 +61,19 @@ impl KernelPhases {
         // to workers, else this thread's own window: the clock its kernel
         // scopes ran on.
         let busy = if delta.busy_nanos() > 0 { delta.busy_nanos() } else { window };
-        let reg = fedmigr_telemetry::global().registry();
-        reg.counter(names::PHASE_BUSY_NANOS_TOTAL, &[("phase", phase)]).add(busy);
+        metrics::add(names::PHASE_BUSY_NANOS_TOTAL, &[("phase", phase)], busy);
         for k in Kernel::ALL {
             let s = delta.get(k);
             if s.calls == 0 {
                 continue;
             }
             let labels = [("kernel", k.name()), ("phase", phase)];
-            reg.counter(names::KERNEL_CALLS_TOTAL, &labels).add(s.calls);
-            reg.counter(names::KERNEL_FLOPS_TOTAL, &labels).add(s.flops);
-            reg.counter(names::KERNEL_BYTES_TOTAL, &labels).add(s.bytes);
-            reg.counter(names::KERNEL_NANOS_TOTAL, &labels).add(s.nanos);
+            metrics::add(names::KERNEL_CALLS_TOTAL, &labels, s.calls);
+            metrics::add(names::KERNEL_FLOPS_TOTAL, &labels, s.flops);
+            metrics::add(names::KERNEL_BYTES_TOTAL, &labels, s.bytes);
+            metrics::add(names::KERNEL_NANOS_TOTAL, &labels, s.nanos);
         }
     }
-}
-
-fn label_of(labels: &[(String, String)], key: &str) -> String {
-    labels.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap_or_default()
 }
 
 #[derive(Default, Clone, Copy)]
@@ -87,7 +84,7 @@ struct Row {
     nanos: u64,
 }
 
-/// Renders the per-phase kernel table from the metric registry, or `None`
+/// Renders the per-phase kernel table from this thread's registry, or `None`
 /// when kernel accounting recorded nothing (a run with `kcount` off).
 ///
 /// Columns: declared GFLOP, achieved GFLOP/s (declared FLOPs over outermost
@@ -102,7 +99,7 @@ struct Row {
 /// kernels on several threads at once. The trailing `total` row per phase
 /// carries the phase-level shares.
 pub fn kernel_table() -> Option<String> {
-    let reg = fedmigr_telemetry::global().registry();
+    let reg = metrics::snapshot();
     let nanos = reg.counter_family(names::KERNEL_NANOS_TOTAL);
     if nanos.is_empty() {
         return None;
@@ -111,7 +108,7 @@ pub fn kernel_table() -> Option<String> {
     let mut rows: BTreeMap<(String, String), Row> = BTreeMap::new();
     let mut fill = |family: &str, set: fn(&mut Row, u64)| {
         for (labels, v) in reg.counter_family(family) {
-            let key = (label_of(&labels, "phase"), label_of(&labels, "kernel"));
+            let key = (label(&labels, "phase").to_string(), label(&labels, "kernel").to_string());
             set(rows.entry(key).or_default(), v);
         }
     };
@@ -123,13 +120,12 @@ pub fn kernel_table() -> Option<String> {
     // Wall seconds per phase from the span histograms, any target.
     let mut phase_wall: BTreeMap<String, f64> = BTreeMap::new();
     for (labels, snap) in reg.histogram_family(PHASE_SECONDS) {
-        let phase = label_of(&labels, "phase");
-        *phase_wall.entry(phase).or_insert(0.0) += snap.sum;
+        *phase_wall.entry(label(&labels, "phase").to_string()).or_insert(0.0) += snap.sum;
     }
     // Busy seconds per phase, recorded at the credit boundaries.
     let mut phase_busy: BTreeMap<String, f64> = BTreeMap::new();
     for (labels, v) in reg.counter_family(names::PHASE_BUSY_NANOS_TOTAL) {
-        *phase_busy.entry(label_of(&labels, "phase")).or_insert(0.0) += v as f64 / 1e9;
+        *phase_busy.entry(label(&labels, "phase").to_string()).or_insert(0.0) += v as f64 / 1e9;
     }
 
     let mut out = String::new();
@@ -192,12 +188,11 @@ fn row_line(phase: &str, kernel: &str, r: Row, phase_wall: f64, phase_busy: f64)
     )
 }
 
-/// Seconds a nanosecond counter `family` holds for `phase`.
+/// Seconds a nanosecond counter `family` of this thread holds for `phase`.
 fn phase_secs(family: &str, phase: &str) -> f64 {
-    let reg = fedmigr_telemetry::global().registry();
-    let counters = reg.counter_family(family).into_iter();
+    let counters = metrics::snapshot().counter_family(family).into_iter();
     counters
-        .filter(|(labels, _)| label_of(labels, "phase") == phase)
+        .filter(|(labels, _)| label(labels, "phase") == phase)
         .map(|(_, v)| v as f64 / 1e9)
         .sum()
 }
@@ -207,8 +202,8 @@ fn phase_secs(family: &str, phase: &str) -> f64 {
 /// check without reparsing the rendered table.
 pub fn phase_coverage(phase: &str) -> Option<f64> {
     let kernel = phase_secs(names::KERNEL_NANOS_TOTAL, phase);
-    let spans = fedmigr_telemetry::global().registry().histogram_family(PHASE_SECONDS);
-    let of_phase = spans.into_iter().filter(|(labels, _)| label_of(labels, "phase") == phase);
+    let spans = metrics::snapshot().histogram_family(PHASE_SECONDS);
+    let of_phase = spans.into_iter().filter(|(labels, _)| label(labels, "phase") == phase);
     let wall: f64 = of_phase.map(|(_, snap)| snap.sum).sum();
     (wall > 0.0 && kernel > 0.0).then(|| (kernel / wall).min(1.0))
 }
@@ -233,8 +228,7 @@ mod tests {
 
     #[test]
     fn table_renders_rows_and_coverage_reads_back() {
-        // The kernel totals are this test thread's own; the registry is the
-        // process's, and this is the one test of the crate that credits it.
+        // The kernel totals and the registry are this test thread's own.
         let mut phases = KernelPhases::new();
         with_switches(Switches { kcount: true, ..Switches::default() }, || {
             let _s = kcount::scope(Kernel::Matmul, 2_000_000, 1_000_000);
@@ -255,10 +249,7 @@ mod tests {
         assert!(table.contains("matmul"));
 
         // Phase wall histogram present -> coverage is computable and sane.
-        fedmigr_telemetry::global()
-            .registry()
-            .histogram(PHASE_SECONDS, &[("target", "unit"), ("phase", "unit_test_phase")])
-            .observe(10.0);
+        metrics::observe(PHASE_SECONDS, &[("target", "unit"), ("phase", "unit_test_phase")], 10.0);
         let cov = phase_coverage("unit_test_phase").expect("both sides recorded");
         assert!(cov > 0.0 && cov <= 1.0, "coverage {cov} out of range");
     }

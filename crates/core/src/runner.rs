@@ -429,9 +429,6 @@ struct DenseRun<'a> {
     /// Which clients transmitted a non-finite payload since the last good
     /// snapshot — the sources a rollback implicates.
     nan_sources: Vec<bool>,
-    /// The wall-time histogram family is cumulative per process, so the
-    /// hotspot log at run end diffs against this run-start snapshot.
-    phase_wall_baseline: std::collections::BTreeMap<String, f64>,
 }
 
 /// What one round computes on the way from sampling to bookkeeping.
@@ -552,15 +549,7 @@ impl<'a> DenseRun<'a> {
             false,
         );
         let obs = Observers { tcap, flight: None, kphases: KernelPhases::new() };
-        let mut run = Self {
-            ctx,
-            st,
-            obs,
-            scratch,
-            last_good: None,
-            nan_sources: vec![false; k],
-            phase_wall_baseline: phase_seconds_snapshot(),
-        };
+        let mut run = Self { ctx, st, obs, scratch, last_good: None, nan_sources: vec![false; k] };
         run.seed_broadcast();
         run
     }
@@ -1366,7 +1355,7 @@ impl<'a> DenseRun<'a> {
         };
         let graph = GraphSnapshot::measure(&r.edges, &r.src_of);
         let gauge = |name: &str, v: f64| {
-            fedmigr_telemetry::global().registry().gauge(name, &[]).set(v);
+            fedmigr_telemetry::metrics::set(name, &[], v);
         };
         gauge("fedmigr_diag_emd_mean", emd.mean);
         gauge("fedmigr_diag_emd_max", emd.max);
@@ -1722,14 +1711,9 @@ impl RoundLoop for DenseRun<'_> {
     }
 
     fn round(&mut self, epoch: usize) -> Outcome {
-        let _round = fedmigr_telemetry::global().span_labeled(
-            "core::runner",
-            "round",
-            vec![
-                ("epoch".to_string(), epoch.to_string()),
-                ("scheme".to_string(), self.ctx.cfg.scheme.name()),
-            ],
-        );
+        let scheme = self.ctx.cfg.scheme.name();
+        let _round =
+            fedmigr_telemetry::span!("core::runner", "round", "epoch" => epoch, "scheme" => scheme);
         self.obs.tcap.round_start(epoch, self.st.common.clock.now());
         let Some(mut r) = self.sample(epoch) else { return Outcome::Idle };
         self.train(&mut r);
@@ -1772,10 +1756,7 @@ impl RoundLoop for DenseRun<'_> {
                 fedmigr_telemetry::error!("core::diag", "flight summary write failed: {e}");
             }
         }
-        log_phase_hotspot(
-            &self.phase_wall_baseline,
-            records.last().map(|r| r.phase).unwrap_or_default(),
-        );
+        log_phase_hotspot(records.last().map(|r| r.phase).unwrap_or_default());
         Totals {
             link_migrations: st.link_migrations.clone(),
             fault: st.fault_stats,
@@ -1933,38 +1914,19 @@ impl PhasedClock {
     }
 }
 
-/// Wall-clock seconds accumulated per runner span phase, read from the
-/// cumulative `fedmigr_phase_seconds` histogram family (the family is
-/// per-process, so callers diff two snapshots to isolate one run).
-fn phase_seconds_snapshot() -> std::collections::BTreeMap<String, f64> {
-    fedmigr_telemetry::global()
-        .registry()
-        .histogram_family(fedmigr_telemetry::PHASE_SECONDS)
-        .into_iter()
-        .filter_map(|(labels, snap)| {
-            let target = labels.iter().find(|(key, _)| key == "target")?;
-            if target.1 != "core::runner" {
-                return None;
-            }
-            let phase = labels.iter().find(|(key, _)| key == "phase")?;
-            Some((phase.1.clone(), snap.sum))
-        })
-        .collect()
-}
-
 /// One-line hotspot log at run end: names the runner span that dominated
-/// this run's instrumented wall time (delta against the run-start snapshot
-/// of `fedmigr_phase_seconds`) and the phase that dominated virtual time.
-/// The enclosing `round` span is excluded — it envelops every other phase.
-fn log_phase_hotspot(baseline: &std::collections::BTreeMap<String, f64>, sim: PhaseBreakdown) {
-    let deltas: Vec<(String, f64)> = phase_seconds_snapshot()
-        .into_iter()
-        .filter(|(phase, _)| phase != "round")
-        .map(|(phase, sum)| {
-            let before = baseline.get(&phase).copied().unwrap_or(0.0);
-            (phase, (sum - before).max(0.0))
-        })
-        .filter(|&(_, d)| d > 0.0)
+/// this run's instrumented wall time (the run records into a registry of
+/// its own, so `fedmigr_phase_seconds` holds only its spans) and the phase
+/// that dominated virtual time. The enclosing `round` span is excluded —
+/// it envelops every other phase.
+fn log_phase_hotspot(sim: PhaseBreakdown) {
+    use fedmigr_telemetry::metrics::{self, label};
+    let spans = metrics::snapshot().histogram_family(fedmigr_telemetry::PHASE_SECONDS);
+    let deltas: Vec<(String, f64)> = spans
+        .iter()
+        .filter(|(labels, _)| label(labels, "target") == "core::runner")
+        .map(|(labels, h)| (label(labels, "phase").to_string(), h.sum))
+        .filter(|(phase, sum)| phase != "round" && *sum > 0.0)
         .collect();
     let wall_total: f64 = deltas.iter().map(|(_, d)| d).sum();
     let Some((hot, hot_s)) = deltas.into_iter().max_by(|a, b| a.1.total_cmp(&b.1)) else {
@@ -1992,15 +1954,16 @@ fn log_phase_hotspot(baseline: &std::collections::BTreeMap<String, f64>, sim: Ph
 /// Bumps a telemetry counter in the net metric families (side-channel only:
 /// never feeds back into the run).
 fn count_net(name: &str, labels: &[(&str, &str)]) {
-    fedmigr_telemetry::global().registry().counter(name, labels).inc();
+    fedmigr_telemetry::metrics::add(name, labels, 1);
 }
 
 /// Records one migration delivery's virtual duration per resolution path.
 fn observe_link_time(path: &'static str, seconds: f64) {
-    fedmigr_telemetry::global()
-        .registry()
-        .histogram("fedmigr_link_transfer_seconds", &[("path", path)])
-        .observe(seconds);
+    fedmigr_telemetry::metrics::observe(
+        "fedmigr_link_transfer_seconds",
+        &[("path", path)],
+        seconds,
+    );
 }
 
 fn effective_samples(n: usize, cfg: &RunConfig) -> usize {

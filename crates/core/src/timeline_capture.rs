@@ -33,7 +33,7 @@ use fedmigr_diag::timeline::{
     TIMELINE_VERSION,
 };
 use fedmigr_net::PhaseTrace;
-use fedmigr_telemetry::names;
+use fedmigr_telemetry::{metrics, names};
 
 /// Minimum interval/series span worth recording, in virtual seconds.
 const MIN_SPAN_S: f64 = 1e-12;
@@ -186,7 +186,6 @@ impl TimelineCapture {
     /// the `fedmigr_net_*` trace metric families.
     pub(crate) fn phase_trace(&mut self, phase: &str, t0: f64, t_end: f64, pt: &PhaseTrace) {
         let Some(rec) = self.rec.as_mut() else { return };
-        let reg = fedmigr_telemetry::global().registry();
         let (epoch, phase) = (self.epoch, phase.to_string());
         for (id, &capacity) in pt.link_labels.iter().zip(&pt.link_capacity) {
             rec.push(LinkRow { epoch, phase: phase.clone(), id: id.clone(), capacity, t: t0 });
@@ -213,7 +212,7 @@ impl TimelineCapture {
                 t: t0 + ev.t,
                 cwnd: ev.cwnd,
             });
-            reg.counter(names::FLOW_EVENTS_TOTAL, &[("event", name)]).add(1);
+            metrics::add(names::FLOW_EVENTS_TOTAL, &[("event", name)], 1);
         }
         for s in &pt.flow.links {
             let n = s.t.iter().take_while(|&&t| t0 + t <= t_end + MIN_SPAN_S).count();
@@ -232,7 +231,7 @@ impl TimelineCapture {
                 busy += (end - t_abs[i]).max(0.0);
             }
             if busy > 0.0 {
-                reg.histogram(names::LINK_BUSY_SECONDS, &[]).observe(busy);
+                metrics::observe(names::LINK_BUSY_SECONDS, &[], busy);
             }
             rec.push(SeriesRow {
                 epoch,

@@ -241,10 +241,7 @@ impl DdpgAgent {
         assert_eq!(t.state.len(), self.config.state_dim);
         assert!(t.action < self.config.num_actions);
         self.replay.push(t);
-        fedmigr_telemetry::global()
-            .registry()
-            .gauge("fedmigr_replay_occupancy", &[])
-            .set(self.replay.len() as f64);
+        fedmigr_telemetry::metrics::set("fedmigr_replay_occupancy", &[], self.replay.len() as f64);
     }
 
     /// Runs one learning update (critic regression to the TD target, actor
@@ -255,7 +252,7 @@ impl DdpgAgent {
             return None;
         }
         let _span = fedmigr_telemetry::span!("drl::agent", "update");
-        fedmigr_telemetry::global().registry().counter("fedmigr_drl_updates_total", &[]).inc();
+        fedmigr_telemetry::metrics::add("fedmigr_drl_updates_total", &[], 1);
         let b = self.config.batch_size;
         let s_dim = self.config.state_dim;
         let k = self.config.num_actions;

@@ -37,12 +37,6 @@ impl TrafficBreakdown {
     pub fn total(&self) -> u64 {
         self.c2s + self.c2c_local + self.c2c_global
     }
-
-    /// Bytes that crossed the scarce WAN/backbone: C2S plus cross-LAN C2C.
-    /// This is the paper's "global communication" figure.
-    pub fn global(&self) -> u64 {
-        self.c2s + self.c2c_global
-    }
 }
 
 /// Accumulates resource consumption against a [`ResourceBudget`].
@@ -167,10 +161,7 @@ fedmigr_telemetry::wire_fields!(TrafficBreakdown: c2s, c2c_local, c2c_global);
 /// telemetry counter. Side-channel only: the meter's own totals (which feed
 /// budgets and `RunMetrics`) are the `TrafficBreakdown` fields above.
 fn count_bytes(path: &'static str, bytes: u64) {
-    fedmigr_telemetry::global()
-        .registry()
-        .counter("fedmigr_net_bytes_total", &[("path", path)])
-        .add(bytes);
+    fedmigr_telemetry::metrics::add("fedmigr_net_bytes_total", &[("path", path)], bytes);
 }
 
 #[cfg(test)]
@@ -181,7 +172,6 @@ mod tests {
     fn breakdown_totals() {
         let t = TrafficBreakdown { c2s: 10, c2c_local: 5, c2c_global: 3 };
         assert_eq!(t.total(), 18);
-        assert_eq!(t.global(), 13);
     }
 
     #[test]

@@ -322,7 +322,7 @@ impl TransportAccum {
 
     /// Folds one simulated phase in.
     pub fn absorb(&mut self, phase: &PhaseSim) {
-        let reg = fedmigr_telemetry::global().registry();
+        use fedmigr_telemetry::{metrics, names};
         for o in &phase.outcomes {
             self.stats.flows += 1;
             self.stats.retransmits += o.retransmits;
@@ -332,17 +332,15 @@ impl TransportAccum {
                 self.stats.failed_flows += 1;
             }
             self.queue_delays.push(o.queue_delay);
-            reg.histogram(fedmigr_telemetry::names::QUEUE_DELAY_SECONDS, &[])
-                .observe(o.queue_delay);
+            metrics::observe(names::QUEUE_DELAY_SECONDS, &[], o.queue_delay);
         }
         if !phase.outcomes.is_empty() {
             self.utils.push(phase.mean_link_utilization);
-            reg.gauge(fedmigr_telemetry::names::LINK_UTILIZATION, &[])
-                .set(phase.mean_link_utilization);
+            metrics::set(names::LINK_UTILIZATION, &[], phase.mean_link_utilization);
             let retx: u64 = phase.outcomes.iter().map(|o| o.retransmits).sum();
             let touts: u64 = phase.outcomes.iter().map(|o| o.timeouts).sum();
-            reg.counter(fedmigr_telemetry::names::RETRANSMITS_TOTAL, &[]).add(retx);
-            reg.counter(fedmigr_telemetry::names::FLOW_TIMEOUTS_TOTAL, &[]).add(touts);
+            metrics::add(names::RETRANSMITS_TOTAL, &[], retx);
+            metrics::add(names::FLOW_TIMEOUTS_TOTAL, &[], touts);
         }
     }
 

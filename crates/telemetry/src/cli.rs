@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use crate::Filter;
+use crate::{ledger, metrics, Filter};
 
 /// Records one value into a command's options; `Err` says why it is bad.
 pub type Setter<T> = fn(&mut T, &str) -> Result<(), String>;
@@ -225,28 +225,32 @@ pub fn observability_flags<T: AsMut<Observability>>() -> [Flag<T>; 3] {
 }
 
 impl Observability {
-    /// Applies the log filter and opens the trace; `Err` (the trace cannot
-    /// be created) means the caller exits 2 before doing any work.
+    /// Sets this thread's log filter (`FEDMIGR_LOG`'s is read, and a
+    /// malformed one reported, before `--log-level` replaces it) and opens
+    /// its trace; `Err` (the trace cannot be created) means the caller
+    /// exits 2 before doing any work. The run must then run on this thread.
     pub fn init(&self) -> Result<(), String> {
+        crate::read_env_filter();
         if let Some(filter) = &self.log_level {
-            crate::set_filter(filter.clone());
+            ledger::set_filter(filter.clone());
         }
-        match &self.trace_out {
-            Some(path) => crate::set_trace_file(path)
-                .map_err(|e| format!("cannot open --trace-out {path}: {e}")),
-            None => Ok(()),
-        }
+        let Some(path) = &self.trace_out else { return Ok(()) };
+        let file = std::fs::File::create(path)
+            .map_err(|e| format!("cannot open --trace-out {path}: {e}"))?;
+        ledger::trace_to(Box::new(std::io::BufWriter::new(file)));
+        Ok(())
     }
 
-    /// Writes the metrics dump and closes the trace; `Err` (the dump could
-    /// not be written) means the caller exits 2, after its results.
+    /// Writes this thread's metrics dump and closes its trace; `Err` (the
+    /// dump could not be written) means the caller exits 2, after its
+    /// results.
     pub fn finish(&self) -> Result<(), String> {
         let written = self.metrics_out.as_ref().map_or(Ok(()), |path| {
-            std::fs::write(path, crate::render_metrics())
+            std::fs::write(path, metrics::snapshot().render_prometheus())
                 .map(|()| crate::info!("cli", "wrote {path}"))
                 .map_err(|e| format!("failed to write --metrics-out {path}: {e}"))
         });
-        crate::close_trace();
+        ledger::close_trace();
         written
     }
 }

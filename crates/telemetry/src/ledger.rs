@@ -1,28 +1,37 @@
 //! The thread's instrument ledger: kernel accounting slots, worker busy
-//! time, profiler frames, allocation counters and span depth, plus the
-//! switches that say which of them record.
+//! time, profiler frames, allocation counters, span depth and the metrics
+//! registry, plus the switches that say which of them record and the sink
+//! (log filter, trace writer and its clock) that logs and spans write
+//! through.
 //!
 //! A ledger belongs to a thread, and a run owns the ledger of the thread it
 //! runs on. The run turns its switches on for its own length
-//! ([`with_switches`]); every worker [`crate::fan_out`] starts inherits
-//! the caller's switches, and when a worker's closure returns, its ledger
-//! travels back with its results and is added into the caller's. That join
-//! is the one merge. No table is process-wide, so two runs in one process
-//! never see each other's counts, and a thread started anywhere else keeps
-//! what it records to itself.
+//! ([`with_switches`]) and records into a tally of its own, which it adds
+//! into its caller's when it ends ([`isolated`]). Every worker
+//! [`crate::fan_out`] starts inherits the caller's switches and log filter,
+//! and when a worker's closure returns, its tally travels back with its
+//! results and is added into the caller's. Those are the merges. Nothing is
+//! process-wide: two runs in one process never see each other's counts or
+//! series, a worker writes no trace line (the trace writer stays with the
+//! thread that opened it), and a thread started anywhere else keeps what it
+//! records to itself.
 //!
 //! Cost contract: the switches sit in a destructor-free `const`
 //! thread-local, so with a switch off a kernel scope, a profiler frame and a
 //! counting-allocator call each cost one thread-local load and a branch.
 //!
 //! Kernel accounting ([`scope`], [`worker`]) is documented where the
-//! kernels reach it, `fedmigr_tensor::kcount`; frames in [`profiler`].
+//! kernels reach it, `fedmigr_tensor::kcount`; frames in [`profiler`];
+//! series in [`crate::metrics`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::time::Instant;
 
+use crate::metrics::Registry;
 use crate::profiler::{self, ScopeStat};
+use crate::{Filter, MonotonicClock, TelemetryClock};
 
 /// What the profiler records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -180,12 +189,29 @@ impl KernelSnapshot {
 }
 
 /// What a thread's instruments recorded: the part of its ledger
-/// [`crate::fan_out`] carries back from a worker into the caller's.
+/// [`crate::fan_out`] carries back from a worker into the caller's, and a
+/// run adds into its caller's.
 #[derive(Default)]
 pub(crate) struct Tally {
     kernels: KernelSnapshot,
     /// Closed profiler frames by collapsed stack path.
     pub(crate) frames: BTreeMap<String, ScopeStat>,
+    /// Counters, gauges and histograms by `(name, labels)`.
+    pub(crate) metrics: Registry,
+}
+
+/// Where a thread's logs and spans go.
+pub(crate) struct Sink {
+    /// The log filter: `None` until the thread's first log reads
+    /// `FEDMIGR_LOG`, unless the thread was given one.
+    pub(crate) filter: Option<Filter>,
+    /// The JSONL trace writer, on the thread that opened it only.
+    pub(crate) trace: Option<Box<dyn Write>>,
+    /// A clock set in place of the host's (tests inject a fake one).
+    clock: Option<Box<dyn TelemetryClock>>,
+    /// The host clock, anchored at this thread's first reading or the
+    /// opening of its trace, whichever came first.
+    host: Option<MonotonicClock>,
 }
 
 /// One thread's ledger: its [`Tally`] and the transient state that records
@@ -198,6 +224,7 @@ pub(crate) struct Ledger {
     span_depth: Cell<usize>,
     /// The profiler's open frames and allocation counters.
     pub(crate) stack: profiler::Stack,
+    pub(crate) sink: RefCell<Sink>,
 }
 
 thread_local! {
@@ -205,10 +232,15 @@ thread_local! {
         const { Cell::new(Switches { kcount: false, profile: Profile::Off }) };
     static LEDGER: Ledger = const {
         Ledger {
-            tally: RefCell::new(Tally { kernels: KernelSnapshot::EMPTY, frames: BTreeMap::new() }),
+            tally: RefCell::new(Tally {
+                kernels: KernelSnapshot::EMPTY,
+                frames: BTreeMap::new(),
+                metrics: Registry::new(),
+            }),
             kernel_depth: Cell::new(0),
             span_depth: Cell::new(0),
             stack: profiler::Stack::new(),
+            sink: RefCell::new(Sink { filter: None, trace: None, clock: None, host: None }),
         }
     };
 }
@@ -243,8 +275,9 @@ pub(crate) fn take() -> Tally {
     with(|l| std::mem::take(&mut *l.tally.borrow_mut())).unwrap_or_default()
 }
 
-/// Adds a worker's tally into this thread's. Runs under the profiler's
-/// reentrancy guard, so the merge never counts its own allocations.
+/// Adds a worker's or a run's tally into this thread's. Runs under the
+/// profiler's reentrancy guard, so the merge never counts its own
+/// allocations.
 pub(crate) fn merge(other: Tally) {
     with(|l| {
         let outer = l.stack.in_profiler.replace(true);
@@ -253,9 +286,103 @@ pub(crate) fn merge(other: Tally) {
         for (path, stat) in other.frames {
             tally.frames.entry(path).or_default().absorb(&stat);
         }
+        tally.metrics.absorb(other.metrics);
         drop(tally);
         l.stack.in_profiler.set(outer);
     });
+}
+
+/// Runs `run` on a fresh tally, then adds what it recorded into this
+/// thread's, also when `run` panics: what `run` reads back is only its own.
+pub fn isolated(run: impl FnOnce()) {
+    struct Rejoin(Tally);
+    impl Drop for Rejoin {
+        fn drop(&mut self) {
+            let own = with(|l| l.tally.replace(std::mem::take(&mut self.0)));
+            merge(own.unwrap_or_default());
+        }
+    }
+    let _rejoin = Rejoin(take());
+    run();
+}
+
+/// What a [`crate::fan_out`] worker inherits from its caller: the switches
+/// and the log filter.
+#[derive(Clone)]
+pub(crate) struct Handoff {
+    switches: Switches,
+    filter: Option<Filter>,
+}
+
+/// This thread's switches and filter, to hand to a worker.
+pub(crate) fn handoff() -> Handoff {
+    let filter = with(|l| l.sink.borrow().filter.clone()).flatten();
+    Handoff { switches: switches(), filter }
+}
+
+impl Handoff {
+    /// Runs `f` on this (worker) thread under the caller's switches and
+    /// filter, and returns its result with the tally it recorded.
+    pub(crate) fn run<R>(self, f: impl FnOnce() -> R) -> (R, Tally) {
+        if let Some(filter) = self.filter {
+            set_filter(filter);
+        }
+        with_switches(self.switches, || (f(), take()))
+    }
+}
+
+/// Replaces this thread's log filter; workers [`crate::fan_out`] starts
+/// from now on inherit it.
+pub fn set_filter(filter: Filter) {
+    with(|l| l.sink.borrow_mut().filter = Some(filter));
+}
+
+/// Whether this thread has a log filter yet.
+pub(crate) fn has_filter() -> bool {
+    with(|l| l.sink.borrow().filter.is_some()).unwrap_or(false)
+}
+
+/// Whether this thread's log filter passes; `None` when it has none yet.
+pub(crate) fn filter_passes(target: &str, level: crate::Level) -> Option<bool> {
+    with(|l| l.sink.borrow().filter.as_ref().map(|f| f.enabled(target, level))).flatten()
+}
+
+/// Points this thread's JSONL trace at `writer`: later spans and passing
+/// log records on this thread are appended to it. The host clock's
+/// origin is set now, unless the thread read the clock already.
+pub fn trace_to(writer: Box<dyn Write>) {
+    with(|l| {
+        let mut sink = l.sink.borrow_mut();
+        sink.host.get_or_insert_with(MonotonicClock::new);
+        sink.trace = Some(writer);
+    });
+}
+
+/// Flushes and detaches this thread's trace writer, ending the stream.
+pub fn close_trace() {
+    if let Some(mut w) = with(|l| l.sink.borrow_mut().trace.take()).flatten() {
+        let _ = w.flush();
+    }
+}
+
+/// Whether this thread has a trace writer.
+pub(crate) fn tracing() -> bool {
+    with(|l| l.sink.borrow().trace.is_some()).unwrap_or(false)
+}
+
+/// Sets the clock this thread's spans and trace stamps read in place of
+/// the host's (tests inject a [`crate::FakeClock`]).
+pub fn set_clock(clock: Box<dyn TelemetryClock>) {
+    with(|l| l.sink.borrow_mut().clock = Some(clock));
+}
+
+/// Seconds since this thread's clock origin.
+pub(crate) fn now() -> f64 {
+    let read = |sink: &mut Sink| match &sink.clock {
+        Some(clock) => clock.now(),
+        None => sink.host.get_or_insert_with(MonotonicClock::new).now(),
+    };
+    with(|l| read(&mut l.sink.borrow_mut())).unwrap_or(0.0)
 }
 
 /// Opens a span on this thread and returns its depth.
@@ -355,6 +482,19 @@ mod tests {
         close_span();
         close_span();
         assert_eq!(open_span(), 0);
+    }
+
+    #[test]
+    fn isolated_reads_back_only_itself_then_joins_the_caller() {
+        let runs = || crate::metrics::snapshot().counter_family("runs_total");
+        crate::metrics::add("runs_total", &[], 1);
+        let mut inside = Vec::new();
+        isolated(|| {
+            crate::metrics::add("runs_total", &[], 2);
+            inside = runs();
+        });
+        assert_eq!(inside, vec![(vec![], 2)], "the caller's count stays out");
+        assert_eq!(runs(), vec![(vec![], 3)], "and the run's joins it at the end");
     }
 
     proptest! {

@@ -2,27 +2,31 @@
 //! is the one crate below every other — its two codecs: [`record`] (text,
 //! every JSON artifact) and [`wire`] (binary, every checkpointed value).
 //!
-//! Three instruments share one [`Telemetry`] engine:
+//! Three instruments, each recording on the thread that uses it:
 //!
 //! * **Leveled, target-scoped logging** — [`error!`], [`warn!`], [`info!`],
-//!   [`debug!`], [`trace!`] write through a global, silenceable sink.
+//!   [`debug!`], [`trace!`] write to stderr through the thread's filter.
 //!   Verbosity comes from the `FEDMIGR_LOG` environment variable (or
-//!   [`set_filter`]), e.g. `FEDMIGR_LOG=debug,drl=trace,net=off`. The
-//!   default (`info`, plain message format, stderr) renders exactly the
+//!   [`ledger::set_filter`]), e.g. `FEDMIGR_LOG=debug,drl=trace,net=off`.
+//!   The default (`info`, plain message format) renders exactly the
 //!   progress lines the pre-telemetry binaries printed, so existing result
 //!   files stay byte-comparable.
 //! * **A metrics registry** — counters, gauges and fixed-bucket histograms
-//!   keyed by `(name, labels)` ([`metrics::Registry`]), rendered as a
-//!   Prometheus-style text exposition dump ([`render_metrics`]).
+//!   keyed by `(name, labels)` ([`metrics`]), rendered as a
+//!   Prometheus-style text exposition dump.
 //! * **RAII span timers** — [`span!`] opens a [`Span`] that, on drop,
 //!   records its duration into the `fedmigr_phase_seconds{target,phase}`
-//!   histogram and (when a trace writer is attached) appends a JSONL event
-//!   to the trace stream ([`set_trace_file`]).
+//!   histogram and (when the thread has a trace writer) appends a JSONL
+//!   event to the trace stream ([`ledger::trace_to`]).
 //!
-//! The engine is the process's one export sink. What a run *counts* —
-//! kernel work, profiler frames, span depth — lives instead in the
-//! [`ledger`] of the thread that runs it, merged from its workers by
-//! [`fan_out`], under switches the run sets for its own length.
+//! Nothing here is process-wide. The filter, the trace writer with its
+//! clock, and the registry live in the [`ledger`] of the thread, beside
+//! its kernel counts, profiler frames and span depth; a run records into
+//! a tally of its own that it adds into its caller's when it ends, and
+//! [`fan_out`] hands its workers the caller's switches and filter and adds
+//! their tallies into the caller's at the join. The CLI's
+//! [`cli::Observability`] opens the sink and writes the dump on its own
+//! thread, the one the run ran on.
 //!
 //! # Determinism contract
 //!
@@ -33,7 +37,7 @@
 //! the workspace test `telemetry_e2e.rs` asserts exactly this. Span
 //! *timings* read the host's monotonic clock and are naturally
 //! non-deterministic; tests that golden-file trace output inject a
-//! [`FakeClock`] instead.
+//! [`FakeClock`] instead ([`ledger::set_clock`]).
 
 #![warn(missing_docs)]
 
@@ -51,8 +55,6 @@ pub mod wire;
 
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
 
 pub use clock::{FakeClock, MonotonicClock, TelemetryClock};
 pub use level::{Filter, Level};
@@ -103,161 +105,87 @@ pub mod names {
     pub const PHASE_BUSY_NANOS_TOTAL: &str = "fedmigr_phase_busy_nanos_total";
 }
 
-/// One observability engine: clock + filter + registry + sinks.
-///
-/// Production code uses the process-wide [`global`] instance; tests build
-/// their own (typically over a [`FakeClock`]) to stay isolated.
-pub struct Telemetry {
-    clock: Box<dyn TelemetryClock>,
-    filter: RwLock<Filter>,
-    registry: Registry,
-    tracer: Mutex<Option<Box<dyn Write + Send>>>,
-    trace_on: AtomicBool,
+/// Whether a record at `level` for `target` passes this thread's filter.
+/// A thread's first check reads `FEDMIGR_LOG`, unless the thread was given
+/// a filter ([`ledger::set_filter`], or its [`fan_out`] caller's).
+pub fn enabled(target: &str, level: Level) -> bool {
+    read_env_filter();
+    ledger::filter_passes(target, level).unwrap_or(false)
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Self::new()
+/// Unless this thread has a filter, gives it the one `FEDMIGR_LOG` spells,
+/// the one place that reads it: a malformed spec is reported, as a
+/// warning, and the default filter applies (a bad environment never stops
+/// a run; `--log-level` replaces the filter either way).
+pub(crate) fn read_env_filter() {
+    if ledger::has_filter() {
+        return;
     }
-}
-
-impl Telemetry {
-    /// An engine over the monotonic real clock with default filtering.
-    pub fn new() -> Self {
-        Self::with_clock(Box::new(MonotonicClock::new()))
-    }
-
-    /// An engine over an explicit clock (tests inject [`FakeClock`] here).
-    pub fn with_clock(clock: Box<dyn TelemetryClock>) -> Self {
-        Self {
-            clock,
-            filter: RwLock::new(Filter::default()),
-            registry: Registry::new(),
-            tracer: Mutex::new(None),
-            trace_on: AtomicBool::new(false),
-        }
-    }
-
-    /// Seconds since this engine's clock origin.
-    pub fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
-    /// The metrics registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
-    /// Replaces the log filter.
-    pub fn set_filter(&self, filter: Filter) {
-        *self.filter.write().expect("telemetry filter poisoned") = filter;
-    }
-
-    /// Whether a record at `level` for `target` would be emitted.
-    pub fn enabled(&self, target: &str, level: Level) -> bool {
-        self.filter.read().expect("telemetry filter poisoned").enabled(target, level)
-    }
-
-    /// Emits one log record if the filter passes. Prefer the [`error!`] …
-    /// [`trace!`] macros, which route here through the global engine.
-    pub fn log(&self, level: Level, target: &str, args: std::fmt::Arguments<'_>) {
-        if !self.enabled(target, level) {
-            return;
-        }
-        let msg = args.to_string();
-        eprintln!("{msg}");
-        if self.trace_on.load(Ordering::Relaxed) {
-            let ev = TraceEvent::Log { ts: self.now(), level, target: target.to_string(), msg };
-            self.write_event(ev);
-        }
-    }
-
-    /// Opens an unlabeled span. See [`Span`].
-    pub fn span(&self, target: &'static str, name: &'static str) -> Span<'_> {
-        self.span_labeled(target, name, Vec::new())
-    }
-
-    /// Opens a span carrying extra trace labels (labels enrich the JSONL
-    /// stream only — the timing histogram is keyed by `(target, phase)` to
-    /// keep series cardinality bounded).
-    pub fn span_labeled(
-        &self,
-        target: &'static str,
-        name: &'static str,
-        labels: Vec<(String, String)>,
-    ) -> Span<'_> {
-        // The depth counts this thread's open spans, whatever engine opened
-        // them: a span's trace depth never depends on another thread's run.
-        let depth = ledger::open_span();
-        // Spans double as profiler frames so the collapsed-stack report
-        // nests under the same phase names as the trace (inert when
-        // profiling is off).
-        let frame = profiler::frame(name);
-        Span { engine: self, target, name, start: self.now(), depth, labels, _frame: frame }
-    }
-
-    /// Attaches a JSONL trace writer; subsequent spans and passing log
-    /// records are appended to it.
-    pub fn set_trace_writer(&self, writer: Box<dyn Write + Send>) {
-        *self.tracer.lock().expect("telemetry tracer poisoned") = Some(writer);
-        self.trace_on.store(true, Ordering::Relaxed);
-    }
-
-    /// Opens (creates/truncates) `path` as the JSONL trace sink.
-    pub fn set_trace_file(&self, path: &str) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        self.set_trace_writer(Box::new(std::io::BufWriter::new(file)));
-        Ok(())
-    }
-
-    /// Flushes and detaches the trace writer, ending the stream.
-    pub fn close_trace(&self) {
-        self.trace_on.store(false, Ordering::Relaxed);
-        if let Some(mut w) = self.tracer.lock().expect("telemetry tracer poisoned").take() {
-            let _ = w.flush();
-        }
-    }
-
-    /// Flushes the trace writer without detaching it.
-    pub fn flush(&self) {
-        if let Some(w) = self.tracer.lock().expect("telemetry tracer poisoned").as_mut() {
-            let _ = w.flush();
-        }
-    }
-
-    /// Renders the Prometheus-style exposition dump of the registry.
-    pub fn render_metrics(&self) -> String {
-        self.registry.render_prometheus()
-    }
-
-    fn write_event(&self, mut ev: TraceEvent) {
-        let mut tracer = self.tracer.lock().expect("telemetry tracer poisoned");
-        if let Some(w) = tracer.as_mut() {
-            if writeln!(w, "{}", ev.to_jsonl()).is_err() {
-                // A dead trace sink must never take the experiment down;
-                // drop the writer and keep running.
-                *tracer = None;
-                self.trace_on.store(false, Ordering::Relaxed);
-                eprintln!("fedmigr-telemetry: trace sink write failed; tracing disabled");
-            }
-        }
+    let parsed = std::env::var("FEDMIGR_LOG").ok().map(|spec| Filter::parse(&spec)).transpose();
+    ledger::set_filter(parsed.clone().ok().flatten().unwrap_or_default());
+    if let Err(e) = parsed {
+        log(Level::Warn, "telemetry", format_args!("ignoring FEDMIGR_LOG: {e}"));
     }
 }
 
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("trace_on", &self.trace_on.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+/// Emits one log record on this thread if its filter passes: to stderr,
+/// and to the thread's trace when it has one. Prefer the [`error!`] …
+/// [`trace!`] macros, which route here.
+pub fn log(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
+    if !enabled(target, level) {
+        return;
+    }
+    let msg = args.to_string();
+    eprintln!("{msg}");
+    if ledger::tracing() {
+        write_event(TraceEvent::Log { ts: ledger::now(), level, target: target.to_string(), msg });
     }
 }
 
-/// An RAII profiling span: created by [`Telemetry::span`] (usually via the
-/// [`span!`] macro), it measures from construction to drop and then
-/// records into the `fedmigr_phase_seconds` histogram and the trace.
+/// Opens an unlabeled span on this thread. See [`Span`].
+pub fn span(target: &'static str, name: &'static str) -> Span {
+    span_labeled(target, name, Vec::new())
+}
+
+/// Opens a span carrying extra trace labels (labels enrich the JSONL
+/// stream only — the timing histogram is keyed by `(target, phase)` to
+/// keep series cardinality bounded).
+pub fn span_labeled(
+    target: &'static str,
+    name: &'static str,
+    labels: Vec<(String, String)>,
+) -> Span {
+    let depth = ledger::open_span();
+    // Spans double as profiler frames so the collapsed-stack report
+    // nests under the same phase names as the trace (inert when
+    // profiling is off).
+    let frame = profiler::frame(name);
+    Span { target, name, start: ledger::now(), depth, labels, _frame: frame }
+}
+
+/// Appends `ev` to this thread's trace. A dead trace sink must never take
+/// the experiment down: a failed write drops the writer and the run goes
+/// on.
+fn write_event(mut ev: TraceEvent) {
+    let failed = ledger::with(|l| {
+        let mut sink = l.sink.borrow_mut();
+        let failed = sink.trace.as_mut().is_some_and(|w| writeln!(w, "{}", ev.to_jsonl()).is_err());
+        if failed {
+            sink.trace = None;
+        }
+        failed
+    });
+    if failed == Some(true) {
+        eprintln!("fedmigr-telemetry: trace sink write failed; tracing disabled");
+    }
+}
+
+/// An RAII profiling span: created by [`span`] (usually via the [`span!`]
+/// macro), it measures from construction to drop on its thread's clock
+/// and then records into the thread's `fedmigr_phase_seconds` histogram
+/// and trace.
 #[must_use = "a span measures until dropped; binding it to _ drops it immediately"]
-pub struct Span<'a> {
-    engine: &'a Telemetry,
+pub struct Span {
     target: &'static str,
     name: &'static str,
     start: f64,
@@ -267,69 +195,22 @@ pub struct Span<'a> {
     _frame: profiler::Frame,
 }
 
-impl Drop for Span<'_> {
+impl Drop for Span {
     fn drop(&mut self) {
-        let engine = self.engine;
-        let dur = (engine.now() - self.start).max(0.0);
+        let dur = (ledger::now() - self.start).max(0.0);
         ledger::close_span();
-        engine
-            .registry
-            .histogram(PHASE_SECONDS, &[("target", self.target), ("phase", self.name)])
-            .observe(dur);
-        if engine.trace_on.load(Ordering::Relaxed) {
-            let ev = TraceEvent::Span {
+        metrics::observe(PHASE_SECONDS, &[("target", self.target), ("phase", self.name)], dur);
+        if ledger::tracing() {
+            write_event(TraceEvent::Span {
                 ts: self.start,
                 dur,
                 target: self.target.to_string(),
                 name: self.name.to_string(),
                 depth: self.depth,
                 labels: BTreeMap::from_iter(std::mem::take(&mut self.labels)),
-            };
-            engine.write_event(ev);
+            });
         }
     }
-}
-
-static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-
-/// The process-wide engine. First use initializes the filter from the
-/// `FEDMIGR_LOG` environment variable, the one place that reads it: a
-/// malformed spec is reported once, as a warning, and the default filter
-/// applies (a bad environment never stops a run; `--log-level` replaces
-/// the filter either way).
-pub fn global() -> &'static Telemetry {
-    GLOBAL.get_or_init(|| {
-        let t = Telemetry::new();
-        if let Ok(spec) = std::env::var("FEDMIGR_LOG") {
-            match Filter::parse(&spec) {
-                Ok(f) => t.set_filter(f),
-                Err(e) => {
-                    t.log(Level::Warn, "telemetry", format_args!("ignoring FEDMIGR_LOG: {e}"))
-                }
-            }
-        }
-        t
-    })
-}
-
-/// Replaces the global log filter (e.g. from a `--log-level` flag).
-pub fn set_filter(filter: Filter) {
-    global().set_filter(filter);
-}
-
-/// Points the global JSONL trace stream at `path`.
-pub fn set_trace_file(path: &str) -> std::io::Result<()> {
-    global().set_trace_file(path)
-}
-
-/// Flushes and closes the global trace stream.
-pub fn close_trace() {
-    global().close_trace();
-}
-
-/// Renders the global registry as a Prometheus text exposition dump.
-pub fn render_metrics() -> String {
-    global().render_metrics()
 }
 
 /// The workspace's one parallel loop: cuts `items` into
@@ -338,10 +219,10 @@ pub fn render_metrics() -> String {
 /// chunk's offset into `items`, and returns the results in item order. A
 /// single chunk (one core, or at most one item) runs on the calling thread
 /// and spawns nothing. Each worker runs under the caller's instrument
-/// switches, and when its closure returns, its [`ledger`] comes back with
-/// its results and is added into the caller's: the one merge. Every worker
-/// is joined before this returns; a worker's panic resumes on the caller
-/// with its payload.
+/// switches and log filter, and when its closure returns, its [`ledger`]'s
+/// tally — kernel counts, frames, metrics — comes back with its results
+/// and is added into the caller's. Every worker is joined before this
+/// returns; a worker's panic resumes on the caller with its payload.
 pub fn fan_out<T, R, F>(items: &mut [T], work: F) -> Vec<R>
 where
     T: Send,
@@ -354,15 +235,14 @@ where
         return work(0, items);
     }
     let work = &work;
-    let switches = ledger::switches();
+    let handoff = ledger::handoff();
     std::thread::scope(|s| {
         let workers: Vec<_> = items
             .chunks_mut(chunk)
             .enumerate()
             .map(|(c, part)| {
-                s.spawn(move || {
-                    ledger::with_switches(switches, || (work(c * chunk, part), ledger::take()))
-                })
+                let handoff = handoff.clone();
+                s.spawn(move || handoff.run(|| work(c * chunk, part)))
             })
             .collect();
         workers
@@ -381,7 +261,7 @@ where
 #[macro_export]
 macro_rules! error {
     ($target:expr, $($arg:tt)*) => {
-        $crate::global().log($crate::Level::Error, $target, format_args!($($arg)*))
+        $crate::log($crate::Level::Error, $target, format_args!($($arg)*))
     };
 }
 
@@ -389,7 +269,7 @@ macro_rules! error {
 #[macro_export]
 macro_rules! warn {
     ($target:expr, $($arg:tt)*) => {
-        $crate::global().log($crate::Level::Warn, $target, format_args!($($arg)*))
+        $crate::log($crate::Level::Warn, $target, format_args!($($arg)*))
     };
 }
 
@@ -397,7 +277,7 @@ macro_rules! warn {
 #[macro_export]
 macro_rules! info {
     ($target:expr, $($arg:tt)*) => {
-        $crate::global().log($crate::Level::Info, $target, format_args!($($arg)*))
+        $crate::log($crate::Level::Info, $target, format_args!($($arg)*))
     };
 }
 
@@ -405,7 +285,7 @@ macro_rules! info {
 #[macro_export]
 macro_rules! debug {
     ($target:expr, $($arg:tt)*) => {
-        $crate::global().log($crate::Level::Debug, $target, format_args!($($arg)*))
+        $crate::log($crate::Level::Debug, $target, format_args!($($arg)*))
     };
 }
 
@@ -413,11 +293,11 @@ macro_rules! debug {
 #[macro_export]
 macro_rules! trace {
     ($target:expr, $($arg:tt)*) => {
-        $crate::global().log($crate::Level::Trace, $target, format_args!($($arg)*))
+        $crate::log($crate::Level::Trace, $target, format_args!($($arg)*))
     };
 }
 
-/// Opens a span on the global engine. Bind it to a named guard:
+/// Opens a span on this thread. Bind it to a named guard:
 ///
 /// ```
 /// let _span = fedmigr_telemetry::span!("core", "local_train");
@@ -426,10 +306,10 @@ macro_rules! trace {
 #[macro_export]
 macro_rules! span {
     ($target:expr, $name:expr $(,)?) => {
-        $crate::global().span($target, $name)
+        $crate::span($target, $name)
     };
     ($target:expr, $name:expr, $($k:expr => $v:expr),+ $(,)?) => {
-        $crate::global().span_labeled($target, $name, vec![$(($k.to_string(), $v.to_string())),+])
+        $crate::span_labeled($target, $name, vec![$(($k.to_string(), $v.to_string())),+])
     };
 }
 
@@ -437,33 +317,43 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    fn fake_engine() -> (Telemetry, FakeClock) {
-        let clock = FakeClock::new();
-        let t = Telemetry::with_clock(Box::new(clock.clone()));
-        (t, clock)
-    }
-
     use crate::record::MemorySink as Buf;
+
+    // Each test runs on its own thread, so the ledger it reads — filter,
+    // trace writer, clock, registry — is its own.
+
+    /// Points this thread's trace at a buffer and its clock at a fake one.
+    fn fake_sink() -> (Buf, FakeClock) {
+        let (buf, clock) = (Buf::default(), FakeClock::new());
+        ledger::set_clock(Box::new(clock.clone()));
+        ledger::trace_to(Box::new(buf.clone()));
+        (buf, clock)
+    }
 
     fn events(buf: &Buf) -> Vec<TraceEvent> {
         buf.text().lines().map(|l| TraceEvent::parse(l).expect("valid JSONL")).collect()
     }
 
+    fn phase_histogram(target: &str, phase: &str) -> metrics::Histogram {
+        let family = metrics::snapshot().histogram_family(PHASE_SECONDS);
+        let key = |l: &metrics::Labels| l.iter().any(|(k, v)| k == "phase" && v == phase);
+        let of = family.into_iter().find(|(l, _)| key(l) && l.iter().any(|(_, v)| v == target));
+        of.map(|(_, h)| h).unwrap_or_default()
+    }
+
     #[test]
     fn spans_nest_and_time_under_the_fake_clock() {
-        let (t, clock) = fake_engine();
-        let buf = Buf::default();
-        t.set_trace_writer(Box::new(buf.clone()));
+        let (buf, clock) = fake_sink();
         {
-            let _outer = t.span("core", "round");
+            let _outer = span("core", "round");
             clock.advance(1.0);
             {
-                let _inner = t.span("core", "local_train");
+                let _inner = span("core", "local_train");
                 clock.advance(2.0);
             }
             clock.advance(0.5);
         }
-        t.close_trace();
+        ledger::close_trace();
         let evs = events(&buf);
         assert_eq!(evs.len(), 2, "inner closes first, then outer");
         match &evs[0] {
@@ -485,24 +375,19 @@ mod tests {
             other => panic!("expected span, got {other:?}"),
         }
         // Both spans also landed in the phase histogram.
-        let snap = t
-            .registry()
-            .histogram(PHASE_SECONDS, &[("target", "core"), ("phase", "round")])
-            .snapshot();
+        let snap = phase_histogram("core", "round");
         assert_eq!(snap.count, 1);
         assert!((snap.sum - 3.5).abs() < 1e-9);
     }
 
     #[test]
     fn log_respects_filter_and_mirrors_to_trace() {
-        let (t, _clock) = fake_engine();
-        let buf = Buf::default();
-        t.set_trace_writer(Box::new(buf.clone()));
-        t.set_filter(Filter::parse("warn,core=debug").unwrap());
-        t.log(Level::Info, "net", format_args!("hidden"));
-        t.log(Level::Debug, "core::runner", format_args!("shown {}", 42));
-        t.log(Level::Error, "net", format_args!("also shown"));
-        t.close_trace();
+        let (buf, _clock) = fake_sink();
+        ledger::set_filter(Filter::parse("warn,core=debug").unwrap());
+        log(Level::Info, "net", format_args!("hidden"));
+        log(Level::Debug, "core::runner", format_args!("shown {}", 42));
+        log(Level::Error, "net", format_args!("also shown"));
+        ledger::close_trace();
         let evs = events(&buf);
         assert_eq!(evs.len(), 2);
         assert!(
@@ -524,22 +409,20 @@ mod tests {
                 Ok(())
             }
         }
-        let (t, clock) = fake_engine();
-        t.set_trace_writer(Box::new(Broken));
+        let clock = FakeClock::new();
+        ledger::set_clock(Box::new(clock.clone()));
+        ledger::trace_to(Box::new(Broken));
         {
-            let _s = t.span("core", "round");
+            let _s = span("core", "round");
             clock.advance(1.0);
         }
+        assert!(!ledger::tracing(), "the dead writer is dropped");
         // Tracing is now off, but spans still feed the registry.
         {
-            let _s = t.span("core", "round");
+            let _s = span("core", "round");
             clock.advance(1.0);
         }
-        let snap = t
-            .registry()
-            .histogram(PHASE_SECONDS, &[("target", "core"), ("phase", "round")])
-            .snapshot();
-        assert_eq!(snap.count, 2);
+        assert_eq!(phase_histogram("core", "round").count, 2);
     }
 
     fn cores() -> usize {
@@ -663,18 +546,84 @@ mod tests {
             ledger::with_switches(ALL_ON, || {
                 let _f = profiler::frame("stray");
                 drop(ledger::scope(ledger::Kernel::Pool, 1, 2));
-            })
+            });
+            metrics::add("stray_total", &[], 1);
+            metrics::observe("stray_seconds", &[], 1.0);
+            metrics::set("stray_gauge", &[], 1.0);
         })
         .join()
         .expect("stray thread");
         assert!(ledger::snapshot().is_empty());
         assert_eq!(frame_count("stray"), 0);
+        assert_eq!(metrics::snapshot(), metrics::Registry::new(), "its metrics stayed there");
+    }
+
+    /// Per item, on whichever thread runs it: one count, one observation
+    /// and a gauge set to the item's value, one span and one log record
+    /// that pass the filter; returns whether the item ran on `caller`.
+    fn record_series(items: &mut [usize], caller: std::thread::ThreadId) -> Vec<bool> {
+        fan_out(items, |_, part| {
+            part.iter()
+                .map(|&x| {
+                    metrics::add("fan_total", &[], 1);
+                    metrics::observe("fan_seconds", &[], x as f64);
+                    metrics::set("fan_gauge", &[], x as f64);
+                    drop(span("fan", "fan_span"));
+                    error!("fan", "fan item {x}");
+                    std::thread::current().id() == caller
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn fan_out_adds_every_workers_metrics_into_the_callers() {
+        let n = 2 * cores() + 1;
+        let mut items: Vec<usize> = (0..n).collect();
+        ledger::set_filter(Filter::parse("off").unwrap());
+        record_series(&mut items, std::thread::current().id());
+        let reg = metrics::snapshot();
+        assert_eq!(reg.counter_family("fan_total"), vec![(vec![], n as u64)], "n counts");
+        let [(_, seconds)] = reg.histogram_family("fan_seconds")[..] else { panic!("one series") };
+        assert_eq!((seconds.count, seconds.sum), (n as u64, (n * (n - 1) / 2) as f64));
+        // Workers join in item order, so the gauge holds the last item's.
+        let gauge = format!("fan_gauge {}.0\n", n - 1);
+        assert!(reg.render_prometheus().contains(&gauge), "the last set wins: {gauge}");
+        assert_eq!(phase_histogram("fan", "fan_span").count, n as u64, "spans count at home");
+    }
+
+    #[test]
+    fn fan_out_workers_inherit_the_callers_filter() {
+        let n = 2 * cores() + 1;
+        let mut items: Vec<usize> = (0..n).collect();
+        ledger::set_filter(Filter::parse("off,core=debug").unwrap());
+        let seen = fan_out(&mut items, |_, part| {
+            part.iter()
+                .map(|_| (enabled("core", Level::Debug), enabled("net", Level::Error)))
+                .collect()
+        });
+        assert!(seen.iter().all(|&s| s == (true, false)), "{seen:?}");
+    }
+
+    #[test]
+    fn fan_out_workers_write_no_trace_line() {
+        let n = 2 * cores() + 1;
+        let mut items: Vec<usize> = (0..n).collect();
+        let (buf, _clock) = fake_sink();
+        ledger::set_filter(Filter::parse("off,fan=error").unwrap());
+        let on_caller = record_series(&mut items, std::thread::current().id());
+        ledger::close_trace();
+        // Only what ran on the caller's thread — everything, for a single
+        // chunk — reaches its trace: one span and one log per item.
+        let at_home = on_caller.iter().filter(|&&home| home).count();
+        assert_eq!(events(&buf).len(), 2 * at_home, "{on_caller:?}");
+        assert_eq!(phase_histogram("fan", "fan_span").count, n as u64);
     }
 
     #[test]
     fn global_macros_do_not_panic() {
-        // The global engine writes to stderr by default; just exercise the
-        // macro plumbing end to end.
+        // The macros write to this thread's stderr by default; just
+        // exercise their plumbing end to end.
         let _span = crate::span!("telemetry", "self_test", "k" => "v");
         crate::debug!("telemetry", "self test {}", 1);
     }

@@ -35,11 +35,11 @@ pub fn reset_peak_rss() -> bool {
         .is_ok()
 }
 
-/// Samples [`peak_rss_bytes`] into the global `fedmigr_peak_rss_bytes`
+/// Samples [`peak_rss_bytes`] into this thread's `fedmigr_peak_rss_bytes`
 /// gauge and returns the sampled value.
 pub fn record_peak_rss() -> Option<u64> {
     let peak = peak_rss_bytes()?;
-    crate::global().registry().gauge(PEAK_RSS_BYTES, &[]).set(peak as f64);
+    crate::metrics::set(PEAK_RSS_BYTES, &[], peak as f64);
     Some(peak)
 }
 

@@ -1,28 +1,39 @@
 //! Two runs in one process keep their instruments apart: a run's kernel
-//! counts and profiler frames live in the ledger of the thread that runs
-//! it, its workers' merged in at their join, so what it reads back is what
-//! it reads back alone.
-//!
-//! A file of its own: the other end-to-end binaries assert on the shared
-//! trace sink, which this test's concurrent runs would interleave.
+//! counts, profiler frames and metrics live in the ledger of the thread
+//! that runs it, its workers' merged in at their join, so what it reads
+//! back is what it reads back alone.
+
+mod common;
 
 use std::sync::{Arc, Barrier};
 
-use fedmigr::core::{Experiment, FleetExperiment, FleetOptions, RunConfig, Scheme};
-use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
-use fedmigr::net::{ClientCompute, DeviceTier, Topology, TopologyConfig};
+use fedmigr::core::{FleetExperiment, FleetOptions, RunConfig, Scheme};
 use fedmigr::nn::zoo::{self, NetScale};
 use fedmigr::tensor::kcount::{self, Kernel};
 use fedmigr_telemetry::ledger::Profile;
-use fedmigr_telemetry::profiler;
+use fedmigr_telemetry::{metrics, profiler};
 
 /// What a run read back from its thread's ledger: `(kernel, calls, flops,
-/// bytes)` per kernel that ran, and `(path, calls)` per profiled path.
+/// bytes)` per kernel that ran, `(path, calls)` per profiled path, the
+/// seeded lines of its metrics dump (kernel calls, FLOPs and bytes, span
+/// counts, DRL updates), and the phase, kernel, calls and GFLOP columns of
+/// its kernel table.
 #[derive(Debug, PartialEq)]
 struct Ledger {
     kernels: Vec<(&'static str, u64, u64, u64)>,
     frames: Vec<(String, u64)>,
+    series: Vec<String>,
+    table: Vec<String>,
 }
+
+/// The dump lines whose values a seed fixes.
+const SEEDED_SERIES: [&str; 5] = [
+    "fedmigr_kernel_calls_total",
+    "fedmigr_kernel_flops_total",
+    "fedmigr_kernel_bytes_total",
+    "fedmigr_phase_seconds_count",
+    "fedmigr_drl_updates_total",
+];
 
 fn read_ledger() -> Ledger {
     let snap = kcount::snapshot();
@@ -41,34 +52,26 @@ fn read_ledger() -> Ledger {
             (path, cols.next().and_then(|c| c.parse().ok()).expect("a calls column"))
         })
         .collect();
-    Ledger { kernels, frames }
+    let series = metrics::snapshot()
+        .render_prometheus()
+        .lines()
+        .filter(|line| SEEDED_SERIES.iter().any(|name| line.starts_with(name)))
+        .map(String::from)
+        .collect();
+    let table = fedmigr::core::kernels::kernel_table().expect("kernel accounting was on");
+    // Rows sort by time inside a phase; the seeded columns sort by name.
+    let mut table: Vec<String> = table
+        .lines()
+        .skip(2)
+        .map(|row| row.split_whitespace().take(4).collect::<Vec<_>>().join(" "))
+        .collect();
+    table.sort();
+    Ledger { kernels, frames, series, table }
 }
 
 /// A seeded dense FedMigr run, kernel accounting and profiler frames on.
 fn dense() -> Ledger {
-    let seed = 3;
-    let data = SyntheticDataset::generate(&SyntheticConfig {
-        num_classes: 4,
-        train_per_class: 16,
-        test_per_class: 8,
-        channels: 1,
-        hw: 8,
-        noise_std: 0.8,
-        class_sep: 1.0,
-        atom_bank: 6,
-        atoms_per_class: 2,
-        private_frac: 0.5,
-        seed,
-    });
-    let parts = partition_shards(&data.train, 4, 1, seed);
-    let exp = Experiment::new(
-        data.train,
-        data.test,
-        parts,
-        Topology::new(&TopologyConfig::default_edge(vec![2, 2], seed)),
-        ClientCompute::homogeneous(4, DeviceTier::Tx2),
-        zoo::mini_resnet(1, 8, 4, 1, NetScale::Small, seed),
-    );
+    let exp = common::experiment(3);
     let mut cfg = RunConfig::new(Scheme::fedmigr(9), 6);
     cfg.agg_interval = 3;
     cfg.batch_size = 16;
@@ -78,10 +81,11 @@ fn dense() -> Ledger {
     read_ledger()
 }
 
-/// A seeded fleet FedMigr run, kernel accounting on, profiler off.
+/// A seeded fleet FedMigr run, kernel accounting on, profiler off, long
+/// enough for its agent's first update.
 fn fleet() -> Ledger {
     let model = zoo::c10_cnn(3, 8, NetScale::Small, 11);
-    let mut cfg = RunConfig::new(Scheme::fedmigr(11), 4);
+    let mut cfg = RunConfig::new(Scheme::fedmigr(11), 12);
     cfg.agg_interval = 2;
     cfg.eval_interval = 2;
     cfg.batch_size = 8;
@@ -102,6 +106,15 @@ fn concurrent_runs_read_back_the_ledgers_they_read_alone() {
     assert!(dense_alone.frames.iter().any(|(p, n)| p == "round" && *n == 6), "{dense_alone:?}");
     assert!(fleet_alone.kernels.iter().any(|k| k.0 == "matmul"), "{fleet_alone:?}");
     assert!(fleet_alone.frames.is_empty(), "the fleet run profiles nothing: {fleet_alone:?}");
+    for alone in [&dense_alone, &fleet_alone] {
+        for name in &SEEDED_SERIES[..4] {
+            let has = alone.series.iter().any(|line| line.starts_with(name));
+            assert!(has, "{name} missing: {alone:?}");
+        }
+        assert!(alone.table.iter().any(|row| row.contains(" matmul ")), "{alone:?}");
+    }
+    let drl_updates = |l: &Ledger| l.series.iter().any(|s| s.starts_with(SEEDED_SERIES[4]));
+    assert!(drl_updates(&fleet_alone), "the fleet run trains its agent: {fleet_alone:?}");
 
     // Together: both start at once and overlap.
     let start = Arc::new(Barrier::new(2));

@@ -3,74 +3,59 @@
 //! byte, and the recorded artifact must round-trip through the parser, the
 //! report renderer and the regression differ.
 //!
-//! Everything lives in ONE test function: the metrics registry (gauges) and
-//! the trace sink are the process's, so concurrent experiment runs in this
-//! binary would interleave their measurements.
+//! One test per contract. Each runs on its own test thread, whose metrics
+//! registry (the gauges) is its own, and writes its own flight file, so
+//! the tests run in parallel without reading each other.
 
-use fedmigr::core::{DiagConfig, Experiment, RunConfig, Scheme};
-use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
-use fedmigr::net::{ClientCompute, DeviceTier, Topology, TopologyConfig};
-use fedmigr::nn::zoo::{self, NetScale};
+mod common;
+
+use common::experiment;
+use fedmigr::core::{DiagConfig, RunConfig, RunMetrics, Scheme};
 use fedmigr_diag::{diff_recordings, render_report, FlightRecording, Tolerances, FLIGHT_VERSION};
 
-fn experiment(seed: u64) -> Experiment {
-    let data = SyntheticDataset::generate(&SyntheticConfig {
-        num_classes: 4,
-        train_per_class: 16,
-        test_per_class: 8,
-        channels: 1,
-        hw: 8,
-        noise_std: 0.8,
-        class_sep: 1.0,
-        atom_bank: 6,
-        atoms_per_class: 2,
-        private_frac: 0.5,
-        seed,
-    });
-    let parts = partition_shards(&data.train, 4, 1, seed);
-    Experiment::new(
-        data.train,
-        data.test,
-        parts,
-        Topology::new(&TopologyConfig::default_edge(vec![2, 2], seed)),
-        ClientCompute::homogeneous(4, DeviceTier::Tx2),
-        zoo::mini_resnet(1, 8, 4, 1, NetScale::Small, seed),
-    )
-}
-
-#[test]
-fn diagnostics_observe_without_perturbing() {
+fn config() -> RunConfig {
     let mut cfg = RunConfig::new(Scheme::fedmigr(9), 10);
     cfg.agg_interval = 4;
     cfg.batch_size = 16;
     cfg.eval_interval = 5;
+    cfg
+}
 
-    // Baseline: diagnostics fully off.
-    let off = experiment(3).run(&cfg);
-
-    // Same seed with gauges AND the flight recorder active.
+/// The seeded run with gauges AND the flight recorder active, and the
+/// recording it wrote (to a file named after `test`, removed again).
+fn recorded_run(test: &str) -> (RunMetrics, FlightRecording) {
     let flight_path =
-        std::env::temp_dir().join(format!("fedmigr-diag-e2e-{}.jsonl", std::process::id()));
-    let mut cfg_on = cfg.clone();
-    cfg_on.diag = DiagConfig {
+        std::env::temp_dir().join(format!("fedmigr-diag-e2e-{test}-{}.jsonl", std::process::id()));
+    let mut cfg = config();
+    cfg.diag = DiagConfig {
         enabled: true,
         flight_out: Some(flight_path.to_string_lossy().into_owned()),
         ..DiagConfig::default()
     };
-    let on = experiment(3).run(&cfg_on);
+    let on = experiment(3).run(&cfg);
+    let rec =
+        FlightRecording::from_file(flight_path.to_str().unwrap()).expect("flight recording parses");
+    let _ = std::fs::remove_file(&flight_path);
+    (on, rec)
+}
 
-    // 1. Byte-identity: the exported run must not change at all.
+#[test]
+fn diagnostics_observe_without_perturbing() {
+    // Baseline: diagnostics fully off.
+    let off = experiment(3).run(&config());
+    let (on, _) = recorded_run("identity");
     assert_eq!(off.to_csv(), on.to_csv(), "diagnostics must not perturb a seeded run");
     assert_eq!(off.link_migrations, on.link_migrations);
     assert_eq!(off.migrations_local, on.migrations_local);
     assert_eq!(off.migrations_global, on.migrations_global);
+}
 
-    // 2. The recording parses and matches the run it observed.
-    let rec =
-        FlightRecording::from_file(flight_path.to_str().unwrap()).expect("flight recording parses");
+#[test]
+fn the_flight_recording_matches_the_run_it_observed() {
+    let (on, rec) = recorded_run("matches");
     assert_eq!(rec.header.version, FLIGHT_VERSION);
     assert_eq!(rec.header.clients, 4);
-    assert_eq!(rec.header.seed, cfg.seed);
+    assert_eq!(rec.header.seed, config().seed);
     assert_eq!(rec.rounds.len(), on.epochs(), "one round record per epoch");
     let summary = rec.summary.as_ref().expect("recorder writes a summary");
     assert_eq!(summary.epochs_run, on.epochs());
@@ -84,9 +69,13 @@ fn diagnostics_observe_without_perturbing() {
         assert_eq!(round.test_accuracy, epoch_rec.test_accuracy);
         assert_eq!(round.sim_time, epoch_rec.sim_time);
     }
+}
 
-    // 3. Diagnostics carry signal: EMDs are valid, FedMigr rounds record a
-    //    DRL snapshot, migratory epochs carry edges.
+#[test]
+fn the_diagnostics_carry_signal() {
+    // EMDs are valid, FedMigr rounds record a DRL snapshot, migratory
+    // epochs carry edges.
+    let (on, rec) = recorded_run("signal");
     for round in &rec.rounds {
         assert!(round.emd.mean.is_finite() && (0.0..=1.0).contains(&round.emd.mean));
         assert!(round.emd.max >= round.emd.mean);
@@ -110,25 +99,32 @@ fn diagnostics_observe_without_perturbing() {
         on.migrations_local + on.migrations_global,
         "edge list agrees with the run's migration counters"
     );
+}
 
-    // 4. The report renders every section for this recording.
+#[test]
+fn the_report_renders_every_section() {
+    let (_, rec) = recorded_run("report");
     let report = render_report(&rec);
     for section in
         ["convergence", "EMD trajectory", "client drift", "DDPG introspection", "migration graph"]
     {
         assert!(report.contains(section), "report missing section {section:?}:\n{report}");
     }
+}
 
-    // 5. A recording diffed against itself is regression-free.
+#[test]
+fn a_recording_diffed_against_itself_is_regression_free() {
+    let (_, rec) = recorded_run("self-diff");
     let regressions =
         diff_recordings(&rec, &rec, &Tolerances::default()).expect("self-diff succeeds");
     assert!(regressions.is_empty(), "self-diff found regressions: {regressions:?}");
+}
 
-    // 6. Gauges were exported through the telemetry engine.
-    let dump = fedmigr_telemetry::render_metrics();
+#[test]
+fn the_diagnostic_gauges_reach_the_metrics_dump() {
+    recorded_run("gauges");
+    let dump = fedmigr_telemetry::metrics::snapshot().render_prometheus();
     for gauge in ["fedmigr_diag_emd_mean", "fedmigr_diag_drift_mean_dist"] {
         assert!(dump.contains(gauge), "metrics dump missing {gauge}");
     }
-
-    let _ = std::fs::remove_file(&flight_path);
 }

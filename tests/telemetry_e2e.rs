@@ -1,19 +1,17 @@
 //! End-to-end telemetry contract: observation never perturbs a run, the
 //! JSONL trace is well-formed, and spans account for the round wall-clock.
 //!
-//! Everything lives in ONE test function: the trace sink and the metrics
-//! registry are the process's, shared by every test thread in this binary,
-//! so concurrent experiment runs would interleave their events and series.
+//! One test per contract. Each runs on its own test thread, and the trace
+//! writer, the metrics registry and the profiler's tables are that
+//! thread's, so the tests run in parallel without reading each other.
 
-use fedmigr::core::{Experiment, RunConfig, Scheme};
-use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
-use fedmigr::net::{ClientCompute, DeviceTier, Topology, TopologyConfig};
-use fedmigr::nn::zoo::{self, NetScale};
-use fedmigr_telemetry::ledger::Profile;
-use fedmigr_telemetry::TraceEvent;
+mod common;
 
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use common::experiment;
+use fedmigr::core::{RunConfig, RunMetrics, Scheme};
+use fedmigr_telemetry::ledger::{self, Profile};
+use fedmigr_telemetry::record::MemorySink;
+use fedmigr_telemetry::{metrics, profiler, TraceEvent};
 
 /// Counting allocator wired exactly as the CLI wires it: forwards to the
 /// system allocator, and only attributes while `--profile-alloc` profiling
@@ -22,82 +20,75 @@ use std::sync::{Arc, Mutex};
 static ALLOC: fedmigr_telemetry::profiler::CountingAlloc =
     fedmigr_telemetry::profiler::CountingAlloc;
 
-fn experiment(seed: u64) -> Experiment {
-    let data = SyntheticDataset::generate(&SyntheticConfig {
-        num_classes: 4,
-        train_per_class: 16,
-        test_per_class: 8,
-        channels: 1,
-        hw: 8,
-        noise_std: 0.8,
-        class_sep: 1.0,
-        atom_bank: 6,
-        atoms_per_class: 2,
-        private_frac: 0.5,
-        seed,
-    });
-    let parts = partition_shards(&data.train, 4, 1, seed);
-    Experiment::new(
-        data.train,
-        data.test,
-        parts,
-        Topology::new(&TopologyConfig::default_edge(vec![2, 2], seed)),
-        ClientCompute::homogeneous(4, DeviceTier::Tx2),
-        zoo::mini_resnet(1, 8, 4, 1, NetScale::Small, seed),
-    )
+fn config() -> RunConfig {
+    let mut cfg = RunConfig::new(Scheme::fedmigr(9), 10);
+    cfg.agg_interval = 4;
+    cfg.batch_size = 16;
+    cfg
 }
 
-/// A shared in-memory JSONL trace sink.
-#[derive(Clone, Default)]
-struct Buf(Arc<Mutex<Vec<u8>>>);
+/// The seeded run with a trace stream attached to this thread, and every
+/// line of that stream, parsed strictly.
+fn traced_run() -> (RunMetrics, Vec<TraceEvent>) {
+    let buf = MemorySink::default();
+    ledger::trace_to(Box::new(buf.clone()));
+    let run = experiment(3).run(&config());
+    ledger::close_trace();
+    let events = buf
+        .text()
+        .lines()
+        .map(|l| TraceEvent::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
+        .collect();
+    (run, events)
+}
 
-impl Write for Buf {
-    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(data);
-        Ok(data.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
+/// The seeded run with the profiler, allocation counting and kernel
+/// accounting all on.
+fn profiled_run() -> RunMetrics {
+    let mut cfg = config();
+    cfg.diag.kcount = true;
+    cfg.diag.profile = Profile::FramesAndAllocs;
+    experiment(3).run(&cfg)
+}
+
+fn assert_dump_has(families: &[&str]) {
+    let dump = metrics::snapshot().render_prometheus();
+    for family in families {
+        assert!(dump.contains(&format!("# TYPE {family} ")), "metrics dump missing {family}");
     }
 }
 
 #[test]
 fn telemetry_observes_without_perturbing() {
-    let mut cfg = RunConfig::new(Scheme::fedmigr(9), 10);
-    cfg.agg_interval = 4;
-    cfg.batch_size = 16;
-
     // Baseline: telemetry at its defaults, no trace writer attached.
-    let off = experiment(3).run(&cfg);
-
+    let off = experiment(3).run(&config());
     // Same seed with a trace stream attached and everything recorded.
-    let buf = Buf::default();
-    fedmigr_telemetry::global().set_trace_writer(Box::new(buf.clone()));
-    let on = experiment(3).run(&cfg);
-    fedmigr_telemetry::close_trace();
-
-    // 1. Determinism: the exported run is byte-identical either way.
+    let (on, _) = traced_run();
     assert_eq!(off.to_csv(), on.to_csv(), "telemetry must not perturb a seeded run");
     assert_eq!(off.link_migrations, on.link_migrations);
+}
 
-    // 2. The virtual phase breakdown accounts for all simulated time.
+#[test]
+fn the_virtual_phases_account_for_all_simulated_time() {
+    let (on, _) = traced_run();
     let total = on.phase().total();
     assert!(
         (total - on.sim_time()).abs() <= 1e-9 * on.sim_time().max(1.0),
         "phase total {total} != sim time {}",
         on.sim_time()
     );
+}
 
-    // 3. Every trace line parses strictly.
-    let raw = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let events: Vec<TraceEvent> = raw
-        .lines()
-        .map(|l| TraceEvent::parse(l).unwrap_or_else(|e| panic!("bad JSONL line {l:?}: {e}")))
-        .collect();
+#[test]
+fn every_trace_line_parses_strictly() {
+    // `traced_run` parses each line strictly; the stream must also exist.
+    let (_, events) = traced_run();
     assert!(!events.is_empty(), "trace stream is empty");
+}
 
-    // 4. Span coverage: direct children of the per-epoch `round` spans tile
-    //    (almost) the entire round wall-clock.
+#[test]
+fn the_children_of_each_round_span_tile_its_wall_clock() {
+    let (_, events) = traced_run();
     let spans: Vec<(&String, f64, usize)> = events
         .iter()
         .filter_map(|e| match e {
@@ -130,47 +121,54 @@ fn telemetry_observes_without_perturbing() {
     let coverage = child_total / round_total;
     assert!(coverage >= 0.95, "span coverage {coverage:.3} below 95% of round wall-clock");
     assert!(coverage <= 1.05, "children exceed their rounds: coverage {coverage:.3}");
+}
 
-    // 5. The metrics dump carries the core families fed by the run.
-    let dump = fedmigr_telemetry::render_metrics();
-    for family in ["fedmigr_phase_seconds", "fedmigr_net_bytes_total", "fedmigr_codec_bytes_total"]
-    {
-        assert!(dump.contains(&format!("# TYPE {family} ")), "metrics dump missing {family}");
-    }
+#[test]
+fn the_metrics_dump_carries_the_core_families() {
+    traced_run();
+    assert_dump_has(&[
+        "fedmigr_phase_seconds",
+        "fedmigr_net_bytes_total",
+        "fedmigr_codec_bytes_total",
+    ]);
+}
 
-    // 6. Profiler + allocation counting + kernel accounting are
-    //    observation-only: a third identical run with every observability
-    //    layer enabled stays byte-identical to the baseline, while the
-    //    collapsed-stack, allocation and kernel-counter outputs all fill.
-    cfg.diag.kcount = true;
-    cfg.diag.profile = Profile::FramesAndAllocs;
-    let profiled = experiment(3).run(&cfg);
-
+#[test]
+fn profiling_observes_without_perturbing() {
+    // Profiler + allocation counting + kernel accounting are
+    // observation-only: the run stays byte-identical to the baseline.
+    let off = experiment(3).run(&config());
+    let profiled = profiled_run();
     assert_eq!(off.to_csv(), profiled.to_csv(), "profiling must not perturb a seeded run");
     assert_eq!(off.link_migrations, profiled.link_migrations);
+}
 
-    let collapsed = fedmigr_telemetry::profiler::collapsed_report();
+#[test]
+fn the_profiler_nests_phases_and_counts_their_allocations() {
+    profiled_run();
+    let collapsed = profiler::collapsed_report();
     assert!(
         collapsed.lines().any(|l| l.starts_with("round;local_train ")),
         "phase frames must nest under rounds:\n{collapsed}"
     );
-    let alloc = fedmigr_telemetry::profiler::alloc_report();
+    let alloc = profiler::alloc_report();
     let train_allocs = alloc
         .lines()
         .find(|l| l.starts_with("round;local_train "))
         .expect("alloc report has the training scope");
     let allocs: u64 = train_allocs.split_whitespace().nth(2).unwrap().parse().unwrap();
     assert!(allocs > 0, "the counting allocator saw training allocations: {train_allocs}");
+}
 
-    let dump = fedmigr_telemetry::render_metrics();
-    for family in [
+#[test]
+fn kernel_accounting_fills_its_families_and_covers_local_train() {
+    profiled_run();
+    assert_dump_has(&[
         "fedmigr_kernel_flops_total",
         "fedmigr_kernel_bytes_total",
         "fedmigr_kernel_calls_total",
         "fedmigr_kernel_nanos_total",
-    ] {
-        assert!(dump.contains(&format!("# TYPE {family} ")), "metrics dump missing {family}");
-    }
+    ]);
     // Kernel time attributes a meaningful share of the training phase. The
     // bound is loose (the strict 90-110% CPU-band gate runs on the release
     // fig7 config in CI) because this is a debug build — unoptimized

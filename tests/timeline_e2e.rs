@@ -5,41 +5,22 @@
 //! `fedmigr netview` report) must all be well-formed and agree with the
 //! run they observed.
 //!
-//! Everything lives in ONE test function: the metrics registry and the
-//! trace sink are the process's, so concurrent experiment runs in this
-//! binary would interleave their counters.
+//! One test per contract, each over both transports. Each runs on its own
+//! test thread, whose metrics registry is its own, and writes files of its
+//! own, so the tests run in parallel without reading each other.
 
-use fedmigr::core::{DiagConfig, Experiment, RunConfig, Scheme};
-use fedmigr::data::{partition_shards, SyntheticConfig, SyntheticDataset};
+mod common;
+
+use common::experiment;
+use fedmigr::core::{DiagConfig, RunConfig, RunMetrics, Scheme};
 use fedmigr::diag::{chrome_trace, TimelineRecording, TIMELINE_VERSION};
 use fedmigr::diag::{gate, netview};
-use fedmigr::net::{ClientCompute, DeviceTier, Topology, TopologyConfig, TransportConfig};
-use fedmigr::nn::zoo::{self, NetScale};
+use fedmigr::net::TransportConfig;
 use fedmigr_telemetry::trace::JsonValue;
 
-fn experiment(seed: u64) -> Experiment {
-    let data = SyntheticDataset::generate(&SyntheticConfig {
-        num_classes: 4,
-        train_per_class: 16,
-        test_per_class: 8,
-        channels: 1,
-        hw: 8,
-        noise_std: 0.8,
-        class_sep: 1.0,
-        atom_bank: 6,
-        atoms_per_class: 2,
-        private_frac: 0.5,
-        seed,
-    });
-    let parts = partition_shards(&data.train, 4, 1, seed);
-    Experiment::new(
-        data.train,
-        data.test,
-        parts,
-        Topology::new(&TopologyConfig::default_edge(vec![2, 2], seed)),
-        ClientCompute::homogeneous(4, DeviceTier::Tx2),
-        zoo::mini_resnet(1, 8, 4, 1, NetScale::Small, seed),
-    )
+/// The two transports, by the name the timeline header gives them.
+fn transports() -> [(&'static str, TransportConfig); 2] {
+    [("lockstep", TransportConfig::Lockstep), ("flow", TransportConfig::flow(5))]
 }
 
 fn tmp(tag: &str) -> String {
@@ -47,6 +28,46 @@ fn tmp(tag: &str) -> String {
         .join(format!("fedmigr-timeline-e2e-{tag}-{}.jsonl", std::process::id()))
         .to_string_lossy()
         .into_owned()
+}
+
+/// The seeded run on `transport` with the flight recorder on, and the
+/// timeline recorder too when `timeline`; returns the run, its flight
+/// recording's bytes and its timeline's text (empty without one). The
+/// files are named after `tag` and removed again.
+fn run(tag: &str, transport: TransportConfig, timeline: bool) -> (RunMetrics, Vec<u8>, String) {
+    let mut cfg = RunConfig::new(Scheme::fedmigr(9), 10);
+    cfg.agg_interval = 4;
+    cfg.batch_size = 16;
+    cfg.eval_interval = 5;
+    cfg.transport = transport;
+    let (flight, timeline_path) = (tmp(&format!("{tag}-flight")), tmp(&format!("{tag}-timeline")));
+    cfg.diag = DiagConfig {
+        enabled: true,
+        flight_out: Some(flight.clone()),
+        timeline_out: timeline.then(|| timeline_path.clone()),
+        ..DiagConfig::default()
+    };
+    let metrics = experiment(3).run(&cfg);
+    let flight_bytes = std::fs::read(&flight).expect("flight recording written");
+    let text = if timeline {
+        std::fs::read_to_string(&timeline_path).expect("timeline written")
+    } else {
+        String::new()
+    };
+    for p in [&flight, &timeline_path] {
+        let _ = std::fs::remove_file(p);
+    }
+    (metrics, flight_bytes, text)
+}
+
+/// Per transport: its name, the run with a timeline and the timeline,
+/// parsed (`test` keeps the files of concurrent tests apart).
+fn timelines(test: &str) -> Vec<(&'static str, RunMetrics, TimelineRecording)> {
+    let recorded = transports().into_iter().map(|(tag, transport)| {
+        let (on, _, raw) = run(&format!("{test}-{tag}"), transport, true);
+        (tag, on, TimelineRecording::parse(&raw).expect("timeline parses"))
+    });
+    recorded.collect()
 }
 
 /// Walks a Chrome trace's `traceEvents`, checking every `B` has a
@@ -89,59 +110,39 @@ fn assert_well_nested(trace: &str) {
 
 #[test]
 fn timeline_observes_without_perturbing() {
-    for (tag, transport) in
-        [("lockstep", TransportConfig::Lockstep), ("flow", TransportConfig::flow(5))]
-    {
-        let mut cfg = RunConfig::new(Scheme::fedmigr(9), 10);
-        cfg.agg_interval = 4;
-        cfg.batch_size = 16;
-        cfg.eval_interval = 5;
-        cfg.transport = transport;
-
-        // Baseline: flight recorder on, timeline off.
-        let flight_off = tmp(&format!("{tag}-flight-off"));
-        cfg.diag = DiagConfig {
-            enabled: true,
-            flight_out: Some(flight_off.clone()),
-            ..DiagConfig::default()
-        };
-        let off = experiment(3).run(&cfg);
-
-        // Same seed with the timeline recorder attached as well.
-        let flight_on = tmp(&format!("{tag}-flight-on"));
-        let timeline = tmp(&format!("{tag}-timeline"));
-        let mut cfg_on = cfg.clone();
-        cfg_on.diag = DiagConfig {
-            enabled: true,
-            flight_out: Some(flight_on.clone()),
-            timeline_out: Some(timeline.clone()),
-            ..DiagConfig::default()
-        };
-        let on = experiment(3).run(&cfg_on);
-
-        // 1. Byte-identity on BOTH exported artifacts.
+    for (tag, transport) in transports() {
+        // Baseline: flight recorder on, timeline off; then the same seed
+        // with the timeline recorder attached as well.
+        let (off, flight_a, _) = run(&format!("identity-{tag}-off"), transport, false);
+        let (on, flight_b, _) = run(&format!("identity-{tag}-on"), transport, true);
+        // Byte-identity on BOTH exported artifacts.
         assert_eq!(
             off.to_csv(),
             on.to_csv(),
             "[{tag}] timeline recording must not perturb the CSV"
         );
-        let flight_a = std::fs::read(&flight_off).expect("baseline flight exists");
-        let flight_b = std::fs::read(&flight_on).expect("timeline-run flight exists");
         assert_eq!(flight_a, flight_b, "[{tag}] flight recordings must be byte-identical");
+    }
+}
 
-        // 2. The timeline parses, is versioned, and covers every epoch.
-        let raw = std::fs::read_to_string(&timeline).expect("timeline written");
-        let rec = TimelineRecording::parse(&raw).expect("timeline parses");
+#[test]
+fn the_timeline_is_versioned_and_covers_every_epoch() {
+    for (tag, on, rec) in timelines("cover") {
         assert_eq!(rec.header.version, TIMELINE_VERSION);
         assert_eq!(rec.header.transport, tag);
         assert_eq!(rec.header.clients, 4);
         assert!(rec.finished, "[{tag}] finish marker present");
         // Round 0 is the seed broadcast; then one settled round per epoch.
         assert_eq!(rec.settled_rounds().len(), on.epochs() + 1);
+    }
+}
 
-        // 3. Timeline invariants: start stamps never run backwards, every
-        //    interval is closed, every flow event rides a declared link (the
-        //    same check `fedmigr netview` applies in CI).
+#[test]
+fn the_timeline_keeps_its_invariants() {
+    for (tag, _, rec) in timelines("invariants") {
+        // Start stamps never run backwards, every interval is closed, every
+        // flow event rides a declared link (the same check `fedmigr
+        // netview` applies in CI).
         rec.validate().unwrap_or_else(|v| panic!("[{tag}] timeline invariants broken: {v:?}"));
         for round in &rec.rounds {
             assert!(round.t1 >= round.t0, "[{tag}] round not closed");
@@ -159,29 +160,38 @@ fn timeline_observes_without_perturbing() {
                 );
             }
         }
+    }
+}
 
-        // 4. The Chrome conversion is valid JSON with well-nested B/E.
+#[test]
+fn the_chrome_trace_is_valid_and_well_nested() {
+    for (_, _, rec) in timelines("chrome") {
         assert_well_nested(&chrome_trace(&rec));
+    }
+}
 
-        // 5. netview digests the recording into a consistent report.
+#[test]
+fn netview_digests_the_timeline_into_a_consistent_report() {
+    for (_, _, rec) in timelines("netview") {
         let mut report = netview::analyze(&rec);
         assert_eq!(report.rounds, rec.settled_rounds().len());
         assert!(report.makespan_s > 0.0);
         let json = netview::render_json(&mut report);
         let parsed = JsonValue::parse(&json).expect("netview JSON parses");
         assert!(gate::diff_json(&parsed, &parsed, 1e-9).is_empty(), "report self-diffs clean");
+    }
+}
 
-        // The flow transport must actually produce flow events; lockstep
-        // reduces to coarse intervals only.
+#[test]
+fn only_the_flow_transport_records_flow_events() {
+    // The flow transport must actually produce flow events; lockstep
+    // reduces to coarse intervals only.
+    for (tag, _, rec) in timelines("flows") {
         let flow_events: usize = rec.rounds.iter().map(|r| r.flows.len()).sum();
         if tag == "flow" {
             assert!(flow_events > 0, "flow transport records flow events");
         } else {
             assert_eq!(flow_events, 0, "lockstep records no flow events");
-        }
-
-        for p in [&flight_off, &flight_on, &timeline] {
-            let _ = std::fs::remove_file(p);
         }
     }
 }
