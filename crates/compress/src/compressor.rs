@@ -247,17 +247,12 @@ impl Compressor {
         items.into_iter().map(send).collect()
     }
 
-    /// What `transmit(lane, values)` *would* deliver, without updating the
-    /// residual, the counter, or the stats. Used for hypothetical transfers
+    /// What `transmit(lane, values)` *would* deliver for every `(lane,
+    /// values)` item, in parallel, without updating the residual, the
+    /// counter, or the stats: each is what the *next* transmit on its lane
+    /// would deliver, so lanes may repeat. Used for hypothetical transfers
     /// (e.g. evaluation-time shadow uploads) so measurement reflects codec
     /// distortion without perturbing run state.
-    pub fn preview(&self, lane: usize, values: &[f32]) -> Vec<f32> {
-        self.preview_batch(vec![(lane, values)]).pop().expect("one item in, one out")
-    }
-
-    /// [`Compressor::preview`] of every `(lane, values)` item, in parallel:
-    /// each is what the *next* transmit on its lane would deliver, so lanes
-    /// may repeat.
     pub fn preview_batch<V>(&self, items: Vec<(usize, V)>) -> Vec<Vec<f32>>
     where
         V: AsRef<[f32]> + Into<Vec<f32>> + Sync,
@@ -326,6 +321,11 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One item's [`Compressor::preview_batch`].
+    fn preview(c: &Compressor, lane: usize, values: &[f32]) -> Vec<f32> {
+        c.preview_batch(vec![(lane, values)]).pop().expect("one item in, one out")
     }
 
     /// Every lossy codec family, with and without error feedback.
@@ -465,8 +465,8 @@ mod tests {
         let mut c = Compressor::new(&CodecConfig::int8(), 1, 7);
         let v = vals(300);
         let before = c.stats();
-        let p1 = c.preview(0, &v);
-        let p2 = c.preview(0, &v);
+        let p1 = preview(&c, 0, &v);
+        let p2 = preview(&c, 0, &v);
         assert_eq!(p1, p2, "preview is deterministic");
         assert_eq!(c.stats(), before, "preview must not count");
         let t = c.transmit(0, &v);
@@ -577,7 +577,7 @@ mod tests {
             let items: Vec<(usize, Vec<f32>)> =
                 [2, 0, 2, 3, 1].iter().map(|&l| (l, payload(400, 7 + l, l == 3))).collect();
             let expect: Vec<Vec<u32>> =
-                items.iter().map(|(l, v)| bits(&c.preview(*l, v))).collect();
+                items.iter().map(|(l, v)| bits(&preview(&c, *l, v))).collect();
             let got: Vec<Vec<u32>> = c.preview_batch(items).iter().map(|d| bits(d)).collect();
             assert_eq!(got, expect, "codec {}", cfg.name());
             assert_eq!(wire::encode(&mut c), before, "codec {}", cfg.name());

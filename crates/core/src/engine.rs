@@ -250,10 +250,7 @@ pub(crate) trait RoundLoop {
 /// not belong to this run.
 pub(crate) fn run<L: RoundLoop>(cfg: &RunConfig, build: impl FnOnce() -> L) -> RunMetrics {
     use fedmigr_telemetry::ledger;
-    let mut metrics = None;
-    let run = || metrics = Some(rounds(cfg, build()));
-    ledger::with_switches(cfg.diag.switches(), || ledger::isolated(run));
-    metrics.expect("a finished run has its metrics")
+    ledger::with_switches(cfg.diag.switches(), || ledger::isolated(|| rounds(cfg, build())))
 }
 
 fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {

@@ -294,7 +294,7 @@ pub(crate) fn merge(other: Tally) {
 
 /// Runs `run` on a fresh tally, then adds what it recorded into this
 /// thread's, also when `run` panics: what `run` reads back is only its own.
-pub fn isolated(run: impl FnOnce()) {
+pub fn isolated<R>(run: impl FnOnce() -> R) -> R {
     struct Rejoin(Tally);
     impl Drop for Rejoin {
         fn drop(&mut self) {
@@ -303,7 +303,7 @@ pub fn isolated(run: impl FnOnce()) {
         }
     }
     let _rejoin = Rejoin(take());
-    run();
+    run()
 }
 
 /// What a [`crate::fan_out`] worker inherits from its caller: the switches
@@ -372,7 +372,8 @@ pub(crate) fn tracing() -> bool {
 
 /// Sets the clock this thread's spans and trace stamps read in place of
 /// the host's (tests inject a [`crate::FakeClock`]).
-pub fn set_clock(clock: Box<dyn TelemetryClock>) {
+#[cfg(test)]
+pub(crate) fn set_clock(clock: Box<dyn TelemetryClock>) {
     with(|l| l.sink.borrow_mut().clock = Some(clock));
 }
 
@@ -488,10 +489,9 @@ mod tests {
     fn isolated_reads_back_only_itself_then_joins_the_caller() {
         let runs = || crate::metrics::snapshot().counter_family("runs_total");
         crate::metrics::add("runs_total", &[], 1);
-        let mut inside = Vec::new();
-        isolated(|| {
+        let inside = isolated(|| {
             crate::metrics::add("runs_total", &[], 2);
-            inside = runs();
+            runs()
         });
         assert_eq!(inside, vec![(vec![], 2)], "the caller's count stays out");
         assert_eq!(runs(), vec![(vec![], 3)], "and the run's joins it at the end");

@@ -37,7 +37,7 @@
 //! the workspace test `telemetry_e2e.rs` asserts exactly this. Span
 //! *timings* read the host's monotonic clock and are naturally
 //! non-deterministic; tests that golden-file trace output inject a
-//! [`FakeClock`] instead ([`ledger::set_clock`]).
+//! [`FakeClock`] into their thread's ledger instead.
 
 #![warn(missing_docs)]
 

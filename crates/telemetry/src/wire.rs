@@ -195,17 +195,11 @@ pub struct Container {
 }
 
 impl Container {
-    /// Frames the payload `body` writes: magic and version before it, the
-    /// CRC-32 of everything after it.
-    pub fn seal(&self, body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4096);
-        self.seal_into(&mut buf, body);
-        buf
-    }
-
-    /// [`Container::seal`] into `buf`, replacing what it held: a caller that
-    /// seals every round reuses one allocation instead of growing a fresh
-    /// one. The bytes do not depend on what `buf` held before.
+    /// Frames the payload `body` writes into `buf`, replacing what it held:
+    /// magic and version before it, the CRC-32 of everything after it. A
+    /// caller that seals every round reuses one allocation instead of
+    /// growing a fresh one. The bytes do not depend on what `buf` held
+    /// before.
     pub fn seal_into(
         &self,
         buf: &mut Vec<u8>,
@@ -628,9 +622,16 @@ mod tests {
 
     const FILE: Container = Container { magic: b"FEDMIGRT", version: 4, what: "test file" };
 
+    /// `FILE` sealed into a fresh buffer.
+    fn seal(body: impl FnOnce(&mut Codec<'_>) -> io::Result<()>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        FILE.seal_into(&mut buf, body);
+        buf
+    }
+
     #[test]
     fn a_container_verifies_the_frame_before_the_payload_runs() {
-        let sealed = FILE.seal(|c| 7u64.wire(c));
+        let sealed = seal(|c| 7u64.wire(c));
         assert_eq!(sealed.len(), 8 + 4 + 8 + 4);
         let mut got = 0u64;
         FILE.open(&sealed, |c| got.wire(c)).unwrap();
@@ -820,8 +821,8 @@ mod tests {
 
     #[test]
     fn sealing_into_a_used_buffer_writes_the_fresh_bytes() {
-        let fresh = FILE.seal(|c| vec![1.5f32, -2.0].wire(c));
-        let mut buf = FILE.seal(|c| vec![9u8; 1000].wire(c));
+        let fresh = seal(|c| vec![1.5f32, -2.0].wire(c));
+        let mut buf = seal(|c| vec![9u8; 1000].wire(c));
         FILE.seal_into(&mut buf, |c| vec![1.5f32, -2.0].wire(c));
         assert_eq!(buf, fresh);
     }
