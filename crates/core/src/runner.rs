@@ -220,6 +220,7 @@ impl RunConfig {
         rule(self.epochs > 0, "epochs must be at least 1")?;
         rule(self.agg_interval > 0, "agg_interval must be at least 1")?;
         rule(self.eval_interval > 0, "eval_interval must be at least 1")?;
+        rule(self.batch_size > 0, "batch_size must be at least 1")?;
         let p = self.participation;
         rule(p > 0.0 && p <= 1.0, format!("participation must be in (0, 1], got {p}"))?;
         rule(

@@ -266,6 +266,17 @@ fn compose(a: &RunArgs) -> Result<(RunConfig, Partition), String> {
             (Some(_), true) => Profile::FramesAndAllocs,
         },
     };
+    // The world builders deal every LAN a client and every client a sample.
+    if a.samples == 0 {
+        return Err("--samples must be at least 1".into());
+    }
+    if a.fleet && (a.fleet_lans == 0 || a.fleet_clients < a.fleet_lans) {
+        return Err("--fleet needs at least one LAN and one client per LAN".into());
+    }
+    let clients: usize = a.lans.iter().sum();
+    if !a.fleet && (clients == 0 || a.samples.saturating_mul(a.classes) < clients) {
+        return Err("--lans needs a client, and --samples × --classes one sample per client".into());
+    }
     if a.fleet {
         if a.partition != "shards" {
             return Err(

@@ -126,6 +126,11 @@ fn unknown_missing_and_bad_values_exit_2() {
         (&["--dropout", "1.5"], "--dropout must be in [0, 1)"),
         (&["--partition", "zipf"], "unknown partition \"zipf\""),
         (&["--partition", "dominant:most"], "bad numeric suffix in \"dominant:most\""),
+        (&["--epochs", "2", "--batch", "0"], "batch_size must be at least 1"),
+        (&["--epochs", "2", "--samples", "0"], "--samples must be at least 1"),
+        (&["--epochs", "2", "--lans", "0"], "--lans needs a client"),
+        (&["--epochs", "2", "--classes", "0"], "one sample per client"),
+        (&["--epochs", "2", "--samples", "1", "--lans", "20"], "one sample per client"),
         (&["run", "extra"], "unexpected argument \"extra\""),
         (&["bench"], "no experiment given"),
         (&["bench", "fig99_nothing"], "unknown experiment \"fig99_nothing\""),
@@ -145,6 +150,11 @@ fn fleet_rules_are_usage_errors_naming_the_rule() {
         ("--transport", "flow", "fleet mode requires the lockstep transport"),
         ("--dropout", "0.1", "fleet mode does not support fault injection"),
         ("--participation", "0.5", "leave participation at 1.0"),
+        ("--fleet-clients", "0", "one client per LAN"),
+        ("--fleet-lans", "0", "at least one LAN"),
+        ("--fleet-lans", "30", "one client per LAN"),
+        ("--samples", "0", "--samples must be at least 1"),
+        ("--batch", "0", "batch_size must be at least 1"),
     ] {
         let out = fedmigr(&["--fleet", "--fleet-clients", "20", flag, value]);
         assert_eq!(code(&out), 2, "--fleet {flag} {value}: {}", stderr(&out));
