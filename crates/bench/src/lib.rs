@@ -148,32 +148,58 @@ pub enum Partition {
 
 impl Partition {
     /// Reads the command-line spelling: `iid | shards | dominant:<frac> |
-    /// missing:<frac> | dirichlet:<alpha>`.
+    /// missing:<frac> | dirichlet:<alpha>`, with `dominant` in [0, 1],
+    /// `missing` in [0, 1) and `alpha` positive.
     pub fn parse(spec: &str) -> Result<Self, String> {
-        let suffix = |v: &str| v.parse().map_err(|_| format!("bad numeric suffix in {spec:?}"));
+        let suffix = |v: &str, ok: fn(f64) -> bool| match v.parse() {
+            Ok(x) if ok(x) => Ok(x),
+            Ok(_) => Err(format!("{spec:?} is out of range")),
+            Err(_) => Err(format!("bad numeric suffix in {spec:?}")),
+        };
         Ok(match spec.split_once(':') {
             None if spec == "iid" => Partition::Iid,
             None if spec == "shards" => Partition::Shards,
-            Some(("dominant", v)) => Partition::Dominant(suffix(v)?),
-            Some(("missing", v)) => Partition::MissingClasses(suffix(v)?),
-            Some(("dirichlet", v)) => Partition::Dirichlet(suffix(v)?),
+            Some(("dominant", v)) => Partition::Dominant(suffix(v, |p| (0.0..=1.0).contains(&p))?),
+            Some(("missing", v)) => {
+                Partition::MissingClasses(suffix(v, |p| (0.0..1.0).contains(&p))?)
+            }
+            Some(("dirichlet", v)) => Partition::Dirichlet(suffix(v, |a| a > 0.0)?),
             _ => return Err(format!("unknown partition {spec:?}")),
         })
     }
 
-    /// Deals `train` to the clients of LANs of `lan_sizes`.
-    pub fn deal(self, train: &Dataset, lan_sizes: &[usize], seed: u64) -> Vec<Vec<usize>> {
+    /// Deals `train` to the clients of LANs of `lan_sizes`. `Err` names a
+    /// client the deal left without a training sample (a layout can do
+    /// that even when there are more samples than clients), or a
+    /// missing-classes deal to a single client.
+    pub fn deal(
+        self,
+        train: &Dataset,
+        lan_sizes: &[usize],
+        seed: u64,
+    ) -> Result<Vec<Vec<usize>>, String> {
         let k = lan_sizes.iter().sum();
-        match self {
+        let parts = match self {
             Partition::Iid => partition_iid(train, k, seed),
             Partition::Shards => {
                 let classes_per_client = train.num_classes() / k;
                 partition_shards(train, k, classes_per_client.max(1), seed)
             }
             Partition::Dominant(p) => partition_dominant(train, k, p, seed),
+            Partition::MissingClasses(_) if k < 2 => {
+                return Err("the missing-classes partition needs at least two clients".into())
+            }
             Partition::MissingClasses(p) => partition_missing_classes(train, k, p, seed),
             Partition::Dirichlet(alpha) => partition_dirichlet(train, k, alpha, seed),
             Partition::LanShared => partition_lan_shards(train, lan_sizes, seed),
+        };
+        match parts.iter().position(Vec::is_empty) {
+            Some(i) => Err(format!(
+                "the {self:?} partition of {} training samples leaves client {i} of {k} with \
+                 none",
+                train.len()
+            )),
+            None => Ok(parts),
         }
     }
 }
@@ -195,7 +221,7 @@ pub fn build_experiment_with_samples(
     }
     let data = SyntheticDataset::generate(&data_config);
     let topo_config = workload.topology_config(seed);
-    let parts = partition.deal(&data.train, &topo_config.lan_sizes, seed);
+    let parts = partition.deal(&data.train, &topo_config.lan_sizes, seed).expect("a dealt world");
     Experiment::new(
         data.train,
         data.test,

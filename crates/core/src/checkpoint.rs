@@ -153,19 +153,16 @@ impl RunConfig {
     }
 }
 
-/// Writes an encoded checkpoint into `dir` as `ckpt_round_<epoch>.fmrs`
-/// plus the rolling `latest.fmrs`, each atomically (sibling temp file, then
-/// rename): a crash mid-write never leaves a torn checkpoint where a good
-/// one stood.
-pub(crate) fn persist(dir: &Path, epoch: usize, bytes: &[u8]) -> io::Result<()> {
-    let write = |path: &Path| -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)
-    };
+/// Writes an encoded checkpoint into `dir` as the rolling `latest.fmrs`,
+/// atomically (sibling temp file, then rename): a crash mid-write never
+/// leaves a torn checkpoint where a good one stood, and the directory never
+/// holds more than the one snapshot a resume reads.
+pub(crate) fn persist(dir: &Path, bytes: &[u8]) -> io::Result<()> {
+    let latest = dir.join("latest.fmrs");
+    let tmp = latest.with_extension("tmp");
     std::fs::create_dir_all(dir)?;
-    write(&dir.join(format!("ckpt_round_{epoch}.fmrs")))?;
-    write(&dir.join("latest.fmrs"))
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, latest)
 }
 
 fn check_stamp(found: &RunStamp, expect: &RunStamp) -> io::Result<()> {
@@ -835,13 +832,13 @@ mod tests {
         let (exp, cfg) = (experiment(), full_cfg());
         let dir = std::env::temp_dir().join(format!("fedmigr_ckpt_test_{}", std::process::id()));
         let bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
-        persist(&dir, 6, &bytes).unwrap();
-        for name in ["ckpt_round_6.fmrs", "latest.fmrs"] {
-            let read = std::fs::read(dir.join(name)).unwrap();
-            assert_eq!(read, bytes, "{name}");
-            restore(&read, &stamp(), &mut RoundState::fresh(&exp, &cfg)).unwrap();
-        }
-        assert!(!dir.join("latest.tmp").exists(), "temp files are renamed away");
+        persist(&dir, &bytes).unwrap();
+        let read = std::fs::read(dir.join("latest.fmrs")).unwrap();
+        assert_eq!(read, bytes);
+        restore(&read, &stamp(), &mut RoundState::fresh(&exp, &cfg)).unwrap();
+        let files: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(files, ["latest.fmrs"], "one rolling file; the temp file is renamed away");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -908,12 +905,11 @@ mod tests {
         assert!(m.recovery.rollbacks >= 1, "the adversary must force a rollback");
         let num_params = RoundState::fresh(&exp, &cfg).clients[0].num_params();
         let run_stamp = RunStamp::of(&cfg, 4, num_params, "dense");
-        for epoch in 1..=8 {
-            let written = std::fs::read(dir.join(format!("ckpt_round_{epoch}.fmrs"))).unwrap();
-            let mut fresh = RoundState::fresh(&exp, &cfg);
-            restore(&written, &run_stamp, &mut fresh).unwrap();
-            assert_eq!(encode(&run_stamp, &mut fresh), written, "epoch {epoch}");
-        }
+        let written = std::fs::read(dir.join("latest.fmrs")).unwrap();
+        let mut fresh = RoundState::fresh(&exp, &cfg);
+        restore(&written, &run_stamp, &mut fresh).unwrap();
+        assert_eq!(fresh.common.epoch, 8);
+        assert_eq!(encode(&run_stamp, &mut fresh), written);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -375,7 +375,7 @@ fn snapshot(
     recovery.checkpoints_written += 1;
     recovery.checkpoint_bytes += buf.len() as u64;
     if let Some(dir) = cfg.checkpoint_dir.as_deref() {
-        if let Err(e) = checkpoint::persist(Path::new(dir), epoch, buf) {
+        if let Err(e) = checkpoint::persist(Path::new(dir), buf) {
             fedmigr_telemetry::error!(
                 "core::runner",
                 "checkpoint write failed at epoch {epoch} in {dir}: {e}"

@@ -47,7 +47,7 @@ use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Tota
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, RobustStats, RunMetrics};
 use crate::migration::{self, CohortProfile, CohortRound, MigrationPlan};
-use crate::runner::{train_all, RunConfig, VPhase};
+use crate::runner::{aggregate_active, train_all, RunConfig, Upload, VPhase};
 use crate::timeline_capture::TimelineCapture;
 
 /// Fleet-mode knobs, carried in [`RunConfig::fleet`].
@@ -373,8 +373,8 @@ impl<'a> FleetRun<'a> {
         let agg_span = span!("core::fleet", "aggregate");
         let ids: Vec<usize> = self.st.cohort.iter().map(|c| c.id()).collect();
         self.charge_c2s(&ids, r.epoch);
+        self.st.common.global = self.cohort_fed_avg();
         let st = &mut self.st;
-        st.common.global = aggregate_cohort(&mut st.cohort, &st.common.global);
         drop(agg_span);
         self.obs.kphases.credit("aggregate");
         if is_eval {
@@ -418,10 +418,18 @@ impl<'a> FleetRun<'a> {
             // Shadow aggregation — observation only, the cohort's models
             // are untouched.
             let _eval = span!("core::fleet", "evaluate");
-            let shadow = aggregate_cohort(&mut self.st.cohort, &self.st.common.global);
+            let shadow = self.cohort_fed_avg();
             r.accuracy = Some(engine::evaluate(self.ctx.test, &mut self.scratch, &shadow));
             self.obs.kphases.credit("evaluate");
         }
+    }
+
+    /// FedAvg (Eq. 7) over the cohort, every member's model an upload.
+    fn cohort_fed_avg(&mut self) -> Vec<f32> {
+        let st = &mut self.st;
+        let uploads: Vec<Upload> = st.cohort.iter_mut().map(FlClient::params).enumerate().collect();
+        let mut stats = RobustStats::default();
+        aggregate_active(&st.cohort, &uploads, &Aggregator::FedAvg, &st.common.global, &mut stats)
     }
 
     /// Executes the permutation: the model of position `i` lands on
@@ -597,19 +605,6 @@ fn sample_cohort(rng: &mut StdRng, k: usize, n: usize) -> Vec<usize> {
     }
     out.sort_unstable();
     out
-}
-
-/// Sample-weighted FedAvg over the cohort's models (Eq. 7), bit-identical
-/// to the dense aggregator's FedAvg rule.
-fn aggregate_cohort(cohort: &mut [FlClient], prev_global: &[f32]) -> Vec<f32> {
-    let params: Vec<Vec<f32>> = cohort.iter_mut().map(|c| c.params()).collect();
-    let entries: Vec<(&[f32], f64)> = params
-        .iter()
-        .zip(cohort.iter())
-        .map(|(p, c)| (p.as_slice(), c.num_samples() as f64))
-        .collect();
-    let mut stats = RobustStats::default();
-    Aggregator::FedAvg.aggregate(&entries, prev_global, &mut stats)
 }
 
 #[cfg(test)]

@@ -108,9 +108,10 @@ pub struct RunConfig {
     /// never touches the virtual clock, so a checkpointed run stays
     /// byte-identical to an unchekpointed one.
     pub checkpoint_every: Option<usize>,
-    /// Directory to persist checkpoints into (`ckpt_round_<N>.fmrs` plus a
-    /// `latest.fmrs` alias). `None` keeps snapshots in memory only — still
-    /// enough for the divergence watchdog to roll back within the process.
+    /// Directory to persist checkpoints into, as one rolling `latest.fmrs`
+    /// that each snapshot replaces. `None` keeps snapshots in memory only —
+    /// still enough for the divergence watchdog to roll back within the
+    /// process.
     pub checkpoint_dir: Option<String>,
     /// Resume from a checkpoint file written by a previous (killed) run of
     /// the *same* configuration. The checkpoint's stamp (scheme, seed,
@@ -690,9 +691,7 @@ impl<'a> DenseRun<'a> {
         r.robust.nan_batches +=
             st.clients.iter_mut().map(|c| c.drain_non_finite_batches()).sum::<u64>();
         decay_towards(&mut st.mix, &self.ctx.dists, &r.active);
-        if cfg.diag.active() {
-            decay_towards(&mut st.train_mix, &self.ctx.dists, &r.active);
-        }
+        decay_towards(&mut st.train_mix, &self.ctx.dists, &r.active);
         r.dmat = st
             .mix
             .iter()
@@ -825,18 +824,11 @@ impl<'a> DenseRun<'a> {
         if self.ctx.flow.is_none() {
             self.lockstep_c2s(&only, epoch, 2);
         }
-        let st = &mut self.st;
-        let mut upload = st.clients[uploader].params();
-        if let Some(dp) = &cfg.dp {
-            dp.apply(&mut upload, &mut st.common.rng);
-        }
-        self.ctx.attack.corrupt_upload(uploader, epoch, &mut upload);
-        if cfg.watchdog.enabled && !fedmigr_tensor::all_finite(&upload) {
-            self.nan_sources[uploader] = true;
-        }
+        let upload = self.send(uploader, epoch);
         // The server sees what the wire carried: codec distortion (and
         // preserved NaN corruption) lands on the decoded payload, with the
         // uploader's error-feedback residual applied on egress.
+        let st = &mut self.st;
         let upload = st.compressor.transmit(uploader, &upload);
         // FedAsync has no multi-upload round to robustify, but a
         // non-finite upload is still screened out whenever a robust
@@ -882,25 +874,25 @@ impl<'a> DenseRun<'a> {
             }
         };
         r.stale += up.failed;
-        let mut uploads = self.collect_params(epoch);
-        // Only the clients whose bytes actually crossed the wire see the
-        // codec (error-feedback on client egress). A late upload bound for
-        // a future aggregation was genuinely transmitted. Lanes are
-        // per-client and therefore distinct, so the batch encode
+        // Only the clients whose bytes actually crossed the wire send, and
+        // see the codec (error-feedback on client egress). A late upload
+        // bound for a future aggregation was genuinely transmitted. Lanes
+        // are per-client and therefore distinct, so the batch encode
         // parallelizes while staying byte-identical to the serial
         // per-client loop.
-        let sel: Vec<usize> = (0..k).filter(|&i| up.on_time[i] || (up.late[i] && is_agg)).collect();
-        let items: Vec<(usize, Vec<f32>)> =
-            sel.iter().map(|&i| (i, std::mem::take(&mut uploads[i]))).collect();
-        for (&i, dec) in sel.iter().zip(self.st.compressor.transmit_batch(items)) {
-            uploads[i] = dec;
-        }
-        for i in (0..k).filter(|&i| up.late[i] && is_agg) {
-            let late = LateUpload { client: i, params: uploads[i].clone(), seq: self.st.agg_seq };
-            self.st.late_buf.push(late);
+        let sent: Vec<usize> =
+            (0..k).filter(|&i| up.on_time[i] || (up.late[i] && is_agg)).collect();
+        let items = sent.iter().map(|&i| (i, self.send(i, epoch))).collect();
+        let mut uploads = Vec::with_capacity(sent.len());
+        for (i, params) in sent.into_iter().zip(self.st.compressor.transmit_batch(items)) {
+            if up.on_time[i] {
+                uploads.push((i, params));
+            } else {
+                self.st.late_buf.push(LateUpload { client: i, params, seq: self.st.agg_seq });
+            }
         }
         if is_agg {
-            self.aggregate(r, &uploads, &synced, &up.on_time);
+            self.aggregate(r, &uploads, &up.on_time);
         } else {
             self.swap(r, uploads, &up.on_time);
         }
@@ -911,16 +903,10 @@ impl<'a> DenseRun<'a> {
     /// time plus discounted stale uploads from earlier rounds — a round
     /// with zero on-time uploads can still make progress from the stale
     /// buffer alone.
-    fn aggregate(
-        &mut self,
-        r: &mut Round,
-        uploads: &[Vec<f32>],
-        synced: &[bool],
-        on_time: &[bool],
-    ) {
+    fn aggregate(&mut self, r: &mut Round, uploads: &[Upload], on_time: &[bool]) {
         let cfg = self.ctx.cfg;
         if let Some(fc) = self.ctx.flow {
-            if on_time.iter().any(|&s| s) || !self.st.late_buf.is_empty() {
+            if !uploads.is_empty() || !self.st.late_buf.is_empty() {
                 let _agg = span!("core::runner", "aggregate");
                 if let Some(g) = self.st.fold_with_late(cfg, uploads, on_time, &mut r.robust) {
                     self.st.common.global = g;
@@ -931,18 +917,17 @@ impl<'a> DenseRun<'a> {
                     }
                 }
             }
-        } else if synced.iter().any(|&s| s) {
+        } else if !uploads.is_empty() {
             let _agg = span!("core::runner", "aggregate");
             let st = &mut self.st;
             st.common.global = aggregate_active(
                 &st.clients,
                 uploads,
-                synced,
                 &cfg.aggregator,
                 &st.common.global,
                 &mut r.robust,
             );
-            self.install_global(synced);
+            self.install_global(on_time);
         }
     }
 
@@ -959,33 +944,29 @@ impl<'a> DenseRun<'a> {
 
     /// FedSwap: the server swaps models "between any two of all clients" —
     /// a few random disjoint pairs per round, so mixing is slower than a
-    /// full migration permutation. Unsynced clients never uploaded: the
-    /// plan leaves them fixed and they re-install their local copy
-    /// wire-free, while each synced client's (possibly swapped) model comes
-    /// back down through the codec as a distinct server-egress payload.
-    /// Under the flow transport a late upload simply sits the swap out.
-    fn swap(&mut self, r: &Round, uploads: Vec<Vec<f32>>, on_time: &[bool]) {
+    /// full migration permutation. Each on-time upload comes back down
+    /// through the codec, as a distinct server-egress payload, to the
+    /// client the plan sends it to (its own uploader unless swapped). A
+    /// client that sent nothing receives nothing and keeps its model;
+    /// under the flow transport a late upload simply sits the swap out.
+    fn swap(&mut self, r: &Round, uploads: Vec<Upload>, on_time: &[bool]) {
         let st = &mut self.st;
         let plan = MigrationPlan::swap_pairs(on_time, self.ctx.k.div_ceil(4), &mut st.common.rng);
-        let uploads = plan.apply(&uploads);
         st.mix = plan.apply(&st.mix);
-        if self.ctx.cfg.diag.active() {
-            st.train_mix = plan.apply(&st.train_mix);
-        }
+        st.train_mix = plan.apply(&st.train_mix);
         if let Some(fc) = self.ctx.flow {
             // Price the return leg at flow cost (contention, retransmits).
             // Delivery itself stays unconditional for this baseline:
             // partial swap delivery is not modelled.
             self.flow_download_phase(fc, r.epoch, on_time);
         }
+        let mut down: Vec<(usize, Vec<f32>)> =
+            uploads.into_iter().map(|(i, p)| (plan.dest(i), p)).collect();
+        down.sort_unstable_by_key(|&(j, _)| j);
         let st = &mut self.st;
-        for (i, c) in st.clients.iter_mut().enumerate() {
-            let p = if on_time[i] {
-                st.compressor.transmit_down(i, &uploads[i])
-            } else {
-                uploads[i].clone()
-            };
-            c.set_params(&p, plan.dest(i) != i);
+        for (j, p) in down {
+            let p = st.compressor.transmit_down(j, &p);
+            st.clients[j].set_params(&p, plan.dest(j) != j);
         }
     }
 
@@ -1017,16 +998,10 @@ impl<'a> DenseRun<'a> {
     fn migrate(&mut self, r: &mut Round, plan: &MigrationPlan) {
         let (k, epoch, model_bytes) = (self.ctx.k, r.epoch, self.ctx.model_bytes);
         let topology = &self.ctx.exp.topology;
-        let install_frame = profiler::frame("transfer_install");
-        let params = self.collect_params(epoch);
-        drop(install_frame);
         // `src_of[j]` is the client whose model client `j` hosts after this
-        // round. A failed delivery leaves `j` on its own retained copy
-        // instead of breaking the permutation. `delivered_payload[j]` is
-        // what the wire actually handed `j` — the decoded (possibly lossy)
-        // model.
+        // round. A failed or rejected delivery leaves `j` on its own model
+        // instead of breaking the permutation.
         let mut src_of: Vec<usize> = (0..k).collect();
-        let mut delivered_payload: Vec<Option<Vec<f32>>> = vec![None; k];
         let mut move_times = Vec::new();
         let mut delivered = Vec::new();
         let mig_t0 = self.st.common.clock.now();
@@ -1080,37 +1055,41 @@ impl<'a> DenseRun<'a> {
             }
         }
         drop(flow_frame);
-        // Encode only transfers that completed: a cancelled migration must
-        // not consume the sender's error-feedback residual. A plan moves
-        // each model at most once, so the wave's source lanes are distinct
-        // and it encodes as one batch, sequence numbers in move order.
+        // Only transfers that completed send and encode: a cancelled
+        // migration draws no DP noise and must not consume the sender's
+        // error-feedback residual. A plan moves each model at most once, so
+        // the wave's source lanes are distinct and it encodes as one batch,
+        // sequence numbers in move order. Every source sends before any
+        // destination adopts.
         let codec_frame = profiler::frame("transfer_codec");
-        let items = delivered.iter().map(|&(i, _)| (i, params[i].as_slice())).collect();
+        let items = delivered.iter().map(|&(i, _)| (i, self.send(i, epoch))).collect();
         let payloads = self.st.compressor.transmit_batch(items);
         drop(codec_frame);
+        let install_frame = profiler::frame("transfer_install");
+        let st = &mut self.st;
         for ((i, j), payload) in delivered.into_iter().zip(payloads) {
-            // The receiver screens the *decoded* payload before adoption. A
-            // rejected model was still transmitted (the bytes are burned)
-            // but `j` keeps its own copy and the source's suspicion rises.
-            if let Some(q) = self.st.quarantine.as_mut() {
+            // The receiver screens the *decoded* payload against its own
+            // model before adoption. A rejected model was still transmitted
+            // (the bytes are burned) but `j` keeps its own model and the
+            // source's suspicion rises.
+            if let Some(q) = st.quarantine.as_mut() {
                 let _screen = span!("core::runner", "quarantine_screen");
-                if !q.screen(i, &payload, &params[j]) {
+                if !q.screen(i, &payload, &st.clients[j].params()) {
                     r.robust.rejected_migrations += 1;
                     continue;
                 }
             }
             src_of[j] = i;
-            delivered_payload[j] = Some(payload);
-            self.st.link_migrations[i * k + j] += 1;
+            st.clients[j].set_params(&payload, true);
+            st.link_migrations[i * k + j] += 1;
             if topology.same_lan(i, j) {
-                self.st.common.migrations_local += 1;
+                st.common.migrations_local += 1;
             } else {
-                self.st.common.migrations_global += 1;
+                st.common.migrations_global += 1;
             }
         }
-        let st = &mut self.st;
-        let diag_on = self.ctx.cfg.diag.active();
-        if diag_on {
+        drop(install_frame);
+        if self.ctx.cfg.diag.active() {
             // Attribute virtual-dataset EMD deltas to individual
             // migrations: slot `j` is about to adopt slot `src_of[j]`'s
             // mixture.
@@ -1131,19 +1110,8 @@ impl<'a> DenseRun<'a> {
             // finish).
             self.obs.tcap.phase_trace("migration", mig_t0, st.common.clock.now(), pt);
         }
-        let _install = profiler::frame("transfer_install");
         st.mix = hosted(std::mem::take(&mut st.mix), &src_of);
-        if diag_on {
-            st.train_mix = hosted(std::mem::take(&mut st.train_mix), &src_of);
-        }
-        for (j, c) in st.clients.iter_mut().enumerate() {
-            match delivered_payload[j].take() {
-                Some(p) => c.set_params(&p, p != params[j]),
-                // No accepted migration: re-install the retained local copy
-                // (the pre-codec behaviour, wire-free).
-                None => c.set_params(&params[j], false),
-            }
-        }
+        st.train_mix = hosted(std::mem::take(&mut st.train_mix), &src_of);
         r.src_of = src_of;
     }
 
@@ -1163,26 +1131,24 @@ impl<'a> DenseRun<'a> {
                 // distortion (without touching residuals, counters or
                 // stats: these transfers are hypothetical), so the measured
                 // accuracy reflects both the aggregation rule's defense and
-                // the wire's lossiness.
-                let items = st
-                    .clients
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let mut p = c.params();
+                // the wire's lossiness. Participation is full, except for
+                // sources the watchdog has permanently excluded, which are
+                // out of the run for good and must not poison the
+                // measurement.
+                let senders: Vec<usize> = (0..self.ctx.k).filter(|&i| !st.excluded[i]).collect();
+                let items = senders
+                    .iter()
+                    .map(|&i| {
+                        let mut p = st.clients[i].params();
                         self.ctx.attack.corrupt_upload(i, r.epoch, &mut p);
                         (i, p)
                     })
                     .collect();
-                let uploads = st.compressor.preview_batch(items);
-                // Hypothetical full participation — except sources the
-                // watchdog has permanently excluded, which are out of the
-                // run for good and must not poison the measurement.
-                let include: Vec<bool> = st.excluded.iter().map(|&e| !e).collect();
+                let uploads: Vec<Upload> =
+                    senders.into_iter().zip(st.compressor.preview_batch(items)).collect();
                 aggregate_active(
                     &st.clients,
                     &uploads,
-                    &include,
                     &cfg.aggregator,
                     &st.common.global,
                     &mut r.robust,
@@ -1335,9 +1301,9 @@ impl<'a> DenseRun<'a> {
         let st = &mut self.st;
         let emd = EmdSnapshot::measure(&st.mix, &self.ctx.population);
         let train_emd = EmdSnapshot::measure(&st.train_mix, &self.ctx.population);
-        // Read parameters directly: `collect_params` applies DP noise and
-        // consumes the shared RNG stream, which would break the
-        // diagnostics-off/on byte-identity contract.
+        // Read parameters directly: `send` applies DP noise and consumes
+        // the shared RNG stream, which would break the diagnostics-off/on
+        // byte-identity contract.
         let params_now: Vec<Vec<f32>> = st.clients.iter_mut().map(|c| c.params()).collect();
         let weights: Vec<f64> = st.clients.iter().map(|c| c.num_samples() as f64).collect();
         let drift = DriftSnapshot::measure(&params_now, &st.common.global, &weights);
@@ -1406,33 +1372,24 @@ impl<'a> DenseRun<'a> {
 
     // --- Transfers -------------------------------------------------------
 
-    /// Reads every client's parameters, applying DP noise at the egress
-    /// point if configured, then any Byzantine corruption: a malicious
-    /// client poisons *everything* it transmits — server uploads and C2C
-    /// migrations alike — after the honest pipeline has finished with the
-    /// payload. Non-finite payloads mark their source for the watchdog.
-    fn collect_params(&mut self, epoch: usize) -> Vec<Vec<f32>> {
-        let cfg = self.ctx.cfg;
-        let st = &mut self.st;
-        let params: Vec<Vec<f32>> = st
-            .clients
-            .iter_mut()
-            .enumerate()
-            .map(|(i, c)| {
-                let mut p = c.params();
-                if let Some(dp) = &cfg.dp {
-                    dp.apply(&mut p, &mut st.common.rng);
-                }
-                self.ctx.attack.corrupt_upload(i, epoch, &mut p);
-                p
-            })
-            .collect();
-        if cfg.watchdog.enabled {
-            for (n, p) in self.nan_sources.iter_mut().zip(&params) {
-                *n |= !fedmigr_tensor::all_finite(p);
-            }
+    /// The one egress: what client `i` transmits at `epoch`. It reads the
+    /// client's parameters, applies DP noise if configured, then any
+    /// Byzantine corruption — a malicious client poisons *everything* it
+    /// transmits, server uploads and C2C migrations alike, after the honest
+    /// pipeline has finished with the payload — and marks a non-finite
+    /// payload's source for the watchdog. Called once per payload the codec
+    /// encodes; the client's own model is never touched.
+    fn send(&mut self, i: usize, epoch: usize) -> Vec<f32> {
+        let (cfg, st) = (self.ctx.cfg, &mut self.st);
+        let mut p = st.clients[i].params();
+        if let Some(dp) = &cfg.dp {
+            dp.apply(&mut p, &mut st.common.rng);
         }
-        params
+        self.ctx.attack.corrupt_upload(i, epoch, &mut p);
+        if cfg.watchdog.enabled && !fedmigr_tensor::all_finite(&p) {
+            self.nan_sources[i] = true;
+        }
+        p
     }
 
     /// Lockstep C2S pricing: `legs` serialized transfers per client in
@@ -1779,15 +1736,13 @@ impl RoundState {
     fn fold_with_late(
         &mut self,
         cfg: &RunConfig,
-        uploads: &[Vec<f32>],
+        uploads: &[Upload],
         on_time: &[bool],
         stats: &mut RobustStats,
     ) -> Option<Vec<f32>> {
         let weight = |i: usize| self.clients[i].num_samples() as f64;
-        let fresh: Vec<(&[f32], f64)> = (0..uploads.len())
-            .filter(|&i| on_time[i])
-            .map(|i| (uploads[i].as_slice(), weight(i)))
-            .collect();
+        let fresh: Vec<(&[f32], f64)> =
+            uploads.iter().map(|(i, p)| (p.as_slice(), weight(*i))).collect();
         let mut stale_entries: Vec<(&[f32], f64, usize)> = Vec::new();
         let mut dropped = 0u64;
         for lu in &self.late_buf {
@@ -2035,25 +1990,20 @@ pub(crate) fn train_all(
     (losses, panicked)
 }
 
-/// Server-side aggregation (Eq. 7 and its robust variants) over the
-/// participating clients: weights are the local sample counts `n_k`. A
-/// round where *no* upload survives the `active` mask keeps the previous
-/// global model instead of panicking on an empty average.
-fn aggregate_active(
+/// Server-side aggregation (Eq. 7 and its robust variants) of the uploads
+/// that reached the server: weights are the senders' local sample counts
+/// `n_k`. A round with *no* upload keeps the previous global model instead
+/// of panicking on an empty average. The fleet aggregates its cohort here
+/// too, every member an upload.
+pub(crate) fn aggregate_active(
     clients: &[FlClient],
-    uploads: &[Vec<f32>],
-    active: &[bool],
+    uploads: &[Upload],
     aggregator: &Aggregator,
     prev_global: &[f32],
     stats: &mut RobustStats,
 ) -> Vec<f32> {
-    let entries: Vec<(&[f32], f64)> = uploads
-        .iter()
-        .zip(clients)
-        .zip(active)
-        .filter(|&(_, &a)| a)
-        .map(|((p, c), _)| (p.as_slice(), c.num_samples() as f64))
-        .collect();
+    let entries: Vec<(&[f32], f64)> =
+        uploads.iter().map(|(i, p)| (p.as_slice(), clients[*i].num_samples() as f64)).collect();
     if entries.is_empty() {
         warn!(
             "core::runner",
@@ -2063,6 +2013,10 @@ fn aggregate_active(
     }
     aggregator.aggregate(&entries, prev_global, stats)
 }
+
+/// One payload that reached the server: the sender and what the wire
+/// delivered.
+pub(crate) type Upload = (usize, Vec<f32>);
 
 /// An upload that completed after its round's deadline, buffered until an
 /// aggregation folds it with a staleness discount (or ages it out).
@@ -2301,30 +2255,17 @@ mod tests {
             )
         };
         let mut clients = vec![mk(0), mk(1)];
-        let uploads: Vec<Vec<f32>> = clients.iter_mut().map(|c| c.params()).collect();
-        let prev_global = vec![0.25f32; uploads[0].len()];
+        let uploads: Vec<Upload> = clients.iter_mut().map(FlClient::params).enumerate().collect();
+        let prev_global = vec![0.25f32; uploads[0].1.len()];
         let mut stats = RobustStats::default();
-        // An all-inactive round must fall back to the previous global model
-        // instead of averaging an empty set.
-        let out = aggregate_active(
-            &clients,
-            &uploads,
-            &[false, false],
-            &Aggregator::FedAvg,
-            &prev_global,
-            &mut stats,
-        );
+        // A round with no upload must fall back to the previous global
+        // model instead of averaging an empty set.
+        let out = aggregate_active(&clients, &[], &Aggregator::FedAvg, &prev_global, &mut stats);
         assert_eq!(out, prev_global);
         assert!(!stats.any());
-        // Sanity: with survivors the same call actually aggregates.
-        let agg = aggregate_active(
-            &clients,
-            &uploads,
-            &[true, true],
-            &Aggregator::FedAvg,
-            &prev_global,
-            &mut stats,
-        );
+        // Sanity: with uploads the same call actually aggregates.
+        let agg =
+            aggregate_active(&clients, &uploads, &Aggregator::FedAvg, &prev_global, &mut stats);
         assert_ne!(agg, prev_global);
     }
 
@@ -2548,6 +2489,84 @@ mod tests {
         assert_eq!((*epoch, kept.as_ptr()), (2, second_ptr));
     }
 
+    /// Round 1 of `cfg` up to the end of its communication, with every
+    /// client's parameters (as bits) before and after that phase.
+    fn first_communication<'a>(
+        exp: &'a Experiment,
+        cfg: &'a RunConfig,
+    ) -> (DenseRun<'a>, Round, Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let mut run = DenseRun::new(exp, cfg);
+        let bits = |run: &mut DenseRun| -> Vec<Vec<u32>> {
+            let params = run.st.clients.iter_mut().map(FlClient::params);
+            params.map(|p| p.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let mut r = run.sample(1).expect("half the clients are sampled");
+        run.train(&mut r);
+        run.decide(&mut r);
+        let before = bits(&mut run);
+        run.communicate(&mut r);
+        let after = bits(&mut run);
+        (run, r, before, after)
+    }
+
+    #[test]
+    fn a_client_no_payload_reached_keeps_its_model_bit_for_bit() {
+        // DP noise and Byzantine corruption belong to what a client sends:
+        // neither may land on a model that sat the round out, or on one
+        // whose incoming migration never arrived.
+        let exp = experiment_of(6, true);
+        for scheme in [Scheme::RandMigr, Scheme::FedSwap] {
+            for attacked in [false, true] {
+                let mut cfg = quick_cfg(scheme.clone(), 4);
+                cfg.participation = 0.5;
+                if attacked {
+                    cfg.attack = AttackConfig::sign_flip(0.5, 3);
+                } else {
+                    cfg.dp = Some(DpConfig::with_epsilon(1.0));
+                }
+                let (run, r, before, after) = first_communication(&exp, &cfg);
+                let what = format!("{} attacked {attacked}", scheme.name());
+                // A migration reaches the clients that adopt a model; a swap
+                // every client that uploaded, which gets a model back.
+                let reached = |j: usize| match scheme {
+                    Scheme::FedSwap => r.active[j],
+                    _ => r.src_of[j] != j,
+                };
+                let untouched: Vec<usize> = (0..6).filter(|&j| !reached(j)).collect();
+                assert!(untouched.len() >= 3, "{what}: three clients sat out");
+                if attacked {
+                    let byzantine = untouched.iter().any(|&j| run.ctx.attack.is_byzantine(j));
+                    assert!(byzantine, "{what}: a Byzantine client sat out");
+                }
+                for j in untouched {
+                    assert!(before[j] == after[j], "{what}: client {j} changed");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dp_draws_only_for_the_payloads_sent() {
+        let exp = experiment_of(6, false);
+        let dp = DpConfig::with_epsilon(1.0);
+        let mut cfg = quick_cfg(Scheme::FedAvg, 4);
+        cfg.participation = 0.5;
+        cfg.dp = Some(dp);
+        let mut run = DenseRun::new(&exp, &cfg);
+        let mut r = run.sample(1).expect("half the clients are sampled");
+        run.train(&mut r);
+        run.decide(&mut r);
+        let senders = r.arrived.iter().filter(|&&a| a).count();
+        assert_eq!(senders, 3);
+        let mut expected = run.st.common.rng.clone();
+        let n = run.st.clients[0].num_params();
+        for _ in 0..senders {
+            dp.apply(&mut vec![0.0; n], &mut expected);
+        }
+        run.communicate(&mut r);
+        assert_eq!(run.st.common.rng.state(), expected.state());
+    }
+
     /// FNV-1a over an artifact's bytes: pins them without checking the
     /// artifact in.
     fn fnv1a(bytes: &[u8]) -> u64 {
@@ -2558,17 +2577,19 @@ mod tests {
 
     #[test]
     fn migration_wave_with_screening_writes_the_serial_loops_artifacts() {
-        // The digests were taken at the commit before migrations were
+        // The digests were first taken at the commit before migrations were
         // batched, when each delivered move was encoded and screened inside
-        // the outcome loop. Sign-flippers make the quarantine reject moves
-        // mid-wave (and its distance window depends on the order of the
-        // accepted ones), the lossy codec makes every sequence number and
-        // residual matter, and under the flow transport with churn some
-        // moves only arrive through the fallback chain.
+        // the outcome loop, and re-taken when the egress moved: since then
+        // only senders corrupt, and the receiver screens against its own
+        // model rather than its corrupted copy. Sign-flippers make the
+        // quarantine reject moves mid-wave (and its distance window depends
+        // on the order of the accepted ones), the lossy codec makes every
+        // sequence number and residual matter, and under the flow transport
+        // with churn some moves only arrive through the fallback chain.
         let exp = experiment_of(10, true);
         let pinned = [
-            (false, 32, 0x890f986f8fa7544du64, 0x53accc4fc8f80dbeu64),
-            (true, 19, 0x6c88d1a0b2aa093d, 0xe08fce0f84af42a1),
+            (false, 59, 0xda502b5c029df17du64, 0x1f7ac3cbb3469d76u64),
+            (true, 23, 0x580779ac30b0d7d8, 0x5921fe8688055108),
         ];
         for (flow, rejected, csv_digest, flight_digest) in pinned {
             let flight = std::env::temp_dir()

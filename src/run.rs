@@ -133,8 +133,9 @@ pub fn command() -> Command<RunArgs> {
         Flag { name: "--checkpoint-every", value: "<n>", default: "", set: |a, v| put_some(&mut a.checkpoint_every, v),
             help: "snapshot the complete run state every n rounds" },
         Flag { name: "--checkpoint-dir", value: "<d>", default: "", set: |a, v| put_some(&mut a.checkpoint_dir, v),
-            help: "write snapshots to <d> as ckpt_round_<r>.fmrs plus a rolling latest.fmrs \
-                   (atomic rename; implies --checkpoint-every 1 unless set)" },
+            help: "write each snapshot to <d>/latest.fmrs, replacing the one before it (atomic \
+                   rename; no per-round copies are kept; implies --checkpoint-every 1 unless \
+                   set)" },
         Flag { name: "--resume", value: "<path>", default: "", set: |a, v| put_some(&mut a.resume, v),
             help: "restore a snapshot and continue the run from the round after it; the \
                    completed run is byte-identical to one that was never interrupted" },
@@ -339,11 +340,19 @@ fn run(a: RunArgs) -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::from(2);
     }
+    // A dense deal that leaves a client without data is refused before any
+    // instrument opens its output.
+    let dense = match (!a.fleet).then(|| dense_data(&a, partition)).transpose() {
+        Ok(dense) => dense,
+        Err(e) => return usage_error("run", &e),
+    };
     if let Err(e) = a.obs.init() {
         return usage_error("run", &e);
     }
-    let metrics =
-        if a.fleet { run_fleet(&a, &cfg, model) } else { run_dense(&a, &cfg, partition, model) };
+    let metrics = match dense {
+        Some(data) => run_dense(&a, &cfg, data, model),
+        None => run_fleet(&a, &cfg, model),
+    };
     print_summary(&metrics, a.fleet);
 
     // Every artifact is attempted; any failed write ends the run with 2.
@@ -419,14 +428,28 @@ fn print_summary(metrics: &RunMetrics, fleet: bool) {
     }
 }
 
-/// Builds the dense federation (dataset, partition, full topology) and runs
-/// the selected scheme over materialised clients.
-fn run_dense(a: &RunArgs, cfg: &RunConfig, partition: Partition, model: Model) -> RunMetrics {
+/// The dense federation's data: the synthetic dataset and its deal. `Err`
+/// when the deal leaves a client without data.
+fn dense_data(
+    a: &RunArgs,
+    partition: Partition,
+) -> Result<(SyntheticDataset, Vec<Vec<usize>>), String> {
     let data_cfg =
         SyntheticConfig { num_classes: a.classes, ..SyntheticConfig::c10_like(a.samples, a.seed) };
     let data = SyntheticDataset::generate(&data_cfg);
+    let parts = partition.deal(&data.train, &a.lans, a.seed)?;
+    Ok((data, parts))
+}
+
+/// Builds the dense federation (dataset, partition, full topology) and runs
+/// the selected scheme over materialised clients.
+fn run_dense(
+    a: &RunArgs,
+    cfg: &RunConfig,
+    (data, parts): (SyntheticDataset, Vec<Vec<usize>>),
+    model: Model,
+) -> RunMetrics {
     let k: usize = a.lans.iter().sum();
-    let parts = partition.deal(&data.train, &a.lans, a.seed);
     let topo = Topology::new(&TopologyConfig::default_edge(a.lans.clone(), a.seed));
     let exp =
         Experiment::new(data.train, data.test, parts, topo, ClientCompute::testbed_mix(k), model);

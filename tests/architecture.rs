@@ -516,6 +516,27 @@ fn without_uses(text: &str) -> String {
     String::from_utf8(out).expect("blanking whole declarations keeps UTF-8")
 }
 
+/// How many arguments the call whose `(` opens `rest` passes: its commas
+/// outside nested brackets, less a trailing one, plus one; 0 when `rest`
+/// opens no call or an empty one.
+fn args(rest: &str) -> usize {
+    let Some(inner) = rest.strip_prefix('(') else { return 0 };
+    let (mut depth, mut commas) = (0, 0);
+    for (k, c) in inner.char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => {
+                let empty = inner[..k].trim().is_empty();
+                return if empty { 0 } else { commas + 1 };
+            }
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 && !inner[k + 1..].trim_start().starts_with(')') => commas += 1,
+            _ => {}
+        }
+    }
+    0
+}
+
 /// Whether the identifier at `r` in `text` is in a call form — `name(`,
 /// `name::<…>(`, `.name(` or `::name` — rather than its definition.
 fn is_call(text: &str, r: &Range<usize>) -> bool {
@@ -801,6 +822,42 @@ mod rules {
         v
     }
 
+    /// Egress in one place: DP noise and Byzantine corruption land on what
+    /// a client transmits, in the dense runner's `send`, never on a model
+    /// a client keeps. Outside test items, `crates/core/src` calls
+    /// `DpConfig::apply` once (as `DpConfig::apply(` or as the one `.apply(`
+    /// with two arguments; `MigrationPlan::apply` takes one), and
+    /// `corrupt_upload` at most twice: in `send` and in `evaluate`'s
+    /// hypothetical upload, which is never transmitted.
+    pub fn egress_in_one_place(tree: &Tree) -> Vec<String> {
+        let scope = |p: &str| is_rs(p) && under(p, "crates/core/src");
+        let (mut dp, mut corrupt) = (Vec::new(), Vec::new());
+        for (path, code) in read(tree, Tests::Skip, scope) {
+            for (r, w) in idents(&code) {
+                let (head, rest) = (&code[..r.start], &code[r.end..]);
+                let at = || format!("{path}:{}: {w}", line_of(&code, r.start));
+                if w == "corrupt_upload" && is_call(&code, &r) {
+                    corrupt.push(at());
+                } else if w == "apply"
+                    && (head.ends_with("DpConfig::") || head.ends_with('.') && args(rest) == 2)
+                {
+                    dp.push(at());
+                }
+            }
+        }
+        let mut v = Vec::new();
+        if dp.len() != 1 {
+            v.push(format!("DpConfig::apply is called {} times, not once: {dp:?}", dp.len()));
+        }
+        if corrupt.len() > 2 {
+            v.push(format!(
+                "corrupt_upload is called {} times, not at most twice: {corrupt:?}",
+                corrupt.len()
+            ));
+        }
+        v
+    }
+
     /// Every pub fn is called, and every pub struct, enum, trait, type,
     /// const and static is named, outside its own definition, comments and
     /// test items. A fn counts only call forms (`name(`, `name::<…>(`,
@@ -1057,6 +1114,26 @@ fn parallelism_in_one_place() {
             ("crates/fleet/src/planted.rs", "fn f() { std::thread::scope(|_| {}); }\n"),
         ],
     );
+}
+
+#[test]
+fn egress_in_one_place() {
+    holds(
+        rules::egress_in_one_place,
+        &[
+            ("crates/core/src/planted.rs", "fn f(dp: &DpConfig) { dp.apply(&mut p, &mut rng); }\n"),
+            ("crates/core/src/fleet.rs", "fn f() {\n    DpConfig::apply(&dp, &mut p, rng);\n}\n"),
+            (
+                "crates/core/src/aggregate.rs",
+                "fn f() { attack.corrupt_upload(i, epoch, &mut p); }\n",
+            ),
+        ],
+    );
+    // Neither a one-argument `apply` nor a test item counts.
+    let plan = "fn f() { let _ = plan.apply(\n    &mix,\n); }\n";
+    let test = "#[cfg(test)]\nfn t() { dp.apply(&mut p, &mut rng); }\n";
+    let tree = planted(&[("crates/core/src/planted.rs", plan), ("crates/core/src/fleet.rs", test)]);
+    assert_eq!(rules::egress_in_one_place(&tree), Vec::<String>::new());
 }
 
 #[test]

@@ -239,7 +239,11 @@ fn latest_digest(tag: &str, run: impl FnOnce(String)) -> u64 {
 /// The run-checkpoint bytes, pinned. The digests were taken at the commit
 /// before `Wire` moved below every crate (format version 3) and hold at
 /// both: a field that moves, is dropped or changes width fails here. A
-/// deliberate layout change bumps `RUN_STATE_VERSION` and re-pins.
+/// deliberate layout change bumps `RUN_STATE_VERSION` and re-pins. The two
+/// dense digests were re-taken, at the same layout, when the training
+/// history started evolving without diagnostics and DP noise and
+/// corruption moved to the one egress (only senders corrupt, so a
+/// sign-flipper that sends nothing keeps its model).
 #[test]
 fn run_state_bytes_are_pinned() {
     assert_eq!(fedmigr::core::RUN_STATE_VERSION, 3);
@@ -285,7 +289,7 @@ fn run_state_bytes_are_pinned() {
 
     assert_eq!(
         [dense, swap, fleet].map(|digest| format!("{digest:#018x}")),
-        ["0x113f53b0ddd01f47", "0x0dcb1758ee272167", "0x291f3345846eef37"],
+        ["0x067beb0dfeae8a65", "0x14b9722ff2142e9e", "0x291f3345846eef37"],
         "latest.fmrs of (a) dense FedMigr, (b) dense FedSwap, (c) fleet FedMigr"
     );
 }

@@ -131,6 +131,11 @@ fn unknown_missing_and_bad_values_exit_2() {
         (&["--epochs", "2", "--lans", "0"], "--lans needs a client"),
         (&["--epochs", "2", "--classes", "0"], "one sample per client"),
         (&["--epochs", "2", "--samples", "1", "--lans", "20"], "one sample per client"),
+        (&["--epochs", "2", "--samples", "2", "--partition", "missing:0.5"], "leaves client"),
+        (&["--epochs", "2", "--lans", "1", "--partition", "missing:0.5"], "two clients"),
+        (&["--partition", "missing:1.5"], "\"missing:1.5\" is out of range"),
+        (&["--partition", "dominant:1.5"], "\"dominant:1.5\" is out of range"),
+        (&["--partition", "dirichlet:0"], "\"dirichlet:0\" is out of range"),
         (&["run", "extra"], "unexpected argument \"extra\""),
         (&["bench"], "no experiment given"),
         (&["bench", "fig99_nothing"], "unknown experiment \"fig99_nothing\""),
@@ -173,6 +178,26 @@ fn flag_order_does_not_change_the_run() {
     let c = tiny_csv(&dir, "c.csv", &seeded);
     let d = tiny_csv(&dir, "d.csv", &["--transport", "flow", "--scheme", "fedmigr", "--seed", "9"]);
     assert_eq!(c, d, "--scheme fedmigr and --transport flow read --seed wherever it comes");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn diag_changes_no_run_state() {
+    // `--diag` observes a run: the snapshot the run leaves is the same bytes
+    // with it and without it, for a scheme that migrates and one that swaps.
+    let dir = scratch("diag-state");
+    for scheme in ["randmigr", "fedswap"] {
+        let latest = |diag: &[&str]| {
+            let ckpt = dir.join(format!("{scheme}{}", diag.len()));
+            let mut args = vec!["--scheme", scheme, "--epochs", "4", "--samples", "6", "--agg"];
+            args.extend(["2", "--checkpoint-dir", ckpt.to_str().unwrap()]);
+            args.extend_from_slice(diag);
+            let out = fedmigr(&args);
+            assert_eq!(code(&out), 0, "{scheme} {diag:?}: {}", stderr(&out));
+            std::fs::read(ckpt.join("latest.fmrs")).expect("the run left a checkpoint")
+        };
+        assert!(latest(&[]) == latest(&["--diag"]), "{scheme}: --diag moved the run state");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
