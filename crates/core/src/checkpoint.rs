@@ -10,7 +10,9 @@
 //! [..] stamp  identifying run configuration (scheme/seed/epochs/clients/
 //!             num_params/codec/transport/agg_interval/mode) — validated
 //!             against the resuming run before any live state is touched
-//! [..] state  the round state: `RoundState` (dense) or `FleetState`
+//! [..] state  the round state (`RoundState`): in a dense run every
+//!             resident client and its tables, in a fleet run the pool's
+//!             dormant stubs
 //! [4]  u32    CRC-32 (IEEE) over everything above
 //! ```
 //!
@@ -40,17 +42,16 @@ use fedmigr_telemetry::wire_fields;
 
 use crate::client::FlClient;
 use crate::engine::{AgentCtx, CommonState};
-use crate::fleet::FleetState;
 use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RecoveryStats, RobustStats};
 use crate::migration::Quarantine;
-use crate::runner::{LateUpload, PhasedClock, RoundState, RunConfig};
+use crate::runner::{LateUpload, PhasedClock, RoundState, RunConfig, World};
 
 /// Magic tag opening every run checkpoint.
 pub const RUN_STATE_MAGIC: &[u8; 8] = b"FEDMIGRR";
 
 /// Current run-checkpoint format version. Version 2 added the stamp's
 /// `mode` field and the fleet payload; version 3 leads both payloads with
-/// the fields the two round loops share.
+/// the fields a dense and a fleet run share.
 pub const RUN_STATE_VERSION: u32 = 3;
 
 const RUN_FILE: Container =
@@ -217,10 +218,16 @@ impl Wire for CommonState {
     }
 }
 
-impl Wire for RoundState {
+impl Wire for RoundState<'_> {
     fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
         let k = self.clients.len();
         self.common.wire(c)?;
+        if let World::Fleet(fleet) = &mut self.world {
+            // A fleet checkpoint lands between blocks, when nobody is
+            // resident: the pool's dormant stubs are every client's state.
+            debug_assert!(self.clients.is_empty(), "fleet checkpoints land between blocks");
+            return fleet.pool.wire(c);
+        }
         c.in_place(&mut self.clients, "checkpoint client count")?;
         self.fault_stats.wire(c)?;
         self.flaky.wire(c)?;
@@ -245,14 +252,6 @@ impl Wire for RoundState {
             return Err(bad("checkpoint client count"));
         }
         Ok(())
-    }
-}
-
-impl Wire for FleetState<'_> {
-    fn wire(&mut self, c: &mut Codec<'_>) -> io::Result<()> {
-        debug_assert!(self.cohort.is_empty(), "fleet checkpoints land between blocks");
-        self.common.wire(c)?;
-        self.pool.wire(c)
     }
 }
 
@@ -505,7 +504,7 @@ mod tests {
     }
 
     /// A live dense state with every field moved off its initial value.
-    fn sample_state(exp: &Experiment, cfg: &RunConfig) -> RoundState {
+    fn sample_state<'a>(exp: &'a Experiment, cfg: &'a RunConfig) -> RoundState<'a> {
         let mut s = RoundState::fresh(exp, cfg);
         s.common.epoch = 6;
         s.common.global.iter_mut().enumerate().for_each(|(i, g)| *g = i as f32 * 0.5 - 1.25);
@@ -761,8 +760,8 @@ mod tests {
     }
 
     /// A live fleet state between blocks, with banked dormant state.
-    fn sample_fleet_state<'a>(exp: &'a mut FleetExperiment, cfg: &'a RunConfig) -> FleetState<'a> {
-        let mut s = FleetState::fresh(exp, cfg);
+    fn sample_fleet_state<'a>(exp: &'a mut FleetExperiment, cfg: &'a RunConfig) -> RoundState<'a> {
+        let mut s = RoundState::fresh_fleet(exp, cfg);
         s.common.epoch = 3;
         s.common.global.fill(0.25);
         s.common.rng = StdRng::from_state([21, 22, 23, 24]);
@@ -774,9 +773,9 @@ mod tests {
         s.common.prev_loss = Some(2.0);
         s.common.last_epoch_usage = (0.3, 0.4);
         s.common.last_step_reward = 0.125;
-        s.pool.retire(0, [1, 2, 3, 4], 2);
-        s.pool.retire(3, [9, 8, 7, 6], 1);
-        s.pool.retire(3, [9, 8, 7, 5], 1);
+        s.pool().retire(0, [1, 2, 3, 4], 2);
+        s.pool().retire(3, [9, 8, 7, 6], 1);
+        s.pool().retire(3, [9, 8, 7, 5], 1);
         s
     }
 
@@ -785,12 +784,12 @@ mod tests {
         let cfg = fleet_cfg();
         let (mut a, mut b) = (fleet(), fleet());
         let mut state = sample_fleet_state(&mut a, &cfg);
-        let mut fresh = FleetState::fresh(&mut b, &cfg);
+        let mut fresh = RoundState::fresh_fleet(&mut b, &cfg);
         assert_round_trips(&mut state, &mut fresh);
         for id in 0..4 {
-            assert_eq!(fresh.pool.stub(id).dormant, state.pool.stub(id).dormant);
+            assert_eq!(fresh.pool().stub(id).dormant, state.pool().stub(id).dormant);
         }
-        assert_eq!(fresh.pool.stub(3).dormant.participations, 2);
+        assert_eq!(fresh.pool().stub(3).dormant.participations, 2);
     }
 
     #[test]
@@ -810,7 +809,7 @@ mod tests {
 
         let dense_bytes = encode(&stamp(), &mut sample_state(&exp, &cfg));
         let fleet_expect = RunStamp { mode: "fleet".into(), ..stamp() };
-        let err = restore(&dense_bytes, &fleet_expect, &mut FleetState::fresh(&mut b, &fcfg))
+        let err = restore(&dense_bytes, &fleet_expect, &mut RoundState::fresh_fleet(&mut b, &fcfg))
             .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("mode mismatch"), "{err}");
@@ -822,7 +821,7 @@ mod tests {
         let mut a = fleet();
         let bytes = raw(&mut sample_fleet_state(&mut a, &cfg));
         let mut bigger = FleetExperiment::synthetic(6, 2, 8, 2, 11, zoo::mlp(16, &[3], 2, 5));
-        let err = unraw(&bytes, &mut FleetState::fresh(&mut bigger, &cfg)).unwrap_err();
+        let err = unraw(&bytes, &mut RoundState::fresh_fleet(&mut bigger, &cfg)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("client count"), "{err}");
     }

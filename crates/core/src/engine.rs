@@ -1,24 +1,24 @@
-//! What the dense and fleet round loops share: the state both checkpoint,
-//! the observers neither checkpoints, and the run shell around the rounds —
-//! resume, snapshot cadence, kill switch, stop conditions, terminal reward
-//! flush and `RunMetrics` assembly.
+//! The run shell around the one round body (`runner::Run::round`), for a
+//! dense run and a fleet run alike — resume, snapshot cadence, kill switch,
+//! stop conditions, terminal reward flush and `RunMetrics` assembly — and
+//! what every round reads: the state both worlds checkpoint and the
+//! observers neither does.
 
 use std::path::Path;
 
-use fedmigr_compress::CompressionStats;
 use fedmigr_data::Dataset;
 use fedmigr_diag::FlightRecorder;
 use fedmigr_drl::{AgentConfig, DdpgAgent, Transition};
-use fedmigr_net::{ResourceMeter, TransportStats};
+use fedmigr_net::ResourceMeter;
 use fedmigr_nn::Model;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::checkpoint::{self, RunStamp, Wire};
+use crate::checkpoint::{self, RunStamp};
 use crate::kernels::KernelPhases;
-use crate::metrics::{EpochRecord, FaultStats, RecoveryStats, RobustStats, RunMetrics};
+use crate::metrics::{EpochRecord, RecoveryStats, RunMetrics};
 use crate::reward::{step_reward, terminal_reward};
-use crate::runner::{PhasedClock, RunConfig};
+use crate::runner::{PhasedClock, Run, RunConfig};
 use crate::scheme::{FedMigrConfig, Scheme};
 use crate::timeline_capture::TimelineCapture;
 
@@ -51,7 +51,7 @@ impl AgentCtx {
     }
 }
 
-/// Run state both round loops read and checkpoint.
+/// Run state every round reads, and both worlds checkpoint.
 pub(crate) struct CommonState {
     /// Last completed epoch; a restored run continues at `epoch + 1`.
     pub epoch: usize,
@@ -129,13 +129,6 @@ impl CommonState {
         }
     }
 
-    /// Runs the epoch's agent learning update.
-    pub fn learn(&mut self) {
-        if let Some(ctx) = self.agent.as_mut() {
-            ctx.agent.update();
-        }
-    }
-
     /// Records the fraction of each budget this round consumed, given the
     /// meter readings at round start.
     pub fn note_usage(&mut self, traffic_before: u64, compute_before: f64) {
@@ -145,19 +138,6 @@ impl CommonState {
             frac(self.meter.compute_cost() - compute_before, budget.compute),
             frac((self.meter.traffic().total() - traffic_before) as f64, budget.bandwidth),
         );
-    }
-
-    /// The record of a round in which nothing trained.
-    pub fn blank_record(&self, epoch: usize, dropped_clients: usize) -> EpochRecord {
-        EpochRecord {
-            epoch,
-            train_loss: self.prev_loss.unwrap_or(0.0),
-            traffic: self.meter.traffic(),
-            sim_time: self.clock.now(),
-            dropped_clients,
-            phase: self.clock.phase(),
-            ..EpochRecord::default()
-        }
     }
 
     /// Terminal transition flush (Eq. 18).
@@ -187,7 +167,7 @@ pub(crate) struct Observers {
     pub kphases: KernelPhases,
 }
 
-/// How one call to [`RoundLoop::round`] ended.
+/// How one call to `Run::round` ended.
 pub(crate) enum Outcome {
     /// The round ran; carries the accuracy if it evaluated.
     Done(Option<f64>),
@@ -207,67 +187,38 @@ pub(crate) struct Exit {
     pub killed: bool,
 }
 
-/// Run totals only one of the loops accumulates.
-#[derive(Default)]
-pub(crate) struct Totals {
-    pub link_migrations: Vec<u32>,
-    pub fault: FaultStats,
-    pub robust: RobustStats,
-    pub compression: CompressionStats,
-    pub transport_stats: TransportStats,
-}
-
-/// A round loop the shell can drive.
-pub(crate) trait RoundLoop {
-    /// The loop's live state, which is also its checkpoint payload.
-    type State: Wire;
-    fn stamp(&self) -> &RunStamp;
-    fn state(&mut self) -> &mut Self::State;
-    fn common(&mut self) -> &mut CommonState;
-    fn observers(&mut self) -> &mut Observers;
-    /// Called once before the first round, after any resume.
-    fn begin(&mut self, _start_epoch: usize) {}
-    fn round(&mut self, epoch: usize) -> Outcome;
-    /// Offers the loop the snapshot taken after `epoch` (the dense
-    /// watchdog's rollback target) and returns the buffer the next snapshot
-    /// is encoded into: the one a kept snapshot displaced, or `bytes`
-    /// itself when the loop keeps nothing.
-    fn keep_snapshot(&mut self, _epoch: usize, bytes: Vec<u8>) -> Vec<u8> {
-        bytes
-    }
-    /// Closes loop-specific outputs and reports loop-specific totals.
-    fn finish(&mut self, exit: &Exit) -> Totals;
-}
-
-/// Builds a round loop with `build` and runs it from its first (or resumed)
-/// round to the end of the run, setup included, under the run's instrument
-/// switches (`cfg.diag`) and on a tally of its own, so the run reads back
-/// only itself; the calling thread gets its switches back afterwards, and
-/// the run's tally added into its own.
+/// Builds a run with `build` and runs it from its first (or resumed)
+/// round to the end, setup included, under the run's instrument switches
+/// (`cfg.diag`) and on a tally of its own, so the run reads back only
+/// itself; the calling thread gets its switches back afterwards, and the
+/// run's tally added into its own.
 ///
 /// # Panics
-/// Panics when `cfg.resume` names a checkpoint that cannot be read or does
-/// not belong to this run.
-pub(crate) fn run<L: RoundLoop>(cfg: &RunConfig, build: impl FnOnce() -> L) -> RunMetrics {
+/// Panics when `cfg` fails [`RunConfig::validate`], or `cfg.resume` names a
+/// checkpoint that cannot be read or does not belong to this run.
+pub(crate) fn run<'a>(cfg: &RunConfig, build: impl FnOnce() -> Run<'a>) -> RunMetrics {
     use fedmigr_telemetry::ledger;
+    if let Err(e) = cfg.validate() {
+        panic!("invalid run config: {e}");
+    }
     ledger::with_switches(cfg.diag.switches(), || ledger::isolated(|| rounds(cfg, build())))
 }
 
-fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
-    let stamp = lp.stamp().clone();
+fn rounds(cfg: &RunConfig, mut run: Run<'_>) -> RunMetrics {
+    let stamp = run.ctx.stamp.clone();
     // What the next snapshot is encoded into: a recycled buffer, never a
     // fresh one per round.
     let mut spare = Vec::new();
     let mut start_epoch = 1;
     if let Some(path) = cfg.resume.as_deref() {
         let loaded = std::fs::read(path).and_then(|bytes| {
-            checkpoint::restore(&bytes, &stamp, lp.state())?;
+            checkpoint::restore(&bytes, &stamp, &mut run.st)?;
             Ok(bytes)
         });
         let bytes = loaded.unwrap_or_else(|e| panic!("cannot resume from {path}: {e}"));
-        let ck_epoch = lp.common().epoch;
-        lp.common().recovery.checkpoints_loaded += 1;
-        spare = lp.keep_snapshot(ck_epoch, bytes);
+        let ck_epoch = run.st.common.epoch;
+        run.st.common.recovery.checkpoints_loaded += 1;
+        spare = run.keep_snapshot(ck_epoch, bytes);
         start_epoch = ck_epoch + 1;
         fedmigr_telemetry::info!(
             "core::runner",
@@ -276,15 +227,15 @@ fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     } else if cfg.watchdog.enabled {
         // The watchdog always has somewhere to roll back to: a pristine
         // epoch-0 snapshot covers divergence in the very first round.
-        checkpoint::encode_into(&mut spare, &stamp, lp.state());
-        spare = lp.keep_snapshot(0, spare);
+        checkpoint::encode_into(&mut spare, &stamp, &mut run.st);
+        spare = run.keep_snapshot(0, spare);
     }
-    lp.begin(start_epoch);
+    run.obs.flight = run.open_flight(start_epoch);
 
     let mut exit = Exit::default();
     let mut epoch = start_epoch;
     while epoch <= cfg.epochs {
-        match lp.round(epoch) {
+        match run.round(epoch) {
             Outcome::RolledBack(to) => {
                 epoch = to + 1;
                 continue;
@@ -295,13 +246,13 @@ fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
                     exit.target_reached = true;
                     break;
                 }
-                if lp.common().meter.exhausted() {
+                if run.st.common.meter.exhausted() {
                     exit.budget_exhausted = true;
                     break;
                 }
             }
         }
-        snapshot(cfg, &stamp, &mut lp, epoch, &mut spare);
+        snapshot(cfg, &stamp, &mut run, epoch, &mut spare);
         if cfg.kill_at == Some(epoch) {
             exit.killed = true;
             fedmigr_telemetry::warn!(
@@ -314,16 +265,15 @@ fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     }
 
     if !exit.killed {
-        lp.common().flush_terminal(!exit.budget_exhausted);
+        run.st.common.flush_terminal(!exit.budget_exhausted);
     }
-    let totals = lp.finish(&exit);
-    let common = lp.common();
-    let (records, recovery) = (std::mem::take(&mut common.records), common.recovery);
-    let (migrations_local, migrations_global) = (common.migrations_local, common.migrations_global);
+    run.finish(&exit);
+    let st = &mut run.st;
+    let (records, recovery) = (std::mem::take(&mut st.common.records), st.common.recovery);
     if !exit.killed {
         // A killed run leaves the timeline finish-less, like the flight
         // recording.
-        lp.observers().tcap.finish(records.len());
+        run.obs.tcap.finish(records.len());
     }
     if recovery.any() {
         let gauge = |name: &str, v: f64| {
@@ -338,17 +288,17 @@ fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
     RunMetrics {
         scheme: cfg.scheme.name(),
         records,
-        migrations_local,
-        migrations_global,
-        link_migrations: totals.link_migrations,
+        migrations_local: st.common.migrations_local,
+        migrations_global: st.common.migrations_global,
+        link_migrations: std::mem::take(&mut st.link_migrations),
         budget_exhausted: exit.budget_exhausted,
         target_reached: exit.target_reached,
-        fault: totals.fault,
-        robust: totals.robust,
+        fault: st.fault_stats,
+        robust: st.robust_total,
         codec: cfg.codec.name(),
-        compression: totals.compression,
+        compression: st.compressor.stats(),
         transport: cfg.transport.name().into(),
-        transport_stats: totals.transport_stats,
+        transport_stats: st.taccum.finish(),
         recovery,
     }
 }
@@ -357,21 +307,15 @@ fn rounds(cfg: &RunConfig, mut lp: impl RoundLoop) -> RunMetrics {
 /// while the watchdog is armed), encoded into `buf` and persisted when a
 /// directory is configured. Capturing consumes no randomness and never
 /// touches the virtual clock.
-fn snapshot(
-    cfg: &RunConfig,
-    stamp: &RunStamp,
-    lp: &mut impl RoundLoop,
-    epoch: usize,
-    buf: &mut Vec<u8>,
-) {
+fn snapshot(cfg: &RunConfig, stamp: &RunStamp, run: &mut Run, epoch: usize, buf: &mut Vec<u8>) {
     let every = cfg.checkpoint_every.unwrap_or(1);
     let armed = cfg.checkpoint_every.is_some() || cfg.watchdog.enabled;
     if !armed || !epoch.is_multiple_of(every) {
         return;
     }
-    lp.common().epoch = epoch;
-    checkpoint::encode_into(buf, stamp, lp.state());
-    let recovery = &mut lp.common().recovery;
+    run.st.common.epoch = epoch;
+    checkpoint::encode_into(buf, stamp, &mut run.st);
+    let recovery = &mut run.st.common.recovery;
     recovery.checkpoints_written += 1;
     recovery.checkpoint_bytes += buf.len() as u64;
     if let Some(dir) = cfg.checkpoint_dir.as_deref() {
@@ -382,7 +326,7 @@ fn snapshot(
             );
         }
     }
-    *buf = lp.keep_snapshot(epoch, std::mem::take(buf));
+    *buf = run.keep_snapshot(epoch, std::mem::take(buf));
 }
 
 /// Test accuracy of `params` loaded into `scratch`, evaluated in batches

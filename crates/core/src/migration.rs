@@ -1,14 +1,14 @@
-//! Migration planning in one place: every planner both round loops call
-//! (one call per migration round), the FLMM oracle, the steering sequence
-//! that blends the DDPG agent into a plan, and the receiver-side
-//! quarantine. The greedy commit and the agent bonus sit one crate down,
-//! in `fedmigr_fleet`, because its shortlist planner commits through them.
+//! Migration planning in one place: every planner the round calls (one
+//! call per migration round, for a dense run or a fleet cohort), the FLMM
+//! oracle, the steering sequence that blends the DDPG agent into a plan,
+//! and the receiver-side quarantine. The greedy commit and the agent bonus
+//! sit one crate down, in `fedmigr_fleet`, because its shortlist planner
+//! commits through them.
 
 use std::collections::VecDeque;
 
 use fedmigr_fleet::{
-    greedy_commit, plan_migrations, ClientPool, FleetPlannerConfig, FleetTopology, LanProfile,
-    AGENT_BONUS,
+    greedy_commit, plan_migrations, ClientPool, FleetPlannerConfig, LanProfile, AGENT_BONUS,
 };
 use fedmigr_net::{transfer_time, Topology};
 use fedmigr_telemetry::profiler;
@@ -19,6 +19,7 @@ use rand::Rng;
 
 use crate::client::FlClient;
 use crate::engine::AgentCtx;
+use crate::fleet::Fleet;
 use crate::scheme::{MigrationStrategy, Scheme};
 
 /// Penalty weight on targeting *flaky* destinations: the FedMigr oracle
@@ -256,52 +257,42 @@ fn plan_flmm(round: &DenseRound, states: &[Vec<f32>], agent: &mut AgentCtx) -> M
     })
 }
 
-/// One fleet migration round as its planner sees it.
-pub(crate) struct CohortRound<'a> {
-    pub topo: &'a FleetTopology,
-    pub pool: &'a ClientPool,
-    /// The active clients; the plan is a permutation of their positions.
-    pub cohort: &'a [FlClient],
-    /// The cohort's profile, built by this round's state builder.
-    pub profile: &'a CohortProfile,
-    pub epoch: usize,
-    pub model_bytes: u64,
-    /// Shortlist width and hash seed of [`plan_migrations`].
-    pub top_m: usize,
-    pub seed: u64,
-}
-
-/// The fleet FedMigr planner: the agent picks destination *LANs* against
-/// the `L × L` oracle over per-LAN aggregates (priced by expected transfer
-/// time), and the shortlist planner commits them to a permutation of cohort
-/// positions (priced by bandwidth against the slowest link class).
+/// The fleet FedMigr planner over `fleet`'s `cohort`, whose `profile` this
+/// round's states were built from: the agent picks destination *LANs*
+/// against the `L × L` oracle over per-LAN aggregates (priced by expected
+/// transfer time), and the shortlist planner commits them to a permutation
+/// of cohort positions (priced by bandwidth against the slowest link
+/// class).
 pub(crate) fn plan_cohort(
-    round: &CohortRound,
+    fleet: &Fleet,
+    cohort: &[FlClient],
+    profile: &CohortProfile,
     states: &[Vec<f32>],
+    epoch: usize,
+    model_bytes: u64,
     agent: &mut AgentCtx,
 ) -> MigrationPlan {
-    let (topo, lambda) = (round.topo, agent.fc.lambda);
+    let (topo, lambda) = (fleet.topo, agent.fc.lambda);
     let oracle_frame = profiler::frame("plan_oracle");
-    let benefit = round.profile.lan.benefit_matrix();
+    let benefit = profile.lan.benefit_matrix();
     let c = topo.config();
     let cross_bw = (1.0 - c.slow_fraction) * c.cross_moderate_bandwidth
         + c.slow_fraction * c.cross_slow_bandwidth;
-    let (intra, cross) =
-        (round.model_bytes as f64 / c.lan_bandwidth, round.model_bytes as f64 / cross_bw);
+    let (intra, cross) = (model_bytes as f64 / c.lan_bandwidth, model_bytes as f64 / cross_bw);
     let lan_cost = |a: usize, b: usize| if a == b { intra } else { cross };
     let oracle = flmm_oracle(topo.num_lans(), lambda, |a, b| benefit[a][b], lan_cost);
     drop(oracle_frame);
-    let pcfg = FleetPlannerConfig { top_m: round.top_m, lambda, seed: round.seed };
+    let pcfg = FleetPlannerConfig { top_m: fleet.top_m, lambda, seed: fleet.plan_seed };
     let price = |i: usize, j: usize| {
-        let (gi, gj) = (round.cohort[i].id(), round.cohort[j].id());
-        c.cross_slow_bandwidth / topo.c2c_bandwidth(gi, gj, round.epoch)
+        let (gi, gj) = (cohort[i].id(), cohort[j].id());
+        c.cross_slow_bandwidth / topo.c2c_bandwidth(gi, gj, epoch)
     };
-    let lans = &round.profile.lans;
+    let lans = &profile.lans;
     let lan_of = |i: usize| lans[i] as usize;
-    steer(agent, round.epoch, states, oracle, lan_of, |actions, _| {
+    steer(agent, epoch, states, oracle, lan_of, |actions, _| {
         let desired: Vec<u32> = actions.iter().map(|&a| a as u32).collect();
-        let marginals = cohort_marginals(round.pool, round.cohort);
-        let epoch = round.epoch as u64;
+        let marginals = cohort_marginals(fleet.pool, cohort);
+        let epoch = epoch as u64;
         MigrationPlan { dest: plan_migrations(&pcfg, epoch, lans, &marginals, &desired, price) }
     })
 }
@@ -311,21 +302,6 @@ pub(crate) fn plan_cohort(
 pub(crate) struct CohortProfile {
     pub lans: Vec<u32>,
     pub lan: LanProfile,
-}
-
-impl CohortProfile {
-    /// Profiles `cohort` over `num_lans` LANs; `marginals` are its label
-    /// marginals by position ([`cohort_marginals`]).
-    pub fn build(
-        pool: &ClientPool,
-        cohort: &[FlClient],
-        marginals: &[&[f32]],
-        num_lans: usize,
-    ) -> Self {
-        let lans: Vec<u32> = cohort.iter().map(|c| pool.stub(c.id()).lan).collect();
-        let lan = LanProfile::build(&lans, marginals, num_lans, pool.world().num_classes());
-        Self { lans, lan }
-    }
 }
 
 /// The cohort's label marginals, by cohort position.

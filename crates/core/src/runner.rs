@@ -25,10 +25,13 @@ use fedmigr_telemetry::{profiler, span, warn};
 use crate::aggregate::{Aggregator, STALE_MAX_AGE};
 use crate::checkpoint::{self, RunStamp};
 use crate::client::FlClient;
-use crate::engine::{self, CommonState, Exit, Observers, Outcome, RoundLoop, Totals};
+use crate::engine::{self, CommonState, Exit, Observers, Outcome};
+use crate::fleet::{Fleet, FleetExperiment, FleetOptions};
 use crate::kernels::KernelPhases;
 use crate::metrics::{EpochRecord, FaultStats, PhaseBreakdown, RobustStats, RunMetrics};
-use crate::migration::{self, median, DenseRound, MigrationPlan, Quarantine, QuarantineConfig};
+use crate::migration::{
+    self, median, CohortProfile, DenseRound, MigrationPlan, Quarantine, QuarantineConfig,
+};
 use crate::privacy::DpConfig;
 use crate::scheme::Scheme;
 use crate::timeline_capture::TimelineCapture;
@@ -130,11 +133,11 @@ pub struct RunConfig {
     /// implicated upload sources on retry.
     pub watchdog: WatchdogConfig,
     /// Fleet mode: lazy sharded client state for populations far beyond
-    /// what the dense runner can hold ([`crate::FleetExperiment`]). `None`
+    /// what a dense [`Experiment`] can hold ([`crate::FleetExperiment`]). `None`
     /// (the default) keeps the dense path byte-identical to the seeded
     /// baselines; `Some` is what [`crate::FleetExperiment`] runs — the dense
     /// [`Experiment::run`] rejects it.
-    pub fleet: Option<crate::fleet::FleetOptions>,
+    pub fleet: Option<FleetOptions>,
 }
 
 /// A [`RunConfig`] that breaks one of [`RunConfig::validate`]'s rules; it
@@ -208,8 +211,9 @@ impl RunConfig {
 
     /// Checks every rule a run configuration must keep, in one place: the
     /// CLI calls this before it builds the world (and exits 2 with the
-    /// rule), both runners before they start (and panic with it). Fleet
-    /// mode (`fleet` set) adds the sharded runner's rules.
+    /// rule), the run shell before it builds a run (and panics with it).
+    /// Fleet mode (`fleet` set) adds what the round cannot yet do over a
+    /// cohort.
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn rule(ok: bool, broken: impl Into<String>) -> Result<(), ConfigError> {
             if ok {
@@ -235,9 +239,11 @@ impl RunConfig {
             format!("fleet sample_frac must be in (0, 1], got {frac}"),
         )?;
         rule(fleet.top_m > 0, "fleet top_m must be positive")?;
+        // What the one round body cannot yet do over a cohort; DESIGN.md
+        // §15 gives each rule's reason.
         rule(
-            matches!(self.scheme, Scheme::FedAvg | Scheme::FedMigr(_)),
-            format!("fleet mode supports FedAvg and FedMigr, not {}", self.scheme.name()),
+            matches!(self.scheme, Scheme::FedAvg | Scheme::FedProx { .. } | Scheme::FedMigr(_)),
+            format!("fleet mode supports FedAvg, FedProx and FedMigr, not {}", self.scheme.name()),
         )?;
         rule(
             matches!(self.codec, CodecConfig::Identity),
@@ -247,17 +253,12 @@ impl RunConfig {
         rule(self.transport.name() == "lockstep", "fleet mode requires the lockstep transport")?;
         rule(self.fault.is_none(), "fleet mode does not support fault injection")?;
         rule(self.attack.is_none(), "fleet mode does not support Byzantine attacks")?;
-        rule(self.dp.is_none(), "fleet mode does not support differential privacy")?;
-        rule(
-            matches!(self.aggregator, Aggregator::FedAvg),
-            "fleet mode requires the FedAvg aggregator",
-        )?;
         rule(!self.watchdog.enabled, "fleet mode does not support the divergence watchdog")?;
         rule(p >= 1.0, "fleet mode samples via fleet.sample_frac; leave participation at 1.0")?;
         // Only at block boundaries is the cohort retired, making the dormant
         // stubs the complete per-client state.
         rule(
-            matches!(self.scheme, Scheme::FedAvg)
+            matches!(self.scheme, Scheme::FedAvg | Scheme::FedProx { .. })
                 || self
                     .checkpoint_every
                     .is_none_or(|every| every.is_multiple_of(self.agg_interval)),
@@ -321,34 +322,24 @@ impl Experiment {
     /// Panics when `cfg` fails [`RunConfig::validate`] or selects fleet
     /// mode.
     pub fn run(&self, cfg: &RunConfig) -> RunMetrics {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid run config: {e}");
-        }
-        let None = cfg.fleet else {
-            panic!(
-                "fleet mode needs the sharded runner: build a FleetExperiment, not an Experiment"
-            )
-        };
-        fedmigr_telemetry::debug!(
-            "core::runner",
-            "run start: scheme={} clients={} epochs={} agg={} seed={}",
-            cfg.scheme.name(),
-            self.num_clients(),
-            cfg.epochs,
-            cfg.agg_interval,
-            cfg.seed
-        );
-        engine::run(cfg, || DenseRun::new(self, cfg))
+        assert!(cfg.fleet.is_none(), "fleet mode needs a FleetExperiment, not an Experiment");
+        engine::run(cfg, || Run::dense(self, cfg))
     }
 }
 
 /// Decay of the *model mixture* estimate (see [`RoundState::mix`]).
 const MIX_ALPHA: f64 = 0.3;
 
-/// Everything a dense round reads and writes that must survive a crash:
-/// the checkpoint payload *is* this struct (see `core::checkpoint`).
-pub(crate) struct RoundState {
+/// Everything a round reads and writes that must survive a crash: the
+/// checkpoint payload *is* this struct (see `core::checkpoint`). Per-client
+/// tables are indexed by resident slot (`clients[s]`); a dense run's slots
+/// are its client ids.
+pub(crate) struct RoundState<'a> {
     pub common: CommonState,
+    /// Who is resident, and how the round plans migrations.
+    pub world: World<'a>,
+    /// The resident clients: every client of a dense run, a fleet block's
+    /// cohort (none between blocks).
     pub clients: Vec<FlClient>,
     pub fault_stats: FaultStats,
     /// Exponential moving average of each client's observed downtime; the
@@ -383,57 +374,112 @@ pub(crate) struct RoundState {
     /// FedAvg keeps each replica pinned to its host's shard; migration is
     /// what drives this EMD down.
     pub train_mix: Vec<Vec<f64>>,
-    /// One compressor per run: a residual lane per client for egress
-    /// transfers, seeded from the run seed (stochastic rounding never
-    /// consumes the shared RNG stream).
+    /// One compressor per run: a residual lane per resident slot for
+    /// egress transfers, seeded from the run seed (stochastic rounding
+    /// never consumes the shared RNG stream).
     pub compressor: Compressor,
-    /// `K x K` migration-count matrix.
+    /// `K x K` migration-count matrix of a dense run; empty in a fleet run,
+    /// whose `K` is too large for it.
     pub link_migrations: Vec<u32>,
     /// Clients the watchdog implicated in a divergence sit rounds out.
     /// All-false in normal runs: a no-op, bit for bit.
     pub excluded: Vec<bool>,
 }
 
-/// What a dense run fixes once and never changes.
-struct DenseCtx<'a> {
-    exp: &'a Experiment,
+/// What differs between a dense and a fleet run, as data behind one seam:
+/// who is resident, and the planner with the DRL state it reads. The links
+/// and device speeds are [`RunCtx::links`] and [`RunCtx::compute`].
+pub(crate) enum World<'a> {
+    /// Every client is resident from round 0. FedMigr plans with
+    /// `plan_dense` over per-client states and `D_t`.
+    Dense { topology: &'a Topology, featurizer: MigrationState },
+    /// A cohort sampled from the pool is resident per aggregation block.
+    /// FedMigr plans with `plan_cohort` over pooled LAN states.
+    Fleet(Fleet<'a>),
+}
+
+/// Client links as a round prices them, by client id: a dense run's
+/// [`Topology`], or a fleet's O(LANs) topology at the default zero latency.
+pub(crate) trait Links {
+    fn c2s_bandwidth(&self, epoch: usize) -> f64;
+    fn c2c_bandwidth(&self, i: usize, j: usize, epoch: usize) -> f64;
+    fn same_lan(&self, i: usize, j: usize) -> bool;
+
+    fn c2s_latency(&self) -> f64 {
+        0.0
+    }
+
+    fn c2c_latency(&self, _i: usize, _j: usize) -> f64 {
+        0.0
+    }
+}
+
+impl Links for Topology {
+    fn c2s_bandwidth(&self, epoch: usize) -> f64 {
+        Topology::c2s_bandwidth(self, epoch)
+    }
+
+    fn c2s_latency(&self) -> f64 {
+        Topology::c2s_latency(self)
+    }
+
+    fn c2c_bandwidth(&self, i: usize, j: usize, epoch: usize) -> f64 {
+        Topology::c2c_bandwidth(self, i, j, epoch)
+    }
+
+    fn c2c_latency(&self, i: usize, j: usize) -> f64 {
+        Topology::c2c_latency(self, i, j)
+    }
+
+    fn same_lan(&self, i: usize, j: usize) -> bool {
+        Topology::same_lan(self, i, j)
+    }
+}
+
+/// What a run fixes once and never changes.
+pub(crate) struct RunCtx<'a> {
     cfg: &'a RunConfig,
+    /// The population `K`: every client id is below it.
     k: usize,
+    links: &'a dyn Links,
+    /// Device speeds, by client id.
+    compute: &'a ClientCompute,
+    test: &'a Dataset,
     /// Wire cost of one model transfer — the codec's exact encoded size;
     /// under the identity codec it equals the uncompressed `8 + 4n` seed
     /// format, byte for byte.
     model_bytes: u64,
     saved_per_transfer: u64,
     /// `None` keeps every code path on the lockstep accounting,
-    /// byte-identical to the seeded baselines.
-    flow: Option<&'a FlowConfig>,
+    /// byte-identical to the seeded baselines. Only a dense run simulates
+    /// flows (its slots are its client ids).
+    flow: Option<(&'a FlowConfig, &'a Topology)>,
     fault: FaultModel,
     attack: AttackModel,
-    /// Per-client label marginals `q_k`.
-    dists: Vec<Vec<f64>>,
     /// Sample-weighted population label distribution.
     population: Vec<f64>,
-    featurizer: MigrationState,
-    stamp: RunStamp,
+    pub stamp: RunStamp,
 }
 
-/// One dense run: context, state, observers, and the scratch that is none
-/// of those.
-struct DenseRun<'a> {
-    ctx: DenseCtx<'a>,
-    st: RoundState,
-    obs: Observers,
+/// One run: context, state, observers, and the scratch that is none of
+/// those.
+pub(crate) struct Run<'a> {
+    pub ctx: RunCtx<'a>,
+    pub st: RoundState<'a>,
+    pub obs: Observers,
     /// Model the evaluations load parameters into.
     scratch: Model,
     /// The watchdog's rollback target: the last good snapshot and the epoch
     /// it was taken after. Only an armed watchdog keeps one.
     last_good: Option<(usize, Vec<u8>)>,
-    /// Which clients transmitted a non-finite payload since the last good
-    /// snapshot — the sources a rollback implicates.
+    /// Which resident clients transmitted a non-finite payload since the
+    /// last good snapshot — the sources a rollback implicates.
     nan_sources: Vec<bool>,
 }
 
-/// What one round computes on the way from sampling to bookkeeping.
+/// What one round computes on the way from sampling to bookkeeping; every
+/// per-client table is by resident slot.
+#[derive(Default)]
 struct Round {
     epoch: usize,
     traffic_before: u64,
@@ -451,22 +497,29 @@ struct Round {
     dropped: usize,
     stale: usize,
     mean_loss: f32,
+    /// `D_t`, built with a dense run's decision states.
     dmat: Vec<Vec<f64>>,
     suspicion: Vec<f64>,
     states: Option<Vec<Vec<f32>>>,
+    /// The cohort profile a fleet run's states were built from.
+    profile: Option<CohortProfile>,
     accuracy: Option<f64>,
 }
 
-impl<'a> DenseRun<'a> {
-    /// Builds the clients, seeds them with the initial model, and charges
-    /// the seed broadcast (timeline "round 0").
-    fn new(exp: &'a Experiment, cfg: &'a RunConfig) -> Self {
+/// What an experiment lends its run, besides its world.
+struct Lent<'a> {
+    links: &'a dyn Links,
+    compute: &'a ClientCompute,
+    test: &'a Dataset,
+    template: &'a Model,
+    flow: Option<(&'a FlowConfig, &'a Topology)>,
+}
+
+impl<'a> Run<'a> {
+    /// A dense run: builds the clients, seeds them with the initial model,
+    /// and charges the seed broadcast (timeline "round 0").
+    fn dense(exp: &'a Experiment, cfg: &'a RunConfig) -> Self {
         let k = exp.num_clients();
-        let mut scratch = exp.template.clone();
-        let num_params = scratch.num_params();
-        let mut compressor = Compressor::new(&cfg.codec, k, cfg.seed);
-        let model_bytes = compressor.encoded_size(num_params);
-        let global = scratch.params();
         let mut clients: Vec<FlClient> = exp
             .partitions
             .iter()
@@ -482,100 +535,160 @@ impl<'a> DenseRun<'a> {
                 )
             })
             .collect();
-        // Initial distribution is one server-side encode fanned out to all
-        // K clients; each installs what the wire actually carried.
-        let initial = compressor.broadcast(&global);
-        for c in &mut clients {
-            c.set_params(&initial, false);
-        }
-        let attack = AttackModel::new(cfg.attack.clone(), k);
-        if attack.flips_labels() {
-            let map = fedmigr_data::flip_label_map(clients[0].label_dist().len());
-            for (i, c) in clients.iter_mut().enumerate() {
-                if attack.is_byzantine(i) {
-                    c.set_label_map(map.clone());
-                }
-            }
-        }
         let total_n: f64 = clients.iter().map(|c| c.num_samples() as f64).sum();
-        let dists: Vec<Vec<f64>> = clients.iter().map(|c| c.label_dist().to_vec()).collect();
-        let mut population = vec![0.0f64; dists[0].len()];
-        for (q, c) in dists.iter().zip(&clients) {
+        let mut population = vec![0.0f64; clients[0].label_dist().len()];
+        for c in &clients {
             let w = c.num_samples() as f64 / total_n;
-            for (pi, qi) in population.iter_mut().zip(q) {
+            for (pi, qi) in population.iter_mut().zip(c.label_dist()) {
                 *pi += w * qi;
             }
         }
         let featurizer = MigrationState::new(k);
+        let dims = (featurizer.dim(), k);
+        let lent = Lent {
+            links: &exp.topology,
+            compute: &exp.compute,
+            test: &exp.test,
+            template: &exp.template,
+            flow: cfg.transport.flow_config().map(|fc| (fc, &exp.topology)),
+        };
+        let world = World::Dense { topology: &exp.topology, featurizer };
+        let mut run = Self::new(cfg, world, lent, population, k, dims);
+        run.st.link_migrations = vec![0; k * k];
+        run.st.quarantine =
+            run.ctx.attack.enabled().then(|| Quarantine::new(QuarantineConfig::default(), k));
+        if run.ctx.attack.flips_labels() {
+            let map = fedmigr_data::flip_label_map(clients[0].label_dist().len());
+            for c in clients.iter_mut().filter(|c| run.ctx.attack.is_byzantine(c.id())) {
+                c.set_label_map(map.clone());
+            }
+        }
+        // The seed broadcast is timeline "round 0".
+        run.obs.tcap.round_start(0, run.st.common.clock.now());
+        run.arrive(clients, 0);
+        run.obs.tcap.round_end(run.st.common.clock.now());
+        run
+    }
+
+    /// A fleet run: nobody is resident until the first block activates its
+    /// cohort.
+    pub(crate) fn fleet(exp: &'a mut FleetExperiment, cfg: &'a RunConfig) -> Self {
+        let opts = cfg.fleet.expect("a FleetExperiment runs fleet mode: set RunConfig::fleet");
+        let FleetExperiment { pool, topo, compute, test, template } = exp;
+        let (k, topo) = (pool.len(), &*topo);
+        let (fleet, population) = Fleet::new(pool, topo, template, opts, cfg.seed);
+        let dims = (fleet.pooled.dim(), topo.num_lans());
+        let lent = Lent { links: topo, compute, test, template, flow: None };
+        Self::new(cfg, World::Fleet(fleet), lent, population, k, dims)
+    }
+
+    /// The run of `cfg` over `world` and a population of `k`, with nobody
+    /// seated yet; a FedMigr agent sees `dims = (state, action)` dimensions.
+    fn new(
+        cfg: &'a RunConfig,
+        world: World<'a>,
+        lent: Lent<'a>,
+        population: Vec<f64>,
+        k: usize,
+        (state_dim, actions): (usize, usize),
+    ) -> Self {
+        let fleet = matches!(world, World::Fleet(_));
+        let mode = if fleet { "fleet" } else { "dense" };
+        let mut scratch = lent.template.clone();
+        let num_params = scratch.num_params();
+        let compressor = Compressor::new(&cfg.codec, k, cfg.seed);
+        let model_bytes = compressor.encoded_size(num_params);
         let st = RoundState {
-            common: CommonState::new(cfg, global, featurizer.dim(), k),
-            clients,
+            common: CommonState::new(cfg, scratch.params(), state_dim, actions),
+            world,
+            clients: Vec::new(),
             fault_stats: FaultStats::default(),
-            flaky: vec![0.0; k],
+            flaky: Vec::new(),
             taccum: TransportAccum::new(),
             late_buf: Vec::new(),
             agg_seq: 0,
-            quarantine: attack.enabled().then(|| Quarantine::new(QuarantineConfig::default(), k)),
+            quarantine: None,
             robust_total: RobustStats::default(),
-            mix: dists.clone(),
-            train_mix: dists.clone(),
+            mix: Vec::new(),
+            train_mix: Vec::new(),
             compressor,
-            link_migrations: vec![0; k * k],
-            excluded: vec![false; k],
+            link_migrations: Vec::new(),
+            excluded: Vec::new(),
         };
-        let ctx = DenseCtx {
-            exp,
+        let ctx = RunCtx {
             cfg,
             k,
+            links: lent.links,
+            compute: lent.compute,
+            test: lent.test,
             model_bytes,
             saved_per_transfer: scratch.wire_bytes().saturating_sub(model_bytes),
-            flow: cfg.transport.flow_config(),
+            flow: lent.flow,
             fault: FaultModel::new(cfg.fault.clone(), k),
-            attack,
-            dists,
+            attack: AttackModel::new(cfg.attack.clone(), k),
             population,
-            featurizer,
-            stamp: RunStamp::of(cfg, k, num_params, "dense"),
+            stamp: RunStamp::of(cfg, k, num_params, mode),
         };
         // A resumed run restarts the timeline file from scratch; unlike the
         // flight recording there is nothing to splice — the file stands
         // alone and the validator only needs the header plus monotone
-        // rounds from wherever it begins.
+        // rounds from wherever it begins. A fleet timeline is sparse: tail
+        // intervals only for clients that appeared, so a 10k-client round
+        // costs O(cohort) lines.
         let tcap = TimelineCapture::new(
             cfg.diag.timeline_out.as_deref(),
-            "dense",
+            mode,
             &cfg.scheme.name(),
             cfg.transport.name(),
             k,
             cfg.seed,
-            false,
+            fleet,
         );
         let obs = Observers { tcap, flight: None, kphases: KernelPhases::new() };
-        let mut run = Self { ctx, st, obs, scratch, last_good: None, nan_sources: vec![false; k] };
-        run.seed_broadcast();
-        run
+        fedmigr_telemetry::debug!(
+            "core::runner",
+            "{mode} run start: scheme={} clients={k} epochs={} agg={} seed={}",
+            cfg.scheme.name(),
+            cfg.epochs,
+            cfg.agg_interval,
+            cfg.seed
+        );
+        Self { ctx, st, obs, scratch, last_good: None, nan_sources: Vec::new() }
     }
 
-    /// Initial model distribution: server -> K clients over the WAN. Every
-    /// client was already seeded with the initial parameters; under the
-    /// flow transport the K concurrent downloads contend for the WAN and a
-    /// failed one only changes the round's cost accounting.
-    fn seed_broadcast(&mut self) {
-        let everyone = vec![true; self.ctx.k];
-        self.obs.tcap.round_start(0, self.st.common.clock.now());
-        match self.ctx.flow {
-            Some(fc) => {
-                self.flow_download_phase(fc, 0, &everyone);
-            }
-            None => self.lockstep_c2s(&everyone, 0, 1),
+    /// `clients` become resident at `epoch`: every client of a dense run
+    /// at its start, a fleet block's cohort at the block's first epoch.
+    /// Every slot's tables start fresh (no downtime seen, its own label
+    /// marginal as its model mixture, nothing excluded or implicated); the
+    /// global model goes down as one server-side encode, each client
+    /// installs what the wire carried, and the download is charged. Under
+    /// the flow transport the concurrent downloads contend for the WAN and
+    /// a failed one only changes the round's cost accounting.
+    fn arrive(&mut self, mut clients: Vec<FlClient>, epoch: usize) {
+        let (st, n) = (&mut self.st, clients.len());
+        let down = st.compressor.broadcast(&st.common.global);
+        for c in &mut clients {
+            c.set_params(&down, false);
         }
-        self.obs.tcap.round_end(self.st.common.clock.now());
+        st.mix = clients.iter().map(|c| c.label_dist().to_vec()).collect();
+        st.train_mix = st.mix.clone();
+        st.flaky = vec![0.0; n];
+        st.excluded = vec![false; n];
+        st.clients = clients;
+        self.nan_sources = vec![false; n];
+        let everyone = vec![true; n];
+        if let Some(flow) = self.ctx.flow {
+            self.flow_phase(flow, epoch, &everyone, false);
+        } else {
+            self.lockstep_c2s(&everyone, epoch, 1);
+        }
     }
 
     /// Opens the flight recording: a resumed run keeps the recording's
     /// header and the rounds the checkpoint covers, byte for byte, and
-    /// appends from there.
-    fn open_flight(&self, start_epoch: usize) -> Option<FlightRecorder> {
+    /// appends from there. Called once before the first round, after any
+    /// resume.
+    pub(crate) fn open_flight(&self, start_epoch: usize) -> Option<FlightRecorder> {
         let cfg = self.ctx.cfg;
         let path = cfg.diag.flight_out.as_deref()?;
         let opened = if start_epoch > 1 {
@@ -606,29 +719,27 @@ impl<'a> DenseRun<'a> {
 
     // --- Phases ----------------------------------------------------------
 
-    /// Samples the participating clients for this epoch (α K of K), then
-    /// intersects with the fault schedule — crashed clients neither train
-    /// nor communicate until they rejoin — and the watchdog's exclusions.
-    /// `None` when the entire population is down (or sampled out): the
-    /// round is a no-op, but the run survives it.
+    /// Samples the participating clients for this epoch (α of the
+    /// residents), then intersects with the fault schedule — crashed
+    /// clients neither train nor communicate until they rejoin — and the
+    /// watchdog's exclusions. A fleet block's first epoch activates its
+    /// cohort first. `None` when every resident is down (or sampled out):
+    /// the round is a no-op, but the run survives it.
     fn sample(&mut self, epoch: usize) -> Option<Round> {
-        let (cfg, k) = (self.ctx.cfg, self.ctx.k);
+        let traffic_before = self.st.common.meter.traffic().total();
+        let compute_before = self.st.common.meter.compute_cost();
+        self.activate(epoch);
+        let (cfg, n) = (self.ctx.cfg, self.st.clients.len());
         let st = &mut self.st;
-        let traffic_before = st.common.meter.traffic().total();
-        let compute_before = st.common.meter.compute_cost();
-        let mut active: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; k]
-        } else {
-            let n_active = ((cfg.participation * k as f64).ceil() as usize).clamp(1, k);
-            let mut order: Vec<usize> = (0..k).collect();
+        let mut active = vec![cfg.participation >= 1.0; n];
+        if cfg.participation < 1.0 {
+            let n_active = ((cfg.participation * n as f64).ceil() as usize).clamp(1, n);
+            let mut order: Vec<usize> = (0..n).collect();
             order.shuffle(&mut st.common.rng);
-            let mut mask = vec![false; k];
-            for &i in order.iter().take(n_active) {
-                mask[i] = true;
-            }
-            mask
-        };
-        let alive: Vec<bool> = (0..k).map(|i| self.ctx.fault.is_alive(i, epoch)).collect();
+            order.iter().take(n_active).for_each(|&i| active[i] = true);
+        }
+        let alive: Vec<bool> =
+            st.clients.iter().map(|c| self.ctx.fault.is_alive(c.id(), epoch)).collect();
         for (i, a) in active.iter_mut().enumerate() {
             *a = *a && alive[i] && !st.excluded[i];
         }
@@ -638,41 +749,61 @@ impl<'a> DenseRun<'a> {
             *f = 0.9 * *f + if up { 0.0 } else { 0.1 };
         }
         if active.iter().all(|&a| !a) {
-            let record = EpochRecord {
-                bytes_saved: self.bytes_saved(),
-                retransmits: self.st.taccum.retransmits(),
-                late_uploads: self.st.taccum.late_uploads(),
-                ..self.st.common.blank_record(epoch, dropped)
-            };
+            // Nothing trained: the record carries the last round's loss.
+            let record = self.record(epoch, self.st.common.prev_loss.unwrap_or(0.0), dropped);
             self.st.common.records.push(record);
             self.obs.tcap.round_end(self.st.common.clock.now());
             return None;
         }
+        let src_of = (0..n).collect();
         Some(Round {
             epoch,
             traffic_before,
             compute_before,
-            robust: RobustStats::default(),
-            edges: Vec::new(),
-            src_of: (0..k).collect(),
+            src_of,
             alive,
-            arrived: Vec::new(),
             active,
             dropped,
-            stale: 0,
-            mean_loss: 0.0,
-            dmat: Vec::new(),
-            suspicion: Vec::new(),
-            states: None,
-            accuracy: None,
+            ..Round::default()
         })
+    }
+
+    /// (0) A fleet block's first epoch: a cohort sampled from the pool
+    /// arrives.
+    fn activate(&mut self, epoch: usize) {
+        let st = &mut self.st;
+        let (World::Fleet(fleet), true) = (&st.world, st.clients.is_empty()) else { return };
+        let activate_span = span!("core::runner", "cohort_activate");
+        let cohort = fleet.activate(&mut st.common.rng, self.ctx.cfg.lr);
+        self.arrive(cohort, epoch);
+        drop(activate_span);
+        self.obs.kphases.credit("cohort_activate");
+    }
+
+    /// (7) After a fleet block's aggregation round: the cohort retires to
+    /// its stubs and nobody is resident until the next block arrives (its
+    /// slots' tables stay until then; no checkpoint holds them).
+    fn retire(&mut self, epoch: usize) {
+        let cfg = self.ctx.cfg;
+        let World::Fleet(fleet) = &mut self.st.world else { return };
+        if !cfg.scheme.aggregates_at(epoch, cfg.agg_interval) {
+            return;
+        }
+        let retire_span = span!("core::runner", "retire");
+        // What survives dormancy is banked in each client's stub.
+        for c in std::mem::take(&mut self.st.clients) {
+            fleet.pool.retire(c.id(), c.rng.state(), c.migrations_received as u64);
+        }
+        fedmigr_telemetry::rss::record_peak_rss();
+        drop(retire_span);
+        self.obs.kphases.credit("retire");
     }
 
     /// (1) Local updating (Eq. 6), clients in parallel, then the virtual
     /// time the round's slowest on-time participant took.
     fn train(&mut self, r: &mut Round) {
         let train_span = span!("core::runner", "local_train");
-        let (cfg, k, epoch) = (self.ctx.cfg, self.ctx.k, r.epoch);
+        let (cfg, epoch) = (self.ctx.cfg, r.epoch);
         let st = &mut self.st;
         let prox = match cfg.scheme {
             Scheme::FedProx { mu } => Some((st.common.global.clone(), mu)),
@@ -690,20 +821,17 @@ impl<'a> DenseRun<'a> {
         }
         r.robust.nan_batches +=
             st.clients.iter_mut().map(|c| c.drain_non_finite_batches()).sum::<u64>();
-        decay_towards(&mut st.mix, &self.ctx.dists, &r.active);
-        decay_towards(&mut st.train_mix, &self.ctx.dists, &r.active);
-        r.dmat = st
-            .mix
-            .iter()
-            .map(|m| self.ctx.dists.iter().map(|q| l1_distance(m, q)).collect())
-            .collect();
-        let mut times = Vec::with_capacity(k);
-        let mut per_client_time = vec![0.0f64; k];
+        decay_towards(&mut st.mix, &st.clients, &r.active);
+        decay_towards(&mut st.train_mix, &st.clients, &r.active);
+        let n = st.clients.len();
+        let mut times = Vec::with_capacity(n);
+        let mut per_client_time = vec![0.0f64; n];
         for (i, c) in st.clients.iter().enumerate().filter(|&(i, _)| r.active[i]) {
-            let samples = effective_samples(c.num_samples(), cfg);
-            st.common.meter.record_compute(self.ctx.exp.compute.epoch_cost(i, samples));
-            let slowdown = self.ctx.fault.slowdown(i, epoch);
-            per_client_time[i] = self.ctx.exp.compute.epoch_time_slowed(i, samples, slowdown);
+            let (id, held) = (c.id(), c.num_samples());
+            let samples = cfg.max_batches_per_epoch.map_or(held, |b| held.min(b * cfg.batch_size));
+            st.common.meter.record_compute(self.ctx.compute.epoch_cost(id, samples));
+            let slowdown = self.ctx.fault.slowdown(id, epoch);
+            per_client_time[i] = self.ctx.compute.epoch_time_slowed(id, samples, slowdown);
             times.push(per_client_time[i]);
         }
         // Straggler deadline: the server waits at most a configured
@@ -726,9 +854,9 @@ impl<'a> DenseRun<'a> {
         };
         st.common.clock.advance(VPhase::Train, train_adv);
         if self.obs.tcap.active() {
-            for i in (0..k).filter(|&i| r.active[i]) {
+            for (i, c) in st.clients.iter().enumerate().filter(|&(i, _)| r.active[i]) {
                 let done = train_t0 + per_client_time[i];
-                self.obs.tcap.train(i, train_t0, done, train_t0 + train_adv);
+                self.obs.tcap.train(c.id(), train_t0, done, train_t0 + train_adv);
             }
         }
         let active_n: f32 = st
@@ -748,42 +876,65 @@ impl<'a> DenseRun<'a> {
         self.obs.kphases.credit("local_train");
     }
 
-    /// (2) Build decision states and settle last epoch's transitions.
+    /// (2) Build decision states and settle last epoch's transitions: a
+    /// dense run's per-client states over `D_t`, a fleet's pooled ones.
     fn decide(&mut self, r: &mut Round) {
         let decision_span = span!("core::runner", "decision");
-        let (cfg, k) = (self.ctx.cfg, self.ctx.k);
-        let common = &mut self.st.common;
-        r.suspicion = match &self.st.quarantine {
-            Some(q) => q.suspicion().to_vec(),
-            None => vec![0.0; k],
-        };
-        r.states = common.agent.is_some().then(|| {
-            (0..k)
-                .map(|i| {
-                    self.ctx.featurizer.build_with_health(
-                        r.epoch as f64 / cfg.epochs as f64,
-                        r.mean_loss as f64,
-                        common.loss_trend(r.mean_loss),
-                        common.meter.bandwidth_remaining_frac(),
-                        common.meter.compute_remaining_frac(),
-                        &r.dmat[i],
-                        &r.alive,
-                        &r.suspicion,
-                    )
-                })
-                .collect()
-        });
-        if let Some(states) = r.states.as_ref() {
-            common.settle(r.mean_loss, states);
+        let cfg = self.ctx.cfg;
+        let st = &mut self.st;
+        let n = st.clients.len();
+        r.suspicion =
+            st.quarantine.as_ref().map_or_else(|| vec![0.0; n], |q| q.suspicion().to_vec());
+        if st.common.agent.is_some() {
+            let (common, progress) = (&st.common, r.epoch as f64 / cfg.epochs as f64);
+            let states = match &st.world {
+                World::Dense { featurizer, .. } => {
+                    r.dmat = st
+                        .mix
+                        .iter()
+                        .map(|m| {
+                            st.clients.iter().map(|c| l1_distance(m, c.label_dist())).collect()
+                        })
+                        .collect();
+                    (0..n)
+                        .map(|i| {
+                            featurizer.build_with_health(
+                                progress,
+                                r.mean_loss as f64,
+                                common.loss_trend(r.mean_loss),
+                                common.meter.bandwidth_remaining_frac(),
+                                common.meter.compute_remaining_frac(),
+                                &r.dmat[i],
+                                &r.alive,
+                                &r.suspicion,
+                            )
+                        })
+                        .collect()
+                }
+                World::Fleet(fleet) => {
+                    let (states, profile) =
+                        fleet.states(&st.clients, common, progress, r.mean_loss);
+                    r.profile = Some(profile);
+                    states
+                }
+            };
+            st.common.settle(r.mean_loss, &states);
+            r.states = Some(states);
         }
         drop(decision_span);
         self.obs.kphases.credit("decision");
     }
 
     /// (3) Communication: aggregation, server-side swap, or C2C migration,
-    /// depending on the scheme and epoch.
+    /// depending on the scheme and epoch. A fleet round names the phase
+    /// `migrate`: `benchmark/tests/quick.rs` pins which span names each
+    /// world's trace opens (DESIGN.md §15).
     fn communicate(&mut self, r: &mut Round) {
-        let comm_span = span!("core::runner", "communicate");
+        let name = match self.st.world {
+            World::Dense { .. } => "communicate",
+            World::Fleet(_) => "migrate",
+        };
+        let comm_span = span!("core::runner", name);
         let cfg = self.ctx.cfg;
         let is_agg = cfg.scheme.aggregates_at(r.epoch, cfg.agg_interval);
         if let Scheme::FedAsync { beta } = cfg.scheme {
@@ -794,26 +945,26 @@ impl<'a> DenseRun<'a> {
             self.communicate_migrate(r);
         }
         drop(comm_span);
-        self.obs.kphases.credit("communicate");
+        self.obs.kphases.credit(name);
     }
 
     /// FedAsync: one participating client uploads; the server mixes its
     /// model into the global model and sends the result back.
     fn communicate_async(&mut self, r: &mut Round, beta: f32) {
-        let (cfg, k, epoch) = (self.ctx.cfg, self.ctx.k, r.epoch);
-        let candidates: Vec<usize> = (0..k).filter(|&i| r.arrived[i]).collect();
+        let (cfg, n, epoch) = (self.ctx.cfg, self.st.clients.len(), r.epoch);
+        let candidates: Vec<usize> = (0..n).filter(|&i| r.arrived[i]).collect();
         let Some(uploader) = candidates.first().map(|_| candidates[epoch % candidates.len()])
         else {
             return;
         };
-        let mut only = vec![false; k];
+        let mut only = vec![false; n];
         only[uploader] = true;
         let reach = self.c2s_reachable(&only, epoch);
         let synced = match (self.ctx.flow, reach[uploader]) {
             // A lone flow can still strike out on a flapped or collapsed
             // access link; it can never be late (the deadline is a multiple
             // of its own finish time).
-            (Some(fc), true) => self.flow_upload_phase(fc, epoch, &reach).on_time[uploader],
+            (Some(flow), true) => self.flow_phase(flow, epoch, &reach, true).on_time[uploader],
             (_, reached) => reached,
         };
         if !synced {
@@ -843,7 +994,7 @@ impl<'a> DenseRun<'a> {
         }
         let down = st.compressor.transmit_down(uploader, &st.common.global);
         let delivered = match self.ctx.flow {
-            Some(fc) => self.flow_download_phase(fc, epoch, &only)[uploader],
+            Some(flow) => self.flow_phase(flow, epoch, &only, false).on_time[uploader],
             None => true,
         };
         if delivered {
@@ -857,7 +1008,7 @@ impl<'a> DenseRun<'a> {
     /// schemes — and come back aggregated (`is_agg`) or swapped (FedSwap
     /// between aggregations).
     fn communicate_upload(&mut self, r: &mut Round, is_agg: bool) {
-        let (k, epoch) = (self.ctx.k, r.epoch);
+        let (n, epoch) = (self.st.clients.len(), r.epoch);
         // Those that can reach the server, that is: WAN outages retry with
         // backoff and drop out of the round if they never get through.
         let synced = self.c2s_reachable(&r.arrived, epoch);
@@ -866,11 +1017,15 @@ impl<'a> DenseRun<'a> {
         // transport: lockstep prices every synced transfer serially at
         // nominal bandwidth; the flow transport races concurrent uploads
         // against a per-round deadline.
+        // A dense run's aggregate comes back down in the same round; a
+        // fleet cohort retires after it, and the next one downloads at its
+        // activation.
         let up = match self.ctx.flow {
-            Some(fc) => self.flow_upload_phase(fc, epoch, &synced),
+            Some(flow) => self.flow_phase(flow, epoch, &synced, true),
             None => {
-                self.lockstep_c2s(&synced, epoch, 2);
-                FlowUploadOutcome { on_time: synced.clone(), late: vec![false; k], failed: 0 }
+                let legs = if self.st.keeps_residents() { 2 } else { 1 };
+                self.lockstep_c2s(&synced, epoch, legs);
+                FlowOutcome { on_time: synced.clone(), late: vec![false; n], failed: 0 }
             }
         };
         r.stale += up.failed;
@@ -881,7 +1036,7 @@ impl<'a> DenseRun<'a> {
         // parallelizes while staying byte-identical to the serial
         // per-client loop.
         let sent: Vec<usize> =
-            (0..k).filter(|&i| up.on_time[i] || (up.late[i] && is_agg)).collect();
+            (0..n).filter(|&i| up.on_time[i] || (up.late[i] && is_agg)).collect();
         let items = sent.iter().map(|&i| (i, self.send(i, epoch))).collect();
         let mut uploads = Vec::with_capacity(sent.len());
         for (i, params) in sent.into_iter().zip(self.st.compressor.transmit_batch(items)) {
@@ -905,13 +1060,13 @@ impl<'a> DenseRun<'a> {
     /// buffer alone.
     fn aggregate(&mut self, r: &mut Round, uploads: &[Upload], on_time: &[bool]) {
         let cfg = self.ctx.cfg;
-        if let Some(fc) = self.ctx.flow {
+        if let Some(flow) = self.ctx.flow {
             if !uploads.is_empty() || !self.st.late_buf.is_empty() {
                 let _agg = span!("core::runner", "aggregate");
                 if let Some(g) = self.st.fold_with_late(cfg, uploads, on_time, &mut r.robust) {
                     self.st.common.global = g;
                     self.st.agg_seq += 1;
-                    let delivered = self.flow_download_phase(fc, r.epoch, on_time);
+                    let delivered = self.flow_phase(flow, r.epoch, on_time, false).on_time;
                     if delivered.iter().any(|&d| d) {
                         self.install_global(&delivered);
                     }
@@ -927,7 +1082,9 @@ impl<'a> DenseRun<'a> {
                 &st.common.global,
                 &mut r.robust,
             );
-            self.install_global(on_time);
+            if st.keeps_residents() {
+                self.install_global(on_time);
+            }
         }
     }
 
@@ -951,14 +1108,15 @@ impl<'a> DenseRun<'a> {
     /// under the flow transport a late upload simply sits the swap out.
     fn swap(&mut self, r: &Round, uploads: Vec<Upload>, on_time: &[bool]) {
         let st = &mut self.st;
-        let plan = MigrationPlan::swap_pairs(on_time, self.ctx.k.div_ceil(4), &mut st.common.rng);
+        let plan =
+            MigrationPlan::swap_pairs(on_time, on_time.len().div_ceil(4), &mut st.common.rng);
         st.mix = plan.apply(&st.mix);
         st.train_mix = plan.apply(&st.train_mix);
-        if let Some(fc) = self.ctx.flow {
+        if let Some(flow) = self.ctx.flow {
             // Price the return leg at flow cost (contention, retransmits).
             // Delivery itself stays unconditional for this baseline:
             // partial swap delivery is not modelled.
-            self.flow_download_phase(fc, r.epoch, on_time);
+            self.flow_phase(flow, r.epoch, on_time, false);
         }
         let mut down: Vec<(usize, Vec<f32>)> =
             uploads.into_iter().map(|(i, p)| (plan.dest(i), p)).collect();
@@ -974,18 +1132,36 @@ impl<'a> DenseRun<'a> {
     fn communicate_migrate(&mut self, r: &mut Round) {
         let plan_span = span!("core::runner", "migration_plan");
         let st = &mut self.st;
-        let round = DenseRound {
-            scheme: &self.ctx.cfg.scheme,
-            topology: &self.ctx.exp.topology,
-            epoch: r.epoch,
-            model_bytes: self.ctx.model_bytes,
-            active: &r.arrived,
-            states: r.states.as_deref(),
-            dmat: &r.dmat,
-            flaky: &st.flaky,
-            suspicion: &r.suspicion,
+        let (epoch, model_bytes) = (r.epoch, self.ctx.model_bytes);
+        let plan = match &st.world {
+            World::Dense { topology, .. } => {
+                let round = DenseRound {
+                    scheme: &self.ctx.cfg.scheme,
+                    topology,
+                    epoch,
+                    model_bytes,
+                    active: &r.arrived,
+                    states: r.states.as_deref(),
+                    dmat: &r.dmat,
+                    flaky: &st.flaky,
+                    suspicion: &r.suspicion,
+                };
+                migration::plan_dense(&round, &mut st.common.rng, st.common.agent.as_mut())
+            }
+            // FedMigr is the one fleet scheme that migrates.
+            World::Fleet(fleet) => match (&r.states, &r.profile, st.common.agent.as_mut()) {
+                (Some(states), Some(profile), Some(agent)) => migration::plan_cohort(
+                    fleet,
+                    &st.clients,
+                    profile,
+                    states,
+                    epoch,
+                    model_bytes,
+                    agent,
+                ),
+                _ => MigrationPlan::identity(st.clients.len()),
+            },
         };
-        let plan = migration::plan_dense(&round, &mut st.common.rng, st.common.agent.as_mut());
         drop(plan_span);
         let _transfer = span!("core::runner", "migration_transfer");
         self.migrate(r, &plan);
@@ -997,16 +1173,17 @@ impl<'a> DenseRun<'a> {
     /// retry/relay/C2S-bounce chain.
     fn migrate(&mut self, r: &mut Round, plan: &MigrationPlan) {
         let (k, epoch, model_bytes) = (self.ctx.k, r.epoch, self.ctx.model_bytes);
-        let topology = &self.ctx.exp.topology;
-        // `src_of[j]` is the client whose model client `j` hosts after this
+        let links = self.ctx.links;
+        let ids: Vec<usize> = self.st.clients.iter().map(FlClient::id).collect();
+        // `src_of[j]` is the slot whose model slot `j` hosts after this
         // round. A failed or rejected delivery leaves `j` on its own model
         // instead of breaking the permutation.
-        let mut src_of: Vec<usize> = (0..k).collect();
+        let mut src_of: Vec<usize> = (0..ids.len()).collect();
         let mut move_times = Vec::new();
         let mut delivered = Vec::new();
         let mig_t0 = self.st.common.clock.now();
         let flow_frame = profiler::frame("transfer_flow");
-        let wave = self.ctx.flow.map(|fc| {
+        let wave = self.ctx.flow.map(|(fc, topology)| {
             let mv: Vec<(usize, usize)> = plan.moves().collect();
             let traced = self.obs.tcap.active();
             let sim = simulate_migrations_traced(
@@ -1025,7 +1202,7 @@ impl<'a> DenseRun<'a> {
         for (m, (i, j)) in plan.moves().enumerate() {
             let (outcome, time) = match wave.as_ref().map(|w| &w.outcomes[m]) {
                 Some(o) if o.completed => {
-                    self.st.common.meter.record_c2c(model_bytes, topology.same_lan(i, j));
+                    self.st.common.meter.record_c2c(model_bytes, links.same_lan(ids[i], ids[j]));
                     self.st.common.meter.record_overhead(o.retransmit_bytes);
                     observe_link_time("direct", o.finish);
                     (EdgeOutcome::Direct, o.finish)
@@ -1036,13 +1213,13 @@ impl<'a> DenseRun<'a> {
                     // flow time charged on top.
                     self.st.common.meter.record_overhead(o.wire_bytes);
                     self.st.fault_stats.wasted_bytes += model_bytes;
-                    let (out, t) = self.deliver_fallback(&r.alive, i, j, epoch);
+                    let (out, t) = self.deliver(&r.alive, &ids, i, j, epoch, false);
                     (out, o.finish + t)
                 }
-                None => self.deliver(&r.alive, i, j, epoch),
+                None => self.deliver(&r.alive, &ids, i, j, epoch, true),
             };
             move_times.push(time);
-            self.obs.tcap.migrate(i, mig_t0, time);
+            self.obs.tcap.migrate(ids[i], mig_t0, time);
             r.edges.push(MigrationEdge {
                 src: i,
                 dst: j,
@@ -1081,8 +1258,10 @@ impl<'a> DenseRun<'a> {
             }
             src_of[j] = i;
             st.clients[j].set_params(&payload, true);
-            st.link_migrations[i * k + j] += 1;
-            if topology.same_lan(i, j) {
+            if !st.link_migrations.is_empty() {
+                st.link_migrations[ids[i] * k + ids[j]] += 1;
+            }
+            if links.same_lan(ids[i], ids[j]) {
                 st.common.migrations_local += 1;
             } else {
                 st.common.migrations_global += 1;
@@ -1096,9 +1275,10 @@ impl<'a> DenseRun<'a> {
             for (j, &s) in src_of.iter().enumerate().filter(|&(j, &s)| s != j) {
                 let before = normalized_emd(&st.mix[j], &self.ctx.population);
                 let after = normalized_emd(&st.mix[s], &self.ctx.population);
+                let (from, to) = (ids[s], ids[j]);
                 fedmigr_telemetry::debug!(
                     "core::diag",
-                    "migration {s}->{j}: virtual-dataset EMD {before:.4} -> {after:.4} ({:+.4})",
+                    "migration {from}->{to}: virtual-dataset EMD {before:.4} -> {after:.4} ({:+.4})",
                     after - before
                 );
             }
@@ -1135,12 +1315,14 @@ impl<'a> DenseRun<'a> {
                 // sources the watchdog has permanently excluded, which are
                 // out of the run for good and must not poison the
                 // measurement.
-                let senders: Vec<usize> = (0..self.ctx.k).filter(|&i| !st.excluded[i]).collect();
+                let n = st.clients.len();
+                let senders: Vec<usize> = (0..n).filter(|&i| !st.excluded[i]).collect();
                 let items = senders
                     .iter()
                     .map(|&i| {
-                        let mut p = st.clients[i].params();
-                        self.ctx.attack.corrupt_upload(i, r.epoch, &mut p);
+                        let c = &mut st.clients[i];
+                        let mut p = c.params();
+                        self.ctx.attack.corrupt_upload(c.id(), r.epoch, &mut p);
                         (i, p)
                     })
                     .collect();
@@ -1154,7 +1336,7 @@ impl<'a> DenseRun<'a> {
                     &mut r.robust,
                 )
             };
-            r.accuracy = Some(engine::evaluate(&self.ctx.exp.test, &mut self.scratch, &shadow));
+            r.accuracy = Some(engine::evaluate(self.ctx.test, &mut self.scratch, &shadow));
         }
         drop(eval_span);
         self.obs.kphases.credit("evaluate");
@@ -1162,9 +1344,9 @@ impl<'a> DenseRun<'a> {
 
     /// (5) Agent learning.
     fn agent_update(&mut self) {
-        if self.st.common.agent.is_some() {
+        if let Some(ctx) = self.st.common.agent.as_mut() {
             let _learn = span!("core::runner", "agent_update");
-            self.st.common.learn();
+            ctx.agent.update();
         }
         self.obs.kphases.credit("agent_update");
     }
@@ -1182,22 +1364,14 @@ impl<'a> DenseRun<'a> {
         if let Some(ck_epoch) = self.watchdog(r) {
             return Some(ck_epoch);
         }
-        let bytes_saved = self.bytes_saved();
-        let st = &mut self.st;
-        st.common.records.push(EpochRecord {
-            epoch: r.epoch,
-            train_loss: r.mean_loss,
+        let record = EpochRecord {
             test_accuracy: r.accuracy,
-            traffic: st.common.meter.traffic(),
-            sim_time: st.common.clock.now(),
-            dropped_clients: r.dropped,
             stale_clients: r.stale,
             rejected_migrations: r.robust.rejected_migrations,
-            bytes_saved,
-            phase: st.common.clock.phase(),
-            retransmits: st.taccum.retransmits(),
-            late_uploads: st.taccum.late_uploads(),
-        });
+            ..self.record(r.epoch, r.mean_loss, r.dropped)
+        };
+        let st = &mut self.st;
+        st.common.records.push(record);
         self.obs.tcap.round_end(st.common.clock.now());
         st.robust_total.absorb(&r.robust);
         st.common.prev_loss = Some(r.mean_loss);
@@ -1207,11 +1381,24 @@ impl<'a> DenseRun<'a> {
         None
     }
 
-    /// Every meter charge is a whole number of model transfers, so the
-    /// cumulative wire-level saving is exact.
-    fn bytes_saved(&self) -> u64 {
-        (self.st.common.meter.traffic().total() / self.ctx.model_bytes)
-            * self.ctx.saved_per_transfer
+    /// The epoch record of a round as the meters and clock stand now. Every
+    /// meter charge is a whole number of model transfers, so the cumulative
+    /// wire-level saving is exact.
+    fn record(&self, epoch: usize, train_loss: f32, dropped_clients: usize) -> EpochRecord {
+        let (common, taccum) = (&self.st.common, &self.st.taccum);
+        let traffic = common.meter.traffic();
+        EpochRecord {
+            epoch,
+            train_loss,
+            traffic,
+            sim_time: common.clock.now(),
+            dropped_clients,
+            bytes_saved: (traffic.total() / self.ctx.model_bytes) * self.ctx.saved_per_transfer,
+            phase: common.clock.phase(),
+            retransmits: taccum.retransmits(),
+            late_uploads: taccum.late_uploads(),
+            ..EpochRecord::default()
+        }
     }
 
     /// Divergence watchdog: a non-finite global model or loss, or a loss
@@ -1256,12 +1443,13 @@ impl<'a> DenseRun<'a> {
                 return None;
             }
         };
-        let implicated: Vec<usize> = (0..self.ctx.k).filter(|&i| self.nan_sources[i]).collect();
+        let implicated: Vec<usize> =
+            (0..self.nan_sources.len()).filter(|&i| self.nan_sources[i]).collect();
+        let ids: Vec<usize> = implicated.iter().map(|&i| self.st.clients[i].id()).collect();
         fedmigr_telemetry::error!(
             "core::runner",
             "watchdog: divergence at epoch {epoch} (loss {mean_loss}, global finite: \
-             {global_finite}); rolling back to epoch {ck_epoch}, implicated sources \
-             {implicated:?}"
+             {global_finite}); rolling back to epoch {ck_epoch}, implicated sources {ids:?}"
         );
         // Recovery accounting and exclusions survive the rollback;
         // everything else rewinds.
@@ -1359,7 +1547,15 @@ impl<'a> DenseRun<'a> {
             drift: Some(drift),
             drl,
             graph,
-            migrations: std::mem::take(&mut r.edges),
+            // The edges leave the round named by client id.
+            migrations: std::mem::take(&mut r.edges)
+                .into_iter()
+                .map(|e| MigrationEdge {
+                    src: st.clients[e.src].id(),
+                    dst: st.clients[e.dst].id(),
+                    ..e
+                })
+                .collect(),
         };
         if let Err(e) = rec.line(&mut row) {
             fedmigr_telemetry::error!(
@@ -1372,7 +1568,7 @@ impl<'a> DenseRun<'a> {
 
     // --- Transfers -------------------------------------------------------
 
-    /// The one egress: what client `i` transmits at `epoch`. It reads the
+    /// The one egress: what the client in slot `i` transmits at `epoch`. It reads the
     /// client's parameters, applies DP noise if configured, then any
     /// Byzantine corruption — a malicious client poisons *everything* it
     /// transmits, server uploads and C2C migrations alike, after the honest
@@ -1381,11 +1577,12 @@ impl<'a> DenseRun<'a> {
     /// encodes; the client's own model is never touched.
     fn send(&mut self, i: usize, epoch: usize) -> Vec<f32> {
         let (cfg, st) = (self.ctx.cfg, &mut self.st);
-        let mut p = st.clients[i].params();
+        let c = &mut st.clients[i];
+        let mut p = c.params();
         if let Some(dp) = &cfg.dp {
             dp.apply(&mut p, &mut st.common.rng);
         }
-        self.ctx.attack.corrupt_upload(i, epoch, &mut p);
+        self.ctx.attack.corrupt_upload(c.id(), epoch, &mut p);
         if cfg.watchdog.enabled && !fedmigr_tensor::all_finite(&p) {
             self.nan_sources[i] = true;
         }
@@ -1399,19 +1596,19 @@ impl<'a> DenseRun<'a> {
         let n = who.iter().filter(|&&w| w).count() as u64;
         let common = &mut self.st.common;
         common.meter.record_c2s(legs * n * self.ctx.model_bytes);
-        let topology = &self.ctx.exp.topology;
+        let links = self.ctx.links;
         let t0 = common.clock.now();
         let adv = legs as f64
             * n as f64
             * transfer_time_with_latency(
                 self.ctx.model_bytes,
-                topology.c2s_bandwidth(epoch),
-                topology.c2s_latency(),
+                links.c2s_bandwidth(epoch),
+                links.c2s_latency(),
             );
         common.clock.advance(VPhase::C2s, adv);
         if self.obs.tcap.active() {
-            for i in (0..who.len()).filter(|&i| who[i]) {
-                self.obs.tcap.upload(i, t0, adv, adv, false);
+            for c in self.st.clients.iter().zip(who).filter(|&(_, &w)| w).map(|(c, _)| c) {
+                self.obs.tcap.upload(c.id(), t0, adv, adv, false);
             }
         }
     }
@@ -1429,7 +1626,8 @@ impl<'a> DenseRun<'a> {
         let mut synced = vec![false; arrived.len()];
         let mut backoff_total = 0.0f64;
         for i in (0..arrived.len()).filter(|&i| arrived[i]) {
-            if fault.c2s_up(i, epoch) {
+            let id = self.st.clients[i].id();
+            if fault.c2s_up(id, epoch) {
                 synced[i] = true;
                 continue;
             }
@@ -1438,7 +1636,7 @@ impl<'a> DenseRun<'a> {
                 stats.transfer_retries += 1;
                 count_net("fedmigr_net_transfer_retries_total", &[]);
                 backoff_total += retry_backoff(attempt);
-                if fault.retry_succeeds(i, usize::MAX, epoch, attempt) {
+                if fault.retry_succeeds(id, usize::MAX, epoch, attempt) {
                     synced[i] = true;
                     break;
                 }
@@ -1449,44 +1647,38 @@ impl<'a> DenseRun<'a> {
         synced
     }
 
-    /// Delivers one planned migration `i -> j` under the fault model,
-    /// charging bytes to the meter and returning `(outcome, seconds)` — the
-    /// outcome names the path the transfer ended on and implies whether it
-    /// delivered ([`EdgeOutcome::delivered`]). The policy is: direct C2C
-    /// with bounded exponential-backoff retries, then relay through the
-    /// best live peer in the destination's LAN, then a C2S round-trip
-    /// through the server, and finally cancellation (the model stays where
-    /// it is for one epoch).
-    fn deliver(&mut self, alive: &[bool], i: usize, j: usize, epoch: usize) -> (EdgeOutcome, f64) {
-        let topology = &self.ctx.exp.topology;
-        let model_bytes = self.ctx.model_bytes;
-        // (a) Direct transfer over the planned link.
-        let latency = topology.c2c_latency(i, j);
-        let bw = effective_bandwidth(&self.ctx.fault, topology, i, j, epoch);
-        if let Some(t) = try_transfer_time_with_latency(model_bytes, bw, latency) {
-            self.st.common.meter.record_c2c(model_bytes, topology.same_lan(i, j));
-            observe_link_time("direct", t);
-            return (EdgeOutcome::Direct, t);
-        }
-        self.st.fault_stats.wasted_bytes += model_bytes;
-        self.deliver_fallback(alive, i, j, epoch)
-    }
-
-    /// The fallback chain after a failed direct migration attempt (steps
-    /// (b)–(e) of [`DenseRun::deliver`]): bounded retries, relay, C2S
-    /// bounce, cancellation. Shared by the lockstep path and the flow
-    /// transport (where a struck-out flow lands here directly).
-    fn deliver_fallback(
+    /// Delivers one planned migration from slot `i` to slot `j` (`ids` names
+    /// each slot's client) under the fault model, charging bytes to the
+    /// meter and returning `(outcome, seconds)` — the outcome names the path
+    /// the transfer ended on and implies whether it delivered
+    /// ([`EdgeOutcome::delivered`]). The policy is: (a) direct C2C, tried
+    /// here when `direct` (a flow wave that struck out has tried it), then
+    /// (b) bounded exponential-backoff retries, (c) a relay through the best
+    /// live peer in the destination's LAN, (d) a C2S round-trip through the
+    /// server, and finally (e) cancellation (the model stays where it is for
+    /// one epoch).
+    fn deliver(
         &mut self,
         alive: &[bool],
+        ids: &[usize],
         i: usize,
         j: usize,
         epoch: usize,
+        direct: bool,
     ) -> (EdgeOutcome, f64) {
-        let (fault, topology) = (&self.ctx.fault, &self.ctx.exp.topology);
-        let model_bytes = self.ctx.model_bytes;
+        let (fault, topology) = (&self.ctx.fault, self.ctx.links);
+        let (model_bytes, (i, j)) = (self.ctx.model_bytes, (ids[i], ids[j]));
         let eff = |a: usize, b: usize| effective_bandwidth(fault, topology, a, b, epoch);
         let (meter, stats) = (&mut self.st.common.meter, &mut self.st.fault_stats);
+        if direct {
+            let latency = topology.c2c_latency(i, j);
+            if let Some(t) = try_transfer_time_with_latency(model_bytes, eff(i, j), latency) {
+                meter.record_c2c(model_bytes, topology.same_lan(i, j));
+                observe_link_time("direct", t);
+                return (EdgeOutcome::Direct, t);
+            }
+            stats.wasted_bytes += model_bytes;
+        }
         // (b) Bounded retries with exponential backoff on the same link.
         let mut elapsed = 0.0;
         for attempt in 1..=MAX_RETRIES {
@@ -1505,8 +1697,10 @@ impl<'a> DenseRun<'a> {
         }
         // (c) Relay through the live same-LAN peer of `j` with the best
         // bottleneck bandwidth on the two-hop path.
-        let relay = (0..self.ctx.k)
-            .filter(|&r| r != i && r != j && alive[r] && topology.same_lan(r, j))
+        let relay = (0..ids.len())
+            .filter(|&s| alive[s])
+            .map(|s| ids[s])
+            .filter(|&r| r != i && r != j && topology.same_lan(r, j))
             .filter(|&r| eff(i, r) > 0.0 && eff(r, j) > 0.0)
             .max_by(|&a, &b| eff(i, a).min(eff(a, j)).total_cmp(&eff(i, b).min(eff(b, j))));
         if let Some(r) = relay {
@@ -1539,41 +1733,43 @@ impl<'a> DenseRun<'a> {
         (EdgeOutcome::Cancelled, elapsed)
     }
 
-    /// Runs one upload phase under the flow transport: the `synced` clients
-    /// race concurrent flows against a per-round deadline (a multiple of
-    /// the median completed finish time). Completed flows pay their payload
-    /// plus retransmission overhead; a flow past the deadline is late (its
-    /// upload may still be folded into a later aggregation); a struck-out
-    /// flow wastes its wire bytes. The round advances by the earlier of the
-    /// deadline and the last settled flow.
-    fn flow_upload_phase(
+    /// Runs one C2S phase under the flow transport over the clients in
+    /// `who`: uploads (`upload`) or a download (a broadcast fan-out or a
+    /// single FedAsync return leg). Completed flows pay their payload plus
+    /// retransmission overhead; a struck-out flow pays its wire bytes and
+    /// delivers nothing (an upload's payload is wasted; a receiver keeps
+    /// its current model). Uploads race a per-round deadline (a multiple of
+    /// the median completed finish time): one past it is late, and may
+    /// still be folded into a later aggregation. The round advances by the
+    /// earlier of the deadline and the last settled flow.
+    fn flow_phase(
         &mut self,
-        fc: &FlowConfig,
+        (fc, topology): (&FlowConfig, &Topology),
         epoch: usize,
-        synced: &[bool],
-    ) -> FlowUploadOutcome {
-        let (k, model_bytes) = (synced.len(), self.ctx.model_bytes);
-        let mut out =
-            FlowUploadOutcome { on_time: vec![false; k], late: vec![false; k], failed: 0 };
-        let uploaders: Vec<usize> = (0..k).filter(|&i| synced[i]).collect();
-        if uploaders.is_empty() {
+        who: &[bool],
+        upload: bool,
+    ) -> FlowOutcome {
+        let (n, model_bytes) = (who.len(), self.ctx.model_bytes);
+        let mut out = FlowOutcome { on_time: vec![false; n], late: vec![false; n], failed: 0 };
+        let senders: Vec<usize> = (0..n).filter(|&i| who[i]).collect();
+        if senders.is_empty() {
             return out;
         }
         let (st, tcap) = (&mut self.st, &mut self.obs.tcap);
         let t0 = st.common.clock.now();
         let sim = simulate_c2s_traced(
-            &self.ctx.exp.topology,
+            topology,
             &self.ctx.fault,
             epoch,
             fc,
-            &uploaders,
+            &senders,
             model_bytes,
             tcap.active(),
         );
         st.taccum.absorb(&sim);
-        let deadline = upload_deadline(&sim.outcomes);
+        let deadline = if upload { upload_deadline(&sim.outcomes) } else { f64::INFINITY };
         let dur = sim.makespan.min(deadline);
-        for (o, &c) in sim.outcomes.iter().zip(&uploaders) {
+        for (o, &c) in sim.outcomes.iter().zip(&senders) {
             if o.completed {
                 st.common.meter.record_c2s(model_bytes);
                 st.common.meter.record_overhead(o.retransmit_bytes);
@@ -1585,7 +1781,9 @@ impl<'a> DenseRun<'a> {
                 }
             } else {
                 st.common.meter.record_overhead(o.wire_bytes);
-                st.fault_stats.wasted_bytes += model_bytes;
+                if upload {
+                    st.fault_stats.wasted_bytes += model_bytes;
+                }
                 out.failed += 1;
             }
             tcap.upload(c, t0, o.finish, dur, o.completed && o.finish > deadline);
@@ -1593,82 +1791,17 @@ impl<'a> DenseRun<'a> {
         st.common.meter.record_transfer_seconds(dur);
         st.common.clock.advance(VPhase::C2s, dur);
         if let Some(pt) = &sim.trace {
-            tcap.phase_trace("upload", t0, t0 + dur, pt);
+            tcap.phase_trace(if upload { "upload" } else { "download" }, t0, t0 + dur, pt);
         }
         out
     }
-
-    /// Runs one download phase under the flow transport (broadcast fan-out
-    /// or a single FedAsync return leg) and returns which receivers the
-    /// payload actually reached. Failed downloads waste their wire bytes;
-    /// the receiver keeps its current model.
-    fn flow_download_phase(
-        &mut self,
-        fc: &FlowConfig,
-        epoch: usize,
-        receivers: &[bool],
-    ) -> Vec<bool> {
-        let (k, model_bytes) = (receivers.len(), self.ctx.model_bytes);
-        let mut delivered = vec![false; k];
-        let rx: Vec<usize> = (0..k).filter(|&i| receivers[i]).collect();
-        if rx.is_empty() {
-            return delivered;
-        }
-        let (st, tcap) = (&mut self.st, &mut self.obs.tcap);
-        let t0 = st.common.clock.now();
-        let sim = simulate_c2s_traced(
-            &self.ctx.exp.topology,
-            &self.ctx.fault,
-            epoch,
-            fc,
-            &rx,
-            model_bytes,
-            tcap.active(),
-        );
-        st.taccum.absorb(&sim);
-        for (o, &c) in sim.outcomes.iter().zip(&rx) {
-            if o.completed {
-                st.common.meter.record_c2s(model_bytes);
-                st.common.meter.record_overhead(o.retransmit_bytes);
-                delivered[c] = true;
-            } else {
-                st.common.meter.record_overhead(o.wire_bytes);
-            }
-            tcap.upload(c, t0, o.finish, sim.makespan, false);
-        }
-        st.common.meter.record_transfer_seconds(sim.makespan);
-        st.common.clock.advance(VPhase::C2s, sim.makespan);
-        if let Some(pt) = &sim.trace {
-            tcap.phase_trace("download", t0, t0 + sim.makespan, pt);
-        }
-        delivered
-    }
 }
 
-impl RoundLoop for DenseRun<'_> {
-    type State = RoundState;
-
-    fn stamp(&self) -> &RunStamp {
-        &self.ctx.stamp
-    }
-
-    fn state(&mut self) -> &mut RoundState {
-        &mut self.st
-    }
-
-    fn common(&mut self) -> &mut CommonState {
-        &mut self.st.common
-    }
-
-    fn observers(&mut self) -> &mut Observers {
-        &mut self.obs
-    }
-
-    fn begin(&mut self, start_epoch: usize) {
-        self.obs.flight = self.open_flight(start_epoch);
-    }
-
-    fn round(&mut self, epoch: usize) -> Outcome {
+/// What the run shell (`engine::run`) calls.
+impl Run<'_> {
+    /// One round, from `sample` to `bookkeep`: the dense round, over a
+    /// fleet block's cohort too.
+    pub(crate) fn round(&mut self, epoch: usize) -> Outcome {
         let scheme = self.ctx.cfg.scheme.name();
         let _round =
             fedmigr_telemetry::span!("core::runner", "round", "epoch" => epoch, "scheme" => scheme);
@@ -1683,10 +1816,15 @@ impl RoundLoop for DenseRun<'_> {
             return Outcome::RolledBack(ck_epoch);
         }
         self.obs.kphases.credit("bookkeeping");
+        self.retire(epoch);
         Outcome::Done(r.accuracy)
     }
 
-    fn keep_snapshot(&mut self, epoch: usize, bytes: Vec<u8>) -> Vec<u8> {
+    /// Offers the run the snapshot taken after `epoch` (the watchdog's
+    /// rollback target) and returns the buffer the next snapshot is encoded
+    /// into: the one a kept snapshot displaced, or `bytes` itself when the
+    /// run keeps nothing.
+    pub(crate) fn keep_snapshot(&mut self, epoch: usize, bytes: Vec<u8>) -> Vec<u8> {
         self.nan_sources.fill(false);
         if !self.ctx.cfg.watchdog.enabled {
             return bytes;
@@ -1694,7 +1832,8 @@ impl RoundLoop for DenseRun<'_> {
         self.last_good.replace((epoch, bytes)).map(|(_, displaced)| displaced).unwrap_or_default()
     }
 
-    fn finish(&mut self, exit: &Exit) -> Totals {
+    /// Closes the flight recording and logs where the time went.
+    pub(crate) fn finish(&mut self, exit: &Exit) {
         let st = &self.st;
         let records = &st.common.records;
         if let Some(rec) = self.obs.flight.as_mut().filter(|_| !exit.killed) {
@@ -1715,17 +1854,16 @@ impl RoundLoop for DenseRun<'_> {
             }
         }
         log_phase_hotspot(records.last().map(|r| r.phase).unwrap_or_default());
-        Totals {
-            link_migrations: st.link_migrations.clone(),
-            fault: st.fault_stats,
-            robust: st.robust_total,
-            compression: st.compressor.stats(),
-            transport_stats: st.taccum.finish(),
-        }
     }
 }
 
-impl RoundState {
+impl RoundState<'_> {
+    /// Whether the residents stay on after an aggregation: every client of
+    /// a dense run does; a fleet cohort retires after its block's.
+    fn keeps_residents(&self) -> bool {
+        matches!(self.world, World::Dense { .. })
+    }
+
     /// Staleness-tolerant degraded aggregation for the flow transport:
     /// folds the `on_time` uploads as fresh entries and the buffered late
     /// uploads as staleness-discounted entries. A buffered upload is
@@ -1782,7 +1920,7 @@ impl RoundState {
 /// a panic.
 fn effective_bandwidth(
     fault: &FaultModel,
-    topo: &Topology,
+    topo: &dyn Links,
     a: usize,
     b: usize,
     epoch: usize,
@@ -1796,12 +1934,12 @@ fn effective_bandwidth(
 
 /// One exponential-decay step of each active client's mixture estimate
 /// towards the data it just trained on.
-fn decay_towards(mix: &mut [Vec<f64>], dists: &[Vec<f64>], active: &[bool]) {
-    for (i, (m, q)) in mix.iter_mut().zip(dists).enumerate() {
+fn decay_towards(mix: &mut [Vec<f64>], clients: &[FlClient], active: &[bool]) {
+    for (i, (m, c)) in mix.iter_mut().zip(clients).enumerate() {
         if !active[i] {
             continue;
         }
-        for (mi, qi) in m.iter_mut().zip(q) {
+        for (mi, qi) in m.iter_mut().zip(c.label_dist()) {
             *mi = (1.0 - MIX_ALPHA) * *mi + MIX_ALPHA * qi;
         }
     }
@@ -1922,28 +2060,20 @@ fn observe_link_time(path: &'static str, seconds: f64) {
     );
 }
 
-fn effective_samples(n: usize, cfg: &RunConfig) -> usize {
-    match cfg.max_batches_per_epoch {
-        Some(b) => n.min(b * cfg.batch_size),
-        None => n,
-    }
-}
-
 /// Trains the participating clients for one local epoch, in parallel.
 /// Returns the per-client losses (`None` for clients that sat the epoch
 /// out) plus a mask of clients whose training *panicked*. A panic —
 /// whether injected by [`FaultConfig::panics`] or a genuine bug in one
 /// client's training path — is contained per client (`catch_unwind`
 /// inside the worker): the client is treated as crashed for the round,
-/// its chunk-mates keep training, and the run survives. The fleet runner
-/// trains its cohort here too, with every client active and no faults.
+/// its chunk-mates keep training, and the run survives.
 ///
 /// Work is chunked by [`fedmigr_telemetry::fan_out`], one worker per core,
 /// rather than one thread per client: oversubscribing cores makes each
 /// kernel's *wall* time include descheduled gaps, which used to inflate
 /// the summed `local_train` kernel time to several multiples of the
 /// phase's process CPU time and wreck the attribution numbers.
-pub(crate) fn train_all(
+fn train_all(
     clients: &mut [FlClient],
     cfg: &RunConfig,
     prox: Option<&(Vec<f32>, f32)>,
@@ -1952,16 +2082,17 @@ pub(crate) fn train_all(
     epoch: usize,
 ) -> (Vec<Option<f32>>, Vec<bool>) {
     let prox = prox.map(|(g, mu)| (g.as_slice(), *mu));
+    let ids: Vec<usize> = clients.iter().map(FlClient::id).collect();
     let results = fedmigr_telemetry::fan_out(clients, |first, part| {
         let _busy = kcount::worker();
         part.iter_mut()
             .enumerate()
             .map(|(j, c)| {
-                let i = first + j;
-                active[i].then(|| {
+                active[first + j].then(|| {
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        if fault.client_panics(i, epoch) {
-                            panic!("injected client panic (client {i}, epoch {epoch})");
+                        let id = c.id();
+                        if fault.client_panics(id, epoch) {
+                            panic!("injected client panic (client {id}, epoch {epoch})");
                         }
                         c.train_epoch(cfg.batch_size, cfg.max_batches_per_epoch, prox)
                     }))
@@ -1979,8 +2110,9 @@ pub(crate) fn train_all(
             Some(Err(_)) => {
                 fedmigr_telemetry::error!(
                     "core::runner",
-                    "client {i} training panicked at epoch {epoch}; \
-                     treating the client as crashed for this round"
+                    "client {} training panicked at epoch {epoch}; \
+                     treating the client as crashed for this round",
+                    ids[i]
                 );
                 panicked[i] = true;
                 None
@@ -1993,9 +2125,8 @@ pub(crate) fn train_all(
 /// Server-side aggregation (Eq. 7 and its robust variants) of the uploads
 /// that reached the server: weights are the senders' local sample counts
 /// `n_k`. A round with *no* upload keeps the previous global model instead
-/// of panicking on an empty average. The fleet aggregates its cohort here
-/// too, every member an upload.
-pub(crate) fn aggregate_active(
+/// of panicking on an empty average.
+fn aggregate_active(
     clients: &[FlClient],
     uploads: &[Upload],
     aggregator: &Aggregator,
@@ -2016,7 +2147,7 @@ pub(crate) fn aggregate_active(
 
 /// One payload that reached the server: the sender and what the wire
 /// delivered.
-pub(crate) type Upload = (usize, Vec<f32>);
+type Upload = (usize, Vec<f32>);
 
 /// An upload that completed after its round's deadline, buffered until an
 /// aggregation folds it with a staleness discount (or ages it out).
@@ -2031,13 +2162,14 @@ pub(crate) struct LateUpload {
     pub seq: usize,
 }
 
-/// Per-client result of one flow-transport upload phase.
-struct FlowUploadOutcome {
-    /// Uploads that completed within the round deadline.
+/// Per-client result of one flow-transport C2S phase.
+struct FlowOutcome {
+    /// Transfers that completed within the round deadline (every completed
+    /// download).
     on_time: Vec<bool>,
     /// Uploads that completed, but after the deadline.
     late: Vec<bool>,
-    /// Uploads whose flow exhausted its timeout budget.
+    /// Transfers whose flow exhausted its timeout budget.
     failed: usize,
 }
 
@@ -2063,11 +2195,24 @@ mod tests {
     use super::*;
     use fedmigr_data::{partition_iid, partition_shards, SyntheticConfig, SyntheticDataset};
 
-    impl RoundState {
+    impl<'a> RoundState<'a> {
         /// The state a run of `cfg` over `exp` starts from (a fixture for
         /// the checkpoint tests).
-        pub(crate) fn fresh(exp: &Experiment, cfg: &RunConfig) -> Self {
-            DenseRun::new(exp, cfg).st
+        pub(crate) fn fresh(exp: &'a Experiment, cfg: &'a RunConfig) -> Self {
+            Run::dense(exp, cfg).st
+        }
+
+        /// The state a fleet run of `cfg` over `exp` starts from.
+        pub(crate) fn fresh_fleet(exp: &'a mut FleetExperiment, cfg: &'a RunConfig) -> Self {
+            Run::fleet(exp, cfg).st
+        }
+
+        /// A fleet state's pool.
+        pub(crate) fn pool(&mut self) -> &mut fedmigr_fleet::ClientPool {
+            match &mut self.world {
+                World::Fleet(fleet) => fleet.pool,
+                World::Dense { .. } => panic!("a dense run has no pool"),
+            }
         }
     }
 
@@ -2471,7 +2616,7 @@ mod tests {
     fn only_an_armed_watchdog_holds_a_snapshot() {
         let exp = small_experiment(false);
         let mut cfg = quick_cfg(Scheme::FedAvg, 4);
-        let mut run = DenseRun::new(&exp, &cfg);
+        let mut run = Run::dense(&exp, &cfg);
         let bytes = vec![1u8; 64];
         let ptr = bytes.as_ptr();
         let back = run.keep_snapshot(1, bytes);
@@ -2479,7 +2624,7 @@ mod tests {
         assert!(run.last_good.is_none());
 
         cfg.watchdog = WatchdogConfig { enabled: true, ..WatchdogConfig::default() };
-        let mut run = DenseRun::new(&exp, &cfg);
+        let mut run = Run::dense(&exp, &cfg);
         let (first, second) = (vec![1u8; 64], vec![2u8; 32]);
         let (first_ptr, second_ptr) = (first.as_ptr(), second.as_ptr());
         assert!(run.keep_snapshot(1, first).is_empty(), "nothing displaced yet");
@@ -2494,9 +2639,9 @@ mod tests {
     fn first_communication<'a>(
         exp: &'a Experiment,
         cfg: &'a RunConfig,
-    ) -> (DenseRun<'a>, Round, Vec<Vec<u32>>, Vec<Vec<u32>>) {
-        let mut run = DenseRun::new(exp, cfg);
-        let bits = |run: &mut DenseRun| -> Vec<Vec<u32>> {
+    ) -> (Run<'a>, Round, Vec<Vec<u32>>, Vec<Vec<u32>>) {
+        let mut run = Run::dense(exp, cfg);
+        let bits = |run: &mut Run| -> Vec<Vec<u32>> {
             let params = run.st.clients.iter_mut().map(FlClient::params);
             params.map(|p| p.iter().map(|x| x.to_bits()).collect()).collect()
         };
@@ -2552,7 +2697,7 @@ mod tests {
         let mut cfg = quick_cfg(Scheme::FedAvg, 4);
         cfg.participation = 0.5;
         cfg.dp = Some(dp);
-        let mut run = DenseRun::new(&exp, &cfg);
+        let mut run = Run::dense(&exp, &cfg);
         let mut r = run.sample(1).expect("half the clients are sampled");
         run.train(&mut r);
         run.decide(&mut r);

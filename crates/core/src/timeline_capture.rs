@@ -69,34 +69,26 @@ impl TimelineCapture {
         seed: u64,
         sparse: bool,
     ) -> Self {
-        let rec = path.and_then(|p| match TimelineRecorder::create(p) {
-            Ok(mut rec) => {
-                let mut header = TimelineHeader {
-                    version: TIMELINE_VERSION,
-                    mode: mode.into(),
-                    scheme: scheme.into(),
-                    transport: transport.into(),
-                    clients,
-                    seed,
-                };
-                match rec.header(&mut header) {
-                    Ok(()) => Some(rec),
-                    Err(e) => {
-                        fedmigr_telemetry::error!(
-                            "core::timeline",
-                            "timeline header write failed for {p}: {e}; timeline disabled"
-                        );
-                        None
-                    }
-                }
-            }
-            Err(e) => {
-                fedmigr_telemetry::error!(
-                    "core::timeline",
-                    "cannot open timeline {p}: {e}; timeline disabled"
-                );
-                None
-            }
+        let rec = path.and_then(|p| {
+            TimelineRecorder::create(p)
+                .and_then(|mut rec| {
+                    rec.header(&mut TimelineHeader {
+                        version: TIMELINE_VERSION,
+                        mode: mode.into(),
+                        scheme: scheme.into(),
+                        transport: transport.into(),
+                        clients,
+                        seed,
+                    })?;
+                    Ok(rec)
+                })
+                .map_err(|e| {
+                    fedmigr_telemetry::error!(
+                        "core::timeline",
+                        "cannot open timeline {p}: {e}; timeline disabled"
+                    );
+                })
+                .ok()
         });
         TimelineCapture {
             rec,

@@ -40,10 +40,10 @@ pub struct Histogram {
 
 impl Histogram {
     /// Index of the bucket `v` falls into: the first bound `>= v`, or the
-    /// overflow bucket. NaN compares below no bound, so it lands in the
-    /// first bucket.
+    /// overflow (`+Inf`) bucket. NaN is no bound's, so it overflows too,
+    /// never counting as a sub-microsecond observation.
     fn bucket_index(v: f64) -> usize {
-        BOUNDS.partition_point(|&b| b < v)
+        BOUNDS.partition_point(|&b| b < v || v.is_nan())
     }
 
     /// Records one observation.
@@ -346,9 +346,9 @@ mod tests {
     fn histogram_buckets_count_and_sum() {
         let s = histogram_of(&[1e-7, 1e-6, 5e-6, 100.0, f64::NAN]);
         let mut counts = [0; BOUNDS.len() + 1];
-        counts[0] = 3; // le=1e-6 gets 1e-7 and 1e-6 (bound inclusive), and NaN
+        counts[0] = 2; // le=1e-6 gets 1e-7 and 1e-6 (bound inclusive)
         counts[2] = 1; // 5e-6 lies in (4e-6, 1.6e-5]
-        counts[14] = 1; // 100 s overflows
+        counts[14] = 2; // 100 s overflows, and NaN is no bound's
         assert_eq!(s.counts, counts);
         assert_eq!(s.count, 5);
         assert!((s.sum - 100.0000061).abs() < 1e-9, "NaN adds nothing to the sum");

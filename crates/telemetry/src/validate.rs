@@ -28,7 +28,10 @@ use crate::cli::{first, put_some, usage_error, Command, Flag};
 use crate::TraceEvent;
 
 /// Per runner mode: the span names it may emit, then those that must
-/// appear at least once.
+/// appear at least once. Both modes run one round body; a fleet round also
+/// opens `cohort_activate` and `retire` around its block, names its
+/// communication phase `migrate`, and never screens a migration (fleet
+/// mode runs no adversary).
 #[rustfmt::skip]
 const MODES: [(&str, &[&str], &[&str]); 2] = [
     ("dense",
@@ -37,9 +40,10 @@ const MODES: [(&str, &[&str], &[&str]); 2] = [
        "diagnostics", "update", "bench_main"],
      &["round", "local_train", "communicate", "evaluate"]),
     ("fleet",
-     &["round", "cohort_activate", "local_train", "decision", "migrate", "aggregate", "evaluate",
-       "retire", "bookkeeping", "update", "bench_main"],
-     &["round", "cohort_activate", "local_train", "aggregate"]),
+     &["round", "cohort_activate", "local_train", "decision", "migrate", "aggregate",
+       "migration_plan", "migration_transfer", "evaluate", "agent_update", "bookkeeping",
+       "retire", "diagnostics", "update", "bench_main"],
+     &["round", "cohort_activate", "local_train", "migrate", "aggregate", "evaluate", "retire"]),
 ];
 
 /// The options of one `fedmigr validate` run.

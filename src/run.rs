@@ -156,8 +156,8 @@ pub fn command() -> Command<RunArgs> {
             help: "fleet mode: lazy sharded client state for large populations — clients live \
                    as compact dormant stubs, each aggregation block activates only a sampled \
                    cohort, so peak memory scales with the cohort, not the fleet. Supports \
-                   fedavg/fedmigr, identity codec, lockstep transport; --samples becomes the \
-                   per-client holding (10-class synthetic world)" },
+                   fedavg/fedprox/fedmigr and --dp-eps, identity codec, lockstep transport; \
+                   --samples becomes the per-client holding (10-class synthetic world)" },
         Flag { name: "--fleet-clients", value: "<n>", default: "10000", set: |a, v| put(&mut a.fleet_clients, v),
             help: "fleet size K (fleet mode only)" },
         Flag { name: "--fleet-lans", value: "<n>", default: "10", set: |a, v| put(&mut a.fleet_lans, v),

@@ -625,7 +625,7 @@ mod rules {
     /// Planning in one place: outside test items under `crates/core/src`
     /// and `src`, `FlmmRelaxation` and `.solve(` occur nowhere, because the
     /// oracle is its objective, and `.select_action(` only in core's
-    /// `migration.rs`, where both round loops' planners live.
+    /// `migration.rs`, where the dense and the fleet planner live.
     pub fn planning_in_one_place(tree: &Tree) -> Vec<String> {
         let scope = |p: &str| is_rs(p) && (under(p, "crates/core/src") || under(p, "src"));
         let mut v = Vec::new();
@@ -823,7 +823,7 @@ mod rules {
     }
 
     /// Egress in one place: DP noise and Byzantine corruption land on what
-    /// a client transmits, in the dense runner's `send`, never on a model
+    /// a client transmits, in the runner's `send`, never on a model
     /// a client keeps. Outside test items, `crates/core/src` calls
     /// `DpConfig::apply` once (as `DpConfig::apply(` or as the one `.apply(`
     /// with two arguments; `MigrationPlan::apply` takes one), and
@@ -856,6 +856,25 @@ mod rules {
             ));
         }
         v
+    }
+
+    /// One round body: outside test items, `crates/core/src` defines
+    /// `fn round` exactly once — the dense round, which a fleet block runs
+    /// over its cohort. A second round loop needs a second one.
+    pub fn one_round_body(tree: &Tree) -> Vec<String> {
+        let scope = |p: &str| is_rs(p) && under(p, "crates/core/src");
+        let mut found = Vec::new();
+        for (path, code) in read(tree, Tests::Skip, scope) {
+            for (r, w) in idents(&code) {
+                if w == "round" && ends_with_word(code[..r.start].trim_end(), "fn") {
+                    found.push(format!("{path}:{}: fn round", line_of(&code, r.start)));
+                }
+            }
+        }
+        match found.len() {
+            1 => Vec::new(),
+            n => vec![format!("fn round is defined {n} times, not once: {found:?}")],
+        }
     }
 
     /// Every pub fn is called, and every pub struct, enum, trait, type,
@@ -1134,6 +1153,21 @@ fn egress_in_one_place() {
     let test = "#[cfg(test)]\nfn t() { dp.apply(&mut p, &mut rng); }\n";
     let tree = planted(&[("crates/core/src/planted.rs", plan), ("crates/core/src/fleet.rs", test)]);
     assert_eq!(rules::egress_in_one_place(&tree), Vec::<String>::new());
+}
+
+#[test]
+fn one_round_body() {
+    holds(
+        rules::one_round_body,
+        &[(
+            "crates/core/src/fleet.rs",
+            "impl Fleet<'_> {\n    fn round(&mut self, epoch: usize) {}\n}\n",
+        )],
+    );
+    // Neither a test item, a longer name nor a call to a `round` defines one.
+    let others = "#[cfg(test)]\nfn round() {}\nfn rounds() {}\nfn f(x: f64) -> f64 { x.round() }\n";
+    let tree = planted(&[("crates/core/src/planted.rs", others)]);
+    assert_eq!(rules::one_round_body(&tree), Vec::<String>::new());
 }
 
 #[test]

@@ -150,20 +150,28 @@ fn unknown_missing_and_bad_values_exit_2() {
 
 #[test]
 fn fleet_rules_are_usage_errors_naming_the_rule() {
-    for (flag, value, rule) in [
-        ("--codec", "int8", "fleet mode requires the identity codec"),
-        ("--transport", "flow", "fleet mode requires the lockstep transport"),
-        ("--dropout", "0.1", "fleet mode does not support fault injection"),
-        ("--participation", "0.5", "leave participation at 1.0"),
-        ("--fleet-clients", "0", "one client per LAN"),
-        ("--fleet-lans", "0", "at least one LAN"),
-        ("--fleet-lans", "30", "one client per LAN"),
-        ("--samples", "0", "--samples must be at least 1"),
-        ("--batch", "0", "batch_size must be at least 1"),
+    for (flags, rule) in [
+        (&["--codec", "int8"][..], "fleet mode requires the identity codec"),
+        (&["--transport", "flow"], "fleet mode requires the lockstep transport"),
+        (&["--dropout", "0.1"], "fleet mode does not support fault injection"),
+        (&["--attack", "signflip:0.2"], "fleet mode does not support Byzantine attacks"),
+        (&["--watchdog"], "fleet mode does not support the divergence watchdog"),
+        (&["--participation", "0.5"], "leave participation at 1.0"),
+        (&["--scheme", "fedswap"], "fleet mode supports FedAvg, FedProx and FedMigr"),
+        (&["--checkpoint-every", "3", "--agg", "2"], "a multiple of agg_interval"),
+        (&["--sample-frac", "0"], "fleet sample_frac must be in (0, 1]"),
+        (&["--top-m", "0"], "fleet top_m must be positive"),
+        (&["--fleet-clients", "0"], "one client per LAN"),
+        (&["--fleet-lans", "0"], "at least one LAN"),
+        (&["--fleet-lans", "30"], "one client per LAN"),
+        (&["--samples", "0"], "--samples must be at least 1"),
+        (&["--batch", "0"], "batch_size must be at least 1"),
     ] {
-        let out = fedmigr(&["--fleet", "--fleet-clients", "20", flag, value]);
-        assert_eq!(code(&out), 2, "--fleet {flag} {value}: {}", stderr(&out));
-        assert!(stderr(&out).contains(rule), "--fleet {flag} {value}: {}", stderr(&out));
+        let mut args = vec!["--fleet", "--fleet-clients", "20"];
+        args.extend_from_slice(flags);
+        let out = fedmigr(&args);
+        assert_eq!(code(&out), 2, "--fleet {flags:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(rule), "--fleet {flags:?}: {}", stderr(&out));
     }
 }
 
